@@ -3,7 +3,7 @@
 Reproduces "Offline Model Guard: Secure and Private ML on Mobile
 Devices" (Bayerl et al., DATE 2020): privacy-preserving keyword
 recognition inside a SANCTUARY user-space enclave on a simulated ARM
-HiKey 960, with from-scratch crypto, a TFLM-like int8 inference engine,
+HiKey 960, with from-scratch AES/RSA, a TFLM-like int8 inference engine,
 and the full three-phase provisioning protocol.
 
 Quickstart::

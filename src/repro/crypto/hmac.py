@@ -1,31 +1,37 @@
-"""HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869), built on the local SHA-256.
+"""HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869) on the standard library.
 
-These primitives back the OMG key-derivation step KDF(PK, n) -> K_U and
-the deterministic random-bit generator in :mod:`repro.crypto.rng`.
+These primitives back the OMG key-derivation step KDF(PK, n) -> K_U,
+the deterministic random-bit generator in :mod:`repro.crypto.rng`, and
+the fleet's license MACs.
 """
 
 from __future__ import annotations
 
-from repro.crypto.sha256 import SHA256, sha256
+import hmac as _hmac
+
 from repro.errors import KeyError_
 
-__all__ = ["hmac_sha256", "hkdf_extract", "hkdf_expand", "hkdf", "constant_time_eq"]
-
-_BLOCK = 64
+__all__ = ["hmac_sha256", "hmac_sha256_many", "hmac_sha256_keyed",
+           "hkdf_extract", "hkdf_expand", "hkdf", "constant_time_eq"]
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """Return HMAC-SHA256(key, message)."""
-    if len(key) > _BLOCK:
-        key = sha256(key)
-    key = key.ljust(_BLOCK, b"\x00")
-    ipad = bytes(b ^ 0x36 for b in key)
-    opad = bytes(b ^ 0x5C for b in key)
-    inner = SHA256(ipad)
-    inner.update(message)
-    outer = SHA256(opad)
-    outer.update(inner.digest())
-    return outer.digest()
+    return _hmac.digest(key, message, "sha256")
+
+
+def hmac_sha256_many(key: bytes, messages) -> list[bytes]:
+    """HMAC-SHA256 of each message under one ``key``, in input order."""
+    return [_hmac.digest(key, m, "sha256") for m in messages]
+
+
+def hmac_sha256_keyed(keys, messages) -> list[bytes]:
+    """HMAC-SHA256 with a per-message key: ``keys[i]`` signs ``messages[i]``."""
+    keys = list(keys)
+    messages = list(messages)
+    if len(keys) != len(messages):
+        raise ValueError("hmac_sha256_keyed needs one key per message")
+    return [_hmac.digest(k, m, "sha256") for k, m in zip(keys, messages)]
 
 
 def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
@@ -57,10 +63,5 @@ def hkdf(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
 
 
 def constant_time_eq(a: bytes, b: bytes) -> bool:
-    """Compare two byte strings without data-dependent early exit."""
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0
+    """Compare two byte strings in time independent of where they differ."""
+    return _hmac.compare_digest(a, b)

@@ -2,9 +2,9 @@
 
 Every key in the simulation is derived deterministically from a context
 string, so identical contexts always yield identical keys.  Caching the
-(expensive, pure-Python) prime generation per context makes repeated
-platform construction — every test builds platforms — cheap after the
-first time.
+prime generation (tens of milliseconds per 1024-bit pair) per context
+makes repeated platform construction — every test builds platforms —
+cheap after the first time.
 
 The serving path (``repro.serve``) adds two more caches:
 

@@ -214,7 +214,7 @@ def generate_keypair(bits: int = 1024, rng: HmacDrbg | None = None,
     """Generate an RSA key pair deterministically from ``rng``.
 
     1024-bit keys are the default: ample for a simulation while keeping
-    deterministic key generation fast in pure Python.
+    deterministic key generation fast.
     """
     if bits < 512:
         raise KeyError_("RSA modulus must be at least 512 bits")

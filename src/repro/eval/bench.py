@@ -791,10 +791,11 @@ def bench_fleet_provisioning(devices: int = 100_000, shards: int = 8,
 
     The stage's ``speedup`` is the wall-clock *scaling efficiency*:
     storm seconds per device at ``baseline_devices`` over the same at
-    the full fleet (same arrival window, ~10x the load).  The batched
-    crypto passes should amortize (bigger waves, same call count), so
-    ~1.0 or better is healthy; :data:`FLEET_SCALING_MIN_EFFICIENCY`
-    catches superlinear per-wave costs.  After the storm the stage
+    the full fleet (same arrival window, ~10x the load).  Per-device
+    crypto costs the same at any wave size and per-wave costs spread
+    over more devices, so ~1.0 or better is healthy;
+    :data:`FLEET_SCALING_MIN_EFFICIENCY` catches superlinear per-wave
+    costs.  After the storm the stage
     restarts any still-dark shard (journal recovery), reconciles the
     cross-shard at-most-one-live-license invariant, and offline-verifies
     one sampled audit chain — all outside the timed region.

@@ -9,8 +9,8 @@ summary before it is encoded (the static secret-taint rule recognizes
 
 Integrity is a segment hash chain over Merkle roots: records accumulate
 until :meth:`seal` folds them into segments of ``segment_records``;
-each segment's leaves (batched SHA-256 of the encoded records) reduce
-to a binary Merkle root, and
+each segment's leaves (SHA-256 of the encoded records) reduce to a
+binary Merkle root, and
 
     head_i = SHA256(head_{i-1} || root_i)
 
@@ -20,20 +20,15 @@ serialized records alone — rollback protection for the issuance
 history: truncating, reordering, or editing any record breaks every
 subsequent head.
 
-The Merkle fold (rather than hashing the leaf concatenation) keeps the
-chain affordable at fleet scale: every tree level across *all* segments
-being sealed runs as one batched compression pass, so sealing 10^5
-records costs tens of vectorized calls instead of megabytes of scalar
-hashing.  Appends do no hashing at all — shards on the enrollment hot
-path pay string formatting only, and seal at checkpoints.
+Appends do no hashing at all — shards on the enrollment hot path pay
+string formatting only, and seal at checkpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.sha256 import sha256
-from repro.crypto.sha256_batch import sha256_many
+from repro.crypto.sha256 import sha256, sha256_many
 from repro.errors import ProtocolError
 from repro.obs import redact
 
@@ -61,35 +56,15 @@ class AuditRecord:
         return b"\x1f".join(parts)
 
 
-def _merkle_roots(leaf_groups: list[list[bytes]]) -> list[bytes]:
-    """Binary Merkle root of each group, one batched pass per level.
-
-    Odd trailing nodes promote to the next level unchanged; all groups
-    fold together so lanes stay wide even when segments are short.
-    """
-    levels = [list(group) for group in leaf_groups]
-    while True:
-        batch: list[bytes] = []
-        paired: list[int] = []
-        for nodes in levels:
-            pairs = len(nodes) // 2 if len(nodes) > 1 else 0
-            paired.append(pairs)
-            for j in range(0, 2 * pairs, 2):
-                batch.append(nodes[j] + nodes[j + 1])
-        if not batch:
-            break
-        digests = sha256_many(batch)
-        offset = 0
-        for index, nodes in enumerate(levels):
-            pairs = paired[index]
-            if not pairs:
-                continue
-            folded = digests[offset:offset + pairs]
-            offset += pairs
-            if len(nodes) % 2:
-                folded.append(nodes[-1])
-            levels[index] = folded
-    return [nodes[0] for nodes in levels]
+def _merkle_root(nodes: list[bytes]) -> bytes:
+    """Binary Merkle root; an odd trailing node promotes unchanged."""
+    while len(nodes) > 1:
+        folded = sha256_many(nodes[j] + nodes[j + 1]
+                             for j in range(0, len(nodes) - 1, 2))
+        if len(nodes) % 2:
+            folded.append(nodes[-1])
+        nodes = folded
+    return nodes[0]
 
 
 class AuditChain:
@@ -126,11 +101,10 @@ class AuditChain:
                bounds: list[int], start: int) -> list[bytes]:
         """Heads for ``leaves`` split at the (absolute) ``bounds``,
         where ``leaves[0]`` is record ``start``."""
-        groups = [leaves[lo - start:hi - start]
-                  for lo, hi in zip([start] + bounds[:-1], bounds)]
         heads = []
-        for root in _merkle_roots(groups):
-            previous = sha256(previous + root)
+        for lo, hi in zip([start] + bounds[:-1], bounds):
+            previous = sha256(previous + _merkle_root(
+                leaves[lo - start:hi - start]))
             heads.append(previous)
         return heads
 

@@ -16,7 +16,7 @@ is a discrete-event queue model on the shared
 
 * device arrival offsets come from cohort fabrication (seeded HMAC);
 * a wave every ``wave_ms`` drains all due legs, batch-enrolling per
-  shard (one vectorized crypto pass per shard per wave);
+  shard (one crypto pass per shard per wave);
 * each leg's virtual completion time is its queue position times
   ``service_us`` — so per-shard queue depth, not host speed, shapes
   the reported p99 enrollment latency;

@@ -30,15 +30,14 @@ batched.
 from __future__ import annotations
 
 from repro.crypto.cert import CertificateAuthority
-from repro.crypto.hmac import hmac_sha256
-from repro.crypto.keycache import deterministic_keypair
-from repro.crypto.rng import HmacDrbg
-from repro.crypto.sha256 import sha256
-from repro.crypto.sha256_batch import (
+from repro.crypto.hmac import (
+    hmac_sha256,
     hmac_sha256_keyed,
     hmac_sha256_many,
-    sha256_many,
 )
+from repro.crypto.keycache import deterministic_keypair
+from repro.crypto.rng import HmacDrbg
+from repro.crypto.sha256 import sha256, sha256_many
 from repro.errors import ProtocolError
 from repro.fleet.ring import key_positions
 from repro.fleet.shard import (
@@ -118,13 +117,11 @@ class DeviceCohort:
 def complete_grant_batches(
         batches: list[tuple["DeviceCohort", list[int], list]],
 ) -> list[list[bool]]:
-    """Unlock grant replies for many cohorts in shared batched passes.
+    """Unlock grant replies for many cohorts in shared passes.
 
-    The storm driver feeds every cohort's wave here at once so the wrap
-    keys (per-cohort secrets, via per-lane HMAC midstates), grant MACs,
-    and content-key digest checks each run as a single vectorized call
-    — the scalar equivalents would cost ~1.5 ms per device, the whole
-    fleet budget many times over.
+    The storm driver feeds every cohort's wave here at once, so the wrap
+    keys (keyed by each cohort's secret), grant MACs, and content-key
+    digest checks each run as one pass over the wave.
     """
     lanes: list[tuple[int, int, object]] = []  # batch no, device, reply
     keys: list[bytes] = []

@@ -9,17 +9,15 @@ from) exactly the changed shard.  Both properties are pinned by
 Hypothesis tests (``tests/test_fleet_ring.py``).
 
 Key positions are a pure function of the key bytes, so the fleet
-fabricates them in bulk with the batched SHA-256
-(:func:`repro.crypto.sha256_many`) and routes 10^5 devices without
-paying the scalar pure-Python hash per lookup.
+fabricates them once per device in bulk
+(:func:`repro.crypto.sha256_many`) rather than hashing per lookup.
 """
 
 from __future__ import annotations
 
 import bisect
 
-from repro.crypto.sha256 import sha256
-from repro.crypto.sha256_batch import sha256_many
+from repro.crypto.sha256 import sha256, sha256_many
 from repro.errors import ReproError
 
 __all__ = ["HashRing", "key_position", "key_positions"]

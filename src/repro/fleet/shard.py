@@ -15,8 +15,8 @@ plane.  It serves two enrollment paths:
   simulated devices that share one attestation keypair (group
   attestation, EPID-style: the cohort's report is RSA-verified *once*
   at registration; individual devices then authenticate with cheap
-  HMAC membership tickets).  All per-device crypto inside a wave runs
-  through the batched SHA-256, which is what makes 10^5 enrollments
+  HMAC membership tickets).  Per-device crypto inside a wave is a few
+  HMAC/SHA-256 calls per leg, which is what makes 10^5 enrollments
   affordable — see :mod:`repro.fleet.population`.
 
 Both paths share the shard's :class:`~repro.fleet.journal.LicenseJournal`
@@ -34,12 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.crypto.hmac import constant_time_eq, hmac_sha256
-from repro.crypto.sha256_batch import (
+from repro.crypto.hmac import (
+    constant_time_eq,
+    hmac_sha256,
     hmac_sha256_keyed,
     hmac_sha256_many,
-    sha256_many,
 )
+from repro.crypto.sha256 import sha256, sha256_many
 from repro.errors import (
     AttestationError,
     ChannelTimeout,
@@ -274,7 +275,7 @@ class VendorShard:
                 self.audit.append("refuse", tenant=tenant, device=subject,
                                   reason=str(exc)[:80])
                 raise
-            digest_hex = sha256_many([reply])[0].hex()
+            digest_hex = sha256(reply).hex()
             try:
                 status = self.journal.grant(subject, tenant, nonce_hex,
                                             digest_hex)
@@ -300,7 +301,7 @@ class VendorShard:
 
         Fault hooks are consumed per leg in wave order, so transcripts
         are deterministic; ticket verification, wrap-key derivation,
-        and grant MACs run vectorized across the wave.
+        and grant MACs each run as one pass over the wave.
         """
         replies: list[EnrollReply | None] = [None] * len(legs)
         admitted: list[int] = []
@@ -316,9 +317,8 @@ class VendorShard:
                 continue
             admitted.append(index)
 
-        # Batched membership-ticket verification.  Lanes span every
-        # cohort in the wave (per-lane HMAC midstates), so the pass
-        # count does not grow with cohort fan-out.
+        # Membership-ticket verification, one pass over every cohort in
+        # the wave (each leg keyed by its own cohort's ticket key).
         expected: dict[int, str] = {}
         wrap_bases: dict[tuple[str, str], bytes] = {}
         known: list[int] = []
@@ -362,8 +362,7 @@ class VendorShard:
 
         if grant_indices:
             # wk = HMAC(wrap_base, device|nonce); wrapped = K_M xor wk;
-            # mac = HMAC(wk || wrapped) — all three passes batched,
-            # mixed cohorts sharing lanes via per-lane key midstates.
+            # mac = HMAC(wk || wrapped) — one pass each over the wave.
             wrap_keys = hmac_sha256_keyed(
                 [wrap_bases[(legs[i].tenant, legs[i].cohort)]
                  for i in grant_indices],

@@ -76,6 +76,10 @@ def test_constant_time_eq():
     assert not constant_time_eq(b"same", b"sama")
     assert not constant_time_eq(b"short", b"longer")
     assert constant_time_eq(b"", b"")
+    assert constant_time_eq(b"same", bytearray(b"same"))
+    assert not constant_time_eq(bytearray(b"same"), b"sama")
+    assert not constant_time_eq(b"tag", b"")
+    assert not constant_time_eq(b"\x00" * 16, b"\x00" * 15)
 
 
 @given(st.binary(max_size=200), st.binary(max_size=500))
