@@ -4,8 +4,8 @@ Builds a platform, installs a :class:`~repro.obs.Telemetry` bundle on
 its virtual clock, and drives the multi-session serving stack through a
 seeded traffic pattern.  Everything the observability subsystem
 instruments fires along the way: enclave launch/boot/attest spans from
-the worker pool's provisioning, dispatch/batch spans and queue/ring
-metrics from the service, keystream cache counters from the crypto
+the worker pool's provisioning, tick/batch spans and queue/ring
+metrics from the serving loop and service, keystream cache counters from the crypto
 layer, and (optionally) per-op interpreter spans.
 
 Returns the telemetry bundle (for export) plus the service's structured
@@ -33,7 +33,7 @@ def run_traced_serving(requests: int = 12, max_batch: int = 4,
     """
     from repro.core.parties import Vendor
     from repro.eval.pretrained import standard_model
-    from repro.serve import ServeConfig, ServingService
+    from repro.serve import ServeConfig, ServingLoop, ServingService
     from repro.trustzone.worlds import make_platform
 
     if model is None:
@@ -48,6 +48,7 @@ def run_traced_serving(requests: int = 12, max_batch: int = 4,
         service = ServingService(
             platform, vendor,
             ServeConfig(max_batch=max_batch, num_workers=num_workers))
+        loop = ServingLoop(service)
         handles = [service.open_session() for _ in range(num_sessions)]
         spec = service.fingerprint_shape
         rng = np.random.default_rng(seed)
@@ -56,10 +57,8 @@ def run_traced_serving(requests: int = 12, max_batch: int = 4,
         for index, fingerprint in enumerate(fingerprints):
             service.submit(handles[index % num_sessions], fingerprint)
             if (index + 1) % max_batch == 0:
-                service.dispatch()
-                service.poll_responses()
-        service.dispatch(force=True)
-        service.poll_responses()
+                loop.tick()
+        loop.run_until_idle(force=True)
         stats = service.stats()
         for handle in handles:
             service.close_session(handle)

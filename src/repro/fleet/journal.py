@@ -20,6 +20,9 @@ Failure model:
   record, so the owner must treat the torn write as a crash.  Recovery
   detects the tear by frame length/CRC and drops it; the grant it
   carried was never acknowledged, so the device's retry re-grants.
+  A bad CRC on any record *but* the last is corruption, not a tear:
+  recovery raises :class:`~repro.errors.ProtocolError` (as for bad
+  magic) instead of truncating acknowledged grants.
 * Shard crash: in-memory state is discarded; :meth:`recover` replays
   ``snapshot + tail`` and reports what it dropped.
 
@@ -218,6 +221,13 @@ class LicenseJournal:
             frame = data[offset:end - _CRC.size]
             (crc,) = _CRC.unpack(data[end - _CRC.size:end])
             if crc != zlib.crc32(frame):
+                if end != len(data):
+                    # Only the last record can tear; a bad CRC with
+                    # records after it is corruption of acknowledged
+                    # state, and dropping the rest would lose grants.
+                    raise ProtocolError(
+                        f"journal corruption on shard {self.shard_id}: "
+                        f"CRC mismatch in the record at offset {offset}")
                 break  # torn tail: CRC over a partial write
             apply(kind, lsn, _decode_body(data[offset + _HEADER.size:
                                                end - _CRC.size]))

@@ -9,17 +9,15 @@ and moved over zero-copy shared-memory rings:
 * :mod:`repro.serve.scheduler` — groups per-session requests into
   batches (size- or deadline-triggered, on the virtual clock).
 * :mod:`repro.serve.pool` — one pinned enclave worker per big core,
-  batches round-robined across them.
+  addressed by slot.
 * :mod:`repro.serve.service` — the serving front end: session keys from
   :mod:`repro.crypto.keycache`, request/response
   :class:`~repro.sanctuary.shm.SlotRing` transport, in-place seal/open.
 * :mod:`repro.serve.admission` — priority classes (interactive vs.
   batch) and per-class queue budgets for the async core.
-* :mod:`repro.serve.loop` — the cooperative event loop: ingest
-  reactor, per-worker mailboxes, adaptive batch sizing.  This is the
-  scale path (1000+ concurrent sessions); the synchronous
-  ``dispatch()`` drive remains for simple callers and the original
-  test contracts.
+* :mod:`repro.serve.loop` — the cooperative event loop and the only
+  dispatcher: ingest reactor, per-worker mailboxes (least-loaded),
+  adaptive batch sizing, watchdog.
 * :mod:`repro.serve.baseline` — the paper's sequential one-enclave
   path (per-request secure channel, mailbox copies, suspend between
   queries) for the benchmark comparison.

@@ -1,8 +1,8 @@
 """Admission control for the async serving core: classes and budgets.
 
-The synchronous dispatch path expresses backpressure at the ring
-boundary (a full ingress ring sheds the submit).  The event loop adds a
-second gate *after* ingest: every opened frame is routed to its
+The service expresses backpressure at the ring boundary (a full ingress
+ring sheds the submit).  The serving loop adds a second gate *after*
+ingest: every opened frame is routed to its
 session's priority class, and each class owns a queue budget.  A frame
 arriving at a full class queue is dropped with a typed account
 (``admission_shed``) instead of wedging the reactor — 429-style

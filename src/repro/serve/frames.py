@@ -25,7 +25,7 @@ colliding with the all-zero block that defines H.
 
 Seal and open are *in place* on ring-slot views: no intermediate
 buffers, no per-message allocation.  Producers that batch (the
-dispatcher's egress path) compute ciphertexts and tags for a whole
+service's egress path) compute ciphertexts and tags for a whole
 dispatch batch first — :func:`~repro.crypto.modes.frame_tags_batched`
 amortizes the GHASH sweep — then lay frames out with
 :func:`emit_sealed`.

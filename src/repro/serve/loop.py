@@ -1,7 +1,7 @@
 """The async serving core: a cooperative event loop on the virtual clock.
 
-:class:`ServingLoop` replaces the synchronous ``dispatch()`` drive with
-a reactor that makes scheduling decisions once per *tick*:
+:class:`ServingLoop` is the only thing that turns ingested frames into
+batches: a reactor that makes scheduling decisions once per *tick*:
 
 1. **Ingest reactor** — drain the ingress ring (two-phase batched
    verify, as before) and route every opened request through the
@@ -15,10 +15,9 @@ a reactor that makes scheduling decisions once per *tick*:
    the deadline.
 3. **Batch forming** — pop dispatchable batches (size/deadline/watchdog
    triggers, interactive class first) into per-worker **mailboxes**,
-   least-loaded first.  Mailboxes replace the single round-robin
-   hand-off: each enclave worker is an actor owning a bounded queue of
-   batches, so one slow or crash-looping worker backs up only its own
-   mailbox.
+   least-loaded first.  Each enclave worker is an actor owning a
+   bounded queue of batches, so one slow or crash-looping worker backs
+   up only its own mailbox.
 4. **Worker actors** — each mailbox executes at most one batch per
    tick (egress-room permitting; short room defers, never drops).  A
    worker panic requeues the batch to the *front of its originating
@@ -151,6 +150,11 @@ class ServingLoop:
                         if adaptive else None)
         self.mailboxes = [Mailbox(mailbox_capacity)
                           for _ in service.pool.workers]
+        # Watchdog deadline on a request's true (skew-immune) age.
+        self.watchdog_ms = (config.watchdog_ms
+                            if config.watchdog_ms is not None
+                            else 10.0 * config.deadline_ms)
+        self.watchdog_flushes = 0
         self.ticks = 0
         self._spin = 0   # rotating tie-break for least-loaded selection
         service.attach_loop(self)
@@ -161,12 +165,11 @@ class ServingLoop:
         session_id = item[0]
         priority = Priority(self.service.session_priority(session_id))
         queue = self.queues[priority]
-        if not self.admission.admit(priority, len(queue)):
-            # Accepted at the ring, dropped at the gate: the seq is
-            # gone, so it must land in the exactly-once ledger.
-            self.service._count_admission_shed()
-            return
-        queue.submit(item)
+        # Accepted at the ring, dropped at the gate: the seq is gone, and
+        # the controller's shed count carries it into the exactly-once
+        # ledger (ServingStats.admission_shed).
+        if self.admission.admit(priority, len(queue)):
+            queue.submit(item)
 
     # --- reactor -------------------------------------------------------
 
@@ -178,9 +181,8 @@ class ServingLoop:
 
     def pending(self) -> int:
         """Work anywhere in flight: rings, class queues, mailboxes."""
-        service = self.service
-        return (len(service._ingress_cons) + self.queue_depth()
-                + self.mailbox_depth() + len(service._egress_cons))
+        return (self.service.frames_in_flight() + self.queue_depth()
+                + self.mailbox_depth())
 
     def _least_loaded(self) -> "Mailbox | None":
         """The emptiest non-full mailbox, rotating ties across ticks so
@@ -201,7 +203,6 @@ class ServingLoop:
 
     def _form(self, force: bool) -> None:
         """Pop dispatchable batches into mailboxes, interactive first."""
-        service = self.service
         for priority in (Priority.INTERACTIVE, Priority.BATCH):
             queue = self.queues[priority]
             while len(queue):
@@ -212,13 +213,20 @@ class ServingLoop:
                     box.post(queue, queue.flush(queue.max_batch))
                 elif queue.ready():
                     box.post(queue, queue.next_batch())
-                elif queue.oldest_wait_ms() >= service._watchdog_ms:
+                elif queue.oldest_wait_ms() >= self.watchdog_ms:
                     # Injected deadline skew can hold ready() false past
                     # the deadline; true age still forces liveness.
                     box.post(queue, queue.flush(queue.max_batch))
-                    service._count_watchdog_flush()
+                    self._count_watchdog_flush()
                 else:
                     break
+
+    def _count_watchdog_flush(self) -> None:
+        self.watchdog_flushes += 1
+        if _obs.TELEMETRY is not None:
+            _obs.TELEMETRY.metrics.counter(
+                "omg_serve_watchdog_flushes_total",
+                "batches force-flushed past the watchdog deadline").inc()
 
     def _execute(self) -> int:
         """Each worker actor runs at most one mailbox batch per tick."""
@@ -227,14 +235,14 @@ class ServingLoop:
         for index, box in enumerate(self.mailboxes):
             if not len(box):
                 continue
-            if service._egress_free() < box.peek_size():
+            if service.egress_free() < box.peek_size():
                 # Not enough egress room for this batch's responses:
                 # defer — the client mux drains the ring every tick, so
                 # room frees without dropping anything accepted.
                 continue
             queue, batch = box.take()
-            service._run_batch(batch, worker=service.pool.workers[index],
-                               requeue=queue.requeue)
+            service.run_batch(batch, service.pool.workers[index],
+                              queue.requeue)
             ran += 1
         return ran
 
@@ -259,7 +267,7 @@ class ServingLoop:
     def _tick(self, force: bool) -> int:
         service = self.service
         self.ticks += 1
-        service._ingest(self._sink)
+        service.ingest(self._sink)
         if self.batcher is not None:
             target = self.batcher.update(self.queue_depth())
             for queue in self.queues.values():
@@ -280,7 +288,8 @@ class ServingLoop:
                           ).set(self.mailbox_depth())
             metrics.gauge("omg_serve_egress_occupancy",
                           "frames waiting in the egress ring"
-                          ).set(len(service._egress_prod))
+                          ).set(service.config.ring_slots - 1
+                                - service.egress_free())
         self._form(force)
         ran = self._execute()
         service.poll_responses()

@@ -9,9 +9,8 @@ whole lifetime: steady-state requests never touch the vendor again
 (the vendor's ``provisioned_count``/``keys_released`` counters stay
 flat, which the serve tests pin).
 
-Batches reach workers two ways: the synchronous dispatch path
-round-robins via :meth:`EnclaveWorkerPool.next_worker`, while the
-async :class:`~repro.serve.loop.ServingLoop` keeps one mailbox per
+Batches reach workers through the
+:class:`~repro.serve.loop.ServingLoop`, which keeps one mailbox per
 worker *slot* and addresses ``pool.workers[index]`` directly — which
 works across crash recovery because :meth:`restart_worker` swaps the
 replacement into the same slot.  When no big core is available for
@@ -92,7 +91,7 @@ class EnclaveWorker:
 
 
 class EnclaveWorkerPool:
-    """Launch, pin, and round-robin a set of enclave workers."""
+    """Launch and pin a set of enclave workers, one per slot."""
 
     def __init__(self, platform: Platform, vendor: Vendor,
                  num_workers: int | None = None,
@@ -124,17 +123,10 @@ class EnclaveWorkerPool:
             session.initialize()
             self.workers.append(
                 EnclaveWorker(session, session.instance.core_id))
-        self._next = 0
         self.restarts = 0
 
     def __len__(self) -> int:
         return len(self.workers)
-
-    def next_worker(self) -> EnclaveWorker:
-        """Round-robin assignment of the next batch."""
-        worker = self.workers[self._next]
-        self._next = (self._next + 1) % len(self.workers)
-        return worker
 
     def restart_worker(self, worker: EnclaveWorker) -> EnclaveWorker:
         """Replace a panicked worker with a freshly attested session.
@@ -144,8 +136,8 @@ class EnclaveWorkerPool:
         to the *same* core (preserving the one-enclave-per-big-core
         layout), runs the full prepare/initialize handshake — so the
         vendor re-verifies a fresh attestation report before releasing
-        the model key — and swaps it into the worker slot in place,
-        keeping round-robin order stable.  The channel seed includes
+        the model key — and swaps it into the worker slot in place, so
+        the loop's slot-indexed mailboxes keep addressing it.  The channel seed includes
         the restart ordinal: transport keys are never reused across a
         worker's incarnations.
         """

@@ -1,18 +1,19 @@
-"""The serving front end: sessions, rings, batching, dispatch.
+"""The serving front end: sessions, rings, sealing, batch execution.
 
 Data path for one request (client session *S*, sequence *q*):
 
 1. *S* seals its fingerprint in place into a reserved slot of the
    **ingress ring** (XOR with its request-lane keystream, plus a
    detached GCM tag over header + ciphertext) and commits.
-2. The dispatcher drains the ring, verifies the drained tags in one
-   batched GHASH sweep, opens the survivors, and hands
-   (session, seq, fingerprint) to the :class:`BatchScheduler`.
-3. When a batch is ready (size or deadline trigger) the dispatcher
-   prefetches each session's response-lane keystream, then round-robins
-   the batch to an enclave worker, which runs **one batched invoke**
-   for the whole group — bit-exact against per-request invokes —
-   inside the fail-closed envelope.
+2. The :class:`~repro.serve.loop.ServingLoop` drains the ring through
+   :meth:`ServingService.ingest`, which verifies the drained tags in
+   one batched GHASH sweep, opens the survivors, and hands
+   (session, seq, fingerprint) to the loop's admission router.
+3. When a batch is ready (size, deadline or watchdog trigger) the loop
+   hands it to :meth:`ServingService.run_batch` on one worker slot,
+   which prefetches each session's response-lane keystream, then runs
+   **one batched invoke** for the whole group — bit-exact against
+   per-request invokes — inside the fail-closed envelope.
 4. Results are sealed per session into the **egress ring** — one
    vectorized XOR and one batched tag sweep per batch; the client mux
    verifies and opens them in place and completes the per-session
@@ -46,12 +47,12 @@ from repro.hw.memory import RegionPolicy, World
 from repro.obs import hooks as _obs
 from repro.sanctuary.shm import SharedRegion, SlotRing
 from repro.sanitizers import hooks as _sanitizers
+from repro.serve.admission import Priority
 from repro.serve.frames import (HEADER, TAG_BYTES, derive_lane_keys,
                                 derive_lane_tag_keys, emit_sealed,
                                 frame_aad, frame_j0, open_in_place,
                                 seal_into)
 from repro.serve.pool import EnclaveWorkerPool
-from repro.serve.scheduler import BatchScheduler
 
 __all__ = ["ServeConfig", "ServingStats", "SessionHandle", "ServingService",
            "Shed", "Rejected"]
@@ -63,6 +64,8 @@ _BATCH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 # scalar per-frame sweep — the batched sweep's fixed numpy dispatch
 # cost only amortizes across larger groups.
 _TAG_BATCH_MIN = 4
+
+_RING_FULL = "ingress ring full; let the serving loop drain it first"
 
 
 @dataclass(frozen=True)
@@ -79,16 +82,16 @@ class ServeConfig:
     # Response-lane keystream chunks generated ahead of demand per
     # session before a batch's inference runs (0 disables prefetch).
     prefetch_depth: int = 1
-    # Strict mode raises ServeError on ring-full/capacity paths (the
-    # original semantics, which the serve tests pin).  ``strict=False``
-    # turns those paths into typed :class:`Shed`/:class:`Rejected`
-    # results plus a ``requests_shed`` counter — 429-style backpressure
-    # the caller can retry, with the dispatch loop never raising
-    # mid-flight.
+    # Strict mode raises ServeError when submit finds the ingress ring
+    # full or open_session finds the session table full.
+    # ``strict=False`` turns both into typed :class:`Shed`/
+    # :class:`Rejected` results plus a ``requests_shed`` counter —
+    # 429-style backpressure the caller can retry.
     strict: bool = True
-    # Watchdog deadline: a request stuck past this age (true age, immune
-    # to injected scheduler skew) is force-flushed even though the
-    # batching triggers say "wait".  ``None`` → 10x ``deadline_ms``.
+    # Watchdog deadline the serving loop applies: a request stuck past
+    # this age (true age, immune to injected scheduler skew) is
+    # force-flushed even though the batching triggers say "wait".
+    # ``None`` → 10x ``deadline_ms``.
     watchdog_ms: float | None = None
     # Upper bound on panicked-worker relaunches over the service's
     # lifetime; past it a worker crash surfaces as ServeError instead of
@@ -205,7 +208,7 @@ class ServingService:
         service_core = self.pool.workers[0].core_id
         client_shm = SharedRegion(soc, region, World.NORMAL, client_core)
         service_shm = SharedRegion(soc, region, World.NORMAL, service_core)
-        # Ingress: client produces, dispatcher consumes.  Egress: the
+        # Ingress: client produces, service consumes.  Egress: the
         # reverse.  Each endpoint maps the same pinned window.
         self._ingress_prod = SlotRing(client_shm, 0, self.config.ring_slots,
                                       slot_bytes, reset=True)
@@ -217,17 +220,14 @@ class ServingService:
         self._egress_cons = SlotRing(client_shm, egress_offset,
                                      self.config.ring_slots, slot_bytes)
 
-        self.scheduler = BatchScheduler(self.clock,
-                                        max_batch=self.config.max_batch,
-                                        deadline_ms=self.config.deadline_ms)
         # Service-side session secrets: lane keys live in a scrub-on-
         # discard cache whose capacity is enforced at open_session (an
         # admission limit — live sessions are never silently evicted);
         # each side keeps its own keystream cache (the client is not
-        # supposed to share state with the dispatcher beyond the
+        # supposed to share state with the service beyond the
         # established keys).
         self._session_keys = SecretCache(self.config.session_capacity)
-        # Frame-tag keys (dispatcher side), keyed by session: dropped on
+        # Frame-tag keys (service side), keyed by session: dropped on
         # close_session alongside the lane keys.
         self._service_taggers: dict[int, tuple[FrameTagKey, FrameTagKey]] = {}
         self._client_keystreams = KeystreamCache(
@@ -245,18 +245,13 @@ class ServingService:
         self._responses_dropped = 0
         self._auth_failures = 0
         self._requests_shed = 0
-        self._admission_shed = 0
-        self._watchdog_flushes = 0
         self._batches_requeued = 0
         # Session priority classes (interactive vs. batch), assigned at
-        # open_session and read by the async loop's admission router.
+        # open_session and read by the loop's admission router.
         self._session_priority: dict[int, int] = {}
-        # The cooperative ServingLoop driving this service, if any —
-        # stats() folds its per-class queue counters into the snapshot.
+        # The ServingLoop driving this service — stats() folds its queue,
+        # watchdog and admission counters into the snapshot.
         self._loop = None
-        self._watchdog_ms = (self.config.watchdog_ms
-                             if self.config.watchdog_ms is not None
-                             else 10.0 * self.config.deadline_ms)
 
     # --- sessions ------------------------------------------------------
 
@@ -269,9 +264,8 @@ class ServingService:
 
         ``priority`` assigns the session's admission class (see
         :class:`~repro.serve.admission.Priority`); the default is
-        interactive.  The class only matters when a
-        :class:`~repro.serve.loop.ServingLoop` drives the service — the
-        synchronous :meth:`dispatch` path ignores it.
+        interactive.  The :class:`~repro.serve.loop.ServingLoop` routes
+        the session's requests into that class's queue.
 
         Refuses beyond ``session_capacity``: silently LRU-evicting a
         still-open session's keys would strand its in-flight frames
@@ -280,12 +274,9 @@ class ServingService:
         graceful mode returns a typed :class:`Rejected`.
         """
         if len(self._session_keys) >= self.config.session_capacity:
-            reason = (f"session capacity {self.config.session_capacity} "
-                      f"reached; close_session() one before opening another")
-            if self.config.strict:
-                raise ServeError(reason)
-            self._count_shed()
-            return Rejected(reason)
+            return self._refuse(Rejected(
+                f"session capacity {self.config.session_capacity} "
+                f"reached; close_session() one before opening another"))
         session_id = self._next_session
         self._next_session += 1
         master = self._session_rng.generate(16)
@@ -295,7 +286,7 @@ class ServingService:
                                (bytearray(request_key),
                                 bytearray(response_key)))
         # Each side holds its own tagger objects: the client is not
-        # supposed to share state with the dispatcher beyond the
+        # supposed to share state with the service beyond the
         # established keys.
         self._service_taggers[session_id] = (FrameTagKey(request_tag_key),
                                              FrameTagKey(response_tag_key))
@@ -358,11 +349,7 @@ class ServingService:
                 f"got {fingerprint.shape}")
         slot = self._ingress_prod.try_reserve()
         if slot is None:
-            if self.config.strict:
-                raise ServeError("ingress ring full; run dispatch() first")
-            self._count_shed()
-            return Shed(handle.session_id,
-                        "ingress ring full; run dispatch() first")
+            return self._refuse(Shed(handle.session_id, _RING_FULL))
         seq = handle.next_seq
         handle.next_seq += 1
         keystream = self._client_keystreams.take(
@@ -385,7 +372,7 @@ class ServingService:
         value is the per-request verdict list — an ``int`` seq for each
         accepted request, a :class:`Shed` otherwise (graceful mode).
         The win over per-request :meth:`submit` is the same two-phase
-        batching the dispatcher already uses: one vectorized XOR across
+        batching :meth:`ingest` already uses: one vectorized XOR across
         every payload and one batched GHASH sweep for all the tags
         (scalar below :data:`_TAG_BATCH_MIN`), instead of a full GCM
         dispatch per frame.
@@ -412,9 +399,11 @@ class ServingService:
             return []
         free = self.config.ring_slots - 1 - len(self._ingress_prod)
         accept = min(len(checked), max(free, 0))
+        # Refused before anything is sealed, so strict mode raises with
+        # no seq consumed.
+        tail = [self._refuse(Shed(handle.session_id, _RING_FULL))
+                for handle, _ in checked[accept:]]
         verdicts: list = []
-        if accept < len(checked) and self.config.strict:
-            raise ServeError("ingress ring full; run dispatch() first")
         if accept:
             n = accept
             seqs = []
@@ -447,13 +436,8 @@ class ServingService:
             for row, ((handle, _), seq) in enumerate(zip(checked[:n], seqs)):
                 slot = self._ingress_prod.try_reserve()
                 if slot is None:
-                    if self.config.strict:
-                        raise ServeError(
-                            "ingress ring full; run dispatch() first")
-                    self._count_shed()
-                    verdicts.append(Shed(
-                        handle.session_id,
-                        "ingress ring full; run dispatch() first"))
+                    verdicts.append(self._refuse(
+                        Shed(handle.session_id, _RING_FULL)))
                     continue
                 length = emit_sealed(slot, handle.session_id, seq,
                                      ciphertexts[row], tags[row])
@@ -462,11 +446,7 @@ class ServingService:
                 self._ingress_prod.commit(length)
                 handle.pending[seq] = self.clock.now_ms
                 verdicts.append(seq)
-        for handle, _ in checked[accept:]:
-            self._count_shed()
-            verdicts.append(Shed(handle.session_id,
-                                 "ingress ring full; run dispatch() first"))
-        return verdicts
+        return verdicts + tail
 
     def poll_responses(self) -> int:
         """Client mux: drain, verify, and open responses, two-phase.
@@ -475,7 +455,7 @@ class ServingService:
         and releases its slot.  Phase two verifies all the drained tags
         in one batched GHASH sweep (scalar below :data:`_TAG_BATCH_MIN`)
         and opens the survivors into their sessions' futures — the same
-        two-phase shape as :meth:`_ingest`, applied to the client side.
+        two-phase shape as :meth:`ingest`, applied to the client side.
         """
         drained: list = []
         while (frame := self._egress_cons.try_peek()) is not None:
@@ -525,12 +505,13 @@ class ServingService:
                 latency_ms = self.clock.now_ms - submitted
                 self.latencies_ms.append(latency_ms)
                 if _obs.TELEMETRY is not None:
-                    # Per-session latency distribution (p50/p95 come out
-                    # of the histogram; session ids are not secret).
+                    # Per-class latency distribution: one label set per
+                    # priority class, however many sessions are open.
+                    priority = Priority(self.session_priority(session_id))
                     _obs.TELEMETRY.metrics.histogram(
                         "omg_serve_latency_ms",
                         "request latency on the virtual clock",
-                    ).observe(latency_ms, session=session_id)
+                    ).observe(latency_ms, priority=priority.name.lower())
             handle.results[seq] = (label, scores)
             self._requests_completed += 1
             delivered += 1
@@ -540,7 +521,7 @@ class ServingService:
                 "responses delivered to sessions").inc(delivered)
         return delivered
 
-    # --- dispatcher side -----------------------------------------------
+    # --- service side: the serving loop's seam ------------------------
 
     def _count_auth_failure(self) -> None:
         self._auth_failures += 1
@@ -557,6 +538,14 @@ class ServingService:
                 "requests/sessions refused with a typed backpressure "
                 "verdict").inc()
 
+    def _refuse(self, verdict: "Shed | Rejected") -> "Shed | Rejected":
+        """Strict mode raises with the verdict's reason; graceful mode
+        counts the refusal and hands the typed verdict back."""
+        if self.config.strict:
+            raise ServeError(verdict.reason)
+        self._count_shed()
+        return verdict
+
     def _count_frame_drop(self) -> None:
         self._frames_dropped += 1
         if _obs.TELEMETRY is not None:
@@ -564,41 +553,28 @@ class ServingService:
                 "omg_serve_frames_dropped_total",
                 "ring frames dropped for unknown/closed sessions").inc()
 
-    def _count_admission_shed(self) -> None:
-        """One *accepted* request dropped at the admission gate.
-
-        Distinct from :meth:`_count_shed`: a submit-side shed never
-        consumed a sequence number, but an admission drop happens after
-        ingest — the seq was accepted into the ring and is now lost, so
-        it must appear in the exactly-once ledger
-        (``missing == auth_failures + frames_dropped + responses_dropped
-        + admission_shed``).
-        """
-        self._admission_shed += 1
+    def _count_response_drop(self, reason: str) -> None:
+        """One response lost after its inference ran: the session closed
+        mid-flight (``session_closed``) or an injected ``ring.reserve``
+        stall refused its egress slot (``egress_stall``)."""
+        self._responses_dropped += 1
         if _obs.TELEMETRY is not None:
             _obs.TELEMETRY.metrics.counter(
-                "omg_serve_admission_shed_total",
-                "accepted requests dropped by admission control").inc()
+                "omg_serve_responses_dropped_total",
+                "responses dropped after inference, by reason",
+            ).inc(reason=reason)
 
-    def _count_watchdog_flush(self) -> None:
-        self._watchdog_flushes += 1
-        if _obs.TELEMETRY is not None:
-            _obs.TELEMETRY.metrics.counter(
-                "omg_serve_watchdog_flushes_total",
-                "batches force-flushed past the watchdog deadline").inc()
-
-    def _ingest(self, sink=None) -> None:
+    def ingest(self, sink) -> None:
         """Drain the ingress ring, two-phase, into ``sink``.
 
         Phase one copies every sealed frame out of the ring and releases
         its slot — the ring drains at memcpy speed regardless of crypto.
         Phase two verifies all the drained tags in one batched GHASH
         sweep (scalar below :data:`_TAG_BATCH_MIN`), then XOR-opens the
-        survivors into ``sink`` (default: the synchronous scheduler;
-        the async loop passes its admission router).  Frames that fail
-        authentication are dropped, never the ring or the session.
+        survivors into ``sink`` (the loop's admission router).  Frames
+        that fail authentication are dropped, never the ring or the
+        session.
         """
-        submit = self.scheduler.submit if sink is None else sink
         drained: list = []
         while (frame := self._ingress_cons.try_peek()) is not None:
             session_id, seq, sealed, tag = open_in_place(frame)
@@ -638,27 +614,25 @@ class ServingService:
                 session_id, keys[0],
                 seq * self.request_bytes, self.request_bytes)
             sealed ^= keystream   # open the drained copy
-            submit((session_id, seq, sealed.reshape(self.fingerprint_shape)))
+            sink((session_id, seq, sealed.reshape(self.fingerprint_shape)))
 
-    def _egress_free(self) -> int:
+    def egress_free(self) -> int:
+        """Egress slots free for responses: a batch runs only when all
+        of its responses fit."""
         return self.config.ring_slots - 1 - len(self._egress_prod)
 
-    def _egress_has_room(self, batch_size: int) -> bool:
-        """Backpressure *before* popping a batch off the scheduler.
+    def frames_in_flight(self) -> int:
+        """Sealed frames waiting in either ring: requests not yet
+        ingested plus responses not yet polled."""
+        return len(self._ingress_cons) + len(self._egress_cons)
 
-        Requests stay queued (nothing accepted is ever dropped); the
-        caller polls responses to drain the ring, then dispatches
-        again.  Strict mode raises when room is short (the original
-        semantics); graceful mode reports ``False`` so the dispatch
-        loop backs off without losing anything.
+    def run_batch(self, batch: list, worker, requeue) -> None:
+        """Run one batch on ``worker`` and seal its responses.
+
+        ``requeue`` takes the batch back if the worker panics — exactly
+        once, nothing sealed yet.  The loop passes the originating class
+        queue's requeue so the batch keeps its priority on retry.
         """
-        if self._egress_free() >= batch_size:
-            return True
-        if self.config.strict:
-            raise ServeError("egress ring full; poll_responses() first")
-        return False
-
-    def _run_batch(self, batch: list, worker=None, requeue=None) -> None:
         telemetry = _obs.TELEMETRY
         if telemetry is None:
             self._execute_batch(batch, worker, requeue)
@@ -670,16 +644,7 @@ class ServingService:
             "omg_serve_batch_size", "requests per executed batch",
             buckets=_BATCH_BUCKETS).observe(len(batch))
 
-    def _execute_batch(self, batch: list, worker=None,
-                       requeue=None) -> None:
-        """Run one batch on ``worker`` (default: round-robin pick).
-
-        ``requeue`` is where a panicked worker's batch goes back —
-        exactly once, nothing sealed yet.  The synchronous dispatch
-        path defaults to the front of :attr:`scheduler`; the async loop
-        passes the originating class queue's requeue instead so the
-        batch keeps its priority on retry.
-        """
+    def _execute_batch(self, batch: list, worker, requeue) -> None:
         soc = self.platform.soc
         fingerprints = np.stack([item[2] for item in batch])
         # Pipelined keystream prefetch: warm each session's response
@@ -693,8 +658,6 @@ class ServingService:
                     self._service_keystreams.prefetch(
                         session_id, keys[1], seq * self.response_bytes,
                         depth)
-        if worker is None:
-            worker = self.pool.next_worker()
         # One world-switch round trip per *batch*, not per request —
         # the scheduling win the simulated clock sees.
         soc.clock.advance_ms(2 * soc.profile.sa_world_switch_ms)
@@ -707,9 +670,9 @@ class ServingService:
         except Exception as exc:
             # The fail-closed envelope already panicked the enclave
             # (scrub + unlock).  Recover: requeue the batch at the front
-            # of the queue — exactly once, nothing was sealed yet — and
-            # relaunch a fresh, re-attested worker on the same core.
-            (self.scheduler.requeue if requeue is None else requeue)(batch)
+            # of its class queue — exactly once, nothing was sealed yet —
+            # and relaunch a fresh, re-attested worker on the same core.
+            requeue(batch)
             self._batches_requeued += 1
             if _obs.TELEMETRY is not None:
                 _obs.TELEMETRY.metrics.counter(
@@ -731,11 +694,7 @@ class ServingService:
                 # Session closed while its request was in flight:
                 # there is no one to seal for — drop this response,
                 # keep the rest of the batch.
-                self._responses_dropped += 1
-                if _obs.TELEMETRY is not None:
-                    _obs.TELEMETRY.metrics.counter(
-                        "omg_serve_responses_dropped_total",
-                        "responses for sessions closed mid-flight").inc()
+                self._count_response_drop("session_closed")
                 continue
             live.append((row, session_id, seq, keys[1]))
         if not live:
@@ -767,16 +726,12 @@ class ServingService:
         for out, (_, session_id, seq, _) in enumerate(live):
             slot = self._egress_prod.try_reserve()
             if slot is None:
-                # Room was checked per batch, so a genuine full here is
-                # unreachable — but an injected ring.reserve stall can
+                # The loop checked room per batch, so a genuine full here
+                # is unreachable — but an injected ring.reserve stall can
                 # land on this reservation.  The inference already ran;
                 # raising now would lose the whole batch's responses.
                 # Drop just this one, accounted, and seal the rest.
-                self._responses_dropped += 1
-                if _obs.TELEMETRY is not None:
-                    _obs.TELEMETRY.metrics.counter(
-                        "omg_serve_responses_dropped_total",
-                        "responses for sessions closed mid-flight").inc()
+                self._count_response_drop("egress_stall")
                 continue
             length = emit_sealed(slot, session_id, seq, ciphertexts[out],
                                  tags[out])
@@ -784,76 +739,7 @@ class ServingService:
                 _faults.PLAN.ring_frame("serve.egress", slot[:length])
             self._egress_prod.commit(length)
 
-    def dispatch(self, force: bool = False) -> int:
-        """Ingest, batch, and run everything currently dispatchable.
-
-        ``force`` flushes sub-deadline leftovers too (end of a drive
-        loop).  Returns the number of batches executed.  Raises (with
-        every undispatched request still queued) when the egress ring
-        cannot hold the next batch's responses.
-        """
-        telemetry = _obs.TELEMETRY
-        if telemetry is None:
-            return self._dispatch(force)
-        with telemetry.tracer.span("serve.dispatch", force=force) as span:
-            ran = self._dispatch(force)
-            span.set_attribute("batches", ran)
-        return ran
-
-    def _dispatch(self, force: bool) -> int:
-        self._ingest()
-        if _obs.TELEMETRY is not None:
-            metrics = _obs.TELEMETRY.metrics
-            metrics.gauge("omg_serve_queue_depth",
-                          "requests waiting in the batch scheduler"
-                          ).set(len(self.scheduler))
-            metrics.gauge("omg_serve_ingress_occupancy",
-                          "frames in the ingress ring after ingest"
-                          ).set(len(self._ingress_cons))
-            metrics.gauge("omg_serve_egress_occupancy",
-                          "frames waiting in the egress ring"
-                          ).set(len(self._egress_prod))
-        ran = 0
-        while self.scheduler.ready():
-            if not self._egress_has_room(
-                    min(len(self.scheduler), self.config.max_batch)):
-                break
-            self._run_batch(self.scheduler.next_batch())
-            ran += 1
-        # Watchdog: injected deadline skew can hold ready() false long
-        # past the batching deadline.  A request whose *true* age (the
-        # skew-immune oldest_wait_ms) exceeds the watchdog deadline is
-        # force-flushed anyway — liveness beats batching efficiency.
-        while (not force and len(self.scheduler)
-               and self.scheduler.oldest_wait_ms() >= self._watchdog_ms):
-            if not self._egress_has_room(
-                    min(len(self.scheduler), self.config.max_batch)):
-                break
-            self._run_batch(self.scheduler.flush(self.config.max_batch))
-            self._count_watchdog_flush()
-            ran += 1
-        if force and len(self.scheduler):
-            if self.config.strict:
-                self._egress_has_room(len(self.scheduler))
-                self._run_batch(self.scheduler.flush())
-                ran += 1
-            else:
-                while len(self.scheduler) and self._egress_has_room(
-                        min(len(self.scheduler), self.config.max_batch)):
-                    self._run_batch(
-                        self.scheduler.flush(self.config.max_batch))
-                    ran += 1
-        return ran
-
-    # --- convenience ---------------------------------------------------
-
-    def serve(self, handle: SessionHandle,
-              fingerprint: np.ndarray) -> tuple[int, np.ndarray]:
-        """Submit one request and drive it to completion (batch of 1)."""
-        seq = self.submit(handle, fingerprint)
-        self.dispatch(force=True)
-        self.poll_responses()
-        return handle.take_result(seq)
+    # --- health --------------------------------------------------------
 
     def latency_percentiles(self) -> dict[str, float]:
         if not self.latencies_ms:
@@ -865,35 +751,36 @@ class ServingService:
 
     def attach_loop(self, loop) -> None:
         """Register the :class:`~repro.serve.loop.ServingLoop` driving
-        this service so :meth:`stats` folds its per-class queue counters
-        (batches formed, queue depth) into the snapshot."""
+        this service so :meth:`stats` folds its counters (batches
+        formed, queue depth, watchdog flushes, admission sheds) into the
+        snapshot."""
         self._loop = loop
 
     def stats(self) -> ServingStats:
         """The structured health snapshot (see :class:`ServingStats`)."""
         percentiles = self.latency_percentiles()
-        batches = self.scheduler.batches
-        full_batches = self.scheduler.full_batches
-        deadline_flushes = self.scheduler.deadline_flushes
-        queue_depth = len(self.scheduler)
-        if self._loop is not None:
-            for queue in self._loop.queues.values():
+        batches = full_batches = deadline_flushes = queue_depth = 0
+        admission_shed = watchdog_flushes = 0
+        loop = self._loop
+        if loop is not None:
+            for queue in loop.queues.values():
                 batches += queue.batches
                 full_batches += queue.full_batches
                 deadline_flushes += queue.deadline_flushes
-                queue_depth += len(queue)
-            queue_depth += self._loop.mailbox_depth()
+            queue_depth = loop.queue_depth() + loop.mailbox_depth()
+            admission_shed = sum(loop.admission.shed.values())
+            watchdog_flushes = loop.watchdog_flushes
         return ServingStats(
             requests_completed=self._requests_completed,
             frames_dropped=self._frames_dropped,
             responses_dropped=self._responses_dropped,
             auth_failures=self._auth_failures,
             requests_shed=self._requests_shed,
-            admission_shed=self._admission_shed,
+            admission_shed=admission_shed,
             batches=batches,
             full_batches=full_batches,
             deadline_flushes=deadline_flushes,
-            watchdog_flushes=self._watchdog_flushes,
+            watchdog_flushes=watchdog_flushes,
             workers_restarted=self.pool.restarts,
             batches_requeued=self._batches_requeued,
             open_sessions=len(self._handles),

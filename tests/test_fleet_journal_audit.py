@@ -77,6 +77,21 @@ def test_torn_append_raises_and_recovery_drops_the_tail():
     assert _grant(journal, "dev-1", nonce="ee" * 8) == "granted"
 
 
+def test_mid_log_corruption_fails_closed():
+    """A bad CRC before the last record is corruption, not a torn tail:
+    recovery must raise instead of dropping later acknowledged grants."""
+    journal = LicenseJournal("s0")
+    for index in range(3):
+        _grant(journal, f"dev-{index}", nonce=f"{index:02d}" * 8)
+    record = len(journal._media) // 3     # equal-length records
+    journal._media[record + record // 2] ^= 0x01   # second record's body
+    before = bytes(journal._media)
+    with pytest.raises(ProtocolError, match="CRC mismatch"):
+        journal.recover()
+    assert bytes(journal._media) == before
+    assert list(journal.live) == ["dev-0", "dev-1", "dev-2"]
+
+
 def test_compact_bounds_replay_and_preserves_state():
     journal = LicenseJournal("s0")
     for index in range(20):

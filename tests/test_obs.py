@@ -29,7 +29,7 @@ from repro.obs import (
     to_chrome_trace,
     to_prometheus,
 )
-from repro.serve import ServeConfig, ServingService
+from repro.serve import Priority, ServeConfig, ServingLoop, ServingService
 from repro.tflm.serialize import serialize_model
 from repro.trustzone.worlds import make_platform
 
@@ -289,12 +289,13 @@ def test_serving_untouched_with_telemetry_disabled():
     vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
     service = ServingService(platform, vendor,
                              ServeConfig(max_batch=2, num_workers=1))
+    loop = ServingLoop(service)
     handle = service.open_session()
     rng = np.random.default_rng(3)
     for fingerprint in rng.integers(0, 256, size=(2, 8, 6), dtype=np.uint8):
         service.submit(handle, fingerprint)
-    service.dispatch(force=True)
-    assert service.poll_responses() == 2
+    assert loop.tick(force=True) == 1
+    assert service.stats().requests_completed == 2
     assert hooks.TELEMETRY is None
     service.teardown()
 
@@ -311,21 +312,87 @@ def serve_traced(telemetry, requests=4, max_batch=2, num_workers=1,
         service = ServingService(
             platform, vendor,
             ServeConfig(max_batch=max_batch, num_workers=num_workers))
+        loop = ServingLoop(service)
         handle = service.open_session()
         rng = np.random.default_rng(seed)
         shape = (requests,) + service.fingerprint_shape
-        for fingerprint in rng.integers(0, 256, size=shape, dtype=np.uint8):
+        for index, fingerprint in enumerate(
+                rng.integers(0, 256, size=shape, dtype=np.uint8)):
             service.submit(handle, fingerprint)
-            if len(service.scheduler) >= max_batch:
-                service.dispatch()
-                service.poll_responses()
-        service.dispatch(force=True)
-        service.poll_responses()
+            if (index + 1) % max_batch == 0:
+                loop.tick()
+        loop.run_until_idle(force=True)
         stats = service.stats()
         secrets = [bytes(handle.request_key), bytes(handle.response_key),
                    serialize_model(model)]
         service.teardown()
     return stats, secrets
+
+
+def serving_stack(telemetry, seed, **config):
+    """A one-worker service and loop built under ``telemetry``."""
+    model = build_tiny_int8_model()
+    platform = make_platform(seed=seed, key_bits=KEY_BITS)
+    with hooks.installed(telemetry):
+        vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
+        service = ServingService(platform, vendor,
+                                 ServeConfig(num_workers=1, **config))
+    return service, ServingLoop(service, adaptive=False)
+
+
+def test_response_drops_are_labelled_by_reason():
+    """Both post-inference drop sites feed one counter, told apart by a
+    bounded ``reason`` label."""
+    from repro import faults
+
+    telemetry = make_telemetry()
+    service, loop = serving_stack(telemetry, b"obs-drops", max_batch=4)
+    fingerprints = np.random.default_rng(5).integers(
+        0, 256, size=(3, 8, 6), dtype=np.uint8)
+    with hooks.installed(telemetry):
+        doomed = service.open_session()
+        live = service.open_session()
+        service.submit(doomed, fingerprints[0])
+        service.submit(live, fingerprints[1])
+        loop.tick()                  # both wait in the class queue
+        service.close_session(doomed)
+        loop.tick(force=True)        # doomed's response has no session
+        plan = faults.FaultPlan(seed=5, rules=[
+            faults.stall_nth_ring_reserve(2)])
+        with faults.installed(plan):
+            service.submit(live, fingerprints[2])   # reserve 1: ingress
+            loop.tick(force=True)                   # reserve 2: egress
+        assert plan.transcript_lines()
+        stats = service.stats()
+        service.teardown()
+    assert stats.responses_dropped == 2
+    counter = telemetry.metrics.get("omg_serve_responses_dropped_total")
+    assert counter.value(reason="session_closed") == 1
+    assert counter.value(reason="egress_stall") == 1
+    assert counter.labelsets() == [{"reason": "egress_stall"},
+                                   {"reason": "session_closed"}]
+
+
+def test_latency_histogram_is_labelled_by_priority_class():
+    """Latency labels are bounded by the two priority classes, not one
+    label set per session."""
+    telemetry = make_telemetry()
+    service, loop = serving_stack(telemetry, b"obs-latency")
+    fingerprints = np.random.default_rng(6).integers(
+        0, 256, size=(8, 8, 6), dtype=np.uint8)
+    with hooks.installed(telemetry):
+        handles = [service.open_session(priority=Priority(index % 2))
+                   for index in range(8)]
+        for handle, fingerprint in zip(handles, fingerprints):
+            service.submit(handle, fingerprint)
+        loop.run_until_idle(force=True)
+        service.teardown()
+    histogram = telemetry.metrics.get("omg_serve_latency_ms")
+    assert sum(histogram.count(**labels)
+               for labels in histogram.labelsets()) == 8
+    assert len(histogram.labelsets()) <= 2
+    assert histogram.labelsets() == [{"priority": "batch"},
+                                     {"priority": "interactive"}]
 
 
 def test_provision_and_serve_emit_the_expected_spans_and_metrics():
@@ -334,13 +401,14 @@ def test_provision_and_serve_emit_the_expected_spans_and_metrics():
 
     names = {span.name for span in telemetry.tracer.finished_spans()}
     for expected in ("enclave.launch", "enclave.setup", "enclave.boot",
-                     "enclave.attest", "serve.dispatch", "serve.batch",
+                     "enclave.attest", "serve.tick", "serve.batch",
                      "enclave.batch_invoke"):
         assert expected in names, f"missing span {expected!r} in {names}"
 
     snapshot = telemetry.metrics.snapshot()
     for metric in ("omg_serve_batch_size", "omg_serve_latency_ms",
-                   "omg_serve_queue_depth", "omg_worker_requests_total",
+                   "omg_serve_queue_interactive", "omg_serve_queue_batch",
+                   "omg_worker_requests_total",
                    "omg_keystream_cache_hits_total"):
         assert metric in snapshot, f"missing metric {metric!r}"
     assert stats.requests_completed == 4

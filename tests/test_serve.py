@@ -19,6 +19,7 @@ from repro.serve import (
     EnclaveWorkerPool,
     SequentialBaseline,
     ServeConfig,
+    ServingLoop,
     ServingService,
 )
 from repro.tflm.interpreter import Interpreter
@@ -50,6 +51,26 @@ def expected_results(model, fingerprints):
     interpreter = Interpreter(model)
     return [interpreter.classify(fingerprint_to_int8(fp))
             for fp in fingerprints]
+
+
+def serve_one(loop, handle, fingerprint):
+    """Submit one request and drive the loop until it completes."""
+    seq = loop.service.submit(handle, fingerprint)
+    loop.run_until_idle(force=True)
+    return handle.take_result(seq)
+
+
+def execute_unpolled(service):
+    """Ingest everything and run it as one batch on worker 0, leaving
+    the sealed responses in the egress ring for the test to inspect
+    (a loop tick would poll them straight away)."""
+    batch = []
+    service.ingest(batch.append)
+
+    def requeue(_):
+        raise AssertionError("the worker must not panic here")
+
+    service.run_batch(batch, service.pool.workers[0], requeue)
 
 
 # --- scheduler -----------------------------------------------------------
@@ -159,8 +180,6 @@ def test_pool_pins_one_worker_per_big_core():
     big_ids = {core.core_id for core in platform.soc.cores if core.big}
     assert len(set(core_ids)) == 2
     assert set(core_ids) <= big_ids
-    # Round-robin: four batches land two on each worker.
-    assert [pool.next_worker().core_id for _ in range(4)] == core_ids * 2
     pool.teardown()
 
 
@@ -206,6 +225,7 @@ def test_worker_fails_closed_on_internal_fault():
 
 def test_service_end_to_end_matches_direct_classify():
     platform, vendor, service, model = make_stack(max_batch=4)
+    loop = ServingLoop(service)
     provisioned = vendor.provisioned_count
     released = vendor.keys_released
 
@@ -218,8 +238,7 @@ def test_service_end_to_end_matches_direct_classify():
         handle = sessions[index % 2]
         sequences.append((handle, service.submit(handle, fingerprint)))
         if (index + 1) % 4 == 0:
-            assert service.dispatch() >= 1
-            service.poll_responses()
+            assert loop.tick() >= 1
 
     for index, (handle, seq) in enumerate(sequences):
         label, scores = handle.take_result(seq)
@@ -241,7 +260,7 @@ def test_service_end_to_end_matches_direct_classify():
 
 
 def test_service_keystream_prefetch_is_transparent():
-    """Dispatch-loop prefetch changes timing, never bytes: results with
+    """Serving-loop prefetch changes timing, never bytes: results with
     prefetch_depth=2 match prefetch_depth=0 exactly, and the response
     lane's seals become keystream-cache hits."""
     fingerprints = tiny_fingerprints(6, seed=11)
@@ -249,11 +268,10 @@ def test_service_keystream_prefetch_is_transparent():
     for depth in (0, 2):
         platform, _, service, model = make_stack(
             max_batch=3, prefetch_depth=depth)
+        loop = ServingLoop(service)
         handle = service.open_session()
         sequences = [service.submit(handle, fp) for fp in fingerprints]
-        while service.dispatch():
-            service.poll_responses()
-        service.poll_responses()
+        loop.run_until_idle(force=True)
         outcomes[depth] = [handle.take_result(seq) for seq in sequences]
         cache = service._service_keystreams
         if depth == 0:
@@ -276,6 +294,7 @@ def test_service_drops_tampered_ingress_frame():
     """A frame corrupted in the OS-relayed ring fails the batched tag
     verify and is dropped; the rest of the batch still serves."""
     platform, _, service, model = make_stack(max_batch=8)
+    loop = ServingLoop(service)
     handle = service.open_session()
     fingerprints = tiny_fingerprints(5, seed=21)
     expected = expected_results(model, fingerprints)
@@ -283,8 +302,7 @@ def test_service_drops_tampered_ingress_frame():
     # Flip one ciphertext bit of the frame at the ring head, in place.
     victim = service._ingress_cons.try_peek()
     victim[10] ^= 0x40
-    service.dispatch(force=True)
-    service.poll_responses()
+    loop.run_until_idle(force=True)
     assert service.stats().auth_failures == 1
     for index, seq in enumerate(sequences):
         if index == 0:
@@ -301,10 +319,11 @@ def test_service_drops_tampered_egress_response():
     """Tag tampering on the response ring is caught by the client mux:
     the response is dropped, the session survives."""
     platform, _, service, model = make_stack(max_batch=2)
+    loop = ServingLoop(service)
     handle = service.open_session()
     fingerprints = tiny_fingerprints(2, seed=22)
     sequences = [service.submit(handle, fp) for fp in fingerprints]
-    service.dispatch(force=True)
+    execute_unpolled(service)
     frame = service._egress_cons.try_peek()
     frame[-1] ^= 0x01   # corrupt the first response's tag
     service.poll_responses()
@@ -315,20 +334,22 @@ def test_service_drops_tampered_egress_response():
     exp = expected_results(model, fingerprints)[1]
     assert label == exp[0] and np.array_equal(scores, exp[1])
     # The session keeps serving after the drop.
-    label2, _ = service.serve(handle, fingerprints[0])
+    label2, _ = serve_one(loop, handle, fingerprints[0])
     assert label2 == expected_results(model, fingerprints)[0][0]
     service.teardown()
 
 
 def test_service_deadline_flushes_partial_batch():
     platform, _, service, model = make_stack(max_batch=8, deadline_ms=2.0)
+    # Fixed batch size: the adaptive batcher would shrink the target to
+    # 1 and run the lone request as a full batch at once.
+    loop = ServingLoop(service, adaptive=False)
     handle = service.open_session()
     fingerprint = tiny_fingerprints(1)[0]
     seq = service.submit(handle, fingerprint)
-    assert service.dispatch() == 0  # below batch size, under deadline
+    assert loop.tick() == 0  # below batch size, under deadline
     platform.soc.clock.advance_ms(2.5)
-    assert service.dispatch() == 1  # deadline trigger, no force needed
-    service.poll_responses()
+    assert loop.tick() == 1  # deadline trigger, no force needed
     label, scores = handle.take_result(seq)
     exp_label, exp_scores = expected_results(model, [fingerprint])[0]
     assert label == exp_label
@@ -351,15 +372,15 @@ def test_service_drops_frames_for_closed_session_without_wedging():
     """A dead frame at the ring head must not take the service down:
     it is dropped (slot released) and other sessions keep serving."""
     _, _, service, model = make_stack()
+    loop = ServingLoop(service)
     closed = service.open_session()
     live = service.open_session()
     service.close_session(closed)
     service.submit(closed, tiny_fingerprints(1)[0])
     fingerprint = tiny_fingerprints(1, seed=5)[0]
     seq = service.submit(live, fingerprint)
-    assert service.dispatch(force=True) == 1
+    assert loop.tick(force=True) == 1
     assert service.stats().frames_dropped == 1
-    service.poll_responses()
     label, scores = live.take_result(seq)
     exp_label, exp_scores = expected_results(model, [fingerprint])[0]
     assert label == exp_label
@@ -371,16 +392,16 @@ def test_service_drops_responses_for_sessions_closed_mid_flight():
     """Closing a session between ingest and batch execution drops only
     that session's response; the rest of the batch completes."""
     _, _, service, model = make_stack(max_batch=4)
+    loop = ServingLoop(service, adaptive=False)
     doomed = service.open_session()
     live = service.open_session()
     service.submit(doomed, tiny_fingerprints(1)[0])
     fingerprint = tiny_fingerprints(1, seed=7)[0]
     seq = service.submit(live, fingerprint)
-    service._ingest()            # both requests now sit in the scheduler
+    assert loop.tick() == 0      # both requests now sit in a class queue
     service.close_session(doomed)
-    assert service.dispatch(force=True) == 1
+    assert loop.tick(force=True) == 1
     assert service.stats().responses_dropped == 1
-    service.poll_responses()
     label, scores = live.take_result(seq)
     exp_label, exp_scores = expected_results(model, [fingerprint])[0]
     assert label == exp_label
@@ -403,29 +424,31 @@ def test_service_open_session_refuses_beyond_capacity():
 
 
 def test_service_egress_backpressure_never_drops_requests():
-    """A full egress ring raises *before* a batch is popped; after the
-    client drains responses every queued request still completes."""
-    _, _, service, model = make_stack(ring_slots=4, max_batch=4,
-                                      num_workers=1)
+    """A batch whose responses do not fit the egress ring is deferred
+    in its mailbox, not dropped; once the client mux drains the ring
+    every queued request still completes."""
+    _, _, service, model = make_stack(ring_slots=8, max_batch=4,
+                                      deadline_ms=50.0)
+    loop = ServingLoop(service, adaptive=False)
     handle = service.open_session()
-    fingerprints = tiny_fingerprints(6, seed=13)
+    fingerprints = tiny_fingerprints(14, seed=13)
     expected = expected_results(model, fingerprints)
 
-    first_wave = [service.submit(handle, fp) for fp in fingerprints[:3]]
-    service.dispatch(force=True)          # egress now holds 3 of 3 slots
-    second_wave = [service.submit(handle, fp) for fp in fingerprints[3:]]
-    with pytest.raises(ServeError, match="egress ring full"):
-        service.dispatch(force=True)
-    service.poll_responses()              # client drains the ring
-    service.dispatch(force=True)          # queued requests still there
-    service.poll_responses()
+    first_wave = [service.submit(handle, fp) for fp in fingerprints[:7]]
+    assert loop.tick() == 1               # one full batch, 3 left queued
+    second_wave = [service.submit(handle, fp) for fp in fingerprints[7:]]
+    # Two full batches form, but the egress ring (7 slots) holds only
+    # one batch of 4 responses: the second waits in its mailbox.
+    assert loop.tick() == 1
+    assert loop.mailbox_depth() == 4
+    loop.run_until_idle(force=True)
 
     for seq, (exp_label, exp_scores) in zip(first_wave + second_wave,
                                             expected):
         label, scores = handle.take_result(seq)
         assert label == exp_label
         assert np.array_equal(scores, exp_scores)
-    assert service.stats().requests_completed == 6
+    assert service.stats().requests_completed == 14
     service.teardown()
 
 
@@ -433,7 +456,7 @@ def test_service_skips_responses_of_sessions_closed_in_flight():
     _, _, service, _ = make_stack()
     handle = service.open_session()
     service.submit(handle, tiny_fingerprints(1)[0])
-    service.dispatch(force=True)   # response is sitting in the egress ring
+    execute_unpolled(service)   # response is sitting in the egress ring
     service.close_session(handle)
     assert service.poll_responses() == 0
     assert service.stats().requests_completed == 0
@@ -460,10 +483,12 @@ def test_service_rejects_malformed_fingerprint():
 
 
 def test_serve_convenience_roundtrip():
+    """One request driven to completion through the loop, batch of 1."""
     _, _, service, model = make_stack(num_workers=1)
+    loop = ServingLoop(service)
     handle = service.open_session()
     fingerprint = tiny_fingerprints(1, seed=9)[0]
-    label, scores = service.serve(handle, fingerprint)
+    label, scores = serve_one(loop, handle, fingerprint)
     exp_label, exp_scores = expected_results(model, [fingerprint])[0]
     assert label == exp_label
     assert np.array_equal(scores, exp_scores)
@@ -474,6 +499,7 @@ def test_service_stats_is_a_frozen_snapshot():
     """stats() returns one immutable value object, not live references:
     serving more traffic must not mutate an already-taken snapshot."""
     _, _, service, _ = make_stack(max_batch=2)
+    loop = ServingLoop(service)
     handle = service.open_session()
     before = service.stats()
     assert before.requests_completed == 0
@@ -481,8 +507,7 @@ def test_service_stats_is_a_frozen_snapshot():
 
     for fingerprint in tiny_fingerprints(2, seed=21):
         service.submit(handle, fingerprint)
-    service.dispatch()
-    service.poll_responses()
+    loop.tick()
 
     after = service.stats()
     assert before.requests_completed == 0      # old snapshot unchanged

@@ -14,31 +14,32 @@ import pytest
 from repro import faults
 from repro.errors import ServeError
 from repro.sanctuary.lifecycle import EnclaveState
-from repro.serve import Rejected, Shed
+from repro.serve import Rejected, ServingLoop, Shed
 
-from .test_serve import expected_results, make_stack, tiny_fingerprints
+from .test_serve import (expected_results, make_stack, serve_one,
+                         tiny_fingerprints)
 
 pytestmark = pytest.mark.serve
 
 
-def drive(service, rounds=6, force=True):
+def drive(loop, rounds=6, force=True):
     for _ in range(rounds):
-        service.dispatch(force=force)
-        service.poll_responses()
-        service.clock.advance_ms(1.0)
+        loop.tick(force=force)
+        loop.clock.advance_ms(1.0)
 
 
 # --- frame corruption: tamper-drop, accounted, never wedged --------------
 
 def test_ingress_bit_flip_drops_and_accounts():
     platform, vendor, service, model = make_stack()
+    loop = ServingLoop(service)
     handle = service.open_session()
     fingerprints = tiny_fingerprints(3)
     plan = faults.FaultPlan(seed=3, rules=[
         faults.corrupt_nth_ring_frame(2, "ingress")])
     with faults.installed(plan):
         seqs = [service.submit(handle, fp) for fp in fingerprints]
-        drive(service)
+        drive(loop)
     assert len(plan.transcript_lines()) == 1
     stats = service.stats()
     assert stats.auth_failures == 1
@@ -49,7 +50,7 @@ def test_ingress_bit_flip_drops_and_accounts():
     missing = (set(seqs) - done).pop()
     index = seqs.index(missing)
     seq2 = service.submit(handle, fingerprints[index])
-    drive(service)
+    drive(loop)
     label, _ = handle.take_result(seq2)
     assert label == expected_results(model, fingerprints)[index][0]
     service.teardown()
@@ -57,13 +58,14 @@ def test_ingress_bit_flip_drops_and_accounts():
 
 def test_egress_bit_flip_drops_and_accounts():
     platform, vendor, service, model = make_stack()
+    loop = ServingLoop(service)
     handle = service.open_session()
     fingerprints = tiny_fingerprints(3)
     plan = faults.FaultPlan(seed=9, rules=[
         faults.corrupt_nth_ring_frame(2, "egress")])
     with faults.installed(plan):
         seqs = [service.submit(handle, fp) for fp in fingerprints]
-        drive(service)
+        drive(loop)
     assert len(plan.transcript_lines()) == 1
     stats = service.stats()
     # A header flip lands in frames_dropped, a body/tag flip in
@@ -77,6 +79,7 @@ def test_corrupted_frames_never_complete_with_wrong_payload():
     """Tamper-drop, not tamper-accept: a flipped frame must never be
     delivered as a (wrong) result."""
     platform, vendor, service, model = make_stack()
+    loop = ServingLoop(service)
     handle = service.open_session()
     fingerprints = tiny_fingerprints(4)
     expected = expected_results(model, fingerprints)
@@ -85,7 +88,7 @@ def test_corrupted_frames_never_complete_with_wrong_payload():
         faults.corrupt_nth_ring_frame(3, "egress")])
     with faults.installed(plan):
         seqs = [service.submit(handle, fp) for fp in fingerprints]
-        drive(service)
+        drive(loop)
     for seq, want in zip(seqs, expected):
         if seq in handle.results:
             label, _ = handle.take_result(seq)
@@ -108,13 +111,14 @@ def test_ring_stall_raises_in_strict_mode():
 
 def test_ring_stall_sheds_then_retry_succeeds_in_graceful_mode():
     platform, vendor, service, model = make_stack(strict=False)
+    loop = ServingLoop(service)
     handle = service.open_session()
     fingerprint = tiny_fingerprints(1)[0]
     plan = faults.FaultPlan(seed=5, rules=[
         faults.stall_nth_ring_reserve(1, span=2)])
     with faults.installed(plan):
         verdicts = [service.submit(handle, fingerprint) for _ in range(3)]
-        drive(service)
+        drive(loop)
     sheds = [v for v in verdicts if isinstance(v, Shed)]
     seqs = [v for v in verdicts if not isinstance(v, Shed)]
     assert len(sheds) == 2 and sheds[0].session_id == handle.session_id
@@ -128,6 +132,7 @@ def test_ring_stall_sheds_then_retry_succeeds_in_graceful_mode():
 def test_session_capacity_rejected_in_graceful_mode():
     platform, vendor, service, model = make_stack(strict=False,
                                                   session_capacity=1)
+    loop = ServingLoop(service)
     first = service.open_session()
     verdict = service.open_session()
     assert isinstance(verdict, Rejected)
@@ -136,7 +141,7 @@ def test_session_capacity_rejected_in_graceful_mode():
     assert service.stats().open_sessions == 1
     # The admitted session still serves.
     fingerprint = tiny_fingerprints(1)[0]
-    label, _ = service.serve(first, fingerprint)
+    label, _ = serve_one(loop, first, fingerprint)
     assert label == expected_results(model, [fingerprint])[0][0]
     service.teardown()
 
@@ -146,6 +151,9 @@ def test_session_capacity_rejected_in_graceful_mode():
 def test_scheduler_skew_delays_but_watchdog_flushes():
     platform, vendor, service, model = make_stack(
         deadline_ms=2.0, watchdog_ms=6.0)
+    # Fixed batch size: the adaptive batcher would shrink the target to
+    # 1 and run the request as a full batch before the watchdog matters.
+    loop = ServingLoop(service, adaptive=False)
     handle = service.open_session()
     fingerprint = tiny_fingerprints(1)[0]
     plan = faults.FaultPlan(seed=2, rules=[
@@ -156,8 +164,7 @@ def test_scheduler_skew_delays_but_watchdog_flushes():
         # keeps ready() false, so only the watchdog can flush it.
         for _ in range(8):
             service.clock.advance_ms(1.0)
-            service.dispatch()    # no force
-        service.poll_responses()
+            loop.tick()    # no force
     assert plan.transcript_lines()   # the skew rule actually fired
     assert service.stats().watchdog_flushes >= 1
     label, _ = handle.take_result(seq)
@@ -169,6 +176,7 @@ def test_scheduler_skew_delays_but_watchdog_flushes():
 
 def test_keystream_chunk_drop_is_transparent():
     platform, vendor, service, model = make_stack()
+    loop = ServingLoop(service)
     handle = service.open_session()
     fingerprints = tiny_fingerprints(4, seed=11)
     expected = expected_results(model, fingerprints)
@@ -176,7 +184,7 @@ def test_keystream_chunk_drop_is_transparent():
         faults.drop_nth_keystream_chunk(2, max_fires=3)])
     with faults.installed(plan):
         seqs = [service.submit(handle, fp) for fp in fingerprints]
-        drive(service)
+        drive(loop)
     assert plan.transcript_lines()   # chunks really were dropped
     for seq, want in zip(seqs, expected):
         label, _ = handle.take_result(seq)
@@ -190,6 +198,7 @@ def test_keystream_chunk_drop_is_transparent():
 
 def test_worker_panic_recovers_and_requeues_exactly_once():
     platform, vendor, service, model = make_stack()
+    loop = ServingLoop(service)
     handle = service.open_session()
     fingerprints = tiny_fingerprints(5, seed=3)
     expected = expected_results(model, fingerprints)
@@ -199,7 +208,7 @@ def test_worker_panic_recovers_and_requeues_exactly_once():
         faults.panic_nth_worker_invoke(1)])
     with faults.installed(plan):
         seqs = [service.submit(handle, fp) for fp in fingerprints]
-        drive(service)
+        drive(loop)
     stats = service.stats()
     assert stats.workers_restarted == 1
     assert stats.batches_requeued == 1
@@ -227,13 +236,14 @@ def test_worker_panic_recovers_and_requeues_exactly_once():
 
 def test_worker_crash_loop_surfaces_typed_error():
     platform, vendor, service, model = make_stack(max_worker_restarts=0)
+    loop = ServingLoop(service)
     handle = service.open_session()
     plan = faults.FaultPlan(seed=6, rules=[
         faults.panic_nth_worker_invoke(1)])
     with faults.installed(plan):
         service.submit(handle, tiny_fingerprints(1)[0])
         with pytest.raises(ServeError, match="crash-loop"):
-            drive(service)
+            drive(loop)
     service.teardown()
 
 

@@ -162,6 +162,23 @@ def test_loop_results_bit_exact_and_exactly_once():
     service.teardown()
 
 
+def test_loop_spreads_equal_batches_over_every_worker():
+    """Least-loaded selection rotates its tie-break, so equal batches
+    one tick apart alternate between the idle workers instead of all
+    landing on mailbox 0."""
+    platform, vendor, service, model = make_stack(max_batch=2)
+    loop = ServingLoop(service, adaptive=False)
+    handle = service.open_session()
+    fingerprints = tiny_fingerprints(8)
+    for start in range(0, 8, 2):
+        for fingerprint in fingerprints[start:start + 2]:
+            service.submit(handle, fingerprint)
+        assert loop.tick(force=True) == 1
+    assert [worker.batches for worker in service.pool.workers] == [2, 2]
+    assert service.stats().requests_completed == 8
+    service.teardown()
+
+
 def test_submit_many_sheds_past_ring_capacity_without_burning_seqs():
     platform, vendor, service, model = make_stack(strict=False,
                                                   ring_slots=8)
@@ -383,6 +400,6 @@ def test_stats_fold_loop_queue_counters():
     stats = service.stats()
     queue = loop.queues[Priority.BATCH]
     assert queue.batches > 0
-    assert stats.batches == queue.batches     # sync scheduler stayed idle
+    assert stats.batches == queue.batches     # interactive class idle
     assert stats.full_batches == queue.full_batches
     service.teardown()
