@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 # must be runnable on a broken tree, so it may import only itself.
 LAYER_RANKS: dict[str, int] = {
     "errors": 0,
+    "hookslot": 0,
     "faults": 1,
     "obs": 1,
     "sanitizers": 1,

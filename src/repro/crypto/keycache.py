@@ -36,7 +36,6 @@ from repro.crypto.rng import HmacDrbg
 from repro.crypto.rsa import RsaPrivateKey, generate_keypair
 from repro.errors import CryptoError
 from repro.faults import hooks as _faults
-from repro.obs import hooks as _obs
 from repro.sanitizers import hooks as _sanitizers
 
 __all__ = ["deterministic_keypair", "scrub_secret", "SecretCache",
@@ -210,10 +209,6 @@ class KeystreamCache:
         if cache_key in self._prefetched_unused:
             self._prefetched_unused.discard(cache_key)
             self.prefetch_waste += 1
-            if _obs.TELEMETRY is not None:
-                _obs.TELEMETRY.metrics.counter(
-                    "omg_keystream_prefetch_waste_total",
-                    "prefetched keystream chunks scrubbed unused").inc()
 
     def _generate(self, session_id: int, key: bytes,
                   index: int) -> np.ndarray:
@@ -248,15 +243,7 @@ class KeystreamCache:
         # which key bytes differ) — dict hashing is unmodeled, see above.
         if cached is not None:  # analysis: allow(consttime)
             self._prefetched_unused.discard(cache_key)
-            if _obs.TELEMETRY is not None:
-                _obs.TELEMETRY.metrics.counter(
-                    "omg_keystream_cache_hits_total",
-                    "keystream chunks served from cache").inc()
             return cached
-        if _obs.TELEMETRY is not None:
-            _obs.TELEMETRY.metrics.counter(
-                "omg_keystream_cache_misses_total",
-                "keystream chunks generated (CTR run)").inc()
         return self._generate(session_id, key, index)
 
     def prefetch(self, session_id: int, key: bytes, position: int,
@@ -283,13 +270,7 @@ class KeystreamCache:
             self._generate(session_id, key, index)
             self._prefetched_unused.add(cache_key)
             generated += 1
-        if generated:
-            self.prefetches += generated
-            if _obs.TELEMETRY is not None:
-                _obs.TELEMETRY.metrics.counter(
-                    "omg_keystream_prefetch_total",
-                    "keystream chunks generated ahead of demand"
-                ).inc(generated)
+        self.prefetches += generated
         return generated
 
     def take(self, session_id: int, key: bytes, start: int,

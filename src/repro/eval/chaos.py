@@ -87,22 +87,23 @@ _MARKER_LEN = 48
 
 
 @dataclass
-class ChaosResult:
-    """Outcome of one seeded chaos schedule, plus its reproducible log."""
+class _ScheduleResult:
+    """What every chaos layer reports for one seeded schedule.
+
+    Each layer adds its own counters (rendered by :meth:`_counter_lines`
+    between the shared transcript head and the rules) and its own
+    sections (:meth:`_sections`, after the faults fired).
+    """
+
+    _title = "chaos schedule"
 
     seed: int
     completed: bool = False
     error: str | None = None          # typed error class name, if any
     error_message: str = ""
     untyped: bool = False             # liveness violation: non-ReproError
-    rounds: int = 0                   # provisioning rounds across sessions
-    recoveries: int = 0               # crash-recovery relaunches used
-    attempts: int = 0                 # channel request attempts (retries incl.)
-    replays: int = 0                  # deduplicated retransmissions
-    recognitions: list[str] = field(default_factory=list)
     rules: list[str] = field(default_factory=list)
     fault_lines: list[str] = field(default_factory=list)
-    key_requests: dict[str, int] = field(default_factory=dict)
     safety_violations: list[str] = field(default_factory=list)
 
     @property
@@ -112,31 +113,57 @@ class ChaosResult:
 
     @property
     def safe(self) -> bool:
-        """Safety invariant: nothing leaked, nothing double-spent."""
+        """Safety invariant: no violation recorded."""
         return not self.safety_violations
+
+    def _counter_lines(self) -> list[str]:
+        return []
+
+    def _sections(self) -> list[str]:
+        return []
 
     def transcript(self) -> str:
         """Human-readable per-seed artifact (uploaded by the CI job)."""
         lines = [
-            f"chaos schedule seed={self.seed}",
+            f"{self._title} seed={self.seed}",
             f"completed={self.completed} live={self.live} safe={self.safe}",
             f"error={self.error or '-'} {self.error_message}".rstrip(),
-            f"rounds={self.rounds} recoveries={self.recoveries} "
-            f"attempts={self.attempts} replays={self.replays}",
-            f"recognitions={','.join(self.recognitions) or '-'}",
+            *self._counter_lines(),
             "rules:",
             *(f"  {rule}" for rule in self.rules),
             "faults fired:",
             *(f"  {line}" for line in self.fault_lines),
+            *self._sections(),
         ]
-        if self.key_requests:
-            lines.append("license key requests:")
-            lines.extend(f"  {eid}: {n}"
-                         for eid, n in sorted(self.key_requests.items()))
         if self.safety_violations:
             lines.append("SAFETY VIOLATIONS:")
             lines.extend(f"  {v}" for v in self.safety_violations)
         return "\n".join(lines) + "\n"
+
+
+@dataclass
+class ChaosResult(_ScheduleResult):
+    """Outcome of one seeded device chaos schedule: nothing leaked,
+    nothing double-spent."""
+
+    rounds: int = 0                   # provisioning rounds across sessions
+    recoveries: int = 0               # crash-recovery relaunches used
+    attempts: int = 0                 # channel request attempts (retries incl.)
+    replays: int = 0                  # deduplicated retransmissions
+    recognitions: list[str] = field(default_factory=list)
+    key_requests: dict[str, int] = field(default_factory=dict)
+
+    def _counter_lines(self) -> list[str]:
+        return [f"rounds={self.rounds} recoveries={self.recoveries} "
+                f"attempts={self.attempts} replays={self.replays}",
+                f"recognitions={','.join(self.recognitions) or '-'}"]
+
+    def _sections(self) -> list[str]:
+        if not self.key_requests:
+            return []
+        return ["license key requests:",
+                *(f"  {eid}: {n}"
+                  for eid, n in sorted(self.key_requests.items()))]
 
 
 def default_chaos_model():
@@ -447,7 +474,7 @@ def run_chaos_schedule(seed: int, model=None, *, max_recoveries: int = 3,
 
 
 @dataclass
-class ServeChaosResult:
+class ServeChaosResult(_ScheduleResult):
     """Outcome of one seeded *serving* chaos schedule.
 
     The exactly-once ledger is the heart of it: every accepted sequence
@@ -457,11 +484,8 @@ class ServeChaosResult:
     losses both fail the schedule.
     """
 
-    seed: int
-    completed: bool = False
-    error: str | None = None          # typed error class name, if any
-    error_message: str = ""
-    untyped: bool = False             # liveness violation: non-ReproError
+    _title = "serve chaos schedule"
+
     sessions: int = 0
     accepted: int = 0                 # submits that consumed a seq
     shed: int = 0                     # typed backpressure verdicts seen
@@ -469,43 +493,19 @@ class ServeChaosResult:
     missing: int = 0                  # accepted seqs with no response
     counted_losses: int = 0           # auth + frame + response drops
     duplicates: int = 0               # completions beyond distinct seqs
-    rules: list[str] = field(default_factory=list)
-    fault_lines: list[str] = field(default_factory=list)
     stats: dict = field(default_factory=dict)   # frozen ServingStats
-    safety_violations: list[str] = field(default_factory=list)
 
-    @property
-    def live(self) -> bool:
-        """Liveness invariant: completed, or failed with a typed error."""
-        return self.completed or (self.error is not None and not self.untyped)
+    def _counter_lines(self) -> list[str]:
+        return [f"sessions={self.sessions} accepted={self.accepted} "
+                f"shed={self.shed} delivered={self.delivered}",
+                f"missing={self.missing} "
+                f"counted_losses={self.counted_losses} "
+                f"duplicates={self.duplicates}"]
 
-    @property
-    def safe(self) -> bool:
-        """Safety: no leaks, no duplicate or unaccounted responses."""
-        return not self.safety_violations
-
-    def transcript(self) -> str:
-        """Per-seed artifact, embedding the frozen stats snapshot."""
-        lines = [
-            f"serve chaos schedule seed={self.seed}",
-            f"completed={self.completed} live={self.live} safe={self.safe}",
-            f"error={self.error or '-'} {self.error_message}".rstrip(),
-            f"sessions={self.sessions} accepted={self.accepted} "
-            f"shed={self.shed} delivered={self.delivered}",
-            f"missing={self.missing} counted_losses={self.counted_losses} "
-            f"duplicates={self.duplicates}",
-            "rules:",
-            *(f"  {rule}" for rule in self.rules),
-            "faults fired:",
-            *(f"  {line}" for line in self.fault_lines),
-            "serving stats:",
-            *(f"  {key}={value}"
-              for key, value in sorted(self.stats.items())),
-        ]
-        if self.safety_violations:
-            lines.append("SAFETY VIOLATIONS:")
-            lines.extend(f"  {v}" for v in self.safety_violations)
-        return "\n".join(lines) + "\n"
+    def _sections(self) -> list[str]:
+        return ["serving stats:",
+                *(f"  {key}={value}"
+                  for key, value in sorted(self.stats.items()))]
 
 
 def run_serve_chaos_schedule(seed: int, model=None, *,
@@ -662,7 +662,7 @@ def run_serve_chaos_schedule(seed: int, model=None, *,
 
 
 @dataclass
-class FleetChaosResult:
+class FleetChaosResult(_ScheduleResult):
     """Outcome of one seeded *fleet* chaos schedule.
 
     The cross-shard single-spend check is the heart of it: failover can
@@ -670,14 +670,12 @@ class FleetChaosResult:
     after every crashed shard has replayed its journal and the director
     has reconciled, each device must hold at most one live license
     fleet-wide — and every shard's hash-chained audit trail must still
-    verify offline.
+    verify offline.  ``completed`` means every device reached a terminal
+    state.
     """
 
-    seed: int
-    completed: bool = False           # every device reached a terminal state
-    error: str | None = None          # typed error class name, if any
-    error_message: str = ""
-    untyped: bool = False             # liveness violation: non-ReproError
+    _title = "fleet chaos schedule"
+
     devices: int = 0
     granted: int = 0
     rejected: int = 0
@@ -691,52 +689,27 @@ class FleetChaosResult:
     torn_drops: int = 0               # journal records dropped at recovery
     replays: int = 0                  # idempotent grant retransmissions
     duplicates_reconciled: int = 0    # stale cross-shard grants revoked
-    rules: list[str] = field(default_factory=list)
-    fault_lines: list[str] = field(default_factory=list)
     journals: dict = field(default_factory=dict)  # per-shard counters
     audit_heads: dict = field(default_factory=dict)
-    safety_violations: list[str] = field(default_factory=list)
 
-    @property
-    def live(self) -> bool:
-        """Liveness invariant: completed, or failed with a typed error."""
-        return self.completed or (self.error is not None and not self.untyped)
+    def _counter_lines(self) -> list[str]:
+        return [f"devices={self.devices} granted={self.granted} "
+                f"rejected={self.rejected} refused={self.refused} "
+                f"stalled={self.stalled}",
+                f"retries={self.retries} drops={self.drops} "
+                f"takeovers={self.takeovers} crashes={self.crashes} "
+                f"restarts={self.restarts}",
+                f"torn_drops={self.torn_drops} replays={self.replays} "
+                f"duplicates_reconciled={self.duplicates_reconciled}"]
 
-    @property
-    def safe(self) -> bool:
-        """Safety: single-spend held, audits verified, nothing leaked."""
-        return not self.safety_violations
-
-    def transcript(self) -> str:
-        """Per-seed artifact, embedding per-shard journal accounting."""
-        lines = [
-            f"fleet chaos schedule seed={self.seed}",
-            f"completed={self.completed} live={self.live} safe={self.safe}",
-            f"error={self.error or '-'} {self.error_message}".rstrip(),
-            f"devices={self.devices} granted={self.granted} "
-            f"rejected={self.rejected} refused={self.refused} "
-            f"stalled={self.stalled}",
-            f"retries={self.retries} drops={self.drops} "
-            f"takeovers={self.takeovers} crashes={self.crashes} "
-            f"restarts={self.restarts}",
-            f"torn_drops={self.torn_drops} replays={self.replays} "
-            f"duplicates_reconciled={self.duplicates_reconciled}",
-            "rules:",
-            *(f"  {rule}" for rule in self.rules),
-            "faults fired:",
-            *(f"  {line}" for line in self.fault_lines),
-            "journals:",
-            *(f"  {shard}: " + " ".join(f"{key}={value}"
-                                        for key, value in sorted(row.items()))
-              for shard, row in sorted(self.journals.items())),
-            "audit heads:",
-            *(f"  {shard}: {head}"
-              for shard, head in sorted(self.audit_heads.items())),
-        ]
-        if self.safety_violations:
-            lines.append("SAFETY VIOLATIONS:")
-            lines.extend(f"  {v}" for v in self.safety_violations)
-        return "\n".join(lines) + "\n"
+    def _sections(self) -> list[str]:
+        return ["journals:",
+                *(f"  {shard}: " + " ".join(
+                    f"{key}={value}" for key, value in sorted(row.items()))
+                  for shard, row in sorted(self.journals.items())),
+                "audit heads:",
+                *(f"  {shard}: {head}"
+                  for shard, head in sorted(self.audit_heads.items()))]
 
 
 def run_fleet_chaos_schedule(seed: int, *, devices: int = 240,
@@ -894,7 +867,7 @@ def run_fleet_chaos_schedule(seed: int, *, devices: int = 240,
     return result
 
 
-def write_chaos_transcripts(results: list[ChaosResult],
+def write_chaos_transcripts(results: list[_ScheduleResult],
                             out_dir: str) -> str:
     """Write per-seed transcripts plus a summary.json; return the dir."""
     os.makedirs(out_dir, exist_ok=True)

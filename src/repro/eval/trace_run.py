@@ -4,9 +4,11 @@ Builds a platform, installs a :class:`~repro.obs.Telemetry` bundle on
 its virtual clock, and drives the multi-session serving stack through a
 seeded traffic pattern.  Everything the observability subsystem
 instruments fires along the way: enclave launch/boot/attest spans from
-the worker pool's provisioning, tick/batch spans and queue/ring
-metrics from the serving loop and service, keystream cache counters from the crypto
-layer, and (optionally) per-op interpreter spans.
+the worker pool's provisioning, tick/batch spans from the serving loop,
+and (optionally) per-op interpreter spans.  The serving counters and
+gauges (queues, rings, keystream caches) are pulled from the service's
+tallies whenever the registry is read, so an export after the run sees
+the final state.
 
 Returns the telemetry bundle (for export) plus the service's structured
 :class:`~repro.serve.ServingStats` snapshot.

@@ -11,47 +11,19 @@ so the disabled cost is a single module-attribute load and ``None``
 check — nothing is allocated, no function is called, and the wall-clock
 bench (``benchmarks/test_wallclock.py``) pins that cost at < 2 %.
 
-This module deliberately imports nothing from the rest of the package:
-it sits below :mod:`repro.crypto.rng` in the import graph (the DRBG is
-itself an instrumented site), so it must stay dependency-free.
+The install functions come from :func:`repro.hookslot.slot`, which sits
+below :mod:`repro.crypto.rng` in the import graph (the DRBG is itself
+an instrumented site).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-from repro.errors import ReproError
+from repro.hookslot import slot
 
 __all__ = ["PLAN", "installed", "install", "uninstall", "current"]
 
 # The single process-wide fault plan, or None when injection is off.
 PLAN = None
 
-
-def install(plan) -> None:
-    """Install ``plan`` as the process-wide fault plan."""
-    global PLAN
-    if PLAN is not None:
-        raise ReproError("a fault plan is already installed")
-    PLAN = plan
-
-
-def uninstall() -> None:
-    """Remove the installed plan (no-op if none is installed)."""
-    global PLAN
-    PLAN = None
-
-
-def current():
-    """The installed plan, or ``None``."""
-    return PLAN
-
-
-@contextmanager
-def installed(plan):
-    """Scope a fault plan to a ``with`` block (always uninstalls)."""
-    install(plan)
-    try:
-        yield plan
-    finally:
-        uninstall()
+install, uninstall, current, installed = slot(globals(), "PLAN",
+                                              "a fault plan")

@@ -1,58 +1,28 @@
 """Global installation point for the telemetry bundle.
 
 Instrumented modules (``sanctuary/lifecycle.py``, ``serve/service.py``,
-``crypto/keycache.py``, ``tflm/interpreter.py``, ``eval/chaos.py``)
-import this module and guard every instrumentation site with::
+``serve/loop.py``, ``tflm/interpreter.py``, ``eval/chaos.py``) import
+this module and guard every instrumentation site with::
 
     if _obs.TELEMETRY is not None:
-        ...record a span / bump a metric...
+        ...record a span / observe a histogram...
 
 so the disabled cost is a single module-attribute load and ``None``
 check — nothing is allocated, no function is called, and the wall-clock
 bench (``benchmarks/test_wallclock.py``) pins that cost at < 3 %.
 
-This is the same zero-cost pattern as :mod:`repro.faults.hooks`.  Like
-that module it deliberately imports nothing from the rest of the
-package: the crypto and hw layers are themselves instrumented sites, so
-this module must stay dependency-free.
+The install functions come from :func:`repro.hookslot.slot`, the same
+slot :mod:`repro.faults.hooks` uses.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-from repro.errors import ReproError
+from repro.hookslot import slot
 
 __all__ = ["TELEMETRY", "installed", "install", "uninstall", "current"]
 
 # The single process-wide telemetry bundle, or None when telemetry is off.
 TELEMETRY = None
 
-
-def install(telemetry) -> None:
-    """Install ``telemetry`` as the process-wide telemetry bundle."""
-    global TELEMETRY
-    if TELEMETRY is not None:
-        raise ReproError("a telemetry bundle is already installed")
-    TELEMETRY = telemetry
-
-
-def uninstall() -> None:
-    """Remove the installed bundle (no-op if none is installed)."""
-    global TELEMETRY
-    TELEMETRY = None
-
-
-def current():
-    """The installed telemetry bundle, or ``None``."""
-    return TELEMETRY
-
-
-@contextmanager
-def installed(telemetry):
-    """Scope a telemetry bundle to a ``with`` block (always uninstalls)."""
-    install(telemetry)
-    try:
-        yield telemetry
-    finally:
-        uninstall()
+install, uninstall, current, installed = slot(globals(), "TELEMETRY",
+                                              "a telemetry bundle")

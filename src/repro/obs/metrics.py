@@ -6,9 +6,15 @@ instrument holds one series per label set.  Label *values* pass the
 values must be real numbers — byte strings and arrays are rejected, so
 no secret material can hide in a metric.
 
-The enabled path allocates only on first use of a (name, labels) series;
-the disabled path is the caller's ``if _obs.TELEMETRY is not None:``
-guard and costs nothing (see :mod:`repro.obs.hooks`).
+Counters and gauges whose event already has a plain tally on its
+owning object are *pulled*, not pushed: the owner hands
+:meth:`MetricsRegistry.register` a collector, and every read of the
+registry (``get``, iteration, ``len`` — so every snapshot and export)
+re-runs the collectors and rebuilds those series from the live tallies.
+Only events with no owner state to read afterwards (histogram
+observations, spans, mid-run fleet gauges) are pushed, behind the
+caller's zero-cost ``if _obs.TELEMETRY is not None:`` guard (see
+:mod:`repro.obs.hooks`).
 
 Bucket bounds are fixed at histogram creation (Prometheus-style
 cumulative ``le`` buckets plus +Inf), which keeps observation O(log n)
@@ -176,11 +182,15 @@ class Histogram(_Instrument):
         return self.buckets[-1]
 
 
+_PULLED_KINDS = {"counter": Counter, "gauge": Gauge}
+
+
 class MetricsRegistry:
     """Get-or-create home for every instrument, keyed by name."""
 
     def __init__(self) -> None:
         self._instruments: dict = {}
+        self._collectors: list = []
 
     def _get_or_create(self, cls, name, help, **kwargs):
         instrument = self._instruments.get(name)
@@ -201,13 +211,43 @@ class MetricsRegistry:
                   buckets=DEFAULT_BUCKETS) -> Histogram:
         return self._get_or_create(Histogram, name, help, buckets=buckets)
 
+    def register(self, collector) -> None:
+        """Pull ``collector()`` on every read of the registry.
+
+        A collector yields ``(kind, name, help, labels, value)`` with
+        ``kind`` ``"counter"`` or ``"gauge"``; values and labels pass
+        the same number check and redact gate as pushed ones.  Series
+        fed by several collectors sum.  Registering the same collector
+        again is a no-op.
+        """
+        if collector not in self._collectors:
+            self._collectors.append(collector)
+
+    def _collect(self) -> None:
+        totals: dict = {}
+        for collector in self._collectors:
+            for kind, name, help, labels, value in collector():
+                cls = _PULLED_KINDS.get(kind)
+                if cls is None:
+                    raise ObsError(
+                        f"collected metric {name!r} must be a counter or "
+                        f"gauge, not {kind!r}")
+                instrument = self._get_or_create(cls, name, help)
+                key = (instrument, _label_key(labels))
+                totals[key] = totals.get(key, 0.0) + _as_number(value)
+        for (instrument, key), value in totals.items():
+            instrument._series[key] = value
+
     def get(self, name: str):
+        self._collect()
         return self._instruments.get(name)
 
     def __len__(self) -> int:
+        self._collect()
         return len(self._instruments)
 
     def __iter__(self):
+        self._collect()
         for name in sorted(self._instruments):
             yield self._instruments[name]
 

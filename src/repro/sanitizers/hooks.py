@@ -7,22 +7,15 @@ with::
     if _sanitizers.STATE is not None:
         ...dispatch into the sanitizer...
 
-mirroring :mod:`repro.faults.hooks` and :mod:`repro.obs.hooks`: the
-disabled cost is a single module-attribute load and ``None`` check —
-nothing is allocated and no function is called, so production code
-paths pay nothing when sanitizers are off.
-
-This module deliberately imports nothing from the rest of the package
-beyond :mod:`repro.errors`: it sits below :mod:`repro.crypto` in the
-import graph (``scrub_secret`` is itself an instrumented site), so it
-must stay dependency-free.
+the same :func:`repro.hookslot.slot` as :mod:`repro.faults.hooks` and
+:mod:`repro.obs.hooks`: the disabled cost is a single module-attribute
+load and ``None`` check — nothing is allocated and no function is
+called, so production code paths pay nothing when sanitizers are off.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-from repro.errors import ReproError
+from repro.hookslot import slot
 
 __all__ = ["STATE", "installed", "install", "uninstall", "current"]
 
@@ -32,31 +25,5 @@ __all__ = ["STATE", "installed", "install", "uninstall", "current"]
 # :class:`repro.sanitizers.Sanitizers`.
 STATE = None
 
-
-def install(state) -> None:
-    """Install ``state`` as the process-wide sanitizer bundle."""
-    global STATE
-    if STATE is not None:
-        raise ReproError("a sanitizer bundle is already installed")
-    STATE = state
-
-
-def uninstall() -> None:
-    """Remove the installed bundle (no-op if none is installed)."""
-    global STATE
-    STATE = None
-
-
-def current():
-    """The installed bundle, or ``None``."""
-    return STATE
-
-
-@contextmanager
-def installed(state):
-    """Scope a sanitizer bundle to a ``with`` block (always uninstalls)."""
-    install(state)
-    try:
-        yield state
-    finally:
-        uninstall()
+install, uninstall, current, installed = slot(globals(), "STATE",
+                                              "a sanitizer bundle")

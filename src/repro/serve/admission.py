@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from repro.errors import ServeError
-from repro.obs import hooks as _obs
 
 __all__ = ["Priority", "AdmissionPolicy", "AdmissionController"]
 
@@ -83,11 +82,6 @@ class AdmissionController:
         budget = self.policy.budget(priority)
         if budget is not None and depth >= budget:
             self.shed[priority] += 1
-            if _obs.TELEMETRY is not None:
-                _obs.TELEMETRY.metrics.counter(
-                    "omg_serve_admission_rejections_total",
-                    "post-ingest admissions refused by class budget",
-                ).inc(**{"priority": priority.name.lower()})
             return False
         self.admitted[priority] += 1
         return True

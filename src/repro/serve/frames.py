@@ -26,9 +26,9 @@ colliding with the all-zero block that defines H.
 Seal and open are *in place* on ring-slot views: no intermediate
 buffers, no per-message allocation.  Producers that batch (the
 service's egress path) compute ciphertexts and tags for a whole
-dispatch batch first — :func:`~repro.crypto.modes.frame_tags_batched`
-amortizes the GHASH sweep — then lay frames out with
-:func:`emit_sealed`.
+dispatch batch first — :func:`frame_tags` amortizes the GHASH sweep —
+then lay frames out with :func:`emit_sealed`; consumers verify a
+drained group against the same :func:`frame_tags`.
 """
 
 from __future__ import annotations
@@ -38,14 +38,20 @@ import struct
 import numpy as np
 
 from repro.crypto.hmac import hkdf
+from repro.crypto.modes import frame_tags_batched
 from repro.errors import ServeError
 
-__all__ = ["HEADER", "TAG_BYTES", "derive_lane_keys",
-           "derive_lane_tag_keys", "frame_j0", "frame_aad", "seal_into",
-           "emit_sealed", "open_in_place"]
+__all__ = ["HEADER", "TAG_BYTES", "TAG_BATCH_MIN", "derive_lane_keys",
+           "derive_lane_tag_keys", "frame_j0", "frame_aad", "frame_tags",
+           "seal_into", "emit_sealed", "open_in_place"]
 
 HEADER = struct.Struct("<II")  # session_id, request_seq
 TAG_BYTES = 16
+
+# Below this many frames, tags go through each key's scalar sweep — the
+# batched sweep's fixed numpy dispatch cost only amortizes across
+# larger groups.
+TAG_BATCH_MIN = 4
 
 _LANE_SALT = b"omg-serve-v1"
 _J0_PREFIX = (1).to_bytes(8, "big")
@@ -74,6 +80,21 @@ def frame_aad(session_id: int, request_seq: int) -> bytes:
     """What the tag authenticates beyond the ciphertext: the routing
     header exactly as it travels."""
     return HEADER.pack(session_id, request_seq)
+
+
+def frame_tags(taggers, session_ids, seqs, ciphertexts) -> list[bytes]:
+    """Tags for a group of frames, one per (tagger, session, seq,
+    ciphertext bytes): one batched GHASH sweep from
+    :data:`TAG_BATCH_MIN` frames up, each tagger's scalar sweep below.
+    Bit-identical either way; verifiers compare the result with
+    ``constant_time_eq``, exactly as ``FrameTagKey.verify`` does."""
+    j0s = [frame_j0(seq) for seq in seqs]
+    aads = [frame_aad(sid, seq) for sid, seq in zip(session_ids, seqs)]
+    if len(taggers) >= TAG_BATCH_MIN:
+        return frame_tags_batched(taggers, j0s, aads, ciphertexts)
+    return [tagger.tag(j0, aad, ciphertext)
+            for tagger, j0, aad, ciphertext
+            in zip(taggers, j0s, aads, ciphertexts)]
 
 
 def seal_into(slot: np.ndarray, session_id: int, request_seq: int,

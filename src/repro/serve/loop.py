@@ -217,16 +217,9 @@ class ServingLoop:
                     # Injected deadline skew can hold ready() false past
                     # the deadline; true age still forces liveness.
                     box.post(queue, queue.flush(queue.max_batch))
-                    self._count_watchdog_flush()
+                    self.watchdog_flushes += 1
                 else:
                     break
-
-    def _count_watchdog_flush(self) -> None:
-        self.watchdog_flushes += 1
-        if _obs.TELEMETRY is not None:
-            _obs.TELEMETRY.metrics.counter(
-                "omg_serve_watchdog_flushes_total",
-                "batches force-flushed past the watchdog deadline").inc()
 
     def _execute(self) -> int:
         """Each worker actor runs at most one mailbox batch per tick."""
@@ -258,6 +251,10 @@ class ServingLoop:
         telemetry = _obs.TELEMETRY
         if telemetry is None:
             return self._tick(force)
+        # Serving metrics are pulled from the service's tallies at
+        # export; registering here also covers a service built before
+        # telemetry was installed.
+        telemetry.metrics.register(self.service.samples)
         with telemetry.tracer.span("serve.tick", force=force) as span:
             ran = self._tick(force)
             span.set_attribute("batches", ran)
@@ -272,24 +269,6 @@ class ServingLoop:
             target = self.batcher.update(self.queue_depth())
             for queue in self.queues.values():
                 queue.max_batch = target
-        if _obs.TELEMETRY is not None:
-            metrics = _obs.TELEMETRY.metrics
-            metrics.gauge("omg_serve_batch_target",
-                          "adaptive batcher's current target size").set(
-                self.queues[Priority.BATCH].max_batch)
-            metrics.gauge("omg_serve_queue_interactive",
-                          "requests waiting in the interactive class"
-                          ).set(len(self.queues[Priority.INTERACTIVE]))
-            metrics.gauge("omg_serve_queue_batch",
-                          "requests waiting in the batch class"
-                          ).set(len(self.queues[Priority.BATCH]))
-            metrics.gauge("omg_serve_mailbox_depth",
-                          "requests formed into worker mailboxes"
-                          ).set(self.mailbox_depth())
-            metrics.gauge("omg_serve_egress_occupancy",
-                          "frames waiting in the egress ring"
-                          ).set(service.config.ring_slots - 1
-                                - service.egress_free())
         self._form(force)
         ran = self._execute()
         service.poll_responses()

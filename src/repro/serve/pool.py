@@ -58,19 +58,13 @@ class EnclaveWorker:
         other fault panics the enclave — scrub and unlock — before the
         error surfaces to the caller.
         """
-        session = self.session
         telemetry = _obs.TELEMETRY
         if telemetry is None:
             return self._invoke(fingerprints)
         core = -1 if self.core_id is None else self.core_id
         with telemetry.tracer.span("enclave.batch_invoke",
                                    core=core, batch=len(fingerprints)):
-            result = self._invoke(fingerprints)
-        telemetry.metrics.counter(
-            "omg_worker_requests_total",
-            "requests served, per pinned worker core").inc(
-                len(fingerprints), core=core)
-        return result
+            return self._invoke(fingerprints)
 
     def _invoke(self, fingerprints: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -154,12 +148,11 @@ class EnclaveWorkerPool:
         session.prepare()
         session.initialize()
         replacement = EnclaveWorker(session, session.instance.core_id)
+        # The slot's tallies carry over, so the per-core request count
+        # exported from them survives the restart.
+        replacement.batches = worker.batches
+        replacement.requests = worker.requests
         self.workers[index] = replacement
-        if _obs.TELEMETRY is not None:
-            _obs.TELEMETRY.metrics.counter(
-                "omg_serve_workers_restarted_total",
-                "panicked enclave workers relaunched and re-attested"
-            ).inc()
         return replacement
 
     def teardown(self) -> None:

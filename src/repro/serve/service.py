@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.crypto.hmac import constant_time_eq
 from repro.crypto.keycache import KeystreamCache, SecretCache
-from repro.crypto.modes import FrameTagKey, frame_tags_batched
+from repro.crypto.modes import FrameTagKey
 from repro.crypto.rng import HmacDrbg
 from repro.errors import ProtocolError, ServeError
 from repro.faults import hooks as _faults
@@ -50,8 +50,7 @@ from repro.sanitizers import hooks as _sanitizers
 from repro.serve.admission import Priority
 from repro.serve.frames import (HEADER, TAG_BYTES, derive_lane_keys,
                                 derive_lane_tag_keys, emit_sealed,
-                                frame_aad, frame_j0, open_in_place,
-                                seal_into)
+                                frame_tags, open_in_place, seal_into)
 from repro.serve.pool import EnclaveWorkerPool
 
 __all__ = ["ServeConfig", "ServingStats", "SessionHandle", "ServingService",
@@ -59,11 +58,6 @@ __all__ = ["ServeConfig", "ServingStats", "SessionHandle", "ServingService",
 
 # Batch-size histogram bounds: powers-ish of 2 around typical max_batch.
 _BATCH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
-
-# Below this many frames, tag computation/verification goes through the
-# scalar per-frame sweep — the batched sweep's fixed numpy dispatch
-# cost only amortizes across larger groups.
-_TAG_BATCH_MIN = 4
 
 _RING_FULL = "ingress ring full; let the serving loop drain it first"
 
@@ -242,7 +236,10 @@ class ServingService:
         self.latencies_ms: list[float] = []
         self._requests_completed = 0
         self._frames_dropped = 0
-        self._responses_dropped = 0
+        # Responses lost after their inference ran, by reason: the
+        # session closed mid-flight, or an injected ring.reserve stall
+        # refused the egress slot.
+        self._responses_dropped = {"session_closed": 0, "egress_stall": 0}
         self._auth_failures = 0
         self._requests_shed = 0
         self._batches_requeued = 0
@@ -296,12 +293,6 @@ class ServingService:
         self._handles[session_id] = handle
         if priority is not None:
             self._session_priority[session_id] = int(priority)
-        if _obs.TELEMETRY is not None:
-            metrics = _obs.TELEMETRY.metrics
-            metrics.counter("omg_serve_sessions_opened_total",
-                            "serving sessions established").inc()
-            metrics.gauge("omg_serve_open_sessions",
-                          "currently open sessions").set(len(self._handles))
         return handle
 
     def session_priority(self, session_id: int) -> int:
@@ -315,12 +306,6 @@ class ServingService:
         self._service_taggers.pop(handle.session_id, None)
         self._client_keystreams.forget_session(handle.session_id)
         self._service_keystreams.forget_session(handle.session_id)
-        if _obs.TELEMETRY is not None:
-            metrics = _obs.TELEMETRY.metrics
-            metrics.counter("omg_serve_sessions_closed_total",
-                            "serving sessions torn down").inc()
-            metrics.gauge("omg_serve_open_sessions",
-                          "currently open sessions").set(len(self._handles))
 
     def _service_keys(self, session_id: int) -> tuple[bytes, bytes] | None:
         """This session's (request, response) lane keys, or ``None``
@@ -373,9 +358,9 @@ class ServingService:
         accepted request, a :class:`Shed` otherwise (graceful mode).
         The win over per-request :meth:`submit` is the same two-phase
         batching :meth:`ingest` already uses: one vectorized XOR across
-        every payload and one batched GHASH sweep for all the tags
-        (scalar below :data:`_TAG_BATCH_MIN`), instead of a full GCM
-        dispatch per frame.
+        every payload and one :func:`~repro.serve.frames.frame_tags`
+        sweep for all the tags, instead of a full GCM dispatch per
+        frame.
 
         Requests beyond the ingress ring's current free space are shed
         up front without consuming a sequence number, exactly like
@@ -418,21 +403,10 @@ class ServingService:
                     handle.session_id, handle.request_key,
                     seq * self.request_bytes, self.request_bytes)
             ciphertexts = payloads ^ keystreams
-            if n >= _TAG_BATCH_MIN:
-                tags = frame_tags_batched(
-                    [handle.request_tagger for handle, _ in checked[:n]],
-                    [frame_j0(seq) for seq in seqs],
-                    [frame_aad(handle.session_id, seq)
-                     for (handle, _), seq in zip(checked[:n], seqs)],
-                    [ciphertexts[row].tobytes() for row in range(n)])
-            else:
-                tags = [
-                    handle.request_tagger.tag(
-                        frame_j0(seq),
-                        frame_aad(handle.session_id, seq),
-                        ciphertexts[row].tobytes())
-                    for row, ((handle, _), seq)
-                    in enumerate(zip(checked[:n], seqs))]
+            tags = frame_tags(
+                [handle.request_tagger for handle, _ in checked[:n]],
+                [handle.session_id for handle, _ in checked[:n]], seqs,
+                [ciphertexts[row].tobytes() for row in range(n)])
             for row, ((handle, _), seq) in enumerate(zip(checked[:n], seqs)):
                 slot = self._ingress_prod.try_reserve()
                 if slot is None:
@@ -453,8 +427,8 @@ class ServingService:
 
         Phase one copies every sealed response out of the egress ring
         and releases its slot.  Phase two verifies all the drained tags
-        in one batched GHASH sweep (scalar below :data:`_TAG_BATCH_MIN`)
-        and opens the survivors into their sessions' futures — the same
+        in one :func:`~repro.serve.frames.frame_tags` sweep and opens
+        the survivors into their sessions' futures — the same
         two-phase shape as :meth:`ingest`, applied to the client side.
         """
         drained: list = []
@@ -466,33 +440,26 @@ class ServingService:
                 # OS-relayed ring: account the drop so every accepted
                 # seq is traceable to a response or a counted loss.
                 self._egress_cons.release()
-                self._count_frame_drop()
+                self._frames_dropped += 1
                 continue
             drained.append((handle, session_id, seq, sealed.copy(), tag))
             self._egress_cons.release()
         if not drained:
             return 0
-        if len(drained) >= _TAG_BATCH_MIN:
-            expected = frame_tags_batched(
-                [handle.response_tagger for handle, _, _, _, _ in drained],
-                [frame_j0(seq) for _, _, seq, _, _ in drained],
-                [frame_aad(sid, seq) for _, sid, seq, _, _ in drained],
-                [sealed.tobytes() for _, _, _, sealed, _ in drained])
-            verdicts = [constant_time_eq(want, tag)
-                        for (_, _, _, _, tag), want in zip(drained, expected)]
-        else:
-            verdicts = [
-                handle.response_tagger.verify(
-                    frame_j0(seq), frame_aad(sid, seq), sealed.tobytes(),
-                    tag)
-                for handle, sid, seq, sealed, tag in drained]
+        expected = frame_tags(
+            [handle.response_tagger for handle, _, _, _, _ in drained],
+            [sid for _, sid, _, _, _ in drained],
+            [seq for _, _, seq, _, _ in drained],
+            [sealed.tobytes() for _, _, _, sealed, _ in drained])
+        verdicts = [constant_time_eq(want, tag)
+                    for (_, _, _, _, tag), want in zip(drained, expected)]
         delivered = 0
         for (handle, session_id, seq, sealed, _), ok in zip(drained,
                                                             verdicts):
             if not ok:
                 # Tampered or corrupted in the OS-relayed ring: drop
                 # the response, never the session.
-                self._count_auth_failure()
+                self._auth_failures += 1
                 continue
             keystream = self._client_keystreams.take(
                 session_id, handle.response_key,
@@ -515,62 +482,25 @@ class ServingService:
             handle.results[seq] = (label, scores)
             self._requests_completed += 1
             delivered += 1
-        if delivered and _obs.TELEMETRY is not None:
-            _obs.TELEMETRY.metrics.counter(
-                "omg_serve_responses_total",
-                "responses delivered to sessions").inc(delivered)
         return delivered
 
     # --- service side: the serving loop's seam ------------------------
-
-    def _count_auth_failure(self) -> None:
-        self._auth_failures += 1
-        if _obs.TELEMETRY is not None:
-            _obs.TELEMETRY.metrics.counter(
-                "omg_serve_auth_failures_total",
-                "frames dropped on tag verification failure").inc()
-
-    def _count_shed(self) -> None:
-        self._requests_shed += 1
-        if _obs.TELEMETRY is not None:
-            _obs.TELEMETRY.metrics.counter(
-                "omg_serve_requests_shed_total",
-                "requests/sessions refused with a typed backpressure "
-                "verdict").inc()
 
     def _refuse(self, verdict: "Shed | Rejected") -> "Shed | Rejected":
         """Strict mode raises with the verdict's reason; graceful mode
         counts the refusal and hands the typed verdict back."""
         if self.config.strict:
             raise ServeError(verdict.reason)
-        self._count_shed()
+        self._requests_shed += 1
         return verdict
-
-    def _count_frame_drop(self) -> None:
-        self._frames_dropped += 1
-        if _obs.TELEMETRY is not None:
-            _obs.TELEMETRY.metrics.counter(
-                "omg_serve_frames_dropped_total",
-                "ring frames dropped for unknown/closed sessions").inc()
-
-    def _count_response_drop(self, reason: str) -> None:
-        """One response lost after its inference ran: the session closed
-        mid-flight (``session_closed``) or an injected ``ring.reserve``
-        stall refused its egress slot (``egress_stall``)."""
-        self._responses_dropped += 1
-        if _obs.TELEMETRY is not None:
-            _obs.TELEMETRY.metrics.counter(
-                "omg_serve_responses_dropped_total",
-                "responses dropped after inference, by reason",
-            ).inc(reason=reason)
 
     def ingest(self, sink) -> None:
         """Drain the ingress ring, two-phase, into ``sink``.
 
         Phase one copies every sealed frame out of the ring and releases
         its slot — the ring drains at memcpy speed regardless of crypto.
-        Phase two verifies all the drained tags in one batched GHASH
-        sweep (scalar below :data:`_TAG_BATCH_MIN`), then XOR-opens the
+        Phase two verifies all the drained tags in one
+        :func:`~repro.serve.frames.frame_tags` sweep, then XOR-opens the
         survivors into ``sink`` (the loop's admission router).  Frames
         that fail authentication are dropped, never the ring or the
         session.
@@ -583,29 +513,22 @@ class ServingService:
                 # on.  Raising with the slot still at the ring head
                 # would wedge every session behind one dead frame.
                 self._ingress_cons.release()
-                self._count_frame_drop()
+                self._frames_dropped += 1
                 continue
             drained.append((session_id, seq, sealed.copy(), tag))
             self._ingress_cons.release()
         if not drained:
             return
-        if len(drained) >= _TAG_BATCH_MIN:
-            expected = frame_tags_batched(
-                [self._service_taggers[sid][0] for sid, _, _, _ in drained],
-                [frame_j0(seq) for _, seq, _, _ in drained],
-                [frame_aad(sid, seq) for sid, seq, _, _ in drained],
-                [sealed.tobytes() for _, _, sealed, _ in drained])
-            verdicts = [constant_time_eq(want, tag)
-                        for (_, _, _, tag), want in zip(drained, expected)]
-        else:
-            verdicts = [
-                self._service_taggers[sid][0].verify(
-                    frame_j0(seq), frame_aad(sid, seq), sealed.tobytes(),
-                    tag)
-                for sid, seq, sealed, tag in drained]
+        expected = frame_tags(
+            [self._service_taggers[sid][0] for sid, _, _, _ in drained],
+            [sid for sid, _, _, _ in drained],
+            [seq for _, seq, _, _ in drained],
+            [sealed.tobytes() for _, _, sealed, _ in drained])
+        verdicts = [constant_time_eq(want, tag)
+                    for (_, _, _, tag), want in zip(drained, expected)]
         for (session_id, seq, sealed, _), ok in zip(drained, verdicts):
             if not ok:
-                self._count_auth_failure()
+                self._auth_failures += 1
                 continue
             keys = self._service_keys(session_id)
             if keys is None:   # unreachable: tagger presence implies keys
@@ -674,11 +597,6 @@ class ServingService:
             # and relaunch a fresh, re-attested worker on the same core.
             requeue(batch)
             self._batches_requeued += 1
-            if _obs.TELEMETRY is not None:
-                _obs.TELEMETRY.metrics.counter(
-                    "omg_serve_batches_requeued_total",
-                    "in-flight batches requeued after a worker panic"
-                ).inc()
             if self.pool.restarts >= self.config.max_worker_restarts:
                 raise ServeError(
                     f"worker crash-loop: {self.pool.restarts} restarts "
@@ -694,7 +612,7 @@ class ServingService:
                 # Session closed while its request was in flight:
                 # there is no one to seal for — drop this response,
                 # keep the rest of the batch.
-                self._count_response_drop("session_closed")
+                self._responses_dropped["session_closed"] += 1
                 continue
             live.append((row, session_id, seq, keys[1]))
         if not live:
@@ -711,18 +629,11 @@ class ServingService:
                 session_id, response_key,
                 seq * self.response_bytes, self.response_bytes)
         ciphertexts = payloads ^ keystreams
-        if len(live) >= _TAG_BATCH_MIN:
-            tags = frame_tags_batched(
-                [self._service_taggers[sid][1] for _, sid, _, _ in live],
-                [frame_j0(seq) for _, _, seq, _ in live],
-                [frame_aad(sid, seq) for _, sid, seq, _ in live],
-                [ciphertexts[out].tobytes() for out in range(len(live))])
-        else:
-            tags = [
-                self._service_taggers[sid][1].tag(
-                    frame_j0(seq), frame_aad(sid, seq),
-                    ciphertexts[out].tobytes())
-                for out, (_, sid, seq, _) in enumerate(live)]
+        tags = frame_tags(
+            [self._service_taggers[sid][1] for _, sid, _, _ in live],
+            [sid for _, sid, _, _ in live],
+            [seq for _, _, seq, _ in live],
+            [ciphertexts[out].tobytes() for out in range(len(live))])
         for out, (_, session_id, seq, _) in enumerate(live):
             slot = self._egress_prod.try_reserve()
             if slot is None:
@@ -731,7 +642,7 @@ class ServingService:
                 # land on this reservation.  The inference already ran;
                 # raising now would lose the whole batch's responses.
                 # Drop just this one, accounted, and seal the rest.
-                self._count_response_drop("egress_stall")
+                self._responses_dropped["egress_stall"] += 1
                 continue
             length = emit_sealed(slot, session_id, seq, ciphertexts[out],
                                  tags[out])
@@ -773,7 +684,7 @@ class ServingService:
         return ServingStats(
             requests_completed=self._requests_completed,
             frames_dropped=self._frames_dropped,
-            responses_dropped=self._responses_dropped,
+            responses_dropped=sum(self._responses_dropped.values()),
             auth_failures=self._auth_failures,
             requests_shed=self._requests_shed,
             admission_shed=admission_shed,
@@ -789,6 +700,87 @@ class ServingService:
             p95_ms=percentiles["p95_ms"],
             p99_ms=percentiles["p99_ms"],
         )
+
+    def samples(self):
+        """Every serving counter and gauge, read from the tallies that
+        back :meth:`stats` — the collector the
+        :class:`~repro.serve.loop.ServingLoop` registers with the
+        telemetry registry (see :meth:`repro.obs.MetricsRegistry.register`),
+        so an export can never disagree with the service."""
+        stats = self.stats()
+        loop = self._loop
+        queues = loop.queues
+        opened = self._next_session
+        caches = (self._client_keystreams, self._service_keystreams)
+        for name, help, value in (
+            ("omg_serve_sessions_opened_total",
+             "serving sessions established", opened),
+            ("omg_serve_sessions_closed_total",
+             "serving sessions torn down", opened - stats.open_sessions),
+            ("omg_serve_responses_total",
+             "responses delivered to sessions", stats.requests_completed),
+            ("omg_serve_auth_failures_total",
+             "frames dropped on tag verification failure",
+             stats.auth_failures),
+            ("omg_serve_requests_shed_total",
+             "requests/sessions refused with a typed backpressure verdict",
+             stats.requests_shed),
+            ("omg_serve_frames_dropped_total",
+             "ring frames dropped for unknown/closed sessions",
+             stats.frames_dropped),
+            ("omg_serve_batches_requeued_total",
+             "in-flight batches requeued after a worker panic",
+             stats.batches_requeued),
+            ("omg_serve_workers_restarted_total",
+             "panicked enclave workers relaunched and re-attested",
+             stats.workers_restarted),
+            ("omg_serve_watchdog_flushes_total",
+             "batches force-flushed past the watchdog deadline",
+             stats.watchdog_flushes),
+            ("omg_keystream_cache_hits_total",
+             "keystream chunks served from cache",
+             sum(cache.hits for cache in caches)),
+            ("omg_keystream_cache_misses_total",
+             "keystream chunks generated (CTR run)",
+             sum(cache.misses for cache in caches)),
+            ("omg_keystream_prefetch_total",
+             "keystream chunks generated ahead of demand",
+             sum(cache.prefetches for cache in caches)),
+            ("omg_keystream_prefetch_waste_total",
+             "prefetched keystream chunks scrubbed unused",
+             sum(cache.prefetch_waste for cache in caches)),
+        ):
+            yield "counter", name, help, {}, value
+        for reason, count in self._responses_dropped.items():
+            yield ("counter", "omg_serve_responses_dropped_total",
+                   "responses dropped after inference, by reason",
+                   {"reason": reason}, count)
+        for priority, count in loop.admission.shed.items():
+            yield ("counter", "omg_serve_admission_rejections_total",
+                   "post-ingest admissions refused by class budget",
+                   {"priority": priority.name.lower()}, count)
+        for worker in self.pool.workers:
+            core = -1 if worker.core_id is None else worker.core_id
+            yield ("counter", "omg_worker_requests_total",
+                   "requests served, per pinned worker core",
+                   {"core": core}, worker.requests)
+        for name, help, value in (
+            ("omg_serve_open_sessions", "currently open sessions",
+             stats.open_sessions),
+            ("omg_serve_batch_target",
+             "adaptive batcher's current target size",
+             queues[Priority.BATCH].max_batch),
+            ("omg_serve_queue_interactive",
+             "requests waiting in the interactive class",
+             len(queues[Priority.INTERACTIVE])),
+            ("omg_serve_queue_batch", "requests waiting in the batch class",
+             len(queues[Priority.BATCH])),
+            ("omg_serve_mailbox_depth",
+             "requests formed into worker mailboxes", loop.mailbox_depth()),
+            ("omg_serve_egress_occupancy",
+             "frames waiting in the egress ring", len(self._egress_prod)),
+        ):
+            yield "gauge", name, help, {}, value
 
     def teardown(self) -> None:
         self.pool.teardown()

@@ -70,6 +70,25 @@ def test_installed_uninstalls_on_error():
     assert hooks.current() is None
 
 
+def test_the_three_hook_slots_each_write_their_own_global():
+    """Fault, telemetry and sanitizer slots share one implementation but
+    each installs into its own module global — the attribute the
+    instrumented sites load."""
+    from repro.obs import hooks as obs_hooks
+    from repro.sanitizers import hooks as sanitizer_hooks
+
+    slots = [(hooks, "PLAN"), (obs_hooks, "TELEMETRY"),
+             (sanitizer_hooks, "STATE")]
+    for module, name in slots:
+        value = object()
+        with module.installed(value):
+            assert getattr(module, name) is value
+            assert module.current() is value
+            assert all(getattr(other, other_name) is None
+                       for other, other_name in slots if other is not module)
+        assert getattr(module, name) is None
+
+
 # --- bus faults -------------------------------------------------------------
 
 def test_drop_nth_bus_write_loses_exactly_one_write(bus):

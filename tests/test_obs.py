@@ -507,3 +507,166 @@ def test_stats_snapshot_matches_exported_metrics():
                       for labels in histogram.labelsets())
     assert batch_count == stats.batches
     assert not math.isnan(stats.p50_ms)
+
+
+# --- pulled metrics: one count per event ---------------------------------
+
+def scraped(registry, name):
+    """An exported metric's total over its label sets (a histogram's
+    observation count); 0 for a name never exported."""
+    instrument = registry.get(name)
+    if instrument is None:
+        return 0
+    if instrument.kind == "histogram":
+        return sum(instrument.count(**labels)
+                   for labels in instrument.labelsets())
+    return sum(instrument.value(**labels)
+               for labels in instrument.labelsets())
+
+
+def test_collectors_are_pulled_on_every_read_and_sum():
+    registry = MetricsRegistry()
+    tally = {"things": 1}
+
+    def owner():
+        yield "counter", "omg_things_total", "things", {}, tally["things"]
+
+    def other():
+        yield "counter", "omg_things_total", "things", {}, 10
+
+    registry.register(owner)
+    registry.register(owner)          # a second registration is a no-op
+    registry.register(other)
+    assert registry.get("omg_things_total").value() == 11
+    tally["things"] = 5
+    assert "omg_things_total 15" in to_prometheus(registry)
+    assert len(registry) == 1
+
+
+def test_collected_values_and_labels_pass_the_same_gates():
+    registry = MetricsRegistry()
+    registry.register(lambda: iter([
+        ("gauge", "omg_labelled", "l", {"tag": b"\x01" * 8}, 1)]))
+    assert registry.get("omg_labelled").labelsets() == [
+        {"tag": str(redact(b"\x01" * 8))}]
+
+    leaky = MetricsRegistry()
+    leaky.register(lambda: iter([
+        ("counter", "omg_leak_total", "leak", {}, b"\x01" * 16)]))
+    with pytest.raises(ObsError, match="numbers"):
+        to_prometheus(leaky)
+
+    histogram = MetricsRegistry()
+    histogram.register(lambda: iter([
+        ("histogram", "omg_pulled_ms", "h", {}, 1.0)]))
+    with pytest.raises(ObsError, match="counter or gauge"):
+        histogram.snapshot()
+
+
+def test_closing_a_session_twice_counts_one_close():
+    telemetry = make_telemetry()
+    service, loop = serving_stack(telemetry, b"obs-close")
+    with hooks.installed(telemetry):
+        handle = service.open_session()
+        loop.tick()
+        service.close_session(handle)
+        service.close_session(handle)
+        service.teardown()
+    metrics = telemetry.metrics
+    assert metrics.get("omg_serve_sessions_opened_total").value() == 1
+    assert metrics.get("omg_serve_sessions_closed_total").value() == 1
+    assert metrics.get("omg_serve_open_sessions").value() == 0
+
+
+def test_queue_gauges_read_live_loop_state_after_drain():
+    telemetry = make_telemetry()
+    service, loop = serving_stack(telemetry, b"obs-gauges")
+    fingerprints = np.random.default_rng(8).integers(
+        0, 256, size=(3, 8, 6), dtype=np.uint8)
+    with hooks.installed(telemetry):
+        handle = service.open_session()
+        for fingerprint in fingerprints:
+            service.submit(handle, fingerprint)
+        loop.run_until_idle()
+        service.teardown()
+    metrics = telemetry.metrics
+    assert service.stats().requests_completed == 3
+    assert metrics.get("omg_serve_queue_interactive").value() == 0
+    assert metrics.get("omg_serve_queue_batch").value() == 0
+    assert metrics.get("omg_serve_mailbox_depth").value() == 0
+    assert metrics.get("omg_serve_egress_occupancy").value() == 0
+    assert loop.pending() == 0
+
+
+# ServingStats fields with an exported twin; the rest (full_batches,
+# deadline_flushes, the latency percentiles) have none.
+_STATS_TWINS = {
+    "requests_completed": ("omg_serve_responses_total",),
+    "frames_dropped": ("omg_serve_frames_dropped_total",),
+    "responses_dropped": ("omg_serve_responses_dropped_total",),
+    "auth_failures": ("omg_serve_auth_failures_total",),
+    "requests_shed": ("omg_serve_requests_shed_total",),
+    "admission_shed": ("omg_serve_admission_rejections_total",),
+    "batches": ("omg_serve_batch_size",),
+    "watchdog_flushes": ("omg_serve_watchdog_flushes_total",),
+    "workers_restarted": ("omg_serve_workers_restarted_total",),
+    "batches_requeued": ("omg_serve_batches_requeued_total",),
+    "open_sessions": ("omg_serve_open_sessions",),
+    "queue_depth": ("omg_serve_queue_interactive", "omg_serve_queue_batch",
+                    "omg_serve_mailbox_depth"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 16])
+def test_serving_stats_equal_scraped_values_after_chaos(seed):
+    """Seeds 0/2/3/16 between them fire auth failures, frame and
+    response drops, sheds and a worker restart."""
+    from repro.eval.chaos import run_serve_chaos_schedule
+
+    telemetry = make_telemetry()
+    with hooks.installed(telemetry):
+        result = run_serve_chaos_schedule(seed)
+    assert result.live and result.safe
+    for field_name, names in _STATS_TWINS.items():
+        exported = sum(scraped(telemetry.metrics, name) for name in names)
+        assert exported == result.stats[field_name], field_name
+
+
+def test_metric_catalogue_names_help_and_labels():
+    """Every metric name is spelled once in the source, every exported
+    name has its own help string, and every label comes from a bounded
+    set — never a session id or anything else that grows with load."""
+    import collections
+    import pathlib
+    import re
+
+    import repro
+    from repro.eval.chaos import run_fleet_chaos_schedule
+
+    literals = collections.Counter()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        literals.update(re.findall(r"[\"'](omg_\w+)[\"']",
+                                   path.read_text(encoding="utf-8")))
+    assert not {name for name, count in literals.items() if count > 1}
+
+    telemetry = make_telemetry()
+    serve_traced(telemetry)
+    with hooks.installed(telemetry):
+        fleet = run_fleet_chaos_schedule(0)
+    snapshot = telemetry.metrics.snapshot()
+    assert "omg_fleet_shard_queue_depth" in snapshot
+    assert set(snapshot) <= set(literals)
+    helps = [data["help"] for data in snapshot.values()]
+    assert all(helps)
+    assert len(set(helps)) == len(helps)
+
+    bounded = {
+        "priority": {priority.name.lower() for priority in Priority},
+        "reason": {"session_closed", "egress_stall"},
+        "core": {str(core) for core in range(-1, 8)},
+        "shard": set(fleet.journals),
+    }
+    for name, data in snapshot.items():
+        for series in data["series"]:
+            for label, value in series["labels"].items():
+                assert value in bounded[label], (name, label, value)

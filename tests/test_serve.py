@@ -534,3 +534,24 @@ def test_sequential_baseline_matches_direct_classify():
         assert np.array_equal(scores, exp_scores)
     assert baseline.requests == 3
     baseline.teardown()
+
+
+def test_frame_tags_is_bit_identical_on_both_sides_of_the_batch_cutoff():
+    """One helper picks the scalar or batched sweep; either way each tag
+    equals the frame's own per-key GCM tag arm."""
+    from repro.crypto.modes import FrameTagKey
+    from repro.serve.frames import TAG_BATCH_MIN, frame_aad, frame_j0, \
+        frame_tags
+
+    taggers = [FrameTagKey(bytes([index]) * 16) for index in range(3)]
+    rng = np.random.default_rng(12)
+    for n in (1, TAG_BATCH_MIN - 1, TAG_BATCH_MIN, 2 * TAG_BATCH_MIN + 1):
+        keys = [taggers[index % 3] for index in range(n)]
+        sessions = [index % 3 for index in range(n)]
+        seqs = [int(seq) for seq in rng.integers(0, 1 << 20, size=n)]
+        ciphertexts = [rng.integers(0, 256, size=17, dtype=np.uint8).tobytes()
+                       for _ in range(n)]
+        expected = [key.tag(frame_j0(seq), frame_aad(sid, seq), ct)
+                    for key, sid, seq, ct
+                    in zip(keys, sessions, seqs, ciphertexts)]
+        assert frame_tags(keys, sessions, seqs, ciphertexts) == expected
