@@ -52,10 +52,7 @@ _NO_FAULTS_STAGES = ("crypto_provisioning_roundtrip", "inference_kws_100",
                      "dsp_streaming_10s", "provisioning_end_to_end",
                      "serving_throughput", "serving_concurrency")
 
-# Stages every full run of run_benchmarks() must produce.  A report may
-# carry more (or, if produced by a partial run — e.g. `repro-omg
-# serve-bench --out` merging a single stage — fewer): per-stage tests
-# skip with a reason rather than KeyError on whatever is absent.
+# Stages every run of run_benchmarks() must produce.
 _REQUIRED_STAGES = frozenset({
     "crypto_provisioning_roundtrip", "inference_kws_100",
     "inference_fused", "seal_pipeline", "dsp_streaming_10s",
@@ -63,15 +60,6 @@ _REQUIRED_STAGES = frozenset({
     "serving_throughput", "serving_concurrency", "telemetry_overhead",
     "fleet_provisioning",
 })
-
-
-def _stage_or_skip(report, name: str) -> dict:
-    """The named stage, or a skip (not a KeyError) when a partial bench
-    run left it out of the report."""
-    stage = report["stages"].get(name)
-    if stage is None:
-        pytest.skip(f"stage {name!r} not in this report (partial run)")
-    return stage
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +87,13 @@ def test_all_stages_report_variance(wallclock_report):
 
 @pytest.mark.slow
 def test_crypto_speedup_floor(wallclock_report):
-    stage = _stage_or_skip(wallclock_report, "crypto_provisioning_roundtrip")
+    stage = wallclock_report["stages"]["crypto_provisioning_roundtrip"]
     assert stage["speedup"] >= CRYPTO_MIN_SPEEDUP, stage
 
 
 @pytest.mark.slow
 def test_inference_speedup_floor(wallclock_report):
-    stage = _stage_or_skip(wallclock_report, "inference_kws_100")
+    stage = wallclock_report["stages"]["inference_kws_100"]
     assert stage["speedup"] >= INFERENCE_MIN_SPEEDUP, stage
 
 
@@ -113,7 +101,7 @@ def test_inference_speedup_floor(wallclock_report):
 def test_inference_fused_floor(wallclock_report):
     """Plan-time fusion must pay for itself against the same fast
     kernels run one op per dispatch."""
-    stage = _stage_or_skip(wallclock_report, "inference_fused")
+    stage = wallclock_report["stages"]["inference_fused"]
     assert stage["speedup"] >= INFERENCE_FUSED_MIN_SPEEDUP, stage
 
 
@@ -122,7 +110,7 @@ def test_seal_pipeline_floor(wallclock_report):
     """Batched egress sealing (resident keystream + one GHASH sweep)
     must beat per-frame GCM by the acceptance floor, and the keystream
     side must be pure cache hits — the pipeline's whole point."""
-    stage = _stage_or_skip(wallclock_report, "seal_pipeline")
+    stage = wallclock_report["stages"]["seal_pipeline"]
     assert stage["speedup"] >= SEAL_PIPELINE_MIN_SPEEDUP, stage
     assert stage["keystream_misses"] == 0, stage
 
@@ -130,7 +118,7 @@ def test_seal_pipeline_floor(wallclock_report):
 @pytest.mark.slow
 def test_dsp_and_provisioning_not_slower(wallclock_report):
     for name in ("dsp_streaming_10s", "provisioning_end_to_end"):
-        stage = _stage_or_skip(wallclock_report, name)
+        stage = wallclock_report["stages"][name]
         assert stage["speedup"] >= 1.0, (name, stage)
 
 
@@ -141,7 +129,7 @@ def test_serving_throughput_floor(wallclock_report):
     """Batched serving must beat the sequential one-enclave path by the
     acceptance floor at the largest batch size, with sane latency
     percentiles at every batch size."""
-    stage = _stage_or_skip(wallclock_report, "serving_throughput")
+    stage = wallclock_report["stages"]["serving_throughput"]
     assert stage["speedup"] >= SERVING_MIN_SPEEDUP, stage
     assert stage["baseline_wall_rps"] > 0, stage
     # The large-batch configurations must be part of the sweep, each
@@ -164,7 +152,7 @@ def test_serving_concurrency_slo(wallclock_report):
     largest point stays under the (host-independent, virtual-clock)
     p99 SLO, nothing accepted is lost, and per-request wall-clock does
     not degrade superlinearly with session count."""
-    stage = _stage_or_skip(wallclock_report, "serving_concurrency")
+    stage = wallclock_report["stages"]["serving_concurrency"]
     sessions = stage["sessions"]
     assert "1000" in sessions, sorted(sessions)
     assert stage["slo_met"], stage
@@ -188,7 +176,7 @@ def test_fleet_provisioning_throughput_and_slo(wallclock_report):
     storm — every device terminal, none stalled — at the licenses/sec
     floor, with the (virtual-clock, host-independent) p99 enrollment
     latency inside the SLO even under the seeded fault plan."""
-    stage = _stage_or_skip(wallclock_report, "fleet_provisioning")
+    stage = wallclock_report["stages"]["fleet_provisioning"]
     assert stage["devices"] >= 100_000, stage
     assert stage["shards"] >= 8, stage
     assert stage["completed"], stage
@@ -206,7 +194,7 @@ def test_fleet_provisioning_scales_and_reconciles(wallclock_report):
     seeded faults must actually fire, and the post-storm control-plane
     sweep (restart + reconcile + audit verification) must leave exactly
     one live license per granted device."""
-    stage = _stage_or_skip(wallclock_report, "fleet_provisioning")
+    stage = wallclock_report["stages"]["fleet_provisioning"]
     assert stage["speedup"] >= FLEET_SCALING_MIN_EFFICIENCY, stage
     assert stage["faults_fired"] > 0, stage
     assert stage["live_licenses"] == stage["granted"], stage
@@ -220,7 +208,7 @@ def test_fleet_provisioning_scales_and_reconciles(wallclock_report):
 def test_static_analysis_suite_within_budget(wallclock_report):
     """The analysis job runs before the tests in CI; keep its full-tree
     wall-clock inside ANALYSIS_MAX_SECONDS as the rule battery grows."""
-    stage = _stage_or_skip(wallclock_report, "static_analysis")
+    stage = wallclock_report["stages"]["static_analysis"]
     assert stage["current_s"] <= ANALYSIS_MAX_SECONDS, stage
     assert stage["speedup"] >= 1.0, stage
 
@@ -244,7 +232,7 @@ def test_no_faults_path_within_2pct_of_committed(wallclock_report):
         if committed_stage is None:
             continue  # committed report is partial; nothing to regress
         committed = committed_stage["current_s"]
-        fresh_stage = _stage_or_skip(wallclock_report, name)
+        fresh_stage = wallclock_report["stages"][name]
         # Both runs' spreads matter: within-run std underestimates the
         # cache/thermal drift between whole pytest invocations.
         noise = 2.0 * ((committed_stage.get("current_std_s") or 0.0)
@@ -261,7 +249,7 @@ def test_hook_sites_cheap_even_when_armed(wallclock_report):
     """Sanity bound on the armed path: an installed empty plan may not
     make the hook-heavy workload pathologically slower (the disabled
     path is the one that must be free; armed dispatch stays modest)."""
-    stage = _stage_or_skip(wallclock_report, "fault_hooks")
+    stage = wallclock_report["stages"]["fault_hooks"]
     assert stage["current_s"] <= stage["baseline_s"] * 1.5, stage
 
 
@@ -281,7 +269,7 @@ def test_telemetry_disabled_serving_within_3pct_of_committed(
     if committed_stage is None:
         pytest.skip("committed report predates the telemetry stage")
     committed = committed_stage["baseline_s"]
-    fresh_stage = _stage_or_skip(wallclock_report, "telemetry_overhead")
+    fresh_stage = wallclock_report["stages"]["telemetry_overhead"]
     noise = 2.0 * ((committed_stage.get("baseline_std_s") or 0.0)
                    + (fresh_stage.get("baseline_std_s") or 0.0))
     fresh = fresh_stage["baseline_s"]
@@ -298,7 +286,7 @@ def test_telemetry_enabled_overhead_is_recorded_and_bounded(
     """The enabled path records its overhead in the report and stays
     within an order-of-magnitude sanity bound (spans and metrics do
     real work; "free" is only required of the disabled path)."""
-    stage = _stage_or_skip(wallclock_report, "telemetry_overhead")
+    stage = wallclock_report["stages"]["telemetry_overhead"]
     assert "enabled_overhead" in stage, stage
     assert stage["spans_recorded"] > 0, stage
     assert stage["metrics_registered"] > 0, stage

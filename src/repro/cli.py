@@ -9,8 +9,6 @@ Commands::
     recognize   deploy OMG and recognize one synthetic utterance
     train       train a zoo architecture and report its trade-off numbers
     analyze     run the static invariant checkers over the source tree
-    serve-bench benchmark multi-session serving vs the sequential path
-    fleet-bench provision a simulated device fleet across vendor shards
     trace       run a traced provision→serve pass and export telemetry
     chaos       run seeded fault-injection schedules (device/serve/fleet)
 
@@ -87,61 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="directory for the result cache "
                               "(default: .cache/)")
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="benchmark multi-session enclave serving against the "
-             "sequential one-enclave path")
-    serve_bench.add_argument("--requests", type=int, default=64,
-                             help="requests per timed run")
-    serve_bench.add_argument("--batch-sizes", default="1,4,8,16,32",
-                             metavar="LIST",
-                             help="comma-separated dispatch batch sizes "
-                                  "to sweep (default: %(default)s); the "
-                                  "speedup floor gates the largest")
-    serve_bench.add_argument("--repeats", type=int, default=3,
-                             help="timed repetitions per configuration")
-    serve_bench.add_argument("--workers", type=int, default=2,
-                             help="enclave workers in the pool")
-    serve_bench.add_argument("--seed", type=int, default=7,
-                             help="seed for the synthetic request traffic")
-    serve_bench.add_argument("--sessions", default=None, metavar="LIST",
-                             help="also run the async-core concurrency "
-                                  "sweep at these comma-separated session "
-                                  "counts (e.g. 100,500,1000); the largest "
-                                  "is gated on the p99 SLO")
-    serve_bench.add_argument("--priority-mix", type=float, default=0.5,
-                             metavar="FRACTION",
-                             help="fraction of concurrency-sweep sessions "
-                                  "opened interactive class, the rest "
-                                  "batch class (default: %(default)s)")
-    serve_bench.add_argument("--out", default=None, metavar="PATH",
-                             help="merge the serving stage into this "
-                                  "BENCH_wallclock.json report")
-    serve_bench.add_argument("--trace-out", default=None, metavar="PATH",
-                             help="additionally run one traced serving "
-                                  "pass and write a Chrome-trace JSON")
-
-    fleet_bench = sub.add_parser(
-        "fleet-bench",
-        help="run the fleet-provisioning storm benchmark (multi-tenant "
-             "attestation + license issuance across vendor shards)")
-    fleet_bench.add_argument("--devices", type=int, default=100_000,
-                             help="pooled devices in the full fleet "
-                                  "(default: %(default)s)")
-    fleet_bench.add_argument("--shards", type=int, default=8,
-                             help="vendor shards on the consistent-hash "
-                                  "ring (default: %(default)s)")
-    fleet_bench.add_argument("--baseline-devices", type=int,
-                             default=10_000,
-                             help="fleet size for the scaling-efficiency "
-                                  "baseline storm (default: %(default)s)")
-    fleet_bench.add_argument("--fault-seed", type=int, default=41,
-                             help="seed of the storm's fixed fault "
-                                  "schedule (default: %(default)s)")
-    fleet_bench.add_argument("--out", default=None, metavar="PATH",
-                             help="merge the fleet stage into this "
-                                  "BENCH_wallclock.json report")
 
     trace = sub.add_parser(
         "trace",
@@ -332,173 +275,6 @@ def _cmd_analyze(args) -> int:
     return analysis_main(argv)
 
 
-def _cmd_serve_bench(args) -> int:
-    import json
-
-    from repro.eval.bench import (SERVING_CONCURRENCY_MIN_EFFICIENCY,
-                                  SERVING_CONCURRENCY_P99_SLO_MS,
-                                  SERVING_MIN_SPEEDUP, bench_serving,
-                                  bench_serving_concurrency)
-
-    try:
-        batch_sizes = tuple(int(token) for token in
-                            args.batch_sizes.split(",") if token.strip())
-    except ValueError:
-        print(f"--batch-sizes must be comma-separated integers, "
-              f"got {args.batch_sizes!r}")
-        return 2
-    if not batch_sizes or min(batch_sizes) < 1:
-        print(f"--batch-sizes needs at least one positive size, "
-              f"got {args.batch_sizes!r}")
-        return 2
-    session_counts = None
-    if args.sessions:
-        try:
-            session_counts = tuple(int(token) for token in
-                                   args.sessions.split(",") if token.strip())
-        except ValueError:
-            print(f"--sessions must be comma-separated integers, "
-                  f"got {args.sessions!r}")
-            return 2
-        if not session_counts or min(session_counts) < 1:
-            print(f"--sessions needs at least one positive count, "
-                  f"got {args.sessions!r}")
-            return 2
-    if not 0.0 <= args.priority_mix <= 1.0:
-        print(f"--priority-mix must be within [0, 1], "
-              f"got {args.priority_mix!r}")
-        return 2
-
-    stage = bench_serving(requests=args.requests,
-                          batch_sizes=batch_sizes, repeats=args.repeats,
-                          num_workers=args.workers, seed=args.seed)
-    print(f"sequential baseline: {stage['baseline_wall_rps']:.0f} req/s "
-          f"wall, {stage['baseline_sim_ms_per_request']:.2f} ms/req "
-          f"simulated")
-    for batch, row in stage["batches"].items():
-        print(f"batch {batch:>2}: {row['wall_rps']:.0f} req/s wall, "
-              f"{row['sim_ms_per_request']:.2f} ms/req simulated, "
-              f"p50 {row['p50_ms']:.2f} ms / p95 {row['p95_ms']:.2f} ms "
-              f"/ p99 {row['p99_ms']:.2f} ms")
-    print(f"speedup at largest batch: {stage['speedup']:.1f}x "
-          f"(floor {SERVING_MIN_SPEEDUP}x)")
-
-    concurrency = None
-    slo_ok = True
-    if session_counts is not None:
-        concurrency = bench_serving_concurrency(
-            session_counts=session_counts, repeats=args.repeats,
-            num_workers=args.workers, priority_mix=args.priority_mix)
-        for count, row in sorted(concurrency["sessions"].items(),
-                                 key=lambda kv: int(kv[0])):
-            print(f"{count:>5} sessions: {row['wall_rps']:.0f} req/s wall, "
-                  f"p50 {row['p50_ms']:.0f} ms / p95 {row['p95_ms']:.0f} ms "
-                  f"/ p99 {row['p99_ms']:.0f} ms simulated, "
-                  f"shed {row['requests_shed']}")
-        slo_ok = concurrency["slo_met"]
-        print(f"p99 at largest sweep point: "
-              f"{concurrency['p99_at_largest_ms']:.0f} ms "
-              f"(SLO {SERVING_CONCURRENCY_P99_SLO_MS:.0f} ms) — "
-              f"{'met' if slo_ok else 'MISSED'}; scaling efficiency "
-              f"{concurrency['speedup']:.2f} "
-              f"(floor {SERVING_CONCURRENCY_MIN_EFFICIENCY})")
-    if args.out:
-        try:
-            with open(args.out) as fh:
-                report = json.load(fh)
-        except FileNotFoundError:
-            report = {"stages": {}, "thresholds": {}}
-        report.setdefault("stages", {})["serving_throughput"] = stage
-        report.setdefault("thresholds", {})["serving_throughput"] = \
-            SERVING_MIN_SPEEDUP
-        if concurrency is not None:
-            report["stages"]["serving_concurrency"] = concurrency
-            report["thresholds"]["serving_concurrency"] = \
-                SERVING_CONCURRENCY_MIN_EFFICIENCY
-            report["thresholds"]["serving_concurrency_p99_slo_ms"] = \
-                SERVING_CONCURRENCY_P99_SLO_MS
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"merged serving stage into {args.out}")
-    if args.trace_out:
-        from repro.eval.trace_run import run_traced_serving
-        from repro.obs import write_chrome_trace
-
-        telemetry, _ = run_traced_serving(
-            requests=args.requests, num_workers=args.workers,
-            seed=args.seed)
-        write_chrome_trace(telemetry.tracer, args.trace_out)
-        print(f"wrote {len(telemetry.tracer.buffer)} spans to "
-              f"{args.trace_out}")
-    return 0 if (stage["speedup"] >= SERVING_MIN_SPEEDUP and slo_ok) else 1
-
-
-def _cmd_fleet_bench(args) -> int:
-    import json
-
-    from repro.eval.bench import (FLEET_MIN_LICENSES_PER_SEC,
-                                  FLEET_P99_SLO_MS,
-                                  FLEET_SCALING_MIN_EFFICIENCY,
-                                  bench_fleet_provisioning)
-
-    if args.devices < 1 or args.baseline_devices < 1:
-        print("--devices and --baseline-devices must be positive")
-        return 2
-    if args.shards < 1:
-        print("--shards must be positive")
-        return 2
-
-    stage = bench_fleet_provisioning(
-        devices=args.devices, shards=args.shards,
-        baseline_devices=args.baseline_devices,
-        fault_seed=args.fault_seed)
-    print(f"fleet: {stage['devices']} devices, {stage['cohorts']} pooled "
-          f"cohorts, {stage['shards']} shards "
-          f"(built in {stage['build_s']:.1f} s)")
-    print(f"storm: {stage['granted']} licenses in {stage['storm_s']:.1f} s "
-          f"wall = {stage['licenses_per_sec']:.0f} licenses/s "
-          f"(floor {FLEET_MIN_LICENSES_PER_SEC:.0f}/s), "
-          f"{stage['waves']} waves over {stage['virtual_seconds']:.2f} s "
-          f"virtual")
-    print(f"faults: {stage['faults_fired']} fired — {stage['drops']} "
-          f"dropped legs, {stage['crashes']} crashes, "
-          f"{stage['restarts']} restarts, {stage['retries']} retries, "
-          f"{stage['takeovers']} failover takeovers")
-    print(f"latency: p50 {stage['p50_ms']:.0f} ms / p99 "
-          f"{stage['p99_ms']:.0f} ms enrollment (SLO "
-          f"{FLEET_P99_SLO_MS:.0f} ms) — "
-          f"{'met' if stage['slo_met'] else 'MISSED'}")
-    print(f"control plane: {stage['live_licenses']} live licenses, "
-          f"{stage['duplicates_reconciled']} duplicates reconciled, "
-          f"{stage['journal_records']} journal records, "
-          f"{stage['audit_records']} audit records "
-          f"(sampled head {stage['audit_head_sample'][:16]}…)")
-    print(f"scaling efficiency vs {stage['baseline_devices']}-device "
-          f"baseline: {stage['speedup']:.2f} "
-          f"(floor {FLEET_SCALING_MIN_EFFICIENCY})")
-    if args.out:
-        try:
-            with open(args.out) as fh:
-                report = json.load(fh)
-        except FileNotFoundError:
-            report = {"stages": {}, "thresholds": {}}
-        report.setdefault("stages", {})["fleet_provisioning"] = stage
-        thresholds = report.setdefault("thresholds", {})
-        thresholds["fleet_provisioning"] = FLEET_SCALING_MIN_EFFICIENCY
-        thresholds["fleet_min_licenses_per_sec"] = FLEET_MIN_LICENSES_PER_SEC
-        thresholds["fleet_p99_slo_ms"] = FLEET_P99_SLO_MS
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"merged fleet stage into {args.out}")
-    ok = (stage["completed"]
-          and stage["licenses_per_sec"] >= FLEET_MIN_LICENSES_PER_SEC
-          and stage["slo_met"]
-          and stage["speedup"] >= FLEET_SCALING_MIN_EFFICIENCY)
-    return 0 if ok else 1
-
-
 def _cmd_trace(args) -> int:
     from repro.eval.trace_run import run_traced_serving
     from repro.obs import render_summary, to_prometheus, write_chrome_trace
@@ -542,8 +318,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "export": _cmd_export,
     "export-dataset": _cmd_export_dataset,
-    "serve-bench": _cmd_serve_bench,
-    "fleet-bench": _cmd_fleet_bench,
     "trace": _cmd_trace,
     "chaos": _cmd_chaos,
 }

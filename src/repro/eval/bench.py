@@ -121,11 +121,6 @@ def _timed_runs(fn, repeats: int) -> list[float]:
     return times
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Minimum wall-clock of ``repeats`` runs (noise-robust)."""
-    return min(_timed_runs(fn, repeats))
-
-
 def _measure(fn, repeats: int) -> tuple[float, float]:
     """(min, population-std) of ``repeats`` wall-clock runs.
 
@@ -481,12 +476,49 @@ def bench_static_analysis(repeats: int = 2) -> dict:
                   cold_s=cold)
 
 
-def bench_serving(requests: int = 64, batch_sizes: tuple = (1, 4, 8, 16, 32),
-                  repeats: int = 5, num_workers: int = 2,
-                  num_sessions: int = 3, seed: int = 7) -> dict:
+def _serving_testbed(model, seed: bytes, config, priorities,
+                     adaptive: bool = True):
+    """A fresh serving stack: platform, vendor, service, loop, and one
+    opened session per entry of ``priorities``.
+
+    Built in that order every time, so each stage's virtual-clock
+    figures depend only on ``seed`` and ``config``.
+    """
+    from repro.core.parties import Vendor
+    from repro.serve import ServingLoop, ServingService
+    from repro.trustzone.worlds import make_platform
+
+    plat = make_platform(seed=seed, key_bits=768)
+    vendor = Vendor("ml-vendor", model, key_bits=768)
+    service = ServingService(plat, vendor, config)
+    loop = ServingLoop(service, adaptive=adaptive)
+    handles = [service.open_session(priority=priority)
+               for priority in priorities]
+    return service, loop, handles
+
+
+def _wave_driver(service, loop, handles, fingerprints, batch: int):
+    """One steady-state pass: ``batch``-sized submit waves spread
+    round-robin over ``handles``, one loop tick per wave, then drain."""
+    requests = len(fingerprints)
+
+    def body():
+        index = 0
+        while index < requests:
+            wave = min(batch, requests - index)
+            service.submit_many(
+                [(handles[(index + k) % len(handles)],
+                  fingerprints[index + k]) for k in range(wave)])
+            index += wave
+            loop.tick()
+        loop.run_until_idle(force=True)
+    return body
+
+
+def bench_serving() -> dict:
     """Multi-session serving vs the sequential one-enclave path.
 
-    Baseline: ``requests`` queries through :class:`SequentialBaseline`
+    Baseline: 64 queries through :class:`SequentialBaseline`
     (per-request secure-channel records, mailbox copies, suspend
     between queries).  Current: the same queries through a
     :class:`ServingService` driven by the async :class:`ServingLoop` —
@@ -510,12 +542,12 @@ def bench_serving(requests: int = 64, batch_sizes: tuple = (1, 4, 8, 16, 32),
     """
     from repro.core.parties import Vendor
     from repro.eval.pretrained import standard_model
-    from repro.serve import (SequentialBaseline, ServeConfig, ServingLoop,
-                             ServingService)
+    from repro.serve import SequentialBaseline, ServeConfig
     from repro.trustzone.worlds import make_platform
 
+    requests, repeats, num_workers, num_sessions = 64, 5, 2, 3
     model, _ = standard_model()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     fingerprints = rng.integers(0, 256, size=(requests, 49, 43),
                                 dtype=np.uint8)
 
@@ -533,34 +565,20 @@ def bench_serving(requests: int = 64, batch_sizes: tuple = (1, 4, 8, 16, 32),
     baseline_sim_ms = (clock.now_ms - sim_before) / (repeats * requests)
 
     batches = {}
-    current_s = current_std = None
-    # Ascending sweep so ``current_s`` (what the floor gates) is always
-    # the largest batch size, whatever order the caller passed.
-    for batch in sorted(set(batch_sizes)):
+    # Ascending sweep: the last row, the largest batch size, becomes
+    # ``current_s`` (what the floor gates).
+    for batch in (1, 4, 8, 16, 32):
         # A fresh platform per batch size keeps core allocation and the
         # virtual clock independent across configurations.
-        plat = make_platform(seed=b"bench-serving-%d" % batch, key_bits=768)
-        svc_vendor = Vendor("ml-vendor", model, key_bits=768)
-        service = ServingService(
-            plat, svc_vendor,
-            ServeConfig(max_batch=batch, num_workers=num_workers))
-        loop = ServingLoop(service, adaptive=False)
-        handles = [service.open_session() for _ in range(num_sessions)]
-
-        def run_serving():
-            index = 0
-            while index < requests:
-                wave = min(batch, requests - index)
-                service.submit_many(
-                    [(handles[(index + k) % num_sessions],
-                      fingerprints[index + k]) for k in range(wave)])
-                index += wave
-                loop.tick()
-            loop.run_until_idle(force=True)
-
-        sim_start = plat.soc.clock.now_ms
-        wall_s, wall_std = _measure(run_serving, repeats)
-        sim_ms = (plat.soc.clock.now_ms - sim_start) / (repeats * requests)
+        service, loop, handles = _serving_testbed(
+            model, b"bench-serving-%d" % batch,
+            ServeConfig(max_batch=batch, num_workers=num_workers),
+            [None] * num_sessions, adaptive=False)
+        sim_start = service.clock.now_ms
+        wall_s, wall_std = _measure(
+            _wave_driver(service, loop, handles, fingerprints, batch),
+            repeats)
+        sim_ms = (service.clock.now_ms - sim_start) / (repeats * requests)
         percentiles = service.latency_percentiles()
         batches[str(batch)] = {
             "wall_s": wall_s,
@@ -572,12 +590,11 @@ def bench_serving(requests: int = 64, batch_sizes: tuple = (1, 4, 8, 16, 32),
             "p95_ms": percentiles["p95_ms"],
             "p99_ms": percentiles["p99_ms"],
         }
-        current_s, current_std = wall_s, wall_std
         service.teardown()
     baseline_path.teardown()
 
     return _stage(
-        baseline_s, current_s, baseline_std, current_std,
+        baseline_s, wall_s, baseline_std, wall_std,
         requests=requests, repeats=repeats, num_workers=num_workers,
         num_sessions=num_sessions,
         baseline_wall_rps=requests / baseline_s,
@@ -588,17 +605,12 @@ def bench_serving(requests: int = 64, batch_sizes: tuple = (1, 4, 8, 16, 32),
     )
 
 
-def bench_serving_concurrency(session_counts: tuple = (100, 500, 1000),
-                              requests_per_session: int = 1,
-                              repeats: int = 3, num_workers: int = 2,
-                              max_batch: int = 32,
-                              priority_mix: float = 0.5,
-                              seed: int = 11) -> dict:
+def bench_serving_concurrency() -> dict:
     """Serving under concurrency: the async core's 1000-session sweep.
 
-    For each session count, open that many sessions (``priority_mix``
-    of them interactive, the rest batch class), then pump one request
-    per session through the :class:`ServingLoop` in ring-sized waves —
+    For each session count, open that many sessions (half of them
+    interactive, the rest batch class), then pump one request per
+    session through the :class:`ServingLoop` in ring-sized waves —
     batched client-mux submits, shed-and-retry on backpressure, one
     reactor tick per wave — and drain to idle.  Per sweep point the
     row records wall-clock throughput plus the virtual-clock latency
@@ -615,38 +627,32 @@ def bench_serving_concurrency(session_counts: tuple = (100, 500, 1000),
     """
     from collections import deque
 
-    from repro.core.parties import Vendor
     from repro.eval.pretrained import standard_model
-    from repro.serve import (Priority, ServeConfig, ServingLoop,
-                             ServingService, Shed)
-    from repro.trustzone.worlds import make_platform
+    from repro.serve import Priority, ServeConfig, Shed
 
-    if not 0.0 <= priority_mix <= 1.0:
-        raise ValueError("priority_mix must be within [0, 1]")
+    session_counts = (100, 500, 1000)
+    requests_per_session, repeats, num_workers, max_batch = 1, 3, 2, 32
+    priority_mix = 0.5
     model, _ = standard_model()
     rows = {}
     per_request: dict[int, tuple[float, float]] = {}
-    for count in sorted(set(session_counts)):
-        rng = np.random.default_rng(seed)
+    for count in session_counts:
+        rng = np.random.default_rng(11)
         total = count * requests_per_session
         fingerprints = rng.integers(0, 256, size=(total, 49, 43),
                                     dtype=np.uint8)
-        plat = make_platform(seed=b"bench-concurrency-%d" % count,
-                             key_bits=768)
-        vendor = Vendor("ml-vendor", model, key_bits=768)
+        interactive = int(count * priority_mix)
         # Small keystream chunks keep the per-session cache working set
         # proportional to actual traffic (one request per session), not
         # to the 64 KiB default a 3-session service amortizes happily.
-        service = ServingService(plat, vendor, ServeConfig(
-            max_batch=max_batch, ring_slots=256, session_capacity=count,
-            keystream_chunk_bytes=4096, num_workers=num_workers,
-            strict=False))
-        loop = ServingLoop(service)
-        interactive = int(count * priority_mix)
-        handles = [service.open_session(
-            priority=(Priority.INTERACTIVE if index < interactive
-                      else Priority.BATCH))
-            for index in range(count)]
+        service, loop, handles = _serving_testbed(
+            model, b"bench-concurrency-%d" % count,
+            ServeConfig(max_batch=max_batch, ring_slots=256,
+                        session_capacity=count,
+                        keystream_chunk_bytes=4096,
+                        num_workers=num_workers, strict=False),
+            [Priority.INTERACTIVE if index < interactive
+             else Priority.BATCH for index in range(count)])
 
         def run_sweep():
             pending = deque(
@@ -701,9 +707,7 @@ def bench_serving_concurrency(session_counts: tuple = (100, 500, 1000),
     )
 
 
-def bench_telemetry(requests: int = 24, repeats: int = 5,
-                    num_workers: int = 2, num_sessions: int = 3,
-                    batch: int = 8, seed: int = 7) -> dict:
+def bench_telemetry() -> dict:
     """Cost of the observability hook sites, disabled vs installed.
 
     The workload is one steady-state serving pass (the hottest
@@ -716,51 +720,35 @@ def bench_telemetry(requests: int = 24, repeats: int = 5,
     report by ``benchmarks/test_wallclock.py`` under
     :data:`TELEMETRY_OVERHEAD_MAX`.
     """
-    from repro.core.parties import Vendor
     from repro.eval.pretrained import standard_model
     from repro.obs import Telemetry, hooks as obs_hooks
-    from repro.serve import ServeConfig, ServingLoop, ServingService
-    from repro.trustzone.worlds import make_platform
+    from repro.serve import ServeConfig
 
+    requests, repeats, batch = 24, 5, 8
     model, _ = standard_model()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     fingerprints = rng.integers(0, 256, size=(requests, 49, 43),
                                 dtype=np.uint8)
 
     def build(tag: bytes):
-        plat = make_platform(seed=b"bench-telemetry-" + tag, key_bits=768)
-        vendor = Vendor("ml-vendor", model, key_bits=768)
-        service = ServingService(
-            plat, vendor,
-            ServeConfig(max_batch=batch, num_workers=num_workers))
-        loop = ServingLoop(service, adaptive=False)
-        handles = [service.open_session() for _ in range(num_sessions)]
-        return plat, service, loop, handles
+        return _serving_testbed(
+            model, b"bench-telemetry-" + tag,
+            ServeConfig(max_batch=batch, num_workers=2), [None] * 3,
+            adaptive=False)
 
-    def driver(service, loop, handles):
-        # The async-loop drive: covers every instrumented serving site,
-        # including the loop's own tick spans and queue gauges.
-        def body():
-            index = 0
-            while index < requests:
-                wave = min(batch, requests - index)
-                service.submit_many(
-                    [(handles[(index + k) % num_sessions],
-                      fingerprints[index + k]) for k in range(wave)])
-                index += wave
-                loop.tick()
-            loop.run_until_idle(force=True)
-        return body
-
-    _, service, loop, handles = build(b"off")
-    disabled, disabled_std = _measure(driver(service, loop, handles), repeats)
+    # The async-loop drive covers every instrumented serving site,
+    # including the loop's own tick spans and queue gauges.
+    service, loop, handles = build(b"off")
+    disabled, disabled_std = _measure(
+        _wave_driver(service, loop, handles, fingerprints, batch), repeats)
     service.teardown()
 
-    plat, service, loop, handles = build(b"on")
-    telemetry = Telemetry(plat.soc.clock)
+    service, loop, handles = build(b"on")
+    telemetry = Telemetry(service.clock)
     with obs_hooks.installed(telemetry):
-        enabled, enabled_std = _measure(driver(service, loop, handles),
-                                        repeats)
+        enabled, enabled_std = _measure(
+            _wave_driver(service, loop, handles, fingerprints, batch),
+            repeats)
     spans = telemetry.tracer.buffer.appended
     service.teardown()
 
@@ -773,11 +761,7 @@ def bench_telemetry(requests: int = 24, repeats: int = 5,
     )
 
 
-def bench_fleet_provisioning(devices: int = 100_000, shards: int = 8,
-                             cohorts_per_tenant: int = 5,
-                             baseline_devices: int = 10_000,
-                             key_bits: int = 768,
-                             fault_seed: int = 41) -> dict:
+def bench_fleet_provisioning() -> dict:
     """Fleet control plane: provision 10^5 pooled devices across shards.
 
     Fabricates a two-tenant fleet of pooled-attestation cohorts, routes
@@ -790,8 +774,8 @@ def bench_fleet_provisioning(devices: int = 100_000, shards: int = 8,
     takeovers, and journal-replay restarts, not just the happy path.
 
     The stage's ``speedup`` is the wall-clock *scaling efficiency*:
-    storm seconds per device at ``baseline_devices`` over the same at
-    the full fleet (same arrival window, ~10x the load).  Per-device
+    storm seconds per device at the 10^4-device baseline over the same
+    at the full fleet (same arrival window, ~10x the load).  Per-device
     crypto costs the same at any wave size and per-wave costs spread
     over more devices, so ~1.0 or better is healthy;
     :data:`FLEET_SCALING_MIN_EFFICIENCY` catches superlinear per-wave
@@ -807,7 +791,10 @@ def bench_fleet_provisioning(devices: int = 100_000, shards: int = 8,
     from repro.fleet import DeviceFleet, FleetDirector
     from repro.hw.timing import VirtualClock
 
-    def build(tag: str, total: int, shard_count: int):
+    devices, shards, cohorts_per_tenant = 100_000, 8, 5
+    baseline_devices, key_bits, fault_seed = 10_000, 768, 41
+
+    def build(tag: str, total: int):
         # One fleet seed for both sizes: deterministic_keypair is
         # process-cached per (context, bits), so every tenant's RSA
         # cost is paid once and both timed storms compare pure batched
@@ -821,21 +808,21 @@ def bench_fleet_provisioning(devices: int = 100_000, shards: int = 8,
                 fleet.build_cohort(tenant, f"{tenant}-{tag}-c{index}",
                                    per_cohort)
         director = FleetDirector(
-            clock, [f"shard-{index:02d}" for index in range(shard_count)],
+            clock, [f"shard-{index:02d}" for index in range(shards)],
             fleet.tenants)
         return fleet, director
 
     # Baseline fleet: same storm window at a tenth of the load, no
     # faults (the windows below are absolute-size and would distort a
     # small fleet's per-device cost far more than the full one's).
-    fleet_small, director_small = build("base", baseline_devices, shards)
+    fleet_small, director_small = build("base", baseline_devices)
     baseline_s, _ = _measure(
         lambda: director_small.run_storm(fleet_small.cohorts), 1)
 
     built = {}
     build_s, _ = _measure(
         lambda: built.update(zip(("fleet", "director"),
-                                 build("full", devices, shards))), 1)
+                                 build("full", devices))), 1)
     fleet, director = built["fleet"], built["director"]
     plan = FaultPlan(fault_seed, [
         drop_nth_fleet_rpc(5_000, span=64),

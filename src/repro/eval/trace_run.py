@@ -26,7 +26,7 @@ __all__ = ["run_traced_serving"]
 def run_traced_serving(requests: int = 12, max_batch: int = 4,
                        num_workers: int = 2, num_sessions: int = 2,
                        seed: int = 7, op_profiling: bool = False,
-                       model=None, trace_capacity: int = 4096):
+                       model=None):
     """Provision a worker pool and serve ``requests`` traced requests.
 
     Returns ``(telemetry, stats)``.  ``seed`` drives the synthetic
@@ -41,8 +41,7 @@ def run_traced_serving(requests: int = 12, max_batch: int = 4,
     if model is None:
         model, _ = standard_model()
     platform = make_platform(seed=b"trace-run", key_bits=768)
-    telemetry = Telemetry(platform.soc.clock, trace_capacity=trace_capacity,
-                          op_profiling=op_profiling)
+    telemetry = Telemetry(platform.soc.clock, op_profiling=op_profiling)
     with obs_hooks.installed(telemetry):
         vendor = Vendor("ml-vendor", model, key_bits=768)
         # Pool construction provisions every worker: launch, attest,

@@ -61,6 +61,9 @@ _BATCH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
 _RING_FULL = "ingress ring full; let the serving loop drain it first"
 
+# Seed of the DRBG that draws each session's lane-key material.
+_SESSION_SEED = b"omg-serve-sessions"
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -72,7 +75,6 @@ class ServeConfig:
     num_workers: int | None = None
     session_capacity: int = 64
     keystream_chunk_bytes: int = 65536
-    session_seed: bytes = b"omg-serve-sessions"
     # Response-lane keystream chunks generated ahead of demand per
     # session before a batch's inference runs (0 disables prefetch).
     prefetch_depth: int = 1
@@ -230,7 +232,7 @@ class ServingService:
         self._service_keystreams = KeystreamCache(
             capacity=2 * self.config.session_capacity,
             chunk_bytes=self.config.keystream_chunk_bytes)
-        self._session_rng = HmacDrbg(self.config.session_seed)
+        self._session_rng = HmacDrbg(_SESSION_SEED)
         self._handles: dict[int, SessionHandle] = {}
         self._next_session = 0
         self.latencies_ms: list[float] = []

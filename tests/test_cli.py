@@ -10,9 +10,10 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_parser_rejects_unknown_command():
+@pytest.mark.parametrize("command", ["fly", "serve-bench", "fleet-bench"])
+def test_parser_rejects_unknown_command(command):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["fly"])
+        build_parser().parse_args([command])
 
 
 def test_parser_defaults():
@@ -24,33 +25,6 @@ def test_parser_defaults():
     args = build_parser().parse_args(["train", "--arch", "conv_pool",
                                       "--epochs", "3"])
     assert args.arch == "conv_pool" and args.epochs == 3
-
-
-def test_parser_serve_bench_flags():
-    args = build_parser().parse_args(
-        ["serve-bench", "--seed", "11", "--trace-out", "trace.json"])
-    assert args.seed == 11
-    assert args.trace_out == "trace.json"
-    assert args.requests == 64 and args.workers == 2
-    assert args.batch_sizes == "1,4,8,16,32"
-    args = build_parser().parse_args(
-        ["serve-bench", "--batch-sizes", "8,64,128"])
-    assert args.batch_sizes == "8,64,128"
-    assert args.sessions is None and args.priority_mix == 0.5
-    args = build_parser().parse_args(
-        ["serve-bench", "--sessions", "100,500,1000",
-         "--priority-mix", "0.25"])
-    assert args.sessions == "100,500,1000"
-    assert args.priority_mix == 0.25
-
-
-def test_serve_bench_rejects_bad_sweep_arguments(capsys):
-    assert main(["serve-bench", "--sessions", "100,oops"]) == 2
-    assert "--sessions" in capsys.readouterr().out
-    assert main(["serve-bench", "--sessions", "0"]) == 2
-    capsys.readouterr()
-    assert main(["serve-bench", "--priority-mix", "1.5"]) == 2
-    assert "--priority-mix" in capsys.readouterr().out
 
 
 def test_parser_trace_defaults_and_flags():
