@@ -1,19 +1,27 @@
-"""Golden output bytes of the SHA-256-based primitives.
+"""Golden output bytes of the SHA-256-based and serving-path primitives.
 
 Every expected value below is a fixed constant, so a change to the hash
 implementation that alters a single output byte fails here, not only in
 run-to-run determinism checks.  The DRBG stream feeds every enclave key
 pair, the KDF yields K_U, and the batched MACs sign fleet licenses.
+The frame tags, keystream chunks and batched AES are the serving
+frame path's kernels; their pins hold across kernel rewrites.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+import pytest
+
 from repro.crypto import hmac_sha256_keyed, sha256_many
+from repro.crypto.aes import AES
 from repro.crypto.kdf import derive_model_key
-from repro.crypto.keycache import deterministic_keypair
+from repro.crypto.keycache import KeystreamCache, deterministic_keypair
+from repro.crypto.modes import FrameTagKey, frame_tags_batched
 from repro.crypto.rng import HmacDrbg
+from repro.serve.frames import frame_aad, frame_j0
 
 _DRBG_96 = (
     "85d6deec8f4331e60662306e42ba1a35802c9c5ed2dc898e189b3a875ec1998c"
@@ -68,3 +76,73 @@ def test_sha256_many_batch_golden():
     digests = sha256_many(messages)
     assert len(digests) == 40
     assert hashlib.sha256(b"".join(digests)).hexdigest() == _SHA_BATCH_SHA256
+
+
+
+# --- serving frame-path kernels ---------------------------------------------
+#
+# Frame tags, keystream chunks and batched AES seal every serving frame.
+# Inputs come from a SHA-256 counter stream, not from an RNG whose
+# output could change between library versions.
+
+# (ciphertext bytes, distinct keys) -> SHA-256 of 50 concatenated tags.
+# 2107 bytes is a request frame (fingerprint), 13 bytes a response frame.
+_FRAME_TAGS_SHA256 = {
+    (2107, 1):
+        "f4d5741346ac9d6ed88c0eb788dd92611f086e8072893a6e306945bd74555e18",
+    (2107, 3):
+        "536e8a8b5c9d67d5bc467169d99d7c14cb96ee6067b0013c37086df08f6f4b64",
+    (13, 1):
+        "0267a57ab097c27f91f41f558e00b5f9656bab3055ea08d9ed53d5b51b513bd5",
+    (13, 3):
+        "98a2d29c58557e462bcc680a4acf88942ef8a8a17ff48323821dcd634c4f0793",
+}
+_KEYSTREAM_CHUNK_SHA256 = (
+    "9cdb88fd05ac186eb1371defadda93d848fd41bd1633102d8404a64e176a9acc")
+# key bytes -> SHA-256 of encrypt_blocks || decrypt_blocks over 4096 blocks.
+_AES_BLOCKS_SHA256 = {
+    16: "69282762180c18c4d26538680e807bd4c68a15a94948110be4a522b7b47e281d",
+    32: "c76cc66729c40d5ff9368d9ada430b6d1e61c4213e11e6824f18733c49f32ba1",
+}
+
+
+def _stream(label: bytes, n: int) -> bytes:
+    out = b"".join(hashlib.sha256(label + counter.to_bytes(4, "big")).digest()
+                   for counter in range((n + 31) // 32))
+    return out[:n]
+
+
+@pytest.mark.parametrize("size,n_keys", sorted(_FRAME_TAGS_SHA256))
+def test_frame_tags_golden(size, n_keys):
+    # 50 frames: one key crosses the batched sweep's vectorized J0-mask
+    # cutoff, three keys stay below it.
+    owners = [FrameTagKey(_stream(b"tag-key-%d" % i, 16)) for i in range(3)]
+    keys = [owners[seq % n_keys] for seq in range(50)]
+    j0s = [frame_j0(seq) for seq in range(50)]
+    aads = [frame_aad(seq % 5, seq) for seq in range(50)]
+    cts = [_stream(b"frame-%d-%d" % (size, seq), size) for seq in range(50)]
+    scalar = [key.tag(j0, aad, ct)
+              for key, j0, aad, ct in zip(keys, j0s, aads, cts)]
+    assert frame_tags_batched(keys, j0s, aads, cts) == scalar
+    digest = hashlib.sha256(b"".join(scalar)).hexdigest()
+    assert digest == _FRAME_TAGS_SHA256[size, n_keys]
+
+
+def test_keystream_chunk_golden():
+    chunk = KeystreamCache(capacity=2).take(
+        7, _stream(b"seal-key", 16), 65536, 65536)
+    assert chunk.shape == (65536,)
+    digest = hashlib.sha256(chunk.tobytes()).hexdigest()
+    assert digest == _KEYSTREAM_CHUNK_SHA256
+
+
+@pytest.mark.parametrize("key_size", sorted(_AES_BLOCKS_SHA256))
+def test_aes_blocks_golden(key_size):
+    cipher = AES(_stream(b"aes-key", key_size))
+    blocks = np.frombuffer(_stream(b"aes-blocks", 4096 * 16),
+                           dtype=np.uint8).reshape(4096, 16)
+    encrypted = cipher.encrypt_blocks(blocks)
+    decrypted = cipher.decrypt_blocks(blocks)
+    assert np.array_equal(cipher.decrypt_blocks(encrypted), blocks)
+    digest = hashlib.sha256(encrypted.tobytes() + decrypted.tobytes())
+    assert digest.hexdigest() == _AES_BLOCKS_SHA256[key_size]
