@@ -171,21 +171,29 @@ TELEMETRY_SINK_RECEIVERS = frozenset({
 CONSTTIME_PACKAGES = frozenset({"crypto"})
 
 # Extra attribute names that are secret *for timing purposes* inside
-# crypto code: expanded AES key schedules (both scalar and vectorized).
+# crypto code: expanded AES key schedules (both scalar and vectorized)
+# and the GHASH multiply-by-H tables derived from H = E_k(0^128) (the
+# scalar byte tables, GCM's lane-fold tables, the frame tags' gather
+# planes).
 CONSTTIME_SECRET_ATTRIBUTES = frozenset({
     "_dk", "_dk_np", "_ek", "_ek_np",
+    "_fold_planes", "_lane_tables", "_planes", "_tbl16",
 })
 
-# Pinned scalar reference implementations exempted by qualified name:
-# the table-lookup AES is the paper's *subject* (the L1/L2 probes
-# attack exactly these lookups), not an oversight.  Every entry here
-# must stay justified in ARCHITECTURE.md's waiver-policy table.
+# Table-lookup kernels exempted by qualified name: the table-lookup
+# AES is the paper's *subject* (the L1/L2 probes attack exactly these
+# lookups), not an oversight, and table-driven GHASH indexes its
+# H-derived tables by secret-dependent state bytes the same way.  Every
+# entry here must stay justified in ARCHITECTURE.md's waiver-policy
+# table.
 CONSTTIME_ALLOWLIST = frozenset({
     "repro.crypto.aes.AES._expand_key",
     "repro.crypto.aes.AES._invert_key_schedule",
     "repro.crypto.aes.AES._transform_blocks",
     "repro.crypto.aes.AES.decrypt_block",
     "repro.crypto.aes.AES.encrypt_block",
+    "repro.crypto.modes.GCM._ghash_blocks_batched",
+    "repro.crypto.modes._TableGhash._ghash_scalar",
 })
 
 # --- zeroization ------------------------------------------------------------

@@ -9,8 +9,9 @@ Two implementations share the key schedule: the scalar
 :meth:`AES.encrypt_block` / :meth:`AES.decrypt_block` reference (one
 16-byte block, pure-Python ints) and the batched
 :meth:`AES.encrypt_blocks` / :meth:`AES.decrypt_blocks` fast path, which
-runs the same T-table rounds over N blocks at once as uint32 numpy
-arrays.  The batched path is what makes CTR/GCM provisioning fast on the
+runs the same T-table rounds over N blocks at once on a contiguous
+(4, N) uint32 column-word state, one table gather per byte position
+and round.  The batched path is what makes CTR/GCM provisioning fast on the
 host; the scalar path stays as the bit-exact reference the equivalence
 tests check against.
 """
@@ -18,6 +19,7 @@ tests check against.
 from __future__ import annotations
 
 import struct
+import sys
 
 import numpy as np
 
@@ -106,6 +108,16 @@ _TE_NP = np.array(_TE, dtype=np.uint32)          # (4, 256)
 _TD_NP = np.array(_TD, dtype=np.uint32)          # (4, 256)
 _SBOX_NP = np.array(_SBOX, dtype=np.uint32)      # (256,)
 _INV_SBOX_NP = np.array(_INV_SBOX, dtype=np.uint32)
+# Shifts placing an S-box byte at byte position p (most significant
+# first) of the final round's output word.
+_BYTE_SHIFTS = np.array([24, 16, 8, 0], dtype=np.uint32)[:, None]
+
+
+def _msb_first_bytes(words: np.ndarray) -> np.ndarray:
+    """(4, N) uint32 words -> (4 byte positions, 4, N) uint8 view, byte
+    position 0 the most significant."""
+    view = words.view(np.uint8).reshape(*words.shape, 4).transpose(2, 0, 1)
+    return view[::-1] if sys.byteorder == "little" else view
 
 
 class AES:
@@ -222,45 +234,56 @@ class AES:
 
     @staticmethod
     def _blocks_to_words(blocks: np.ndarray) -> np.ndarray:
-        """(N, 16) uint8 -> (N, 4) native uint32 big-endian words."""
+        """(N, 16) uint8 -> (4, N) native uint32 big-endian column words."""
         blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
         if blocks.ndim != 2 or blocks.shape[1] != 16:
             raise KeyError_(
                 f"AES batch must have shape (N, 16), got {blocks.shape}"
             )
-        return blocks.view(">u4").astype(np.uint32)
+        return blocks.view(">u4").T.astype(np.uint32, order="C")
 
     @staticmethod
-    def _words_to_blocks(words: np.ndarray) -> np.ndarray:
-        """(N, 4) uint32 words -> (N, 16) uint8 big-endian bytes."""
-        return words.astype(">u4").view(np.uint8)
+    def _words_to_blocks(words: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """(4, N) uint32 column words -> (N, 16) uint8 big-endian bytes,
+        written into ``spare``, a free (4, N) uint32 buffer."""
+        out = spare.view(">u4").reshape(words.shape[1], 4)
+        out[...] = words.T
+        return out.view(np.uint8)
 
     def _transform_blocks(self, blocks: np.ndarray, schedule: np.ndarray,
                           tables: np.ndarray, final_box: np.ndarray,
                           row_order: tuple[int, int, int, int]) -> np.ndarray:
-        s = self._blocks_to_words(blocks) ^ schedule[:4]
-        t0, t1, t2, t3 = tables
-        a, b, c, d = row_order
+        # State: (4, N) contiguous column words, double-buffered.  Per
+        # round and byte position p, the p-th byte of every word is
+        # copied into one preallocated index array, gathered from table
+        # p with np.take(..., out=), and XORed into the next state with
+        # ShiftRows' word rotation (word j reads word j + row_order[p-1]).
+        # One (4, N) index per position rather than all sixteen state
+        # bytes at once: at 4096 blocks it measured faster and keeps the
+        # transient index at a quarter of the size.
+        s = self._blocks_to_words(blocks)
+        s ^= schedule[:4, None]
+        n = s.shape[1]
+        nxt = np.empty_like(s)
+        index = np.empty((4, n), dtype=np.intp)
+        looked = np.empty((4, n), dtype=np.uint32)
+        final_tables = final_box[None, :] << _BYTE_SHIFTS
         k = 4
-        cols = np.empty_like(s)
-        for _ in range(self.rounds - 1):
-            for j in range(4):
-                cols[:, j] = (
-                    t0[(s[:, j] >> 24) & 0xFF]
-                    ^ t1[(s[:, (j + a) & 3] >> 16) & 0xFF]
-                    ^ t2[(s[:, (j + b) & 3] >> 8) & 0xFF]
-                    ^ t3[s[:, (j + c) & 3] & 0xFF]
-                )
-            s, cols = cols ^ schedule[k:k + 4], s
+        for round_index in range(self.rounds):
+            rows = final_tables if round_index == self.rounds - 1 else tables
+            state_bytes = _msb_first_bytes(s)
+            np.copyto(index, state_bytes[0])
+            np.take(rows[0], index, out=nxt, mode="clip")
+            for position, rotation in enumerate(row_order[:3], start=1):
+                np.copyto(index, state_bytes[position])
+                np.take(rows[position], index, out=looked, mode="clip")
+                nxt[:4 - rotation] ^= looked[rotation:]
+                if rotation:
+                    nxt[4 - rotation:] ^= looked[:rotation]
+            nxt ^= schedule[k:k + 4, None]
+            s, nxt = nxt, s
             k += 4
-        for j in range(4):
-            cols[:, j] = (
-                (final_box[(s[:, j] >> 24) & 0xFF] << 24)
-                | (final_box[(s[:, (j + a) & 3] >> 16) & 0xFF] << 16)
-                | (final_box[(s[:, (j + b) & 3] >> 8) & 0xFF] << 8)
-                | final_box[s[:, (j + c) & 3] & 0xFF]
-            )
-        return self._words_to_blocks(cols ^ schedule[k:k + 4])
+        return self._words_to_blocks(s, nxt)
 
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Encrypt N blocks at once: (N, 16) uint8 -> (N, 16) uint8.

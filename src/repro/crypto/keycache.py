@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.crypto.aes import AES
-from repro.crypto.modes import ctr_keystream_xor
+from repro.crypto.modes import ctr_keystream
 from repro.crypto.rng import HmacDrbg
 from repro.crypto.rsa import RsaPrivateKey, generate_keypair
 from repro.errors import CryptoError
@@ -223,9 +223,7 @@ class KeystreamCache:
             self._ciphers[session_id, key] = cipher  # analysis: allow(consttime)
         blocks_per_chunk = self.chunk_bytes // 16
         counter = b"\x00" * 12 + struct.pack(">I", index * blocks_per_chunk)
-        chunk = np.frombuffer(
-            ctr_keystream_xor(cipher, counter, b"\x00" * self.chunk_bytes),
-            dtype=np.uint8).copy()
+        chunk = ctr_keystream(cipher, counter, blocks_per_chunk).reshape(-1)
         self._chunks.put((session_id, key, index), chunk)
         return chunk
 

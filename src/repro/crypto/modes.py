@@ -7,18 +7,20 @@ enclave (paper §V, steps 3-6).
 
 Both primitives have two implementations.  The fast path generates every
 CTR counter block in one pass and encrypts them with the batched T-table
-AES (:meth:`repro.crypto.aes.AES.encrypt_blocks`), and runs GHASH with
-precomputed byte-multiplication tables applied as numpy gathers — long
-messages are folded lane-parallel so the sequential Horner chain shrinks
-by the lane width.  The scalar reference path (the original per-block
-code) is retained for the randomized equivalence tests; construct
-``GCM(key, reference=True)`` or call the ``*_reference`` helpers to use
-it.
+AES (:meth:`repro.crypto.aes.AES.encrypt_blocks`), and runs GHASH over
+sixteen precomputed byte-multiplication tables: one scalar kernel
+(:class:`_TableGhash`, shared by :class:`GCM` and :class:`FrameTagKey`)
+for short inputs, numpy gathers for long ones, which are folded
+lane-parallel so the sequential Horner chain shrinks by the lane width.
+The scalar reference path (the original per-block code) is retained for
+the randomized equivalence tests; construct ``GCM(key, reference=True)``
+or call the ``*_reference`` helpers to use it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import struct
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.crypto.aes import AES
 from repro.crypto.hmac import constant_time_eq
 from repro.errors import AuthenticationError, KeyError_
 
-__all__ = ["ctr_keystream_xor", "ctr_keystream_xor_reference",
+__all__ = ["ctr_keystream", "ctr_keystream_xor", "ctr_keystream_xor_reference",
            "GCM", "gcm_encrypt", "gcm_decrypt", "reference_mode",
            "FrameTagKey", "frame_tags_batched"]
 
@@ -73,8 +75,10 @@ def ctr_keystream_xor_reference(cipher: AES, initial_counter: bytes,
     return bytes(out)
 
 
-def ctr_keystream_xor(cipher: AES, initial_counter: bytes, data: bytes) -> bytes:
-    """XOR ``data`` with the AES-CTR keystream starting at ``initial_counter``.
+def ctr_keystream(cipher: AES, initial_counter: bytes,
+                  n_blocks: int) -> np.ndarray:
+    """``n_blocks`` of AES-CTR keystream from ``initial_counter`` as a
+    fresh (n_blocks, 16) uint8 array.
 
     All counter blocks are generated in one pass and encrypted as a
     single batch, so the cost per block is a few numpy operations
@@ -82,28 +86,70 @@ def ctr_keystream_xor(cipher: AES, initial_counter: bytes, data: bytes) -> bytes
     """
     if len(initial_counter) != 16:
         raise KeyError_("CTR counter block must be 16 bytes")
-    if not data:
-        return b""
-    n_blocks = (len(data) + 15) // 16
     counters = np.empty((n_blocks, 16), dtype=np.uint8)
     counters[:, :12] = np.frombuffer(initial_counter[:12], dtype=np.uint8)
     start = struct.unpack(">I", initial_counter[12:])[0]
     values = ((start + np.arange(n_blocks, dtype=np.uint64))
               & 0xFFFFFFFF).astype(np.uint32)
     counters[:, 12:] = values.astype(">u4").view(np.uint8).reshape(-1, 4)
-    keystream = cipher.encrypt_blocks(counters).reshape(-1)[:len(data)]
-    return (np.frombuffer(data, dtype=np.uint8) ^ keystream).tobytes()
+    return cipher.encrypt_blocks(counters)
 
 
-class GCM:
+def ctr_keystream_xor(cipher: AES, initial_counter: bytes, data: bytes) -> bytes:
+    """XOR ``data`` with the AES-CTR keystream starting at
+    ``initial_counter`` (one :func:`ctr_keystream` batch)."""
+    if len(initial_counter) != 16:
+        raise KeyError_("CTR counter block must be 16 bytes")
+    if not data:
+        return b""
+    keystream = ctr_keystream(
+        cipher, initial_counter, (len(data) + 15) // 16).reshape(-1)
+    return (np.frombuffer(data, dtype=np.uint8)
+            ^ keystream[:len(data)]).tobytes()
+
+
+class _TableGhash:
+    """The one scalar GHASH kernel, shared by :class:`GCM` and
+    :class:`FrameTagKey`.
+
+    Multiplication by H uses sixteen 256-entry byte tables,
+    ``_tbl16[k][b] == (b << 8k) * H``, built on first use from the
+    subclass's ``_h``.  One block is then one 16-term XOR of table
+    lookups indexed by the bytes of ``state ^ block``.
+    """
+
+    _h: int
+
+    @functools.cached_property
+    def _tbl16(self) -> list[list[int]]:
+        return _expand_tables(self._h)
+
+    def _ghash_scalar(self, state: int, data: bytes) -> int:
+        """Horner sweep ``state = (state ^ block) * H`` over the whole
+        16-byte blocks of ``data``."""
+        # Byte j of a big-endian block has significance 15 - j.
+        (r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14,
+         r15) = self._tbl16[::-1]
+        from_bytes = int.from_bytes
+        for offset in range(0, len(data), 16):
+            b = (state ^ from_bytes(data[offset:offset + 16], "big")
+                 ).to_bytes(16, "big")
+            state = (r0[b[0]] ^ r1[b[1]] ^ r2[b[2]] ^ r3[b[3]]
+                     ^ r4[b[4]] ^ r5[b[5]] ^ r6[b[6]] ^ r7[b[7]]
+                     ^ r8[b[8]] ^ r9[b[9]] ^ r10[b[10]] ^ r11[b[11]]
+                     ^ r12[b[12]] ^ r13[b[13]] ^ r14[b[14]] ^ r15[b[15]])
+        return state
+
+
+class GCM(_TableGhash):
     """AES-GCM (NIST SP 800-38D) with table-driven GHASH.
 
-    GHASH multiplication by H uses sixteen 256-entry byte tables (one
-    per byte position), so one block costs 16 table lookups and XORs.
-    For long inputs the blocks are additionally folded into ``_LANES``
-    parallel accumulators — each Horner step multiplies all lanes by
-    H^_LANES at once with numpy gathers — which is what keeps
-    provisioning of multi-kB models off the per-block Python path.
+    Short inputs run the shared scalar kernel (16 byte-table lookups
+    per block, :class:`_TableGhash`).  From ``_BATCH_MIN`` blocks up
+    the blocks are folded into ``_LANES`` parallel accumulators — each
+    Horner step multiplies all lanes by H^_LANES at once with numpy
+    gathers — which is what keeps provisioning of multi-kB models off
+    the per-block Python path.
     """
 
     tag_size = 16
@@ -117,11 +163,7 @@ class GCM:
         self._reference = reference
         h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
         self._h = h
-        self._table = self._build_table_fast(h)
-        # _tbl16[k][b] = S8^(15-k) applied to table[b]; x*H is then just
-        # XOR_k _tbl16[k][byte_k(x)] — no shifts in the hot loop.
-        self._tbl16 = self._expand_tables(self._table)
-        self._lane_tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._table = _build_table_fast(h)
 
     # --- reference field arithmetic (retained for equivalence tests) ---
 
@@ -168,57 +210,18 @@ class GCM:
                 x ^= _REDUCE[i]
         return x
 
-    # --- fast table construction ---------------------------------------
-
-    @staticmethod
-    def _build_table_fast(h: int) -> list[int]:
-        """Same values as :meth:`_build_ghash_table` without _gf_mul.
-
-        ``(b << 120) * H`` is GF(2)-linear in ``b``: compute the eight
-        single-bit products by repeated multiply-by-x, then XOR-combine.
-        """
-        table = [0] * 256
-        value = h  # (1 << 127) is the field identity, so f(0x80) = H
-        for bit in range(7, -1, -1):
-            table[1 << bit] = value
-            value = (value >> 1) ^ (0xE1 << 120 if value & 1 else 0)
-        for b in range(1, 256):
-            lsb = b & -b
-            if b != lsb:
-                table[b] = table[b ^ lsb] ^ table[lsb]
-        return table
-
-    @staticmethod
-    def _expand_tables(table: list[int]) -> list[list[int]]:
-        tables = [table]
-        for _ in range(15):
-            prev = tables[0]
-            tables.insert(0, [(x >> 8) ^ _RED8[x & 0xFF] for x in prev])
-        return tables
-
-    def _mul_h(self, x: int) -> int:
-        """x * H via the expanded byte tables (16 lookups)."""
-        tbl = self._tbl16
-        result = 0
-        for k in range(16):
-            result ^= tbl[k][x & 0xFF]
-            x >>= 8
-        return result
-
     # --- batched GHASH --------------------------------------------------
 
-    def _build_lane_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def _lane_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(16, 256) hi/lo uint64 gather tables for multiply-by-H^_LANES."""
-        k = self._h
-        for _ in range(self._LANES - 1):
-            k = self._mul_h(k)
-        return _gather_tables(self._build_table_fast(k))
+        # H * H^(_LANES - 1): a sweep of H over _LANES - 1 zero blocks.
+        power = self._ghash_scalar(self._h, bytes(16 * (self._LANES - 1)))
+        return _gather_tables(_build_table_fast(power))
 
     def _ghash_blocks_batched(self, blocks: np.ndarray) -> int:
         """GHASH of (N, 16) uint8 blocks from a zero initial state."""
         lanes = self._LANES
-        if self._lane_tables is None:
-            self._lane_tables = self._build_lane_tables()
         tbl_hi, tbl_lo = self._lane_tables
         pad = (-len(blocks)) % lanes
         if pad:
@@ -243,12 +246,10 @@ class GCM:
                 new_lo ^= tbl_lo[k][idx]
             state_hi = new_hi ^ row[:, 0]
             state_lo = new_lo ^ row[:, 1]
-        # Combine the lane accumulators: Y = sum_l S_l * H^(lanes - l).
-        result = 0
-        for l in range(lanes):
-            result = self._mul_h(
-                result ^ (int(state_hi[l]) << 64) ^ int(state_lo[l]))
-        return result
+        # Combine the lane accumulators: Y = sum_l S_l * H^(lanes - l),
+        # i.e. a Horner sweep over the lane sums as blocks.
+        lane_sums = np.stack([state_hi, state_lo], axis=1).astype(">u8")
+        return self._ghash_scalar(0, lane_sums.tobytes())
 
     def _ghash_segments(self, segments: tuple[bytes, ...]) -> int:
         """GHASH (zero-padded segments each a whole number of blocks)."""
@@ -263,12 +264,7 @@ class GCM:
         if n_blocks >= self._BATCH_MIN:
             blocks = np.frombuffer(padded, dtype=np.uint8).reshape(-1, 16)
             return self._ghash_blocks_batched(blocks)
-        state = 0
-        mul_h = self._mul_h
-        for offset in range(0, len(padded), 16):
-            state = mul_h(
-                state ^ int.from_bytes(padded[offset:offset + 16], "big"))
-        return state
+        return self._ghash_scalar(0, padded)
 
     def _ghash(self, aad: bytes, ciphertext: bytes) -> bytes:
         lengths = struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
@@ -335,6 +331,49 @@ _RED8_HI = np.array([v >> 64 for v in _RED8], dtype=np.uint64)
 _RED8_LO = np.array([v & _MASK64 for v in _RED8], dtype=np.uint64)
 
 
+def _bit_basis(h: int) -> list[int]:
+    """``basis[i] == ((1 << i) << 120) * H``: the single-bit products of
+    the most significant byte position, by repeated multiply-by-x."""
+    basis = [0] * 8
+    value = h  # (0x80 << 120) is the field identity, so bit 7 maps to H
+    for bit in range(7, -1, -1):
+        basis[bit] = value
+        value = (value >> 1) ^ ((0xE1 << 120) & -(value & 1))
+    return basis
+
+
+def _byte_row(basis: list[int]) -> list[int]:
+    """``row[b]`` = XOR of ``basis[i]`` over the set bits ``i`` of ``b``
+    (GF(2)-linearity), doubling the row once per basis value."""
+    row = [0]
+    for value in basis:
+        row += [x ^ value for x in row]
+    return row
+
+
+def _build_table_fast(h: int) -> list[int]:
+    """``table[b] == (b << 120) * H`` for every byte ``b``; the same
+    values as :meth:`GCM._build_ghash_table` without ``_gf_mul``."""
+    return _byte_row(_bit_basis(h))
+
+
+def _expand_tables(h: int) -> list[list[int]]:
+    """Sixteen byte tables of multiply-by-H: ``tables[k][b] == (b << 8k)
+    * H``, so ``x * H == XOR_k tables[k][byte_k(x)]``.
+
+    Each row is built from its eight single-bit values; the next lower
+    row's basis is this row's shifted right one byte with reduction
+    (multiplication by x^8 in the reflected field).
+    """
+    tables = []
+    basis = _bit_basis(h)
+    for _ in range(16):   # k = 15 down to 0
+        tables.append(_byte_row(basis))
+        basis = [(v >> 8) ^ _RED8[v & 0xFF] for v in basis]
+    tables.reverse()
+    return tables
+
+
 def _gather_tables(base: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """(16, 256) hi/lo uint64 gather tables from a byte table for K.
 
@@ -375,7 +414,7 @@ def _tag_padded(aad: bytes, ciphertext: bytes) -> bytes:
             + struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8))
 
 
-class FrameTagKey:
+class FrameTagKey(_TableGhash):
     """One lane's frame-MAC key: AES-GCM's tag arm over a detached
     ciphertext.
 
@@ -386,65 +425,47 @@ class FrameTagKey:
     sealing lane's first 16 keystream bytes *are* ``E_k(0^16)``, i.e.
     the GHASH key of that lane's AES key.
 
-    Tables are built lazily so sessions that never move traffic pay
-    nothing; :func:`frame_tags_batched` amortizes the per-block Horner
-    sweep across a whole dispatch batch of frames.
+    :meth:`tag` runs the shared scalar kernel; :func:`frame_tags_batched`
+    sweeps a group of frames at once through the numpy gather planes
+    (``_planes`` for H, ``_fold_planes`` for H^_FOLD_LANES).  Every
+    table is built on first use, so sessions that never move traffic
+    pay nothing and short-frame keys never build the fold planes.
     """
 
     def __init__(self, key: bytes) -> None:
         self._aes = AES(bytes(key))
-        self._tbl16: list[list[int]] | None = None
-        self._planes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def _h(self) -> int:
         return int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
 
-    def _scalar_tables(self) -> list[list[int]]:
-        if self._tbl16 is None:
-            self._tbl16 = GCM._expand_tables(GCM._build_table_fast(self._h))
-        return self._tbl16
+    @functools.cached_property
+    def _planes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _column_planes(self._h)
 
-    def _mul(self, x: int) -> int:
-        tbl = self._scalar_tables()
-        result = 0
-        for k in range(16):
-            result ^= tbl[k][x & 0xFF]
-            x >>= 8
-        return result
-
-    def _byte_planes(self, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Gather planes for multiply-by-H^``power``, in *column* order:
-        plane j multiplies byte j of a big-endian (16,) byte state."""
-        planes = self._planes.get(power)
-        if planes is None:
-            k = self._h
-            for _ in range(power - 1):
-                k = self._mul(k)
-            hi, lo = _gather_tables(GCM._build_table_fast(k))
-            planes = (np.ascontiguousarray(hi[::-1]),
-                      np.ascontiguousarray(lo[::-1]))
-            self._planes[power] = planes
-        return planes
+    @functools.cached_property
+    def _fold_planes(self) -> tuple[np.ndarray, np.ndarray]:
+        # H * H^(_FOLD_LANES - 1): a sweep of H over zero blocks.
+        return _column_planes(
+            self._ghash_scalar(self._h, bytes(16 * (_FOLD_LANES - 1))))
 
     def tag(self, j0: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        """Scalar single-frame tag (16 table lookups per block)."""
+        """Scalar single-frame tag (one 16-lookup step per block)."""
         j0 = _check_j0(j0)
-        tbl = self._scalar_tables()
-        padded = _tag_padded(aad, ciphertext)
-        state = 0
-        for offset in range(0, len(padded), 16):
-            x = state ^ int.from_bytes(padded[offset:offset + 16], "big")
-            state = 0
-            for k in range(16):
-                state ^= tbl[k][x & 0xFF]
-                x >>= 8
+        state = self._ghash_scalar(0, _tag_padded(aad, ciphertext))
         mask = int.from_bytes(self._aes.encrypt_block(j0), "big")
         return (state ^ mask).to_bytes(16, "big")
 
     def verify(self, j0: bytes, aad: bytes, ciphertext: bytes,
                tag: bytes) -> bool:
         return constant_time_eq(self.tag(j0, aad, ciphertext), tag)
+
+
+def _column_planes(multiplier: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather planes for multiply-by-``multiplier``, in *column* order:
+    plane j multiplies byte j of a big-endian (16,) byte state."""
+    hi, lo = _gather_tables(_build_table_fast(multiplier))
+    return np.ascontiguousarray(hi[::-1]), np.ascontiguousarray(lo[::-1])
 
 
 # Lane width of the two-level fold for long messages: a message's
@@ -457,6 +478,12 @@ _FOLD_LANES = 8
 # scalar block cipher — the vectorized AES's fixed dispatch cost only
 # amortizes across larger groups.
 _MASK_BATCH_MIN = 48
+
+
+def _stack_planes(planes) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) plane stacks over distinct keys, one key per row."""
+    return (np.stack([hi for hi, _ in planes]),
+            np.stack([lo for _, lo in planes]))
 
 
 def _mul_state(planes_stack, key_rows, cols, state: np.ndarray) -> np.ndarray:
@@ -520,38 +547,28 @@ def frame_tags_batched(keys, j0s, aads, ciphertexts) -> list[bytes]:
     single = len(owners) == 1
     cols = np.arange(16)
 
+    # Two-level fold: lane l of message i accumulates blocks
+    # l, l+lanes, l+2*lanes, ... under multiplier H^lanes
+    # (multiply-then-xor, so lane sums carry H^(rows-1-r)), then the
+    # lane sums Horner-combine under H, restoring the per-position
+    # exponents of the flat sweep.  One lane is the flat sweep itself.
+    planes = _stack_planes([key._planes for key in owners])
+    key_rows = None if single else key_map[:, None]
     if lanes == 1:
-        planes = (np.stack([key._byte_planes()[0] for key in owners]),
-                  np.stack([key._byte_planes()[1] for key in owners]))
-        key_rows = None if single else key_map[:, None]
-        rows = blocks.reshape(n, n_blocks, 16)
-        state = np.zeros((n, 16), dtype=np.uint8)
-        for j in range(n_blocks):
-            state ^= rows[:, j]
-            state = _mul_state(planes, key_rows, cols, state)
+        fold_planes = planes
     else:
-        # Two-level fold: lane l of message i accumulates blocks
-        # l, l+lanes, l+2*lanes, ... under multiplier H^lanes
-        # (multiply-then-xor, so lane sums carry H^(rows-1-r)), then the
-        # lane sums Horner-combine under H, restoring the per-position
-        # exponents of the flat sweep.
-        fold_planes = (
-            np.stack([key._byte_planes(lanes)[0] for key in owners]),
-            np.stack([key._byte_planes(lanes)[1] for key in owners]))
-        fold_rows = None if single else np.repeat(key_map, lanes)[:, None]
-        rows = blocks.reshape(n, n_blocks // lanes, lanes * 16)
-        state = rows[:, 0].reshape(n * lanes, 16).copy()
-        for r in range(1, rows.shape[1]):
-            state = _mul_state(fold_planes, fold_rows, cols, state)
-            state ^= rows[:, r].reshape(n * lanes, 16)
-        planes = (np.stack([key._byte_planes()[0] for key in owners]),
-                  np.stack([key._byte_planes()[1] for key in owners]))
-        key_rows = None if single else key_map[:, None]
-        lane_sums = state.reshape(n, lanes, 16)
-        state = np.zeros((n, 16), dtype=np.uint8)
-        for l in range(lanes):
-            state ^= lane_sums[:, l]
-            state = _mul_state(planes, key_rows, cols, state)
+        fold_planes = _stack_planes([key._fold_planes for key in owners])
+    fold_rows = None if single else np.repeat(key_map, lanes)[:, None]
+    rows = blocks.reshape(n, n_blocks // lanes, lanes * 16)
+    state = rows[:, 0].reshape(n * lanes, 16).copy()
+    for r in range(1, rows.shape[1]):
+        state = _mul_state(fold_planes, fold_rows, cols, state)
+        state ^= rows[:, r].reshape(n * lanes, 16)
+    lane_sums = state.reshape(n, lanes, 16)
+    state = np.zeros((n, 16), dtype=np.uint8)
+    for l in range(lanes):
+        state ^= lane_sums[:, l]
+        state = _mul_state(planes, key_rows, cols, state)
 
     tags: list[bytes] = [b""] * n
     for slot, key in enumerate(owners):

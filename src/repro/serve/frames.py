@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.crypto.hmac import hkdf
 from repro.crypto.modes import frame_tags_batched
-from repro.errors import ServeError
+from repro.errors import KeyError_, ServeError
 
 __all__ = ["HEADER", "TAG_BYTES", "TAG_BATCH_MIN", "derive_lane_keys",
            "derive_lane_tag_keys", "frame_j0", "frame_aad", "frame_tags",
@@ -50,8 +50,22 @@ TAG_BYTES = 16
 
 # Below this many frames, tags go through each key's scalar sweep — the
 # batched sweep's fixed numpy dispatch cost only amortizes across
-# larger groups.
-TAG_BATCH_MIN = 4
+# larger groups.  Measured crossover, per-frame microseconds as
+# scalar/batched (2-vCPU Xeon VM, CPython 3.11, numpy 2.4):
+#
+#   frames   2107-byte ciphertext (request)              13 bytes
+#            1 key     2 keys    4 keys    all distinct  4 keys
+#     3      252/219   253/240   252/244   252/245       28/58
+#     4      251/186   253/203   255/269   256/267       29/54
+#     5      247/161   248/179   250/184   249/234       28/49
+#     6      249/145   248/160   248/160   244/214       29/40
+#     7      245/134   249/147   248/148   246/223       29/44
+#
+# Request frames batch profitably from 5 frames under any key mix a
+# serving group has (serve_steady's groups span at most 4 sessions);
+# response frames never do up to 10 frames, but cost a tenth as much,
+# so the request-frame crossover sets the cutoff.
+TAG_BATCH_MIN = 5
 
 _LANE_SALT = b"omg-serve-v1"
 _J0_PREFIX = (1).to_bytes(8, "big")
@@ -87,10 +101,17 @@ def frame_tags(taggers, session_ids, seqs, ciphertexts) -> list[bytes]:
     ciphertext bytes): one batched GHASH sweep from
     :data:`TAG_BATCH_MIN` frames up, each tagger's scalar sweep below.
     Bit-identical either way; verifiers compare the result with
-    ``constant_time_eq``, exactly as ``FrameTagKey.verify`` does."""
+    ``constant_time_eq``, exactly as ``FrameTagKey.verify`` does.
+
+    Mismatched argument lengths raise on both sides of the cutoff, so
+    a short list can never drop frames from a verify pass unnoticed.
+    """
+    n = len(taggers)
+    if not (n == len(session_ids) == len(seqs) == len(ciphertexts)):
+        raise KeyError_("frame_tags: argument length mismatch")
     j0s = [frame_j0(seq) for seq in seqs]
     aads = [frame_aad(sid, seq) for sid, seq in zip(session_ids, seqs)]
-    if len(taggers) >= TAG_BATCH_MIN:
+    if n >= TAG_BATCH_MIN:
         return frame_tags_batched(taggers, j0s, aads, ciphertexts)
     return [tagger.tag(j0, aad, ciphertext)
             for tagger, j0, aad, ciphertext

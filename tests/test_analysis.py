@@ -447,6 +447,37 @@ def test_consttime_allowlist_exempts_by_qualname(fixture_tree):
     assert _run(path, rule="consttime").findings != []
 
 
+def test_ghash_table_lookups_are_visible_to_consttime():
+    """The GHASH kernels index H-derived tables with secret-dependent
+    state bytes.  Without their allowlist entries the rule flags those
+    lookups, and nothing else in the module: the lazily built tables
+    carry no secret-dependent branch."""
+    import ast
+    import dataclasses
+
+    from repro.analysis.config import CONSTTIME_ALLOWLIST, AnalysisConfig
+
+    kernels = {"GCM._ghash_blocks_batched", "_TableGhash._ghash_scalar"}
+    path = os.path.join(_SRC_REPRO, "crypto", "modes.py")
+    config = dataclasses.replace(
+        AnalysisConfig(),
+        consttime_allowlist=CONSTTIME_ALLOWLIST - {
+            f"repro.crypto.modes.{name}" for name in kernels})
+    findings = _run_with_config(path, config, rule="consttime").findings
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    spans = {f"{cls.name}.{func.name}": range(func.lineno,
+                                              func.end_lineno + 1)
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for func in cls.body if isinstance(func, ast.FunctionDef)}
+    owners = [{name for name in kernels if finding.line in spans[name]}
+              for finding in findings]
+    assert all(len(owner) == 1 for owner in owners)
+    assert set().union(*owners) == kernels
+    assert {finding.message for finding in findings} == {
+        "secret-dependent table index"}
+
+
 # --- interprocedural taint --------------------------------------------------
 
 def test_taint_two_hops_through_helpers(fixture_tree):

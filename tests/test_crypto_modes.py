@@ -31,6 +31,21 @@ def test_gcm_nist_case_4_with_aad():
     assert tag.hex() == "5bc94fbc3221a5db94fae95ae7121a47"
 
 
+@pytest.mark.parametrize("key", [b"\x00" * 16, KEY, bytes(range(32))],
+                         ids=["zero", "nist", "aes256"])
+def test_ghash_byte_tables_match_field_multiplication(key):
+    """Row k of the expanded GHASH tables multiplies byte position k:
+    ``tables[k][b] == (b << 8k) * H``, checked entry by entry against
+    the bitwise reference multiply."""
+    from repro.crypto.modes import _expand_tables
+
+    gcm = GCM(key)
+    tables = _expand_tables(gcm._h)
+    assert len(tables) == 16
+    for k, row in enumerate(tables):
+        assert row == [GCM._gf_mul(b << (8 * k), gcm._h) for b in range(256)]
+
+
 def test_gcm_roundtrip_with_aad():
     gcm = GCM(KEY)
     ct, tag = gcm.encrypt(IV, PT4, AAD)

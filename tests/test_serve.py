@@ -538,20 +538,46 @@ def test_sequential_baseline_matches_direct_classify():
 
 def test_frame_tags_is_bit_identical_on_both_sides_of_the_batch_cutoff():
     """One helper picks the scalar or batched sweep; either way each tag
-    equals the frame's own per-key GCM tag arm."""
+    equals the frame's own per-key GCM tag arm.  2107-byte request
+    ciphertexts take the batched sweep's lane-folded path."""
     from repro.crypto.modes import FrameTagKey
     from repro.serve.frames import TAG_BATCH_MIN, frame_aad, frame_j0, \
         frame_tags
 
-    taggers = [FrameTagKey(bytes([index]) * 16) for index in range(3)]
     rng = np.random.default_rng(12)
-    for n in (1, TAG_BATCH_MIN - 1, TAG_BATCH_MIN, 2 * TAG_BATCH_MIN + 1):
-        keys = [taggers[index % 3] for index in range(n)]
-        sessions = [index % 3 for index in range(n)]
+    cases = [(size, n_keys, n)
+             for size, n_keys in ((17, 3), (2107, 1), (2107, 4))
+             for n in (1, TAG_BATCH_MIN - 1, TAG_BATCH_MIN,
+                       2 * TAG_BATCH_MIN + 1)]
+    for size, n_keys, n in cases:
+        taggers = [FrameTagKey(bytes([index]) * 16)
+                   for index in range(n_keys)]
+        keys = [taggers[index % n_keys] for index in range(n)]
+        sessions = [index % n_keys for index in range(n)]
         seqs = [int(seq) for seq in rng.integers(0, 1 << 20, size=n)]
-        ciphertexts = [rng.integers(0, 256, size=17, dtype=np.uint8).tobytes()
-                       for _ in range(n)]
+        ciphertexts = [
+            rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+            for _ in range(n)]
         expected = [key.tag(frame_j0(seq), frame_aad(sid, seq), ct)
                     for key, sid, seq, ct
                     in zip(keys, sessions, seqs, ciphertexts)]
         assert frame_tags(keys, sessions, seqs, ciphertexts) == expected
+
+
+@pytest.mark.parametrize("side", ["scalar", "batched"])
+@pytest.mark.parametrize("short", ["session_ids", "seqs", "ciphertexts"])
+def test_frame_tags_rejects_mismatched_lengths_on_both_sides(side, short):
+    """A short argument list raises instead of tagging fewer frames:
+    a verify pass that silently truncated would skip frames without
+    counting them in the exactly-once ledger."""
+    from repro.crypto.modes import FrameTagKey
+    from repro.errors import KeyError_
+    from repro.serve.frames import TAG_BATCH_MIN, frame_tags
+
+    n = TAG_BATCH_MIN - 1 if side == "scalar" else TAG_BATCH_MIN
+    args = {"taggers": [FrameTagKey(b"\x07" * 16)] * n,
+            "session_ids": [1] * n, "seqs": list(range(n)),
+            "ciphertexts": [b"\x00" * 13] * n}
+    args[short] = args[short][:-1]
+    with pytest.raises(KeyError_, match="length mismatch"):
+        frame_tags(**args)

@@ -41,7 +41,7 @@ from tests.helpers import build_float_mlp, build_tiny_int8_model
 def test_encrypt_blocks_matches_scalar(key_size):
     rng = np.random.default_rng(key_size)
     cipher = AES(bytes(rng.integers(0, 256, size=key_size, dtype=np.uint8)))
-    for n in (1, 2, 33, 257):
+    for n in (1, 2, 33, 257, 4096):   # 4096 blocks: one keystream chunk
         blocks = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
         batched = cipher.encrypt_blocks(blocks)
         for i in range(n):
@@ -51,11 +51,12 @@ def test_encrypt_blocks_matches_scalar(key_size):
 
 def test_decrypt_blocks_matches_scalar():
     rng = np.random.default_rng(7)
-    cipher = AES(b"\x13" * 16)
-    blocks = rng.integers(0, 256, size=(65, 16), dtype=np.uint8)
-    batched = cipher.decrypt_blocks(blocks)
-    for i in range(len(blocks)):
-        assert bytes(batched[i]) == cipher.decrypt_block(bytes(blocks[i]))
+    for key_size in (16, 24, 32):
+        cipher = AES(b"\x13" * key_size)
+        blocks = rng.integers(0, 256, size=(65, 16), dtype=np.uint8)
+        batched = cipher.decrypt_blocks(blocks)
+        for i in range(len(blocks)):
+            assert bytes(batched[i]) == cipher.decrypt_block(bytes(blocks[i]))
 
 
 # --- CTR / GCM ---------------------------------------------------------
