@@ -173,11 +173,11 @@ CONSTTIME_PACKAGES = frozenset({"crypto"})
 # Extra attribute names that are secret *for timing purposes* inside
 # crypto code: expanded AES key schedules (both scalar and vectorized)
 # and the GHASH multiply-by-H tables derived from H = E_k(0^128) (the
-# scalar byte tables, GCM's lane-fold tables, the frame tags' gather
-# planes).
+# scalar byte tables, the reference path's top-row table, GCM's
+# lane-fold tables, the frame tags' gather planes).
 CONSTTIME_SECRET_ATTRIBUTES = frozenset({
     "_dk", "_dk_np", "_ek", "_ek_np",
-    "_fold_planes", "_lane_tables", "_planes", "_tbl16",
+    "_fold_planes", "_lane_tables", "_planes", "_table", "_tbl16",
 })
 
 # Table-lookup kernels exempted by qualified name: the table-lookup
@@ -194,6 +194,7 @@ CONSTTIME_ALLOWLIST = frozenset({
     "repro.crypto.aes.AES.encrypt_block",
     "repro.crypto.modes.GCM._ghash_blocks_batched",
     "repro.crypto.modes._TableGhash._ghash_scalar",
+    "repro.crypto.modes._frame_ghash",
 })
 
 # --- zeroization ------------------------------------------------------------

@@ -18,7 +18,8 @@ expanded key-schedule attributes (``_ek``/``_dk`` and their numpy
 mirrors); declassifiers (``len``, digests, ``redact``) cut flows as
 usual, and — unlike leak tracking — comparison results stay tainted,
 because branching on a one-bit equality with a secret *is* the timing
-side channel.
+side channel, and a comprehension carries its element's labels (a list
+of secret tables stays secret).
 
 The pinned scalar reference implementations
 (``config.CONSTTIME_ALLOWLIST``) are exempt by qualified name: the
@@ -85,7 +86,7 @@ class ConstTimeRule(Rule):
                 module, func.body, seed, aliases, config,
                 class_name=class_name,
                 extra_secret_attributes=config.consttime_secret_attributes,
-                compare_flows=True)
+                compare_flows=True, comprehension_flows=True)
             scope.solve()
             yield from self._judge(module, scope, func)
 

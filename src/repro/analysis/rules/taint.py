@@ -100,6 +100,11 @@ class _LabelScope:
     propagates labels through comparisons — off for leak tracking
     (a one-bit equality result is not an exfiltrated key) but on for
     constant-time analysis (a one-bit branch *is* the timing leak).
+    ``comprehension_flows`` labels a list/set/generator comprehension
+    with its element expression, so ``[key._planes for key in keys]``
+    carries the secret tables it collects — on for constant-time
+    analysis, off for leak tracking, whose findings keep their
+    established precision.
     """
 
     def __init__(self, module: ModuleInfo, body, seed: dict[str, frozenset],
@@ -108,7 +113,8 @@ class _LabelScope:
                  summaries: dict[str, TaintSummary] | None = None,
                  class_name: str | None = None,
                  extra_secret_attributes: frozenset = _EMPTY,
-                 compare_flows: bool = False) -> None:
+                 compare_flows: bool = False,
+                 comprehension_flows: bool = False) -> None:
         self.module = module
         self.body = body
         self.aliases = aliases
@@ -118,6 +124,7 @@ class _LabelScope:
         self.class_name = class_name
         self.extra_secret_attributes = extra_secret_attributes
         self.compare_flows = compare_flows
+        self.comprehension_flows = comprehension_flows
         self.env: dict[str, frozenset] = dict(seed)
         self.file_handles: set[str] = set()
 
@@ -210,6 +217,9 @@ class _LabelScope:
                 if part is not None:
                     out |= self.labels_of(part)
             return frozenset(out)
+        if (isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+                and self.comprehension_flows):
+            return self.labels_of(node.elt)
         if isinstance(node, ast.Starred):
             return self.labels_of(node.value)
         if isinstance(node, ast.Await):

@@ -11,7 +11,8 @@ Two implementations share the key schedule: the scalar
 :meth:`AES.encrypt_blocks` / :meth:`AES.decrypt_blocks` fast path, which
 runs the same T-table rounds over N blocks at once on a contiguous
 (4, N) uint32 column-word state, one table gather per byte position
-and round.  The batched path is what makes CTR/GCM provisioning fast on the
+and round (:meth:`AES.encrypt_blocks_under` runs the same rounds with
+one key per block).  The batched path is what makes CTR/GCM provisioning fast on the
 host; the scalar path stays as the bit-exact reference the equivalence
 tests check against.
 """
@@ -132,8 +133,10 @@ class AES:
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._ek = self._expand_key(key)
         self._dk = self._invert_key_schedule(self._ek)
-        self._ek_np = np.array(self._ek, dtype=np.uint32)
-        self._dk_np = np.array(self._dk, dtype=np.uint32)
+        # Batched-path schedules as (words, 1) columns, broadcast over
+        # the (4, N) state; encrypt_blocks_under stacks one per row.
+        self._ek_np = np.array(self._ek, dtype=np.uint32)[:, None]
+        self._dk_np = np.array(self._dk, dtype=np.uint32)[:, None]
 
     @staticmethod
     def _expand_key(key: bytes) -> list[int]:
@@ -253,6 +256,8 @@ class AES:
     def _transform_blocks(self, blocks: np.ndarray, schedule: np.ndarray,
                           tables: np.ndarray, final_box: np.ndarray,
                           row_order: tuple[int, int, int, int]) -> np.ndarray:
+        # ``schedule`` is (words, 1) under one key or (words, N) with
+        # one key per block.
         # State: (4, N) contiguous column words, double-buffered.  Per
         # round and byte position p, the p-th byte of every word is
         # copied into one preallocated index array, gathered from table
@@ -262,7 +267,7 @@ class AES:
         # bytes at once: at 4096 blocks it measured faster and keeps the
         # transient index at a quarter of the size.
         s = self._blocks_to_words(blocks)
-        s ^= schedule[:4, None]
+        s ^= schedule[:4]
         n = s.shape[1]
         nxt = np.empty_like(s)
         index = np.empty((4, n), dtype=np.intp)
@@ -280,7 +285,7 @@ class AES:
                 nxt[:4 - rotation] ^= looked[rotation:]
                 if rotation:
                     nxt[4 - rotation:] ^= looked[:rotation]
-            nxt ^= schedule[k:k + 4, None]
+            nxt ^= schedule[k:k + 4]
             s, nxt = nxt, s
             k += 4
         return self._words_to_blocks(s, nxt)
@@ -293,6 +298,25 @@ class AES:
         """
         return self._transform_blocks(
             blocks, self._ek_np, _TE_NP, _SBOX_NP, (1, 2, 3, 0))
+
+    @staticmethod
+    def encrypt_blocks_under(ciphers, blocks: np.ndarray) -> np.ndarray:
+        """Encrypt row i of ``blocks`` under ``ciphers[i]``, all in one
+        batch: (N, 16) uint8 -> (N, 16) uint8.
+
+        The ciphers' key schedules are stacked into one (words, N)
+        schedule, so N blocks under many keys cost one batched
+        transform.  Every cipher must have the same key size.
+        Bit-identical to ``ciphers[i].encrypt_block`` per row.
+        """
+        if len(ciphers) != len(blocks):
+            raise KeyError_("encrypt_blocks_under: one cipher per block")
+        if len({cipher.rounds for cipher in ciphers}) != 1:
+            raise KeyError_("encrypt_blocks_under: mixed key sizes")
+        schedule = np.concatenate([cipher._ek_np for cipher in ciphers],
+                                  axis=1)
+        return ciphers[0]._transform_blocks(
+            blocks, schedule, _TE_NP, _SBOX_NP, (1, 2, 3, 0))
 
     def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Decrypt N blocks at once: (N, 16) uint8 -> (N, 16) uint8."""

@@ -86,6 +86,8 @@ def ctr_keystream(cipher: AES, initial_counter: bytes,
     """
     if len(initial_counter) != 16:
         raise KeyError_("CTR counter block must be 16 bytes")
+    if not n_blocks:
+        return np.empty((0, 16), dtype=np.uint8)
     counters = np.empty((n_blocks, 16), dtype=np.uint8)
     counters[:, :12] = np.frombuffer(initial_counter[:12], dtype=np.uint8)
     start = struct.unpack(">I", initial_counter[12:])[0]
@@ -98,10 +100,6 @@ def ctr_keystream(cipher: AES, initial_counter: bytes,
 def ctr_keystream_xor(cipher: AES, initial_counter: bytes, data: bytes) -> bytes:
     """XOR ``data`` with the AES-CTR keystream starting at
     ``initial_counter`` (one :func:`ctr_keystream` batch)."""
-    if len(initial_counter) != 16:
-        raise KeyError_("CTR counter block must be 16 bytes")
-    if not data:
-        return b""
     keystream = ctr_keystream(
         cipher, initial_counter, (len(data) + 15) // 16).reshape(-1)
     return (np.frombuffer(data, dtype=np.uint8)
@@ -161,9 +159,7 @@ class GCM(_TableGhash):
         if reference is None:
             reference = _DEFAULT_REFERENCE
         self._reference = reference
-        h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
-        self._h = h
-        self._table = _build_table_fast(h)
+        self._h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
 
     # --- reference field arithmetic (retained for equivalence tests) ---
 
@@ -186,6 +182,11 @@ class GCM(_TableGhash):
         for b in range(256):
             table[b] = self._gf_mul(b << 120, h)
         return table
+
+    @functools.cached_property
+    def _table(self) -> list[int]:
+        """``table[b] == (b << 120) * H``: the reference path's table."""
+        return _build_table_fast(self._h)
 
     def _ghash_block(self, state: int, block: bytes) -> int:
         state ^= int.from_bytes(block, "big")
@@ -217,7 +218,7 @@ class GCM(_TableGhash):
         """(16, 256) hi/lo uint64 gather tables for multiply-by-H^_LANES."""
         # H * H^(_LANES - 1): a sweep of H over _LANES - 1 zero blocks.
         power = self._ghash_scalar(self._h, bytes(16 * (self._LANES - 1)))
-        return _gather_tables(_build_table_fast(power))
+        return _gather_tables(power)
 
     def _ghash_blocks_batched(self, blocks: np.ndarray) -> int:
         """GHASH of (N, 16) uint8 blocks from a zero initial state."""
@@ -327,8 +328,6 @@ for _b in range(256):
     for _i in range(8):
         if (_b >> _i) & 1:
             _RED8[_b] ^= _REDUCE[_i]
-_RED8_HI = np.array([v >> 64 for v in _RED8], dtype=np.uint64)
-_RED8_LO = np.array([v & _MASK64 for v in _RED8], dtype=np.uint64)
 
 
 def _bit_basis(h: int) -> list[int]:
@@ -357,40 +356,44 @@ def _build_table_fast(h: int) -> list[int]:
     return _byte_row(_bit_basis(h))
 
 
-def _expand_tables(h: int) -> list[list[int]]:
-    """Sixteen byte tables of multiply-by-H: ``tables[k][b] == (b << 8k)
-    * H``, so ``x * H == XOR_k tables[k][byte_k(x)]``.
+def _row_bases(h: int) -> list[list[int]]:
+    """``bases[k][i] == ((1 << i) << 8k) * H``: the eight single-bit
+    products of every byte significance ``k``.
 
-    Each row is built from its eight single-bit values; the next lower
-    row's basis is this row's shifted right one byte with reduction
-    (multiplication by x^8 in the reflected field).
+    The top row is :func:`_bit_basis`; each lower row's basis is the
+    row above shifted right one byte with reduction (multiplication by
+    x^8 in the reflected field).
     """
-    tables = []
+    bases = []
     basis = _bit_basis(h)
     for _ in range(16):   # k = 15 down to 0
-        tables.append(_byte_row(basis))
+        bases.append(basis)
         basis = [(v >> 8) ^ _RED8[v & 0xFF] for v in basis]
-    tables.reverse()
-    return tables
+    bases.reverse()
+    return bases
 
 
-def _gather_tables(base: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(16, 256) hi/lo uint64 gather tables from a byte table for K.
+def _expand_tables(h: int) -> list[list[int]]:
+    """Sixteen byte tables of multiply-by-H: ``tables[k][b] == (b << 8k)
+    * H``, so ``x * H == XOR_k tables[k][byte_k(x)]``."""
+    return [_byte_row(basis) for basis in _row_bases(h)]
 
-    ``x * K == XOR_k table[k][byte_k(x)]`` where ``byte_k`` is byte
-    significance ``k`` (LSB is 0) — the layout both the lane fold and
-    the multi-message sweep gather against.
-    """
-    hi = np.empty((16, 256), dtype=np.uint64)
-    lo = np.empty((16, 256), dtype=np.uint64)
-    hi[15] = np.array([v >> 64 for v in base], dtype=np.uint64)
-    lo[15] = np.array([v & _MASK64 for v in base], dtype=np.uint64)
-    for row in range(15, 0, -1):
-        dropped = (lo[row] & np.uint64(0xFF)).astype(np.intp)
-        lo[row - 1] = ((lo[row] >> np.uint64(8))
-                       | (hi[row] << np.uint64(56))) ^ _RED8_LO[dropped]
-        hi[row - 1] = (hi[row] >> np.uint64(8)) ^ _RED8_HI[dropped]
-    return hi, lo
+
+def _gather_tables(multiplier: int) -> tuple[np.ndarray, np.ndarray]:
+    """The same sixteen byte tables for ``multiplier`` as (16, 256)
+    hi/lo uint64 arrays, row ``k`` for byte significance ``k`` (LSB is
+    0), each row doubled out of its basis in numpy as
+    :func:`_byte_row` does in Python."""
+    flat = [v for basis in _row_bases(multiplier) for v in basis]
+    hi = np.array([v >> 64 for v in flat], dtype=np.uint64).reshape(16, 8)
+    lo = np.array([v & _MASK64 for v in flat],
+                  dtype=np.uint64).reshape(16, 8)
+    rows_hi = np.zeros((16, 1), dtype=np.uint64)
+    rows_lo = np.zeros((16, 1), dtype=np.uint64)
+    for bit in range(8):
+        rows_hi = np.concatenate([rows_hi, rows_hi ^ hi[:, bit:bit + 1]], 1)
+        rows_lo = np.concatenate([rows_lo, rows_lo ^ lo[:, bit:bit + 1]], 1)
+    return rows_hi, rows_lo
 
 
 # --- detached frame tags (serving rings) -----------------------------------
@@ -440,14 +443,19 @@ class FrameTagKey(_TableGhash):
         return int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
 
     @functools.cached_property
-    def _planes(self) -> tuple[np.ndarray, np.ndarray]:
-        return _column_planes(self._h)
+    def _planes(self) -> np.ndarray:
+        return _gather_plane(self._h)
 
     @functools.cached_property
-    def _fold_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        # H * H^(_FOLD_LANES - 1): a sweep of H over zero blocks.
-        return _column_planes(
-            self._ghash_scalar(self._h, bytes(16 * (_FOLD_LANES - 1))))
+    def _fold_planes(self) -> np.ndarray:
+        # H^_FOLD_LANES is the GHASH of H followed by _FOLD_LANES - 2
+        # zero blocks (one multiply-by-H per block), swept on the H
+        # plane so the batched path never builds the scalar tables.
+        h = self._h
+        words = np.zeros((1, 2 * (_FOLD_LANES - 1)), dtype=np.uint64)
+        words[0, :2] = (h >> 64, h & _MASK64)
+        hi, lo = _frame_ghash([self], np.zeros(1, dtype=np.intp), words, 1)[0]
+        return _gather_plane((int(hi) << 64) | int(lo))
 
     def tag(self, j0: bytes, aad: bytes, ciphertext: bytes) -> bytes:
         """Scalar single-frame tag (one 16-lookup step per block)."""
@@ -461,11 +469,23 @@ class FrameTagKey(_TableGhash):
         return constant_time_eq(self.tag(j0, aad, ciphertext), tag)
 
 
-def _column_planes(multiplier: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather planes for multiply-by-``multiplier``, in *column* order:
-    plane j multiplies byte j of a big-endian (16,) byte state."""
-    hi, lo = _gather_tables(_build_table_fast(multiplier))
-    return np.ascontiguousarray(hi[::-1]), np.ascontiguousarray(lo[::-1])
+# The gather planes index a native-order (hi, lo) uint64 state pair
+# through its uint8 view: view byte v holds bit significance
+# _VIEW_SIGNIFICANCE[v] of the 128-bit state (LSB byte is 0).
+_VIEW_SIGNIFICANCE = 15 - np.frombuffer(
+    bytes(range(16)), dtype=">u8").astype(np.uint64).view(np.uint8)
+_PLANE_ROWS = 16 * 256
+_PLANE_OFFSETS = (np.arange(16, dtype=np.intp) * 256)[:, None]
+
+
+def _gather_plane(multiplier: int) -> np.ndarray:
+    """Multiply-by-``multiplier`` as one flat (16 * 256,) plane of
+    16-byte (hi, lo) entries: entry ``v * 256 + b`` is ``b`` placed at
+    view byte ``v`` of the state, times the multiplier."""
+    hi, lo = _gather_tables(multiplier)
+    pairs = np.stack([hi[_VIEW_SIGNIFICANCE], lo[_VIEW_SIGNIFICANCE]],
+                     axis=-1)
+    return pairs.reshape(-1).view(np.dtype("V16"))
 
 
 # Lane width of the two-level fold for long messages: a message's
@@ -474,37 +494,55 @@ def _column_planes(multiplier: int) -> tuple[np.ndarray, np.ndarray]:
 # the price of _FOLD_LANES combine steps at the end.
 _FOLD_LANES = 8
 
-# Below this many frames under one key, E_k(J0) masks go through the
-# scalar block cipher — the vectorized AES's fixed dispatch cost only
-# amortizes across larger groups.
-_MASK_BATCH_MIN = 48
+# Below this many frames, E_k(J0) masks go through each key's scalar
+# block cipher; from here up, one multi-key AES batch.  The batch costs
+# ~175 us whatever its size, a scalar block ~15 us (2-vCPU Xeon VM), so
+# the two cross near 12 frames.
+_MASK_BATCH_MIN = 16
 
 
-def _stack_planes(planes) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) plane stacks over distinct keys, one key per row."""
-    return (np.stack([hi for hi, _ in planes]),
-            np.stack([lo for _, lo in planes]))
+def _frame_ghash(owners, key_map: np.ndarray, words: np.ndarray,
+                 lanes: int) -> np.ndarray:
+    """GHASH of N messages at once, message i under ``owners[key_map[i]]``.
 
+    ``words`` is (N, blocks * 2) native uint64, each message
+    front-padded with zero blocks to a common whole number of
+    ``lanes``-block rows.  Returns the (N, 2) (hi, lo) states.
 
-def _mul_state(planes_stack, key_rows, cols, state: np.ndarray) -> np.ndarray:
-    """Multiply every (16,)-byte GHASH state row by its key's table.
-
-    ``state`` is (m, 16) uint8, big-endian; ``planes_stack`` is the
-    (hi, lo) stacks over distinct keys and ``key_rows`` the (m, 1) row
-    map (``None`` for the single-key fast path).
+    Each Horner step is one gather: the uint8 view of every state row,
+    offset into its key's slice of the concatenated planes, indexes
+    sixteen 16-byte products, which XOR-reduce to the new state.
     """
-    hi_stack, lo_stack = planes_stack
-    if key_rows is None:
-        hi = np.bitwise_xor.reduce(hi_stack[0][cols, state], axis=1)
-        lo = np.bitwise_xor.reduce(lo_stack[0][cols, state], axis=1)
+    n = len(key_map)
+    offsets = key_map * _PLANE_ROWS + _PLANE_OFFSETS              # (16, N)
+    planes = np.concatenate([key._planes for key in owners])
+    if lanes == 1:
+        fold, fold_offsets = planes, offsets
     else:
-        hi = np.bitwise_xor.reduce(hi_stack[key_rows, cols, state], axis=1)
-        lo = np.bitwise_xor.reduce(lo_stack[key_rows, cols, state], axis=1)
-    m = state.shape[0]
-    out = np.empty_like(state)
-    out[:, :8] = hi.astype(">u8").view(np.uint8).reshape(m, 8)
-    out[:, 8:] = lo.astype(">u8").view(np.uint8).reshape(m, 8)
-    return out
+        fold = np.concatenate([key._fold_planes for key in owners])
+        fold_offsets = np.repeat(offsets, lanes, axis=1)
+    # Two-level fold: lane l of message i accumulates blocks
+    # l, l+lanes, l+2*lanes, ... under multiplier H^lanes
+    # (multiply-then-xor, so lane sums carry H^(rows-1-r)), then the
+    # lane sums Horner-combine under H, restoring the per-position
+    # exponents of the flat sweep.  One lane is the flat sweep itself.
+    # rows[r] holds block row r of every message, lanes adjacent.
+    rows = words.reshape(n, -1, lanes * 2).transpose(1, 0, 2).reshape(
+        -1, n * lanes, 2)
+    state = rows[0].copy()
+    for row in rows[1:]:
+        products = fold[state.view(np.uint8).T + fold_offsets]
+        state = np.bitwise_xor.reduce(
+            products.view(np.uint64).reshape(16, -1, 2), axis=0)
+        state ^= row
+    lane_sums = state.reshape(n, lanes, 2)
+    state = np.zeros((n, 2), dtype=np.uint64)
+    for lane in range(lanes):
+        state ^= lane_sums[:, lane]
+        products = planes[state.view(np.uint8).T + offsets]
+        state = np.bitwise_xor.reduce(
+            products.view(np.uint64).reshape(16, -1, 2), axis=0)
+    return state
 
 
 def frame_tags_batched(keys, j0s, aads, ciphertexts) -> list[bytes]:
@@ -516,7 +554,7 @@ def frame_tags_batched(keys, j0s, aads, ciphertexts) -> list[bytes]:
     own blocks over ``_FOLD_LANES`` parallel lanes, so a kB-scale frame
     costs ``blocks / lanes + lanes`` steps rather than ``blocks``.
     Frames may carry different :class:`FrameTagKey`\\ s — each message
-    multiplies by its own key's tables via a stacked-table gather — and
+    gathers from its own key's slice of the concatenated planes — and
     different lengths — shorter messages are front-padded with zero
     blocks, which leave a Horner state of zero unchanged.  Bit-identical
     to :meth:`FrameTagKey.tag` per frame.
@@ -544,48 +582,21 @@ def frame_tags_batched(keys, j0s, aads, ciphertexts) -> list[bytes]:
             slot = slots[id(key)] = len(owners)
             owners.append(key)
         key_map[i] = slot
-    single = len(owners) == 1
-    cols = np.arange(16)
+    state = _frame_ghash(owners, key_map,
+                         blocks.view(">u8").astype(np.uint64), lanes)
+    state = state.astype(">u8").view(np.uint8).reshape(n, 16)
 
-    # Two-level fold: lane l of message i accumulates blocks
-    # l, l+lanes, l+2*lanes, ... under multiplier H^lanes
-    # (multiply-then-xor, so lane sums carry H^(rows-1-r)), then the
-    # lane sums Horner-combine under H, restoring the per-position
-    # exponents of the flat sweep.  One lane is the flat sweep itself.
-    planes = _stack_planes([key._planes for key in owners])
-    key_rows = None if single else key_map[:, None]
-    if lanes == 1:
-        fold_planes = planes
+    if (n >= _MASK_BATCH_MIN
+            and len({key._aes.rounds for key in owners}) == 1):
+        j0_blocks = np.frombuffer(b"".join(_check_j0(j0) for j0 in j0s),
+                                  dtype=np.uint8).reshape(n, 16)
+        masks = AES.encrypt_blocks_under([key._aes for key in keys],
+                                         j0_blocks)
     else:
-        fold_planes = _stack_planes([key._fold_planes for key in owners])
-    fold_rows = None if single else np.repeat(key_map, lanes)[:, None]
-    rows = blocks.reshape(n, n_blocks // lanes, lanes * 16)
-    state = rows[:, 0].reshape(n * lanes, 16).copy()
-    for r in range(1, rows.shape[1]):
-        state = _mul_state(fold_planes, fold_rows, cols, state)
-        state ^= rows[:, r].reshape(n * lanes, 16)
-    lane_sums = state.reshape(n, lanes, 16)
-    state = np.zeros((n, 16), dtype=np.uint8)
-    for l in range(lanes):
-        state ^= lane_sums[:, l]
-        state = _mul_state(planes, key_rows, cols, state)
-
-    tags: list[bytes] = [b""] * n
-    for slot, key in enumerate(owners):
-        members = np.nonzero(key_map == slot)[0]
-        if len(members) >= _MASK_BATCH_MIN:
-            j0_blocks = np.stack([
-                np.frombuffer(_check_j0(j0s[i]), dtype=np.uint8)
-                for i in members])
-            sealed = state[members] ^ key._aes.encrypt_blocks(j0_blocks)
-            for position, i in enumerate(members):
-                tags[i] = sealed[position].tobytes()
-        else:
-            for i in members:
-                mask = key._aes.encrypt_block(_check_j0(j0s[i]))
-                tags[i] = (state[i]
-                           ^ np.frombuffer(mask, dtype=np.uint8)).tobytes()
-    return tags
+        masks = np.frombuffer(b"".join(
+            key._aes.encrypt_block(_check_j0(j0))
+            for key, j0 in zip(keys, j0s)), dtype=np.uint8).reshape(n, 16)
+    return [tag.tobytes() for tag in state ^ masks]
 
 
 def gcm_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:

@@ -41,31 +41,38 @@ from repro.crypto.hmac import hkdf
 from repro.crypto.modes import frame_tags_batched
 from repro.errors import KeyError_, ServeError
 
-__all__ = ["HEADER", "TAG_BYTES", "TAG_BATCH_MIN", "derive_lane_keys",
-           "derive_lane_tag_keys", "frame_j0", "frame_aad", "frame_tags",
-           "seal_into", "emit_sealed", "open_in_place"]
+__all__ = ["HEADER", "TAG_BYTES", "TAG_BATCH_MIN", "TAG_BATCH_MIN_SHORT",
+           "TAG_LONG_FRAME", "derive_lane_keys", "derive_lane_tag_keys",
+           "frame_j0", "frame_aad", "frame_tags", "seal_into",
+           "emit_sealed", "open_in_place"]
 
 HEADER = struct.Struct("<II")  # session_id, request_seq
 TAG_BYTES = 16
 
-# Below this many frames, tags go through each key's scalar sweep — the
-# batched sweep's fixed numpy dispatch cost only amortizes across
-# larger groups.  Measured crossover, per-frame microseconds as
-# scalar/batched (2-vCPU Xeon VM, CPython 3.11, numpy 2.4):
+# Groups of at least TAG_BATCH_MIN frames take one batched GHASH
+# sweep, smaller ones each key's scalar sweep; a group of short frames
+# (every ciphertext under TAG_LONG_FRAME bytes, too short for the sweep
+# to fold over lanes) needs TAG_BATCH_MIN_SHORT.  Measured crossover as
+# scalar time / batched time for one group under warm keys, median of
+# 150 interleaved pairs (2-vCPU Xeon VM, CPython 3.11, numpy 2.4; the
+# shared host's speed drifts, the paired ratio does not):
 #
-#   frames   2107-byte ciphertext (request)              13 bytes
-#            1 key     2 keys    4 keys    all distinct  4 keys
-#     3      252/219   253/240   252/244   252/245       28/58
-#     4      251/186   253/203   255/269   256/267       29/54
-#     5      247/161   248/179   250/184   249/234       28/49
-#     6      249/145   248/160   248/160   244/214       29/40
-#     7      245/134   249/147   248/148   246/223       29/44
+#   frames   2107-byte ciphertext (request)      frames   13 bytes
+#            1 key   2 keys  4 keys  distinct             1 key  4 keys
+#     1      1.02    0.98    0.97    0.95           4     0.77   0.73
+#     2      1.68    1.48    1.39    1.46           8     0.93   0.89
+#     3      1.92    1.88    1.81    1.86          12     0.99   0.96
+#     4      2.33    2.26    2.11    2.13          16     1.22   1.17
+#     6      3.12    2.84    2.85    1.73          24     1.67   1.59
 #
-# Request frames batch profitably from 5 frames under any key mix a
-# serving group has (serve_steady's groups span at most 4 sessions);
-# response frames never do up to 10 frames, but cost a tenth as much,
-# so the request-frame crossover sets the cutoff.
-TAG_BATCH_MIN = 5
+# 200-byte frames (unfolded) cross at 6, 400-byte (folded) below 4.
+# Fresh keys pay their own table build on either path: under four
+# cold keys, 2107-byte groups of 1-6 frames measured 0.85-0.97 and
+# 13-byte groups 1.16-1.49, so serving's warm steady state sets the
+# cutoffs.
+TAG_LONG_FRAME = 256
+TAG_BATCH_MIN = 2
+TAG_BATCH_MIN_SHORT = 16
 
 _LANE_SALT = b"omg-serve-v1"
 _J0_PREFIX = (1).to_bytes(8, "big")
@@ -99,9 +106,11 @@ def frame_aad(session_id: int, request_seq: int) -> bytes:
 def frame_tags(taggers, session_ids, seqs, ciphertexts) -> list[bytes]:
     """Tags for a group of frames, one per (tagger, session, seq,
     ciphertext bytes): one batched GHASH sweep from
-    :data:`TAG_BATCH_MIN` frames up, each tagger's scalar sweep below.
-    Bit-identical either way; verifiers compare the result with
-    ``constant_time_eq``, exactly as ``FrameTagKey.verify`` does.
+    :data:`TAG_BATCH_MIN` frames up (:data:`TAG_BATCH_MIN_SHORT` when
+    every ciphertext is shorter than :data:`TAG_LONG_FRAME` bytes),
+    each tagger's scalar sweep below.  Bit-identical either way;
+    verifiers compare the result with ``constant_time_eq``, exactly as
+    ``FrameTagKey.verify`` does.
 
     Mismatched argument lengths raise on both sides of the cutoff, so
     a short list can never drop frames from a verify pass unnoticed.
@@ -111,7 +120,8 @@ def frame_tags(taggers, session_ids, seqs, ciphertexts) -> list[bytes]:
         raise KeyError_("frame_tags: argument length mismatch")
     j0s = [frame_j0(seq) for seq in seqs]
     aads = [frame_aad(sid, seq) for sid, seq in zip(session_ids, seqs)]
-    if n >= TAG_BATCH_MIN:
+    long_frames = max(map(len, ciphertexts), default=0) >= TAG_LONG_FRAME
+    if n >= (TAG_BATCH_MIN if long_frames else TAG_BATCH_MIN_SHORT):
         return frame_tags_batched(taggers, j0s, aads, ciphertexts)
     return [tagger.tag(j0, aad, ciphertext)
             for tagger, j0, aad, ciphertext

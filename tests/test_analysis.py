@@ -410,6 +410,20 @@ def test_consttime_comparison_results_stay_tainted(fixture_tree):
     assert _run(path, rule="secret-taint").findings == []
 
 
+def test_consttime_comprehensions_carry_their_element_labels(fixture_tree):
+    """A list of secret tables collected by a comprehension is secret to
+    consttime: a value read from it is secret, so indexing with that
+    value is flagged (and only that index — the first is public)."""
+    path = fixture_tree("repro/crypto/ct_comp.py", """\
+        def lookup(owners, index: int) -> int:
+            tables = [owner._ek for owner in owners]
+            state = tables[0][index]
+            return tables[1][state]
+        """)
+    messages = _messages(_run(path, rule="consttime"))
+    assert messages == ["secret-dependent table index"]
+
+
 def test_consttime_clean_code_and_declassified_bounds(fixture_tree):
     path = fixture_tree("repro/crypto/ct_good.py", """\
         def masked(key: bytes) -> int:
@@ -457,7 +471,8 @@ def test_ghash_table_lookups_are_visible_to_consttime():
 
     from repro.analysis.config import CONSTTIME_ALLOWLIST, AnalysisConfig
 
-    kernels = {"GCM._ghash_blocks_batched", "_TableGhash._ghash_scalar"}
+    kernels = {"GCM._ghash_blocks_batched", "_TableGhash._ghash_scalar",
+               "_frame_ghash"}
     path = os.path.join(_SRC_REPRO, "crypto", "modes.py")
     config = dataclasses.replace(
         AnalysisConfig(),
@@ -470,6 +485,9 @@ def test_ghash_table_lookups_are_visible_to_consttime():
                                               func.end_lineno + 1)
              for cls in tree.body if isinstance(cls, ast.ClassDef)
              for func in cls.body if isinstance(func, ast.FunctionDef)}
+    spans.update({func.name: range(func.lineno, func.end_lineno + 1)
+                  for func in tree.body
+                  if isinstance(func, ast.FunctionDef)})
     owners = [{name for name in kernels if finding.line in spans[name]}
               for finding in findings]
     assert all(len(owner) == 1 for owner in owners)

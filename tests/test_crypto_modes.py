@@ -200,6 +200,24 @@ def test_frame_tags_batched_matches_scalar():
             assert tag == keys[i].tag(j0s[i], aads[i], cts[i]), (sizes, i)
 
 
+@pytest.mark.parametrize("key_sizes", [(16, 16, 16), (16, 32, 24)])
+def test_frame_tags_batched_mask_batch_matches_scalar(key_sizes):
+    """From _MASK_BATCH_MIN frames the E_k(J0) masks run as one
+    multi-key AES batch; mixed key sizes keep per-frame scalar masks.
+    Either way each tag equals the frame's scalar tag."""
+    from repro.crypto.modes import _MASK_BATCH_MIN, frame_tags_batched
+
+    rng, rb, FrameTagKey = _frame_tag_fixtures(5)
+    tag_keys = [FrameTagKey(rb(size)) for size in key_sizes]
+    n = _MASK_BATCH_MIN + 3
+    keys = [tag_keys[int(i)] for i in rng.integers(0, 3, n)]
+    j0s = [rb(15) + bytes([i + 1]) for i in range(n)]
+    aads = [rb(8) for _ in range(n)]
+    cts = [rb(int(size)) for size in rng.integers(0, 2200, n)]
+    assert frame_tags_batched(keys, j0s, aads, cts) == [
+        key.tag(j0, aad, ct) for key, j0, aad, ct in zip(keys, j0s, aads, cts)]
+
+
 def test_frame_tag_verify_rejects_any_bit_flip():
     _, rb, FrameTagKey = _frame_tag_fixtures(3)
     key = FrameTagKey(rb(16))

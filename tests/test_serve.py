@@ -539,16 +539,20 @@ def test_sequential_baseline_matches_direct_classify():
 def test_frame_tags_is_bit_identical_on_both_sides_of_the_batch_cutoff():
     """One helper picks the scalar or batched sweep; either way each tag
     equals the frame's own per-key GCM tag arm.  2107-byte request
-    ciphertexts take the batched sweep's lane-folded path."""
+    ciphertexts take the batched sweep's lane-folded path; short frames
+    have their own cutoff."""
     from repro.crypto.modes import FrameTagKey
-    from repro.serve.frames import TAG_BATCH_MIN, frame_aad, frame_j0, \
-        frame_tags
+    from repro.serve.frames import TAG_BATCH_MIN, TAG_BATCH_MIN_SHORT, \
+        TAG_LONG_FRAME, frame_aad, frame_j0, frame_tags
 
     rng = np.random.default_rng(12)
     cases = [(size, n_keys, n)
-             for size, n_keys in ((17, 3), (2107, 1), (2107, 4))
-             for n in (1, TAG_BATCH_MIN - 1, TAG_BATCH_MIN,
-                       2 * TAG_BATCH_MIN + 1)]
+             for size, n_keys, cutoff in (
+                 (17, 3, TAG_BATCH_MIN_SHORT),
+                 (TAG_LONG_FRAME - 1, 2, TAG_BATCH_MIN_SHORT),
+                 (TAG_LONG_FRAME, 2, TAG_BATCH_MIN),
+                 (2107, 1, TAG_BATCH_MIN), (2107, 4, TAG_BATCH_MIN))
+             for n in (1, cutoff - 1, cutoff, 2 * cutoff + 1)]
     for size, n_keys, n in cases:
         taggers = [FrameTagKey(bytes([index]) * 16)
                    for index in range(n_keys)]
@@ -572,12 +576,13 @@ def test_frame_tags_rejects_mismatched_lengths_on_both_sides(side, short):
     counting them in the exactly-once ledger."""
     from repro.crypto.modes import FrameTagKey
     from repro.errors import KeyError_
-    from repro.serve.frames import TAG_BATCH_MIN, frame_tags
+    from repro.serve.frames import TAG_BATCH_MIN, TAG_LONG_FRAME, \
+        frame_tags
 
     n = TAG_BATCH_MIN - 1 if side == "scalar" else TAG_BATCH_MIN
     args = {"taggers": [FrameTagKey(b"\x07" * 16)] * n,
             "session_ids": [1] * n, "seqs": list(range(n)),
-            "ciphertexts": [b"\x00" * 13] * n}
+            "ciphertexts": [b"\x00" * TAG_LONG_FRAME] * n}
     args[short] = args[short][:-1]
     with pytest.raises(KeyError_, match="length mismatch"):
         frame_tags(**args)
