@@ -10,8 +10,9 @@ CTR counter block in one pass and encrypts them with the batched T-table
 AES (:meth:`repro.crypto.aes.AES.encrypt_blocks`), and runs GHASH over
 sixteen precomputed byte-multiplication tables: one scalar kernel
 (:class:`_TableGhash`, shared by :class:`GCM` and :class:`FrameTagKey`)
-for short inputs, numpy gathers for long ones, which are folded
-lane-parallel so the sequential Horner chain shrinks by the lane width.
+for short inputs, numpy gathers for long ones and for groups of frame
+tags (:func:`frame_tags_batched`), folded lane-parallel so the
+sequential Horner chain shrinks by the lane width.
 The scalar reference path (the original per-block code) is retained for
 the randomized equivalence tests; construct ``GCM(key, reference=True)``
 or call the ``*_reference`` helpers to use it.
