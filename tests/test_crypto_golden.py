@@ -5,7 +5,8 @@ implementation that alters a single output byte fails here, not only in
 run-to-run determinism checks.  The DRBG stream feeds every enclave key
 pair, the KDF yields K_U, and the batched MACs sign fleet licenses.
 The frame tags, keystream chunks and batched AES are the serving
-frame path's kernels; their pins hold across kernel rewrites.
+frame path's kernels, and GCM seals the provisioned model; their pins
+hold across kernel rewrites.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from repro.crypto import hmac_sha256_keyed, sha256_many
 from repro.crypto.aes import AES
 from repro.crypto.kdf import derive_model_key
 from repro.crypto.keycache import KeystreamCache, deterministic_keypair
-from repro.crypto.modes import FrameTagKey, frame_tags_batched
+from repro.crypto.modes import (FrameTagKey, frame_tags_batched, gcm_decrypt,
+                                gcm_encrypt, reference_mode)
 from repro.crypto.rng import HmacDrbg
 from repro.serve.frames import frame_aad, frame_j0
 
@@ -104,6 +106,13 @@ _AES_BLOCKS_SHA256 = {
     16: "69282762180c18c4d26538680e807bd4c68a15a94948110be4a522b7b47e281d",
     32: "c76cc66729c40d5ff9368d9ada430b6d1e61c4213e11e6824f18733c49f32ba1",
 }
+# key bytes -> SHA-256 of one gcm_encrypt blob (nonce || ct || tag) of a
+# 54,296-byte message, the standard model's size: the batched GHASH
+# path, with a 60-byte nonce so J0 is itself a GHASH.
+_GCM_MODEL_SHA256 = {
+    16: "e0417147f7e3fd2540fe8214c5bedda28cea5da78217991294e153a28537ab9b",
+    32: "611e80edc9c726668fab80eca1d93ba7110166979f812b985d20dc5e02375610",
+}
 
 
 def _stream(label: bytes, n: int) -> bytes:
@@ -146,3 +155,16 @@ def test_aes_blocks_golden(key_size):
     assert np.array_equal(cipher.decrypt_blocks(encrypted), blocks)
     digest = hashlib.sha256(encrypted.tobytes() + decrypted.tobytes())
     assert digest.hexdigest() == _AES_BLOCKS_SHA256[key_size]
+
+
+@pytest.mark.parametrize("key_size", sorted(_GCM_MODEL_SHA256))
+def test_gcm_model_blob_golden(key_size):
+    key = _stream(b"gcm-key", key_size)
+    nonce = _stream(b"gcm-nonce", 60)
+    aad = _stream(b"gcm-aad", 37)
+    plaintext = _stream(b"gcm-model", 54296)
+    blob = gcm_encrypt(key, nonce, plaintext, aad)
+    with reference_mode():
+        assert gcm_encrypt(key, nonce, plaintext, aad) == blob
+    assert gcm_decrypt(key, blob, aad, nonce_size=60) == plaintext
+    assert hashlib.sha256(blob).hexdigest() == _GCM_MODEL_SHA256[key_size]
