@@ -7,12 +7,13 @@ enclave (paper §V, steps 3-6).
 
 Both primitives have two implementations.  The fast path generates every
 CTR counter block in one pass and encrypts them with the batched T-table
-AES (:meth:`repro.crypto.aes.AES.encrypt_blocks`), and runs GHASH over
-sixteen precomputed byte-multiplication tables: one scalar kernel
-(:class:`_TableGhash`, shared by :class:`GCM` and :class:`FrameTagKey`)
-for short inputs, numpy gathers for long ones and for groups of frame
-tags (:func:`frame_tags_batched`), folded lane-parallel so the
-sequential Horner chain shrinks by the lane width.
+AES (:meth:`repro.crypto.aes.AES.encrypt_blocks`), and runs GHASH on
+one engine (:class:`_TableGhash`, shared by :class:`GCM` and
+:class:`FrameTagKey`) over precomputed byte-multiplication tables: a
+scalar kernel for short inputs, and one numpy gather sweep
+(:func:`_frame_ghash`) for long messages and for groups of frame tags
+(:func:`frame_tags_batched`), folded lane-parallel so the sequential
+Horner chain shrinks by the lane width.
 The scalar reference path (the original per-block code) is retained for
 the randomized equivalence tests; construct ``GCM(key, reference=True)``
 or call the ``*_reference`` helpers to use it.
@@ -108,13 +109,17 @@ def ctr_keystream_xor(cipher: AES, initial_counter: bytes, data: bytes) -> bytes
 
 
 class _TableGhash:
-    """The one scalar GHASH kernel, shared by :class:`GCM` and
+    """The one GHASH engine, shared by :class:`GCM` and
     :class:`FrameTagKey`.
 
-    Multiplication by H uses sixteen 256-entry byte tables,
-    ``_tbl16[k][b] == (b << 8k) * H``, built on first use from the
-    subclass's ``_h``.  One block is then one 16-term XOR of table
-    lookups indexed by the bytes of ``state ^ block``.
+    The scalar kernel multiplies by H through sixteen 256-entry byte
+    tables, ``_tbl16[k][b] == (b << 8k) * H``: one block is one 16-term
+    XOR of table lookups indexed by the bytes of ``state ^ block``.
+    The batched sweep (:func:`_ghash_many`) gathers from numpy planes
+    of the same products, ``_planes`` for H and ``_fold_planes`` for
+    H^_FOLD_LANES.  Every table is built on first use from the
+    subclass's ``_h``, so a key that never hashes pays nothing and a
+    short-message key never builds the planes.
     """
 
     _h: int
@@ -122,6 +127,21 @@ class _TableGhash:
     @functools.cached_property
     def _tbl16(self) -> list[list[int]]:
         return _expand_tables(self._h)
+
+    @functools.cached_property
+    def _planes(self) -> np.ndarray:
+        return _gather_plane(self._h)
+
+    @functools.cached_property
+    def _fold_planes(self) -> np.ndarray:
+        # H^_FOLD_LANES is the GHASH of H followed by _FOLD_LANES - 2
+        # zero blocks (one multiply-by-H per block), swept on the H
+        # plane so the batched path never builds the scalar tables.
+        h = self._h
+        words = np.zeros((1, 2 * (_FOLD_LANES - 1)), dtype=np.uint64)
+        words[0, :2] = (h >> 64, h & _MASK64)
+        hi, lo = _frame_ghash([self], np.zeros(1, dtype=np.intp), words, 1)[0]
+        return _gather_plane((int(hi) << 64) | int(lo))
 
     def _ghash_scalar(self, state: int, data: bytes) -> int:
         """Horner sweep ``state = (state ^ block) * H`` over the whole
@@ -141,18 +161,16 @@ class _TableGhash:
 
 
 class GCM(_TableGhash):
-    """AES-GCM (NIST SP 800-38D) with table-driven GHASH.
+    """AES-GCM (NIST SP 800-38D): CTR plus the shared GHASH engine.
 
-    Short inputs run the shared scalar kernel (16 byte-table lookups
-    per block, :class:`_TableGhash`).  From ``_BATCH_MIN`` blocks up
-    the blocks are folded into ``_LANES`` parallel accumulators — each
-    Horner step multiplies all lanes by H^_LANES at once with numpy
-    gathers — which is what keeps provisioning of multi-kB models off
-    the per-block Python path.
+    Short inputs run the scalar kernel (16 byte-table lookups per
+    block, :class:`_TableGhash`).  From ``_BATCH_MIN`` blocks up a
+    message takes the frame tags' batched sweep as a group of one,
+    folded over ``_FOLD_LANES`` lanes — which is what keeps
+    provisioning of multi-kB models off the per-block Python path.
     """
 
     tag_size = 16
-    _LANES = 64          # lane width of the batched GHASH fold
     _BATCH_MIN = 256     # below this many blocks the scalar tables win
 
     def __init__(self, key: bytes, reference: bool | None = None) -> None:
@@ -212,73 +230,29 @@ class GCM(_TableGhash):
                 x ^= _REDUCE[i]
         return x
 
-    # --- batched GHASH --------------------------------------------------
+    # --- GHASH ------------------------------------------------------------
 
-    @functools.cached_property
-    def _lane_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(16, 256) hi/lo uint64 gather tables for multiply-by-H^_LANES."""
-        # H * H^(_LANES - 1): a sweep of H over _LANES - 1 zero blocks.
-        power = self._ghash_scalar(self._h, bytes(16 * (self._LANES - 1)))
-        return _gather_tables(power)
-
-    def _ghash_blocks_batched(self, blocks: np.ndarray) -> int:
-        """GHASH of (N, 16) uint8 blocks from a zero initial state."""
-        lanes = self._LANES
-        tbl_hi, tbl_lo = self._lane_tables
-        pad = (-len(blocks)) % lanes
-        if pad:
-            # Leading zero blocks leave the Horner state at zero, so the
-            # padded sequence hashes to the same value.
-            blocks = np.concatenate(
-                [np.zeros((pad, 16), dtype=np.uint8), blocks])
-        words = np.ascontiguousarray(blocks).view(">u8").astype(np.uint64)
-        rows = words.reshape(-1, lanes, 2)
-        state_hi = rows[0, :, 0].copy()
-        state_lo = rows[0, :, 1].copy()
-        mask = np.uint64(0xFF)
-        for row in rows[1:]:
-            new_hi = np.zeros_like(state_hi)
-            new_lo = np.zeros_like(state_lo)
-            for k in range(16):
-                if k < 8:
-                    idx = ((state_lo >> np.uint64(8 * k)) & mask).astype(np.intp)
-                else:
-                    idx = ((state_hi >> np.uint64(8 * (k - 8))) & mask).astype(np.intp)
-                new_hi ^= tbl_hi[k][idx]
-                new_lo ^= tbl_lo[k][idx]
-            state_hi = new_hi ^ row[:, 0]
-            state_lo = new_lo ^ row[:, 1]
-        # Combine the lane accumulators: Y = sum_l S_l * H^(lanes - l),
-        # i.e. a Horner sweep over the lane sums as blocks.
-        lane_sums = np.stack([state_hi, state_lo], axis=1).astype(">u8")
-        return self._ghash_scalar(0, lane_sums.tobytes())
-
-    def _ghash_segments(self, segments: tuple[bytes, ...]) -> int:
-        """GHASH (zero-padded segments each a whole number of blocks)."""
-        padded = b"".join(
-            seg + b"\x00" * ((-len(seg)) % 16) for seg in segments)
-        n_blocks = len(padded) // 16
+    def _ghash(self, aad: bytes, ciphertext: bytes) -> bytes:
+        """GHASH of one :func:`_tag_padded` message, as 16 bytes."""
+        padded = _tag_padded(aad, ciphertext)
         if self._reference:
             state = 0
             for offset in range(0, len(padded), 16):
                 state = self._ghash_block(state, padded[offset:offset + 16])
-            return state
-        if n_blocks >= self._BATCH_MIN:
-            blocks = np.frombuffer(padded, dtype=np.uint8).reshape(-1, 16)
-            return self._ghash_blocks_batched(blocks)
-        return self._ghash_scalar(0, padded)
-
-    def _ghash(self, aad: bytes, ciphertext: bytes) -> bytes:
-        lengths = struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
-        state = self._ghash_segments((aad, ciphertext, lengths))
+        elif len(padded) < 16 * self._BATCH_MIN:
+            state = self._ghash_scalar(0, padded)
+        else:
+            return _ghash_many([self], [padded])[0].tobytes()
         return state.to_bytes(16, "big")
 
     def _j0(self, nonce: bytes) -> bytes:
+        if not nonce:
+            # An empty nonce would GHASH to J0 = 0^128, and the tag
+            # mask E_k(J0) would be the GHASH key H itself.
+            raise KeyError_("GCM nonce must be non-empty")
         if len(nonce) == 12:
             return nonce + b"\x00\x00\x00\x01"
-        state = self._ghash_segments(
-            (nonce, struct.pack(">QQ", 0, len(nonce) * 8)))
-        return state.to_bytes(16, "big")
+        return self._ghash(b"", nonce)
 
     def _ctr(self, counter: bytes, data: bytes) -> bytes:
         if self._reference:
@@ -287,8 +261,6 @@ class GCM(_TableGhash):
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> tuple[bytes, bytes]:
         """Return ``(ciphertext, tag)`` for ``plaintext`` under ``nonce``."""
-        if not nonce:
-            raise KeyError_("GCM nonce must be non-empty")
         j0 = self._j0(nonce)
         ciphertext = self._ctr(_inc32(j0), plaintext)
         s = self._ghash(aad, ciphertext)
@@ -380,23 +352,6 @@ def _expand_tables(h: int) -> list[list[int]]:
     return [_byte_row(basis) for basis in _row_bases(h)]
 
 
-def _gather_tables(multiplier: int) -> tuple[np.ndarray, np.ndarray]:
-    """The same sixteen byte tables for ``multiplier`` as (16, 256)
-    hi/lo uint64 arrays, row ``k`` for byte significance ``k`` (LSB is
-    0), each row doubled out of its basis in numpy as
-    :func:`_byte_row` does in Python."""
-    flat = [v for basis in _row_bases(multiplier) for v in basis]
-    hi = np.array([v >> 64 for v in flat], dtype=np.uint64).reshape(16, 8)
-    lo = np.array([v & _MASK64 for v in flat],
-                  dtype=np.uint64).reshape(16, 8)
-    rows_hi = np.zeros((16, 1), dtype=np.uint64)
-    rows_lo = np.zeros((16, 1), dtype=np.uint64)
-    for bit in range(8):
-        rows_hi = np.concatenate([rows_hi, rows_hi ^ hi[:, bit:bit + 1]], 1)
-        rows_lo = np.concatenate([rows_lo, rows_lo ^ lo[:, bit:bit + 1]], 1)
-    return rows_hi, rows_lo
-
-
 # --- detached frame tags (serving rings) -----------------------------------
 
 def _check_j0(j0: bytes) -> bytes:
@@ -429,11 +384,8 @@ class FrameTagKey(_TableGhash):
     sealing lane's first 16 keystream bytes *are* ``E_k(0^16)``, i.e.
     the GHASH key of that lane's AES key.
 
-    :meth:`tag` runs the shared scalar kernel; :func:`frame_tags_batched`
-    sweeps a group of frames at once through the numpy gather planes
-    (``_planes`` for H, ``_fold_planes`` for H^_FOLD_LANES).  Every
-    table is built on first use, so sessions that never move traffic
-    pay nothing and short-frame keys never build the fold planes.
+    :meth:`tag` runs the engine's scalar kernel; :func:`frame_tags_batched`
+    sweeps a group of frames at once through its gather planes.
     """
 
     def __init__(self, key: bytes) -> None:
@@ -442,21 +394,6 @@ class FrameTagKey(_TableGhash):
     @property
     def _h(self) -> int:
         return int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
-
-    @functools.cached_property
-    def _planes(self) -> np.ndarray:
-        return _gather_plane(self._h)
-
-    @functools.cached_property
-    def _fold_planes(self) -> np.ndarray:
-        # H^_FOLD_LANES is the GHASH of H followed by _FOLD_LANES - 2
-        # zero blocks (one multiply-by-H per block), swept on the H
-        # plane so the batched path never builds the scalar tables.
-        h = self._h
-        words = np.zeros((1, 2 * (_FOLD_LANES - 1)), dtype=np.uint64)
-        words[0, :2] = (h >> 64, h & _MASK64)
-        hi, lo = _frame_ghash([self], np.zeros(1, dtype=np.intp), words, 1)[0]
-        return _gather_plane((int(hi) << 64) | int(lo))
 
     def tag(self, j0: bytes, aad: bytes, ciphertext: bytes) -> bytes:
         """Scalar single-frame tag (one 16-lookup step per block)."""
@@ -482,11 +419,20 @@ _PLANE_OFFSETS = (np.arange(16, dtype=np.intp) * 256)[:, None]
 def _gather_plane(multiplier: int) -> np.ndarray:
     """Multiply-by-``multiplier`` as one flat (16 * 256,) plane of
     16-byte (hi, lo) entries: entry ``v * 256 + b`` is ``b`` placed at
-    view byte ``v`` of the state, times the multiplier."""
-    hi, lo = _gather_tables(multiplier)
-    pairs = np.stack([hi[_VIEW_SIGNIFICANCE], lo[_VIEW_SIGNIFICANCE]],
-                     axis=-1)
-    return pairs.reshape(-1).view(np.dtype("V16"))
+    view byte ``v`` of the state, times the multiplier.
+
+    Each of the sixteen byte tables is doubled out of its
+    :func:`_row_bases` basis in numpy, as :func:`_byte_row` does in
+    Python, then the tables are reordered from significance to view
+    byte.
+    """
+    bases = np.frombuffer(b"".join(
+        value.to_bytes(16, "big") for basis in _row_bases(multiplier)
+        for value in basis), dtype=">u8").astype(np.uint64).reshape(16, 8, 2)
+    rows = np.zeros((16, 1, 2), dtype=np.uint64)
+    for bit in range(8):
+        rows = np.concatenate([rows, rows ^ bases[:, bit:bit + 1]], axis=1)
+    return rows[_VIEW_SIGNIFICANCE].reshape(-1).view(np.dtype("V16"))
 
 
 # Lane width of the two-level fold for long messages: a message's
@@ -546,6 +492,39 @@ def _frame_ghash(owners, key_map: np.ndarray, words: np.ndarray,
     return state
 
 
+def _ghash_many(keys, messages: list[bytes]) -> np.ndarray:
+    """GHASH of N whole-block messages in one :func:`_frame_ghash`
+    sweep, message i under ``keys[i]``; returns the (N, 16) uint8
+    big-endian states.
+
+    Shorter messages are front-padded with zero blocks, which leave a
+    Horner state of zero unchanged; from ``2 * _FOLD_LANES`` blocks up
+    the sweep folds over ``_FOLD_LANES`` lanes.  Keys repeated across
+    messages share one slice of the concatenated planes.
+    """
+    n = len(keys)
+    n_blocks = max(len(message) for message in messages) // 16
+    lanes = _FOLD_LANES if n_blocks >= 2 * _FOLD_LANES else 1
+    n_blocks = (n_blocks + lanes - 1) // lanes * lanes
+    blocks = np.zeros((n, n_blocks * 16), dtype=np.uint8)
+    for i, message in enumerate(messages):
+        blocks[i, blocks.shape[1] - len(message):] = np.frombuffer(
+            message, dtype=np.uint8)
+
+    owners: list[_TableGhash] = []
+    slots: dict[int, int] = {}
+    key_map = np.empty(n, dtype=np.intp)
+    for i, key in enumerate(keys):
+        slot = slots.get(id(key))
+        if slot is None:
+            slot = slots[id(key)] = len(owners)
+            owners.append(key)
+        key_map[i] = slot
+    state = _frame_ghash(owners, key_map,
+                         blocks.view(">u8").astype(np.uint64), lanes)
+    return state.astype(">u8").view(np.uint8).reshape(n, 16)
+
+
 def frame_tags_batched(keys, j0s, aads, ciphertexts) -> list[bytes]:
     """Detached GCM tags for N frames in one table-driven GHASH sweep.
 
@@ -565,30 +544,11 @@ def frame_tags_batched(keys, j0s, aads, ciphertexts) -> list[bytes]:
         raise KeyError_("frame_tags_batched: argument length mismatch")
     if n == 0:
         return []
-    messages = [_tag_padded(aad, ct) for aad, ct in zip(aads, ciphertexts)]
-    n_blocks = max(len(message) for message in messages) // 16
-    lanes = _FOLD_LANES if n_blocks >= 2 * _FOLD_LANES else 1
-    n_blocks = (n_blocks + lanes - 1) // lanes * lanes
-    blocks = np.zeros((n, n_blocks * 16), dtype=np.uint8)
-    for i, message in enumerate(messages):
-        blocks[i, blocks.shape[1] - len(message):] = np.frombuffer(
-            message, dtype=np.uint8)
-
-    owners: list[FrameTagKey] = []
-    slots: dict[int, int] = {}
-    key_map = np.empty(n, dtype=np.intp)
-    for i, key in enumerate(keys):
-        slot = slots.get(id(key))
-        if slot is None:
-            slot = slots[id(key)] = len(owners)
-            owners.append(key)
-        key_map[i] = slot
-    state = _frame_ghash(owners, key_map,
-                         blocks.view(">u8").astype(np.uint64), lanes)
-    state = state.astype(">u8").view(np.uint8).reshape(n, 16)
+    state = _ghash_many(keys, [_tag_padded(aad, ct)
+                               for aad, ct in zip(aads, ciphertexts)])
 
     if (n >= _MASK_BATCH_MIN
-            and len({key._aes.rounds for key in owners}) == 1):
+            and len({key._aes.rounds for key in keys}) == 1):
         j0_blocks = np.frombuffer(b"".join(_check_j0(j0) for j0 in j0s),
                                   dtype=np.uint8).reshape(n, 16)
         masks = AES.encrypt_blocks_under([key._aes for key in keys],

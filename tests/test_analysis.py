@@ -471,8 +471,7 @@ def test_ghash_table_lookups_are_visible_to_consttime():
 
     from repro.analysis.config import CONSTTIME_ALLOWLIST, AnalysisConfig
 
-    kernels = {"GCM._ghash_blocks_batched", "_TableGhash._ghash_scalar",
-               "_frame_ghash"}
+    kernels = {"_TableGhash._ghash_scalar", "_frame_ghash"}
     path = os.path.join(_SRC_REPRO, "crypto", "modes.py")
     config = dataclasses.replace(
         AnalysisConfig(),
@@ -494,6 +493,38 @@ def test_ghash_table_lookups_are_visible_to_consttime():
     assert set().union(*owners) == kernels
     assert {finding.message for finding in findings} == {
         "secret-dependent table index"}
+
+
+def test_consttime_config_names_exist():
+    """A stale inline waiver is a finding, but a stale allowlist entry
+    or secret-attribute name would silently match nothing: every
+    allowlisted qualname must be a function under ``src/repro``, and
+    every secret attribute must be defined or assigned in ``crypto/``."""
+    import ast
+
+    from repro.analysis.config import (
+        CONSTTIME_ALLOWLIST,
+        CONSTTIME_SECRET_ATTRIBUTES,
+    )
+    from repro.analysis.engine import iter_python_files
+    from repro.analysis.rules.consttime import _functions_with_qualnames
+
+    qualnames, attributes = set(), set()
+    crypto = os.path.join(_SRC_REPRO, "crypto") + os.sep
+    for path in iter_python_files([_SRC_REPRO]):
+        module = load_module(path)
+        qualnames.update(name for name, _, _ in
+                         _functions_with_qualnames(module))
+        if not path.startswith(crypto):
+            continue
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                attributes.add(node.name)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)):
+                attributes.add(node.attr)
+    assert CONSTTIME_ALLOWLIST - qualnames == set()
+    assert CONSTTIME_SECRET_ATTRIBUTES - attributes == set()
 
 
 # --- interprocedural taint --------------------------------------------------

@@ -103,8 +103,15 @@ def test_gcm_non_96bit_nonce():
 
 
 def test_gcm_rejects_empty_nonce():
+    # An empty nonce makes J0 = 0^128, so the tag mask E_k(J0) would be
+    # the GHASH key H: decryption must refuse it as encryption does.
+    ciphertext, tag = GCM(KEY).encrypt(IV, b"data")
     with pytest.raises(KeyError_):
         GCM(KEY).encrypt(b"", b"data")
+    with pytest.raises(KeyError_):
+        GCM(KEY).decrypt(b"", ciphertext, tag)
+    with pytest.raises(KeyError_):
+        gcm_decrypt(KEY, ciphertext + tag, nonce_size=0)
 
 
 def test_one_shot_helpers_roundtrip():

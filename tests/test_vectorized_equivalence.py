@@ -98,13 +98,21 @@ def test_ctr_keystream_matches_reference(size):
             == ctr_keystream_xor_reference(cipher, counter, data))
 
 
-@pytest.mark.parametrize("size", [0, 16, 100, GCM._BATCH_MIN * 16 - 16,
-                                  GCM._BATCH_MIN * 16 + 16, 50000])
-def test_gcm_fast_matches_reference(size):
+_GCM_SIZES = [0, 16, 100, GCM._BATCH_MIN * 16 - 16, GCM._BATCH_MIN * 16 + 16,
+              50000]
+
+
+@pytest.mark.parametrize("size,nonce_size", [
+    # 96-bit nonces keep their bare size ids; 8- and 60-byte nonces
+    # derive J0 by GHASH, which a round trip alone cannot check.
+    pytest.param(size, nonce_size, id=str(size) if nonce_size == 12
+                 else f"{size}-nonce{nonce_size}")
+    for nonce_size in (12, 8, 60) for size in _GCM_SIZES])
+def test_gcm_fast_matches_reference(size, nonce_size):
     """Ciphertext AND tag identical across the batching threshold."""
     rng = np.random.default_rng(size + 1)
     key = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
-    nonce = bytes(rng.integers(0, 256, size=12, dtype=np.uint8))
+    nonce = bytes(rng.integers(0, 256, size=nonce_size, dtype=np.uint8))
     aad = bytes(rng.integers(0, 256, size=37, dtype=np.uint8))
     plaintext = bytes(rng.integers(0, 256, size=size, dtype=np.uint8))
     ct_fast, tag_fast = GCM(key).encrypt(nonce, plaintext, aad)
