@@ -91,7 +91,7 @@ class BatchScheduler:
         from the oldest request's apparent age, delaying deadline
         flushes — the fault models a drifting batch timer, not a clock
         change, so :meth:`oldest_wait_ms` (and hence the watchdog in
-        :class:`~repro.serve.service.ServingService`) is unaffected.
+        :class:`~repro.serve.loop.ServingLoop`) is unaffected.
         """
         if len(self._pending) >= self.max_batch:
             return True

@@ -29,7 +29,7 @@ from repro.hw.timing import DEFAULT_PROFILE, TimingProfile, VirtualClock
 from repro.obs import hooks as _obs
 from repro.tflm.arena import ArenaPlan, plan_arena
 from repro.tflm.model import Model
-from repro.tflm.ops.base import OpCost
+from repro.tflm.ops.base import Op, OpCost
 from repro.tflm.ops.fused import FusedChain, fuse_operators
 
 __all__ = ["InvokeStats", "Interpreter"]
@@ -100,6 +100,7 @@ class Interpreter:
         self._l2_excluded = False
         self.last_stats = InvokeStats()
         self.total_invokes = 0
+        self._batch_outputs: dict[str, np.ndarray] | None = None
 
     # --- timing --------------------------------------------------------
 
@@ -132,13 +133,14 @@ class Interpreter:
             return None
         return telemetry.tracer
 
-    def _op_costs(self) -> list[tuple[OpCost, int]]:
-        """(cost, constituent-op count) per plan entry — fused chains
-        report the summed cost and their member count."""
+    def _entries(self) -> list[tuple[Op, OpCost, int, object]]:
+        """(op, cost, constituent-op count, plan) per dispatch — fused
+        chains report the summed cost and their member count.  Reference
+        mode recomputes every operator's cost on each call, as the
+        original per-invoke loop did."""
         if self._invoke_plan is not None:
-            return [(cost, n_ops)
-                    for _, cost, n_ops, _ in self._invoke_plan]
-        return [(op.cost(self.model.tensors), 1)
+            return self._invoke_plan
+        return [(op, op.cost(self.model.tensors), 1, None)
                 for op in self.model.operators]
 
     def estimate_cycles(self) -> int:
@@ -148,7 +150,7 @@ class Interpreter:
         if self._is_float_graph():
             mac_cycles *= profile.float_mac_multiplier
         total = 0.0
-        for cost, n_ops in self._op_costs():
+        for _, cost, n_ops, _ in self._entries():
             total += (cost.macs * mac_cycles
                       + cost.elements * profile.cycles_per_element
                       + n_ops * profile.cycles_per_op_dispatch)
@@ -169,43 +171,26 @@ class Interpreter:
         self._tensors[name] = array
         self._inputs_set.add(name)
 
-    def invoke(self) -> InvokeStats:
-        """Run all operators in order; returns the cost accounting."""
-        missing = set(self.model.inputs) - self._inputs_set
-        if missing:
-            raise InterpreterError(f"inputs not set: {sorted(missing)}")
+    def _execute(self, run, batch: int) -> InvokeStats:
+        """Dispatch every entry through ``run(op, plan)`` and charge it.
+
+        MAC/element work scales with ``batch``; dispatch is charged once
+        per constituent op, whatever the batch — the simulated face of
+        the amortization batching gives the host.
+        """
         stats = InvokeStats()
         tracer = self._op_profiler()
-        if self._invoke_plan is not None and tracer is not None:
-            for op, cost, n_ops, op_plan in self._invoke_plan:
-                with tracer.span(f"op.{type(op).__name__}", macs=cost.macs,
-                                 elements=cost.elements):
-                    if op_plan is not None:
-                        op.run(self._tensors, self.model.tensors,
-                               plan=op_plan)
-                    else:
-                        op.run(self._tensors, self.model.tensors)
-                stats.macs += cost.macs
-                stats.elements += cost.elements
-                stats.ops += n_ops
-        elif self._invoke_plan is not None:
-            for op, cost, n_ops, op_plan in self._invoke_plan:
-                if op_plan is not None:
-                    op.run(self._tensors, self.model.tensors, plan=op_plan)
-                else:
-                    op.run(self._tensors, self.model.tensors)
-                stats.macs += cost.macs
-                stats.elements += cost.elements
-                stats.ops += n_ops
-        else:
-            # Reference mode: the original pre-plan behavior, for the
-            # wall-clock benchmark baseline.
-            for op in self.model.operators:
-                op.run_reference(self._tensors, self.model.tensors)
-                cost = op.cost(self.model.tensors)
-                stats.macs += cost.macs
-                stats.elements += cost.elements
-                stats.ops += 1
+        for op, cost, n_ops, op_plan in self._entries():
+            if tracer is None:
+                run(op, op_plan)
+            else:
+                with tracer.span(f"op.{type(op).__name__}", batch=batch,
+                                 macs=cost.macs * batch,
+                                 elements=cost.elements * batch):
+                    run(op, op_plan)
+            stats.macs += cost.macs * batch
+            stats.elements += cost.elements * batch
+            stats.ops += n_ops
         profile = self._profile
         mac_cycles = profile.cycles_per_mac
         if self._is_float_graph():
@@ -223,7 +208,22 @@ class Interpreter:
         elif self._freq_hz:
             stats.simulated_ms = stats.cycles / self._freq_hz * 1e3
         self.last_stats = stats
-        self.total_invokes += 1
+        self.total_invokes += batch
+        return stats
+
+    def invoke(self) -> InvokeStats:
+        """Run all operators in order; returns the cost accounting."""
+        missing = set(self.model.inputs) - self._inputs_set
+        if missing:
+            raise InterpreterError(f"inputs not set: {sorted(missing)}")
+        tensors, specs = self._tensors, self.model.tensors
+        if self._invoke_plan is None:
+            def run(op, plan):
+                op.run_reference(tensors, specs)
+        else:
+            def run(op, plan):
+                op.run(tensors, specs, plan=plan)
+        stats = self._execute(run, 1)
         self._invoked = True
         return stats
 
@@ -238,11 +238,8 @@ class Interpreter:
         same convention.  Results are bit-exact against ``batch``
         sequential :meth:`invoke` calls: kernels without an order-safe
         vectorized path run the per-sample fallback, and the exact-int8
-        GEMMs are reassociation-free (see ``Op.run_batch``).
-
-        Cycle accounting scales MAC/element work by the batch but
-        charges each op's dispatch cost once — the simulated face of the
-        same amortization the host sees.
+        GEMMs are reassociation-free (see ``Op.run_batch``).  Cycles are
+        charged as in :meth:`_execute`.
         """
         missing = set(self.model.inputs) - set(inputs)
         if missing:
@@ -251,9 +248,9 @@ class Interpreter:
         tensors: dict[str, np.ndarray] = dict(self.model.constants)
         batched: set[str] = set()
         for name, array in inputs.items():
-            spec = self.model.tensors[name]
             if name not in self.model.inputs:
                 raise InterpreterError(f"{name!r} is not a model input")
+            spec = self.model.tensors[name]
             if spec.shape[0] != 1:
                 raise InterpreterError(
                     f"input {name!r} has leading dim {spec.shape[0]}; "
@@ -276,63 +273,23 @@ class Interpreter:
         if not batch:
             raise InterpreterError("batch must be at least 1")
 
-        stats = InvokeStats()
-        tracer = self._op_profiler()
-        if self._invoke_plan is not None and tracer is not None:
-            for op, cost, n_ops, op_plan in self._invoke_plan:
-                with tracer.span(f"op.{type(op).__name__}", batch=batch,
-                                 macs=cost.macs * batch,
-                                 elements=cost.elements * batch):
-                    op.run_batch(tensors, self.model.tensors, batch,
-                                 batched, plan=op_plan)
-                stats.macs += cost.macs * batch
-                stats.elements += cost.elements * batch
-                stats.ops += n_ops
-        elif self._invoke_plan is not None:
-            for op, cost, n_ops, op_plan in self._invoke_plan:
-                op.run_batch(tensors, self.model.tensors, batch, batched,
-                             plan=op_plan)
-                stats.macs += cost.macs * batch
-                stats.elements += cost.elements * batch
-                stats.ops += n_ops
-        else:
-            for op in self.model.operators:
-                op.run_batch(tensors, self.model.tensors, batch, batched,
-                             reference=True)
-                cost = op.cost(self.model.tensors)
-                stats.macs += cost.macs * batch
-                stats.elements += cost.elements * batch
-                stats.ops += 1
-        profile = self._profile
-        mac_cycles = profile.cycles_per_mac
-        if self._is_float_graph():
-            mac_cycles *= profile.float_mac_multiplier
-        cycles = (stats.macs * mac_cycles
-                  + stats.elements * profile.cycles_per_element
-                  + stats.ops * profile.cycles_per_op_dispatch)
-        if self._l2_excluded:
-            cycles *= 1.0 + profile.l2_exclusion_penalty
-        stats.cycles = int(cycles)
-        if self._clock is not None:
-            before = self._clock.now_ms
-            self._clock.advance_cycles(stats.cycles, self._freq_hz)
-            stats.simulated_ms = self._clock.now_ms - before
-        elif self._freq_hz:
-            stats.simulated_ms = stats.cycles / self._freq_hz * 1e3
-        self.last_stats = stats
-        self.total_invokes += batch
+        specs = self.model.tensors
+        reference = self._invoke_plan is None
+
+        def run(op, plan):
+            op.run_batch(tensors, specs, batch, batched, plan=plan,
+                         reference=reference)
+        stats = self._execute(run, batch)
         self._batch_outputs = {name: tensors[name]
                                for name in self.model.outputs}
-        self._last_batch = batch
         return stats
 
     def get_output_batch(self, name: str) -> np.ndarray:
         if name not in self.model.outputs:
             raise InterpreterError(f"{name!r} is not a model output")
-        outputs = getattr(self, "_batch_outputs", None)
-        if outputs is None:
+        if self._batch_outputs is None:
             raise InterpreterError("invoke_batch() has not been called yet")
-        return outputs[name]
+        return self._batch_outputs[name]
 
     def classify_batch(self, batch_array: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ class _Clamp(Op):
                 f"{out_spec.shape}/{out_spec.dtype})"
             )
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         x_spec = specs[self.inputs[0]]
         x = tensors[self.inputs[0]]
         if x_spec.dtype == "float32":

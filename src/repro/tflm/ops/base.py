@@ -30,7 +30,9 @@ class Op:
 
     Subclasses define ``opcode`` and implement :meth:`run` (writing
     every output tensor) and :meth:`cost`.  Tensors are addressed by
-    name in the interpreter's tensor map.
+    name in the interpreter's tensor map.  ``run`` takes the op's
+    :meth:`plan` result as ``plan``; with ``None`` it works out what it
+    needs itself.
     """
 
     opcode = "op"
@@ -50,7 +52,7 @@ class Op:
                 )
 
     def run(self, tensors: dict[str, np.ndarray],
-            specs: dict[str, TensorSpec]) -> None:
+            specs: dict[str, TensorSpec], plan=None) -> None:
         raise NotImplementedError
 
     def run_reference(self, tensors: dict[str, np.ndarray],
@@ -88,10 +90,8 @@ class Op:
                     frame[name] = tensors[name][n].reshape(specs[name].shape)
             if reference:
                 self.run_reference(frame, specs)
-            elif plan is not None:
-                self.run(frame, specs, plan=plan)
             else:
-                self.run(frame, specs)
+                self.run(frame, specs, plan=plan)
             for name in self.outputs:
                 out = frame[name]
                 spec = specs[name]

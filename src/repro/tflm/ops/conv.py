@@ -1,9 +1,13 @@
 """Convolution kernels (float reference and int8 quantized).
 
 Layouts follow TFLite: activations NHWC, Conv2D filters OHWI,
-DepthwiseConv2D filters (1, H, W, C_out).  The int8 path accumulates in
-int32 and requantizes with the gemmlowp fixed-point multiplier, so it is
-bit-compatible with TFLM's reference kernels for per-tensor quantization.
+DepthwiseConv2D filters (1, H, W, C_out).  The int8 reference kernels
+accumulate in int32 and requantize with the gemmlowp fixed-point
+multiplier, so they are bit-compatible with TFLM's reference kernels for
+per-tensor quantization.  The fast int8 kernel runs an exact float64
+GEMM over raw int8 codes with the input zero-point folded into the bias
+(see :func:`repro.tflm.quantize.fold_requant`): every product and sum is
+an integer far below 2^53, so its output is bit-identical.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import numpy as np
 from repro.errors import InterpreterError
 from repro.tflm.ops.base import Op, OpCost, register_op
 from repro.tflm.quantize import (
-    multiply_by_quantized_multiplier_inplace,
-    quantize_multiplier,
+    fold_requant,
+    requantize_folded,
     requantize_int32,
 )
 from repro.tflm.tensor import TensorSpec
@@ -62,38 +66,17 @@ def _im2col_reference(x: np.ndarray, kh: int, kw: int, stride_h: int,
     return cols
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride_h: int, stride_w: int,
-            pad: tuple[int, int, int, int], pad_value) -> np.ndarray:
-    """(1, H, W, C) -> (out_h * out_w, kh * kw * C) patch matrix.
-
-    Stride-trick fast path: every patch is a view into the padded
-    input via :func:`np.lib.stride_tricks.sliding_window_view`, so the
-    only copy is the final reshape into the GEMM layout.  Identical
-    output to :func:`_im2col_reference` (pinned by randomized tests).
-    """
-    _, h, w, c = x.shape
-    pt, pb, pl, pr = pad
-    padded = np.full((h + pt + pb, w + pl + pr, c), pad_value,
-                     dtype=x.dtype)
-    padded[pt:pt + h, pl:pl + w, :] = x[0]
-    # (H'-kh+1, W'-kw+1, C, kh, kw) windows, subsampled by the strides.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kh, kw), axis=(0, 1))[::stride_h, ::stride_w]
-    out_h, out_w = windows.shape[0], windows.shape[1]
-    # -> (out_h, out_w, kh, kw, C) -> (spatial, kh * kw * C).
-    cols = windows.transpose(0, 1, 3, 4, 2)
-    return cols.reshape(out_h * out_w, kh * kw * c)
-
-
 def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride_h: int,
                   stride_w: int, pad: tuple[int, int, int, int],
                   pad_value) -> tuple[np.ndarray, int, int]:
     """(N, H, W, C) -> ((N * out_h * out_w, kh * kw * C), out_h, out_w).
 
-    The batched sibling of :func:`_im2col`: one padded allocation and
-    one sliding-window view cover every sample, so the per-sample cost
-    collapses to a slice of the final reshape.  Row ``n * out_h * out_w
-    + s`` equals row ``s`` of ``_im2col(x[n:n+1], ...)`` exactly.
+    Stride-trick fast path: one padded allocation and one
+    :func:`np.lib.stride_tricks.sliding_window_view` cover every sample,
+    so the only copy is the final reshape into the GEMM layout.  Row
+    ``n * out_h * out_w + s`` equals row ``s`` of
+    ``_im2col_reference(x[n:n+1], ...)`` exactly (pinned by randomized
+    tests).
     """
     n, h, w, c = x.shape
     pt, pb, pl, pr = pad
@@ -109,7 +92,9 @@ def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride_h: int,
 
 
 class _ConvBase(Op):
-    """Shared shape/padding logic for Conv2D and DepthwiseConv2D."""
+    """Shared shape/padding logic and kernels for Conv2D and
+    DepthwiseConv2D, which differ only in filter layout and contraction
+    (:meth:`_flat_weights`, :meth:`_gemm`)."""
 
     @staticmethod
     def _resolve_padding(x_shape, kh, kw, sh, sw, padding
@@ -147,6 +132,75 @@ class _ConvBase(Op):
                 f"{self.opcode}: mixed dtypes {x_spec.dtype}/{out_spec.dtype}"
             )
 
+    def plan(self, tensors, specs):
+        """Pre-resolve padding, pre-flatten/cast the filter, fold the
+        int8 requantization epilogue."""
+        if self.inputs[1] not in tensors:
+            return None
+        x_spec, w_spec, sh, sw, padding = self._geometry(specs)
+        bias = tensors[self.inputs[2]] if len(self.inputs) > 2 else None
+        _, kh, kw, _ = w_spec.shape
+        pad = self._resolve_padding(x_spec.shape, kh, kw, sh, sw, padding)
+        if x_spec.dtype == "float32":
+            weights = self._flat_weights(tensors[self.inputs[1]], np.float32)
+            return {"pad": pad, "weights": weights, "bias": bias}
+        # int8: the GEMM runs in float64, which is exact (per-term
+        # products are < 2^16 and sums far below 2^53) and hits BLAS
+        # instead of numpy's slow integer matmul.
+        weights = self._flat_weights(tensors[self.inputs[1]], np.float64)
+        return {"pad": pad, "weights": weights,
+                **fold_requant(x_spec.quant, w_spec.quant,
+                               specs[self.outputs[0]].quant,
+                               weights.sum(axis=0), bias,
+                               self.params.get("activation") == "relu")}
+
+    def _kernel(self, x, specs, plan) -> np.ndarray:
+        """(N, H, W, C) -> (N, out_h, out_w, out_c): one im2col and one
+        GEMM across every sample.
+
+        The int8 GEMM is exact, so grouping rows across samples cannot
+        change any sum.  float32 callers pass one sample at a time:
+        BLAS may reorder accumulation across shapes.
+        """
+        x_spec, w_spec, sh, sw, _ = self._geometry(specs)
+        _, kh, kw, _ = w_spec.shape
+        is_float = x_spec.dtype == "float32"
+        # Cast the input, not the kh*kw-times larger patch matrix: the
+        # im2col gather then writes the GEMM operand directly.
+        dtype = np.float32 if is_float else np.float64
+        pad_value = 0.0 if is_float else x_spec.quant.zero_point
+        cols, out_h, out_w = _im2col_batch(x.astype(dtype), kh, kw, sh, sw,
+                                           plan["pad"], pad_value)
+        acc = self._gemm(cols, plan["weights"])
+        if is_float:
+            if plan["bias"] is not None:
+                acc = acc + plan["bias"]
+            if self.params.get("activation") == "relu":
+                acc = np.maximum(acc, 0.0)
+            out = acc.astype(np.float32)
+        else:
+            out = requantize_folded(acc.astype(np.int64), plan)
+        return out.reshape(len(x), out_h, out_w, -1)
+
+    def run(self, tensors, specs, plan=None):
+        if plan is None:
+            plan = self.plan(tensors, specs)
+        tensors[self.outputs[0]] = self._kernel(tensors[self.inputs[0]],
+                                                specs, plan)
+
+    def run_batch(self, tensors, specs, batch, batched, plan=None,
+                  reference=False):
+        """int8 runs :meth:`_kernel` once over the whole batch; float32
+        keeps the per-sample default, which pins BLAS order."""
+        if (reference or plan is None
+                or specs[self.inputs[0]].dtype == "float32"
+                or self.inputs[0] not in batched):
+            return super().run_batch(tensors, specs, batch, batched,
+                                     plan=plan, reference=reference)
+        tensors[self.outputs[0]] = self._kernel(tensors[self.inputs[0]],
+                                                specs, plan)
+        batched.add(self.outputs[0])
+
 
 @register_op
 class Conv2D(_ConvBase):
@@ -165,139 +219,15 @@ class Conv2D(_ConvBase):
         out_w = conv_output_size(x_spec.shape[2], kw, sw, padding)
         return (1, out_h, out_w, out_c)
 
-    def plan(self, tensors, specs):
-        """Pre-resolve padding, pre-flatten/cast weights, pre-quantize
-        the requantization multiplier."""
-        if self.inputs[1] not in tensors:
-            return None
-        x_spec, w_spec, sh, sw, padding = self._geometry(specs)
-        out_spec = specs[self.outputs[0]]
-        weights = tensors[self.inputs[1]]
-        bias = tensors[self.inputs[2]] if len(self.inputs) > 2 else None
-        out_c, kh, kw, in_c = w_spec.shape
-        pad = self._resolve_padding(x_spec.shape, kh, kw, sh, sw, padding)
-        if x_spec.dtype == "float32":
-            flat_w_t = np.ascontiguousarray(
-                weights.reshape(out_c, -1).astype(np.float32).T)
-            return {"pad": pad, "flat_w_t": flat_w_t, "bias": bias,
-                    "requant": None}
-        # int8: GEMM runs in float64 (exact — per-term products are
-        # < 2^16 and accumulations far below 2^53), which hits BLAS
-        # instead of numpy's slow integer matmul.
-        flat_w_t = np.ascontiguousarray(
-            weights.reshape(out_c, -1).astype(np.float64).T)
-        bias = bias.astype(np.int64) if bias is not None else None
-        out_q = out_spec.quant
-        multiplier, shift = quantize_multiplier(
-            x_spec.quant.scale * w_spec.quant.scale / out_q.scale)
-        # Fold the input zero-point into the bias: sum((x-zp)*w) equals
-        # sum(x*w) - zp*sum(w) per output channel, and every term is an
-        # exact integer, so the GEMM can run on raw int8 codes and skip
-        # a full-array subtraction.
-        zp_x = x_spec.quant.zero_point
-        bias_eff = (-zp_x * flat_w_t.sum(axis=0)).astype(np.int64)
-        if bias is not None:
-            bias_eff = bias_eff + bias
-        fused_relu = self.params.get("activation") == "relu"
-        clip_lo = out_q.zero_point if fused_relu else -128
-        # Persistent per-interpreter scratch: the padded buffer keeps
-        # its zero-point border between invokes (only the interior is
-        # rewritten), and the strided window view over it is built once
-        # so each run is a single gather-cast copy into the GEMM layout.
-        _, h, w, in_channels = x_spec.shape
-        pt, pb, pl, pr = pad
-        padded = np.full((h + pt + pb, w + pl + pr, in_channels),
-                         np.int8(zp_x), dtype=np.int8)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, (kh, kw), axis=(0, 1))[::sh, ::sw].transpose(0, 1, 3, 4, 2)
-        out_h, out_w = windows.shape[0], windows.shape[1]
-        cols = np.empty((out_h * out_w, kh * kw * in_c), dtype=np.float64)
-        scratch = {
-            "padded": padded,
-            "interior": (slice(pt, pt + h), slice(pl, pl + w)),
-            "windows": windows,
-            "cols": cols,
-            "cols_view": cols.reshape(out_h, out_w, kh, kw, in_c),
-            "acc": np.empty((out_h * out_w, out_c), dtype=np.float64),
-            "acc64": np.empty((out_h * out_w, out_c), dtype=np.int64),
-        }
-        return {"pad": pad, "flat_w_t": flat_w_t, "bias": bias,
-                "requant": (multiplier, shift, out_q.zero_point),
-                "bias_eff": bias_eff, "clip": (clip_lo, 127),
-                "scratch": scratch}
+    @staticmethod
+    def _flat_weights(weights, dtype):
+        """OHWI -> (kh * kw * C_in, C_out), contiguous."""
+        return np.ascontiguousarray(
+            weights.reshape(weights.shape[0], -1).astype(dtype).T)
 
-    def run(self, tensors, specs, plan=None):
-        x = tensors[self.inputs[0]]
-        x_spec, w_spec, sh, sw, padding = self._geometry(specs)
-        out_spec = specs[self.outputs[0]]
-        out_c, kh, kw, in_c = w_spec.shape
-        fused_relu = self.params.get("activation") == "relu"
-        is_float = x_spec.dtype == "float32"
-        if plan is None:
-            plan = self.plan(tensors, specs)
-        pad, flat_w_t, bias = plan["pad"], plan["flat_w_t"], plan["bias"]
-
-        if is_float:
-            cols = _im2col(x, kh, kw, sh, sw, pad, 0.0)
-            acc = cols.astype(np.float32) @ flat_w_t
-            if bias is not None:
-                acc = acc + bias
-            if fused_relu:
-                acc = np.maximum(acc, 0.0)
-            tensors[self.outputs[0]] = acc.reshape(out_spec.shape).astype(np.float32)
-            return
-
-        # int8 path: raw-code GEMM with the zero-point folded into the
-        # bias (see plan()), running entirely in preallocated scratch.
-        sc = plan["scratch"]
-        row, col = sc["interior"]
-        sc["padded"][row, col] = x[0]
-        sc["cols_view"][...] = sc["windows"]
-        acc = sc["acc"]
-        np.matmul(sc["cols"], flat_w_t, out=acc)
-        acc64 = sc["acc64"]
-        np.copyto(acc64, acc, casting="unsafe")
-        acc64 += plan["bias_eff"]
-        multiplier, shift, zero_point = plan["requant"]
-        multiply_by_quantized_multiplier_inplace(acc64, multiplier, shift)
-        acc64 += zero_point
-        lo, hi = plan["clip"]
-        np.maximum(acc64, lo, out=acc64)
-        np.minimum(acc64, hi, out=acc64)
-        tensors[self.outputs[0]] = acc64.astype(np.int8).reshape(
-            out_spec.shape)
-
-    def run_batch(self, tensors, specs, batch, batched, plan=None,
-                  reference=False):
-        """Vectorized int8 batch: one im2col + one GEMM across samples.
-
-        Bit-exact against the per-sample loop: the GEMM accumulates in
-        exact float64 integer arithmetic (see :meth:`plan`), so row
-        grouping cannot change any sum.  float32 graphs fall back to the
-        per-sample default, where BLAS ordering is pinned per sample.
-        """
-        x_spec, w_spec, sh, sw, padding = self._geometry(specs)
-        if (reference or plan is None or x_spec.dtype == "float32"
-                or self.inputs[0] not in batched):
-            return super().run_batch(tensors, specs, batch, batched,
-                                     plan=plan, reference=reference)
-        x = tensors[self.inputs[0]]
-        out_spec = specs[self.outputs[0]]
-        out_c, kh, kw, in_c = w_spec.shape
-        pad, flat_w_t = plan["pad"], plan["flat_w_t"]
-        zp_x = x_spec.quant.zero_point
-        cols, _, _ = _im2col_batch(x, kh, kw, sh, sw, pad, np.int8(zp_x))
-        acc = (cols.astype(np.float64) @ flat_w_t).astype(np.int64)
-        acc += plan["bias_eff"]
-        multiplier, shift, zero_point = plan["requant"]
-        multiply_by_quantized_multiplier_inplace(acc, multiplier, shift)
-        acc += zero_point
-        lo, hi = plan["clip"]
-        np.maximum(acc, lo, out=acc)
-        np.minimum(acc, hi, out=acc)
-        tensors[self.outputs[0]] = acc.astype(np.int8).reshape(
-            (batch,) + out_spec.shape[1:])
-        batched.add(self.outputs[0])
+    @staticmethod
+    def _gemm(cols, weights):
+        return cols @ weights
 
     def run_reference(self, tensors, specs):
         """The original per-patch loop implementation, kept verbatim."""
@@ -361,100 +291,16 @@ class DepthwiseConv2D(_ConvBase):
         out_w = conv_output_size(x_spec.shape[2], kw, sw, padding)
         return (1, out_h, out_w, channels)
 
-    def plan(self, tensors, specs):
-        """Pre-resolve padding, pre-flatten/cast the filter, pre-quantize
-        the requantization multiplier."""
-        if self.inputs[1] not in tensors:
-            return None
-        x_spec, w_spec, sh, sw, padding = self._geometry(specs)
-        out_spec = specs[self.outputs[0]]
-        weights = tensors[self.inputs[1]]
-        bias = tensors[self.inputs[2]] if len(self.inputs) > 2 else None
-        _, kh, kw, channels = w_spec.shape
-        pad = self._resolve_padding(x_spec.shape, kh, kw, sh, sw, padding)
-        if x_spec.dtype == "float32":
-            flat_w = weights.reshape(kh * kw, channels).astype(np.float32)
-            return {"pad": pad, "flat_w": flat_w, "bias": bias,
-                    "requant": None}
-        flat_w = weights.reshape(kh * kw, channels).astype(np.float64)
-        bias = bias.astype(np.int64) if bias is not None else None
-        out_q = out_spec.quant
-        multiplier, shift = quantize_multiplier(
-            x_spec.quant.scale * w_spec.quant.scale / out_q.scale)
-        # Zero-point folding + clip bounds, as in Conv2D.plan.
-        zp_x = x_spec.quant.zero_point
-        bias_eff = (-zp_x * flat_w.sum(axis=0)).astype(np.int64)
-        if bias is not None:
-            bias_eff = bias_eff + bias
-        clip_lo = (out_q.zero_point
-                   if self.params.get("activation") == "relu" else -128)
-        return {"pad": pad, "flat_w": flat_w, "bias": bias,
-                "requant": (multiplier, shift, out_q.zero_point),
-                "bias_eff": bias_eff, "clip": (clip_lo, 127)}
+    @staticmethod
+    def _flat_weights(weights, dtype):
+        """(1, H, W, C) -> (kh * kw, C)."""
+        return weights.reshape(-1, weights.shape[3]).astype(dtype)
 
-    def run(self, tensors, specs, plan=None):
-        x = tensors[self.inputs[0]]
-        x_spec, w_spec, sh, sw, padding = self._geometry(specs)
-        out_spec = specs[self.outputs[0]]
-        _, kh, kw, channels = w_spec.shape
-        fused_relu = self.params.get("activation") == "relu"
-        is_float = x_spec.dtype == "float32"
-        if plan is None:
-            plan = self.plan(tensors, specs)
-        pad, flat_w, bias = plan["pad"], plan["flat_w"], plan["bias"]
-
-        pad_value = 0.0 if is_float else np.int8(x_spec.quant.zero_point)
-        cols = _im2col(x, kh, kw, sh, sw, pad, pad_value)
-        # cols: (spatial, kh*kw*channels) -> (spatial, kh*kw, channels)
-        cols = cols.reshape(cols.shape[0], kh * kw, channels)
-        if is_float:
-            acc = np.einsum("skc,kc->sc", cols.astype(np.float32), flat_w)
-            if bias is not None:
-                acc = acc + bias
-            if fused_relu:
-                acc = np.maximum(acc, 0.0)
-            tensors[self.outputs[0]] = acc.reshape(out_spec.shape).astype(np.float32)
-            return
-        # int8: raw-code einsum with folded zero-point (see Conv2D.plan).
-        acc = np.einsum("skc,kc->sc", cols.astype(np.float64),
-                        flat_w).astype(np.int64)
-        acc += plan["bias_eff"]
-        multiplier, shift, zero_point = plan["requant"]
-        multiply_by_quantized_multiplier_inplace(acc, multiplier, shift)
-        acc += zero_point
-        lo, hi = plan["clip"]
-        np.maximum(acc, lo, out=acc)
-        np.minimum(acc, hi, out=acc)
-        tensors[self.outputs[0]] = acc.astype(np.int8).reshape(
-            out_spec.shape)
-
-    def run_batch(self, tensors, specs, batch, batched, plan=None,
-                  reference=False):
-        """Vectorized int8 batch (exact arithmetic; see Conv2D.run_batch)."""
-        x_spec, w_spec, sh, sw, padding = self._geometry(specs)
-        if (reference or plan is None or x_spec.dtype == "float32"
-                or self.inputs[0] not in batched):
-            return super().run_batch(tensors, specs, batch, batched,
-                                     plan=plan, reference=reference)
-        x = tensors[self.inputs[0]]
-        out_spec = specs[self.outputs[0]]
-        _, kh, kw, channels = w_spec.shape
-        pad, flat_w = plan["pad"], plan["flat_w"]
-        zp_x = x_spec.quant.zero_point
-        cols, _, _ = _im2col_batch(x, kh, kw, sh, sw, pad, np.int8(zp_x))
-        cols = cols.reshape(cols.shape[0], kh * kw, channels)
-        acc = np.einsum("skc,kc->sc", cols.astype(np.float64),
-                        flat_w).astype(np.int64)
-        acc += plan["bias_eff"]
-        multiplier, shift, zero_point = plan["requant"]
-        multiply_by_quantized_multiplier_inplace(acc, multiplier, shift)
-        acc += zero_point
-        lo, hi = plan["clip"]
-        np.maximum(acc, lo, out=acc)
-        np.minimum(acc, hi, out=acc)
-        tensors[self.outputs[0]] = acc.astype(np.int8).reshape(
-            (batch,) + out_spec.shape[1:])
-        batched.add(self.outputs[0])
+    @staticmethod
+    def _gemm(cols, weights):
+        # cols: (spatial, kh*kw*C) -> (spatial, kh*kw, C)
+        cols = cols.reshape(cols.shape[0], weights.shape[0], weights.shape[1])
+        return np.einsum("skc,kc->sc", cols, weights)
 
     def run_reference(self, tensors, specs):
         """The original per-patch loop implementation, kept verbatim."""

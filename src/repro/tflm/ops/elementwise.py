@@ -42,7 +42,7 @@ class Add(_Binary):
 
     opcode = "add"
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         a_spec = specs[self.inputs[0]]
         out_spec = specs[self.outputs[0]]
         a = tensors[self.inputs[0]]
@@ -67,7 +67,7 @@ class Mul(_Binary):
 
     opcode = "mul"
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         a_spec = specs[self.inputs[0]]
         out_spec = specs[self.outputs[0]]
         a = tensors[self.inputs[0]]
@@ -112,7 +112,7 @@ class Concatenate(Op):
         if len(dtypes) != 1 or out_spec.dtype not in dtypes:
             raise InterpreterError("concatenate: dtypes must match")
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         axis = self.params.get("axis", -1)
         out_spec = specs[self.outputs[0]]
         parts = []

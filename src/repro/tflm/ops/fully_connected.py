@@ -7,8 +7,8 @@ import numpy as np
 from repro.errors import InterpreterError
 from repro.tflm.ops.base import Op, OpCost, register_op
 from repro.tflm.quantize import (
-    multiply_by_quantized_multiplier_inplace,
-    quantize_multiplier,
+    fold_requant,
+    requantize_folded,
     requantize_int32,
 )
 
@@ -47,104 +47,57 @@ class FullyConnected(Op):
             )
 
     def plan(self, tensors, specs):
-        """Pre-transpose/cast weights, pre-quantize the requant multiplier."""
+        """Pre-transpose/cast weights, fold the int8 requantization
+        epilogue."""
         if self.inputs[1] not in tensors:
             return None
         x_spec = specs[self.inputs[0]]
-        w_spec = specs[self.inputs[1]]
-        out_spec = specs[self.outputs[0]]
         weights = tensors[self.inputs[1]]
         bias = tensors[self.inputs[2]] if len(self.inputs) > 2 else None
         if x_spec.dtype == "float32":
             w_t = np.ascontiguousarray(weights.astype(np.float32).T)
-            return {"w_t": w_t, "bias": bias, "requant": None}
-        # int8: exact float64 GEMM (see Conv2D.plan for the bound).
+            return {"w_t": w_t, "bias": bias}
+        # int8: exact float64 GEMM (see _ConvBase.plan for the bound).
         w_t = np.ascontiguousarray(weights.astype(np.float64).T)
-        bias = bias.astype(np.int64) if bias is not None else None
-        out_q = out_spec.quant
-        multiplier, shift = quantize_multiplier(
-            x_spec.quant.scale * w_spec.quant.scale / out_q.scale)
-        # Zero-point folding + persistent scratch, as in Conv2D.plan.
-        zp_x = x_spec.quant.zero_point
-        bias_eff = (-zp_x * w_t.sum(axis=0)).astype(np.int64)
-        if bias is not None:
-            bias_eff = bias_eff + bias
-        clip_lo = (out_q.zero_point
-                   if self.params.get("activation") == "relu" else -128)
-        in_features = w_t.shape[0]
-        out_features = w_t.shape[1]
-        scratch = {
-            "xbuf": np.empty((1, in_features), dtype=np.float64),
-            "acc": np.empty((1, out_features), dtype=np.float64),
-            "acc64": np.empty((1, out_features), dtype=np.int64),
-        }
-        return {"w_t": w_t, "bias": bias,
-                "requant": (multiplier, shift, out_q.zero_point),
-                "bias_eff": bias_eff, "clip": (clip_lo, 127),
-                "scratch": scratch}
+        return {"w_t": w_t,
+                **fold_requant(x_spec.quant, specs[self.inputs[1]].quant,
+                               specs[self.outputs[0]].quant,
+                               w_t.sum(axis=0), bias,
+                               self.params.get("activation") == "relu")}
+
+    def _kernel(self, x, specs, plan) -> np.ndarray:
+        """(N, in_features) -> (N, out_features) in one GEMM.
+
+        The int8 GEMM is exact, so grouping rows across samples cannot
+        change any sum; float32 callers pass one sample at a time.
+        """
+        if specs[self.inputs[0]].dtype == "float32":
+            acc = x.astype(np.float32) @ plan["w_t"]
+            if plan["bias"] is not None:
+                acc = acc + plan["bias"]
+            if self.params.get("activation") == "relu":
+                acc = np.maximum(acc, 0.0)
+            return acc.astype(np.float32)
+        acc = x.astype(np.float64) @ plan["w_t"]
+        return requantize_folded(acc.astype(np.int64), plan)
 
     def run(self, tensors, specs, plan=None):
-        x_spec = specs[self.inputs[0]]
-        out_spec = specs[self.outputs[0]]
-        x = tensors[self.inputs[0]].reshape(1, -1)
-        fused_relu = self.params.get("activation") == "relu"
         if plan is None:
             plan = self.plan(tensors, specs)
-        w_t, bias = plan["w_t"], plan["bias"]
-
-        if x_spec.dtype == "float32":
-            acc = x.astype(np.float32) @ w_t
-            if bias is not None:
-                acc = acc + bias
-            if fused_relu:
-                acc = np.maximum(acc, 0.0)
-            tensors[self.outputs[0]] = acc.astype(np.float32)
-            return
-
-        # int8: raw-code GEMM in preallocated scratch with the
-        # zero-point folded into the bias (see plan()).
-        sc = plan["scratch"]
-        sc["xbuf"][0] = x[0]
-        acc = sc["acc"]
-        np.matmul(sc["xbuf"], w_t, out=acc)
-        acc64 = sc["acc64"]
-        np.copyto(acc64, acc, casting="unsafe")
-        acc64 += plan["bias_eff"]
-        multiplier, shift, zero_point = plan["requant"]
-        multiply_by_quantized_multiplier_inplace(acc64, multiplier, shift)
-        acc64 += zero_point
-        lo, hi = plan["clip"]
-        np.maximum(acc64, lo, out=acc64)
-        np.minimum(acc64, hi, out=acc64)
-        tensors[self.outputs[0]] = acc64.astype(np.int8).reshape(
-            out_spec.shape)
+        tensors[self.outputs[0]] = self._kernel(
+            tensors[self.inputs[0]].reshape(1, -1), specs, plan)
 
     def run_batch(self, tensors, specs, batch, batched, plan=None,
                   reference=False):
-        """Vectorized int8 batch: one (batch, in) @ (in, out) GEMM.
-
-        Exact float64 integer arithmetic (see Conv2D.plan), so the
-        batched GEMM is bit-identical to ``batch`` sequential ones.
-        float32 falls back to the order-pinned per-sample default.
-        """
-        x_spec = specs[self.inputs[0]]
-        if (reference or plan is None or x_spec.dtype == "float32"
+        """int8 runs :meth:`_kernel` once over the whole batch; float32
+        keeps the per-sample default, which pins BLAS order."""
+        if (reference or plan is None
+                or specs[self.inputs[0]].dtype == "float32"
                 or self.inputs[0] not in batched):
             return super().run_batch(tensors, specs, batch, batched,
                                      plan=plan, reference=reference)
-        out_spec = specs[self.outputs[0]]
-        x = tensors[self.inputs[0]].reshape(batch, -1)
-        w_t = plan["w_t"]
-        acc = (x.astype(np.float64) @ w_t).astype(np.int64)
-        acc += plan["bias_eff"]
-        multiplier, shift, zero_point = plan["requant"]
-        multiply_by_quantized_multiplier_inplace(acc, multiplier, shift)
-        acc += zero_point
-        lo, hi = plan["clip"]
-        np.maximum(acc, lo, out=acc)
-        np.minimum(acc, hi, out=acc)
-        tensors[self.outputs[0]] = acc.astype(np.int8).reshape(
-            (batch,) + out_spec.shape[1:])
+        tensors[self.outputs[0]] = self._kernel(
+            tensors[self.inputs[0]].reshape(batch, -1), specs, plan)
         batched.add(self.outputs[0])
 
     def run_reference(self, tensors, specs):

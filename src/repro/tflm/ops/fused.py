@@ -128,10 +128,7 @@ class FusedChain(Op):
             tensors[self.outputs[0]] = tensors.pop(name)
 
     def run(self, tensors, specs, plan=None):
-        if plan is not None:
-            self.producer.run(tensors, specs, plan=plan)
-        else:
-            self.producer.run(tensors, specs)
+        self.producer.run(tensors, specs, plan=plan)
         self._finish(tensors, specs)
 
     def run_reference(self, tensors, specs):

@@ -49,7 +49,7 @@ class _LutActivation(Op):
         activated = self.function(real)
         return self.output_quant.quantize(activated)
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         x_spec = specs[self.inputs[0]]
         x = tensors[self.inputs[0]]
         if x_spec.dtype == "float32":
@@ -106,7 +106,7 @@ class Pad(Op):
                 f"pad: output shape {out_spec.shape} != {expected}"
             )
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         x_spec = specs[self.inputs[0]]
         x = tensors[self.inputs[0]]
         paddings = self._paddings(x.ndim)
@@ -141,7 +141,7 @@ class Mean(Op):
                 f"mean: output shape {out_spec.shape} != {expected}"
             )
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         x_spec = specs[self.inputs[0]]
         out_spec = specs[self.outputs[0]]
         x = tensors[self.inputs[0]]

@@ -65,7 +65,7 @@ class _PoolBase(Op):
 class MaxPool2D(_PoolBase):
     opcode = "max_pool_2d"
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         x_spec, kh, kw, sh, sw, padding = self._geometry(specs)
         x = tensors[self.inputs[0]]
         out_spec = specs[self.outputs[0]]
@@ -84,7 +84,7 @@ class MaxPool2D(_PoolBase):
 class AveragePool2D(_PoolBase):
     opcode = "average_pool_2d"
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         x_spec, kh, kw, sh, sw, padding = self._geometry(specs)
         x = tensors[self.inputs[0]]
         out_spec = specs[self.outputs[0]]

@@ -26,7 +26,7 @@ class Reshape(Op):
         if x_spec.dtype != out_spec.dtype:
             raise InterpreterError("reshape: dtype must be unchanged")
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         out_spec = specs[self.outputs[0]]
         tensors[self.outputs[0]] = tensors[self.inputs[0]].reshape(
             out_spec.shape)
@@ -41,7 +41,7 @@ class Quantize(Op):
 
     opcode = "quantize"
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         out_spec = specs[self.outputs[0]]
         tensors[self.outputs[0]] = out_spec.quant.quantize(
             tensors[self.inputs[0]], out_spec.dtype)
@@ -56,7 +56,7 @@ class Dequantize(Op):
 
     opcode = "dequantize"
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         x_spec = specs[self.inputs[0]]
         tensors[self.outputs[0]] = x_spec.quant.dequantize(
             tensors[self.inputs[0]]).astype(np.float32)

@@ -45,7 +45,7 @@ class Softmax(Op):
                     f"-128 (got {quant.scale}, {quant.zero_point})"
                 )
 
-    def run(self, tensors, specs):
+    def run(self, tensors, specs, plan=None):
         x_spec = specs[self.inputs[0]]
         x = tensors[self.inputs[0]]
         if x_spec.dtype == "float32":

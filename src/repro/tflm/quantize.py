@@ -26,6 +26,7 @@ __all__ = [
     "choose_activation_qparams", "choose_weight_qparams",
     "quantize_multiplier", "multiply_by_quantized_multiplier",
     "multiply_by_quantized_multiplier_inplace", "requantize_int32",
+    "fold_requant", "requantize_folded",
 ]
 
 
@@ -88,7 +89,7 @@ def multiply_by_quantized_multiplier(value: np.ndarray, multiplier: int,
 
 def multiply_by_quantized_multiplier_inplace(acc: np.ndarray, multiplier: int,
                                              shift: int) -> np.ndarray:
-    """In-place variant for kernels that own a scratch int64 buffer.
+    """In-place variant for callers that own their int64 accumulator.
 
     ``acc`` must be int64 and is destroyed; the return value is ``acc``.
     """
@@ -121,3 +122,39 @@ def requantize_int32(acc: np.ndarray, input_scale: float, weight_scale: float,
     scaled = multiply_by_quantized_multiplier(acc, multiplier, shift)
     scaled = scaled + output_qparams.zero_point
     return np.clip(scaled, dtype_min, dtype_max).astype(np.int8)
+
+
+def fold_requant(x_quant: QuantParams, w_quant: QuantParams,
+                 out_quant: QuantParams, weight_sums: np.ndarray,
+                 bias: np.ndarray | None, relu: bool) -> dict:
+    """Static epilogue state for an int8 GEMM over raw input codes.
+
+    Folds the input zero-point into the bias: ``sum((x - zp) * w)``
+    equals ``sum(x * w) - zp * sum(w)`` per output channel, and every
+    term is an exact integer, so the GEMM can skip a full-array
+    subtraction.  ``weight_sums`` is ``sum(w)`` per output channel.
+    A fused ReLU raises the clip floor to the output zero-point.
+    """
+    multiplier, shift = quantize_multiplier(
+        x_quant.scale * w_quant.scale / out_quant.scale)
+    bias_eff = (-x_quant.zero_point * weight_sums).astype(np.int64)
+    if bias is not None:
+        bias_eff = bias_eff + bias.astype(np.int64)
+    clip_lo = out_quant.zero_point if relu else -128
+    return {"bias_eff": bias_eff,
+            "requant": (multiplier, shift, out_quant.zero_point),
+            "clip": (clip_lo, 127)}
+
+
+def requantize_folded(acc: np.ndarray, plan: dict) -> np.ndarray:
+    """int64 raw-code accumulators -> int8 under a :func:`fold_requant`
+    plan: add the folded bias, requantize, add the output zero-point,
+    clip.  ``acc`` is destroyed."""
+    acc += plan["bias_eff"]
+    multiplier, shift, zero_point = plan["requant"]
+    multiply_by_quantized_multiplier_inplace(acc, multiplier, shift)
+    acc += zero_point
+    lo, hi = plan["clip"]
+    np.maximum(acc, lo, out=acc)
+    np.minimum(acc, hi, out=acc)
+    return acc.astype(np.int8)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InterpreterError
+from repro.hw.timing import VirtualClock
 from repro.tflm.interpreter import Interpreter
 
 from .helpers import build_tiny_int8_model
@@ -52,21 +53,34 @@ def test_batched_invoke_bit_exact_property(batch, seed, reference):
     assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("batch", [1, 3, 8])
-def test_batched_cycle_accounting_amortizes_dispatch(batch):
+@pytest.mark.parametrize("batch,reference,clocked", [
+    # The fast-kernel, clockless cases keep their bare batch-size ids.
+    pytest.param(batch, reference, clocked, id="-".join(
+        [str(batch)] + ["reference"] * reference + ["clocked"] * clocked))
+    for reference in (False, True) for clocked in (False, True)
+    for batch in (1, 3, 8)])
+def test_batched_cycle_accounting_amortizes_dispatch(batch, reference,
+                                                     clocked):
     model = build_tiny_int8_model()
     spec = model.tensors[model.inputs[0]]
     rng = np.random.default_rng(0)
     batch_input = rng.integers(-128, 128, size=(batch,) + spec.shape[1:],
                                dtype=np.int8)
 
-    single = Interpreter(model)
+    def interpreter():
+        interp = Interpreter(model, reference_kernels=reference)
+        if clocked:
+            interp.attach_timing(VirtualClock(), 48e6)
+        return interp
+
+    single = interpreter()
     single.set_input(model.inputs[0],
                      batch_input[0].reshape(spec.shape))
     one = single.invoke()
 
-    batched = Interpreter(model)
+    batched = interpreter()
     stats = batched.invoke_batch({model.inputs[0]: batch_input})
+    assert batched.total_invokes == batch
     # MAC/element work scales with the batch; dispatch is charged once
     # per op, so total cycles are strictly less than batch * single.
     assert stats.macs == one.macs * batch
@@ -75,7 +89,9 @@ def test_batched_cycle_accounting_amortizes_dispatch(batch):
     if batch > 1:
         assert stats.cycles < one.cycles * batch
     else:
-        assert stats.cycles == one.cycles
+        assert stats == one
+        assert batched.total_invokes == single.total_invokes
+    assert (stats.simulated_ms > 0) == clocked
 
 
 def test_batched_invoke_validates_shapes():
@@ -85,6 +101,8 @@ def test_batched_invoke_validates_shapes():
     good = np.zeros((2,) + spec.shape[1:], dtype=np.int8)
     with pytest.raises(InterpreterError):
         interp.invoke_batch({})
+    with pytest.raises(InterpreterError, match="not a model input"):
+        interp.invoke_batch({model.inputs[0]: good, "bogus": good})
     with pytest.raises(InterpreterError):
         interp.invoke_batch({model.inputs[0]: good.astype(np.int16)})
     with pytest.raises(InterpreterError):

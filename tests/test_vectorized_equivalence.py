@@ -26,7 +26,7 @@ from repro.tflm.interpreter import Interpreter
 from repro.tflm.ops.conv import (
     Conv2D,
     DepthwiseConv2D,
-    _im2col,
+    _im2col_batch,
     _im2col_reference,
     conv_output_size,
 )
@@ -149,14 +149,21 @@ def test_im2col_matches_reference(dtype, pad_value):
         (7, 9, 2, 1, 1, 1, 3, (0, 0, 0, 0)),
         (5, 5, 8, 4, 4, 3, 2, (1, 2, 2, 1)),
     ]:
-        if dtype == np.int8:
-            x = rng.integers(-128, 128, size=(1, h, w, c)).astype(np.int8)
-        else:
-            x = rng.normal(size=(1, h, w, c)).astype(np.float32)
-        fast = _im2col(x, kh, kw, sh, sw, pad, pad_value)
-        ref = _im2col_reference(x, kh, kw, sh, sw, pad, pad_value)
-        assert fast.dtype == ref.dtype
-        assert np.array_equal(fast, ref), (h, w, c, kh, kw, sh, sw, pad)
+        for n in (1, 3):
+            if dtype == np.int8:
+                x = rng.integers(-128, 128, size=(n, h, w, c)).astype(np.int8)
+            else:
+                x = rng.normal(size=(n, h, w, c)).astype(np.float32)
+            fast, out_h, out_w = _im2col_batch(x, kh, kw, sh, sw, pad,
+                                               pad_value)
+            rows = out_h * out_w
+            assert fast.shape[0] == n * rows
+            for i in range(n):
+                ref = _im2col_reference(x[i:i + 1], kh, kw, sh, sw, pad,
+                                        pad_value)
+                assert fast.dtype == ref.dtype
+                assert np.array_equal(fast[i * rows:(i + 1) * rows], ref), (
+                    n, i, h, w, c, kh, kw, sh, sw, pad)
 
 
 def _conv_case(op_cls, dtype, stride, padding, seed):
@@ -197,8 +204,9 @@ def _conv_case(op_cls, dtype, stride, padding, seed):
     op = op_cls(["x", "w", "b"], ["y"],
                 {"stride": stride, "padding": padding,
                  "activation": "relu" if seed % 2 else None})
+    plan = op.plan(tensors, specs)
     fast_tensors = dict(tensors)
-    op.run(fast_tensors, specs, plan=op.plan(tensors, specs))
+    op.run(fast_tensors, specs, plan=plan)
     ref_tensors = dict(tensors)
     op.run_reference(ref_tensors, specs)
     assert fast_tensors["y"].dtype == ref_tensors["y"].dtype
@@ -208,6 +216,29 @@ def _conv_case(op_cls, dtype, stride, padding, seed):
     else:
         np.testing.assert_allclose(fast_tensors["y"], ref_tensors["y"],
                                    rtol=1e-5, atol=1e-6)
+
+    # run_batch over 3 stacked samples against per-sample run_reference.
+    samples = [tensors["x"]] + [
+        rng.integers(-128, 128, size=(1, h, w, in_c)).astype(np.int8)
+        if dtype == "int8"
+        else rng.normal(size=(1, h, w, in_c)).astype(np.float32)
+        for _ in range(2)]
+    batch_tensors = dict(tensors, x=np.concatenate(samples))
+    batched = {"x"}
+    op.run_batch(batch_tensors, specs, 3, batched, plan=plan)
+    assert batched == {"x", "y"}
+    assert batch_tensors["y"].shape == (3,) + specs["y"].shape[1:]
+    for i, sample in enumerate(samples):
+        ref_tensors = dict(tensors, x=sample)
+        op.run_reference(ref_tensors, specs)
+        got = batch_tensors["y"][i:i + 1]
+        assert got.dtype == ref_tensors["y"].dtype
+        if dtype == "int8":
+            assert np.array_equal(got, ref_tensors["y"]), (
+                op_cls.__name__, stride, padding, seed, i)
+        else:
+            np.testing.assert_allclose(got, ref_tensors["y"],
+                                       rtol=1e-5, atol=1e-6)
 
 
 @pytest.mark.parametrize("op_cls", [Conv2D, DepthwiseConv2D])
