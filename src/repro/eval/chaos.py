@@ -536,8 +536,7 @@ def run_serve_chaos_schedule(seed: int, model=None, *,
     vendor = Vendor("serve-chaos-vendor", model, seed=_VENDOR_SEED,
                     key_bits=_KEY_BITS)
     config = ServeConfig(max_batch=4, deadline_ms=2.0, ring_slots=8,
-                         num_workers=2, strict=False, watchdog_ms=12.0,
-                         prefetch_depth=1)
+                         num_workers=2, strict=False, watchdog_ms=12.0)
     service = ServingService(platform, vendor, config)
     loop = ServingLoop(service, tick_ms=0.75)
     handles = [service.open_session(

@@ -23,12 +23,13 @@ publish the MAC key inside the keystream.  ``J0`` is a nonzero constant
 prefix plus the sequence number, unique per (key, frame) and never
 colliding with the all-zero block that defines H.
 
-Seal and open are *in place* on ring-slot views: no intermediate
-buffers, no per-message allocation.  Producers that batch (the
-service's egress path) compute ciphertexts and tags for a whole
-dispatch batch first — :func:`frame_tags` amortizes the GHASH sweep —
-then lay frames out with :func:`emit_sealed`; consumers verify a
-drained group against the same :func:`frame_tags`.
+Every producer seals the same way, a single request as much as a
+whole batch: ciphertexts and tags for the group first — one vectorized
+XOR, then one :func:`frame_tags` sweep, which amortizes GHASH — then
+each frame laid out in its reserved slot with :func:`emit_sealed`.
+Every consumer copies a drained group out of the ring with
+:func:`open_in_place`, verifies it against the same :func:`frame_tags`
+and only then XOR-opens the frames that pass.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from repro.errors import KeyError_, ServeError
 
 __all__ = ["HEADER", "TAG_BYTES", "TAG_BATCH_MIN", "TAG_BATCH_MIN_SHORT",
            "TAG_LONG_FRAME", "derive_lane_keys", "derive_lane_tag_keys",
-           "frame_j0", "frame_aad", "frame_tags", "seal_into",
-           "emit_sealed", "open_in_place"]
+           "frame_j0", "frame_aad", "frame_tags", "emit_sealed",
+           "open_in_place"]
 
 HEADER = struct.Struct("<II")  # session_id, request_seq
 TAG_BYTES = 16
@@ -128,34 +129,11 @@ def frame_tags(taggers, session_ids, seqs, ciphertexts) -> list[bytes]:
             in zip(taggers, j0s, aads, ciphertexts)]
 
 
-def seal_into(slot: np.ndarray, session_id: int, request_seq: int,
-              payload: np.ndarray, keystream: np.ndarray, tagger) -> int:
-    """Write header + sealed payload + tag into a reserved ring slot.
-
-    Single-frame producer path (the client side): the tag comes from
-    ``tagger``'s scalar sweep.  Returns the frame length to pass to
-    ``SlotRing.commit``.
-    """
-    body_end = HEADER.size + payload.size
-    total = body_end + TAG_BYTES
-    if total > slot.size:
-        raise ServeError(
-            f"frame of {total} bytes exceeds slot of {slot.size}")
-    header = HEADER.pack(session_id, request_seq)
-    slot[:HEADER.size] = np.frombuffer(header, dtype=np.uint8)
-    body = slot[HEADER.size:body_end]
-    np.bitwise_xor(payload, keystream, out=body)
-    tag = tagger.tag(frame_j0(request_seq), header, body.tobytes())
-    slot[body_end:total] = np.frombuffer(tag, dtype=np.uint8)
-    return total
-
-
 def emit_sealed(slot: np.ndarray, session_id: int, request_seq: int,
                 ciphertext: np.ndarray, tag: bytes) -> int:
-    """Batched producer path: ciphertext and tag precomputed (one
-    vectorized XOR and one :func:`~repro.crypto.modes
-    .frame_tags_batched` sweep for the whole batch); just lay out the
-    frame.  Returns the frame length."""
+    """Lay out one frame whose ciphertext and tag are already computed
+    (see the module docstring) in a reserved ring slot.  Returns the
+    frame length to pass to ``SlotRing.commit``."""
     body_end = HEADER.size + ciphertext.size
     total = body_end + TAG_BYTES
     if total > slot.size:
@@ -172,9 +150,9 @@ def open_in_place(frame: np.ndarray) -> tuple[int, int, np.ndarray, bytes]:
     """Parse a peeked frame: (session_id, request_seq, sealed payload,
     tag).
 
-    The returned payload still aliases ring memory; the caller verifies
-    the tag over a copy of the ciphertext *before* XOR-opening in place,
-    and must copy anything it keeps before releasing the slot.
+    The returned payload still aliases ring memory: the caller copies
+    the ciphertext out before releasing the slot, verifies the tag over
+    the copy, and XOR-opens the copy only once it verifies.
     """
     if frame.size < HEADER.size + TAG_BYTES:
         raise ServeError("runt serving frame")

@@ -3,8 +3,8 @@
 :class:`ServingLoop` is the only thing that turns ingested frames into
 batches: a reactor that makes scheduling decisions once per *tick*:
 
-1. **Ingest reactor** — drain the ingress ring (two-phase batched
-   verify, as before) and route every opened request through the
+1. **Ingest reactor** — drain the ingress ring (every frame verified
+   before it is opened) and route every opened request through the
    admission gate into its session's class queue (interactive or
    batch).  A class past its queue budget sheds the request with an
    ``admission_shed`` account instead of blocking the reactor.
@@ -24,7 +24,7 @@ batches: a reactor that makes scheduling decisions once per *tick*:
    class queue* — the exactly-once contract — and relaunches the
    worker.
 5. **Client mux** — drain the egress ring into session futures
-   (two-phase batched verify on the client side too).
+   through the same verify-then-open path.
 
 Everything runs on the virtual clock, single-threaded and
 deterministic: the same submissions and the same fault plan produce
@@ -59,18 +59,17 @@ class AdaptiveBatcher:
     * **grow** (``target *= 2``, capped) when the queue holds at least
       two targets' worth of work — the system is behind, so trade
       latency for amortization;
-    * **shrink** (``target //= 2``, floored at ``min_batch``) when the
-      queue holds at most half a target — the system is ahead, so stop
-      waiting for co-riders that are not coming;
+    * **shrink** (``target //= 2``, floored at 1) when the queue holds
+      at most half a target — the system is ahead, so stop waiting for
+      co-riders that are not coming;
     * **hold** in between (hysteresis: the grow and shrink bands do
       not touch, so a steady arrival rate cannot oscillate the target).
     """
 
-    def __init__(self, max_batch: int, min_batch: int = 1) -> None:
-        if not 1 <= min_batch <= max_batch:
-            raise ServeError("need 1 <= min_batch <= max_batch")
+    def __init__(self, max_batch: int) -> None:
+        if max_batch < 1:
+            raise ServeError("max_batch must be at least 1")
         self.max_batch = max_batch
-        self.min_batch = min_batch
         self.target = max_batch
         self.grows = 0
         self.shrinks = 0
@@ -80,9 +79,8 @@ class AdaptiveBatcher:
         if queue_depth >= 2 * self.target and self.target < self.max_batch:
             self.target = min(self.max_batch, self.target * 2)
             self.grows += 1
-        elif (queue_depth <= self.target // 2
-              and self.target > self.min_batch):
-            self.target = max(self.min_batch, self.target // 2)
+        elif queue_depth <= self.target // 2 and self.target > 1:
+            self.target //= 2
             self.shrinks += 1
         return self.target
 
@@ -121,35 +119,30 @@ class Mailbox:
 
 
 class ServingLoop:
-    """Cooperative reactor driving one :class:`ServingService`."""
+    """Cooperative reactor driving one :class:`ServingService`.
+
+    Both class queues batch under the service's ``max_batch`` and
+    ``deadline_ms``; each worker's mailbox holds up to two formed
+    batches.  ``adaptive=False`` pins the batch target at
+    ``max_batch`` instead of retargeting it from the queue depth.
+    """
 
     def __init__(self, service, policy: AdmissionPolicy | None = None,
-                 tick_ms: float = 0.25,
-                 interactive_deadline_ms: float | None = None,
-                 mailbox_capacity: int = 2, adaptive: bool = True) -> None:
+                 tick_ms: float = 0.25, adaptive: bool = True) -> None:
         if tick_ms <= 0:
             raise ServeError("tick_ms must be positive")
         self.service = service
         self.clock = service.clock
         self.tick_ms = tick_ms
         config = service.config
-        # Interactive requests may run under a tighter forming deadline
-        # than batch traffic; both classes share the size cap.
         self.queues = {
-            Priority.INTERACTIVE: BatchScheduler(
-                self.clock, max_batch=config.max_batch,
-                deadline_ms=(interactive_deadline_ms
-                             if interactive_deadline_ms is not None
-                             else config.deadline_ms)),
-            Priority.BATCH: BatchScheduler(
-                self.clock, max_batch=config.max_batch,
-                deadline_ms=config.deadline_ms),
-        }
+            priority: BatchScheduler(self.clock, max_batch=config.max_batch,
+                                     deadline_ms=config.deadline_ms)
+            for priority in Priority}
         self.admission = AdmissionController(policy)
         self.batcher = (AdaptiveBatcher(config.max_batch)
                         if adaptive else None)
-        self.mailboxes = [Mailbox(mailbox_capacity)
-                          for _ in service.pool.workers]
+        self.mailboxes = [Mailbox() for _ in service.pool.workers]
         # Watchdog deadline on a request's true (skew-immune) age.
         self.watchdog_ms = (config.watchdog_ms
                             if config.watchdog_ms is not None

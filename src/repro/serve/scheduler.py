@@ -56,7 +56,6 @@ class BatchScheduler:
         self.batches = 0
         self.full_batches = 0
         self.deadline_flushes = 0
-        self.requeued = 0
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -150,7 +149,6 @@ class BatchScheduler:
         now_ms = self.clock.now_ms
         for item in reversed(list(items)):
             self._push(now_ms, item, front=True)
-            self.requeued += 1
 
     def _take(self, limit: int) -> list:
         size = min(limit, len(self._pending))

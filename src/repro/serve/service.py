@@ -2,9 +2,9 @@
 
 Data path for one request (client session *S*, sequence *q*):
 
-1. *S* seals its fingerprint in place into a reserved slot of the
-   **ingress ring** (XOR with its request-lane keystream, plus a
-   detached GCM tag over header + ciphertext) and commits.
+1. *S* seals its fingerprint (XOR with its request-lane keystream,
+   plus a detached GCM tag over header + ciphertext) into a reserved
+   slot of the **ingress ring** and commits.
 2. The :class:`~repro.serve.loop.ServingLoop` drains the ring through
    :meth:`ServingService.ingest`, which verifies the drained tags in
    one batched GHASH sweep, opens the survivors, and hands
@@ -16,8 +16,7 @@ Data path for one request (client session *S*, sequence *q*):
    per-request invokes — inside the fail-closed envelope.
 4. Results are sealed per session into the **egress ring** — one
    vectorized XOR and one batched tag sweep per batch; the client mux
-   verifies and opens them in place and completes the per-session
-   futures.
+   verifies and opens them and completes the per-session futures.
 
 Security properties preserved (paper §IV):
 
@@ -50,7 +49,7 @@ from repro.sanitizers import hooks as _sanitizers
 from repro.serve.admission import Priority
 from repro.serve.frames import (HEADER, TAG_BYTES, derive_lane_keys,
                                 derive_lane_tag_keys, emit_sealed,
-                                frame_tags, open_in_place, seal_into)
+                                frame_tags, open_in_place)
 from repro.serve.pool import EnclaveWorkerPool
 
 __all__ = ["ServeConfig", "ServingStats", "SessionHandle", "ServingService",
@@ -67,7 +66,12 @@ _SESSION_SEED = b"omg-serve-sessions"
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Tunables for one :class:`ServingService`."""
+    """Tunables for one :class:`ServingService`.
+
+    Both priority classes batch under ``max_batch`` and
+    ``deadline_ms``.  Each batch prefetches the one response keystream
+    chunk per request it will be sealed under before inference runs.
+    """
 
     max_batch: int = 8
     deadline_ms: float = 2.0
@@ -75,9 +79,6 @@ class ServeConfig:
     num_workers: int | None = None
     session_capacity: int = 64
     keystream_chunk_bytes: int = 65536
-    # Response-lane keystream chunks generated ahead of demand per
-    # session before a batch's inference runs (0 disables prefetch).
-    prefetch_depth: int = 1
     # Strict mode raises ServeError when submit finds the ingress ring
     # full or open_session finds the session table full.
     # ``strict=False`` turns both into typed :class:`Shed`/
@@ -270,8 +271,16 @@ class ServingService:
         still-open session's keys would strand its in-flight frames
         (and wedge the ring behind them), so the capacity is an
         admission limit, not an eviction policy.  Strict mode raises;
-        graceful mode returns a typed :class:`Rejected`.
+        graceful mode returns a typed :class:`Rejected`.  An unknown
+        ``priority`` raises :class:`~repro.errors.ServeError` before
+        anything is drawn or allocated.
         """
+        if priority is not None:
+            try:
+                priority = Priority(priority)
+            except ValueError:
+                raise ServeError(
+                    f"unknown session priority {priority!r}") from None
         if len(self._session_keys) >= self.config.session_capacity:
             return self._refuse(Rejected(
                 f"session capacity {self.config.session_capacity} "
@@ -309,13 +318,101 @@ class ServingService:
         self._client_keystreams.forget_session(handle.session_id)
         self._service_keystreams.forget_session(handle.session_id)
 
-    def _service_keys(self, session_id: int) -> tuple[bytes, bytes] | None:
-        """This session's (request, response) lane keys, or ``None``
-        for a session the service no longer (or never) knew."""
-        keys = self._session_keys.get(session_id)
-        if keys is None:
+    def _service_lane(self, session_id: int, direction: int):
+        """The service's (lane key, tagger) for one direction (0 request,
+        1 response), or ``None`` for a session it does not know."""
+        taggers = self._service_taggers.get(session_id)
+        if taggers is None:
             return None
-        return bytes(keys[0]), bytes(keys[1])
+        return (bytes(self._session_keys.get(session_id)[direction]),
+                taggers[direction])
+
+    def _client_lane(self, session_id: int):
+        """The client's response-lane (key, tagger) for a session, or
+        ``None`` once it is closed."""
+        handle = self._handles.get(session_id)
+        if handle is None:
+            return None
+        return handle.response_key, handle.response_tagger
+
+    def _request_payload(self, fingerprint) -> np.ndarray:
+        """``fingerprint`` as the flat uint8 request payload."""
+        flat = np.ascontiguousarray(fingerprint, dtype=np.uint8).reshape(-1)
+        if flat.size != self.request_bytes:
+            raise ServeError(
+                f"fingerprint must be {self.fingerprint_shape}, "
+                f"got {np.asarray(fingerprint).shape}")
+        return flat
+
+    # --- sealing and opening: every frame crossing the rings -----------
+
+    @staticmethod
+    def _seal(cache: KeystreamCache, payloads: np.ndarray, rows):
+        """Seal one payload row per (session_id, seq, lane key, tagger)
+        in ``rows``: one vectorized XOR against the rows' keystream (a
+        payload's length at ``seq`` payloads into its lane, so every
+        keystream byte covers one message byte), then one
+        :func:`~repro.serve.frames.frame_tags` sweep.  Returns
+        (ciphertexts, tags)."""
+        size = payloads.shape[1]
+        ciphertexts = np.empty_like(payloads)
+        for index, (session_id, seq, key, _) in enumerate(rows):
+            ciphertexts[index] = cache.take(session_id, key, seq * size, size)
+        ciphertexts ^= payloads
+        session_ids, seqs, _, taggers = zip(*rows)
+        return ciphertexts, frame_tags(taggers, session_ids, seqs,
+                                       [row.tobytes() for row in ciphertexts])
+
+    @staticmethod
+    def _emit(ring: SlotRing, site: str, slot: np.ndarray, session_id: int,
+              seq: int, ciphertext: np.ndarray, tag: bytes) -> None:
+        """Lay one sealed frame out in its reserved ``slot`` and commit
+        it to ``ring``."""
+        length = emit_sealed(slot, session_id, seq, ciphertext, tag)
+        if _faults.PLAN is not None:
+            # Frame corruption models the untrusted OS relay flipping
+            # bits in the sealed slot after the producer wrote it.
+            _faults.PLAN.ring_frame(site, slot[:length])
+        ring.commit(length)
+
+    def _drain(self, ring: SlotRing, lane, cache: KeystreamCache,
+               size: int) -> list:
+        """Drain ``ring``; return the frames that verify, XOR-opened
+        under ``cache``, as (session_id, seq, payload) in ring order.
+
+        Every frame is copied out and its slot released first.  A frame
+        for a session ``lane`` (session id -> (lane key, tagger)) does
+        not know — closed mid-flight, or a header corrupted in the
+        OS-relayed ring — counts in ``frames_dropped``, so a dead frame
+        never wedges the ring.  Then one :func:`~repro.serve.frames
+        .frame_tags` sweep verifies the rest; a failure counts in
+        ``auth_failures`` and drops that frame, never the session.
+        """
+        rows, ciphertexts, tags = [], [], []
+        while (frame := ring.try_peek()) is not None:
+            session_id, seq, sealed, tag = open_in_place(frame)
+            keys = lane(session_id)
+            if keys is None:
+                self._frames_dropped += 1
+            else:
+                rows.append((session_id, seq, *keys))
+                ciphertexts.append(sealed.tobytes())
+                tags.append(tag)
+            ring.release()
+        if not rows:
+            return []
+        session_ids, seqs, _, taggers = zip(*rows)
+        expected = frame_tags(taggers, session_ids, seqs, ciphertexts)
+        opened = []
+        for (session_id, seq, key, _), text, want, tag in zip(
+                rows, ciphertexts, expected, tags):
+            if not constant_time_eq(want, tag):
+                self._auth_failures += 1
+                continue
+            keystream = cache.take(session_id, key, seq * size, size)
+            opened.append((session_id, seq,
+                           np.frombuffer(text, dtype=np.uint8) ^ keystream))
+        return opened
 
     # --- client side ---------------------------------------------------
 
@@ -324,151 +421,83 @@ class ServingService:
         """Seal one uint8 fingerprint into the ingress ring; return seq.
 
         A full (or fault-stalled) ingress ring raises in strict mode and
-        returns a typed :class:`Shed` in graceful mode — the sequence
-        number is only consumed once the slot reservation has succeeded,
-        so a shed request leaves no pending state behind and can be
-        resubmitted verbatim.
+        returns a typed :class:`Shed` in graceful mode.  The slot is
+        reserved first and the sequence number consumed only once that
+        succeeded, so a shed request leaves no pending state behind,
+        draws no keystream, and can be resubmitted verbatim.
         """
-        flat = np.ascontiguousarray(fingerprint, dtype=np.uint8).reshape(-1)
-        if flat.size != self.request_bytes:
-            raise ServeError(
-                f"fingerprint must be {self.fingerprint_shape}, "
-                f"got {fingerprint.shape}")
+        payload = self._request_payload(fingerprint)
         slot = self._ingress_prod.try_reserve()
         if slot is None:
             return self._refuse(Shed(handle.session_id, _RING_FULL))
         seq = handle.next_seq
         handle.next_seq += 1
-        keystream = self._client_keystreams.take(
-            handle.session_id, handle.request_key,
-            seq * self.request_bytes, self.request_bytes)
-        length = seal_into(slot, handle.session_id, seq, flat, keystream,
-                           handle.request_tagger)
-        if _faults.PLAN is not None:
-            # Frame corruption models the untrusted OS relay flipping
-            # bits in the sealed slot after the client wrote it.
-            _faults.PLAN.ring_frame("serve.ingress", slot[:length])
-        self._ingress_prod.commit(length)
+        (ciphertext,), (tag,) = self._seal(
+            self._client_keystreams, payload[np.newaxis],
+            [(handle.session_id, seq, handle.request_key,
+              handle.request_tagger)])
+        self._emit(self._ingress_prod, "serve.ingress", slot,
+                   handle.session_id, seq, ciphertext, tag)
         handle.pending[seq] = self.clock.now_ms
         return seq
 
     def submit_many(self, pairs) -> list:
-        """Seal many requests in one pass: the batched client mux.
+        """Seal many ``(handle, fingerprint)`` pairs in one pass: the
+        batched client mux.  Returns one verdict per request, an ``int``
+        seq or (graceful mode) a :class:`Shed`.  Every payload takes one
+        vectorized XOR and one tag sweep (:meth:`_seal`); the frames are
+        byte-identical to :meth:`submit`'s.
 
-        ``pairs`` is a sequence of ``(handle, fingerprint)``; the return
-        value is the per-request verdict list — an ``int`` seq for each
-        accepted request, a :class:`Shed` otherwise (graceful mode).
-        The win over per-request :meth:`submit` is the same two-phase
-        batching :meth:`ingest` already uses: one vectorized XOR across
-        every payload and one :func:`~repro.serve.frames.frame_tags`
-        sweep for all the tags, instead of a full GCM dispatch per
-        frame.
-
-        Requests beyond the ingress ring's current free space are shed
-        up front without consuming a sequence number, exactly like
-        :meth:`submit`.  A reservation that still fails mid-batch (an
-        injected ``ring.reserve`` stall) sheds just that request; its
-        already-assigned seq is *burned* — the keystream positions are
-        simply never used, which is safe for CTR discipline, and no
-        pending state is created — so the rest of the batch lands
-        unaffected.  Strict mode raises on any reservation failure.
+        Requests beyond the ingress ring's free space are shed up front
+        without consuming a seq, like :meth:`submit`.  A reservation
+        that still fails mid-batch (an injected ``ring.reserve`` stall)
+        sheds just that request and *burns* its seq: the keystream
+        positions are never used, which is safe for CTR discipline, and
+        no pending state is created.  Strict mode raises instead.
         """
-        checked = []
-        for handle, fingerprint in pairs:
-            flat = np.ascontiguousarray(
-                fingerprint, dtype=np.uint8).reshape(-1)
-            if flat.size != self.request_bytes:
-                raise ServeError(
-                    f"fingerprint must be {self.fingerprint_shape}, "
-                    f"got {fingerprint.shape}")
-            checked.append((handle, flat))
-        if not checked:
-            return []
+        checked = [(handle, self._request_payload(fingerprint))
+                   for handle, fingerprint in pairs]
         free = self.config.ring_slots - 1 - len(self._ingress_prod)
         accept = min(len(checked), max(free, 0))
         # Refused before anything is sealed, so strict mode raises with
         # no seq consumed.
         tail = [self._refuse(Shed(handle.session_id, _RING_FULL))
                 for handle, _ in checked[accept:]]
+        if not accept:
+            return tail
+        checked = checked[:accept]
+        payloads = np.empty((accept, self.request_bytes), dtype=np.uint8)
+        rows = []
+        for index, (handle, payload) in enumerate(checked):
+            payloads[index] = payload
+            rows.append((handle.session_id, handle.next_seq,
+                         handle.request_key, handle.request_tagger))
+            handle.next_seq += 1
+        ciphertexts, tags = self._seal(self._client_keystreams, payloads,
+                                       rows)
         verdicts: list = []
-        if accept:
-            n = accept
-            seqs = []
-            keystreams = np.empty((n, self.request_bytes), dtype=np.uint8)
-            payloads = np.empty_like(keystreams)
-            for row, (handle, flat) in enumerate(checked[:n]):
-                seq = handle.next_seq
-                handle.next_seq += 1
-                seqs.append(seq)
-                payloads[row] = flat
-                keystreams[row] = self._client_keystreams.take(
-                    handle.session_id, handle.request_key,
-                    seq * self.request_bytes, self.request_bytes)
-            ciphertexts = payloads ^ keystreams
-            tags = frame_tags(
-                [handle.request_tagger for handle, _ in checked[:n]],
-                [handle.session_id for handle, _ in checked[:n]], seqs,
-                [ciphertexts[row].tobytes() for row in range(n)])
-            for row, ((handle, _), seq) in enumerate(zip(checked[:n], seqs)):
-                slot = self._ingress_prod.try_reserve()
-                if slot is None:
-                    verdicts.append(self._refuse(
-                        Shed(handle.session_id, _RING_FULL)))
-                    continue
-                length = emit_sealed(slot, handle.session_id, seq,
-                                     ciphertexts[row], tags[row])
-                if _faults.PLAN is not None:
-                    _faults.PLAN.ring_frame("serve.ingress", slot[:length])
-                self._ingress_prod.commit(length)
-                handle.pending[seq] = self.clock.now_ms
-                verdicts.append(seq)
+        for (handle, _), (session_id, seq, _, _), ciphertext, tag in zip(
+                checked, rows, ciphertexts, tags):
+            slot = self._ingress_prod.try_reserve()
+            if slot is None:
+                verdicts.append(self._refuse(Shed(session_id, _RING_FULL)))
+                continue
+            self._emit(self._ingress_prod, "serve.ingress", slot,
+                       session_id, seq, ciphertext, tag)
+            handle.pending[seq] = self.clock.now_ms
+            verdicts.append(seq)
         return verdicts + tail
 
     def poll_responses(self) -> int:
-        """Client mux: drain, verify, and open responses, two-phase.
-
-        Phase one copies every sealed response out of the egress ring
-        and releases its slot.  Phase two verifies all the drained tags
-        in one :func:`~repro.serve.frames.frame_tags` sweep and opens
-        the survivors into their sessions' futures — the same
-        two-phase shape as :meth:`ingest`, applied to the client side.
-        """
-        drained: list = []
-        while (frame := self._egress_cons.try_peek()) is not None:
-            session_id, seq, sealed, tag = open_in_place(frame)
-            handle = self._handles.get(session_id)
-            if handle is None:
-                # Closed mid-flight, or a header corrupted in the
-                # OS-relayed ring: account the drop so every accepted
-                # seq is traceable to a response or a counted loss.
-                self._egress_cons.release()
-                self._frames_dropped += 1
-                continue
-            drained.append((handle, session_id, seq, sealed.copy(), tag))
-            self._egress_cons.release()
-        if not drained:
-            return 0
-        expected = frame_tags(
-            [handle.response_tagger for handle, _, _, _, _ in drained],
-            [sid for _, sid, _, _, _ in drained],
-            [seq for _, _, seq, _, _ in drained],
-            [sealed.tobytes() for _, _, _, sealed, _ in drained])
-        verdicts = [constant_time_eq(want, tag)
-                    for (_, _, _, _, tag), want in zip(drained, expected)]
-        delivered = 0
-        for (handle, session_id, seq, sealed, _), ok in zip(drained,
-                                                            verdicts):
-            if not ok:
-                # Tampered or corrupted in the OS-relayed ring: drop
-                # the response, never the session.
-                self._auth_failures += 1
-                continue
-            keystream = self._client_keystreams.take(
-                session_id, handle.response_key,
-                seq * self.response_bytes, self.response_bytes)
-            sealed ^= keystream   # open the drained copy
-            label = int(sealed[0])
-            scores = sealed[1:].copy().view(np.int8)
+        """Client mux: drain, verify and open responses (see
+        :meth:`_drain`) into their sessions' futures; returns how many
+        were delivered."""
+        opened = self._drain(self._egress_cons, self._client_lane,
+                             self._client_keystreams, self.response_bytes)
+        for session_id, seq, payload in opened:
+            handle = self._handles[session_id]
+            label = int(payload[0])
+            scores = payload[1:].copy().view(np.int8)
             submitted = handle.pending.pop(seq, None)
             if submitted is not None:
                 latency_ms = self.clock.now_ms - submitted
@@ -483,8 +512,7 @@ class ServingService:
                     ).observe(latency_ms, priority=priority.name.lower())
             handle.results[seq] = (label, scores)
             self._requests_completed += 1
-            delivered += 1
-        return delivered
+        return len(opened)
 
     # --- service side: the serving loop's seam ------------------------
 
@@ -497,49 +525,14 @@ class ServingService:
         return verdict
 
     def ingest(self, sink) -> None:
-        """Drain the ingress ring, two-phase, into ``sink``.
-
-        Phase one copies every sealed frame out of the ring and releases
-        its slot — the ring drains at memcpy speed regardless of crypto.
-        Phase two verifies all the drained tags in one
-        :func:`~repro.serve.frames.frame_tags` sweep, then XOR-opens the
-        survivors into ``sink`` (the loop's admission router).  Frames
-        that fail authentication are dropped, never the ring or the
-        session.
-        """
-        drained: list = []
-        while (frame := self._ingress_cons.try_peek()) is not None:
-            session_id, seq, sealed, tag = open_in_place(frame)
-            if session_id not in self._service_taggers:
-                # Unknown or closed session: drop the frame and move
-                # on.  Raising with the slot still at the ring head
-                # would wedge every session behind one dead frame.
-                self._ingress_cons.release()
-                self._frames_dropped += 1
-                continue
-            drained.append((session_id, seq, sealed.copy(), tag))
-            self._ingress_cons.release()
-        if not drained:
-            return
-        expected = frame_tags(
-            [self._service_taggers[sid][0] for sid, _, _, _ in drained],
-            [sid for sid, _, _, _ in drained],
-            [seq for _, seq, _, _ in drained],
-            [sealed.tobytes() for _, _, sealed, _ in drained])
-        verdicts = [constant_time_eq(want, tag)
-                    for (_, _, _, tag), want in zip(drained, expected)]
-        for (session_id, seq, sealed, _), ok in zip(drained, verdicts):
-            if not ok:
-                self._auth_failures += 1
-                continue
-            keys = self._service_keys(session_id)
-            if keys is None:   # unreachable: tagger presence implies keys
-                continue
-            keystream = self._service_keystreams.take(
-                session_id, keys[0],
-                seq * self.request_bytes, self.request_bytes)
-            sealed ^= keystream   # open the drained copy
-            sink((session_id, seq, sealed.reshape(self.fingerprint_shape)))
+        """Drain the ingress ring into ``sink`` (the loop's admission
+        router): every frame is verified before it is opened (see
+        :meth:`_drain`), and each opened request goes in as
+        (session_id, seq, fingerprint)."""
+        for session_id, seq, payload in self._drain(
+                self._ingress_cons, lambda sid: self._service_lane(sid, 0),
+                self._service_keystreams, self.request_bytes):
+            sink((session_id, seq, payload.reshape(self.fingerprint_shape)))
 
     def egress_free(self) -> int:
         """Egress slots free for responses: a batch runs only when all
@@ -572,17 +565,15 @@ class ServingService:
     def _execute_batch(self, batch: list, worker, requeue) -> None:
         soc = self.platform.soc
         fingerprints = np.stack([item[2] for item in batch])
-        # Pipelined keystream prefetch: warm each session's response
-        # lane before inference runs, so sealing afterwards is pure XOR
-        # against cached chunks instead of blocking on AES-CTR.
-        depth = self.config.prefetch_depth
-        if depth > 0:
-            for session_id, seq, _ in batch:
-                keys = self._service_keys(session_id)
-                if keys is not None:
-                    self._service_keystreams.prefetch(
-                        session_id, keys[1], seq * self.response_bytes,
-                        depth)
+        # Pipelined keystream prefetch: warm the response-lane chunk
+        # each request will be sealed under before inference runs, so
+        # sealing afterwards is pure XOR against cached chunks instead
+        # of blocking on AES-CTR.
+        for session_id, seq, _ in batch:
+            lane = self._service_lane(session_id, 1)
+            if lane is not None:
+                self._service_keystreams.prefetch(
+                    session_id, lane[0], seq * self.response_bytes, 1)
         # One world-switch round trip per *batch*, not per request —
         # the scheduling win the simulated clock sees.
         soc.clock.advance_ms(2 * soc.profile.sa_world_switch_ms)
@@ -606,37 +597,27 @@ class ServingService:
                     f"{self.config.max_worker_restarts}") from exc
             self.pool.restart_worker(worker)
             return
-        int8_scores = np.asarray(scores, dtype=np.int8)
-        live = []
-        for row, (session_id, seq, _) in enumerate(batch):
-            keys = self._service_keys(session_id)
-            if keys is None:
+        live, rows = [], []
+        for index, (session_id, seq, _) in enumerate(batch):
+            lane = self._service_lane(session_id, 1)
+            if lane is None:
                 # Session closed while its request was in flight:
                 # there is no one to seal for — drop this response,
                 # keep the rest of the batch.
                 self._responses_dropped["session_closed"] += 1
                 continue
-            live.append((row, session_id, seq, keys[1]))
-        if not live:
+            live.append(index)
+            rows.append((session_id, seq, *lane))
+        if not rows:
             return
-        # Batched seal: one vectorized XOR for every response in the
-        # batch (the keystream chunks are warm from the prefetch above),
-        # then one GHASH sweep for every tag.
-        payloads = np.empty((len(live), self.response_bytes), dtype=np.uint8)
-        keystreams = np.empty_like(payloads)
-        for out, (row, session_id, seq, response_key) in enumerate(live):
-            payloads[out, 0] = labels[row]
-            payloads[out, 1:] = int8_scores[row].view(np.uint8)
-            keystreams[out] = self._service_keystreams.take(
-                session_id, response_key,
-                seq * self.response_bytes, self.response_bytes)
-        ciphertexts = payloads ^ keystreams
-        tags = frame_tags(
-            [self._service_taggers[sid][1] for _, sid, _, _ in live],
-            [sid for _, sid, _, _ in live],
-            [seq for _, _, seq, _ in live],
-            [ciphertexts[out].tobytes() for out in range(len(live))])
-        for out, (_, session_id, seq, _) in enumerate(live):
+        payloads = np.empty((len(rows), self.response_bytes), dtype=np.uint8)
+        payloads[:, 0] = np.asarray(labels)[live]
+        payloads[:, 1:] = np.asarray(scores, dtype=np.int8)[live].view(
+            np.uint8)
+        ciphertexts, tags = self._seal(self._service_keystreams, payloads,
+                                       rows)
+        for (session_id, seq, _, _), ciphertext, tag in zip(rows, ciphertexts,
+                                                            tags):
             slot = self._egress_prod.try_reserve()
             if slot is None:
                 # The loop checked room per batch, so a genuine full here
@@ -646,11 +627,8 @@ class ServingService:
                 # Drop just this one, accounted, and seal the rest.
                 self._responses_dropped["egress_stall"] += 1
                 continue
-            length = emit_sealed(slot, session_id, seq, ciphertexts[out],
-                                 tags[out])
-            if _faults.PLAN is not None:
-                _faults.PLAN.ring_frame("serve.egress", slot[:length])
-            self._egress_prod.commit(length)
+            self._emit(self._egress_prod, "serve.egress", slot, session_id,
+                       seq, ciphertext, tag)
 
     # --- health --------------------------------------------------------
 

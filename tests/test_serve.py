@@ -260,34 +260,28 @@ def test_service_end_to_end_matches_direct_classify():
 
 
 def test_service_keystream_prefetch_is_transparent():
-    """Serving-loop prefetch changes timing, never bytes: results with
-    prefetch_depth=2 match prefetch_depth=0 exactly, and the response
-    lane's seals become keystream-cache hits."""
+    """Prefetch changes timing, never bytes: every result matches direct
+    classification, and each batch's response seals hit the chunk the
+    prefetch warmed instead of generating keystream on demand."""
     fingerprints = tiny_fingerprints(6, seed=11)
-    outcomes = {}
-    for depth in (0, 2):
-        platform, _, service, model = make_stack(
-            max_batch=3, prefetch_depth=depth)
-        loop = ServingLoop(service)
-        handle = service.open_session()
-        sequences = [service.submit(handle, fp) for fp in fingerprints]
-        loop.run_until_idle(force=True)
-        outcomes[depth] = [handle.take_result(seq) for seq in sequences]
-        cache = service._service_keystreams
-        if depth == 0:
-            assert cache.prefetches == 0
-        else:
-            assert cache.prefetches > 0
-            # Chunks covering actual traffic were all consumed by
-            # seals; only the speculative lookahead tail (chunk
-            # indexes past end-of-traffic) may remain untouched.
-            assert all(key[2] >= 1 for key in cache._prefetched_unused)
-            assert len(cache._prefetched_unused) < depth
-        service.teardown()
-    for (label_a, scores_a), (label_b, scores_b) in zip(
-            outcomes[0], outcomes[2]):
-        assert label_a == label_b
-        assert np.array_equal(scores_a, scores_b)
+    _, _, service, model = make_stack(max_batch=3)
+    loop = ServingLoop(service)
+    handle = service.open_session()
+    sequences = [service.submit(handle, fp) for fp in fingerprints]
+    loop.run_until_idle(force=True)
+    for seq, (exp_label, exp_scores) in zip(
+            sequences, expected_results(model, fingerprints)):
+        label, scores = handle.take_result(seq)
+        assert label == exp_label
+        assert np.array_equal(scores, exp_scores)
+    cache = service._service_keystreams
+    assert cache.prefetches > 0
+    # Every prefetched chunk was read by a seal, and the only demand
+    # miss is the request lane's first chunk (opened at ingest): the
+    # response lane never generated keystream on a seal.
+    assert not cache._prefetched_unused
+    assert cache.misses == 1
+    service.teardown()
 
 
 def test_service_drops_tampered_ingress_frame():
@@ -477,8 +471,53 @@ def test_service_ingress_ring_full_raises():
 def test_service_rejects_malformed_fingerprint():
     _, _, service, _ = make_stack()
     handle = service.open_session()
-    with pytest.raises(ServeError, match="fingerprint must be"):
-        service.submit(handle, np.zeros((5, 5), dtype=np.uint8))
+    for bad in (np.zeros((5, 5), dtype=np.uint8), [1, 2, 3]):
+        with pytest.raises(ServeError, match="fingerprint must be"):
+            service.submit(handle, bad)
+        with pytest.raises(ServeError, match="fingerprint must be"):
+            service.submit_many([(handle, bad)])
+    assert handle.next_seq == 0
+    service.teardown()
+
+
+def test_submit_and_submit_many_write_identical_ingress_frames():
+    """The per-request and batched client paths share one seal: twin
+    services fed the same traffic hold byte-identical ingress frames,
+    on both sides of the batched tag sweep's cutoff (17 short frames
+    take the batched sweep in submit_many, the scalar one in submit)."""
+    fingerprints = tiny_fingerprints(17, seed=5)
+    wires = []
+    for batched in (False, True):
+        _, _, service, _ = make_stack()
+        handles = [service.open_session() for _ in range(2)]
+        pairs = [(handles[index % 2], fingerprint)
+                 for index, fingerprint in enumerate(fingerprints)]
+        if batched:
+            verdicts = service.submit_many(pairs)
+        else:
+            verdicts = [service.submit(h, fp) for h, fp in pairs]
+        assert verdicts == [index // 2 for index in range(17)]
+        ring = service._ingress_cons
+        frames = []
+        while (frame := ring.try_peek()) is not None:
+            frames.append(frame.tobytes())
+            ring.release()
+        wires.append(frames)
+        service.teardown()
+    assert len(wires[0]) == 17
+    assert wires[0] == wires[1]
+
+
+def test_open_session_rejects_unknown_priority():
+    """An invalid priority is refused before anything is drawn, so the
+    session table and the session-id sequence are untouched (the loop
+    would otherwise fail on it only after draining the ingress ring)."""
+    _, _, service, _ = make_stack()
+    first = service.open_session()
+    with pytest.raises(ServeError, match="priority"):
+        service.open_session(priority=7)
+    assert service.stats().open_sessions == 1
+    assert service.open_session().session_id == first.session_id + 1
     service.teardown()
 
 

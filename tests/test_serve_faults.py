@@ -124,6 +124,9 @@ def test_ring_stall_sheds_then_retry_succeeds_in_graceful_mode():
     assert len(sheds) == 2 and sheds[0].session_id == handle.session_id
     assert "ingress ring full" in sheds[0].reason
     assert service.stats().requests_shed == 2
+    # The slot is reserved before a seq is drawn: the two shed submits
+    # consumed none, so the one that landed holds seq 0.
+    assert seqs == [0] and handle.next_seq == 1
     label, _ = handle.take_result(seqs[0])
     assert label == expected_results(model, [fingerprint])[0][0]
     service.teardown()

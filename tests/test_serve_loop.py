@@ -77,7 +77,7 @@ def test_age_heap_tracks_across_interleaved_takes():
 # --- adaptive batcher ----------------------------------------------------
 
 def test_adaptive_batcher_grows_under_load_and_shrinks_when_idle():
-    batcher = AdaptiveBatcher(max_batch=16, min_batch=1)
+    batcher = AdaptiveBatcher(max_batch=16)
     assert batcher.target == 16
     # Light load: shrink toward the floor, one halving per update.
     for expected in (8, 4, 2, 1, 1):
@@ -100,9 +100,7 @@ def test_adaptive_batcher_holds_in_the_hysteresis_band():
 
 def test_adaptive_batcher_validates_bounds():
     with pytest.raises(ServeError):
-        AdaptiveBatcher(max_batch=4, min_batch=8)
-    with pytest.raises(ServeError):
-        AdaptiveBatcher(max_batch=4, min_batch=0)
+        AdaptiveBatcher(max_batch=0)
 
 
 # --- mailboxes and admission --------------------------------------------
