@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 
 from repro.tflm.model import Model, ModelMetadata
@@ -15,7 +19,12 @@ from repro.tflm.ops.softmax import (
 from repro.tflm.quantize import choose_weight_qparams
 from repro.tflm.tensor import QuantParams, TensorSpec
 
-__all__ = ["build_tiny_int8_model", "build_float_mlp"]
+__all__ = ["build_tiny_int8_model", "build_float_mlp",
+           "transcript_digests", "pinned_transcript_digests"]
+
+# SHA-256 of each chaos layer's per-seed transcripts, as produced by
+# the module fixtures of tests/test_chaos_{e2e,serve,fleet}.py.
+CHAOS_DIGESTS = pathlib.Path(__file__).with_name("chaos_digests.json")
 
 
 def build_tiny_int8_model(seed: int = 5, num_classes: int = 4,
@@ -88,3 +97,15 @@ def build_float_mlp(seed: int = 9, in_features: int = 10,
     model.outputs = ["probs"]
     model.validate()
     return model
+
+
+def transcript_digests(results: dict) -> dict[str, str]:
+    """SHA-256 of each seed's chaos transcript, keyed by the seed."""
+    return {str(seed): hashlib.sha256(
+                result.transcript().encode()).hexdigest()
+            for seed, result in sorted(results.items())}
+
+
+def pinned_transcript_digests(layer: str) -> dict[str, str]:
+    """The committed transcript digests of one chaos layer."""
+    return json.loads(CHAOS_DIGESTS.read_text())[layer]

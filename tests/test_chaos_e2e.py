@@ -23,6 +23,7 @@ from repro.crypto.rng import HmacDrbg
 from repro.eval.chaos import (ChaosResult, run_chaos_schedule,
                               write_chaos_transcripts)
 from repro.sanctuary.lifecycle import SanctuaryRuntime
+from tests.helpers import pinned_transcript_digests, transcript_digests
 
 CHAOS_SEEDS = list(range(20))
 
@@ -76,6 +77,14 @@ def test_same_seed_reproduces_transcript(chaos_results, tiny_model, seed):
     assert rerun.recognitions == reference.recognitions
     assert rerun.error == reference.error
     assert rerun.completed == reference.completed
+
+
+def test_transcripts_match_pinned_digests(chaos_results):
+    """Every seed's transcript is byte-identical to the committed
+    one: a refactor of the fault machinery must not move a fault,
+    a counter or a rule."""
+    assert (transcript_digests(chaos_results)
+            == pinned_transcript_digests("device"))
 
 
 def test_transcript_artifacts(tmp_path, chaos_results):

@@ -19,6 +19,7 @@ from repro.eval.chaos import (
     run_fleet_chaos_schedule,
     write_chaos_transcripts,
 )
+from tests.helpers import pinned_transcript_digests, transcript_digests
 
 FLEET_SEEDS = [0, 2, 7, 11]  # seed 2 exercises a reply-loss duplicate
 
@@ -63,6 +64,14 @@ def test_same_seed_reproduces_the_schedule(fleet_results):
     assert rerun.granted == reference.granted
     assert rerun.duplicates_reconciled == reference.duplicates_reconciled
     assert rerun.audit_heads == reference.audit_heads
+
+
+def test_transcripts_match_pinned_digests(fleet_results):
+    """Every seed's transcript is byte-identical to the committed
+    one: a refactor of the fault machinery must not move a fault,
+    a counter or a rule."""
+    assert (transcript_digests(fleet_results)
+            == pinned_transcript_digests("fleet"))
 
 
 def test_transcript_artifacts(tmp_path, fleet_results):

@@ -12,6 +12,7 @@ and its fault transcript must reproduce bit-for-bit from the seed.
 import pytest
 
 from repro.eval.chaos import run_serve_chaos_schedule, write_chaos_transcripts
+from tests.helpers import pinned_transcript_digests, transcript_digests
 
 SERVE_CHAOS_SEEDS = list(range(20))
 
@@ -81,6 +82,14 @@ def test_schedules_reproduce_bit_for_bit():
     assert first.fault_lines == second.fault_lines
     assert first.stats == second.stats
     assert first.transcript() == second.transcript()
+
+
+def test_transcripts_match_pinned_digests(serve_chaos_results):
+    """Every seed's transcript is byte-identical to the committed
+    one: a refactor of the fault machinery must not move a fault,
+    a counter or a rule."""
+    assert (transcript_digests(serve_chaos_results)
+            == pinned_transcript_digests("serve"))
 
 
 def test_transcripts_embed_stats_snapshot(tmp_path, serve_chaos_results):

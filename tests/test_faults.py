@@ -241,3 +241,118 @@ def test_transcript_line_format():
     with faults.installed(plan):
         bus.write(0x40, b"gone", World.SECURE, core_id=None)
     assert plan.transcript_lines() == ["0000 bus.write op=1 drop addr=0x40"]
+
+
+# --- every site, through its hook -------------------------------------------
+
+def _ring(site):
+    def call(plan):
+        frame = bytearray(range(12))
+        plan.ring_frame(site, frame)
+        return bytes(frame)
+    return call
+
+
+# (site, action, extra rule fields, one hook call returning its observable
+# outcome, the transcript line when the second call fires)
+SITE_TABLE = [
+    ("bus.write", "drop", {}, lambda p: p.bus_write(0x40, b"data"),
+     "addr=0x40"),
+    ("bus.write", "corrupt", {}, lambda p: p.bus_write(0x40, b"data"),
+     "addr=0x40"),
+    ("bus.write", "error", {}, lambda p: p.bus_write(0x40, b"data"),
+     "addr=0x40"),
+    ("bus.read", "corrupt", {}, lambda p: p.bus_read(0x80, b"data"),
+     "addr=0x80"),
+    ("bus.read", "error", {}, lambda p: p.bus_read(0x80, b"data"),
+     "addr=0x80"),
+    ("memory.scrub", "skip", {}, lambda p: p.memory_scrub(0x100, 6),
+     "addr=0x100 len=6"),
+    ("rng.generate", "exhaust", {}, lambda p: p.rng_generate(16),
+     "requested=16"),
+    ("channel.seal", "corrupt", {},
+     lambda p: p.channel_frame("channel.seal", b"frame"), "len=5"),
+    ("channel.seal", "drop", {},
+     lambda p: p.channel_frame("channel.seal", b"frame"), "len=5"),
+    ("channel.open", "corrupt", {},
+     lambda p: p.channel_frame("channel.open", b"frame"), "len=5"),
+    ("channel.open", "drop", {},
+     lambda p: p.channel_frame("channel.open", b"frame"), "len=5"),
+    ("lifecycle", "crash", {}, lambda p: p.lifecycle("resume", "active"),
+     "event=resume state=active"),
+    ("serve.ingress", "corrupt", {}, _ring("serve.ingress"),
+     "len=12 byte=3"),
+    ("serve.egress", "corrupt", {}, _ring("serve.egress"),
+     "len=12 byte=3"),
+    ("ring.reserve", "stall", {}, lambda p: p.ring_stall(), "stalled"),
+    ("sched.deadline", "skew", {"magnitude": 3.5},
+     lambda p: p.scheduler_skew(), "skew_ms=3.5"),
+    ("keycache.chunk", "drop", {}, lambda p: p.keycache_chunk(), "dropped"),
+    ("worker.invoke", "panic", {}, lambda p: p.worker_invoke(), "panic"),
+    ("fleet.rpc", "drop", {}, lambda p: p.fleet_rpc(), "dropped"),
+    ("fleet.reply", "drop", {}, lambda p: p.fleet_reply(), "dropped"),
+    ("fleet.shard", "crash", {}, lambda p: p.fleet_shard("shard-1"),
+     "shard=shard-1"),
+    ("journal.append", "torn", {}, lambda p: p.journal_append(b"record"),
+     "len=6 cut=2"),
+]
+
+
+def test_site_table_covers_every_site():
+    assert {row[0] for row in SITE_TABLE} == set(SITES)
+
+
+@pytest.mark.parametrize("site, action, fields, call, detail", SITE_TABLE,
+                         ids=[f"{row[0]}-{row[1]}" for row in SITE_TABLE])
+def test_every_site_fires_once_with_its_transcript_line(site, action, fields,
+                                                        call, detail):
+    """The second of three operations fires: its effect differs from the
+    untouched first and third, and the transcript holds one exact line."""
+    plan = faults.FaultPlan(21, [faults.FaultRule(site, action, nth=2,
+                                                  **fields)])
+    outcomes = []
+    with faults.installed(plan):
+        for _ in range(3):
+            try:
+                outcomes.append(call(plan))
+            except FaultInjected:
+                outcomes.append(FaultInjected)
+    assert outcomes[0] == outcomes[2] != outcomes[1]
+    assert plan.transcript_lines() == [f"0000 {site} op=2 {action} {detail}"]
+
+
+def _ring_payload(site):
+    def call(plan, payload):
+        frame = bytearray(payload)
+        plan.ring_frame(site, frame)
+        return bytes(frame)
+    return call
+
+
+@pytest.mark.parametrize("site, call", [
+    ("bus.write", lambda p, data: p.bus_write(0, data)),
+    ("bus.read", lambda p, data: p.bus_read(0, data)),
+    ("channel.seal", lambda p, data: p.channel_frame("channel.seal", data)),
+    ("channel.open", lambda p, data: p.channel_frame("channel.open", data)),
+    ("serve.ingress", _ring_payload("serve.ingress")),
+    ("serve.egress", _ring_payload("serve.egress")),
+])
+def test_corrupt_on_an_empty_payload_is_spent_but_unrecorded(site, call):
+    """Nothing to flip: the rule still spends its one fire, so the next
+    operation inside its window passes through untouched."""
+    plan = faults.FaultPlan(22, [faults.FaultRule(site, "corrupt", nth=1,
+                                                  span=2)])
+    with faults.installed(plan):
+        assert call(plan, b"") == b""
+        assert call(plan, b"payload") == b"payload"
+    assert plan.events == []
+
+
+def test_a_one_byte_journal_append_counts_no_operation():
+    """A record too short to tear is not an operation at the site."""
+    plan = faults.FaultPlan(23, [faults.tear_nth_journal_append(1)])
+    with faults.installed(plan):
+        assert plan.journal_append(b"x") == b"x"
+        torn = plan.journal_append(b"record")
+    assert torn == b"record"[:len(torn)] and len(torn) < 6
+    assert plan.transcript_lines()[0].startswith("0000 journal.append op=1 ")
