@@ -53,6 +53,7 @@ import argparse
 import json
 import os
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -84,6 +85,12 @@ _HEAP_BYTES = 1 << 20
 _KEY_BITS = 768
 _VENDOR_SEED = b"vendor-seed"
 _MARKER_LEN = 48
+_MAX_RECOVERIES = 3               # device: crash-recovery relaunches
+_RECOGNITIONS = 3                 # device: inputs classified per schedule
+_SERVE_SESSIONS = 3
+_REQUESTS_PER_SESSION = 7
+_FLEET_SHARDS = 3
+_COHORTS_PER_TENANT = 2
 
 
 @dataclass
@@ -298,6 +305,41 @@ def _scan_for_leaks(platform, markers: dict[str, bytes]) -> list[str]:
     return violations
 
 
+@contextmanager
+def _fault_envelope(result: _ScheduleResult, plan: FaultPlan,
+                    span_name: str, span_attributes=dict):
+    """Run the with-body under ``plan`` and classify how it ended.
+
+    The body sets ``result.completed`` itself; a typed
+    :class:`~repro.errors.ReproError` is recorded as ``error``, any
+    other exception as an untyped liveness violation — neither escapes.
+    Afterwards ``result.fault_lines`` holds the plan transcript, and a
+    fault-tagged span (every fired fault a span event, so a trace shows
+    *when* each struck) is emitted when telemetry is installed, with
+    ``span_attributes()`` added to its closing attributes.
+    """
+    span = None
+    if _obs.TELEMETRY is not None:
+        span = _obs.TELEMETRY.tracer.start_span(
+            span_name, attributes={"seed": result.seed,
+                                   "rules": len(plan.rules)})
+    with installed(plan):
+        try:
+            yield
+        except Exception as exc:  # noqa: BLE001 — classified, not raised
+            result.error = type(exc).__name__
+            result.error_message = str(exc)
+            result.untyped = not isinstance(exc, ReproError)
+    result.fault_lines = plan.transcript_lines()
+    if span is not None:
+        for line in result.fault_lines:
+            span.add_event("fault", detail=line)
+        span.set_attributes(
+            completed=result.completed, error=result.error or "",
+            faults=len(result.fault_lines), **span_attributes())
+        span.end()
+
+
 class _ChaosSession:
     """One enclave session: launch/recover, provision, recognize."""
 
@@ -387,9 +429,7 @@ class _ChaosSession:
         self.instance = self.runtime.recover(instance)
 
 
-def run_chaos_schedule(seed: int, model=None, *, max_recoveries: int = 3,
-                       recognition_count: int = 3,
-                       max_rules: int = 4) -> ChaosResult:
+def run_chaos_schedule(seed: int, model=None) -> ChaosResult:
     """Run the full pipeline under ``random_plan(seed)``; never hang.
 
     Returns a :class:`ChaosResult` whose ``live``/``safe`` properties are
@@ -397,64 +437,37 @@ def run_chaos_schedule(seed: int, model=None, *, max_recoveries: int = 3,
     """
     if model is None:
         model = default_chaos_model()
-    _warm_key_cache(_KEY_BITS, max_recoveries + 2)
-    plan = random_plan(seed, max_rules=max_rules)
+    _warm_key_cache(_KEY_BITS, _MAX_RECOVERIES + 2)
+    plan = random_plan(seed)
     result = ChaosResult(seed=seed, rules=[repr(rule) for rule in plan.rules])
-    chaos_span = None
-    if _obs.TELEMETRY is not None:
-        chaos_span = _obs.TELEMETRY.tracer.start_span(
-            "chaos.schedule",
-            attributes={"seed": seed, "rules": len(plan.rules)})
-
-    with installed(plan):
+    session = None
+    with _fault_envelope(result, plan, "chaos.schedule",
+                         lambda: {"recoveries": result.recoveries}):
         platform = make_platform(key_bits=_KEY_BITS)
         runtime = SanctuaryRuntime(platform)
-        session = _ChaosSession(platform, runtime, None, None, seed)
-        recoveries = 0
-        try:
-            vendor = Vendor("chaos-vendor", model, seed=_VENDOR_SEED,
-                            key_bits=_KEY_BITS)
-            app = KeywordSpotterApp()
-            session.vendor, session.app = vendor, app
-            while True:
-                try:
-                    if session.needs_provisioning():
-                        session.provision(result)
-                    while len(result.recognitions) < recognition_count:
-                        result.recognitions.append(
-                            session.recognize(len(result.recognitions)))
-                    session.instance.panic()  # clean, scrub-verified exit
-                    result.completed = True
-                    break
-                except ReproError:
-                    if recoveries >= max_recoveries:
-                        raise
-                    recoveries += 1
-                    session.after_failure()
-            result.recoveries = recoveries
-        except ReproError as exc:
-            result.error = type(exc).__name__
-            result.error_message = str(exc)
-            result.recoveries = recoveries
-        except Exception as exc:  # noqa: BLE001 — liveness violation
-            result.error = type(exc).__name__
-            result.error_message = str(exc)
-            result.untyped = True
-
-    result.fault_lines = plan.transcript_lines()
-    if chaos_span is not None:
-        # Fault-tagged span: every fired fault becomes a span event, so
-        # a trace of a chaos run shows *when* each fault struck.
-        for line in result.fault_lines:
-            chaos_span.add_event("fault", detail=line)
-        chaos_span.set_attributes(
-            completed=result.completed, error=result.error or "",
-            faults=len(result.fault_lines), recoveries=result.recoveries)
-        chaos_span.end()
+        vendor = Vendor("chaos-vendor", model, seed=_VENDOR_SEED,
+                        key_bits=_KEY_BITS)
+        session = _ChaosSession(platform, runtime, vendor,
+                                KeywordSpotterApp(), seed)
+        while True:
+            try:
+                if session.needs_provisioning():
+                    session.provision(result)
+                while len(result.recognitions) < _RECOGNITIONS:
+                    result.recognitions.append(
+                        session.recognize(len(result.recognitions)))
+                session.instance.panic()  # clean, scrub-verified exit
+                result.completed = True
+                break
+            except ReproError:
+                if result.recoveries >= _MAX_RECOVERIES:
+                    raise
+                result.recoveries += 1
+                session.after_failure()
 
     # Safety sweep over everything the normal world can observe.
-    if session.vendor is not None:
-        markers = {"model": _plaintext_marker(session.vendor.model_bytes)}
+    if session is not None:
+        markers = {"model": _plaintext_marker(vendor.model_bytes)}
         last_input = getattr(session, "_last_input", b"")
         if last_input:
             markers["input"] = _plaintext_marker(last_input)
@@ -462,7 +475,7 @@ def run_chaos_schedule(seed: int, model=None, *, max_recoveries: int = 3,
         for instance in runtime.instances + runtime.crashed:
             enclave_id = instance.instance_name
             try:
-                state = session.vendor.license_state(enclave_id)
+                state = vendor.license_state(enclave_id)
             except ReproError:
                 continue  # never attested: no license to audit
             result.key_requests[enclave_id] = state.key_requests
@@ -508,10 +521,7 @@ class ServeChaosResult(_ScheduleResult):
                   for key, value in sorted(self.stats.items()))]
 
 
-def run_serve_chaos_schedule(seed: int, model=None, *,
-                             num_sessions: int = 3,
-                             requests_per_session: int = 7,
-                             max_rules: int = 4) -> ServeChaosResult:
+def run_serve_chaos_schedule(seed: int) -> ServeChaosResult:
     """Drive batched multi-session traffic under ``random_serve_plan``.
 
     The serving stack (platform, vendor, worker pool, sessions) is
@@ -526,22 +536,20 @@ def run_serve_chaos_schedule(seed: int, model=None, *,
     alternate interactive/batch priority so both class queues (and the
     admission gate between them) sit inside the blast radius.
     """
-    if model is None:
-        model = default_chaos_model()
-    plan = random_serve_plan(seed, max_rules=max_rules)
+    plan = random_serve_plan(seed)
     result = ServeChaosResult(seed=seed,
                               rules=[repr(rule) for rule in plan.rules])
 
     platform = make_platform(key_bits=_KEY_BITS)
-    vendor = Vendor("serve-chaos-vendor", model, seed=_VENDOR_SEED,
-                    key_bits=_KEY_BITS)
+    vendor = Vendor("serve-chaos-vendor", default_chaos_model(),
+                    seed=_VENDOR_SEED, key_bits=_KEY_BITS)
     config = ServeConfig(max_batch=4, deadline_ms=2.0, ring_slots=8,
                          num_workers=2, strict=False, watchdog_ms=12.0)
     service = ServingService(platform, vendor, config)
     loop = ServingLoop(service, tick_ms=0.75)
     handles = [service.open_session(
         priority=Priority.INTERACTIVE if index % 2 == 0 else Priority.BATCH)
-        for index in range(num_sessions)]
+        for index in range(_SERVE_SESSIONS)]
     result.sessions = len(handles)
     clock = platform.soc.clock
 
@@ -549,8 +557,8 @@ def run_serve_chaos_schedule(seed: int, model=None, *,
     # every batch mixes sessions (per-session key isolation under fire).
     rng = np.random.default_rng(seed * 6007 + 13)
     traffic: deque = deque()
-    for _ in range(requests_per_session):
-        for index in range(num_sessions):
+    for _ in range(_REQUESTS_PER_SESSION):
+        for index in range(_SERVE_SESSIONS):
             fingerprint = rng.integers(
                 0, 256, size=service.fingerprint_shape, dtype=np.uint8)
             traffic.append((index, fingerprint))
@@ -559,51 +567,38 @@ def run_serve_chaos_schedule(seed: int, model=None, *,
         for i, (_, fp) in enumerate(traffic) if i < 3}
 
     accepted: dict[int, set] = {h.session_id: set() for h in handles}
-    chaos_span = None
-    if _obs.TELEMETRY is not None:
-        chaos_span = _obs.TELEMETRY.tracer.start_span(
-            "chaos.serve_schedule",
-            attributes={"seed": seed, "rules": len(plan.rules)})
+    with _fault_envelope(result, plan, "chaos.serve_schedule",
+                         lambda: {"restarts": service.pool.restarts,
+                                  "shed": result.shed}):
+        iterations = 0
+        while traffic and iterations < 400:
+            iterations += 1
+            index, fingerprint = traffic[0]
+            verdict = service.submit(handles[index], fingerprint)
+            if isinstance(verdict, Shed):
+                # Typed backpressure: drain and retry the same
+                # request — nothing was consumed.
+                result.shed += 1
+            else:
+                traffic.popleft()
+                accepted[handles[index].session_id].add(verdict)
+                result.accepted += 1
+            loop.tick()
+            clock.advance_ms(0.75)
+        # Drain: anything still queued (sub-deadline leftovers,
+        # requeued batches, deferred mailboxes) flushes here; each
+        # tick polls the egress ring so force-flushes always find
+        # room.
+        for _ in range(8):
+            loop.tick(force=True)
+            clock.advance_ms(1.0)
+        result.completed = not traffic
+        if traffic:
+            result.error = "ServeError"
+            result.error_message = (
+                f"{len(traffic)} requests still shed after the "
+                f"drive-loop budget — wedged ingress")
 
-    with installed(plan):
-        try:
-            iterations = 0
-            while traffic and iterations < 400:
-                iterations += 1
-                index, fingerprint = traffic[0]
-                verdict = service.submit(handles[index], fingerprint)
-                if isinstance(verdict, Shed):
-                    # Typed backpressure: drain and retry the same
-                    # request — nothing was consumed.
-                    result.shed += 1
-                else:
-                    traffic.popleft()
-                    accepted[handles[index].session_id].add(verdict)
-                    result.accepted += 1
-                loop.tick()
-                clock.advance_ms(0.75)
-            # Drain: anything still queued (sub-deadline leftovers,
-            # requeued batches, deferred mailboxes) flushes here; each
-            # tick polls the egress ring so force-flushes always find
-            # room.
-            for _ in range(8):
-                loop.tick(force=True)
-                clock.advance_ms(1.0)
-            result.completed = not traffic
-            if traffic:
-                result.error = "ServeError"
-                result.error_message = (
-                    f"{len(traffic)} requests still shed after the "
-                    f"drive-loop budget — wedged ingress")
-        except ReproError as exc:
-            result.error = type(exc).__name__
-            result.error_message = str(exc)
-        except Exception as exc:  # noqa: BLE001 — liveness violation
-            result.error = type(exc).__name__
-            result.error_message = str(exc)
-            result.untyped = True
-
-    result.fault_lines = plan.transcript_lines()
     stats = service.stats()
     result.stats = asdict(stats)
 
@@ -639,15 +634,6 @@ def run_serve_chaos_schedule(seed: int, model=None, *,
             and stats.workers_restarted < 1):
         result.safety_violations.append(
             "worker panic fired but no re-attested restart happened")
-
-    if chaos_span is not None:
-        for line in result.fault_lines:
-            chaos_span.add_event("fault", detail=line)
-        chaos_span.set_attributes(
-            completed=result.completed, error=result.error or "",
-            faults=len(result.fault_lines),
-            restarts=stats.workers_restarted, shed=result.shed)
-        chaos_span.end()
 
     # Teardown (tolerates panicked workers), then sweep every untrusted
     # surface: model plaintext and raw fingerprints must never appear
@@ -711,10 +697,8 @@ class FleetChaosResult(_ScheduleResult):
                   for shard, head in sorted(self.audit_heads.items()))]
 
 
-def run_fleet_chaos_schedule(seed: int, *, devices: int = 240,
-                             num_shards: int = 3,
-                             cohorts_per_tenant: int = 2,
-                             max_rules: int = 4) -> FleetChaosResult:
+def run_fleet_chaos_schedule(seed: int, *,
+                             devices: int = 240) -> FleetChaosResult:
     """Drive a sharded enrollment storm under ``random_fleet_plan``.
 
     The fleet (tenant trust anchors, pooled cohorts, shard ring) is
@@ -738,37 +722,26 @@ def run_fleet_chaos_schedule(seed: int, *, devices: int = 240,
     from repro.fleet.population import TERMINAL_STATES
     from repro.hw.timing import VirtualClock
 
-    plan = random_fleet_plan(seed, max_rules=max_rules)
+    plan = random_fleet_plan(seed)
     result = FleetChaosResult(seed=seed,
                               rules=[repr(rule) for rule in plan.rules])
 
     clock = VirtualClock()
     fleet = DeviceFleet(clock, key_bits=_KEY_BITS, seed=b"fleet-chaos")
-    per_cohort = max(1, devices // (len(fleet.tenants) * cohorts_per_tenant))
+    per_cohort = max(1, devices // (len(fleet.tenants)
+                                    * _COHORTS_PER_TENANT))
     for tenant in fleet.tenants:
-        for index in range(cohorts_per_tenant):
+        for index in range(_COHORTS_PER_TENANT):
             fleet.build_cohort(tenant, f"{tenant}-s{seed}-c{index}",
                                per_cohort)
     director = FleetDirector(
-        clock, [f"shard-{index}" for index in range(num_shards)],
+        clock, [f"shard-{index}" for index in range(_FLEET_SHARDS)],
         fleet.tenants)
     result.devices = fleet.device_count
 
-    report = None
-    with installed(plan):
-        try:
-            report = director.run_storm(fleet.cohorts, storm_seconds=0.5,
-                                        max_seconds=60.0)
-        except ReproError as exc:
-            result.error = type(exc).__name__
-            result.error_message = str(exc)
-        except Exception as exc:  # noqa: BLE001 — liveness violation
-            result.error = type(exc).__name__
-            result.error_message = str(exc)
-            result.untyped = True
-    result.fault_lines = plan.transcript_lines()
-
-    if report is not None:
+    with _fault_envelope(result, plan, "chaos.fleet_schedule"):
+        report = director.run_storm(fleet.cohorts, storm_seconds=0.5,
+                                    max_seconds=60.0)
         result.granted = report.granted
         result.rejected = report.rejected
         result.refused = report.refused

@@ -9,7 +9,8 @@ to an in-order transcript, and because all trigger decisions and
 corruption bytes come from the plan's own DRBG, re-running the same
 seed against the same workload reproduces the transcript bit for bit.
 
-Hook sites and the actions they honor:
+Hook sites and the actions they honor (:data:`SITES` is this table;
+a rule naming any other site or action is refused when it is built):
 
 =================  =============================  =========================
 site               actions                        effect
@@ -56,6 +57,12 @@ site               actions                        effect
                                                   and the shard crashes
 =================  =============================  =========================
 
+Every hook goes through one firing path, :meth:`FaultPlan._fire`: count
+the operation at the site, match a rule, record the event, and leave
+the hook only its own effect.  The plan's own DRBG is itself the
+instrumented ``rng.generate`` site, so while the plan draws (trigger
+probabilities, flipped bits, tear offsets) no site counts an operation.
+
 The serving-layer sites (everything below ``lifecycle``) were added
 when the chaos harness grew a ``serve`` mode: they cover the zero-copy
 rings, the batch scheduler, the keystream cache, and the enclave worker
@@ -65,11 +72,11 @@ pool — see :mod:`repro.eval.chaos` and ``docs/ARCHITECTURE.md``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import FaultInjected, ReproError
 
-# NOTE: repro.crypto.rng is imported lazily inside FaultPlan/random_plan.
+# NOTE: repro.crypto.rng is imported lazily inside FaultPlan/_draw_plan.
 # Instrumented modules (rng.py among them) import repro.faults.hooks,
 # which triggers this package's __init__ — a module-level rng import
 # here would close that cycle.
@@ -86,28 +93,53 @@ __all__ = [
     "tear_nth_journal_append", "random_fleet_plan",
 ]
 
-SITES = ("bus.write", "bus.read", "memory.scrub", "rng.generate",
-         "channel.seal", "channel.open", "lifecycle",
-         "serve.ingress", "serve.egress", "ring.reserve",
-         "sched.deadline", "keycache.chunk", "worker.invoke",
-         "fleet.rpc", "fleet.reply", "fleet.shard", "journal.append")
+SITES = {
+    "bus.write": ("drop", "corrupt", "error"),
+    "bus.read": ("corrupt", "error"),
+    "memory.scrub": ("skip",),
+    "rng.generate": ("exhaust",),
+    "channel.seal": ("corrupt", "drop"),
+    "channel.open": ("corrupt", "drop"),
+    "lifecycle": ("crash",),
+    "serve.ingress": ("corrupt",),
+    "serve.egress": ("corrupt",),
+    "ring.reserve": ("stall",),
+    "sched.deadline": ("skew",),
+    "keycache.chunk": ("drop",),
+    "worker.invoke": ("panic",),
+    "fleet.rpc": ("drop",),
+    "fleet.reply": ("drop",),
+    "fleet.shard": ("crash",),
+    "journal.append": ("torn",),
+}
+
+# Rules per randomized chaos schedule: 1.._MAX_RULES, drawn per seed.
+_MAX_RULES = 4
+
+
+def _seed_bytes(seed: int) -> bytes:
+    if not 0 <= seed < 1 << 128:
+        raise ReproError(f"fault-plan seed must be in [0, 2**128), got {seed}")
+    return seed.to_bytes(16, "big")
 
 
 @dataclass(frozen=True)
 class FaultRule:
     """One declarative fault: *where*, *what*, and *when*.
 
-    Exactly one of ``nth`` (fire on the nth matching operation at the
-    site, 1-based) or ``probability`` (fire on each matching operation
-    with this chance, drawn from the plan DRBG) selects the trigger.
+    ``action`` must be one the site honors (:data:`SITES`).  Exactly
+    one of ``nth`` (fire on the nth matching operation at the site,
+    1-based) or ``probability`` (fire on each matching operation with
+    this chance, drawn from the plan DRBG) selects the trigger.
     ``state`` additionally filters ``lifecycle`` events by enclave
-    state/phase name.  ``max_fires`` bounds how often the rule fires.
-    ``span`` widens an ``nth`` trigger to the window ``[nth, nth +
-    span)`` of consecutive operations — how a stall or a clock skew
-    persists over a stretch of activity instead of blinking for one
-    operation.  ``magnitude`` parameterizes actions that need a size —
-    today only ``sched.deadline``/``skew``, where it is the skew in
-    virtual milliseconds.
+    state/phase name.  ``max_fires`` (>= 1) bounds how often the rule
+    fires.  ``span`` widens an ``nth`` trigger to the window ``[nth,
+    nth + span)`` of consecutive operations — how a stall or a clock
+    skew persists over a stretch of activity instead of blinking for
+    one operation.  ``magnitude`` parameterizes actions that need a
+    size — today only ``sched.deadline``/``skew``, where it is the skew
+    in virtual milliseconds.  A rule that could never fire, or whose
+    trigger is ambiguous, is refused with :class:`ReproError`.
     """
 
     site: str
@@ -122,14 +154,28 @@ class FaultRule:
     def __post_init__(self) -> None:
         if self.site not in SITES:
             raise ReproError(f"unknown fault site {self.site!r}")
+        if self.action not in SITES[self.site]:
+            raise ReproError(
+                f"site {self.site!r} does not honor action {self.action!r}"
+                f" (it honors {', '.join(SITES[self.site])})")
         if self.nth is not None and self.nth < 1:
             raise ReproError("nth is 1-based and must be >= 1")
         if self.span < 1:
             raise ReproError("span must be >= 1")
+        if self.max_fires < 1:
+            raise ReproError("max_fires must be >= 1")
         if not 0.0 <= self.probability <= 1.0:
             raise ReproError("probability must be within [0, 1]")
         if self.nth is None and self.probability == 0.0:
             raise ReproError("rule needs a trigger: nth or probability")
+        if self.nth is not None and self.probability != 0.0:
+            raise ReproError("rule has two triggers: give nth or "
+                             "probability, not both")
+        if self.span > 1 and self.nth is None:
+            raise ReproError("span widens an nth trigger; a probability "
+                             "rule has none")
+        if self.state is not None and self.site != "lifecycle":
+            raise ReproError("state filters only lifecycle events")
 
 
 @dataclass(frozen=True)
@@ -158,7 +204,7 @@ class FaultPlan:
         from repro.crypto.rng import HmacDrbg
 
         if isinstance(seed, int):
-            seed = seed.to_bytes(16, "big", signed=False)
+            seed = _seed_bytes(seed)
         self.seed = seed
         self.rules = list(rules)
         self._drbg = HmacDrbg(seed or b"\x00", b"fault-plan")
@@ -168,8 +214,8 @@ class FaultPlan:
         self._op_counts: dict[str, int] = {}
         self._fire_counts: dict[int, int] = {}
         self.events: list[FaultEvent] = []
-        # Reentrancy guard: the plan's own DRBG runs through the
-        # instrumented HmacDrbg.generate, which must not re-enter.
+        # Set only while the plan draws from its own DRBG (_draw), which
+        # runs through the instrumented HmacDrbg.generate.
         self._busy = False
 
     # --- bookkeeping ------------------------------------------------------
@@ -182,18 +228,34 @@ class FaultPlan:
             return len(self.events)
         return sum(1 for e in self.events if e.site == site)
 
-    def _record(self, rule: FaultRule, site: str, op_index: int,
-                detail: str) -> None:
+    def _record(self, rule: FaultRule, site: str, detail: str) -> None:
         self.events.append(FaultEvent(
             index=len(self.events), site=site, action=rule.action,
-            op_index=op_index, detail=detail))
+            op_index=self._op_counts[site], detail=detail))
 
-    def _match(self, site: str, state: str | None = None) -> FaultRule | None:
-        """Count one operation at ``site``; return the rule that fires."""
+    def _fire(self, site: str, detail: str | None = None, args: tuple = (),
+              state: str | None = None, payload=None) -> FaultRule | None:
+        """Count one operation at ``site``; return the rule that fires.
+
+        A firing rule is recorded with ``detail.format(*args,
+        rule=rule)``, so the detail string is built only when a rule
+        fires.  A hook whose detail reports its own draws passes no
+        ``detail`` and records after drawing.  A ``corrupt`` rule over
+        an empty ``payload`` has nothing to flip: it is spent, recorded
+        nowhere, and ``None`` is returned.  While the plan draws from
+        its own DRBG (``_busy``) nothing is counted.
+
+        This runs once per instrumented operation; ``args`` is a tuple
+        rather than ``*args`` because plain positional parameters keep
+        the call on the interpreter's fast path.
+        """
+        if self._busy:
+            return None
         op_index = self._op_counts.get(site, 0) + 1
         self._op_counts[site] = op_index
         for rule in self._by_site.get(site, ()):
-            if self._fire_counts.get(id(rule), 0) >= rule.max_fires:
+            fires = self._fire_counts.get(id(rule), 0)
+            if fires >= rule.max_fires:
                 continue
             if rule.state is not None and rule.state != state:
                 continue
@@ -202,136 +264,95 @@ class FaultPlan:
                     continue
             elif self._uniform() >= rule.probability:
                 continue
-            self._fire_counts[id(rule)] = (
-                self._fire_counts.get(id(rule), 0) + 1)
-            return rule
-        return None
+            self._fire_counts[id(rule)] = fires + 1
+            break
+        else:
+            return None
+        # Only sites that pass a payload honor corrupt (SITES).
+        if rule.action == "corrupt" and not len(payload):
+            return None
+        if detail is not None:
+            self._record(rule, site, detail.format(*args, rule=rule))
+        return rule
+
+    def _draw(self, generate, arg):
+        """One draw from the plan's own DRBG, counted at no site."""
+        self._busy = True
+        try:
+            return generate(arg)
+        finally:
+            self._busy = False
 
     def _uniform(self) -> float:
-        return int.from_bytes(self._drbg.generate(8), "big") / 2.0 ** 64
+        return (int.from_bytes(self._draw(self._drbg.generate, 8), "big")
+                / 2.0 ** 64)
 
-    def _flip(self, data: bytes) -> bytes:
-        """Deterministically flip one bit of ``data`` (non-empty)."""
-        position = self._drbg.randint_below(len(data))
-        mask = 1 << self._drbg.randint_below(8)
+    def _randint(self, bound: int) -> int:
+        return self._draw(self._drbg.randint_below, bound)
+
+    def _flip(self, buffer) -> int:
+        """Flip one DRBG-chosen bit of the mutable, non-empty ``buffer``
+        in place; return the byte offset."""
+        position = self._randint(len(buffer))
+        buffer[position] ^= 1 << self._randint(8)
+        return position
+
+    def _flipped(self, data: bytes) -> bytes:
         mutated = bytearray(data)
-        mutated[position] ^= mask
+        self._flip(mutated)
         return bytes(mutated)
 
     # --- hook-site dispatch ----------------------------------------------
     #
-    # Each method counts one operation, evaluates the rules, and either
-    # passes the payload through, mutates it, or raises FaultInjected.
-    # All of them are no-ops while the plan itself is running (_busy).
+    # Each method fires its site once through _fire and applies only its
+    # own effect: pass the payload through, mutate it, or raise
+    # FaultInjected.
 
     def bus_write(self, address: int, data: bytes):
         """Returns the (possibly corrupted) payload, or ``DROPPED``."""
-        if self._busy:
+        rule = self._fire("bus.write", "addr={:#x}", (address,),
+                          payload=data)
+        if rule is None:
             return data
-        self._busy = True
-        try:
-            rule = self._match("bus.write")
-            if rule is None:
-                return data
-            op = self._op_counts["bus.write"]
-            if rule.action == "drop":
-                self._record(rule, "bus.write", op, f"addr={address:#x}")
-                return DROPPED
-            if rule.action == "corrupt" and data:
-                self._record(rule, "bus.write", op, f"addr={address:#x}")
-                return self._flip(data)
-            if rule.action == "error":
-                self._record(rule, "bus.write", op, f"addr={address:#x}")
-                raise FaultInjected(
-                    f"injected bus error on write to {address:#x}")
-            return data
-        finally:
-            self._busy = False
+        if rule.action == "drop":
+            return DROPPED
+        if rule.action == "error":
+            raise FaultInjected(
+                f"injected bus error on write to {address:#x}")
+        return self._flipped(data)
 
     def bus_read(self, address: int, data: bytes) -> bytes:
-        if self._busy:
+        rule = self._fire("bus.read", "addr={:#x}", (address,), payload=data)
+        if rule is None:
             return data
-        self._busy = True
-        try:
-            rule = self._match("bus.read")
-            if rule is None:
-                return data
-            op = self._op_counts["bus.read"]
-            if rule.action == "corrupt" and data:
-                self._record(rule, "bus.read", op, f"addr={address:#x}")
-                return self._flip(data)
-            if rule.action == "error":
-                self._record(rule, "bus.read", op, f"addr={address:#x}")
-                raise FaultInjected(
-                    f"injected bus error on read of {address:#x}")
-            return data
-        finally:
-            self._busy = False
+        if rule.action == "error":
+            raise FaultInjected(f"injected bus error on read of {address:#x}")
+        return self._flipped(data)
 
     def memory_scrub(self, address: int, length: int) -> bool:
         """False means the zeroization is silently skipped."""
-        if self._busy:
-            return True
-        self._busy = True
-        try:
-            rule = self._match("memory.scrub")
-            if rule is None or rule.action != "skip":
-                return True
-            self._record(rule, "memory.scrub",
-                         self._op_counts["memory.scrub"],
-                         f"addr={address:#x} len={length}")
-            return False
-        finally:
-            self._busy = False
+        return self._fire("memory.scrub", "addr={:#x} len={}",
+                          (address, length)) is None
 
     def rng_generate(self, num_bytes: int) -> None:
-        if self._busy:
-            return
-        self._busy = True
-        try:
-            rule = self._match("rng.generate")
-            if rule is not None and rule.action == "exhaust":
-                self._record(rule, "rng.generate",
-                             self._op_counts["rng.generate"],
-                             f"requested={num_bytes}")
-                raise FaultInjected("injected entropy-source exhaustion")
-        finally:
-            self._busy = False
+        if self._fire("rng.generate", "requested={}",
+                      (num_bytes,)) is not None:
+            raise FaultInjected("injected entropy-source exhaustion")
 
     def channel_frame(self, site: str, record: bytes) -> bytes:
         """``site`` is ``channel.seal`` or ``channel.open``."""
-        if self._busy:
+        rule = self._fire(site, "len={}", (len(record),), payload=record)
+        if rule is None:
             return record
-        self._busy = True
-        try:
-            rule = self._match(site)
-            if rule is None:
-                return record
-            op = self._op_counts[site]
-            if rule.action == "corrupt" and record:
-                self._record(rule, site, op, f"len={len(record)}")
-                return self._flip(record)
-            if rule.action == "drop":
-                self._record(rule, site, op, f"len={len(record)}")
-                raise FaultInjected(f"injected frame loss at {site}")
-            return record
-        finally:
-            self._busy = False
+        if rule.action == "drop":
+            raise FaultInjected(f"injected frame loss at {site}")
+        return self._flipped(record)
 
     def lifecycle(self, event: str, state: str) -> None:
-        if self._busy:
-            return
-        self._busy = True
-        try:
-            rule = self._match("lifecycle", state=state)
-            if rule is not None and rule.action == "crash":
-                self._record(rule, "lifecycle",
-                             self._op_counts["lifecycle"],
-                             f"event={event} state={state}")
-                raise FaultInjected(
-                    f"injected enclave crash at {event} (state {state})")
-        finally:
-            self._busy = False
+        if self._fire("lifecycle", "event={} state={}", (event, state),
+                      state=state) is not None:
+            raise FaultInjected(
+                f"injected enclave crash at {event} (state {state})")
 
     # --- serving-layer hook sites ----------------------------------------
 
@@ -345,35 +366,15 @@ class FaultPlan:
         catch the flip and account it (``auth_failures`` or
         ``frames_dropped``), never wedge the ring.
         """
-        if self._busy:
-            return
-        self._busy = True
-        try:
-            rule = self._match(site)
-            if rule is None or rule.action != "corrupt" or not len(frame):
-                return
-            position = self._drbg.randint_below(len(frame))
-            frame[position] ^= 1 << self._drbg.randint_below(8)
-            self._record(rule, site, self._op_counts[site],
-                         f"len={len(frame)} byte={position}")
-        finally:
-            self._busy = False
+        rule = self._fire(site, payload=frame)
+        if rule is not None:
+            position = self._flip(frame)
+            self._record(rule, site, f"len={len(frame)} byte={position}")
 
     def ring_stall(self) -> bool:
         """True when a ``ring.reserve`` stall rule fires: the slot ring
         reports full for this reservation even though space exists."""
-        if self._busy:
-            return False
-        self._busy = True
-        try:
-            rule = self._match("ring.reserve")
-            if rule is None or rule.action != "stall":
-                return False
-            self._record(rule, "ring.reserve",
-                         self._op_counts["ring.reserve"], "stalled")
-            return True
-        finally:
-            self._busy = False
+        return self._fire("ring.reserve", "stalled") is not None
 
     def scheduler_skew(self) -> float:
         """Virtual-clock skew (ms) applied to one batch-deadline check.
@@ -382,36 +383,14 @@ class FaultPlan:
         are, suppressing the deadline trigger — the serving watchdog
         must rescue the stuck batch by absolute age.
         """
-        if self._busy:
-            return 0.0
-        self._busy = True
-        try:
-            rule = self._match("sched.deadline")
-            if rule is None or rule.action != "skew":
-                return 0.0
-            self._record(rule, "sched.deadline",
-                         self._op_counts["sched.deadline"],
-                         f"skew_ms={rule.magnitude}")
-            return rule.magnitude
-        finally:
-            self._busy = False
+        rule = self._fire("sched.deadline", "skew_ms={rule.magnitude}")
+        return 0.0 if rule is None else rule.magnitude
 
     def keycache_chunk(self) -> bool:
         """True when a ``keycache.chunk`` drop rule fires: the cached
         keystream chunk is scrubbed and must be regenerated (a
         correctness-neutral availability fault)."""
-        if self._busy:
-            return False
-        self._busy = True
-        try:
-            rule = self._match("keycache.chunk")
-            if rule is None or rule.action != "drop":
-                return False
-            self._record(rule, "keycache.chunk",
-                         self._op_counts["keycache.chunk"], "dropped")
-            return True
-        finally:
-            self._busy = False
+        return self._fire("keycache.chunk", "dropped") is not None
 
     def worker_invoke(self) -> None:
         """Panic an enclave worker mid-batch (``worker.invoke`` site).
@@ -420,17 +399,8 @@ class FaultPlan:
         scrubs and unlocks before the pool's recovery machinery
         relaunches and re-attests it.
         """
-        if self._busy:
-            return
-        self._busy = True
-        try:
-            rule = self._match("worker.invoke")
-            if rule is not None and rule.action == "panic":
-                self._record(rule, "worker.invoke",
-                             self._op_counts["worker.invoke"], "panic")
-                raise FaultInjected("injected enclave worker panic")
-        finally:
-            self._busy = False
+        if self._fire("worker.invoke", "panic") is not None:
+            raise FaultInjected("injected enclave worker panic")
 
     # --- fleet-layer hook sites ------------------------------------------
 
@@ -440,18 +410,7 @@ class FaultPlan:
         (with the same request nonce — the shard's dedupe keeps the
         replay idempotent).  Dropped legs are what turns an enrollment
         storm into a retry-amplified one."""
-        if self._busy:
-            return False
-        self._busy = True
-        try:
-            rule = self._match("fleet.rpc")
-            if rule is None or rule.action != "drop":
-                return False
-            self._record(rule, "fleet.rpc",
-                         self._op_counts["fleet.rpc"], "dropped")
-            return True
-        finally:
-            self._busy = False
+        return self._fire("fleet.rpc", "dropped") is not None
 
     def fleet_reply(self) -> bool:
         """True when a ``fleet.reply`` drop rule fires: the shard served
@@ -461,37 +420,14 @@ class FaultPlan:
         shard and the grant is journaled *twice*, which is exactly the
         cross-shard duplicate :meth:`FleetDirector.reconcile` must
         revoke down to one."""
-        if self._busy:
-            return False
-        self._busy = True
-        try:
-            rule = self._match("fleet.reply")
-            if rule is None or rule.action != "drop":
-                return False
-            self._record(rule, "fleet.reply",
-                         self._op_counts["fleet.reply"], "dropped")
-            return True
-        finally:
-            self._busy = False
+        return self._fire("fleet.reply", "dropped") is not None
 
     def fleet_shard(self, shard_id: str) -> bool:
         """True when a ``fleet.shard`` crash rule fires: the shard
         handling this operation crashes, losing all in-memory state.
         Its journal survives (minus any torn tail) and is replayed on
         restart."""
-        if self._busy:
-            return False
-        self._busy = True
-        try:
-            rule = self._match("fleet.shard")
-            if rule is None or rule.action != "crash":
-                return False
-            self._record(rule, "fleet.shard",
-                         self._op_counts["fleet.shard"],
-                         f"shard={shard_id}")
-            return True
-        finally:
-            self._busy = False
+        return self._fire("fleet.shard", "shard={}", (shard_id,)) is not None
 
     def journal_append(self, record: bytes) -> bytes:
         """Possibly-torn journal record.
@@ -500,22 +436,17 @@ class FaultPlan:
         DRBG-chosen offset — the durable medium keeps only a prefix, as
         if power failed mid-write.  The caller must treat a torn return
         as a crash (write the prefix, then go down): a real WAL can
-        only tear its *last* record.
+        only tear its *last* record.  A record shorter than 2 bytes
+        cannot tear and counts no operation.
         """
-        if self._busy or len(record) < 2:
+        if len(record) < 2:
             return record
-        self._busy = True
-        try:
-            rule = self._match("journal.append")
-            if rule is None or rule.action != "torn":
-                return record
-            cut = 1 + self._drbg.randint_below(len(record) - 1)
-            self._record(rule, "journal.append",
-                         self._op_counts["journal.append"],
-                         f"len={len(record)} cut={cut}")
-            return record[:cut]
-        finally:
-            self._busy = False
+        rule = self._fire("journal.append")
+        if rule is None:
+            return record
+        cut = 1 + self._randint(len(record) - 1)
+        self._record(rule, "journal.append", f"len={len(record)} cut={cut}")
+        return record[:cut]
 
 
 # --- declarative rule constructors ----------------------------------------
@@ -625,37 +556,60 @@ def tear_nth_journal_append(n: int, max_fires: int = 1) -> FaultRule:
 
 # --- randomized schedules for the chaos harness ---------------------------
 
-def random_plan(seed: int, max_rules: int = 4) -> FaultPlan:
+_DEVICE_MENU = (
+    lambda n: drop_nth_bus_write(1 + n % 40),
+    lambda n: corrupt_nth_bus_write(1 + n % 40),
+    lambda n: corrupt_nth_bus_read(1 + n % 60),
+    lambda n: skip_nth_scrub(1 + n % 3),
+    lambda n: rng_exhaustion_at(1 + n % 25),
+    lambda n: corrupt_channel_frame(1 + n % 8, "send"),
+    lambda n: corrupt_channel_frame(1 + n % 8, "recv"),
+    lambda n: drop_channel_frame(1 + n % 8, "send"),
+    lambda n: drop_channel_frame(1 + n % 8, "recv"),
+    lambda n: crash_enclave_in_state("attested"),
+    lambda n: crash_enclave_in_state("active", nth=1 + n % 4),
+)
+
+_SERVE_MENU = (
+    lambda n: corrupt_nth_ring_frame(1 + n % 18, "ingress"),
+    lambda n: corrupt_nth_ring_frame(1 + n % 18, "egress"),
+    lambda n: stall_nth_ring_reserve(1 + n % 18, span=1 + n % 3),
+    lambda n: skew_nth_deadline(1 + n % 8, skew_ms=2.0 + (n % 8)),
+    lambda n: drop_nth_keystream_chunk(1 + n % 12),
+    lambda n: panic_nth_worker_invoke(1 + n % 5),
+)
+
+_FLEET_MENU = (
+    lambda n: drop_nth_fleet_rpc(1 + n % 60, span=1 + n % 5),
+    lambda n: drop_nth_fleet_reply(1 + n % 40, span=1 + n % 3),
+    lambda n: crash_nth_shard_op(2 + n % 40),
+    lambda n: tear_nth_journal_append(1 + n % 30),
+)
+
+
+def _draw_plan(seed: int, label: bytes, menu) -> FaultPlan:
+    """1.._MAX_RULES rules drawn from ``menu`` by a DRBG keyed by ``seed``
+    and ``label``; the plan's own DRBG is keyed by ``seed`` too."""
+    from repro.crypto.rng import HmacDrbg
+
+    chooser = HmacDrbg(_seed_bytes(seed), label)
+    num_rules = 1 + chooser.randint_below(_MAX_RULES)
+    rules = [menu[chooser.randint_below(len(menu))](chooser.randint_below(64))
+             for _ in range(num_rules)]
+    return FaultPlan(seed, rules)
+
+
+def random_plan(seed: int) -> FaultPlan:
     """A seeded random fault schedule for :mod:`repro.eval.chaos`.
 
     Rule choice, trigger indices, and the plan's own corruption DRBG all
     derive from ``seed``, so equal seeds yield equal schedules *and*
     equal transcripts over a deterministic workload.
     """
-    from repro.crypto.rng import HmacDrbg
-
-    chooser = HmacDrbg(seed.to_bytes(16, "big", signed=False),
-                       b"chaos-schedule")
-    menu = (
-        lambda n: drop_nth_bus_write(1 + n % 40),
-        lambda n: corrupt_nth_bus_write(1 + n % 40),
-        lambda n: corrupt_nth_bus_read(1 + n % 60),
-        lambda n: skip_nth_scrub(1 + n % 3),
-        lambda n: rng_exhaustion_at(1 + n % 25),
-        lambda n: corrupt_channel_frame(1 + n % 8, "send"),
-        lambda n: corrupt_channel_frame(1 + n % 8, "recv"),
-        lambda n: drop_channel_frame(1 + n % 8, "send"),
-        lambda n: drop_channel_frame(1 + n % 8, "recv"),
-        lambda n: crash_enclave_in_state("attested"),
-        lambda n: crash_enclave_in_state("active", nth=1 + n % 4),
-    )
-    num_rules = 1 + chooser.randint_below(max_rules)
-    rules = [menu[chooser.randint_below(len(menu))](chooser.randint_below(64))
-             for _ in range(num_rules)]
-    return FaultPlan(seed, rules)
+    return _draw_plan(seed, b"chaos-schedule", _DEVICE_MENU)
 
 
-def random_fleet_plan(seed: int, max_rules: int = 4) -> FaultPlan:
+def random_fleet_plan(seed: int) -> FaultPlan:
     """A seeded random *fleet-layer* fault schedule.
 
     Draws only from the fleet fault domains — dropped enrollment legs
@@ -666,23 +620,10 @@ def random_fleet_plan(seed: int, max_rules: int = 4) -> FaultPlan:
     (a probability draw per enrollment leg would also cost one DRBG
     HMAC per device — ruinous at fleet scale).
     """
-    from repro.crypto.rng import HmacDrbg
-
-    chooser = HmacDrbg(seed.to_bytes(16, "big", signed=False),
-                       b"fleet-chaos-schedule")
-    menu = (
-        lambda n: drop_nth_fleet_rpc(1 + n % 60, span=1 + n % 5),
-        lambda n: drop_nth_fleet_reply(1 + n % 40, span=1 + n % 3),
-        lambda n: crash_nth_shard_op(2 + n % 40),
-        lambda n: tear_nth_journal_append(1 + n % 30),
-    )
-    num_rules = 1 + chooser.randint_below(max_rules)
-    rules = [menu[chooser.randint_below(len(menu))](chooser.randint_below(64))
-             for _ in range(num_rules)]
-    return FaultPlan(seed, rules)
+    return _draw_plan(seed, b"fleet-chaos-schedule", _FLEET_MENU)
 
 
-def random_serve_plan(seed: int, max_rules: int = 4) -> FaultPlan:
+def random_serve_plan(seed: int) -> FaultPlan:
     """A seeded random *serving-layer* fault schedule.
 
     Draws only from the serving fault domains (ring frames, ring
@@ -692,19 +633,4 @@ def random_serve_plan(seed: int, max_rules: int = 4) -> FaultPlan:
     All triggers are ``nth``-based — no probability draws — so the
     transcript depends only on the per-site operation sequence.
     """
-    from repro.crypto.rng import HmacDrbg
-
-    chooser = HmacDrbg(seed.to_bytes(16, "big", signed=False),
-                       b"serve-chaos-schedule")
-    menu = (
-        lambda n: corrupt_nth_ring_frame(1 + n % 18, "ingress"),
-        lambda n: corrupt_nth_ring_frame(1 + n % 18, "egress"),
-        lambda n: stall_nth_ring_reserve(1 + n % 18, span=1 + n % 3),
-        lambda n: skew_nth_deadline(1 + n % 8, skew_ms=2.0 + (n % 8)),
-        lambda n: drop_nth_keystream_chunk(1 + n % 12),
-        lambda n: panic_nth_worker_invoke(1 + n % 5),
-    )
-    num_rules = 1 + chooser.randint_below(max_rules)
-    rules = [menu[chooser.randint_below(len(menu))](chooser.randint_below(64))
-             for _ in range(num_rules)]
-    return FaultPlan(seed, rules)
+    return _draw_plan(seed, b"serve-chaos-schedule", _SERVE_MENU)

@@ -52,7 +52,6 @@ class BatchScheduler:
         self._ages: list = []
         self._live: set = set()
         self._uid = 0
-        self.submitted = 0
         self.batches = 0
         self.full_batches = 0
         self.deadline_flushes = 0
@@ -81,7 +80,6 @@ class BatchScheduler:
     def submit(self, item) -> None:
         """Queue one request; arrival time is stamped now."""
         self._push(self.clock.now_ms, item)
-        self.submitted += 1
 
     def ready(self) -> bool:
         """Would :meth:`next_batch` dispatch right now?

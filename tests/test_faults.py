@@ -39,8 +39,51 @@ def test_probability_range_checked():
 
 
 def test_all_sites_accept_rules():
-    for site in SITES:
-        faults.FaultRule(site, "noop", nth=1)
+    for site, actions in SITES.items():
+        for action in actions:
+            faults.FaultRule(site, action, nth=1)
+
+
+def test_action_a_site_does_not_honor_is_rejected():
+    with pytest.raises(ReproError, match="does not honor action 'skip'"):
+        faults.FaultRule("bus.write", "skip", nth=1)
+    with pytest.raises(ReproError, match="does not honor"):
+        faults.FaultRule("memory.scrub", "noop", nth=1)
+
+
+def test_two_triggers_are_rejected():
+    with pytest.raises(ReproError, match="two triggers"):
+        faults.FaultRule("bus.write", "drop", nth=1, probability=0.5)
+
+
+def test_max_fires_must_allow_a_fire():
+    with pytest.raises(ReproError, match="max_fires"):
+        faults.FaultRule("bus.write", "drop", nth=1, max_fires=0)
+
+
+def test_span_needs_an_nth_trigger():
+    with pytest.raises(ReproError, match="span widens an nth trigger"):
+        faults.FaultRule("ring.reserve", "stall", probability=0.5, span=3)
+
+
+def test_state_filter_only_on_lifecycle():
+    with pytest.raises(ReproError, match="lifecycle"):
+        faults.FaultRule("bus.write", "drop", nth=1, state="active")
+
+
+@pytest.mark.parametrize("draw", [faults.random_plan,
+                                  faults.random_serve_plan,
+                                  faults.random_fleet_plan])
+def test_random_plan_rejects_an_out_of_range_seed(draw):
+    with pytest.raises(ReproError, match="seed"):
+        draw(-1)
+    with pytest.raises(ReproError, match="seed"):
+        draw(1 << 128)
+
+
+def test_plan_rejects_an_out_of_range_seed():
+    with pytest.raises(ReproError, match="seed"):
+        faults.FaultPlan(-1, [])
 
 
 # --- install / uninstall ----------------------------------------------------

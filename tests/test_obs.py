@@ -464,20 +464,33 @@ def test_per_op_profiling_is_behind_its_flag():
     assert sum(span.attributes.get("macs", 0) for span in op_spans) > 0
 
 
-def test_chaos_run_emits_a_fault_tagged_span(tiny_model):
-    from repro.eval.chaos import run_chaos_schedule
+@pytest.mark.parametrize("layer", ["device", "serve", "fleet"])
+def test_chaos_run_emits_a_fault_tagged_span(tiny_model, layer):
+    from repro.eval import chaos
 
+    run, span_name = {
+        "device": (lambda seed: chaos.run_chaos_schedule(seed,
+                                                         model=tiny_model),
+                   "chaos.schedule"),
+        "serve": (chaos.run_serve_chaos_schedule, "chaos.serve_schedule"),
+        "fleet": (lambda seed: chaos.run_fleet_chaos_schedule(seed,
+                                                              devices=120),
+                  "chaos.fleet_schedule"),
+    }[layer]
     telemetry = make_telemetry()
     with hooks.installed(telemetry):
-        result = run_chaos_schedule(3, model=tiny_model)
+        result = run(3)
     spans = [s for s in telemetry.tracer.finished_spans()
-             if s.name == "chaos.schedule"]
+             if s.name == span_name]
     assert len(spans) == 1
     span = spans[0]
     assert span.attributes["seed"] == 3
     assert span.attributes["completed"] == result.completed
+    assert span.attributes["faults"] == len(result.fault_lines)
     fault_events = [e for e in span.events if e["name"] == "fault"]
-    assert len(fault_events) == len(result.fault_lines)
+    assert [e["attributes"]["detail"] for e in fault_events] == \
+        result.fault_lines
+    assert result.fault_lines, "seed 3 must fire a fault on every layer"
 
 
 def test_traced_run_is_deterministic_on_the_virtual_clock():

@@ -115,7 +115,6 @@ def test_scheduler_flush_takes_everything():
     assert scheduler.next_batch() == [0, 1, 2, 3]
     assert scheduler.flush() == [4, 5]
     assert len(scheduler) == 0
-    assert scheduler.submitted == 6
     assert scheduler.batches == 2
 
 
