@@ -6,6 +6,15 @@ frequency bins.  The FFT here is an integer radix-2 implementation with
 per-stage scaling — the same structure as the KissFFT-based fixed-point
 FFT TFLM uses on microcontrollers — plus a float reference used by the
 tests to bound the fixed-point error.
+
+Layout: one kernel, :func:`_fft_frames_last`, runs all nine butterfly
+stages in place on ``(FFT_SIZE, N)`` int32 ``re`` and ``im`` planes
+whose last axis is the batch of frames, so every numpy call spans all N
+frames however short the butterfly blocks are.  Samples must lie in
+[-32768, 32767] (:class:`AudioError` otherwise); the window product,
+the twiddle products and the butterflies then stay within int32 (the
+kernel's docstring gives the bound).  Only the power stage,
+``re^2 + im^2`` and its ``<< 9`` rescale, runs in int64.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ __all__ = [
 
 FFT_SIZE = 512
 NUM_BINS = 256
+_STAGES = FFT_SIZE.bit_length() - 1
+_SAMPLE_MIN, _SAMPLE_MAX = -32768, 32767
 
 
 def _bit_reverse_indices(n: int) -> np.ndarray:
@@ -35,10 +46,47 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
 
 
 _REV = _bit_reverse_indices(FFT_SIZE)
-# Q15 twiddle factors for all stages.
-_ANGLES = -2.0 * np.pi * np.arange(FFT_SIZE // 2) / FFT_SIZE
-_TW_RE = np.round(np.cos(_ANGLES) * 32767).astype(np.int64)
-_TW_IM = np.round(np.sin(_ANGLES) * 32767).astype(np.int64)
+
+
+def _stage_twiddles() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per stage, the Q15 twiddles of its ``half`` butterflies as two
+    ``(2, 1, half, 1)`` int32 stacks, ``(wr, wi)`` and ``(-wi, wr)``, so
+    ``bot_re * first + bot_im * second`` is the complex product."""
+    angles = -2.0 * np.pi * np.arange(FFT_SIZE // 2) / FFT_SIZE
+    tw_re = np.round(np.cos(angles) * 32767).astype(np.int32)
+    tw_im = np.round(np.sin(angles) * 32767).astype(np.int32)
+    stages = []
+    for stage in range(_STAGES):
+        index = np.arange(1 << stage) << (_STAGES - 1 - stage)
+        wr = tw_re[index, np.newaxis]
+        wi = tw_im[index, np.newaxis]
+        stages.append((np.stack([wr, wi])[:, np.newaxis],
+                       np.stack([-wi, wr])[:, np.newaxis]))
+    return stages
+
+
+_TWIDDLES = _stage_twiddles()
+
+
+def _check_samples(samples: np.ndarray, what: str) -> None:
+    """Raise unless ``samples`` is an integer array within int16 range."""
+    if not np.issubdtype(samples.dtype, np.integer):
+        raise AudioError(f"{what} must be integers, got {samples.dtype}")
+    if np.can_cast(samples.dtype, np.int16) or samples.size == 0:
+        return
+    # The message names the range only: samples are user audio.
+    if samples.min() < _SAMPLE_MIN or samples.max() > _SAMPLE_MAX:
+        raise AudioError(f"{what} outside [{_SAMPLE_MIN}, {_SAMPLE_MAX}]")
+
+
+def _check_frames(frames: np.ndarray, caller: str) -> np.ndarray:
+    frames = np.asarray(frames)
+    if frames.ndim != 2 or frames.shape[1] > FFT_SIZE:
+        raise AudioError(
+            f"{caller} expects (N, <= {FFT_SIZE}), got {frames.shape}"
+        )
+    _check_samples(frames, "samples")
+    return frames
 
 
 def hann_window_q15(length: int) -> np.ndarray:
@@ -49,68 +97,93 @@ def hann_window_q15(length: int) -> np.ndarray:
 
 
 def apply_window_q15(samples: np.ndarray, window_q15: np.ndarray) -> np.ndarray:
-    """Apply a Q15 window to int16 samples; result stays int16-range."""
-    if samples.shape != window_q15.shape:
+    """Apply a Q15 window to int16-range samples, in int32.
+
+    ``samples`` is one frame ``(L,)`` or a batch ``(N, L)``;
+    ``window_q15`` is ``(L,)``.  Both must be int16-range integers, so
+    each product fits int32 and the result stays int16-range.
+    """
+    samples = np.asarray(samples)
+    window_q15 = np.asarray(window_q15)
+    if window_q15.ndim != 1 or samples.shape[-1:] != window_q15.shape:
         raise AudioError(
             f"window length {window_q15.shape} != frame length {samples.shape}"
         )
-    return (samples.astype(np.int64) * window_q15) >> 15
+    _check_samples(samples, "samples")
+    _check_samples(window_q15, "window")
+    windowed = samples.astype(np.int32)
+    windowed *= window_q15.astype(np.int32)
+    windowed >>= 15
+    return windowed
+
+
+def _fft_frames_last(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The FFT kernel: (N, L) int16-range frames -> ``(re, im)``.
+
+    Both outputs are ``(FFT_SIZE, N)`` int32, frames on the last axis,
+    scaled by ``2^-9``.  The frames are gathered zero padded and in
+    bit-reversed order into the ``re`` plane of one ``(2, FFT_SIZE, N)``
+    array, and the nine radix-2 DIT stages run in place on it.  Stage
+    ``s`` views each plane as ``(blocks, 2, half, N)``, the top and
+    bottom halves of every butterfly block; the ``(2, 1, half, 1)``
+    twiddle stacks broadcast over blocks and frames, so each stage is
+    seven numpy calls over the whole batch whatever ``half`` is.
+
+    int32 is exact here.  The inputs are int16-range, so ``|z| <= 2^15``
+    before the first stage.  With ``|w| < 2^15`` the exact halved
+    butterfly ``(top +- w*bot/2^15) / 2`` never exceeds the larger of its
+    two inputs' magnitudes; the two floor shifts move each component by
+    less than 1, so ``|z|`` grows by less than sqrt(2) per stage and
+    stays below ``2^15 + 13`` after nine.  Each twiddle product is then
+    below ``(2^15 + 13) * 2^15 < 2^31``.  ``tests/test_audio_golden.py``
+    pins full-scale frames, raw and windowed, to the bytes of the int64
+    kernel this one replaced, and ``tests/test_audio_wave_dsp.py``
+    checks full-scale frames against a butterfly loop in Python ints,
+    which cannot wrap.
+    """
+    n, length = frames.shape
+    data = np.zeros((2, FFT_SIZE, n), dtype=np.int32)
+    rows = np.flatnonzero(_REV < length)
+    data[0, rows] = frames.T[_REV[rows]]
+    scratch = np.empty((2, 2, FFT_SIZE // 2 * n), dtype=np.int32)
+    for stage, (w_re, w_im) in enumerate(_TWIDDLES):
+        half = 1 << stage
+        blocks = FFT_SIZE // (2 * half)
+        view = data.reshape(2, blocks, 2, half, n)
+        top, bot = view[:, :, 0], view[:, :, 1]
+        product, tmp = (part.reshape(2, blocks, half, n) for part in scratch)
+        # Q15 complex multiply of the bottom half by the twiddles:
+        # product = (bot_re*wr - bot_im*wi, bot_re*wi + bot_im*wr) >> 15.
+        np.multiply(bot[0], w_re, out=product)
+        np.multiply(bot[1], w_im, out=tmp)
+        product += tmp
+        product >>= 15
+        # Butterfly with a /2 scale per stage (overflow protection).
+        np.subtract(top, product, out=bot)
+        top += product
+        data >>= 1
+    return data[0], data[1]
 
 
 def fixed_point_fft_batch(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer radix-2 DIT FFT with per-stage scaling, batched.
 
     ``frames`` is an integer array of shape (N, L) with L <= FFT_SIZE
-    (zero padded).  Every butterfly stage halves the data to prevent
-    overflow, so the result is scaled down by 2^stages; the returned
-    ``shift`` (=9 for a 512-point FFT) lets callers undo the scaling.
+    (zero padded) and samples in [-32768, 32767]; anything else raises
+    :class:`AudioError`.  Every butterfly stage halves the data to
+    prevent overflow, so the result is scaled down by 2^stages; the
+    returned ``shift`` (=9 for a 512-point FFT) lets callers undo the
+    scaling.
 
     Returns ``(real, imag, shift)`` as int64 arrays of shape
-    (N, FFT_SIZE).  All stages are vectorized over both the batch and
-    the butterfly blocks, keeping the per-element integer semantics of
-    the scalar microcontroller implementation.
+    (N, FFT_SIZE): the transpose of the frames-last int32 kernel's
+    result, with the per-element integer semantics of the scalar
+    microcontroller implementation.
     """
-    frames = np.asarray(frames)
-    if frames.ndim != 2 or frames.shape[1] > FFT_SIZE:
-        raise AudioError(
-            f"fixed_point_fft_batch expects (N, <= {FFT_SIZE}), "
-            f"got {frames.shape}"
-        )
-    n = frames.shape[0]
-    re = np.zeros((n, FFT_SIZE), dtype=np.int64)
-    re[:, :frames.shape[1]] = frames.astype(np.int64)
-    re = re[:, _REV]
-    im = np.zeros((n, FFT_SIZE), dtype=np.int64)
-
-    stages = FFT_SIZE.bit_length() - 1
-    half = 1
-    step = FFT_SIZE // 2
-    for _ in range(stages):
-        tw_idx = (np.arange(half) * step) % (FFT_SIZE // 2)
-        wr = _TW_RE[tw_idx]
-        wi = _TW_IM[tw_idx]
-        blocks = FFT_SIZE // (2 * half)
-        re_view = re.reshape(n, blocks, 2, half)
-        im_view = im.reshape(n, blocks, 2, half)
-        top_re = re_view[:, :, 0, :]
-        bot_re = re_view[:, :, 1, :]
-        top_im = im_view[:, :, 0, :]
-        bot_im = im_view[:, :, 1, :]
-        # Q15 complex multiply of the bottom half by the twiddles.
-        br = (bot_re * wr - bot_im * wi) >> 15
-        bi = (bot_re * wi + bot_im * wr) >> 15
-        # Butterfly with a /2 scale per stage (overflow protection).
-        new_bot_re = (top_re - br) >> 1
-        new_bot_im = (top_im - bi) >> 1
-        re_view[:, :, 0, :] = (top_re + br) >> 1
-        im_view[:, :, 0, :] = (top_im + bi) >> 1
-        re_view[:, :, 1, :] = new_bot_re
-        im_view[:, :, 1, :] = new_bot_im
-        re = re_view.reshape(n, FFT_SIZE)
-        im = im_view.reshape(n, FFT_SIZE)
-        half *= 2
-        step //= 2
-    return re, im, stages
+    frames = _check_frames(frames, "fixed_point_fft_batch")
+    re, im = _fft_frames_last(frames)
+    return (np.ascontiguousarray(re.T, dtype=np.int64),
+            np.ascontiguousarray(im.T, dtype=np.int64), _STAGES)
 
 
 def fixed_point_fft(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -127,14 +200,25 @@ def fixed_point_fft(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 def power_spectrum_fixed_batch(frames: np.ndarray,
                                window_q15: np.ndarray | None = None
                                ) -> np.ndarray:
-    """Batched fixed-point power spectrum: (N, L) -> (N, NUM_BINS)."""
-    frames = np.asarray(frames)
+    """Batched fixed-point power spectrum: (N, L) -> (N, NUM_BINS) int64.
+
+    The window (:func:`apply_window_q15`) and the FFT run in int32.
+    ``re^2 + im^2`` reaches 2^30 (a full-scale DC frame) and the
+    rescale shifts it 9 bits further, so the power stage runs in int64.
+    """
+    frames = _check_frames(frames, "power_spectrum_fixed_batch")
     if window_q15 is not None:
-        frames = (frames.astype(np.int64) * window_q15) >> 15
-    re, im, shift = fixed_point_fft_batch(frames)
-    power = re[:, :NUM_BINS] ** 2 + im[:, :NUM_BINS] ** 2
-    # Undo the 2^-shift amplitude scaling (power scales with its square).
-    return power << (2 * shift - 9)  # keep headroom: net scale 2^-9
+        frames = apply_window_q15(frames, window_q15)
+    re, im = _fft_frames_last(frames)
+    power = re[:NUM_BINS].T.astype(np.int64, order="C")
+    power *= power
+    imag = im[:NUM_BINS].T.astype(np.int64, order="C")
+    imag *= imag
+    power += imag
+    # Undo the 2^-9 amplitude scaling (power scales with its square),
+    # keeping headroom: net scale 2^-9.
+    power <<= 2 * _STAGES - 9
+    return power
 
 
 def power_spectrum_fixed(frame: np.ndarray,

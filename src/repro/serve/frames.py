@@ -119,14 +119,18 @@ def frame_tags(taggers, session_ids, seqs, ciphertexts) -> list[bytes]:
     n = len(taggers)
     if not (n == len(session_ids) == len(seqs) == len(ciphertexts)):
         raise KeyError_("frame_tags: argument length mismatch")
-    j0s = [frame_j0(seq) for seq in seqs]
-    aads = [frame_aad(sid, seq) for sid, seq in zip(session_ids, seqs)]
-    long_frames = max(map(len, ciphertexts), default=0) >= TAG_LONG_FRAME
-    if n >= (TAG_BATCH_MIN if long_frames else TAG_BATCH_MIN_SHORT):
-        return frame_tags_batched(taggers, j0s, aads, ciphertexts)
-    return [tagger.tag(j0, aad, ciphertext)
-            for tagger, j0, aad, ciphertext
-            in zip(taggers, j0s, aads, ciphertexts)]
+    # TAG_BATCH_MIN <= TAG_BATCH_MIN_SHORT, so a group below it is
+    # scalar whatever its frame lengths.
+    if n >= TAG_BATCH_MIN and n >= (
+            TAG_BATCH_MIN if max(map(len, ciphertexts)) >= TAG_LONG_FRAME
+            else TAG_BATCH_MIN_SHORT):
+        return frame_tags_batched(
+            taggers, [frame_j0(seq) for seq in seqs],
+            [frame_aad(sid, seq) for sid, seq in zip(session_ids, seqs)],
+            ciphertexts)
+    return [tagger.tag(frame_j0(seq), frame_aad(sid, seq), ciphertext)
+            for tagger, sid, seq, ciphertext
+            in zip(taggers, session_ids, seqs, ciphertexts)]
 
 
 def emit_sealed(slot: np.ndarray, session_id: int, request_seq: int,
@@ -139,10 +143,9 @@ def emit_sealed(slot: np.ndarray, session_id: int, request_seq: int,
     if total > slot.size:
         raise ServeError(
             f"frame of {total} bytes exceeds slot of {slot.size}")
-    slot[:HEADER.size] = np.frombuffer(
-        HEADER.pack(session_id, request_seq), dtype=np.uint8)
+    HEADER.pack_into(slot, 0, session_id, request_seq)
     slot[HEADER.size:body_end] = ciphertext
-    slot[body_end:total] = np.frombuffer(tag, dtype=np.uint8)
+    slot.data[body_end:total] = tag
     return total
 
 

@@ -14,9 +14,10 @@ Data path for one request (client session *S*, sequence *q*):
    which prefetches each session's response-lane keystream, then runs
    **one batched invoke** for the whole group — bit-exact against
    per-request invokes — inside the fail-closed envelope.
-4. Results are sealed per session into the **egress ring** — one
-   vectorized XOR and one batched tag sweep per batch; the client mux
-   verifies and opens them and completes the per-session futures.
+4. Results are sealed per session into the **egress ring** — a
+   keystream XOR per frame and one batched tag sweep per batch; the
+   client mux verifies and opens them and completes the per-session
+   futures.
 
 Security properties preserved (paper §IV):
 
@@ -349,16 +350,17 @@ class ServingService:
     @staticmethod
     def _seal(cache: KeystreamCache, payloads: np.ndarray, rows):
         """Seal one payload row per (session_id, seq, lane key, tagger)
-        in ``rows``: one vectorized XOR against the rows' keystream (a
-        payload's length at ``seq`` payloads into its lane, so every
-        keystream byte covers one message byte), then one
-        :func:`~repro.serve.frames.frame_tags` sweep.  Returns
+        in ``rows``: XOR each row with its keystream (a payload's length
+        at ``seq`` payloads into its lane, so every keystream byte
+        covers one message byte) straight into the ciphertext rows,
+        then one :func:`~repro.serve.frames.frame_tags` sweep.  Returns
         (ciphertexts, tags)."""
         size = payloads.shape[1]
         ciphertexts = np.empty_like(payloads)
         for index, (session_id, seq, key, _) in enumerate(rows):
-            ciphertexts[index] = cache.take(session_id, key, seq * size, size)
-        ciphertexts ^= payloads
+            np.bitwise_xor(payloads[index],
+                           cache.take(session_id, key, seq * size, size),
+                           out=ciphertexts[index])
         session_ids, seqs, _, taggers = zip(*rows)
         return ciphertexts, frame_tags(taggers, session_ids, seqs,
                                        [row.tobytes() for row in ciphertexts])
@@ -432,21 +434,21 @@ class ServingService:
             return self._refuse(Shed(handle.session_id, _RING_FULL))
         seq = handle.next_seq
         handle.next_seq += 1
-        (ciphertext,), (tag,) = self._seal(
+        ciphertexts, tags = self._seal(
             self._client_keystreams, payload[np.newaxis],
             [(handle.session_id, seq, handle.request_key,
               handle.request_tagger)])
         self._emit(self._ingress_prod, "serve.ingress", slot,
-                   handle.session_id, seq, ciphertext, tag)
+                   handle.session_id, seq, ciphertexts[0], tags[0])
         handle.pending[seq] = self.clock.now_ms
         return seq
 
     def submit_many(self, pairs) -> list:
         """Seal many ``(handle, fingerprint)`` pairs in one pass: the
         batched client mux.  Returns one verdict per request, an ``int``
-        seq or (graceful mode) a :class:`Shed`.  Every payload takes one
-        vectorized XOR and one tag sweep (:meth:`_seal`); the frames are
-        byte-identical to :meth:`submit`'s.
+        seq or (graceful mode) a :class:`Shed`.  The payloads share one
+        :meth:`_seal` (a keystream XOR each, one tag sweep); the frames
+        are byte-identical to :meth:`submit`'s.
 
         Requests beyond the ingress ring's free space are shed up front
         without consuming a seq, like :meth:`submit`.  A reservation

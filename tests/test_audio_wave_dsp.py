@@ -109,6 +109,24 @@ def test_apply_window_length_mismatch():
     with pytest.raises(AudioError):
         apply_window_q15(np.zeros(100, dtype=np.int64),
                          hann_window_q15(480))
+    with pytest.raises(AudioError):
+        apply_window_q15(np.zeros((2, 480), dtype=np.int64),
+                         hann_window_q15(480)[np.newaxis, :])
+
+
+def test_apply_window_batch_is_int32_and_matches_int64():
+    frames = RNG.integers(-32768, 32768, size=(4, 480))
+    window = hann_window_q15(480)
+    result = apply_window_q15(frames, window)
+    assert result.dtype == np.int32
+    assert np.array_equal(result, (frames * window) >> 15)
+    assert np.array_equal(result[2], apply_window_q15(frames[2], window))
+
+
+def test_power_spectrum_window_length_mismatch():
+    with pytest.raises(AudioError):
+        power_spectrum_fixed_batch(np.zeros((2, 400), dtype=np.int16),
+                                   hann_window_q15(480))
 
 
 # --- fixed-point FFT -----------------------------------------------------------
@@ -145,6 +163,54 @@ def test_fft_dc_input():
     assert abs(int(re[1])) < int(re[0]) / 100
 
 
+def _scalar_fft_reference(frame) -> tuple[list[int], list[int]]:
+    """The microcontroller loop: bit-reversed input, one butterfly at a
+    time, /2 per stage, in Python ints, which never wrap."""
+    angles = -2.0 * np.pi * np.arange(FFT_SIZE // 2) / FFT_SIZE
+    tw_re = [int(v) for v in np.round(np.cos(angles) * 32767)]
+    tw_im = [int(v) for v in np.round(np.sin(angles) * 32767)]
+    padded = [int(v) for v in frame] + [0] * (FFT_SIZE - len(frame))
+    bits = FFT_SIZE.bit_length() - 1
+    re = [padded[int(f"{i:0{bits}b}"[::-1], 2)] for i in range(FFT_SIZE)]
+    im = [0] * FFT_SIZE
+    half = 1
+    while half < FFT_SIZE:
+        step = FFT_SIZE // (2 * half)
+        for k in range(half):
+            wr, wi = tw_re[k * step], tw_im[k * step]
+            for top in range(k, FFT_SIZE, 2 * half):
+                bot = top + half
+                br = (re[bot] * wr - im[bot] * wi) >> 15
+                bi = (re[bot] * wi + im[bot] * wr) >> 15
+                re[top], re[bot] = (re[top] + br) >> 1, (re[top] - br) >> 1
+                im[top], im[bot] = (im[top] + bi) >> 1, (im[top] - bi) >> 1
+        half *= 2
+    return re, im
+
+
+def _reference_cases() -> np.ndarray:
+    n = np.arange(FFT_SIZE)
+    rng = np.random.default_rng(7)
+    cases = [np.full(FFT_SIZE, -32768), np.full(FFT_SIZE, 32767),
+             np.where(n % 2, 32767, -32768)]
+    for k in (1, 3, 85, 128, 255):
+        cases.append(np.where(np.cos(2 * np.pi * k * n / FFT_SIZE) >= 0,
+                              32767, -32768))
+    cases.extend(rng.integers(-32768, 32768, size=(4, FFT_SIZE)))
+    return np.array(cases, dtype=np.int64)
+
+
+def test_fft_matches_scalar_butterfly_reference():
+    """Full-scale inputs through the int32 kernel equal the loop in
+    unbounded ints, so no stage wrapped."""
+    frames = _reference_cases()
+    re, im, _ = fixed_point_fft_batch(frames)
+    for index, frame in enumerate(frames):
+        want_re, want_im = _scalar_fft_reference(frame)
+        assert re[index].tolist() == want_re
+        assert im[index].tolist() == want_im
+
+
 def test_fft_batch_matches_single():
     frames = (RNG.standard_normal((5, 480)) * 2000).astype(np.int64)
     batch_re, batch_im, _ = fixed_point_fft_batch(frames)
@@ -159,6 +225,40 @@ def test_fft_rejects_oversized_input():
         fixed_point_fft(np.zeros(FFT_SIZE + 1, dtype=np.int64))
     with pytest.raises(AudioError):
         fixed_point_fft_batch(np.zeros((2, FFT_SIZE + 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("value", [-32769, 32768, 2 ** 20, -(2 ** 31)])
+def test_fft_rejects_samples_outside_int16(value):
+    frame = np.zeros((2, 480), dtype=np.int64)
+    frame[1, 7] = value
+    with pytest.raises(AudioError):
+        fixed_point_fft_batch(frame)
+    with pytest.raises(AudioError):
+        fixed_point_fft(frame[1])
+    with pytest.raises(AudioError):
+        power_spectrum_fixed_batch(frame)
+    with pytest.raises(AudioError):
+        power_spectrum_fixed_batch(frame, hann_window_q15(480))
+    with pytest.raises(AudioError):
+        apply_window_q15(frame, hann_window_q15(480))
+
+
+def test_fft_rejects_non_integer_samples():
+    with pytest.raises(AudioError):
+        fixed_point_fft_batch(np.zeros((1, 480)))
+    with pytest.raises(AudioError):
+        apply_window_q15(np.zeros(480, dtype=np.int16),
+                         hann_window_q15(480).astype(np.float64))
+
+
+def test_fft_accepts_the_int16_extremes_in_any_integer_dtype():
+    frame = np.tile(np.array([-32768, 32767]), 240)
+    expected = fixed_point_fft(frame.astype(np.int16))
+    for dtype in (np.int32, np.int64):
+        re, im, shift = fixed_point_fft(frame.astype(dtype))
+        assert np.array_equal(re, expected[0])
+        assert np.array_equal(im, expected[1])
+    assert re.dtype == np.int64 and shift == 9
 
 
 def test_power_spectrum_has_256_bins():
