@@ -1,293 +1,448 @@
-"""Wall-clock speedup benchmark: vectorized hot paths vs scalar references.
+"""Wall-clock floors: vectorized hot paths, serving core, fleet storm.
 
-Writes ``BENCH_wallclock.json`` at the repo root with baseline
-(reference-implementation) and current timings for every stage, then
-asserts the acceptance floors: >= 5x on the crypto provisioning
-round-trip and >= 2x on 100 keyword-spotting inferences.  Simulated
-(virtual-clock) timings are out of scope here — ``tests/test_timing.py``
-pins those, and they are identical for both kernel sets.
+Every check times its two sides in this process as interleaved A/B
+pairs (:func:`_interleaved`) and asserts a ratio of the two sides'
+medians against its floor; a failure prints both medians and their
+interquartile ranges.  Host wall-clock measures the simulator itself:
+the simulated (virtual-clock) figures are pinned by
+``tests/test_sim_slo.py`` and ``tests/test_timing.py``, and are the
+same whichever side runs.  No check writes a file in the tree.
 """
 
 from __future__ import annotations
 
-import json
+import gc
 import os
-import platform as host_platform
+import tempfile
+import time
 
+import numpy as np
 import pytest
 
-from repro.eval.bench import (
-    ANALYSIS_MAX_SECONDS,
-    CRYPTO_MIN_SPEEDUP,
-    DEFAULT_REPORT_PATH,
-    FLEET_MIN_LICENSES_PER_SEC,
-    FLEET_P99_SLO_MS,
-    FLEET_SCALING_MIN_EFFICIENCY,
-    HOOK_OVERHEAD_MAX,
-    INFERENCE_FUSED_MIN_SPEEDUP,
-    INFERENCE_MIN_SPEEDUP,
-    SEAL_PIPELINE_MIN_SPEEDUP,
-    SERVING_CONCURRENCY_MIN_EFFICIENCY,
-    SERVING_CONCURRENCY_P99_SLO_MS,
-    SERVING_MIN_SPEEDUP,
-    TELEMETRY_OVERHEAD_MAX,
-    run_benchmarks,
-    write_report,
-)
+from repro.eval.bench import concurrency_testbed, storm_testbed
+from tests.helpers import sequential_testbed, serving_testbed
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+pytestmark = pytest.mark.slow
 
-# The committed report (read at import time, before the fixture below
-# overwrites the file with this run's numbers).  The hook-overhead
-# regression check compares fresh wall-clock against these.
-_COMMITTED_PATH = os.path.join(_REPO_ROOT, DEFAULT_REPORT_PATH)
-_COMMITTED = (json.load(open(_COMMITTED_PATH))
-              if os.path.exists(_COMMITTED_PATH) else None)
+# Vectorized kernels against their retained scalar references: the
+# GCM round trip of the provisioned model, and 100 keyword-spotting
+# invokes.
+CRYPTO_MIN_SPEEDUP = 5.0
+INFERENCE_MIN_SPEEDUP = 2.0
 
-# Stages whose hot loops run with no fault plan installed; regressions
-# here would mean the hooks are not free when disabled.  The serving
-# stage guards the serve-layer hook sites (ring reserve, scheduler
-# deadline, keystream cache, worker invoke, frame seal) the same way.
-_NO_FAULTS_STAGES = ("crypto_provisioning_roundtrip", "inference_kws_100",
-                     "dsp_streaming_10s", "provisioning_end_to_end",
-                     "serving_throughput", "serving_concurrency")
+# Plan-time kernel fusion must beat the same fast kernels run one op
+# per dispatch (Interpreter(fuse=False)) by at least this factor.  The
+# honest win is modest — fusion removes dispatches and the standalone
+# activation pass, not GEMM work — so the floor asserts "measurably
+# pays for itself", not a vectorization-sized multiple.
+INFERENCE_FUSED_MIN_SPEEDUP = 1.05
 
-# Stages every run of run_benchmarks() must produce.
-_REQUIRED_STAGES = frozenset({
-    "crypto_provisioning_roundtrip", "inference_kws_100",
-    "inference_fused", "seal_pipeline", "dsp_streaming_10s",
-    "provisioning_end_to_end", "fault_hooks", "static_analysis",
-    "serving_throughput", "serving_concurrency", "telemetry_overhead",
-    "fleet_provisioning",
-})
+# Sealing a dispatch batch of response frames through the pipelined
+# path (resident keystream chunks + one batched GHASH tag sweep) must
+# beat per-frame GCM sealing by at least this factor.
+SEAL_PIPELINE_MIN_SPEEDUP = 2.0
 
+# The batched streaming front end may not be slower than the per-frame
+# reference.
+DSP_MIN_SPEEDUP = 1.0
 
-@pytest.fixture(scope="module")
-def wallclock_report(pretrained_model):
-    report = run_benchmarks(model=pretrained_model)
-    path = write_report(report, os.path.join(_REPO_ROOT, DEFAULT_REPORT_PATH))
-    report["path"] = path
-    return report
+# Multi-session serving must beat the sequential one-enclave path by at
+# least this factor in wall-clock at batch 32.  Raised from 3.0 when
+# the async core landed: the event-loop drive plus the batched client
+# mux (one GHASH sweep per wave on both the submit and the poll side)
+# roughly doubled the old synchronous-dispatch number.
+SERVING_MIN_SPEEDUP = 6.0
 
+# Per-request wall-clock at 100 sessions over the same at 1000.  1.0 is
+# perfectly flat; the floor catches superlinear per-tick costs (an O(n)
+# scan per tick would crater this long before it trips a functional
+# test).
+SERVING_CONCURRENCY_MIN_EFFICIENCY = 0.5
 
-@pytest.mark.slow
-def test_report_written(wallclock_report):
-    assert os.path.exists(wallclock_report["path"])
-    assert _REQUIRED_STAGES <= set(wallclock_report["stages"])
+# Per-device storm wall-clock at 10^4 devices over the same at 10^5.
+# >= 1.0 means the batched passes amortize; the floor catches
+# superlinear per-wave costs (an O(fleet) scan per wave, per-device
+# scalar crypto).
+FLEET_SCALING_MIN_EFFICIENCY = 0.5
 
+# Licenses granted per wall-clock second of the 10^5-device storm.  The
+# pooled path issues several thousand per second; the floor catches a
+# fall back to scalar per-device hashing (which lands near 100/s).
+FLEET_MIN_LICENSES_PER_SEC = 800.0
 
-@pytest.mark.slow
-def test_all_stages_report_variance(wallclock_report):
-    """Every stage carries the spread across repeats next to the best-of
-    timing, so a flaky-host run is visible in the committed report."""
-    for name, stage in wallclock_report["stages"].items():
-        assert stage["baseline_std_s"] >= 0.0, (name, stage)
-        assert stage["current_std_s"] >= 0.0, (name, stage)
+# An armed empty fault plan and an installed telemetry bundle do real
+# dispatch work at every hook site; they may cost at most this factor.
+HOOKS_ARMED_MAX_OVERHEAD = 1.5
+TELEMETRY_ENABLED_MAX_OVERHEAD = 1.5
+
+# The static-analysis job gates CI before the tests, so its replay over
+# an unchanged src/repro from the content-hash cache must stay fast as
+# the rule battery grows.
+ANALYSIS_MAX_SECONDS = 10.0
 
 
-@pytest.mark.slow
-def test_crypto_speedup_floor(wallclock_report):
-    stage = wallclock_report["stages"]["crypto_provisioning_roundtrip"]
-    assert stage["speedup"] >= CRYPTO_MIN_SPEEDUP, stage
+def _timed(body) -> float:
+    gc.collect()
+    start = time.perf_counter()
+    body()
+    return time.perf_counter() - start
 
 
-@pytest.mark.slow
-def test_inference_speedup_floor(wallclock_report):
-    stage = wallclock_report["stages"]["inference_kws_100"]
-    assert stage["speedup"] >= INFERENCE_MIN_SPEEDUP, stage
+def _interleaved(baseline, current, pairs: int = 5):
+    """Wall-clock seconds of ``pairs`` runs of each side, alternating
+    which side goes first.
+
+    A side is a factory: called untimed before each of its runs, it
+    builds whatever state the run consumes and returns the body to
+    time.
+    """
+    sides = (baseline, current)
+    times: tuple[list, list] = ([], [])
+    for index in range(pairs):
+        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+            times[side].append(_timed(sides[side]()))
+    return times
 
 
-@pytest.mark.slow
-def test_inference_fused_floor(wallclock_report):
-    """Plan-time fusion must pay for itself against the same fast
-    kernels run one op per dispatch."""
-    stage = wallclock_report["stages"]["inference_fused"]
-    assert stage["speedup"] >= INFERENCE_FUSED_MIN_SPEEDUP, stage
+def _describe(times) -> str:
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return f"median {median:.4g} s (IQR {q3 - q1:.3g} s)"
 
 
-@pytest.mark.slow
-def test_seal_pipeline_floor(wallclock_report):
-    """Batched egress sealing (resident keystream + one GHASH sweep)
-    must beat per-frame GCM by the acceptance floor, and the keystream
-    side must be pure cache hits — the pipeline's whole point."""
-    stage = wallclock_report["stages"]["seal_pipeline"]
-    assert stage["speedup"] >= SEAL_PIPELINE_MIN_SPEEDUP, stage
-    assert stage["keystream_misses"] == 0, stage
+def _ratio(numerator, denominator) -> tuple[float, str]:
+    """Median of ``numerator`` over median of ``denominator``, and a
+    description of both samples for the failure message."""
+    ratio = float(np.median(numerator) / np.median(denominator))
+    return ratio, (f"ratio {ratio:.3f}: {_describe(numerator)} over "
+                   f"{_describe(denominator)}")
 
 
-@pytest.mark.slow
-def test_dsp_and_provisioning_not_slower(wallclock_report):
-    for name in ("dsp_streaming_10s", "provisioning_end_to_end"):
-        stage = wallclock_report["stages"][name]
-        assert stage["speedup"] >= 1.0, (name, stage)
+def _invokes(model, interpreter, inputs, count: int = 100):
+    def body() -> None:
+        for index in range(count):
+            interpreter.set_input(model.inputs[0], inputs[index % len(inputs)])
+            interpreter.invoke()
+    return body
 
 
-# --- multi-session serving ---------------------------------------------------
-
-@pytest.mark.slow
-def test_serving_throughput_floor(wallclock_report):
-    """Batched serving must beat the sequential one-enclave path by the
-    acceptance floor at the largest batch size, with sane latency
-    percentiles at every batch size."""
-    stage = wallclock_report["stages"]["serving_throughput"]
-    assert stage["speedup"] >= SERVING_MIN_SPEEDUP, stage
-    assert stage["baseline_wall_rps"] > 0, stage
-    # The large-batch configurations must be part of the sweep, each
-    # carrying its own spread across repeats.
-    assert {"16", "32"} <= set(stage["batches"]), sorted(stage["batches"])
-    for batch, row in stage["batches"].items():
-        assert row["wall_std_s"] >= 0.0, (batch, row)
-        assert row["wall_rps"] > 0, (batch, row)
-        assert row["sim_ms_per_request"] > 0, (batch, row)
-        assert row["p99_ms"] >= row["p95_ms"] >= row["p50_ms"] > 0, (
-            batch, row)
-    largest = max(stage["batches"], key=int)
-    assert (stage["batches"][largest]["sim_ms_per_request"]
-            < stage["baseline_sim_ms_per_request"]), stage
+def _assert_same_outputs(model, first, second, inputs) -> None:
+    """Bit-identical outputs and simulated cycles, so a speed-up never
+    comes from cut corners."""
+    for x in inputs:
+        for interpreter in (first, second):
+            interpreter.set_input(model.inputs[0], x)
+            interpreter.invoke()
+        assert np.array_equal(first.get_output(model.outputs[0]),
+                              second.get_output(model.outputs[0]))
+        assert first.last_stats.cycles == second.last_stats.cycles
 
 
-@pytest.mark.slow
-def test_serving_concurrency_slo(wallclock_report):
-    """The async core must hold 1000 concurrent sessions: the sweep's
-    largest point stays under the (host-independent, virtual-clock)
-    p99 SLO, nothing accepted is lost, and per-request wall-clock does
-    not degrade superlinearly with session count."""
-    stage = wallclock_report["stages"]["serving_concurrency"]
-    sessions = stage["sessions"]
-    assert "1000" in sessions, sorted(sessions)
-    assert stage["slo_met"], stage
-    assert stage["p99_at_largest_ms"] <= SERVING_CONCURRENCY_P99_SLO_MS, stage
-    assert stage["speedup"] >= SERVING_CONCURRENCY_MIN_EFFICIENCY, stage
-    for count, row in sessions.items():
-        assert row["wall_std_s"] >= 0.0, (count, row)
-        assert row["wall_rps"] > 0, (count, row)
-        assert row["p99_ms"] >= row["p95_ms"] >= row["p50_ms"] > 0, (
-            count, row)
-        # Graceful mode may shed-and-retry at the ring, but admission
-        # budgets are unbounded here: nothing accepted may be dropped.
-        assert row["admission_shed"] == 0, (count, row)
+def _random_inputs(model, seed: int):
+    spec = model.tensors[model.inputs[0]]
+    rng = np.random.default_rng(seed)
+    return [rng.integers(-128, 128, size=spec.shape, dtype=np.int8)
+            for _ in range(8)]
 
 
-# --- fleet provisioning control plane ----------------------------------------
+# --- kernels against their references ----------------------------------------
 
-@pytest.mark.slow
-def test_fleet_provisioning_throughput_and_slo(wallclock_report):
-    """The sharded control plane must provision the full 10^5-device
-    storm — every device terminal, none stalled — at the licenses/sec
-    floor, with the (virtual-clock, host-independent) p99 enrollment
-    latency inside the SLO even under the seeded fault plan."""
-    stage = wallclock_report["stages"]["fleet_provisioning"]
-    assert stage["devices"] >= 100_000, stage
-    assert stage["shards"] >= 8, stage
-    assert stage["completed"], stage
-    assert stage["stalled"] == 0, stage
-    assert stage["licenses_per_sec"] >= FLEET_MIN_LICENSES_PER_SEC, stage
-    assert stage["slo_met"], stage
-    assert stage["p99_ms"] <= FLEET_P99_SLO_MS, stage
-    assert stage["p99_ms"] >= stage["p50_ms"] > 0, stage
+def test_crypto_speedup_floor(pretrained_model):
+    """GCM encrypt + authenticated decrypt of the serialized model:
+    batched T-table AES + table GHASH against the scalar reference."""
+    from repro.crypto.modes import GCM
+    from repro.tflm.serialize import serialize_model
 
+    model_bytes = serialize_model(pretrained_model)
+    key, nonce, aad = bytes(range(32)), b"\xa5" * 12, b"sa#1|tiny_conv|1"
 
-@pytest.mark.slow
-def test_fleet_provisioning_scales_and_reconciles(wallclock_report):
-    """Scaling from the 10^4 baseline to the full fleet must not
-    degrade per-device wall-clock below the efficiency floor, the
-    seeded faults must actually fire, and the post-storm control-plane
-    sweep (restart + reconcile + audit verification) must leave exactly
-    one live license per granted device."""
-    stage = wallclock_report["stages"]["fleet_provisioning"]
-    assert stage["speedup"] >= FLEET_SCALING_MIN_EFFICIENCY, stage
-    assert stage["faults_fired"] > 0, stage
-    assert stage["live_licenses"] == stage["granted"], stage
-    assert stage["journal_records"] >= stage["granted"], stage
-    assert stage["audit_head_sample"], stage
+    def roundtrip(reference: bool):
+        def body() -> None:
+            gcm = GCM(key, reference=reference)
+            ciphertext, tag = gcm.encrypt(nonce, model_bytes, aad)
+            assert gcm.decrypt(nonce, ciphertext, tag, aad) == model_bytes
+        return lambda: body
+
+    reference, fast = _interleaved(roundtrip(True), roundtrip(False))
+    speedup, detail = _ratio(reference, fast)
+    assert speedup >= CRYPTO_MIN_SPEEDUP, detail
 
 
-# --- the invariant checker itself must stay fast ----------------------------
+def test_inference_speedup_floor(pretrained_model):
+    from repro.tflm.interpreter import Interpreter
 
-@pytest.mark.slow
-def test_static_analysis_suite_within_budget(wallclock_report):
-    """The analysis job runs before the tests in CI; keep its full-tree
-    wall-clock inside ANALYSIS_MAX_SECONDS as the rule battery grows."""
-    stage = wallclock_report["stages"]["static_analysis"]
-    assert stage["current_s"] <= ANALYSIS_MAX_SECONDS, stage
-    assert stage["speedup"] >= 1.0, stage
+    model = pretrained_model
+    inputs = _random_inputs(model, 1234)
+    fast = Interpreter(model)
+    ref = Interpreter(model, reference_kernels=True)
+    _assert_same_outputs(model, fast, ref, inputs)
 
-
-# --- fault-injection hooks must be free when disabled -----------------------
-
-@pytest.mark.slow
-def test_no_faults_path_within_2pct_of_committed(wallclock_report):
-    """Every pre-hook hot path must stay within HOOK_OVERHEAD_MAX of the
-    committed report's wall-clock.  Absolute host seconds only compare
-    meaningfully on the host that produced the committed numbers, so
-    other machines fall back to the (host-independent) speedup floors
-    asserted above.  The committed spread widens the bound: a percentage
-    margin tighter than the stage's own run-to-run noise would flake."""
-    if _COMMITTED is None:
-        pytest.skip("no committed report to regress against")
-    if _COMMITTED["host"]["platform"] != host_platform.platform():
-        pytest.skip("committed report is from a different host")
-    for name in _NO_FAULTS_STAGES:
-        committed_stage = _COMMITTED["stages"].get(name)
-        if committed_stage is None:
-            continue  # committed report is partial; nothing to regress
-        committed = committed_stage["current_s"]
-        fresh_stage = wallclock_report["stages"][name]
-        # Both runs' spreads matter: within-run std underestimates the
-        # cache/thermal drift between whole pytest invocations.
-        noise = 2.0 * ((committed_stage.get("current_std_s") or 0.0)
-                       + (fresh_stage.get("current_std_s") or 0.0))
-        fresh = fresh_stage["current_s"]
-        assert fresh <= committed * HOOK_OVERHEAD_MAX + noise, (
-            f"{name}: {fresh:.4f}s vs committed {committed:.4f}s "
-            f"(> {(HOOK_OVERHEAD_MAX - 1) * 100:.0f}% overhead "
-            f"+ 2 sigma {noise:.4f}s)")
+    reference, current = _interleaved(
+        lambda: _invokes(model, ref, inputs),
+        lambda: _invokes(model, fast, inputs))
+    speedup, detail = _ratio(reference, current)
+    assert speedup >= INFERENCE_MIN_SPEEDUP, detail
 
 
-@pytest.mark.slow
-def test_hook_sites_cheap_even_when_armed(wallclock_report):
-    """Sanity bound on the armed path: an installed empty plan may not
-    make the hook-heavy workload pathologically slower (the disabled
-    path is the one that must be free; armed dispatch stays modest)."""
-    stage = wallclock_report["stages"]["fault_hooks"]
-    assert stage["current_s"] <= stage["baseline_s"] * 1.5, stage
+def test_inference_fused_floor():
+    """Plan-time fusion against the same fast kernels unfused, on a zoo
+    graph converted with standalone ``relu`` ops — the shape the fusion
+    pass exists to absorb.  ``low_latency_conv`` has the zoo's highest
+    dispatch-and-activation share per MAC."""
+    from repro.tflm.interpreter import Interpreter
+    from repro.train.zoo import build_architecture, convert_network_int8
+
+    rng = np.random.default_rng(4321)
+    model = convert_network_int8(
+        build_architecture("low_latency_conv"),
+        rng.random((8, 49, 43, 1)) * 0.3,
+        fuse_activations=False, name="low_latency_conv")
+    inputs = _random_inputs(model, 4321)
+    fused = Interpreter(model)
+    unfused = Interpreter(model, fuse=False)
+    _assert_same_outputs(model, fused, unfused, inputs)
+
+    baseline, current = _interleaved(
+        lambda: _invokes(model, unfused, inputs),
+        lambda: _invokes(model, fused, inputs))
+    speedup, detail = _ratio(baseline, current)
+    assert speedup >= INFERENCE_FUSED_MIN_SPEEDUP, detail
 
 
-# --- telemetry must be free when disabled -----------------------------------
+def test_seal_pipeline_floor():
+    """Sealing one dispatch batch of 32 frames: per-frame AES-GCM
+    against the dispatcher's pipeline — keystream chunks already
+    resident in the cache (prefetch overlaps inference, so chunk
+    generation is off this path), one XOR across the batch, one
+    batched GHASH sweep for the tags.  The keystream side must be pure
+    cache hits, the pipeline's whole point."""
+    from repro.crypto.keycache import KeystreamCache
+    from repro.crypto.modes import GCM, FrameTagKey, frame_tags_batched
+    from repro.serve.frames import frame_aad, frame_j0
 
-@pytest.mark.slow
-def test_telemetry_disabled_serving_within_3pct_of_committed(
-        wallclock_report):
-    """Serving throughput with the obs hook sites present but no bundle
-    installed must stay within TELEMETRY_OVERHEAD_MAX of the committed
-    report (same-host comparison only, like the fault-hook guard)."""
-    if _COMMITTED is None:
-        pytest.skip("no committed report to regress against")
-    if _COMMITTED["host"]["platform"] != host_platform.platform():
-        pytest.skip("committed report is from a different host")
-    committed_stage = _COMMITTED["stages"].get("telemetry_overhead")
-    if committed_stage is None:
-        pytest.skip("committed report predates the telemetry stage")
-    committed = committed_stage["baseline_s"]
-    fresh_stage = wallclock_report["stages"]["telemetry_overhead"]
-    noise = 2.0 * ((committed_stage.get("baseline_std_s") or 0.0)
-                   + (fresh_stage.get("baseline_std_s") or 0.0))
-    fresh = fresh_stage["baseline_s"]
-    assert fresh <= committed * TELEMETRY_OVERHEAD_MAX + noise, (
-        f"telemetry-disabled serving: {fresh:.4f}s vs committed "
-        f"{committed:.4f}s "
-        f"(> {(TELEMETRY_OVERHEAD_MAX - 1) * 100:.0f}% overhead "
-        f"+ 2 sigma {noise:.4f}s)")
+    frames, payload_bytes, session = 32, 2107, 1
+    payloads = np.random.default_rng(2718).integers(
+        0, 256, size=(frames, payload_bytes), dtype=np.uint8)
+    seal_key, tag_key = bytes(range(16)), bytes(range(16, 32))
+    tagger = FrameTagKey(tag_key)
+    j0s = [frame_j0(seq) for seq in range(frames)]
+    aads = [frame_aad(session, seq) for seq in range(frames)]
+    chunk_bytes = 65536
+    cache = KeystreamCache(capacity=64, chunk_bytes=chunk_bytes)
+    total = frames * payload_bytes
+    cache.prefetch(session, seal_key, 0,
+                   depth=(total + chunk_bytes - 1) // chunk_bytes)
+    gcm = GCM(seal_key)
+
+    def per_frame() -> None:
+        for seq in range(frames):
+            gcm.encrypt(seq.to_bytes(12, "big"), payloads[seq].tobytes(),
+                        aads[seq])
+
+    def keystream(seq: int) -> np.ndarray:
+        return cache.take(session, seal_key, seq * payload_bytes,
+                          payload_bytes)
+
+    def pipelined():
+        ciphertexts = payloads ^ np.stack(
+            [keystream(seq) for seq in range(frames)])
+        return frame_tags_batched([tagger] * frames, j0s, aads,
+                                  [row.tobytes() for row in ciphertexts])
+
+    tags = pipelined()
+    for seq in range(frames):
+        sealed = (payloads[seq] ^ keystream(seq)).tobytes()
+        assert tagger.verify(j0s[seq], aads[seq], sealed, tags[seq])
+
+    baseline, current = _interleaved(lambda: per_frame, lambda: pipelined)
+    speedup, detail = _ratio(baseline, current)
+    assert speedup >= SEAL_PIPELINE_MIN_SPEEDUP, detail
+    assert cache.misses == 0, cache.misses
 
 
-@pytest.mark.slow
-def test_telemetry_enabled_overhead_is_recorded_and_bounded(
-        wallclock_report):
-    """The enabled path records its overhead in the report and stays
-    within an order-of-magnitude sanity bound (spans and metrics do
-    real work; "free" is only required of the disabled path)."""
-    stage = wallclock_report["stages"]["telemetry_overhead"]
-    assert "enabled_overhead" in stage, stage
-    assert stage["spans_recorded"] > 0, stage
-    assert stage["metrics_registered"] > 0, stage
-    assert stage["current_s"] <= stage["baseline_s"] * 1.5, stage
+def test_streaming_dsp_not_slower():
+    """10 s of audio fed in 100 ms chunks: batched FFT path against the
+    per-frame reference, each run on a fresh extractor."""
+    from repro.audio.features import FeatureConfig
+    from repro.audio.streaming import StreamingFeatureExtractor
+
+    cfg = FeatureConfig()
+    audio = np.random.default_rng(99).integers(
+        -3000, 3000, size=10 * cfg.sample_rate).astype(np.int16)
+    step = cfg.sample_rate // 10
+    chunks = [audio[i:i + step] for i in range(0, len(audio), step)]
+    fast = StreamingFeatureExtractor(cfg)
+    ref = StreamingFeatureExtractor(cfg, reference=True)
+    for chunk in chunks[:10]:
+        fast.feed(chunk)
+        ref.feed(chunk)
+        assert np.array_equal(fast.fingerprint(), ref.fingerprint())
+
+    def stream(reference: bool):
+        def body() -> None:
+            extractor = StreamingFeatureExtractor(cfg, reference=reference)
+            for chunk in chunks:
+                extractor.feed(chunk)
+        return lambda: body
+
+    reference, current = _interleaved(stream(True), stream(False))
+    speedup, detail = _ratio(reference, current)
+    assert speedup >= DSP_MIN_SPEEDUP, detail
+
+
+# --- serving core ------------------------------------------------------------
+
+def _warmed(testbed):
+    """Run one untimed pass of a fresh ``(owner, drive)`` testbed, so
+    the timed pass measures steady-state serving: enclave launch,
+    attestation, provisioning and the first touch of every session's
+    keys are set-up, paid once per deployment."""
+    testbed[1]()
+    return testbed
+
+
+def test_serving_throughput_floor(pretrained_model):
+    """64 requests through the batch-32 serving core (three sessions,
+    two workers) against the same requests one at a time through
+    :class:`~repro.serve.SequentialBaseline` — per-request
+    secure-channel records, mailbox copies, suspend between queries."""
+    sequential, batched = _interleaved(
+        lambda: _warmed(sequential_testbed(
+            pretrained_model, b"bench-serving", 64))[1],
+        lambda: _warmed(serving_testbed(
+            pretrained_model, b"bench-serving-32", 32, 64))[1])
+    speedup, detail = _ratio(sequential, batched)
+    assert speedup >= SERVING_MIN_SPEEDUP, detail
+
+
+def test_serving_concurrency_efficiency(pretrained_model):
+    """Per-request cost of the one-request-per-session pass may not
+    degrade superlinearly from 100 to 1000 concurrent sessions."""
+    def sessions(count: int):
+        return lambda: concurrency_testbed(pretrained_model, count)[1]
+
+    small, large = _interleaved(sessions(100), sessions(1000))
+    efficiency, detail = _ratio([t / 100 for t in small],
+                                [t / 1000 for t in large])
+    assert efficiency >= SERVING_CONCURRENCY_MIN_EFFICIENCY, detail
+
+
+def test_telemetry_enabled_overhead_bounded(pretrained_model):
+    """One steady-state serving pass (24 requests, batch 8) with no
+    telemetry bundle against the same pass with one installed: spans
+    recorded, metrics updated."""
+    from repro.obs import Telemetry, hooks as obs_hooks
+
+    installed = []
+
+    def testbed():
+        return serving_testbed(pretrained_model, b"bench-telemetry", 8, 24)
+
+    def enabled():
+        service, drive = _warmed(testbed())
+        telemetry = Telemetry(service.clock)
+        installed.append(telemetry)
+
+        def body() -> None:
+            with obs_hooks.installed(telemetry):
+                drive()
+        return body
+
+    disabled, current = _interleaved(lambda: _warmed(testbed())[1],
+                                     enabled)
+    overhead, detail = _ratio(current, disabled)
+    assert overhead <= TELEMETRY_ENABLED_MAX_OVERHEAD, detail
+    assert all(t.tracer.buffer.appended > 0 for t in installed)
+    assert all(len(t.metrics) > 0 for t in installed)
+
+
+# --- fleet control plane -----------------------------------------------------
+
+def test_fleet_storm_scaling_and_throughput():
+    """The storm at 10^4 devices with no faults against the full 10^5
+    under the seeded fault schedule: per-device wall-clock may not
+    degrade past the efficiency floor, and the full storm must land
+    licenses at the throughput floor."""
+    from repro.faults import hooks as fault_hooks
+
+    granted = []
+
+    def small():
+        fleet, director, _ = storm_testbed(10_000)
+        return lambda: director.run_storm(fleet.cohorts)
+
+    def full():
+        fleet, director, plan = storm_testbed(100_000)
+
+        def body() -> None:
+            with fault_hooks.installed(plan):
+                granted.append(director.run_storm(fleet.cohorts).granted)
+        return body
+
+    baseline, storm = _interleaved(small, full, pairs=3)
+    efficiency, detail = _ratio([t / 10_000 for t in baseline],
+                                [t / 100_000 for t in storm])
+    assert efficiency >= FLEET_SCALING_MIN_EFFICIENCY, detail
+    licenses_per_sec = float(np.median(granted) / np.median(storm))
+    assert licenses_per_sec >= FLEET_MIN_LICENSES_PER_SEC, (
+        f"{licenses_per_sec:.0f} licenses/s: {_describe(storm)}")
+
+
+# --- hook sites --------------------------------------------------------------
+
+def test_fault_hooks_cheap_when_armed():
+    """A workload hammering every fault hook site — bus reads/writes,
+    scrubs, DRBG generates, channel seal/open — with no plan installed
+    against the same under an armed empty plan (full dispatch, zero
+    matching rules)."""
+    from repro import faults
+    from repro.core.channels import ChannelEndpoint
+    from repro.crypto.rng import HmacDrbg
+    from repro.hw.bus import SystemBus
+    from repro.hw.memory import PhysicalMemory, Tzasc, World
+
+    def workload() -> None:
+        bus = SystemBus(PhysicalMemory(1 << 20), Tzasc())
+        payload = bytes(64)
+        for i in range(400):
+            address = (i * 64) % (1 << 19)
+            bus.write(address, payload, World.SECURE, core_id=None)
+            bus.read(address, 64, World.SECURE, None)
+        for i in range(50):
+            bus.memory.scrub((i * 4096) % (1 << 19), 4096)
+        drbg = HmacDrbg(b"bench-hooks")
+        for _ in range(200):
+            drbg.generate(16)
+        a = ChannelEndpoint(send_key=b"k" * 16, recv_key=b"r" * 16)
+        b = ChannelEndpoint(send_key=b"r" * 16, recv_key=b"k" * 16)
+        for i in range(50):
+            b.open_at(i, a.seal_at(i, payload))
+
+    def armed() -> None:
+        with faults.installed(faults.FaultPlan(0, [])):
+            workload()
+
+    disabled, current = _interleaved(lambda: workload, lambda: armed)
+    overhead, detail = _ratio(current, disabled)
+    assert overhead <= HOOKS_ARMED_MAX_OVERHEAD, detail
+
+
+# --- the invariant checker itself --------------------------------------------
+
+def test_cached_analysis_within_budget():
+    """The full rule suite over the installed ``repro`` package, loading
+    and replaying a filled content-hash cache — the path CI takes on an
+    unchanged tree.  The cache lives in a temporary directory."""
+    import repro
+    from repro.analysis import run_analysis
+    from repro.analysis.cache import AnalysisCache
+
+    package_dir = os.path.dirname(os.path.abspath(repro.__file__))
+    with tempfile.TemporaryDirectory() as tmp:
+        cache_path = os.path.join(tmp, "analysis-cache.json")
+
+        def suite() -> None:
+            run_analysis([package_dir], cache=AnalysisCache(cache_path))
+
+        suite()
+        times = [_timed(suite) for _ in range(5)]
+    assert float(np.median(times)) <= ANALYSIS_MAX_SECONDS, _describe(times)

@@ -21,7 +21,6 @@ or call the ``*_reference`` helpers to use it.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import struct
 
@@ -32,29 +31,10 @@ from repro.crypto.hmac import constant_time_eq
 from repro.errors import AuthenticationError, KeyError_
 
 __all__ = ["ctr_keystream", "ctr_keystream_xor", "ctr_keystream_xor_reference",
-           "GCM", "gcm_encrypt", "gcm_decrypt", "reference_mode",
-           "FrameTagKey", "frame_tags_batched"]
+           "GCM", "gcm_encrypt", "gcm_decrypt", "FrameTagKey",
+           "frame_tags_batched"]
 
 _MASK64 = (1 << 64) - 1
-
-# Default for GCM(reference=...).  reference_mode() flips it so callers
-# that construct GCM indirectly (e.g. core.provisioning via gcm_encrypt)
-# can be timed against the scalar baseline without API changes.
-_DEFAULT_REFERENCE = False
-
-
-@contextlib.contextmanager
-def reference_mode():
-    """Force GCM instances constructed inside the block onto the scalar
-    reference path.  Benchmark-only knob; output is bit-identical."""
-    global _DEFAULT_REFERENCE
-    saved = _DEFAULT_REFERENCE
-    _DEFAULT_REFERENCE = True
-    try:
-        yield
-    finally:
-        _DEFAULT_REFERENCE = saved
-
 
 def _inc32(counter: bytes) -> bytes:
     prefix, value = counter[:12], struct.unpack(">I", counter[12:])[0]
@@ -173,10 +153,8 @@ class GCM(_TableGhash):
     tag_size = 16
     _BATCH_MIN = 256     # below this many blocks the scalar tables win
 
-    def __init__(self, key: bytes, reference: bool | None = None) -> None:
+    def __init__(self, key: bytes, reference: bool = False) -> None:
         self._aes = AES(key)
-        if reference is None:
-            reference = _DEFAULT_REFERENCE
         self._reference = reference
         self._h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
 

@@ -8,8 +8,7 @@ guard every hook site with::
         ...dispatch into the plan...
 
 so the disabled cost is a single module-attribute load and ``None``
-check — nothing is allocated, no function is called, and the wall-clock
-bench (``benchmarks/test_wallclock.py``) pins that cost at < 2 %.
+check — nothing is allocated and no function is called.
 
 The install functions come from :func:`repro.hookslot.slot`, which sits
 below :mod:`repro.crypto.rng` in the import graph (the DRBG is itself

@@ -8,8 +8,7 @@ this module and guard every instrumentation site with::
         ...record a span / observe a histogram...
 
 so the disabled cost is a single module-attribute load and ``None``
-check — nothing is allocated, no function is called, and the wall-clock
-bench (``benchmarks/test_wallclock.py``) pins that cost at < 3 %.
+check — nothing is allocated and no function is called.
 
 The install functions come from :func:`repro.hookslot.slot`, the same
 slot :mod:`repro.faults.hooks` uses.

@@ -16,9 +16,8 @@ compiler's warnings:
     the broken invariant named.
 
 Both are **zero-cost when disabled**: instrumented modules guard every
-hook with ``if hooks.STATE is not None`` — the same pattern (and the
-same < 2 % disabled-cost budget) as :mod:`repro.faults` and
-:mod:`repro.obs`.  Enable them per test::
+hook with ``if hooks.STATE is not None`` — the same pattern as
+:mod:`repro.faults` and :mod:`repro.obs`.  Enable them per test::
 
     from repro import sanitizers
 

@@ -20,7 +20,8 @@ from repro.tflm.quantize import choose_weight_qparams
 from repro.tflm.tensor import QuantParams, TensorSpec
 
 __all__ = ["build_tiny_int8_model", "build_float_mlp",
-           "transcript_digests", "pinned_transcript_digests"]
+           "transcript_digests", "pinned_transcript_digests",
+           "serving_testbed", "sequential_testbed"]
 
 # SHA-256 of each chaos layer's per-seed transcripts, as produced by
 # the module fixtures of tests/test_chaos_{e2e,serve,fleet}.py.
@@ -109,3 +110,61 @@ def transcript_digests(results: dict) -> dict[str, str]:
 def pinned_transcript_digests(layer: str) -> dict[str, str]:
     """The committed transcript digests of one chaos layer."""
     return json.loads(CHAOS_DIGESTS.read_text())[layer]
+
+
+def _serving_inputs(model, seed: bytes, requests: int):
+    from repro.core.parties import Vendor
+    from repro.eval.bench import KEY_BITS
+    from repro.trustzone.worlds import make_platform
+
+    fingerprints = np.random.default_rng(7).integers(
+        0, 256, size=(requests, 49, 43), dtype=np.uint8)
+    return (make_platform(seed=seed, key_bits=KEY_BITS),
+            Vendor("ml-vendor", model, key_bits=KEY_BITS), fingerprints)
+
+
+def serving_testbed(model, seed: bytes, batch: int, requests: int):
+    """A fresh two-worker service with three open sessions and adaptive
+    batching off, and one steady-state pass over ``requests`` seeded
+    fingerprints: ``batch``-sized submit waves round-robin over the
+    sessions, one loop tick per wave, then a drain.
+
+    Returns ``(service, drive)``; each ``drive()`` runs the pass again
+    on the same sessions.
+    """
+    from repro.serve import ServeConfig, ServingLoop, ServingService
+
+    platform, vendor, fingerprints = _serving_inputs(model, seed, requests)
+    service = ServingService(platform, vendor,
+                             ServeConfig(max_batch=batch, num_workers=2))
+    loop = ServingLoop(service, adaptive=False)
+    handles = [service.open_session() for _ in range(3)]
+
+    def drive() -> None:
+        for start in range(0, requests, batch):
+            service.submit_many(
+                [(handles[index % len(handles)], fingerprints[index])
+                 for index in range(start, min(start + batch, requests))])
+            loop.tick()
+        loop.run_until_idle(force=True)
+
+    return service, drive
+
+
+def sequential_testbed(model, seed: bytes, requests: int):
+    """The same ``requests`` fingerprints as :func:`serving_testbed`,
+    one at a time through a fresh
+    :class:`~repro.serve.SequentialBaseline`.
+
+    Returns ``(baseline, drive)``.
+    """
+    from repro.serve import SequentialBaseline
+
+    platform, vendor, fingerprints = _serving_inputs(model, seed, requests)
+    baseline = SequentialBaseline(platform, vendor)
+
+    def drive() -> None:
+        for fingerprint in fingerprints:
+            baseline.request(fingerprint)
+
+    return baseline, drive

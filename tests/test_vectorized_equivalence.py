@@ -18,9 +18,6 @@ from repro.crypto.modes import (
     GCM,
     ctr_keystream_xor,
     ctr_keystream_xor_reference,
-    gcm_decrypt,
-    gcm_encrypt,
-    reference_mode,
 )
 from repro.tflm.interpreter import Interpreter
 from repro.tflm.ops.conv import (
@@ -123,16 +120,6 @@ def test_gcm_fast_matches_reference(size, nonce_size):
     assert GCM(key, reference=True).decrypt(nonce, ct_fast, tag_fast, aad) \
         == plaintext
     assert GCM(key).decrypt(nonce, ct_ref, tag_ref, aad) == plaintext
-
-
-def test_reference_mode_context_flips_default():
-    key = b"\x55" * 16
-    blob = gcm_encrypt(key, b"\x01" * 12, b"hello world", b"aad")
-    with reference_mode():
-        blob_ref = gcm_encrypt(key, b"\x01" * 12, b"hello world", b"aad")
-        assert gcm_decrypt(key, blob, b"aad") == b"hello world"
-    assert blob == blob_ref
-    assert GCM(key)._reference is False
 
 
 # --- im2col / conv kernels --------------------------------------------
