@@ -211,6 +211,24 @@ def test_fft_matches_scalar_butterfly_reference():
         assert im[index].tolist() == want_im
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("length", [1, 100, 255, 256, 257, 400, 480, 511, 512])
+def test_fft_matches_scalar_butterfly_reference_at_every_length(length, batch):
+    """Frames shorter than, equal to and longer than half the FFT size
+    (the zero padding meets the first stage's pairs differently)."""
+    rng = np.random.default_rng(length * 10 + batch)
+    full_scale = rng.choice(np.array([-32768, 32767]), size=(batch, length))
+    full_scale[0] = -32768
+    random = rng.integers(-32768, 32768, size=(batch, length))
+    for frames in (full_scale, random):
+        re, im, _ = fixed_point_fft_batch(frames)
+        assert re.shape == im.shape == (batch, FFT_SIZE)
+        for index, frame in enumerate(frames):
+            want_re, want_im = _scalar_fft_reference(frame)
+            assert re[index].tolist() == want_re
+            assert im[index].tolist() == want_im
+
+
 def test_fft_batch_matches_single():
     frames = (RNG.standard_normal((5, 480)) * 2000).astype(np.int64)
     batch_re, batch_im, _ = fixed_point_fft_batch(frames)
