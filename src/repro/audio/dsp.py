@@ -7,14 +7,17 @@ per-stage scaling — the same structure as the KissFFT-based fixed-point
 FFT TFLM uses on microcontrollers — plus a float reference used by the
 tests to bound the fixed-point error.
 
-Layout: one kernel, :func:`_fft_frames_last`, runs all nine butterfly
-stages in place on ``(FFT_SIZE, N)`` int32 ``re`` and ``im`` planes
-whose last axis is the batch of frames, so every numpy call spans all N
-frames however short the butterfly blocks are.  Samples must lie in
-[-32768, 32767] (:class:`AudioError` otherwise); the window product,
-the twiddle products and the butterflies then stay within int32 (the
-kernel's docstring gives the bound).  Only the power stage,
-``re^2 + im^2`` and its ``<< 9`` rescale, runs in int64.
+Layout: one kernel, :func:`_fft_frames_last`, a Stockham autosort
+FFT over ``(FFT_SIZE, N)`` int32 ``re`` and ``im`` planes whose last
+axis is the batch of frames.  It takes the frames in natural order and
+ping-pongs between two buffers, so at every stage the top and bottom
+inputs of each twiddle are two contiguous runs and every numpy call
+spans all N frames.  The input is real: the first stage runs on the
+``re`` plane alone and the second skips the product's ``im`` term.
+Samples must lie in [-32768, 32767] (:class:`AudioError` otherwise);
+the window product, the twiddle products and the butterflies then stay
+within int32 (the kernel's docstring gives the bound).  Only the power
+stage, ``re^2 + im^2`` and its ``<< 9`` rescale, runs in int64.
 """
 
 from __future__ import annotations
@@ -36,21 +39,9 @@ _STAGES = FFT_SIZE.bit_length() - 1
 _SAMPLE_MIN, _SAMPLE_MAX = -32768, 32767
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    indices = np.arange(n)
-    reversed_indices = np.zeros(n, dtype=np.int64)
-    for bit in range(bits):
-        reversed_indices |= ((indices >> bit) & 1) << (bits - 1 - bit)
-    return reversed_indices
-
-
-_REV = _bit_reverse_indices(FFT_SIZE)
-
-
 def _stage_twiddles() -> list[tuple[np.ndarray, np.ndarray]]:
     """Per stage, the Q15 twiddles of its ``half`` butterflies as two
-    ``(2, 1, half, 1)`` int32 stacks, ``(wr, wi)`` and ``(-wi, wr)``, so
+    ``(2, half, 1, 1)`` int32 stacks, ``(wr, wi)`` and ``(-wi, wr)``, so
     ``bot_re * first + bot_im * second`` is the complex product."""
     angles = -2.0 * np.pi * np.arange(FFT_SIZE // 2) / FFT_SIZE
     tw_re = np.round(np.cos(angles) * 32767).astype(np.int32)
@@ -58,10 +49,9 @@ def _stage_twiddles() -> list[tuple[np.ndarray, np.ndarray]]:
     stages = []
     for stage in range(_STAGES):
         index = np.arange(1 << stage) << (_STAGES - 1 - stage)
-        wr = tw_re[index, np.newaxis]
-        wi = tw_im[index, np.newaxis]
-        stages.append((np.stack([wr, wi])[:, np.newaxis],
-                       np.stack([-wi, wr])[:, np.newaxis]))
+        wr = tw_re[index, np.newaxis, np.newaxis]
+        wi = tw_im[index, np.newaxis, np.newaxis]
+        stages.append((np.stack([wr, wi]), np.stack([-wi, wr])))
     return stages
 
 
@@ -87,6 +77,14 @@ def _check_frames(frames: np.ndarray, caller: str) -> np.ndarray:
         )
     _check_samples(frames, "samples")
     return frames
+
+
+def _one_frame(frame: np.ndarray, caller: str) -> np.ndarray:
+    """A 1-D frame as a batch of one; :class:`AudioError` otherwise."""
+    frame = np.asarray(frame)
+    if frame.ndim != 1:
+        raise AudioError(f"{caller} expects a 1-D frame, got {frame.shape}")
+    return frame[np.newaxis, :]
 
 
 def hann_window_q15(length: int) -> np.ndarray:
@@ -121,13 +119,23 @@ def _fft_frames_last(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The FFT kernel: (N, L) int16-range frames -> ``(re, im)``.
 
     Both outputs are ``(FFT_SIZE, N)`` int32, frames on the last axis,
-    scaled by ``2^-9``.  The frames are gathered zero padded and in
-    bit-reversed order into the ``re`` plane of one ``(2, FFT_SIZE, N)``
-    array, and the nine radix-2 DIT stages run in place on it.  Stage
-    ``s`` views each plane as ``(blocks, 2, half, N)``, the top and
-    bottom halves of every butterfly block; the ``(2, 1, half, 1)``
-    twiddle stacks broadcast over blocks and frames, so each stage is
-    seven numpy calls over the whole batch whatever ``half`` is.
+    in natural order and scaled by ``2^-9``.  The kernel is a Stockham
+    autosort radix-2 DIT FFT: the butterflies, twiddles, stage order and
+    floor shifts of the in-place bit-reversed loop, but each stage reads
+    one ``(2, FFT_SIZE, N)`` re/im buffer and writes the other, so the
+    input goes in zero padded and in natural order and no gather is
+    needed.  Stage ``s`` (``half = 2^s``, ``r = FFT_SIZE / (2 half)``)
+    reads its source as ``(2, half, 2, r, N)``: for each of the ``half``
+    twiddles, the top and bottom inputs are two contiguous runs of
+    ``r * N`` elements, and the ``(2, half, 1, 1)`` twiddle stacks
+    broadcast over them.  It writes ``(top +- product) >> 1`` to the
+    two halves of the destination viewed as ``(2, 2, half, r, N)``.
+
+    The frames are real.  Stage 0 pairs sample ``k`` with sample
+    ``k + 256`` under the twiddle ``(32767, 0)``, so it runs on the re
+    plane alone and leaves im at zero; stage 1 then skips the product's
+    im term.  The samples are copied into the int32 buffer before any
+    multiply: an int16 frame times 32767 would wrap in int16.
 
     int32 is exact here.  The inputs are int16-range, so ``|z| <= 2^15``
     before the first stage.  With ``|w| < 2^15`` the exact halved
@@ -135,34 +143,49 @@ def _fft_frames_last(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     two inputs' magnitudes; the two floor shifts move each component by
     less than 1, so ``|z|`` grows by less than sqrt(2) per stage and
     stays below ``2^15 + 13`` after nine.  Each twiddle product is then
-    below ``(2^15 + 13) * 2^15 < 2^31``.  ``tests/test_audio_golden.py``
-    pins full-scale frames, raw and windowed, to the bytes of the int64
-    kernel this one replaced, and ``tests/test_audio_wave_dsp.py``
-    checks full-scale frames against a butterfly loop in Python ints,
+    below ``(2^15 + 13) * 2^15 < 2^31``.  The bound is on the values the
+    butterflies see, not on where they are stored, so it holds for any
+    butterfly order.  ``tests/test_audio_golden.py`` pins full-scale
+    frames, raw and windowed, to the bytes of the int64 kernel this one
+    replaced, and ``tests/test_audio_wave_dsp.py`` checks full-scale
+    frames of every length against a butterfly loop in Python ints,
     which cannot wrap.
     """
     n, length = frames.shape
-    data = np.zeros((2, FFT_SIZE, n), dtype=np.int32)
-    rows = np.flatnonzero(_REV < length)
-    data[0, rows] = frames.T[_REV[rows]]
-    scratch = np.empty((2, 2, FFT_SIZE // 2 * n), dtype=np.int32)
-    for stage, (w_re, w_im) in enumerate(_TWIDDLES):
+    head = FFT_SIZE // 2
+    src = np.zeros((2, FFT_SIZE, n), dtype=np.int32)
+    dst = np.zeros_like(src)
+    scratch = np.empty((2, 2, head * n), dtype=np.int32)
+    # Stage 0, real input: product = (bot * 32767) >> 15, im stays zero.
+    src[0, :length] = frames.T
+    product = scratch[0, 0].reshape(head, n)
+    np.multiply(src[0, head:], 32767, out=product)
+    product >>= 15
+    np.add(src[0, :head], product, out=dst[0, :head])
+    np.subtract(src[0, :head], product, out=dst[0, head:])
+    dst[0] >>= 1
+    src, dst = dst, src
+    for stage in range(1, _STAGES):
+        w_re, w_im = _TWIDDLES[stage]
         half = 1 << stage
-        blocks = FFT_SIZE // (2 * half)
-        view = data.reshape(2, blocks, 2, half, n)
+        r = head // half
+        view = src.reshape(2, half, 2, r, n)
         top, bot = view[:, :, 0], view[:, :, 1]
-        product, tmp = (part.reshape(2, blocks, half, n) for part in scratch)
-        # Q15 complex multiply of the bottom half by the twiddles:
+        product, tmp = (part.reshape(2, half, r, n) for part in scratch)
+        # Q15 complex multiply of the bottom inputs by the twiddles:
         # product = (bot_re*wr - bot_im*wi, bot_re*wi + bot_im*wr) >> 15.
         np.multiply(bot[0], w_re, out=product)
-        np.multiply(bot[1], w_im, out=tmp)
-        product += tmp
+        if stage > 1:  # stage 1's bot_im is zero
+            np.multiply(bot[1], w_im, out=tmp)
+            product += tmp
         product >>= 15
         # Butterfly with a /2 scale per stage (overflow protection).
-        np.subtract(top, product, out=bot)
-        top += product
-        data >>= 1
-    return data[0], data[1]
+        out = dst.reshape(2, 2, half, r, n)
+        np.add(top, product, out=out[:, 0])
+        np.subtract(top, product, out=out[:, 1])
+        dst >>= 1
+        src, dst = dst, src
+    return src[0], src[1]
 
 
 def fixed_point_fft_batch(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -188,12 +211,8 @@ def fixed_point_fft_batch(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, i
 
 def fixed_point_fft(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Single-frame convenience wrapper over the batched FFT."""
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise AudioError(
-            f"fixed_point_fft expects a 1-D frame, got {samples.shape}"
-        )
-    re, im, shift = fixed_point_fft_batch(samples[np.newaxis, :])
+    frames = _one_frame(samples, "fixed_point_fft")
+    re, im, shift = fixed_point_fft_batch(frames)
     return re[0], im[0], shift
 
 
@@ -229,7 +248,8 @@ def power_spectrum_fixed(frame: np.ndarray,
     undo the FFT's internal 2^-9 scaling so magnitudes are comparable
     across implementations.
     """
-    return power_spectrum_fixed_batch(frame[np.newaxis, :], window_q15)[0]
+    frames = _one_frame(frame, "power_spectrum_fixed")
+    return power_spectrum_fixed_batch(frames, window_q15)[0]
 
 
 def power_spectrum_float(frame: np.ndarray,

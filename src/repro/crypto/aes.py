@@ -19,6 +19,7 @@ tests check against.
 
 from __future__ import annotations
 
+import functools
 import struct
 import sys
 
@@ -132,11 +133,19 @@ class AES:
         self.key_size = len(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._ek = self._expand_key(key)
-        self._dk = self._invert_key_schedule(self._ek)
         # Batched-path schedules as (words, 1) columns, broadcast over
         # the (4, N) state; encrypt_blocks_under stacks one per row.
         self._ek_np = np.array(self._ek, dtype=np.uint32)[:, None]
-        self._dk_np = np.array(self._dk, dtype=np.uint32)[:, None]
+
+    # CTR, GCM and frame tags only encrypt, so the decryption schedule
+    # is built on the first decrypt.
+    @functools.cached_property
+    def _dk(self) -> list[int]:
+        return self._invert_key_schedule(self._ek)
+
+    @functools.cached_property
+    def _dk_np(self) -> np.ndarray:
+        return np.array(self._dk, dtype=np.uint32)[:, None]
 
     @staticmethod
     def _expand_key(key: bytes) -> list[int]:

@@ -285,6 +285,23 @@ def test_power_spectrum_has_256_bins():
         np.zeros((3, 480), dtype=np.int16)).shape == (3, NUM_BINS)
 
 
+def test_power_spectrum_accepts_a_list_frame():
+    frame = RNG.integers(-32768, 32768, size=480)
+    window = hann_window_q15(480)
+    assert np.array_equal(power_spectrum_fixed(frame.tolist()),
+                          power_spectrum_fixed(frame))
+    assert np.array_equal(power_spectrum_fixed([0] * 480, window),
+                          np.zeros(NUM_BINS, dtype=np.int64))
+
+
+def test_power_spectrum_rejects_a_2d_frame_under_its_own_name():
+    with pytest.raises(AudioError, match=r"power_spectrum_fixed expects a "
+                                         r"1-D frame, got \(2, 480\)"):
+        power_spectrum_fixed(np.zeros((2, 480), dtype=np.int16))
+    with pytest.raises(AudioError, match=r"fixed_point_fft expects a 1-D"):
+        fixed_point_fft(np.zeros((2, 480), dtype=np.int16))
+
+
 def test_parseval_energy_scaling():
     """Fixed and float spectra have comparable total energy."""
     frame = (RNG.standard_normal(480) * 5000).astype(np.int16)

@@ -1,5 +1,6 @@
 """AES block cipher: FIPS 197 vectors and structural properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,16 @@ def test_invalid_block_sizes_rejected(bad_block):
         cipher.encrypt_block(bad_block)
     with pytest.raises(KeyError_):
         cipher.decrypt_block(bad_block)
+
+
+def test_encrypt_only_cipher_never_builds_the_decryption_schedule():
+    cipher = AES(bytes(range(16)))
+    blocks = np.frombuffer(PLAINTEXT * 3, dtype=np.uint8).reshape(3, 16)
+    sealed = cipher.encrypt_blocks(blocks)
+    assert cipher.encrypt_block(PLAINTEXT) == sealed[0].tobytes()
+    assert "_dk" not in vars(cipher) and "_dk_np" not in vars(cipher)
+    assert np.array_equal(cipher.decrypt_blocks(sealed), blocks)
+    assert cipher.decrypt_block(sealed[1].tobytes()) == PLAINTEXT
 
 
 def test_rounds_by_key_size():
