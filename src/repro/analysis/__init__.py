@@ -46,10 +46,11 @@ count), and a waiver that stops suppressing anything becomes an
 
 Run as ``python -m repro.analysis [paths]`` or ``repro-omg analyze``.
 The committed baseline (:mod:`repro.analysis.baseline`) is empty by
-construction; any finding fails the run.  Results are cached by
-content hash (``--no-cache`` to disable): an unchanged tree replays
-instantly, an edited file re-runs per-module rules only on itself
-(whole-program rules re-run whenever anything changed).
+construction; any finding fails the run.  Every run analyzes the whole
+tree from source, with nothing kept between runs: the taint summaries
+reach their fixpoint on a worklist that re-summarizes a function only
+when a callee's summary changed, so a cold run over ``src/repro``
+takes a few seconds.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ def main(argv: list[str] | None = None) -> int:
     import sys
 
     import repro.analysis.rules  # noqa: F401  (registers RULES)
-    from repro.analysis.cache import AnalysisCache, default_cache_path
     from repro.analysis.engine import RULES
 
     parser = argparse.ArgumentParser(
@@ -111,11 +111,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run only this rule (repeatable)")
     parser.add_argument("--no-baseline", action="store_true",
                         help="ignore the committed baseline file")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the content-hash result cache")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="directory for the result cache "
-                             "(default: .cache/)")
     args = parser.parse_args(argv)
 
     paths = args.paths
@@ -124,13 +119,7 @@ def main(argv: list[str] | None = None) -> int:
 
         paths = [os.path.dirname(os.path.abspath(repro.__file__))]
     baseline = None if args.no_baseline else load_baseline()
-    cache = None
-    if not args.no_cache:
-        cache_path = (os.path.join(args.cache_dir, "repro-analysis.json")
-                      if args.cache_dir else default_cache_path())
-        cache = AnalysisCache(cache_path)
-    result = run_analysis(paths, rules=args.rule, baseline=baseline,
-                          cache=cache)
+    result = run_analysis(paths, rules=args.rule, baseline=baseline)
     fmt = "json" if args.as_json else args.format
     if fmt == "json":
         out = render_json(result)

@@ -24,19 +24,20 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.engine import ModuleInfo, dotted_name, import_aliases
+from repro.analysis.engine import ModuleInfo, dotted_name
 from repro.analysis.engine import param_names as _param_names
 
-__all__ = ["FunctionInfo", "ProjectIndex"]
+__all__ = ["FunctionInfo", "ProjectIndex", "module_functions"]
 
 # A bare-name lookup matching more homonyms than this is treated as
 # unresolved: merging many unrelated summaries only manufactures noise.
 _MAX_BARE_CANDIDATES = 4
 
 
-@dataclass
+@dataclass(eq=False)
 class FunctionInfo:
-    """One ``def`` plus the context needed to analyze it."""
+    """One ``def`` plus the context needed to analyze it.  Compared and
+    hashed by identity: two defs may share a qualname."""
 
     module: ModuleInfo
     node: ast.FunctionDef | ast.AsyncFunctionDef
@@ -48,10 +49,15 @@ class FunctionInfo:
     def name(self) -> str:
         return self.node.name
 
+    @property
+    def nodes(self) -> list[ast.AST]:
+        """The body's scope nodes, shared by every rule in the run."""
+        return self.module.scope_nodes(self.node)
 
-def _collect(module: ModuleInfo):
-    """Yield (class_name, node) for every def, tracking one level of
-    class nesting (methods); defs nested in functions keep the outer
+
+def module_functions(module: ModuleInfo):
+    """Yield a :class:`FunctionInfo` for every def, tracking one level
+    of class nesting (methods); defs nested in functions keep the outer
     function in their qualname path but no class binding."""
     stack: list[tuple[ast.AST, str | None, list[str]]] = [
         (module.tree, None, [])]
@@ -61,7 +67,11 @@ def _collect(module: ModuleInfo):
             if isinstance(child, ast.ClassDef):
                 stack.append((child, child.name, prefix + [child.name]))
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield class_name, prefix, child
+                yield FunctionInfo(
+                    module=module, node=child,
+                    qualname=".".join([module.module, *prefix, child.name]),
+                    class_name=class_name,
+                    params=tuple(_param_names(child)))
                 stack.append((child, None, prefix + [child.name]))
             elif isinstance(child, (ast.If, ast.Try, ast.With)):
                 # defs guarded by TYPE_CHECKING / try-import blocks
@@ -75,28 +85,16 @@ class ProjectIndex:
         self.functions: list[FunctionInfo] = []
         self.by_qualname: dict[str, FunctionInfo] = {}
         self.by_name: dict[str, list[FunctionInfo]] = {}
-        self.aliases: dict[str, dict[str, str]] = {}
         for module in modules:
-            if module.tree is None:
-                continue
-            self.aliases[module.path] = import_aliases(module.tree)
-            for class_name, prefix, node in _collect(module):
-                qualname = ".".join([module.module, *prefix, node.name])
-                info = FunctionInfo(
-                    module=module, node=node, qualname=qualname,
-                    class_name=class_name,
-                    params=tuple(_param_names(node)))
+            for info in module_functions(module):
                 self.functions.append(info)
-                self.by_qualname[qualname] = info
-                self.by_name.setdefault(node.name, []).append(info)
-
-    def module_aliases(self, module: ModuleInfo) -> dict[str, str]:
-        return self.aliases.get(module.path, {})
+                self.by_qualname[info.qualname] = info
+                self.by_name.setdefault(info.name, []).append(info)
 
     def resolve(self, func: ast.expr, module: ModuleInfo,
                 class_name: str | None = None) -> list[FunctionInfo]:
         """Candidate callees for a call's ``func`` expression."""
-        aliases = self.module_aliases(module)
+        aliases = module.aliases
         if isinstance(func, ast.Name):
             absolute = aliases.get(func.id)
             if absolute is not None:

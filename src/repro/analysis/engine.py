@@ -5,21 +5,21 @@ must be able to run over a tree whose runtime imports are broken, and
 it must never import the code it is judging.
 
 Since the interprocedural rewrite the engine distinguishes per-module
-rules (``Rule.check``) from whole-program rules (``Rule.check_project``)
-and supports a content-hash result cache
-(:mod:`repro.analysis.cache`): unchanged files skip their per-module
-rules, and an unchanged tree skips everything including parsing.
+rules (``Rule.check``) from whole-program rules (``Rule.check_project``).
+Every run is a full run over freshly parsed sources; what the rules
+share within a run (each module's import aliases, each scope's node
+list) is computed once and held on the :class:`ModuleInfo`.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import os
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
 
@@ -31,7 +31,6 @@ __all__ = [
     "Rule",
     "call_tail",
     "dotted_name",
-    "import_aliases",
     "load_module",
     "param_names",
     "register",
@@ -70,17 +69,48 @@ class Finding:
 
 @dataclass
 class ModuleInfo:
-    """A parsed source file plus everything rules need to judge it.
-
-    ``tree`` is ``None`` on the fully-cached path, where findings are
-    replayed from the cache and only waiver comments are re-read.
-    """
+    """A parsed source file plus everything rules need to judge it."""
 
     path: str
     module: str               # dotted name, e.g. ``repro.hw.bus``
-    tree: ast.Module | None
+    tree: ast.Module
     lines: list[str]
     waivers: dict[int, set[str]]
+    _scopes: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree in :func:`ast.walk` order, walked once
+        per run."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        """Map local names to the absolute dotted names they were
+        imported as (``np`` -> ``numpy``, ``urandom`` -> ``os.urandom``)."""
+        aliases: dict[str, str] = {}
+        for node in self.nodes:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    root = alias.name.split(".")[0]
+                    aliases[alias.asname or root] = (
+                        alias.name if alias.asname else root)
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                    and not node.level):
+                for alias in node.names:
+                    if alias.name != "*":
+                        aliases[alias.asname or alias.name] = (
+                            f"{node.module}.{alias.name}")
+        return aliases
+
+    def scope_nodes(self, owner: ast.AST) -> list[ast.AST]:
+        """:func:`scope_walk` of ``owner``'s body (the module itself or
+        one of its defs), in walk order, built once per run."""
+        nodes = self._scopes.get(id(owner))
+        if nodes is None:
+            nodes = self._scopes[id(owner)] = list(scope_walk(owner.body))
+        return nodes
 
     @property
     def package(self) -> str:
@@ -152,6 +182,8 @@ def _parse_waivers(source: str) -> dict[int, set[str]]:
     """Waivers live in *comments* only: tokenize rather than regex raw
     lines, so waiver-shaped text inside docstrings never registers."""
     waivers: dict[int, set[str]] = {}
+    if not _WAIVER_RE.search(source):
+        return waivers
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         comments = [(tok.start[0], tok.string) for tok in tokens
@@ -168,12 +200,11 @@ def _parse_waivers(source: str) -> dict[int, set[str]]:
     return waivers
 
 
-def load_module(path: str, source: str | None = None,
-                parse: bool = True) -> ModuleInfo:
+def load_module(path: str, source: str | None = None) -> ModuleInfo:
     if source is None:
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
-    tree = ast.parse(source, filename=path) if parse else None
+    tree = ast.parse(source, filename=path)
     lines = source.splitlines()
     return ModuleInfo(path=path, module=_module_name(path), tree=tree,
                       lines=lines, waivers=_parse_waivers(source))
@@ -195,25 +226,6 @@ def iter_python_files(paths: list[str]) -> list[str]:
 
 
 # --- shared AST helpers -----------------------------------------------------
-
-
-def import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the absolute dotted names they were imported
-    as (``np`` -> ``numpy``, ``urandom`` -> ``os.urandom``)."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                target = alias.name if alias.asname else alias.name.split(".")[0]
-                aliases[local] = target
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}")
-    return aliases
 
 
 def dotted_name(node: ast.AST, aliases: dict[str, str] | None = None
@@ -285,107 +297,32 @@ class AnalysisResult:
     files: int = 0
     rules: list[str] = field(default_factory=list)
     waiver_lines: int = 0     # waiver comments present in the tree
-    from_cache: bool = False  # findings replayed from the result cache
-
-
-def _finding_from_cache(entry: dict) -> Finding:
-    return Finding(path=entry["path"], line=entry["line"], col=entry["col"],
-                   rule=entry["rule"], message=entry["message"],
-                   hint=entry.get("hint", ""))
-
-
-def _finding_to_cache(finding: Finding) -> dict:
-    return {"rule": finding.rule, "path": finding.path,
-            "line": finding.line, "col": finding.col,
-            "message": finding.message, "hint": finding.hint}
-
-
-def _collect_raw(modules: list[ModuleInfo], selected: list[Rule],
-                 config: AnalysisConfig, cache, digests: dict[str, str]
-                 ) -> list[Finding]:
-    raw: list[Finding] = []
-    for rule in selected:
-        for module in modules:
-            cached = None
-            if cache is not None:
-                cached = cache.file_get(rule.name, module.path,
-                                        digests[module.path])
-            if cached is not None:
-                raw.extend(_finding_from_cache(e) for e in cached)
-                continue
-            found = list(rule.check(module, config))
-            raw.extend(found)
-            if cache is not None:
-                cache.file_put(rule.name, module.path, digests[module.path],
-                               [_finding_to_cache(f) for f in found])
-        raw.extend(rule.check_project(modules, config))
-    return raw
 
 
 def run_analysis(paths: list[str], rules: list[str] | None = None,
                  config: AnalysisConfig = DEFAULT_CONFIG,
-                 baseline: list[dict] | None = None,
-                 cache=None) -> AnalysisResult:
-    """Parse every ``.py`` under ``paths`` and run the selected rules.
-
-    ``cache`` is an optional :class:`repro.analysis.cache.AnalysisCache`;
-    with an unchanged tree the whole raw finding list replays from it
-    (waiver/baseline classification is always recomputed — it is cheap
-    and keeps edited comments honest).
-    """
+                 baseline: list[dict] | None = None) -> AnalysisResult:
+    """Parse every ``.py`` under ``paths`` and run the selected rules."""
     import repro.analysis.rules  # noqa: F401  (registers the rule set)
 
     selected = [RULES[name] for name in sorted(rules or RULES)]
     selected_names = {rule.name for rule in selected}
     result = AnalysisResult(rules=[rule.name for rule in selected])
 
-    sources: list[tuple[str, str, str]] = []  # (path, source, digest)
+    raw: list[Finding] = []
+    modules: list[ModuleInfo] = []
     for path in iter_python_files(paths):
         result.files += 1
-        with open(path, "rb") as handle:
-            data = handle.read()
-        sources.append((path, data.decode("utf-8"),
-                        hashlib.sha256(data).hexdigest()))
-    digests = {path: digest for path, _, digest in sources}
-
-    project_key = None
-    cached_raw = None
-    if cache is not None:
-        project_key = cache.project_key(
-            [(path, digest) for path, _, digest in sources],
-            sorted(selected_names), config)
-        cached_raw = cache.project_get(project_key)
-
-    raw: list[Finding]
-    modules: list[ModuleInfo] = []
-    if cached_raw is not None:
-        # Fully-cached path: no parsing at all; modules carry waivers only.
-        result.from_cache = True
-        modules = [load_module(path, source, parse=False)
-                   for path, source, _ in sources]
-        raw = [_finding_from_cache(entry) for entry in cached_raw]
-    else:
-        syntax_findings: list[Finding] = []
-        for path, source, _ in sources:
-            try:
-                modules.append(load_module(path, source))
-            except SyntaxError as error:
-                syntax_findings.append(Finding(
-                    path=path, line=error.lineno or 0, col=error.offset or 0,
-                    rule="syntax", message=f"cannot parse: {error.msg}"))
-        raw = syntax_findings + _collect_raw(modules, selected, config,
-                                             cache, digests)
-        seen: set[tuple] = set()
-        deduped: list[Finding] = []
-        for finding in raw:
-            key = (finding.rule, finding.path, finding.line, finding.message)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(finding)
-        raw = deduped
-        if cache is not None and not syntax_findings:
-            cache.project_put(project_key,
-                              [_finding_to_cache(f) for f in raw])
+        try:
+            modules.append(load_module(path))
+        except SyntaxError as error:
+            raw.append(Finding(
+                path=path, line=error.lineno or 0, col=error.offset or 0,
+                rule="syntax", message=f"cannot parse: {error.msg}"))
+    for rule in selected:
+        for module in modules:
+            raw.extend(rule.check(module, config))
+        raw.extend(rule.check_project(modules, config))
 
     by_path = {module.path: module for module in modules}
     baseline_ids = {(e["rule"], e["path"], e["message"])
@@ -413,8 +350,6 @@ def run_analysis(paths: list[str], rules: list[str] | None = None,
     result.findings.sort()
     result.waived.sort()
     result.baselined.sort()
-    if cache is not None:
-        cache.save()
     return result
 
 

@@ -59,8 +59,6 @@ def render_human(result: AnalysisResult) -> str:
         summary += f", {len(result.baselined)} baselined"
     if result.waiver_lines:
         summary += f", {result.waiver_lines} waiver comment(s)"
-    if result.from_cache:
-        summary += " [cached]"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -74,7 +72,6 @@ def render_json(result: AnalysisResult) -> str:
         "waived": [f.to_dict() for f in result.waived],
         "baselined": [f.to_dict() for f in result.baselined],
         "waiver_comments": result.waiver_lines,
-        "from_cache": result.from_cache,
     }, indent=2, sort_keys=True)
 
 
@@ -136,7 +133,6 @@ def render_sarif(result: AnalysisResult) -> str:
         "properties": {
             "files": result.files,
             "waiverComments": result.waiver_lines,
-            "fromCache": result.from_cache,
         },
     }
     return json.dumps({"version": "2.1.0", "$schema": _SARIF_SCHEMA,

@@ -33,34 +33,10 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.callgraph import module_functions
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.engine import (
-    Finding,
-    ModuleInfo,
-    Rule,
-    import_aliases,
-    param_names,
-    register,
-    scope_walk,
-)
+from repro.analysis.engine import Finding, ModuleInfo, Rule, register
 from repro.analysis.rules.taint import SECRET, _LabelScope
-
-
-def _functions_with_qualnames(module: ModuleInfo):
-    """(qualname, class_name, node) for every def, mirroring the
-    callgraph's qualname scheme."""
-    stack = [(module.tree, None, [])]
-    while stack:
-        node, class_name, prefix = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                stack.append((child, child.name, prefix + [child.name]))
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = ".".join([module.module, *prefix, child.name])
-                yield qualname, class_name, child
-                stack.append((child, None, prefix + [child.name]))
-            elif isinstance(child, (ast.If, ast.Try, ast.With)):
-                stack.append((child, class_name, prefix))
 
 
 @register
@@ -72,27 +48,25 @@ class ConstTimeRule(Rule):
     def check(self, module: ModuleInfo, config: AnalysisConfig):
         if module.package not in config.consttime_packages:
             return
-        aliases = import_aliases(module.tree)
-        for qualname, class_name, func in _functions_with_qualnames(module):
-            if qualname in config.consttime_allowlist:
+        for info in module_functions(module):
+            if info.qualname in config.consttime_allowlist:
                 continue
             seed = {}
-            for param in param_names(func):
+            for param in info.params:
                 labels = {param}
                 if param in config.secret_params:
                     labels.add(SECRET)
                 seed[param] = frozenset(labels)
             scope = _LabelScope(
-                module, func.body, seed, aliases, config,
-                class_name=class_name,
+                module, info.nodes, seed, config,
+                class_name=info.class_name,
                 extra_secret_attributes=config.consttime_secret_attributes,
                 compare_flows=True, comprehension_flows=True)
             scope.solve()
-            yield from self._judge(module, scope, func)
+            yield from self._judge(module, scope)
 
-    def _judge(self, module: ModuleInfo, scope: _LabelScope,
-               func: ast.FunctionDef):
-        for node in scope_walk(func.body):
+    def _judge(self, module: ModuleInfo, scope: _LabelScope):
+        for node in scope.nodes:
             if isinstance(node, (ast.If, ast.While)):
                 if SECRET in scope.labels_of(node.test):
                     yield self._finding(

@@ -24,7 +24,6 @@ from repro.analysis.engine import (
     ModuleInfo,
     Rule,
     dotted_name,
-    import_aliases,
     register,
 )
 
@@ -36,10 +35,11 @@ class DeterminismRule(Rule):
                    "RNG constructors")
 
     def check(self, module: ModuleInfo, config: AnalysisConfig):
-        aliases = import_aliases(module.tree)
-        aliases.update(self._assignment_aliases(module, aliases, config))
+        aliases = {**module.aliases,
+                   **self._assignment_aliases(module, module.aliases,
+                                              config)}
         findings: list[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 findings.extend(self._check_import(module, node, config))
             elif isinstance(node, ast.Call):
@@ -51,7 +51,7 @@ class DeterminismRule(Rule):
         """``now = time.time`` binds a local name to a forbidden
         callable; calls through the alias must be flagged too."""
         bound: dict[str, str] = {}
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
             target = node.targets[0]

@@ -36,6 +36,7 @@ own knowledge of the arguments.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass
 
 from repro.analysis.config import AnalysisConfig
@@ -47,19 +48,18 @@ from repro.analysis.engine import (
     call_tail,
     dotted_name,
     register,
-    scope_walk,
     target_names,
 )
-
-# Backwards-compatible aliases: earlier rule modules imported these
-# helpers from here before they moved into the engine.
-_call_tail = call_tail
-_scope_walk = scope_walk
 
 SECRET = "<secret>"
 _EMPTY: frozenset = frozenset()
 _STRINGIFIERS = frozenset({"ascii", "format", "repr", "str"})
+# The node types :meth:`_LabelScope._apply` can bind a name at.
+_BINDINGS = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr,
+             ast.For, ast.withitem)
 
+# Safety net for the summary worklist: at most this many summaries
+# per function, on average, before it stops.
 _MAX_GLOBAL_ITERATIONS = 12
 
 
@@ -94,6 +94,7 @@ class _SinkHit:
 class _LabelScope:
     """Label-set dataflow and sink judgements for one scope.
 
+    ``nodes`` is the scope's node list (:meth:`ModuleInfo.scope_nodes`).
     ``index``/``summaries`` enable interprocedural resolution; with
     ``index=None`` the scope degrades to the intramodule behavior
     (used by the constant-time rule).  ``compare_flows`` additionally
@@ -107,8 +108,8 @@ class _LabelScope:
     established precision.
     """
 
-    def __init__(self, module: ModuleInfo, body, seed: dict[str, frozenset],
-                 aliases: dict[str, str], config: AnalysisConfig,
+    def __init__(self, module: ModuleInfo, nodes: list[ast.AST],
+                 seed: dict[str, frozenset], config: AnalysisConfig,
                  index: ProjectIndex | None = None,
                  summaries: dict[str, TaintSummary] | None = None,
                  class_name: str | None = None,
@@ -116,8 +117,8 @@ class _LabelScope:
                  compare_flows: bool = False,
                  comprehension_flows: bool = False) -> None:
         self.module = module
-        self.body = body
-        self.aliases = aliases
+        self.nodes = nodes
+        self.aliases = module.aliases
         self.config = config
         self.index = index
         self.summaries = summaries if summaries is not None else {}
@@ -131,10 +132,12 @@ class _LabelScope:
     # --- label propagation --------------------------------------------------
 
     def solve(self) -> None:
+        bindings = [node for node in self.nodes
+                    if isinstance(node, _BINDINGS)]
         changed = True
         while changed:
             changed = False
-            for node in scope_walk(self.body):
+            for node in bindings:
                 changed |= self._apply(node)
 
     def _apply(self, node: ast.AST) -> bool:
@@ -298,7 +301,7 @@ class _LabelScope:
         decides (findings pass keys on ``<secret>``; the summary pass
         keys on parameter labels)."""
         consumed: set[int] = set()
-        for node in scope_walk(self.body):
+        for node in self.nodes:
             if isinstance(node, ast.Raise):
                 yield from self._check_raise(node, consumed)
             elif isinstance(node, ast.Call):
@@ -436,24 +439,15 @@ class _LabelScope:
 # --- summaries and the global fixpoint --------------------------------------
 
 
-def _summary_scope(info: FunctionInfo, index: ProjectIndex,
-                   summaries: dict[str, TaintSummary],
-                   config: AnalysisConfig) -> _LabelScope:
-    seed = {param: frozenset({param}) for param in info.params}
-    scope = _LabelScope(
-        info.module, info.node.body, seed,
-        index.module_aliases(info.module), config,
-        index=index, summaries=summaries, class_name=info.class_name)
-    scope.solve()
-    return scope
-
-
 def _summarize(info: FunctionInfo, index: ProjectIndex,
                summaries: dict[str, TaintSummary],
                config: AnalysisConfig) -> TaintSummary:
-    scope = _summary_scope(info, index, summaries, config)
+    seed = {param: frozenset({param}) for param in info.params}
+    scope = _LabelScope(info.module, info.nodes, seed, config, index=index,
+                        summaries=summaries, class_name=info.class_name)
+    scope.solve()
     returns: set = set()
-    for node in scope_walk(info.node.body):
+    for node in info.nodes:
         if isinstance(node, ast.Return) and node.value is not None:
             returns |= scope.labels_of(node.value)
     # ``self``/``cls`` never count as forwarded sinks: a method that
@@ -470,19 +464,41 @@ def _summarize(info: FunctionInfo, index: ProjectIndex,
 
 def compute_summaries(index: ProjectIndex, config: AnalysisConfig
                       ) -> dict[str, TaintSummary]:
-    """Chaotic iteration to a fixpoint: label sets only grow, so this
-    terminates; the iteration cap is a safety net for pathological
-    mutual recursion."""
+    """Worklist iteration to a fixpoint: every function is summarized
+    once, then again only when the summary of a callee it resolves
+    changed.  Label sets only grow, so this terminates; the budget is a
+    safety net for pathological mutual recursion.
+
+    Summaries are keyed by qualname.  When two defs share one (a name
+    redefined in ``if``/``else`` branches), the one
+    :attr:`ProjectIndex.by_qualname` holds owns the summary, as it does
+    for resolution; the shadowed def is not summarized."""
+    functions = [info for info in index.functions
+                 if index.by_qualname[info.qualname] is info]
+    readers: dict[str, dict[FunctionInfo, None]] = {}
+    for info in functions:
+        for node in info.nodes:
+            if isinstance(node, ast.Call):
+                for callee in index.resolve(node.func, info.module,
+                                            info.class_name):
+                    readers.setdefault(callee.qualname, {})[info] = None
+
     summaries: dict[str, TaintSummary] = {}
-    for _ in range(_MAX_GLOBAL_ITERATIONS):
-        changed = False
-        for info in index.functions:
-            new = _summarize(info, index, summaries, config)
-            if summaries.get(info.qualname) != new:
-                summaries[info.qualname] = new
-                changed = True
-        if not changed:
-            break
+    queue = deque(functions)
+    queued = set(functions)
+    budget = _MAX_GLOBAL_ITERATIONS * len(functions)
+    while queue and budget:
+        budget -= 1
+        info = queue.popleft()
+        queued.discard(info)
+        new = _summarize(info, index, summaries, config)
+        old = summaries.get(info.qualname, _EMPTY_SUMMARY)
+        summaries[info.qualname] = new
+        if new != old:
+            for reader in readers.get(info.qualname, ()):
+                if reader not in queued:
+                    queued.add(reader)
+                    queue.append(reader)
     return summaries
 
 
@@ -494,15 +510,13 @@ class SecretTaintRule(Rule):
 
     def check_project(self, modules: list[ModuleInfo],
                       config: AnalysisConfig):
-        parsed = [m for m in modules if m.tree is not None]
-        index = ProjectIndex(parsed)
+        index = ProjectIndex(modules)
         summaries = compute_summaries(index, config)
         findings: list[Finding] = []
 
-        for module in parsed:
-            scope = _LabelScope(module, module.tree.body, {},
-                                index.module_aliases(module), config,
-                                index=index, summaries=summaries)
+        for module in modules:
+            scope = _LabelScope(module, module.scope_nodes(module.tree), {},
+                                config, index=index, summaries=summaries)
             scope.solve()
             findings.extend(self._findings(module, scope))
 
@@ -513,11 +527,9 @@ class SecretTaintRule(Rule):
                 if param in config.secret_params:
                     labels.add(SECRET)
                 seed[param] = frozenset(labels)
-            scope = _LabelScope(
-                info.module, info.node.body, seed,
-                index.module_aliases(info.module), config,
-                index=index, summaries=summaries,
-                class_name=info.class_name)
+            scope = _LabelScope(info.module, info.nodes, seed, config,
+                                index=index, summaries=summaries,
+                                class_name=info.class_name)
             scope.solve()
             findings.extend(self._findings(info.module, scope))
         return findings

@@ -41,7 +41,6 @@ from repro.analysis.engine import (
     Rule,
     call_tail,
     register,
-    scope_walk,
 )
 
 
@@ -137,9 +136,7 @@ class ZeroizationRule(Rule):
                       config: AnalysisConfig):
         functions: list[tuple[ModuleInfo, ast.FunctionDef]] = []
         for module in modules:
-            if module.tree is None:
-                continue
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     functions.append((module, node))
 
@@ -149,11 +146,11 @@ class ZeroizationRule(Rule):
         changed = True
         while changed:
             changed = False
-            for _, func in functions:
+            for module, func in functions:
                 if func.name in releasing:
                     continue
                 tails = {call_tail(node.func)
-                         for node in scope_walk(func.body)
+                         for node in module.scope_nodes(func)
                          if isinstance(node, ast.Call)}
                 if tails & releasing:
                     releasing.add(func.name)
@@ -165,7 +162,7 @@ class ZeroizationRule(Rule):
             has_fresh_acquire = any(
                 call_tail(node.func) in acquires
                 and not _is_owned_subject(node)
-                for node in scope_walk(func.body)
+                for node in module.scope_nodes(func)
                 if isinstance(node, ast.Call))
             if not has_fresh_acquire:
                 continue

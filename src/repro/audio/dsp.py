@@ -255,7 +255,11 @@ def power_spectrum_fixed(frame: np.ndarray,
 def power_spectrum_float(frame: np.ndarray,
                          window_q15: np.ndarray | None = None) -> np.ndarray:
     """Float reference implementation of :func:`power_spectrum_fixed`."""
-    samples = frame.astype(np.float64)
+    samples = _one_frame(frame, "power_spectrum_float")[0]
+    if len(samples) > FFT_SIZE:
+        raise AudioError(f"power_spectrum_float expects at most {FFT_SIZE} "
+                         f"samples, got {len(samples)}")
+    samples = samples.astype(np.float64)
     if window_q15 is not None:
         samples = samples * (window_q15.astype(np.float64) / 32767.0)
     padded = np.zeros(FFT_SIZE)

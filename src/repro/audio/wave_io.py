@@ -46,6 +46,8 @@ def decode_wave(blob: bytes) -> tuple[np.ndarray, int]:
     while offset + 8 <= len(blob):
         chunk_id = blob[offset:offset + 4]
         chunk_len = struct.unpack("<I", blob[offset + 4:offset + 8])[0]
+        if offset + 8 + chunk_len > len(blob):
+            raise AudioError("WAVE chunk runs past the end of the stream")
         payload = blob[offset + 8:offset + 8 + chunk_len]
         if chunk_id == b"fmt ":
             if chunk_len < 16:
@@ -55,6 +57,8 @@ def decode_wave(blob: bytes) -> tuple[np.ndarray, int]:
             if audio_format != 1:
                 raise AudioError(f"unsupported WAVE format code {audio_format}")
         elif chunk_id == b"data":
+            if chunk_len & 1:
+                raise AudioError("WAVE data chunk has an odd byte count")
             data = payload
         offset += 8 + chunk_len + (chunk_len & 1)
     if sample_rate is None or data is None:

@@ -80,11 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run only this rule (repeatable)")
     analyze.add_argument("--no-baseline", action="store_true",
                          help="ignore the committed baseline file")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="ignore and do not write the result cache")
-    analyze.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="directory for the result cache "
-                              "(default: .cache/)")
 
     trace = sub.add_parser(
         "trace",
@@ -268,10 +263,6 @@ def _cmd_analyze(args) -> int:
         argv.extend(["--rule", rule])
     if args.no_baseline:
         argv.append("--no-baseline")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.cache_dir:
-        argv.extend(["--cache-dir", args.cache_dir])
     return analysis_main(argv)
 
 

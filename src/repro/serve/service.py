@@ -314,10 +314,14 @@ class ServingService:
     def close_session(self, handle: SessionHandle) -> None:
         self._handles.pop(handle.session_id, None)
         self._session_priority.pop(handle.session_id, None)
-        self._session_keys.discard(handle.session_id)
-        self._service_taggers.pop(handle.session_id, None)
-        self._client_keystreams.forget_session(handle.session_id)
-        self._service_keystreams.forget_session(handle.session_id)
+        self._scrub_session(handle.session_id)
+
+    def _scrub_session(self, session_id: int) -> None:
+        """Scrub a session's lane keys and keystream chunks."""
+        self._session_keys.discard(session_id)
+        self._service_taggers.pop(session_id, None)
+        self._client_keystreams.forget_session(session_id)
+        self._service_keystreams.forget_session(session_id)
 
     def _service_lane(self, session_id: int, direction: int):
         """The service's (lane key, tagger) for one direction (0 request,
@@ -765,6 +769,11 @@ class ServingService:
             yield "gauge", name, help, {}, value
 
     def teardown(self) -> None:
+        # Sessions still open keep their handles, so stats() and the
+        # exported gauges go on agreeing with a snapshot taken before
+        # teardown; their key material goes now.
+        for session_id in self._handles:
+            self._scrub_session(session_id)
         self.pool.teardown()
         state = _sanitizers.STATE
         if state is not None:

@@ -506,15 +506,14 @@ def test_consttime_config_names_exist():
         CONSTTIME_ALLOWLIST,
         CONSTTIME_SECRET_ATTRIBUTES,
     )
+    from repro.analysis.callgraph import module_functions
     from repro.analysis.engine import iter_python_files
-    from repro.analysis.rules.consttime import _functions_with_qualnames
 
     qualnames, attributes = set(), set()
     crypto = os.path.join(_SRC_REPRO, "crypto") + os.sep
     for path in iter_python_files([_SRC_REPRO]):
         module = load_module(path)
-        qualnames.update(name for name, _, _ in
-                         _functions_with_qualnames(module))
+        qualnames.update(info.qualname for info in module_functions(module))
         if not path.startswith(crypto):
             continue
         for node in ast.walk(module.tree):
@@ -580,6 +579,52 @@ def test_taint_public_argument_through_same_helper_is_clean(fixture_tree):
             emit(wrap(public_config))
         """)
     assert _run(path, rule="secret-taint").findings == []
+
+
+def test_taint_redefined_nested_def_is_summarized(fixture_tree):
+    """Two defs share the qualname ``outer.run``; only the second, the
+    one calls resolve to, forwards its parameter into ``print`` — via
+    helpers summarized after it, so its summary changes only once the
+    worklist re-queues it."""
+    path = fixture_tree("repro/core/redefined.py", """\
+        def outer(key, flag):
+            if flag:
+                def run(value):
+                    return None
+            else:
+                def run(value):
+                    emit(value)
+            run(key)
+
+
+        def emit(value):
+            relay(value)
+
+
+        def relay(value):
+            print(value)
+        """)
+    result = _run(path, rule="secret-taint")
+    assert [(f.line, f.message) for f in result.findings] == [
+        (8, "secret argument flows into a leak sink inside run()")]
+
+
+def test_taint_summaries_are_a_fixpoint_over_src_repro():
+    """Every summary the worklist settles on is what ``_summarize``
+    computes from the final summaries: nothing is left stale."""
+    from repro.analysis.callgraph import ProjectIndex
+    from repro.analysis.config import DEFAULT_CONFIG
+    from repro.analysis.engine import iter_python_files
+    from repro.analysis.rules.taint import _summarize, compute_summaries
+
+    index = ProjectIndex([load_module(path)
+                          for path in iter_python_files([_SRC_REPRO])])
+    summaries = compute_summaries(index, DEFAULT_CONFIG)
+    assert summaries.keys() == index.by_qualname.keys()
+    stale = [info.qualname for info in index.functions
+             if summaries[info.qualname] != _summarize(
+                 info, index, summaries, DEFAULT_CONFIG)]
+    assert stale == []
 
 
 # --- zeroization on exception edges -----------------------------------------
@@ -709,58 +754,10 @@ def test_sarif_cli_format_flag(fixture_tree):
     path = fixture_tree("repro/hw/sarif_cli.py", "X = 1\n")
     proc = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "--format", "sarif",
-         "--no-cache", path],
+         path],
         capture_output=True, text=True,
         env={**os.environ,
              "PYTHONPATH": os.path.dirname(_SRC_REPRO)})
     assert proc.returncode == 0, (proc.stdout, proc.stderr)
     payload = json.loads(proc.stdout)
     assert payload["runs"][0]["invocations"][0]["executionSuccessful"]
-
-
-# --- result cache -----------------------------------------------------------
-
-def test_cache_replays_unchanged_tree_and_invalidates_on_edit(
-        fixture_tree, tmp_path):
-    from repro.analysis.cache import AnalysisCache
-
-    path = fixture_tree("repro/hw/cached.py", """\
-        import time
-
-
-        def stamp():
-            return time.time()
-        """)
-    cache_path = str(tmp_path / "cache" / "analysis.json")
-
-    first = run_analysis([path], cache=AnalysisCache(cache_path))
-    assert not first.from_cache and len(first.findings) == 1
-
-    second = run_analysis([path], cache=AnalysisCache(cache_path))
-    assert second.from_cache
-    assert [f.message for f in second.findings] == \
-        [f.message for f in first.findings]
-
-    # Editing the file invalidates both cache tiers.
-    fixture_tree("repro/hw/cached.py", "X = 1\n")
-    third = run_analysis([path], cache=AnalysisCache(cache_path))
-    assert not third.from_cache and third.findings == []
-
-
-def test_cache_keyed_on_selected_rules(fixture_tree, tmp_path):
-    from repro.analysis.cache import AnalysisCache
-
-    path = fixture_tree("repro/hw/cached2.py", """\
-        import time
-
-
-        def stamp():
-            return time.time()
-        """)
-    cache_path = str(tmp_path / "cache" / "analysis.json")
-    full = run_analysis([path], cache=AnalysisCache(cache_path))
-    assert len(full.findings) == 1
-    taint_only = run_analysis([path], rules=["secret-taint"],
-                              cache=AnalysisCache(cache_path))
-    assert not taint_only.from_cache
-    assert taint_only.findings == []

@@ -1,5 +1,7 @@
 """WAVE codec and the fixed-point DSP front end."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,36 @@ def test_wave_rejects_stereo():
         decode_wave(bytes(blob))
 
 
+def _riff(*chunks: tuple[bytes, int, bytes]) -> bytes:
+    """A RIFF/WAVE stream of (id, declared length, payload) chunks."""
+    body = b"WAVE" + b"".join(chunk_id + struct.pack("<I", declared) + payload
+                              for chunk_id, declared, payload in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+
+
+@pytest.mark.parametrize("blob, error", [
+    (_riff((b"fmt ", 16, _FMT[:4])),
+     "WAVE chunk runs past the end of the stream"),
+    (_riff((b"fmt ", 16, _FMT), (b"data", 3, b"\x01\x02\x03")),
+     "WAVE data chunk has an odd byte count"),
+    (_riff((b"fmt ", 16, _FMT), (b"data", 20, bytes(16))),
+     "WAVE chunk runs past the end of the stream"),
+    (encode_wave(np.arange(-4, 4, dtype=np.int16)), None),
+], ids=["short-fmt", "odd-data", "data-past-end", "valid"])
+def test_wave_decode_fails_closed(blob, error):
+    if error is None:
+        samples, rate = decode_wave(blob)
+        assert rate == 16000
+        assert np.array_equal(samples, np.arange(-4, 4))
+        return
+    with pytest.raises(AudioError) as raised:
+        decode_wave(blob)
+    assert str(raised.value) == error
+
+
 @given(st.lists(st.integers(-32768, 32767), min_size=1, max_size=500))
 @settings(max_examples=30, deadline=None)
 def test_wave_roundtrip_property(values):
@@ -148,6 +180,19 @@ def test_fft_matches_float_reference_on_dominant_bins():
     mask = reference > reference.max() * 1e-2
     relative = np.abs(fixed[mask] - reference[mask]) / reference[mask]
     assert np.median(relative) < 0.1
+
+
+def test_power_spectrum_float_checks_its_frame():
+    frame = (RNG.standard_normal(480) * 3000).astype(np.int16)
+    window = hann_window_q15(480)
+    assert np.array_equal(power_spectrum_float(frame.tolist(), window),
+                          power_spectrum_float(frame, window))
+    for bad in (np.zeros((2, 480), dtype=np.int16),
+                np.zeros(FFT_SIZE + 1, dtype=np.int16)):
+        with pytest.raises(AudioError):
+            power_spectrum_float(bad)
+        with pytest.raises(AudioError):
+            power_spectrum_fixed(bad)
 
 
 def test_fft_zero_input_zero_output():

@@ -187,6 +187,32 @@ def test_full_serving_run_under_sanitizers(sanitizers):
     assert sanitizers.rings.commits == sanitizers.rings.releases > 0
 
 
+def test_service_teardown_scrubs_sessions_left_open(sanitizers):
+    """Sessions still open at teardown hold lane keys and keystream
+    chunks; teardown must scrub them before its leak check runs."""
+    from repro.core.parties import Vendor
+    from repro.serve import ServeConfig, ServingLoop, ServingService
+    from repro.trustzone.worlds import make_platform
+
+    from .helpers import build_tiny_int8_model
+
+    model = build_tiny_int8_model()
+    service = ServingService(
+        make_platform(seed=b"teardown-open", key_bits=TEST_KEY_BITS),
+        Vendor("ml-vendor", model, key_bits=TEST_KEY_BITS),
+        ServeConfig(num_workers=1))
+    loop = ServingLoop(service)
+    handles = [service.open_session() for _ in range(2)]
+    fingerprints = np.random.default_rng(0).integers(
+        0, 256, size=(2, 8, 6), dtype=np.uint8)
+    for handle, fingerprint in zip(handles, fingerprints):
+        service.submit(handle, fingerprint)
+    loop.run_until_idle(force=True)
+    service.teardown()
+    assert sanitizers.secrets.scrubbed_total == \
+        sanitizers.secrets.tracked_total
+
+
 def test_full_lifecycle_under_sanitizers(sanitizers, pretrained_model):
     """Prepare → initialize → recognize → teardown with the decrypted
     model observed: after teardown its plaintext must not be resident
