@@ -23,7 +23,7 @@ from repro.crypto.keycache import KeystreamCache, deterministic_keypair
 from repro.crypto.modes import (GCM, FrameTagKey, frame_tags_batched,
                                 gcm_decrypt, gcm_encrypt)
 from repro.crypto.rng import HmacDrbg
-from repro.serve.frames import frame_aad, frame_j0
+from repro.serve.frames import frame_aad, frame_j0, frame_tags
 
 _DRBG_96 = (
     "85d6deec8f4331e60662306e42ba1a35802c9c5ed2dc898e189b3a875ec1998c"
@@ -135,6 +135,49 @@ def test_frame_tags_golden(size, n_keys):
     assert frame_tags_batched(keys, j0s, aads, cts) == scalar
     digest = hashlib.sha256(b"".join(scalar)).hexdigest()
     assert digest == _FRAME_TAGS_SHA256[size, n_keys]
+
+
+# Sequence numbers on both sides of every E_k(J0) mask-chunk boundary
+# the frame tagger could choose (64, 128, 256 blocks), far past it, and
+# the last counter inc32 reaches.
+_LATE_SEQS = (63, 64, 127, 128, 255, 256, 511, 512, 5000, 2**32 - 1)
+# (ciphertext bytes, distinct keys) -> SHA-256 of the tags of the
+# _LATE_SEQS frames.
+_LATE_FRAME_TAGS_SHA256 = {
+    (2107, 1): (
+        "7c6845e9bca1d35654e6332ff50b9149e33b84843931c526b74d30dfc6d29a88"),
+    (2107, 3): (
+        "91ba1cd907488ad02977564e650c29e78b8adb4accf1c5204249c257b7f7c3b7"),
+    (13, 1): (
+        "ac562c22e4286a9f08ed8529a6f376ed7417e8b27dfe6b26ab8b235653411b97"),
+    (13, 3): (
+        "36639c5bc2fb7a3855bc09c607c277279a1cdd4a188ceb42e8c5247b5427633c"),
+}
+
+
+@pytest.mark.parametrize("size,n_keys", sorted(_LATE_FRAME_TAGS_SHA256))
+def test_late_sequence_frame_tags_golden(size, n_keys):
+    # The serving path's own entry point, per frame and as one group,
+    # plus the batched sweep directly (frame_tags keeps a group of ten
+    # 13-byte frames scalar).
+    owners = [FrameTagKey(_stream(b"late-tag-key-%d" % i, 16))
+              for i in range(3)]
+    keys = [owners[i % n_keys] for i in range(len(_LATE_SEQS))]
+    sessions = [i % 5 for i in range(len(_LATE_SEQS))]
+    cts = [_stream(b"late-frame-%d-%d" % (size, seq), size)
+           for seq in _LATE_SEQS]
+    scalar = [key.tag(frame_j0(seq), frame_aad(sid, seq), ct)
+              for key, sid, seq, ct in zip(keys, sessions, _LATE_SEQS, cts)]
+    assert frame_tags(keys, sessions, _LATE_SEQS, cts) == scalar
+    assert [frame_tags([key], [sid], [seq], [ct])[0]
+            for key, sid, seq, ct
+            in zip(keys, sessions, _LATE_SEQS, cts)] == scalar
+    assert frame_tags_batched(
+        keys, [frame_j0(seq) for seq in _LATE_SEQS],
+        [frame_aad(sid, seq) for sid, seq in zip(sessions, _LATE_SEQS)],
+        cts) == scalar
+    digest = hashlib.sha256(b"".join(scalar)).hexdigest()
+    assert digest == _LATE_FRAME_TAGS_SHA256[size, n_keys]
 
 
 def test_keystream_chunk_golden():
