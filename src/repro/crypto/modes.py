@@ -13,7 +13,9 @@ one engine (:class:`_TableGhash`, shared by :class:`GCM` and
 scalar kernel for short inputs, and one numpy gather sweep
 (:func:`_frame_ghash`) for long messages and for groups of frame tags
 (:func:`frame_tags_batched`), folded lane-parallel so the sequential
-Horner chain shrinks by the lane width.
+Horner chain shrinks by the lane width.  A frame tag's mask E_k(J0) is
+one scalar block for a lane's first ``_MASK_CHUNK`` counters and a row
+of a cached CTR keystream chunk after that (:class:`FrameTagKey`).
 The scalar reference path (the original per-block code) is retained for
 the randomized equivalence tests; construct ``GCM(key, reference=True)``
 or call the ``*_reference`` helpers to use it.
@@ -27,6 +29,7 @@ import struct
 import numpy as np
 
 from repro.crypto.aes import AES
+from repro.crypto.custody import SecretCache
 from repro.crypto.hmac import constant_time_eq
 from repro.errors import AuthenticationError, KeyError_
 
@@ -351,6 +354,21 @@ def _tag_padded(aad: bytes, ciphertext: bytes) -> bytes:
             + struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8))
 
 
+# The E_k(J0) masks are AES-CTR keystream: J0 is a 12-byte prefix and a
+# 32-bit counter, the only bits inc32 steps.  From counter _MASK_CHUNK
+# up, a tagger takes each mask from an aligned chunk of _MASK_CHUNK
+# keystream blocks; a power of two dividing 2**32, so a chunk never
+# wraps inc32.  A chunk costs 0.35-0.46 ms from 1 to 256 blocks (0.39
+# at 128), a scalar block 22 us (2-vCPU VM), so counters below
+# _MASK_CHUNK stay scalar: a session that sends a request or two never
+# pays for a chunk.  On serve_steady 128 and 256 measured level, 64
+# slower.
+_MASK_CHUNK = 128
+# Chunks one tagger holds: the current one, and the one before it for
+# frames that cross a chunk boundary out of order.
+_MASK_CHUNKS_HELD = 2
+
+
 class FrameTagKey(_TableGhash):
     """One lane's frame-MAC key: AES-GCM's tag arm over a detached
     ciphertext.
@@ -363,21 +381,51 @@ class FrameTagKey(_TableGhash):
     the GHASH key of that lane's AES key.
 
     :meth:`tag` runs the engine's scalar kernel; :func:`frame_tags_batched`
-    sweeps a group of frames at once through its gather planes.
+    sweeps a group of frames at once through its gather planes.  Both
+    take their masks from :meth:`_mask`: one scalar block below
+    counter ``_MASK_CHUNK``, a row of a cached CTR keystream chunk
+    from there up.  The chunks are as secret as the key (a known mask
+    turns a tag into a known GHASH value, from which H can be solved),
+    so they live in a scrub-on-evict :class:`SecretCache`, and
+    :meth:`scrub` drops them when the lane closes.
     """
 
     def __init__(self, key: bytes) -> None:
         self._aes = AES(bytes(key))
+        # (J0 prefix, counter // _MASK_CHUNK) -> (_MASK_CHUNK, 16) mask
+        # rows, made when the first counter reaches _MASK_CHUNK.
+        self._mask_chunks: SecretCache | None = None
 
     @property
     def _h(self) -> int:
         return int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
 
+    def _mask(self, j0: bytes) -> bytes:
+        """``E_k(J0)`` for one frame; raises on a malformed ``J0``."""
+        j0 = _check_j0(j0)
+        counter = int.from_bytes(j0[12:], "big")
+        if counter < _MASK_CHUNK:
+            return self._aes.encrypt_block(j0)
+        # The chunk starts at a nonzero counter, so none of its rows is
+        # E_k(0^128) = H.
+        prefix, (index, row) = j0[:12], divmod(counter, _MASK_CHUNK)
+        if self._mask_chunks is None:
+            self._mask_chunks = SecretCache(_MASK_CHUNKS_HELD)
+        chunk = self._mask_chunks.get_or_create(
+            (prefix, index), lambda: ctr_keystream(
+                self._aes, prefix + struct.pack(">I", counter - row),
+                _MASK_CHUNK))
+        return chunk[row].tobytes()
+
+    def scrub(self) -> None:
+        """Scrub and drop every cached mask chunk."""
+        if self._mask_chunks is not None:
+            self._mask_chunks.clear()
+
     def tag(self, j0: bytes, aad: bytes, ciphertext: bytes) -> bytes:
         """Scalar single-frame tag (one 16-lookup step per block)."""
-        j0 = _check_j0(j0)
+        mask = int.from_bytes(self._mask(j0), "big")
         state = self._ghash_scalar(0, _tag_padded(aad, ciphertext))
-        mask = int.from_bytes(self._aes.encrypt_block(j0), "big")
         return (state ^ mask).to_bytes(16, "big")
 
     def verify(self, j0: bytes, aad: bytes, ciphertext: bytes,
@@ -418,13 +466,6 @@ def _gather_plane(multiplier: int) -> np.ndarray:
 # H^_FOLD_LANES), cutting the sequential sweep length by the width at
 # the price of _FOLD_LANES combine steps at the end.
 _FOLD_LANES = 8
-
-# Below this many frames, E_k(J0) masks go through each key's scalar
-# block cipher; from here up, one multi-key AES batch.  The batch costs
-# ~175 us whatever its size, a scalar block ~15 us (2-vCPU Xeon VM), so
-# the two cross near 12 frames.
-_MASK_BATCH_MIN = 16
-
 
 def _frame_ghash(owners, key_map: np.ndarray, words: np.ndarray,
                  lanes: int) -> np.ndarray:
@@ -515,26 +556,18 @@ def frame_tags_batched(keys, j0s, aads, ciphertexts) -> list[bytes]:
     gathers from its own key's slice of the concatenated planes — and
     different lengths — shorter messages are front-padded with zero
     blocks, which leave a Horner state of zero unchanged.  Bit-identical
-    to :meth:`FrameTagKey.tag` per frame.
+    to :meth:`FrameTagKey.tag` per frame, whose masks it shares.
     """
     n = len(keys)
     if not (n == len(j0s) == len(aads) == len(ciphertexts)):
         raise KeyError_("frame_tags_batched: argument length mismatch")
     if n == 0:
         return []
+    masks = np.frombuffer(b"".join(key._mask(j0)
+                                    for key, j0 in zip(keys, j0s)),
+                          dtype=np.uint8).reshape(n, 16)
     state = _ghash_many(keys, [_tag_padded(aad, ct)
                                for aad, ct in zip(aads, ciphertexts)])
-
-    if (n >= _MASK_BATCH_MIN
-            and len({key._aes.rounds for key in keys}) == 1):
-        j0_blocks = np.frombuffer(b"".join(_check_j0(j0) for j0 in j0s),
-                                  dtype=np.uint8).reshape(n, 16)
-        masks = AES.encrypt_blocks_under([key._aes for key in keys],
-                                         j0_blocks)
-    else:
-        masks = np.frombuffer(b"".join(
-            key._aes.encrypt_block(_check_j0(j0))
-            for key, j0 in zip(keys, j0s)), dtype=np.uint8).reshape(n, 16)
     return [tag.tobytes() for tag in state ^ masks]
 
 

@@ -1,6 +1,6 @@
 """Global installation point for runtime sanitizers.
 
-Instrumented modules (``crypto/keycache.py``, ``sanctuary/shm.py``,
+Instrumented modules (``crypto/custody.py``, ``sanctuary/shm.py``,
 ``serve/service.py``) import this module and guard every hook site
 with::
 

@@ -225,8 +225,9 @@ class ServingService:
         # supposed to share state with the service beyond the
         # established keys).
         self._session_keys = SecretCache(self.config.session_capacity)
-        # Frame-tag keys (service side), keyed by session: dropped on
-        # close_session alongside the lane keys.
+        # Frame-tag keys (service side), keyed by session: their mask
+        # chunks are scrubbed and the keys dropped on close_session
+        # alongside the lane keys.
         self._service_taggers: dict[int, tuple[FrameTagKey, FrameTagKey]] = {}
         self._client_keystreams = KeystreamCache(
             capacity=2 * self.config.session_capacity,
@@ -314,12 +315,16 @@ class ServingService:
     def close_session(self, handle: SessionHandle) -> None:
         self._handles.pop(handle.session_id, None)
         self._session_priority.pop(handle.session_id, None)
-        self._scrub_session(handle.session_id)
+        self._scrub_session(handle)
 
-    def _scrub_session(self, session_id: int) -> None:
-        """Scrub a session's lane keys and keystream chunks."""
+    def _scrub_session(self, handle: SessionHandle) -> None:
+        """Scrub a session's lane keys, both sides' tag-mask chunks and
+        both sides' keystream chunks."""
+        session_id = handle.session_id
         self._session_keys.discard(session_id)
-        self._service_taggers.pop(session_id, None)
+        for tagger in (*self._service_taggers.pop(session_id, ()),
+                       handle.request_tagger, handle.response_tagger):
+            tagger.scrub()
         self._client_keystreams.forget_session(session_id)
         self._service_keystreams.forget_session(session_id)
 
@@ -772,8 +777,8 @@ class ServingService:
         # Sessions still open keep their handles, so stats() and the
         # exported gauges go on agreeing with a snapshot taken before
         # teardown; their key material goes now.
-        for session_id in self._handles:
-            self._scrub_session(session_id)
+        for handle in self._handles.values():
+            self._scrub_session(handle)
         self.pool.teardown()
         state = _sanitizers.STATE
         if state is not None:

@@ -123,8 +123,7 @@ def _stream(label: bytes, n: int) -> bytes:
 
 @pytest.mark.parametrize("size,n_keys", sorted(_FRAME_TAGS_SHA256))
 def test_frame_tags_golden(size, n_keys):
-    # 50 frames: one key crosses the batched sweep's vectorized J0-mask
-    # cutoff, three keys stay below it.
+    # 50 frames at sequences 0-49, below the first E_k(J0) mask chunk.
     owners = [FrameTagKey(_stream(b"tag-key-%d" % i, 16)) for i in range(3)]
     keys = [owners[seq % n_keys] for seq in range(50)]
     j0s = [frame_j0(seq) for seq in range(50)]

@@ -207,22 +207,32 @@ def test_frame_tags_batched_matches_scalar():
             assert tag == keys[i].tag(j0s[i], aads[i], cts[i]), (sizes, i)
 
 
-@pytest.mark.parametrize("key_sizes", [(16, 16, 16), (16, 32, 24)])
-def test_frame_tags_batched_mask_batch_matches_scalar(key_sizes):
-    """From _MASK_BATCH_MIN frames the E_k(J0) masks run as one
-    multi-key AES batch; mixed key sizes keep per-frame scalar masks.
-    Either way each tag equals the frame's scalar tag."""
-    from repro.crypto.modes import _MASK_BATCH_MIN, frame_tags_batched
+def test_frame_tag_masks_are_the_aes_block_of_j0_across_chunks():
+    """Under empty AAD and ciphertext the GHASH is zero, so a tag is its
+    mask E_k(J0).  Every counter from _MASK_CHUNK - 2 to
+    2 * _MASK_CHUNK + 2 (the last scalar masks, the first two chunks
+    and their edges) and the last counter inc32 reaches, through
+    tag() ascending and descending and through the batched sweep on a
+    fresh key; one key object serves two J0 prefixes, so a chunk of one
+    prefix must never answer for the other."""
+    from repro.crypto.modes import _MASK_CHUNK, frame_tags_batched
 
-    rng, rb, FrameTagKey = _frame_tag_fixtures(5)
-    tag_keys = [FrameTagKey(rb(size)) for size in key_sizes]
-    n = _MASK_BATCH_MIN + 3
-    keys = [tag_keys[int(i)] for i in rng.integers(0, 3, n)]
-    j0s = [rb(15) + bytes([i + 1]) for i in range(n)]
-    aads = [rb(8) for _ in range(n)]
-    cts = [rb(int(size)) for size in rng.integers(0, 2200, n)]
-    assert frame_tags_batched(keys, j0s, aads, cts) == [
-        key.tag(j0, aad, ct) for key, j0, aad, ct in zip(keys, j0s, aads, cts)]
+    _, rb, FrameTagKey = _frame_tag_fixtures(5)
+    key_bytes = rb(16)
+    cipher = AES(key_bytes)
+    counters = [*range(_MASK_CHUNK - 2, 2 * _MASK_CHUNK + 3), 2**32 - 1]
+    key = FrameTagKey(key_bytes)
+    for prefix in (b"\x00" * 12, rb(12)):
+        j0s = [prefix + c.to_bytes(4, "big") for c in counters]
+        expected = [cipher.encrypt_block(j0) for j0 in j0s]
+        assert [key.tag(j0, b"", b"") for j0 in j0s] == expected
+        assert [key.tag(j0, b"", b"") for j0 in reversed(j0s)] == \
+            expected[::-1]
+        empty = [b""] * len(j0s)
+        assert frame_tags_batched([FrameTagKey(key_bytes)] * len(j0s), j0s,
+                                  empty, empty) == expected
+    key.scrub()
+    assert key.tag(j0s[-1], b"", b"") == expected[-1]
 
 
 def test_frame_tag_verify_rejects_any_bit_flip():

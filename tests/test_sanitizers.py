@@ -213,6 +213,39 @@ def test_service_teardown_scrubs_sessions_left_open(sanitizers):
         sanitizers.secrets.tracked_total
 
 
+def test_service_teardown_scrubs_frame_tag_mask_chunks(sanitizers):
+    """A session driven past _MASK_CHUNK + 1 requests holds E_k(J0)
+    mask chunks in the taggers on both sides of both lanes; teardown
+    with the session still open must scrub every one of them."""
+    from repro.core.parties import Vendor
+    from repro.crypto.modes import _MASK_CHUNK
+    from repro.serve import ServeConfig, ServingLoop, ServingService
+    from repro.trustzone.worlds import make_platform
+
+    from .helpers import build_tiny_int8_model
+
+    model = build_tiny_int8_model()
+    service = ServingService(
+        make_platform(seed=b"teardown-masks", key_bits=TEST_KEY_BITS),
+        Vendor("ml-vendor", model, key_bits=TEST_KEY_BITS),
+        ServeConfig(num_workers=1))
+    loop = ServingLoop(service)
+    handle = service.open_session()
+    fingerprints = np.random.default_rng(1).integers(
+        0, 256, size=(_MASK_CHUNK + 2, 8, 6), dtype=np.uint8)
+    for start in range(0, len(fingerprints), 16):
+        for fingerprint in fingerprints[start:start + 16]:
+            service.submit(handle, fingerprint)
+        loop.run_until_idle(force=True)
+    assert len(handle.results) == _MASK_CHUNK + 2
+    taggers = (*service._service_taggers[handle.session_id],
+               handle.request_tagger, handle.response_tagger)
+    assert all(len(tagger._mask_chunks) for tagger in taggers)
+    service.teardown()
+    assert sanitizers.secrets.scrubbed_total == \
+        sanitizers.secrets.tracked_total
+
+
 def test_full_lifecycle_under_sanitizers(sanitizers, pretrained_model):
     """Prepare → initialize → recognize → teardown with the decrypted
     model observed: after teardown its plaintext must not be resident

@@ -56,32 +56,6 @@ def test_decrypt_blocks_matches_scalar():
             assert bytes(batched[i]) == cipher.decrypt_block(bytes(blocks[i]))
 
 
-@pytest.mark.parametrize("key_size", [16, 24, 32])
-def test_encrypt_blocks_under_matches_scalar_per_row(key_size):
-    """One batch under several keys equals each row's own cipher."""
-    rng = np.random.default_rng(100 + key_size)
-    ciphers = [AES(bytes(rng.integers(0, 256, size=key_size,
-                                      dtype=np.uint8)))
-               for _ in range(3)]
-    for n in (1, 5, 48):
-        rows = [ciphers[int(index)] for index in rng.integers(0, 3, n)]
-        blocks = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
-        batched = AES.encrypt_blocks_under(rows, blocks)
-        for i in range(n):
-            assert bytes(batched[i]) == rows[i].encrypt_block(bytes(blocks[i]))
-
-
-def test_encrypt_blocks_under_rejects_mixed_key_sizes():
-    from repro.errors import KeyError_
-
-    blocks = np.zeros((2, 16), dtype=np.uint8)
-    with pytest.raises(KeyError_, match="mixed key sizes"):
-        AES.encrypt_blocks_under([AES(b"\x01" * 16), AES(b"\x01" * 32)],
-                                 blocks)
-    with pytest.raises(KeyError_, match="one cipher per block"):
-        AES.encrypt_blocks_under([AES(b"\x01" * 16)], blocks)
-
-
 # --- CTR / GCM ---------------------------------------------------------
 
 
