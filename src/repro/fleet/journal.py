@@ -20,9 +20,11 @@ Failure model:
   record, so the owner must treat the torn write as a crash.  Recovery
   detects the tear by frame length/CRC and drops it; the grant it
   carried was never acknowledged, so the device's retry re-grants.
-  A bad CRC on any record *but* the last is corruption, not a tear:
-  recovery raises :class:`~repro.errors.ProtocolError` (as for bad
-  magic) instead of truncating acknowledged grants.
+  A tear only ever cuts the last record short, so every other damage
+  is corruption: a bad CRC, bad magic, an unknown kind, or a length
+  field that runs past the medium while the record's own fields end
+  inside it.  Recovery raises :class:`~repro.errors.ProtocolError`
+  for each instead of truncating acknowledged grants.
 * Shard crash: in-memory state is discarded; :meth:`recover` replays
   ``snapshot + tail`` and reports what it dropped.
 
@@ -80,6 +82,21 @@ def _encode_body(fields: tuple[str, ...]) -> bytes:
         parts.append(len(raw).to_bytes(2, "big"))
         parts.append(raw)
     return b"".join(parts)
+
+
+# Length-prefixed fields per record kind (see _encode_body).
+_KIND_FIELDS = {KIND_GRANT: 4, KIND_REVOKE: 2, KIND_RELEASE: 2}
+
+
+def _fields_end(data: bytes, offset: int, n_fields: int) -> int:
+    """Where ``n_fields`` length-prefixed fields starting at ``offset``
+    end by their own prefixes (past ``len(data)`` when they run off
+    it)."""
+    for _ in range(n_fields):
+        if offset + 2 > len(data):
+            return len(data) + 1
+        offset += 2 + int.from_bytes(data[offset:offset + 2], "big")
+    return offset
 
 
 def _decode_body(body: bytes) -> list[str]:
@@ -217,18 +234,27 @@ class LicenseJournal:
                     f"magic {magic:#x} at offset {offset}")
             end = offset + _HEADER.size + body_len + _CRC.size
             if end > len(data):
-                break  # torn tail: truncated body/CRC
+                # A torn tail keeps its header whole, so the kind is
+                # known and the record's own fields (and CRC) run past
+                # the medium too.  Otherwise the length field is
+                # corrupt and acknowledged records may follow.
+                n_fields = _KIND_FIELDS.get(kind)
+                if n_fields is None or _fields_end(
+                        data, offset + _HEADER.size,
+                        n_fields) + _CRC.size <= len(data):
+                    raise ProtocolError(
+                        f"journal corruption on shard {self.shard_id}: "
+                        f"bad length in the record at offset {offset}")
+                break
             frame = data[offset:end - _CRC.size]
             (crc,) = _CRC.unpack(data[end - _CRC.size:end])
             if crc != zlib.crc32(frame):
-                if end != len(data):
-                    # Only the last record can tear; a bad CRC with
-                    # records after it is corruption of acknowledged
-                    # state, and dropping the rest would lose grants.
-                    raise ProtocolError(
-                        f"journal corruption on shard {self.shard_id}: "
-                        f"CRC mismatch in the record at offset {offset}")
-                break  # torn tail: CRC over a partial write
+                # A tear never leaves a whole-length record, so a bad
+                # CRC is corruption of acknowledged state wherever it
+                # is, and dropping the rest would lose grants.
+                raise ProtocolError(
+                    f"journal corruption on shard {self.shard_id}: "
+                    f"CRC mismatch in the record at offset {offset}")
             apply(kind, lsn, _decode_body(data[offset + _HEADER.size:
                                                end - _CRC.size]))
             replayed += 1

@@ -92,6 +92,44 @@ def test_mid_log_corruption_fails_closed():
     assert list(journal.live) == ["dev-0", "dev-1", "dev-2"]
 
 
+def _ten_grants():
+    journal = LicenseJournal("s0")
+    for index in range(10):
+        _grant(journal, f"dev-{index}", nonce=f"{index:02d}" * 8)
+    return journal
+
+
+def test_any_header_bit_flip_before_the_last_record_fails_closed():
+    """Every single-bit flip of the headers of records 0-8 of a 10-grant
+    journal (magic, kind, lsn and length: 9 x 8 bytes x 8 bits) must
+    raise, never recover with acknowledged grants silently dropped."""
+    from repro.fleet.journal import _HEADER
+
+    media = bytes(_ten_grants()._media)
+    record = len(media) // 10            # equal-length records
+    flips = [(index * record + byte, bit) for index in range(9)
+             for byte in range(_HEADER.size) for bit in range(8)]
+    assert len(flips) == 576
+    for position, bit in flips:
+        journal = _ten_grants()
+        journal._media[position] ^= 1 << bit
+        before = bytes(journal._media)
+        with pytest.raises(ProtocolError):
+            journal.recover()
+        assert bytes(journal._media) == before, (position, bit)
+
+
+def test_every_tear_of_the_last_record_recovers_as_a_torn_tail():
+    media = bytes(_ten_grants()._media)
+    record = len(media) // 10
+    for cut in range(1, record):
+        journal = _ten_grants()
+        del journal._media[len(media) - record + cut:]
+        report = journal.recover()
+        assert report.torn_bytes_dropped == cut, cut
+        assert sorted(journal.live) == [f"dev-{i}" for i in range(9)]
+
+
 def test_compact_bounds_replay_and_preserves_state():
     journal = LicenseJournal("s0")
     for index in range(20):
