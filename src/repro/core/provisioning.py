@@ -52,21 +52,28 @@ class EncryptedModel:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncryptedModel":
+        """Parse :meth:`to_bytes` output; a record read back from
+        untrusted flash that does not parse raises
+        :class:`ProtocolError` with a constant message."""
         if len(data) < 4:
             raise ProtocolError("truncated encrypted-model record")
         head_len = int.from_bytes(data[:4], "big")
-        head = data[4:4 + head_len].decode()
-        parts = head.split("|")
-        if len(parts) != 4:
-            raise ProtocolError("malformed encrypted-model header")
-        enclave_id, model_name, version, nonce_hex = parts
-        return cls(
-            enclave_id=enclave_id,
-            model_name=model_name,
-            model_version=int(version),
-            key_nonce=bytes.fromhex(nonce_hex),
-            blob=data[4 + head_len:],
-        )
+        if 4 + head_len > len(data):
+            raise ProtocolError("truncated encrypted-model record")
+        try:
+            # UnicodeDecodeError is a ValueError, as are a bad version
+            # number and bad nonce hex.
+            enclave_id, model_name, version, nonce_hex = (
+                data[4:4 + head_len].decode().split("|"))
+            return cls(
+                enclave_id=enclave_id,
+                model_name=model_name,
+                model_version=int(version),
+                key_nonce=bytes.fromhex(nonce_hex),
+                blob=data[4 + head_len:],
+            )
+        except ValueError:
+            raise ProtocolError("malformed encrypted-model header") from None
 
 
 def _aad(enclave_id: str, model_name: str, version: int,

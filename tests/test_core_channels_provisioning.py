@@ -174,6 +174,31 @@ def test_from_bytes_rejects_garbage():
             (10).to_bytes(4, "big") + b"nopipes!!!" + b"rest")
 
 
+def _record(head: bytes, blob: bytes = b"blob", head_len=None) -> bytes:
+    size = len(head) if head_len is None else head_len
+    return size.to_bytes(4, "big") + head + blob
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"xx", "truncated encrypted-model record"),
+    (_record(b"enc|tiny|1|00", head_len=99), "truncated encrypted-model record"),
+    (_record(b"enc|tiny|1|00", blob=b"", head_len=14),
+     "truncated encrypted-model record"),
+    (_record(b"enc|\xff\xfe|1|00"), "malformed encrypted-model header"),
+    (_record(b"enc|tiny|v1|00"), "malformed encrypted-model header"),
+    (_record(b"enc|tiny|1|0g"), "malformed encrypted-model header"),
+    (_record(b"enc|tiny|1|abc"), "malformed encrypted-model header"),
+    (_record(b"enc|tiny|1"), "malformed encrypted-model header"),
+    (_record(b"enc|tiny|1|00|x"), "malformed encrypted-model header"),
+])
+def test_from_bytes_fails_closed_with_a_constant_message(data, message):
+    """A flash record that does not parse raises ProtocolError, never a
+    bare UnicodeDecodeError/ValueError or a model with an empty blob."""
+    with pytest.raises(ProtocolError) as raised:
+        EncryptedModel.from_bytes(data)
+    assert str(raised.value) == message
+
+
 def test_flash_path_convention():
     path = flash_path_for("omg-keyword-spotter", "tiny_conv", 3)
     assert path == "omg/omg-keyword-spotter/tiny_conv-v3.enc"
