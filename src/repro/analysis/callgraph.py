@@ -58,7 +58,10 @@ class FunctionInfo:
 def module_functions(module: ModuleInfo):
     """Yield a :class:`FunctionInfo` for every def, tracking one level
     of class nesting (methods); defs nested in functions keep the outer
-    function in their qualname path but no class binding."""
+    function in their qualname path but no class binding.  Every
+    statement body is searched: ``if``/``try``/``with``, ``except``
+    handlers, ``for``/``while`` bodies, ``else``/``finally`` blocks and
+    ``match`` cases."""
     stack: list[tuple[ast.AST, str | None, list[str]]] = [
         (module.tree, None, [])]
     while stack:
@@ -73,8 +76,10 @@ def module_functions(module: ModuleInfo):
                     class_name=class_name,
                     params=tuple(_param_names(child)))
                 stack.append((child, None, prefix + [child.name]))
-            elif isinstance(child, (ast.If, ast.Try, ast.With)):
-                # defs guarded by TYPE_CHECKING / try-import blocks
+            elif isinstance(child, (ast.stmt, ast.excepthandler,
+                                    ast.match_case)):
+                # Only statements hold defs, and only statements,
+                # handlers and match cases hold statements.
                 stack.append((child, class_name, prefix))
 
 

@@ -609,6 +609,33 @@ def test_taint_redefined_nested_def_is_summarized(fixture_tree):
         (8, "secret argument flows into a leak sink inside run()")]
 
 
+_LEAK_DEF = """\
+def leak(key):
+    if key[0] & 1:
+        print(key)
+"""
+
+
+@pytest.mark.parametrize("opener,indent", [
+    ("try:\n    import fastcrypto\nexcept ImportError:\n", 4),
+    ("for _ in range(1):\n", 4),
+    ("while False:\n    pass\nelse:\n", 4),
+    ("try:\n    pass\nfinally:\n", 4),
+    ("match 1:\n    case 1:\n", 8),
+])
+def test_rules_judge_defs_in_every_statement_body(fixture_tree, opener,
+                                                   indent):
+    """A def under an ``except`` handler, in a loop body, an ``else`` or
+    ``finally`` block, or a ``match`` case is indexed, so secret-taint
+    sees its leak and consttime its secret-dependent branch."""
+    body = textwrap.indent(_LEAK_DEF, " " * indent)
+    path = fixture_tree("repro/crypto/nested_def.py", opener + body)
+    leaks = _run(path, rule="secret-taint").findings
+    assert [f.message for f in leaks] == ["secret passed to print()"]
+    branches = _messages(_run(path, rule="consttime"))
+    assert any("secret-dependent branch" in m for m in branches)
+
+
 def test_taint_summaries_are_a_fixpoint_over_src_repro():
     """Every summary the worklist settles on is what ``_summarize``
     computes from the final summaries: nothing is left stale."""
