@@ -61,19 +61,20 @@ class EncryptedModel:
         if 4 + head_len > len(data):
             raise ProtocolError("truncated encrypted-model record")
         try:
-            # UnicodeDecodeError is a ValueError, as are a bad version
-            # number and bad nonce hex.
+            # UnicodeDecodeError is a ValueError, as are a wrong field
+            # count, a bad version number and bad nonce hex.
             enclave_id, model_name, version, nonce_hex = (
                 data[4:4 + head_len].decode().split("|"))
-            return cls(
-                enclave_id=enclave_id,
-                model_name=model_name,
-                model_version=int(version),
-                key_nonce=bytes.fromhex(nonce_hex),
-                blob=data[4 + head_len:],
-            )
+            model_version, key_nonce = int(version), bytes.fromhex(nonce_hex)
         except ValueError:
             raise ProtocolError("malformed encrypted-model header") from None
+        return cls(
+            enclave_id=enclave_id,
+            model_name=model_name,
+            model_version=model_version,
+            key_nonce=key_nonce,
+            blob=data[4 + head_len:],
+        )
 
 
 def _aad(enclave_id: str, model_name: str, version: int,

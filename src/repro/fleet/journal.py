@@ -90,11 +90,9 @@ _KIND_FIELDS = {KIND_GRANT: 4, KIND_REVOKE: 2, KIND_RELEASE: 2}
 
 def _fields_end(data: bytes, offset: int, n_fields: int) -> int:
     """Where ``n_fields`` length-prefixed fields starting at ``offset``
-    end by their own prefixes (past ``len(data)`` when they run off
-    it)."""
+    end by their own prefixes; past ``len(data)`` when they run off
+    it (a cut prefix still advances by its 2 bytes)."""
     for _ in range(n_fields):
-        if offset + 2 > len(data):
-            return len(data) + 1
         offset += 2 + int.from_bytes(data[offset:offset + 2], "big")
     return offset
 
