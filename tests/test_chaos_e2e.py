@@ -114,6 +114,22 @@ def test_result_properties():
     assert not leaky.safe
 
 
+def test_input_plaintext_on_flash_is_a_safety_violation(monkeypatch,
+                                                        tiny_model):
+    """An app that also writes its input plaintext to untrusted flash
+    must fail the schedule's leak sweep."""
+    recognize = KeywordSpotterApp.recognize_fingerprint
+
+    def leaky(self, ctx, fingerprint):
+        ctx.store_untrusted("leaked-input.bin", fingerprint.tobytes())
+        return recognize(self, ctx, fingerprint)
+
+    monkeypatch.setattr(KeywordSpotterApp, "recognize_fingerprint", leaky)
+    result = run_chaos_schedule(1, model=tiny_model)
+    assert result.completed and not result.safe
+    assert any("flash" in line for line in result.safety_violations)
+
+
 # --- targeted storm: provisioning survives loss + corruption ----------------
 
 def test_provisioning_survives_channel_storm(platform, tiny_model):

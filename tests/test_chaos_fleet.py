@@ -99,3 +99,33 @@ def test_result_properties():
         seed=4, completed=True,
         safety_violations=["device dev-1 live on 2 shards"])
     assert not double.safe
+
+
+def test_ticket_key_hex_in_audit_records_is_a_safety_violation(monkeypatch):
+    """A cohort ticket key written (hex) into one shard's audit records
+    must fail the schedule's leak sweep."""
+    from repro.fleet import DeviceFleet
+    from repro.fleet.audit import AuditChain, AuditRecord
+
+    ticket_keys = []
+    build_cohort, seal = DeviceFleet.build_cohort, AuditChain.seal
+
+    def recording_build_cohort(self, tenant, cohort_id, count):
+        cohort = build_cohort(self, tenant, cohort_id, count)
+        ticket_keys.append(self.tenants[tenant].cohorts[cohort_id].ticket_key)
+        return cohort
+
+    def leaky_seal(self):
+        if self.shard_id == "shard-0" and not any(
+                record.kind == "leak" for record in self.records):
+            self.records.append(AuditRecord(
+                seq=len(self.records), kind="leak",
+                detail=(("ticket", ticket_keys[0].hex()),)))
+        return seal(self)
+
+    monkeypatch.setattr(DeviceFleet, "build_cohort", recording_build_cohort)
+    monkeypatch.setattr(AuditChain, "seal", leaky_seal)
+    result = run_fleet_chaos_schedule(FLEET_SEEDS[0], devices=120)
+    assert result.completed and not result.safe
+    assert any("shard-0" in line and "audit" in line
+               for line in result.safety_violations)

@@ -9,6 +9,7 @@ Every seeded schedule must satisfy
 and its fault transcript must reproduce bit-for-bit from the seed.
 """
 
+import numpy as np
 import pytest
 
 from repro.eval.chaos import run_serve_chaos_schedule, write_chaos_transcripts
@@ -101,3 +102,30 @@ def test_transcripts_embed_stats_snapshot(tmp_path, serve_chaos_results):
     assert "workers_restarted=" in text
     assert "requests_shed=" in text
     assert out
+
+
+def test_fingerprint_left_in_the_rings_is_a_safety_violation(monkeypatch):
+    """A request plaintext copied into the world-open ring region must
+    fail the schedule's leak sweep."""
+    from repro.serve import ServingService
+
+    submitted = []
+    submit, teardown = ServingService.submit, ServingService.teardown
+
+    def recording_submit(self, handle, fingerprint):
+        submitted.append(np.array(fingerprint, dtype=np.uint8))
+        return submit(self, handle, fingerprint)
+
+    def leaky_teardown(self):
+        soc = self.platform.soc
+        rings = next(region for region, _ in soc.tzasc.regions()
+                     if region.name == "serve-rings")
+        leaked = submitted[0].tobytes()
+        soc.memory.write(rings.end - len(leaked), leaked)
+        teardown(self)
+
+    monkeypatch.setattr(ServingService, "submit", recording_submit)
+    monkeypatch.setattr(ServingService, "teardown", leaky_teardown)
+    result = run_serve_chaos_schedule(0)
+    assert result.completed and not result.safe
+    assert any("DRAM" in line for line in result.safety_violations)
