@@ -26,7 +26,8 @@ Failure model:
   inside it.  Recovery raises :class:`~repro.errors.ProtocolError`
   for each instead of truncating acknowledged grants.
 * Shard crash: in-memory state is discarded; :meth:`recover` replays
-  ``snapshot + tail`` and reports what it dropped.
+  ``snapshot + tail`` and reports what it dropped.  A snapshot never
+  tears, so one short of any byte or of its record count raises.
 
 :meth:`compact` folds the live state into a snapshot and truncates the
 tail, bounding replay time; ``lag`` (records since the last snapshot)
@@ -51,6 +52,7 @@ KIND_REVOKE = 2
 KIND_RELEASE = 3
 
 _HEADER = struct.Struct(">BBIH")  # magic, kind, lsn, body length
+_SNAPSHOT_HEAD = struct.Struct(">QI")  # last lsn, record count
 _CRC = struct.Struct(">I")
 
 
@@ -114,7 +116,6 @@ class LicenseJournal:
         self.shard_id = shard_id
         # The simulated durable medium: snapshot region + appended tail.
         self._snapshot = b""
-        self._snapshot_live = 0
         self._media = bytearray()
         self._lsn = 0
         self.live: dict[str, Grant] = {}
@@ -134,7 +135,7 @@ class LicenseJournal:
         return self._lsn
 
     def media_bytes(self) -> bytes:
-        """Everything resident on the durable medium (for leak scans)."""
+        """Everything resident on the durable medium (for the leak sweep)."""
         return self._snapshot + bytes(self._media)
 
     # --- the write path ---------------------------------------------------
@@ -205,15 +206,14 @@ class LicenseJournal:
     def compact(self) -> None:
         """Fold live state into the snapshot and truncate the tail."""
         records = []
-        lsn_bytes = self._lsn.to_bytes(8, "big")
         for grant in sorted(self.live.values(), key=lambda g: g.lsn):
             body = _encode_body((grant.device, grant.tenant,
                                  grant.nonce_hex, grant.key_digest_hex))
             frame = _HEADER.pack(_MAGIC, KIND_GRANT, grant.lsn, len(body))
             frame += body
             records.append(frame + _CRC.pack(zlib.crc32(frame)))
-        self._snapshot = lsn_bytes + b"".join(records)
-        self._snapshot_live = len(self.live)
+        self._snapshot = (_SNAPSHOT_HEAD.pack(self._lsn, len(records))
+                          + b"".join(records))
         self._media = bytearray()
         self._tail_records = 0
         self.compactions += 1
@@ -284,8 +284,16 @@ class LicenseJournal:
                     f"unknown record kind {kind}")
 
         if self._snapshot:
-            max_lsn = int.from_bytes(self._snapshot[:8], "big")
-            self._scan(self._snapshot[8:], apply)
+            if len(self._snapshot) < _SNAPSHOT_HEAD.size:
+                raise ProtocolError(
+                    f"journal corruption on shard {self.shard_id}: "
+                    f"snapshot shorter than its header")
+            max_lsn, count = _SNAPSHOT_HEAD.unpack_from(self._snapshot)
+            if self._scan(self._snapshot[_SNAPSHOT_HEAD.size:],
+                          apply) != (count, 0):
+                raise ProtocolError(
+                    f"journal corruption on shard {self.shard_id}: "
+                    f"snapshot truncated")
         replayed, torn = self._scan(bytes(self._media), apply)
         if torn:
             del self._media[len(self._media) - torn:]

@@ -147,6 +147,28 @@ def test_compact_bounds_replay_and_preserves_state():
     assert journal.lsn == lsn  # LSNs survive the snapshot
 
 
+def _compacted(grants):
+    journal = LicenseJournal("s0")
+    for index in range(grants):
+        _grant(journal, f"dev-{index}", nonce=f"{index:02d}" * 8)
+    journal.compact()
+    return journal
+
+
+@pytest.mark.parametrize("grants", [1, 5])
+def test_every_cut_of_a_snapshot_fails_closed(grants):
+    """A snapshot is written whole and never tears: cutting 1 to len-1
+    bytes off it (record boundaries and the header included) must
+    raise, never recover with compacted grants silently lost."""
+    snapshot = _compacted(grants)._snapshot
+    for cut in range(1, len(snapshot)):
+        journal = _compacted(grants)
+        journal._snapshot = snapshot[:-cut]
+        with pytest.raises(ProtocolError, match="snapshot"):
+            journal.recover()
+        assert len(journal.live) == grants, cut
+
+
 def test_corrupted_magic_is_a_typed_protocol_error():
     journal = LicenseJournal("s0")
     _grant(journal, "dev-0")
