@@ -94,8 +94,7 @@ class KeywordSpotterApp(SanctuaryApp):
         ctx.clock.advance_ms(
             1000.0 * (len(encrypted.blob) / MiB) / ctx.profile.aes_mib_per_s)
         model = deserialize_model(model_bytes)
-        if _sanitizers.STATE is not None \
-                and _sanitizers.STATE.secrets is not None:
+        if _sanitizers.STATE is not None:
             _sanitizers.STATE.secrets.on_observe(
                 model_bytes, origin="decrypted model (provisioning)")
         # Stage the plaintext model into enclave-private memory so the
@@ -230,8 +229,7 @@ class KeywordSpotterApp(SanctuaryApp):
         ctx.clock.advance_ms(
             1000.0 * (len(plaintext) / MiB) / ctx.profile.aes_mib_per_s)
         model = deserialize_model(plaintext)
-        if _sanitizers.STATE is not None \
-                and _sanitizers.STATE.secrets is not None:
+        if _sanitizers.STATE is not None:
             _sanitizers.STATE.secrets.on_observe(
                 plaintext, origin="unsealed model (restore)")
         interpreter = Interpreter(model)

@@ -39,7 +39,7 @@ def scrub_secret(buf) -> None:
     elif isinstance(buf, (bytearray, memoryview)):
         buf[:] = b"\x00" * len(buf)
     state = _sanitizers.STATE
-    if state is not None and state.secrets is not None:
+    if state is not None:
         # Verifies the leaf really is zero now — catches immutable
         # ``bytes`` (the no-op branch above) and broken scrubs.
         state.secrets.on_scrub(buf)
@@ -84,7 +84,7 @@ class SecretCache:
 
     def put(self, cache_key, value) -> None:
         state = _sanitizers.STATE
-        if state is not None and state.secrets is not None:
+        if state is not None:
             state.secrets.on_track(value, origin="SecretCache.put")
         if cache_key in self._entries:
             old = self._entries[cache_key]

@@ -12,6 +12,8 @@ with bounded crash recovery.  Two invariants are checked for every seed:
   ever observable outside the enclave (untrusted flash, or resident
   DRAM not covered by a live TZASC lock), and no license request is
   double-spent no matter how often the lossy channel retransmits.
+  Every schedule runs under :meth:`~repro.sanitizers.Sanitizers.full`
+  and ends with its one leak sweep; any sanitizer finding is unsafe.
 
 Because every source of randomness (fault triggers, corruption bits,
 backoff jitter, attestation challenges) is DRBG-seeded and time is a
@@ -26,7 +28,7 @@ The harness has three layers, selected with ``--layer``:
   :class:`~repro.serve.ServingService` under
   :func:`~repro.faults.random_serve_plan` (ring frame corruption, ring
   stalls, scheduler deadline skew, keystream-cache drops, worker-enclave
-  panics).  On top of liveness and the leak scan, the serving layer
+  panics).  On top of liveness and the leak sweep, the serving layer
   checks *exactly-once delivery*: every accepted sequence number ends as
   exactly one response or one typed, counted loss — never a duplicate,
   never silently missing.
@@ -67,11 +69,13 @@ from repro.core.provisioning import ProvisioningClient, VendorServer
 from repro.core.retry import BackoffPolicy
 from repro.crypto.keycache import deterministic_keypair
 from repro.crypto.rng import HmacDrbg
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError, SanitizerViolation
 from repro.faults import (FaultPlan, installed, random_fleet_plan,
                           random_plan, random_serve_plan)
 from repro.obs import hooks as _obs
 from repro.sanctuary.lifecycle import (EnclaveState, SanctuaryRuntime)
+from repro.sanitizers import Sanitizers
+from repro.sanitizers import hooks as _sanitizer_hooks
 from repro.serve import (Priority, ServeConfig, ServingLoop, ServingService,
                          Shed)
 from repro.trustzone import make_platform
@@ -84,7 +88,6 @@ __all__ = ["ChaosResult", "run_chaos_schedule", "write_chaos_transcripts",
 _HEAP_BYTES = 1 << 20
 _KEY_BITS = 768
 _VENDOR_SEED = b"vendor-seed"
-_MARKER_LEN = 48
 _MAX_RECOVERIES = 3               # device: crash-recovery relaunches
 _RECOGNITIONS = 3                 # device: inputs classified per schedule
 _SERVE_SESSIONS = 3
@@ -256,53 +259,20 @@ def _warm_key_cache(key_bits: int, enclave_count: int) -> None:
     _WARMED.add((key_bits, enclave_count))
 
 
-def _plaintext_marker(blob: bytes, length: int = _MARKER_LEN) -> bytes:
-    """A high-entropy slice of ``blob`` to grep untrusted surfaces for.
-
-    A low-entropy window (a run of zero bias bytes, say) would false-
-    positive against scrubbed memory, so prefer the byte-diverse one.
+@contextmanager
+def _sanitized(result: _ScheduleResult):
+    """Run the with-body under a full sanitizer bundle and yield its
+    :class:`~repro.sanitizers.SecretSanitizer` (the schedule's secrets
+    and its one leak sweep).  A :class:`~repro.errors.SanitizerViolation`
+    anywhere in the body (stack build, drive, sweep) stops it and is a
+    safety violation, never an ``error``.
     """
-    best = blob[:length]
-    best_score = len(set(best))
-    for start in range(0, max(1, len(blob) - length), 64):
-        window = blob[start:start + length]
-        score = len(set(window))
-        if score > best_score:
-            best, best_score = window, score
-    return best
-
-
-def _scan_for_leaks(platform, markers: dict[str, bytes]) -> list[str]:
-    """Search every untrusted surface for secret markers.
-
-    Untrusted = flash (normal-world persistent storage) plus any
-    resident DRAM that is not currently covered by a TZASC region lock
-    (secure-only or core-bound).  Quarantined enclave regions stay
-    locked, so their residue is — correctly — out of reach.
-    """
-    violations = []
-    soc = platform.soc
-    flash_image = soc.flash.raw_bytes()
-    locked = [region for region, policy in soc.tzasc.regions()
-              if policy.secure_only or policy.bound_core is not None]
-    for name, marker in markers.items():
-        if not marker:
-            continue
-        if marker in flash_image:
-            violations.append(f"{name} plaintext found in untrusted flash")
-        for base, length in soc.memory.resident_runs():
-            window = bytearray(soc.memory.read(base, length))
-            for region in locked:
-                lo = max(base, region.base)
-                hi = min(base + length, region.end)
-                if lo < hi:
-                    window[lo - base:hi - base] = bytes(hi - lo)
-            if marker in bytes(window):
-                violations.append(
-                    f"{name} plaintext resident in unlocked DRAM "
-                    f"(run base {base:#x})")
-                break
-    return violations
+    bundle = Sanitizers.full()
+    try:
+        with _sanitizer_hooks.installed(bundle):
+            yield bundle.secrets
+    except SanitizerViolation as exc:
+        result.safety_violations.append(str(exc))
 
 
 @contextmanager
@@ -313,6 +283,8 @@ def _fault_envelope(result: _ScheduleResult, plan: FaultPlan,
     The body sets ``result.completed`` itself; a typed
     :class:`~repro.errors.ReproError` is recorded as ``error``, any
     other exception as an untyped liveness violation — neither escapes.
+    A :class:`~repro.errors.SanitizerViolation` does escape, to
+    :func:`_sanitized`, which records it as a safety violation.
     Afterwards ``result.fault_lines`` holds the plan transcript, and a
     fault-tagged span (every fired fault a span event, so a trace shows
     *when* each struck) is emitted when telemetry is installed, with
@@ -323,32 +295,38 @@ def _fault_envelope(result: _ScheduleResult, plan: FaultPlan,
         span = _obs.TELEMETRY.tracer.start_span(
             span_name, attributes={"seed": result.seed,
                                    "rules": len(plan.rules)})
-    with installed(plan):
-        try:
-            yield
-        except Exception as exc:  # noqa: BLE001 — classified, not raised
-            result.error = type(exc).__name__
-            result.error_message = str(exc)
-            result.untyped = not isinstance(exc, ReproError)
-    result.fault_lines = plan.transcript_lines()
-    if span is not None:
-        for line in result.fault_lines:
-            span.add_event("fault", detail=line)
-        span.set_attributes(
-            completed=result.completed, error=result.error or "",
-            faults=len(result.fault_lines), **span_attributes())
-        span.end()
+    try:
+        with installed(plan):
+            try:
+                yield
+            except SanitizerViolation:
+                raise  # a safety finding: _sanitized records it
+            except Exception as exc:  # noqa: BLE001 — classified, not raised
+                result.error = type(exc).__name__
+                result.error_message = str(exc)
+                result.untyped = not isinstance(exc, ReproError)
+    finally:
+        result.fault_lines = plan.transcript_lines()
+        if span is not None:
+            for line in result.fault_lines:
+                span.add_event("fault", detail=line)
+            span.set_attributes(
+                completed=result.completed, error=result.error or "",
+                faults=len(result.fault_lines), **span_attributes())
+            span.end()
 
 
 class _ChaosSession:
     """One enclave session: launch/recover, provision, recognize."""
 
-    def __init__(self, platform, runtime, vendor, app, seed: int) -> None:
+    def __init__(self, platform, runtime, vendor, app, seed: int,
+                 secrets) -> None:
         self.platform = platform
         self.runtime = runtime
         self.vendor = vendor
         self.app = app
         self.seed = seed
+        self.secrets = secrets
         self.clock = platform.soc.clock
         self.instance = None
         self.sessions = 0
@@ -405,7 +383,8 @@ class _ChaosSession:
         rng = np.random.default_rng(self.seed * 7919 + index)
         fingerprint = rng.integers(
             0, 256, size=(shape[1], shape[2]), dtype=np.uint8)
-        self._last_input = fingerprint.tobytes()
+        self.secrets.on_observe(fingerprint,
+                                origin=f"recognition input {index}")
         label = self.app.recognize_fingerprint(
             self.instance.ctx, fingerprint).label
         if index % 2 == 1:
@@ -440,49 +419,49 @@ def run_chaos_schedule(seed: int, model=None) -> ChaosResult:
     _warm_key_cache(_KEY_BITS, _MAX_RECOVERIES + 2)
     plan = random_plan(seed)
     result = ChaosResult(seed=seed, rules=[repr(rule) for rule in plan.rules])
-    session = None
-    with _fault_envelope(result, plan, "chaos.schedule",
-                         lambda: {"recoveries": result.recoveries}):
-        platform = make_platform(key_bits=_KEY_BITS)
-        runtime = SanctuaryRuntime(platform)
-        vendor = Vendor("chaos-vendor", model, seed=_VENDOR_SEED,
-                        key_bits=_KEY_BITS)
-        session = _ChaosSession(platform, runtime, vendor,
-                                KeywordSpotterApp(), seed)
-        while True:
-            try:
-                if session.needs_provisioning():
-                    session.provision(result)
-                while len(result.recognitions) < _RECOGNITIONS:
-                    result.recognitions.append(
-                        session.recognize(len(result.recognitions)))
-                session.instance.panic()  # clean, scrub-verified exit
-                result.completed = True
-                break
-            except ReproError:
-                if result.recoveries >= _MAX_RECOVERIES:
-                    raise
-                result.recoveries += 1
-                session.after_failure()
+    with _sanitized(result) as secrets:
+        session = None
+        with _fault_envelope(result, plan, "chaos.schedule",
+                             lambda: {"recoveries": result.recoveries}):
+            platform = make_platform(key_bits=_KEY_BITS)
+            runtime = SanctuaryRuntime(platform)
+            vendor = Vendor("chaos-vendor", model, seed=_VENDOR_SEED,
+                            key_bits=_KEY_BITS)
+            session = _ChaosSession(platform, runtime, vendor,
+                                    KeywordSpotterApp(), seed, secrets)
+            while True:
+                try:
+                    if session.needs_provisioning():
+                        session.provision(result)
+                    while len(result.recognitions) < _RECOGNITIONS:
+                        result.recognitions.append(
+                            session.recognize(len(result.recognitions)))
+                    session.instance.panic()  # clean, scrub-verified exit
+                    result.completed = True
+                    break
+                except ReproError as exc:
+                    if (isinstance(exc, SanitizerViolation)
+                            or result.recoveries >= _MAX_RECOVERIES):
+                        raise
+                    result.recoveries += 1
+                    session.after_failure()
 
-    # Safety sweep over everything the normal world can observe.
-    if session is not None:
-        markers = {"model": _plaintext_marker(vendor.model_bytes)}
-        last_input = getattr(session, "_last_input", b"")
-        if last_input:
-            markers["input"] = _plaintext_marker(last_input)
-        result.safety_violations.extend(_scan_for_leaks(platform, markers))
-        for instance in runtime.instances + runtime.crashed:
-            enclave_id = instance.instance_name
-            try:
-                state = vendor.license_state(enclave_id)
-            except ReproError:
-                continue  # never attested: no license to audit
-            result.key_requests[enclave_id] = state.key_requests
-            if state.key_requests > 1:
-                result.safety_violations.append(
-                    f"license double-spend: {enclave_id} consumed "
-                    f"{state.key_requests} key requests")
+        if session is not None:
+            for instance in runtime.instances + runtime.crashed:
+                enclave_id = instance.instance_name
+                try:
+                    state = vendor.license_state(enclave_id)
+                except ReproError:
+                    continue  # never attested: no license to audit
+                result.key_requests[enclave_id] = state.key_requests
+                if state.key_requests > 1:
+                    result.safety_violations.append(
+                        f"license double-spend: {enclave_id} consumed "
+                        f"{state.key_requests} key requests")
+            # The leak sweep over everything the normal world can
+            # observe: the decrypted model (observed at provisioning)
+            # and every recognition input.
+            secrets.check_teardown(platform.soc)
     return result
 
 
@@ -527,122 +506,125 @@ def run_serve_chaos_schedule(seed: int) -> ServeChaosResult:
     The serving stack (platform, vendor, worker pool, sessions) is
     built *outside* the installed plan — serving fault sites count only
     serving operations, so the schedule's transcript is bit-for-bit
-    reproducible from the seed regardless of process-wide caches.  The
-    service runs in graceful (``strict=False``) mode under the async
-    :class:`~repro.serve.ServingLoop` (the production drive): ring-full
-    paths shed with typed verdicts, worker panics recover via
-    re-attested relaunch with the batch requeued to its class queue,
-    and the loop's watchdog rescues skew-stalled batches.  Sessions
+    reproducible from the seed regardless of process-wide caches — but
+    inside the sanitizers, since lane keys are drawn at
+    ``open_session``.  The service runs in graceful (``strict=False``)
+    mode under the async :class:`~repro.serve.ServingLoop` (the
+    production drive): ring-full paths shed with typed verdicts,
+    worker panics recover via re-attested relaunch with the batch
+    requeued to its class queue, and the loop's watchdog rescues
+    skew-stalled batches.  Sessions
     alternate interactive/batch priority so both class queues (and the
     admission gate between them) sit inside the blast radius.
     """
     plan = random_serve_plan(seed)
     result = ServeChaosResult(seed=seed,
                               rules=[repr(rule) for rule in plan.rules])
+    with _sanitized(result) as secrets:
+        platform = make_platform(key_bits=_KEY_BITS)
+        vendor = Vendor("serve-chaos-vendor", default_chaos_model(),
+                        seed=_VENDOR_SEED, key_bits=_KEY_BITS)
+        config = ServeConfig(max_batch=4, deadline_ms=2.0, ring_slots=8,
+                             num_workers=2, strict=False, watchdog_ms=12.0)
+        service = ServingService(platform, vendor, config)
+        loop = ServingLoop(service, tick_ms=0.75)
+        handles = [service.open_session(
+            priority=Priority.INTERACTIVE if index % 2 == 0
+            else Priority.BATCH)
+            for index in range(_SERVE_SESSIONS)]
+        result.sessions = len(handles)
+        clock = platform.soc.clock
 
-    platform = make_platform(key_bits=_KEY_BITS)
-    vendor = Vendor("serve-chaos-vendor", default_chaos_model(),
-                    seed=_VENDOR_SEED, key_bits=_KEY_BITS)
-    config = ServeConfig(max_batch=4, deadline_ms=2.0, ring_slots=8,
-                         num_workers=2, strict=False, watchdog_ms=12.0)
-    service = ServingService(platform, vendor, config)
-    loop = ServingLoop(service, tick_ms=0.75)
-    handles = [service.open_session(
-        priority=Priority.INTERACTIVE if index % 2 == 0 else Priority.BATCH)
-        for index in range(_SERVE_SESSIONS)]
-    result.sessions = len(handles)
-    clock = platform.soc.clock
+        # Deterministic per-seed traffic, round-robined across sessions
+        # so every batch mixes sessions (per-session key isolation under
+        # fire).  Every request plaintext is a secret the sweep hunts.
+        rng = np.random.default_rng(seed * 6007 + 13)
+        traffic: deque = deque()
+        for _ in range(_REQUESTS_PER_SESSION):
+            for index in range(_SERVE_SESSIONS):
+                fingerprint = rng.integers(
+                    0, 256, size=service.fingerprint_shape, dtype=np.uint8)
+                secrets.on_observe(fingerprint,
+                                   origin=f"serve input {len(traffic)}")
+                traffic.append((index, fingerprint))
 
-    # Deterministic per-seed traffic, round-robined across sessions so
-    # every batch mixes sessions (per-session key isolation under fire).
-    rng = np.random.default_rng(seed * 6007 + 13)
-    traffic: deque = deque()
-    for _ in range(_REQUESTS_PER_SESSION):
-        for index in range(_SERVE_SESSIONS):
-            fingerprint = rng.integers(
-                0, 256, size=service.fingerprint_shape, dtype=np.uint8)
-            traffic.append((index, fingerprint))
-    input_markers = {
-        f"input{i}": _plaintext_marker(fp.tobytes())
-        for i, (_, fp) in enumerate(traffic) if i < 3}
+        accepted: dict[int, set] = {h.session_id: set() for h in handles}
+        with _fault_envelope(result, plan, "chaos.serve_schedule",
+                             lambda: {"restarts": service.pool.restarts,
+                                      "shed": result.shed}):
+            iterations = 0
+            while traffic and iterations < 400:
+                iterations += 1
+                index, fingerprint = traffic[0]
+                verdict = service.submit(handles[index], fingerprint)
+                if isinstance(verdict, Shed):
+                    # Typed backpressure: drain and retry the same
+                    # request — nothing was consumed.
+                    result.shed += 1
+                else:
+                    traffic.popleft()
+                    accepted[handles[index].session_id].add(verdict)
+                    result.accepted += 1
+                loop.tick()
+                clock.advance_ms(0.75)
+            # Drain: anything still queued (sub-deadline leftovers,
+            # requeued batches, deferred mailboxes) flushes here; each
+            # tick polls the egress ring so force-flushes always find
+            # room.
+            for _ in range(8):
+                loop.tick(force=True)
+                clock.advance_ms(1.0)
+            result.completed = not traffic
+            if traffic:
+                result.error = "ServeError"
+                result.error_message = (
+                    f"{len(traffic)} requests still shed after the "
+                    f"drive-loop budget — wedged ingress")
 
-    accepted: dict[int, set] = {h.session_id: set() for h in handles}
-    with _fault_envelope(result, plan, "chaos.serve_schedule",
-                         lambda: {"restarts": service.pool.restarts,
-                                  "shed": result.shed}):
-        iterations = 0
-        while traffic and iterations < 400:
-            iterations += 1
-            index, fingerprint = traffic[0]
-            verdict = service.submit(handles[index], fingerprint)
-            if isinstance(verdict, Shed):
-                # Typed backpressure: drain and retry the same
-                # request — nothing was consumed.
-                result.shed += 1
-            else:
-                traffic.popleft()
-                accepted[handles[index].session_id].add(verdict)
-                result.accepted += 1
-            loop.tick()
-            clock.advance_ms(0.75)
-        # Drain: anything still queued (sub-deadline leftovers,
-        # requeued batches, deferred mailboxes) flushes here; each
-        # tick polls the egress ring so force-flushes always find
-        # room.
-        for _ in range(8):
-            loop.tick(force=True)
-            clock.advance_ms(1.0)
-        result.completed = not traffic
-        if traffic:
-            result.error = "ServeError"
-            result.error_message = (
-                f"{len(traffic)} requests still shed after the "
-                f"drive-loop budget — wedged ingress")
+        stats = service.stats()
+        result.stats = asdict(stats)
 
-    stats = service.stats()
-    result.stats = asdict(stats)
-
-    # Exactly-once ledger over the accepted sequence numbers.
-    delivered = 0
-    missing = 0
-    for handle in handles:
-        got = set(handle.results)
-        want = accepted[handle.session_id]
-        delivered += len(got & want)
-        missing += len(want - got)
-        for seq in got - want:
+        # Exactly-once ledger over the accepted sequence numbers.
+        delivered = 0
+        missing = 0
+        for handle in handles:
+            got = set(handle.results)
+            want = accepted[handle.session_id]
+            delivered += len(got & want)
+            missing += len(want - got)
+            for seq in got - want:
+                result.safety_violations.append(
+                    f"session {handle.session_id}: response for seq "
+                    f"{seq} that was never accepted")
+        result.delivered = delivered
+        result.missing = missing
+        result.counted_losses = (stats.auth_failures + stats.frames_dropped
+                                 + stats.responses_dropped
+                                 + stats.admission_shed)
+        # requests_completed beyond the distinct results means some seq
+        # was delivered more than once (the second write overwrites the
+        # dict).
+        result.duplicates = max(0, stats.requests_completed - delivered)
+        if result.duplicates:
             result.safety_violations.append(
-                f"session {handle.session_id}: response for seq {seq} "
-                f"that was never accepted")
-    result.delivered = delivered
-    result.missing = missing
-    result.counted_losses = (stats.auth_failures + stats.frames_dropped
-                             + stats.responses_dropped
-                             + stats.admission_shed)
-    # requests_completed beyond the distinct results means some seq was
-    # delivered more than once (the second write overwrites the dict).
-    result.duplicates = max(0, stats.requests_completed - delivered)
-    if result.duplicates:
-        result.safety_violations.append(
-            f"{result.duplicates} duplicate response deliveries")
-    if result.completed and missing != result.counted_losses:
-        result.safety_violations.append(
-            f"exactly-once violation: {missing} accepted seqs missing "
-            f"but {result.counted_losses} losses counted")
-    if (result.completed
-            and any("worker.invoke" in line for line in result.fault_lines)
-            and stats.workers_restarted < 1):
-        result.safety_violations.append(
-            "worker panic fired but no re-attested restart happened")
+                f"{result.duplicates} duplicate response deliveries")
+        if result.completed and missing != result.counted_losses:
+            result.safety_violations.append(
+                f"exactly-once violation: {missing} accepted seqs missing "
+                f"but {result.counted_losses} losses counted")
+        if (result.completed
+                and any("worker.invoke" in line
+                        for line in result.fault_lines)
+                and stats.workers_restarted < 1):
+            result.safety_violations.append(
+                "worker panic fired but no re-attested restart happened")
 
-    # Teardown (tolerates panicked workers), then sweep every untrusted
-    # surface: model plaintext and raw fingerprints must never appear
-    # outside locked/scrubbed enclave memory — the rings only ever
-    # carried sealed bytes.
-    service.teardown()
-    markers = {"model": _plaintext_marker(vendor.model_bytes)}
-    markers.update(input_markers)
-    result.safety_violations.extend(_scan_for_leaks(platform, markers))
+        # Teardown (tolerates panicked workers) scrubs the sessions
+        # still open and runs the leak sweep: the model plaintext and
+        # the raw fingerprints must be nowhere outside locked or
+        # scrubbed enclave memory — the rings only ever carried sealed
+        # bytes.
+        service.teardown()
     return result
 
 
@@ -713,11 +695,10 @@ def run_fleet_chaos_schedule(seed: int, *,
     ``max_fires``); journal recovery accounting (every crashed shard
     replays, torn tails are dropped not half-applied); cross-shard
     single-spend after :meth:`~repro.fleet.FleetDirector.reconcile`;
-    offline audit-chain verification per shard; and a leak scan of the
-    durable surfaces (journal media, audit records) for tenant content
-    keys, cohort ticket keys, and derived wrap secrets.
+    offline audit-chain verification per shard; and the leak sweep of
+    the durable surfaces (journal media, audit records) for tenant
+    content keys, cohort ticket keys, and derived wrap secrets.
     """
-    from repro.errors import LicenseError
     from repro.fleet import DeviceFleet, FleetDirector
     from repro.fleet.population import TERMINAL_STATES
     from repro.hw.timing import VirtualClock
@@ -725,117 +706,112 @@ def run_fleet_chaos_schedule(seed: int, *,
     plan = random_fleet_plan(seed)
     result = FleetChaosResult(seed=seed,
                               rules=[repr(rule) for rule in plan.rules])
+    with _sanitized(result) as secrets:
+        clock = VirtualClock()
+        fleet = DeviceFleet(clock, key_bits=_KEY_BITS, seed=b"fleet-chaos")
+        per_cohort = max(1, devices // (len(fleet.tenants)
+                                        * _COHORTS_PER_TENANT))
+        for tenant in fleet.tenants:
+            for index in range(_COHORTS_PER_TENANT):
+                fleet.build_cohort(tenant, f"{tenant}-s{seed}-c{index}",
+                                   per_cohort)
+        # The secrets no durable surface may carry.
+        for name, config in fleet.tenants.items():
+            secrets.on_observe(config.content_key,
+                               origin=f"content key {name}")
+            for cohort_id, credentials in config.cohorts.items():
+                secrets.on_observe(credentials.ticket_key,
+                                   origin=f"ticket key {cohort_id}")
+                secrets.on_observe(credentials.wrap_base,
+                                   origin=f"wrap base {cohort_id}")
+        director = FleetDirector(
+            clock, [f"shard-{index}" for index in range(_FLEET_SHARDS)],
+            fleet.tenants)
+        result.devices = fleet.device_count
 
-    clock = VirtualClock()
-    fleet = DeviceFleet(clock, key_bits=_KEY_BITS, seed=b"fleet-chaos")
-    per_cohort = max(1, devices // (len(fleet.tenants)
-                                    * _COHORTS_PER_TENANT))
-    for tenant in fleet.tenants:
-        for index in range(_COHORTS_PER_TENANT):
-            fleet.build_cohort(tenant, f"{tenant}-s{seed}-c{index}",
-                               per_cohort)
-    director = FleetDirector(
-        clock, [f"shard-{index}" for index in range(_FLEET_SHARDS)],
-        fleet.tenants)
-    result.devices = fleet.device_count
-
-    with _fault_envelope(result, plan, "chaos.fleet_schedule"):
-        report = director.run_storm(fleet.cohorts, storm_seconds=0.5,
-                                    max_seconds=60.0)
-        result.granted = report.granted
-        result.rejected = report.rejected
-        result.refused = report.refused
-        result.stalled = report.stalled
-        result.retries = report.retries
-        result.drops = report.drops
-        result.takeovers = report.takeovers
-        result.crashes = report.crashes
-        result.restarts = report.restarts
-        result.completed = all(
-            state in TERMINAL_STATES
-            for cohort in fleet.cohorts for state in cohort.state)
-        if report.stalled and result.completed:
-            result.safety_violations.append(
-                f"storm report counts {report.stalled} stalled devices "
-                f"but every device is terminal")
-
-    # Crash recovery: any shard still dark replays its journal now, so
-    # the invariant checks below see the durable state, not the outage.
-    for shard in director.shards.values():
-        if not shard.up:
-            recovery = shard.restart()
-            result.restarts += 1
-            if recovery.torn_bytes_dropped and not any(
-                    "journal.append" in line for line in result.fault_lines):
+        with _fault_envelope(result, plan, "chaos.fleet_schedule"):
+            report = director.run_storm(fleet.cohorts, storm_seconds=0.5,
+                                        max_seconds=60.0)
+            result.granted = report.granted
+            result.rejected = report.rejected
+            result.refused = report.refused
+            result.stalled = report.stalled
+            result.retries = report.retries
+            result.drops = report.drops
+            result.takeovers = report.takeovers
+            result.crashes = report.crashes
+            result.restarts = report.restarts
+            result.completed = all(
+                state in TERMINAL_STATES
+                for cohort in fleet.cohorts for state in cohort.state)
+            if report.stalled and result.completed:
                 result.safety_violations.append(
-                    f"{shard.shard_id}: dropped {recovery.torn_bytes_dropped}"
-                    f" torn bytes without a torn-write fault")
+                    f"storm report counts {report.stalled} stalled devices "
+                    f"but every device is terminal")
 
-    # Cross-shard single-spend: reconcile, then no device may appear in
-    # more than one live journal (and a second reconcile must be a
-    # fixed point — nothing left to revoke).
-    result.duplicates_reconciled = director.reconcile()
-    if director.reconcile() != 0:
-        result.safety_violations.append(
-            "reconcile is not a fixed point: duplicates survived a pass")
-    holders: dict[str, list[str]] = {}
-    for shard in director.shards.values():
-        result.journals[shard.shard_id] = {
-            "appends": shard.journal.appends,
-            "replays": shard.journal.replays,
-            "torn_drops": shard.journal.torn_drops,
-            "compactions": shard.journal.compactions,
-            "live": len(shard.journal.live),
-        }
-        result.torn_drops += shard.journal.torn_drops
-        result.replays += shard.journal.replays
-        for device in shard.journal.live:
-            holders.setdefault(device, []).append(shard.shard_id)
-    for device, shard_ids in sorted(holders.items()):
-        if len(shard_ids) > 1:
-            result.safety_violations.append(
-                f"single-spend violation: {device} holds live licenses "
-                f"on {', '.join(sorted(shard_ids))}")
-
-    # Offline audit verification: every shard's hash chain must check
-    # out from the records alone.
-    for shard in director.shards.values():
-        try:
-            shard.audit.seal()
-            result.audit_heads[shard.shard_id] = shard.audit.verify().hex()
-        except ReproError as exc:
-            result.safety_violations.append(
-                f"audit chain broken on {shard.shard_id}: {exc}")
-
-    # Leak scan over the durable surfaces: journal media and audit
-    # records are exactly what an offline verifier (or a stolen backup)
-    # sees, so no tenant or cohort secret may appear there.
-    markers: dict[str, bytes] = {}
-    for name, config in fleet.tenants.items():
-        try:
-            markers[f"content-key:{name}"] = config.content_key
-        except LicenseError:
-            pass
-        for cohort_id, credentials in config.cohorts.items():
-            markers[f"ticket-key:{cohort_id}"] = credentials.ticket_key
-            markers[f"wrap-base:{cohort_id}"] = credentials.wrap_base
-    for shard in director.shards.values():
-        surfaces = {
-            "journal": shard.journal.media_bytes(),
-            "audit": b"\n".join(record.encode()
-                                for record in shard.audit.records),
-        }
-        for surface_name, blob in surfaces.items():
-            for marker_name, secret in markers.items():
-                if secret and secret in blob:
+        # Crash recovery: any shard still dark replays its journal now,
+        # so the invariant checks below see the durable state, not the
+        # outage.
+        for shard in director.shards.values():
+            if not shard.up:
+                recovery = shard.restart()
+                result.restarts += 1
+                if recovery.torn_bytes_dropped and not any(
+                        "journal.append" in line
+                        for line in result.fault_lines):
                     result.safety_violations.append(
-                        f"{marker_name} leaked into {shard.shard_id} "
-                        f"{surface_name}")
-                hexed = secret.hex().encode()
-                if hexed and hexed in blob:
-                    result.safety_violations.append(
-                        f"{marker_name} leaked (hex) into {shard.shard_id} "
-                        f"{surface_name}")
+                        f"{shard.shard_id}: dropped "
+                        f"{recovery.torn_bytes_dropped} torn bytes "
+                        f"without a torn-write fault")
+
+        # Cross-shard single-spend: reconcile, then no device may appear
+        # in more than one live journal (and a second reconcile must be
+        # a fixed point — nothing left to revoke).
+        result.duplicates_reconciled = director.reconcile()
+        if director.reconcile() != 0:
+            result.safety_violations.append(
+                "reconcile is not a fixed point: duplicates survived a "
+                "pass")
+        holders: dict[str, list[str]] = {}
+        for shard in director.shards.values():
+            result.journals[shard.shard_id] = {
+                "appends": shard.journal.appends,
+                "replays": shard.journal.replays,
+                "torn_drops": shard.journal.torn_drops,
+                "compactions": shard.journal.compactions,
+                "live": len(shard.journal.live),
+            }
+            result.torn_drops += shard.journal.torn_drops
+            result.replays += shard.journal.replays
+            for device in shard.journal.live:
+                holders.setdefault(device, []).append(shard.shard_id)
+        for device, shard_ids in sorted(holders.items()):
+            if len(shard_ids) > 1:
+                result.safety_violations.append(
+                    f"single-spend violation: {device} holds live "
+                    f"licenses on {', '.join(sorted(shard_ids))}")
+
+        # Offline audit verification: every shard's hash chain must
+        # check out from the records alone.
+        for shard in director.shards.values():
+            try:
+                shard.audit.seal()
+                result.audit_heads[shard.shard_id] = \
+                    shard.audit.verify().hex()
+            except ReproError as exc:
+                result.safety_violations.append(
+                    f"audit chain broken on {shard.shard_id}: {exc}")
+
+        # The leak sweep over the durable surfaces: journal media and
+        # audit records are exactly what an offline verifier (or a
+        # stolen backup) sees.
+        secrets.check_teardown(surfaces=[
+            surface for shard in director.shards.values()
+            for surface in (
+                (f"{shard.shard_id} journal", shard.journal.media_bytes()),
+                (f"{shard.shard_id} audit records",
+                 b"\n".join(record.encode()
+                            for record in shard.audit.records)))])
     return result
 
 

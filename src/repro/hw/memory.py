@@ -179,7 +179,7 @@ class PhysicalMemory:
         """Contiguous resident spans as sorted (address, length) pairs.
 
         Only memory that was ever written is resident, so auditors (the
-        chaos harness's secret-residue scan) can sweep the whole address
+        sanitizer's teardown leak sweep) can sweep the whole address
         space without materializing 3 GB of zeros.
         """
         if not self._pages:

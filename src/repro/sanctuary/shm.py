@@ -220,19 +220,16 @@ class SlotRing:
         exactly as they would a genuinely full ring.
         """
         if _faults.PLAN is not None and _faults.PLAN.ring_stall():
-            if _sanitizers.STATE is not None \
-                    and _sanitizers.STATE.rings is not None:
+            if _sanitizers.STATE is not None:
                 _sanitizers.STATE.rings.on_reserve(self, ok=False)
             return None
         head = int(self._ctrl[0])
         tail = int(self._ctrl[1])
         if (tail + 1) % self.num_slots == head:
-            if _sanitizers.STATE is not None \
-                    and _sanitizers.STATE.rings is not None:
+            if _sanitizers.STATE is not None:
                 _sanitizers.STATE.rings.on_reserve(self, ok=False)
             return None
-        if _sanitizers.STATE is not None \
-                and _sanitizers.STATE.rings is not None:
+        if _sanitizers.STATE is not None:
             _sanitizers.STATE.rings.on_reserve(self, ok=True)
         return self._slot(tail)[4:4 + self.slot_bytes]
 
@@ -241,8 +238,7 @@ class SlotRing:
         if not 0 <= length <= self.slot_bytes:
             raise MemoryAccessError(
                 f"commit length {length} outside [0, {self.slot_bytes}]")
-        if _sanitizers.STATE is not None \
-                and _sanitizers.STATE.rings is not None:
+        if _sanitizers.STATE is not None:
             _sanitizers.STATE.rings.on_commit(self)
         tail = int(self._ctrl[1])
         self._slot(tail)[:4].view(np.uint32)[0] = length
@@ -262,12 +258,10 @@ class SlotRing:
         head = int(self._ctrl[0])
         tail = int(self._ctrl[1])
         if head == tail:
-            if _sanitizers.STATE is not None \
-                    and _sanitizers.STATE.rings is not None:
+            if _sanitizers.STATE is not None:
                 _sanitizers.STATE.rings.on_peek(self, ok=False)
             return None
-        if _sanitizers.STATE is not None \
-                and _sanitizers.STATE.rings is not None:
+        if _sanitizers.STATE is not None:
             _sanitizers.STATE.rings.on_peek(self, ok=True)
         slot = self._slot(head)
         length = int(slot[:4].view(np.uint32)[0])
@@ -278,7 +272,6 @@ class SlotRing:
         head = int(self._ctrl[0])
         if head == int(self._ctrl[1]):
             raise MemoryAccessError("release() on an empty ring")
-        if _sanitizers.STATE is not None \
-                and _sanitizers.STATE.rings is not None:
+        if _sanitizers.STATE is not None:
             _sanitizers.STATE.rings.on_release(self)
         self._ctrl[0] = (head + 1) % self.num_slots

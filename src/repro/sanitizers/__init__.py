@@ -7,8 +7,8 @@ compiler's warnings:
 
 :class:`SecretSanitizer`
     Tracks every buffer the secret caches take custody of, asserts the
-    zeroized-on-free contract when it is scrubbed, and sweeps resident
-    simulated DRAM for stray copies at teardown.
+    zeroized-on-free contract when it is scrubbed, and runs the one
+    teardown leak sweep (unlocked DRAM, flash, named surfaces).
 :class:`RingSanitizer`
     A per-endpoint state machine over every
     :class:`~repro.sanctuary.shm.SlotRing`: reserve→commit and
@@ -16,8 +16,9 @@ compiler's warnings:
     the broken invariant named.
 
 Both are **zero-cost when disabled**: instrumented modules guard every
-hook with ``if hooks.STATE is not None`` — the same pattern as
-:mod:`repro.faults` and :mod:`repro.obs`.  Enable them per test::
+hook with ``if hooks.STATE is not None`` (a bundle holds both) —
+the same pattern as :mod:`repro.faults` and :mod:`repro.obs`.  Enable
+them per test::
 
     from repro import sanitizers
 
@@ -43,8 +44,8 @@ __all__ = ["Sanitizers", "SecretSanitizer", "RingSanitizer", "hooks"]
 class Sanitizers:
     """The bundle :data:`repro.sanitizers.hooks.STATE` points at."""
 
-    secrets: SecretSanitizer | None = None
-    rings: RingSanitizer | None = None
+    secrets: SecretSanitizer
+    rings: RingSanitizer
 
     @classmethod
     def full(cls) -> "Sanitizers":

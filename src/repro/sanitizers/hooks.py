@@ -20,8 +20,8 @@ from repro.hookslot import slot
 __all__ = ["STATE", "installed", "install", "uninstall", "current"]
 
 # The single process-wide sanitizer bundle, or None when checking is
-# off.  The bundle is duck-typed: anything with ``secrets`` and
-# ``rings`` attributes (each a sanitizer or None) works — see
+# off.  A bundle always holds both sanitizers (``secrets`` and
+# ``rings``), so a hook site needs no second guard — see
 # :class:`repro.sanitizers.Sanitizers`.
 STATE = None
 

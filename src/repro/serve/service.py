@@ -782,14 +782,5 @@ class ServingService:
         self.pool.teardown()
         state = _sanitizers.STATE
         if state is not None:
-            soc = self.platform.soc
-            if state.rings is not None:
-                state.rings.check_teardown()
-            if state.secrets is not None:
-                # Enclave regions still TZASC-locked (quarantined after
-                # a failed scrub) are excluded, like the chaos sweep.
-                locked = [region
-                          for region, policy in soc.tzasc.regions()
-                          if policy.secure_only
-                          or policy.bound_core is not None]
-                state.secrets.check_teardown(soc.memory, locked)
+            state.rings.check_teardown()
+            state.secrets.check_teardown(self.platform.soc)

@@ -20,6 +20,7 @@ from repro.core.protocol import DEFAULT_STEP_TIMEOUTS, ProtocolTranscript
 from repro.core.provisioning import ProvisioningClient, VendorServer
 from repro.core.retry import BackoffPolicy
 from repro.crypto.rng import HmacDrbg
+from repro.errors import SanitizerViolation
 from repro.eval.chaos import (ChaosResult, run_chaos_schedule,
                               write_chaos_transcripts)
 from repro.sanctuary.lifecycle import SanctuaryRuntime
@@ -128,6 +129,18 @@ def test_input_plaintext_on_flash_is_a_safety_violation(monkeypatch,
     result = run_chaos_schedule(1, model=tiny_model)
     assert result.completed and not result.safe
     assert any("flash" in line for line in result.safety_violations)
+
+
+def test_sanitizer_violation_is_not_recovered(monkeypatch, tiny_model):
+    """The recovery loop relaunches after a typed failure, but a
+    sanitizer finding stops the schedule as a safety violation."""
+    def flagged(self, ctx, fingerprint):
+        raise SanitizerViolation("planted finding")
+
+    monkeypatch.setattr(KeywordSpotterApp, "recognize_fingerprint", flagged)
+    result = run_chaos_schedule(1, model=tiny_model)
+    assert result.recoveries == 0 and result.error is None
+    assert result.safety_violations == ["planted finding"]
 
 
 # --- targeted storm: provisioning survives loss + corruption ----------------

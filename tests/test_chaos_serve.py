@@ -129,3 +129,37 @@ def test_fingerprint_left_in_the_rings_is_a_safety_violation(monkeypatch):
     result = run_serve_chaos_schedule(0)
     assert result.completed and not result.safe
     assert any("DRAM" in line for line in result.safety_violations)
+
+
+def test_unscrubbed_keystream_chunk_is_a_safety_violation(monkeypatch):
+    """Keystream chunks a session close never scrubs must end as a
+    safety violation at the serving teardown, not as an error."""
+    from repro.crypto.keycache import KeystreamCache
+
+    monkeypatch.setattr(KeystreamCache, "forget_session",
+                        lambda self, session_id: None)
+    result = run_serve_chaos_schedule(0)
+    assert result.completed and result.error is None and not result.safe
+    assert any("never scrubbed" in line
+               for line in result.safety_violations)
+
+
+def test_ring_commit_without_reserve_is_a_safety_violation(monkeypatch):
+    """A producer that commits an ingress slot it never reserved must
+    stop the schedule with a safety violation, not a typed error."""
+    from repro.serve import ServingService
+
+    submit = ServingService.submit
+    calls = []
+
+    def rogue_submit(self, handle, fingerprint):
+        calls.append(handle.session_id)
+        if len(calls) == 5:
+            self._ingress_prod.commit(0)
+        return submit(self, handle, fingerprint)
+
+    monkeypatch.setattr(ServingService, "submit", rogue_submit)
+    result = run_serve_chaos_schedule(0)
+    assert result.error is None and not result.safe
+    assert any("without a successful try_reserve" in line
+               for line in result.safety_violations)

@@ -32,7 +32,7 @@ def test_leaked_buffer_flagged_at_teardown():
 def test_scrubbed_buffer_is_clean():
     from repro.crypto.keycache import scrub_secret
 
-    bundle = san.Sanitizers(secrets=san.SecretSanitizer())
+    bundle = san.Sanitizers.full()
     with hooks.installed(bundle):
         buf = bytearray(b"\xabKEY" * 8)
         bundle.secrets.on_track(buf, origin="test-cache")
@@ -52,7 +52,7 @@ def test_unscrubbed_free_detected_via_scrub_hook():
     scrub_secret) must raise, not pass."""
     from repro.crypto.keycache import scrub_secret
 
-    bundle = san.Sanitizers(secrets=san.SecretSanitizer())
+    bundle = san.Sanitizers.full()
     with hooks.installed(bundle):
         with pytest.raises(SanitizerViolation, match="nonzero bytes"):
             scrub_secret(b"\xabKEY" * 8)
@@ -65,37 +65,94 @@ def test_composite_entries_tracked_per_leaf():
     assert secrets.tracked_total == 2
 
 
-def test_teardown_sweep_finds_residue_in_unlocked_dram():
-    from repro.hw.memory import PhysicalMemory
+def _soc_with_region(policy):
+    """A fresh SoC with one 4 KB region under ``policy``."""
+    from repro.trustzone.worlds import make_platform
 
-    secrets = san.SecretSanitizer()
+    platform = make_platform(seed=b"secret-sweep-test",
+                             key_bits=TEST_KEY_BITS)
+    region = platform.soc.allocate_region("sweep-target", 4096)
+    platform.monitor.configure_region(region, policy)
+    return platform.soc, region
+
+
+def _scrubbed_key(secrets):
+    """Track a key and scrub it properly, so only a stray copy of it
+    can trip the sweep; returns the key's bytes."""
     key = bytearray(range(1, 33))
     secrets.on_track(key, origin="test-cache")
-    memory = PhysicalMemory(1 << 20)
-    # A stray copy of the key lands in simulated DRAM...
-    memory.write(0x2000, bytes(key))
-    # ...and the original is properly scrubbed, so only the sweep can
-    # catch the leak.
-    marker = bytes(key)
+    copy = bytes(key)
     key[:] = bytes(len(key))
     secrets.on_scrub(key)
-    with pytest.raises(SanitizerViolation, match="resident in unlocked"):
-        secrets.check_teardown(memory)
-    assert marker  # the copy, not the original, was the violation
+    return copy
+
+
+def test_teardown_sweep_finds_residue_in_unlocked_dram():
+    from repro.hw.memory import RegionPolicy
+
+    secrets = san.SecretSanitizer()
+    soc, region = _soc_with_region(RegionPolicy())
+    soc.memory.write(region.base + 0x100, _scrubbed_key(secrets))
+    with pytest.raises(SanitizerViolation,
+                       match="test-cache in unlocked DRAM"):
+        secrets.check_teardown(soc)
+
+
+def test_teardown_sweep_finds_zero_padded_secret_in_dram():
+    """A secret that starts with zeros, copied into zeroed DRAM, merges
+    with the zero run before it; the sweep must still find it."""
+    from repro.hw.memory import RegionPolicy
+
+    secrets = san.SecretSanitizer()
+    secret = bytes(16) + bytes(range(1, 33))
+    secrets.on_observe(secret, origin="padded-input")
+    soc, region = _soc_with_region(RegionPolicy())
+    soc.memory.write(region.base + 0x800, secret)
+    with pytest.raises(SanitizerViolation,
+                       match="padded-input in unlocked DRAM"):
+        secrets.check_teardown(soc)
 
 
 def test_teardown_sweep_ignores_locked_regions():
-    from repro.hw.memory import MemoryRegion, PhysicalMemory
+    from repro.hw.memory import RegionPolicy
 
     secrets = san.SecretSanitizer()
-    key = bytearray(range(1, 33))
-    secrets.on_track(key, origin="test-cache")
-    memory = PhysicalMemory(1 << 20)
-    memory.write(0x2000, bytes(key))
-    key[:] = bytes(len(key))
-    secrets.on_scrub(key)
-    locked = [MemoryRegion("enclave", 0x1000, 0x3000)]
-    secrets.check_teardown(memory, locked)  # quarantined: no violation
+    soc, region = _soc_with_region(RegionPolicy(secure_only=True))
+    soc.memory.write(region.base + 0x100, _scrubbed_key(secrets))
+    secrets.check_teardown(soc)  # quarantined: no violation
+
+
+def test_teardown_sweep_finds_residue_on_flash():
+    from repro.hw.memory import RegionPolicy, World
+
+    secrets = san.SecretSanitizer()
+    soc, _ = _soc_with_region(RegionPolicy())
+    soc.flash.store("stray.bin", b"hdr" + _scrubbed_key(secrets),
+                    World.NORMAL)
+    with pytest.raises(SanitizerViolation,
+                       match="test-cache in untrusted flash"):
+        secrets.check_teardown(soc)
+
+
+def test_teardown_sweep_finds_hex_copy_on_named_surface():
+    secrets = san.SecretSanitizer()
+    key = _scrubbed_key(secrets)
+    secrets.check_teardown(surfaces=[("shard-0 journal", b"grant=ok")])
+    with pytest.raises(SanitizerViolation,
+                       match="test-cache in shard-0 journal") as info:
+        secrets.check_teardown(surfaces=[
+            ("shard-0 journal", b"grant=" + key.hex().encode())])
+    assert key.hex() not in str(info.value)
+
+
+def test_marker_skips_low_entropy_leading_run():
+    """A secret that starts with a long zero run is found by a copy of
+    its diverse tail alone: the marker is not its leading bytes."""
+    secrets = san.SecretSanitizer()
+    tail = bytes(range(7, 7 + 64))
+    secrets.on_observe(bytes(128) + tail, origin="padded-model")
+    with pytest.raises(SanitizerViolation, match="padded-model in copy"):
+        secrets.check_teardown(surfaces=[("copy", tail)])
 
 
 # --- RingSanitizer units -----------------------------------------------
@@ -116,7 +173,7 @@ def _ring():
 
 
 def test_commit_without_reserve_raises():
-    bundle = san.Sanitizers(rings=san.RingSanitizer())
+    bundle = san.Sanitizers.full()
     with hooks.installed(bundle):
         ring = _ring()
         with pytest.raises(SanitizerViolation, match="without a successful"):
@@ -124,7 +181,7 @@ def test_commit_without_reserve_raises():
 
 
 def test_double_reserve_raises():
-    bundle = san.Sanitizers(rings=san.RingSanitizer())
+    bundle = san.Sanitizers.full()
     with hooks.installed(bundle):
         ring = _ring()
         assert ring.try_reserve() is not None
@@ -133,7 +190,7 @@ def test_double_reserve_raises():
 
 
 def test_release_without_peek_raises():
-    bundle = san.Sanitizers(rings=san.RingSanitizer())
+    bundle = san.Sanitizers.full()
     with hooks.installed(bundle):
         ring = _ring()
         slot = ring.try_reserve()
@@ -147,7 +204,7 @@ def test_release_without_peek_raises():
 
 
 def test_dangling_reservation_flagged_at_teardown():
-    bundle = san.Sanitizers(rings=san.RingSanitizer())
+    bundle = san.Sanitizers.full()
     with hooks.installed(bundle):
         ring = _ring()
         assert ring.try_reserve() is not None
@@ -156,7 +213,7 @@ def test_dangling_reservation_flagged_at_teardown():
 
 
 def test_correct_protocol_round_trip_is_silent():
-    bundle = san.Sanitizers(rings=san.RingSanitizer())
+    bundle = san.Sanitizers.full()
     with hooks.installed(bundle):
         ring = _ring()
         for value in range(6):  # wraps the 4-slot ring
@@ -266,9 +323,6 @@ def test_full_lifecycle_under_sanitizers(sanitizers, pretrained_model):
     result = session.recognize_via_microphone(clip.samples)
     assert result.label
     session.teardown()
-    soc = platform.soc
-    locked = [region for region, policy in soc.tzasc.regions()
-              if policy.secure_only or policy.bound_core is not None]
     # The enclave scrubbed and unlocked its regions: the sweep over
-    # everything unlocked must come back clean.
-    sanitizers.secrets.check_teardown(soc.memory, locked)
+    # everything unlocked, and over flash, must come back clean.
+    sanitizers.secrets.check_teardown(platform.soc)
