@@ -155,13 +155,15 @@ class SecretSanitizer:
         DRAM and flash image, and each ``(name, bytes)`` in
         ``surfaces``.  Violations name origin and surface, never bytes.
         """
-        problems = [
-            f"secret buffer from {origin} still live (never scrubbed) at "
-            f"teardown"
-            for leaf, origin in self._live.values()
-            # A zeroed leaf was scrubbed in place without going through
-            # scrub_secret (e.g. a numpy view another scrub covered).
-            if not _is_zeroed(leaf)]
+        problems = []
+        for leaf, origin in self._live.values():
+            if _is_zeroed(leaf):
+                # Scrubbed in place without going through scrub_secret
+                # (e.g. a numpy view another scrub already covered).
+                continue
+            problems.append(
+                f"secret buffer from {origin} still live (never "
+                f"scrubbed) at teardown")
         swept = list(surfaces)
         if soc is not None:
             swept.extend(_unlocked_dram(soc))
