@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SERVING_CONCURRENCY_P99_SLO_MS", "FLEET_P99_SLO_MS",
-           "concurrency_testbed", "storm_testbed"]
+__all__ = ["KEY_BITS", "SERVING_CONCURRENCY_P99_SLO_MS", "FLEET_P99_SLO_MS",
+           "serving_stack", "concurrency_testbed", "storm_testbed"]
 
 # RSA modulus for every generated key: the smallest that fits
 # OAEP-SHA256 payloads, so set-up stays cheap; simulated timings do not
@@ -36,38 +36,57 @@ SERVING_CONCURRENCY_P99_SLO_MS = 4000.0
 FLEET_P99_SLO_MS = 500.0
 
 
+def serving_stack(platform, model, config, priorities, **loop_options):
+    """The serving stack for ``model`` on a booted ``platform``:
+    ``(vendor, service, loop, handles)`` — a vendor, a
+    :class:`~repro.serve.ServingService` under ``config`` (its worker
+    pool is provisioned here), the :class:`~repro.serve.ServingLoop`
+    driving it (``loop_options`` are its keyword options) and one open
+    session per entry of ``priorities``.
+
+    Telemetry or sanitizers installed before the call see the pool's
+    provisioning.  ``service.teardown()`` undoes it all: it scrubs the
+    sessions still open and runs the leak sweep.
+    """
+    from repro.core.parties import Vendor
+    from repro.serve import ServingLoop, ServingService
+
+    vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
+    service = ServingService(platform, vendor, config)
+    loop = ServingLoop(service, **loop_options)
+    handles = [service.open_session(priority=priority)
+               for priority in priorities]
+    return vendor, service, loop, handles
+
+
 def concurrency_testbed(model, sessions: int):
     """A fresh service holding ``sessions`` open sessions, half of them
     interactive, and the pass that sends one request per session.
 
     Returns ``(service, drive)``.  ``drive()`` pumps the requests
-    through a :class:`~repro.serve.ServingLoop` in waves of 128 —
+    through the :class:`~repro.serve.ServingLoop` in waves of 128 —
     batched client-mux submits, shed-and-retry on ring backpressure,
     one reactor tick per wave — then drains to idle.  Call it once:
     the service's latency record and clock carry over between passes.
     """
     from collections import deque
 
-    from repro.core.parties import Vendor
-    from repro.serve import (Priority, ServeConfig, ServingLoop,
-                             ServingService, Shed)
+    from repro.serve import Priority, ServeConfig, Shed
     from repro.trustzone.worlds import make_platform
 
     fingerprints = np.random.default_rng(11).integers(
         0, 256, size=(sessions, 49, 43), dtype=np.uint8)
-    platform = make_platform(seed=b"bench-concurrency-%d" % sessions,
-                             key_bits=KEY_BITS)
-    vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
     # Small keystream chunks keep the per-session cache working set
     # proportional to actual traffic (one request per session), not to
     # the 64 KiB default a 3-session service amortizes happily.
-    service = ServingService(platform, vendor, ServeConfig(
-        max_batch=32, ring_slots=256, session_capacity=sessions,
-        keystream_chunk_bytes=4096, num_workers=2, strict=False))
-    loop = ServingLoop(service)
-    handles = [service.open_session(
-        priority=Priority.INTERACTIVE if index < sessions // 2
-        else Priority.BATCH) for index in range(sessions)]
+    _, service, loop, handles = serving_stack(
+        make_platform(seed=b"bench-concurrency-%d" % sessions,
+                      key_bits=KEY_BITS),
+        model,
+        ServeConfig(max_batch=32, ring_slots=256, session_capacity=sessions,
+                    keystream_chunk_bytes=4096, num_workers=2, strict=False),
+        [Priority.INTERACTIVE if index < sessions // 2 else Priority.BATCH
+         for index in range(sessions)])
 
     def drive() -> None:
         pending = deque(zip(handles, fingerprints))

@@ -70,14 +70,14 @@ from repro.core.retry import BackoffPolicy
 from repro.crypto.keycache import deterministic_keypair
 from repro.crypto.rng import HmacDrbg
 from repro.errors import ProtocolError, ReproError, SanitizerViolation
+from repro.eval.bench import KEY_BITS, serving_stack
 from repro.faults import (FaultPlan, installed, random_fleet_plan,
                           random_plan, random_serve_plan)
 from repro.obs import hooks as _obs
 from repro.sanctuary.lifecycle import (EnclaveState, SanctuaryRuntime)
 from repro.sanitizers import Sanitizers
 from repro.sanitizers import hooks as _sanitizer_hooks
-from repro.serve import (Priority, ServeConfig, ServingLoop, ServingService,
-                         Shed)
+from repro.serve import Priority, ServeConfig, Shed
 from repro.trustzone import make_platform
 
 __all__ = ["ChaosResult", "run_chaos_schedule", "write_chaos_transcripts",
@@ -86,7 +86,6 @@ __all__ = ["ChaosResult", "run_chaos_schedule", "write_chaos_transcripts",
            "run_fleet_chaos_schedule"]
 
 _HEAP_BYTES = 1 << 20
-_KEY_BITS = 768
 _VENDOR_SEED = b"vendor-seed"
 _MAX_RECOVERIES = 3               # device: crash-recovery relaunches
 _RECOGNITIONS = 3                 # device: inputs classified per schedule
@@ -118,8 +117,11 @@ class _ScheduleResult:
 
     @property
     def live(self) -> bool:
-        """Liveness invariant: completed, or failed with a typed error."""
-        return self.completed or (self.error is not None and not self.untyped)
+        """Liveness invariant: completed, or stopped by a typed error or
+        by a sanitizer finding (incomplete with no ``error``, unsafe)."""
+        if self.error is None:
+            return self.completed or not self.safe
+        return self.completed or not self.untyped
 
     @property
     def safe(self) -> bool:
@@ -416,17 +418,17 @@ def run_chaos_schedule(seed: int, model=None) -> ChaosResult:
     """
     if model is None:
         model = default_chaos_model()
-    _warm_key_cache(_KEY_BITS, _MAX_RECOVERIES + 2)
+    _warm_key_cache(KEY_BITS, _MAX_RECOVERIES + 2)
     plan = random_plan(seed)
     result = ChaosResult(seed=seed, rules=[repr(rule) for rule in plan.rules])
     with _sanitized(result) as secrets:
         session = None
         with _fault_envelope(result, plan, "chaos.schedule",
                              lambda: {"recoveries": result.recoveries}):
-            platform = make_platform(key_bits=_KEY_BITS)
+            platform = make_platform(key_bits=KEY_BITS)
             runtime = SanctuaryRuntime(platform)
             vendor = Vendor("chaos-vendor", model, seed=_VENDOR_SEED,
-                            key_bits=_KEY_BITS)
+                            key_bits=KEY_BITS)
             session = _ChaosSession(platform, runtime, vendor,
                                     KeywordSpotterApp(), seed, secrets)
             while True:
@@ -521,19 +523,15 @@ def run_serve_chaos_schedule(seed: int) -> ServeChaosResult:
     result = ServeChaosResult(seed=seed,
                               rules=[repr(rule) for rule in plan.rules])
     with _sanitized(result) as secrets:
-        platform = make_platform(key_bits=_KEY_BITS)
-        vendor = Vendor("serve-chaos-vendor", default_chaos_model(),
-                        seed=_VENDOR_SEED, key_bits=_KEY_BITS)
-        config = ServeConfig(max_batch=4, deadline_ms=2.0, ring_slots=8,
-                             num_workers=2, strict=False, watchdog_ms=12.0)
-        service = ServingService(platform, vendor, config)
-        loop = ServingLoop(service, tick_ms=0.75)
-        handles = [service.open_session(
-            priority=Priority.INTERACTIVE if index % 2 == 0
-            else Priority.BATCH)
-            for index in range(_SERVE_SESSIONS)]
+        _, service, loop, handles = serving_stack(
+            make_platform(key_bits=KEY_BITS), default_chaos_model(),
+            ServeConfig(max_batch=4, deadline_ms=2.0, ring_slots=8,
+                        num_workers=2, strict=False, watchdog_ms=12.0),
+            [Priority.INTERACTIVE if index % 2 == 0 else Priority.BATCH
+             for index in range(_SERVE_SESSIONS)],
+            tick_ms=0.75)
         result.sessions = len(handles)
-        clock = platform.soc.clock
+        clock = service.clock
 
         # Deterministic per-seed traffic, round-robined across sessions
         # so every batch mixes sessions (per-session key isolation under
@@ -708,7 +706,7 @@ def run_fleet_chaos_schedule(seed: int, *,
                               rules=[repr(rule) for rule in plan.rules])
     with _sanitized(result) as secrets:
         clock = VirtualClock()
-        fleet = DeviceFleet(clock, key_bits=_KEY_BITS, seed=b"fleet-chaos")
+        fleet = DeviceFleet(clock, key_bits=KEY_BITS, seed=b"fleet-chaos")
         per_cohort = max(1, devices // (len(fleet.tenants)
                                         * _COHORTS_PER_TENANT))
         for tenant in fleet.tenants:
@@ -866,8 +864,8 @@ def main(argv=None) -> int:
             result = run_chaos_schedule(seed)
             extra = f"recoveries={result.recoveries}"
         status = ("ok" if result.completed
-                  else f"typed:{result.error}" if result.live
-                  else f"LIVENESS:{result.error}")
+                  else f"LIVENESS:{result.error}" if not result.live
+                  else f"typed:{result.error or 'SanitizerViolation'}")
         print(f"seed {seed:4d}  {status:30s} faults={len(result.fault_lines)}"
               f" {extra} safe={result.safe}")
         results.append(result)

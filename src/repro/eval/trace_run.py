@@ -33,24 +33,22 @@ def run_traced_serving(requests: int = 12, max_batch: int = 4,
     fingerprint traffic, so two runs with equal arguments export
     identical virtual-clock traces.
     """
-    from repro.core.parties import Vendor
+    from repro.eval.bench import KEY_BITS, serving_stack
     from repro.eval.pretrained import standard_model
-    from repro.serve import ServeConfig, ServingLoop, ServingService
+    from repro.serve import Priority, ServeConfig
     from repro.trustzone.worlds import make_platform
 
     if model is None:
         model, _ = standard_model()
-    platform = make_platform(seed=b"trace-run", key_bits=768)
+    platform = make_platform(seed=b"trace-run", key_bits=KEY_BITS)
     telemetry = Telemetry(platform.soc.clock, op_profiling=op_profiling)
     with obs_hooks.installed(telemetry):
-        vendor = Vendor("ml-vendor", model, key_bits=768)
         # Pool construction provisions every worker: launch, attest,
         # license exchange — all of it lands in the trace.
-        service = ServingService(
-            platform, vendor,
-            ServeConfig(max_batch=max_batch, num_workers=num_workers))
-        loop = ServingLoop(service)
-        handles = [service.open_session() for _ in range(num_sessions)]
+        _, service, loop, handles = serving_stack(
+            platform, model,
+            ServeConfig(max_batch=max_batch, num_workers=num_workers),
+            [Priority.INTERACTIVE] * num_sessions)
         spec = service.fingerprint_shape
         rng = np.random.default_rng(seed)
         fingerprints = rng.integers(

@@ -154,16 +154,17 @@ def emit_sealed(slot: np.ndarray, session_id: int, request_seq: int,
     return total
 
 
-def open_in_place(frame: np.ndarray) -> tuple[int, int, np.ndarray, bytes]:
+def open_in_place(
+        frame: np.ndarray) -> tuple[int, int, np.ndarray, bytes] | None:
     """Parse a peeked frame: (session_id, request_seq, sealed payload,
-    tag).
+    tag), or ``None`` for a runt frame shorter than header + tag.
 
     The returned payload still aliases ring memory: the caller copies
     the ciphertext out before releasing the slot, verifies the tag over
     the copy, and XOR-opens the copy only once it verifies.
     """
     if frame.size < HEADER.size + TAG_BYTES:
-        raise ServeError("runt serving frame")
+        return None
     session_id, request_seq = HEADER.unpack(bytes(frame[:HEADER.size]))
     return (session_id, request_seq,
             frame[HEADER.size:frame.size - TAG_BYTES],

@@ -175,12 +175,12 @@ class ServingStats:
 class ServingService:
     """Multi-session serving over one worker pool and one ring pair."""
 
-    def __init__(self, platform, vendor, config: ServeConfig | None = None,
-                 pool: EnclaveWorkerPool | None = None) -> None:
+    def __init__(self, platform, vendor,
+                 config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         self.platform = platform
         self.clock = platform.soc.clock
-        self.pool = pool or EnclaveWorkerPool(
+        self.pool = EnclaveWorkerPool(
             platform, vendor, num_workers=self.config.num_workers)
 
         app = self.pool.workers[0].session.app
@@ -391,21 +391,23 @@ class ServingService:
         """Drain ``ring``; return the frames that verify, XOR-opened
         under ``cache``, as (session_id, seq, payload) in ring order.
 
-        Every frame is copied out and its slot released first.  A frame
-        for a session ``lane`` (session id -> (lane key, tagger)) does
-        not know — closed mid-flight, or a header corrupted in the
-        OS-relayed ring — counts in ``frames_dropped``, so a dead frame
-        never wedges the ring.  Then one :func:`~repro.serve.frames
-        .frame_tags` sweep verifies the rest; a failure counts in
-        ``auth_failures`` and drops that frame, never the session.
+        Every frame is copied out and its slot released first.  A runt
+        frame, or one for a session ``lane`` (session id -> (lane key,
+        tagger)) does not know — closed mid-flight, or a header cut or
+        corrupted in the OS-relayed ring — counts in ``frames_dropped``,
+        so a dead frame never wedges the ring.  Then one
+        :func:`~repro.serve.frames.frame_tags` sweep verifies the rest;
+        a failure counts in ``auth_failures`` and drops that frame,
+        never the session.
         """
         rows, ciphertexts, tags = [], [], []
         while (frame := ring.try_peek()) is not None:
-            session_id, seq, sealed, tag = open_in_place(frame)
-            keys = lane(session_id)
+            parsed = open_in_place(frame)
+            keys = None if parsed is None else lane(parsed[0])
             if keys is None:
                 self._frames_dropped += 1
             else:
+                session_id, seq, sealed, tag = parsed
                 rows.append((session_id, seq, *keys))
                 ciphertexts.append(sealed.tobytes())
                 tags.append(tag)

@@ -8,6 +8,9 @@ import pathlib
 
 import numpy as np
 
+from repro.core.parties import Vendor
+from repro.eval.bench import KEY_BITS, serving_stack
+from repro.serve import Priority, SequentialBaseline, ServeConfig
 from repro.tflm.model import Model, ModelMetadata
 from repro.tflm.ops.conv import Conv2D
 from repro.tflm.ops.fully_connected import FullyConnected
@@ -18,10 +21,11 @@ from repro.tflm.ops.softmax import (
 )
 from repro.tflm.quantize import choose_weight_qparams
 from repro.tflm.tensor import QuantParams, TensorSpec
+from repro.trustzone.worlds import make_platform
 
 __all__ = ["build_tiny_int8_model", "build_float_mlp",
            "transcript_digests", "pinned_transcript_digests",
-           "serving_testbed", "sequential_testbed"]
+           "tiny_stack", "serving_testbed", "sequential_testbed"]
 
 # SHA-256 of each chaos layer's per-seed transcripts, as produced by
 # the module fixtures of tests/test_chaos_{e2e,serve,fleet}.py.
@@ -112,15 +116,15 @@ def pinned_transcript_digests(layer: str) -> dict[str, str]:
     return json.loads(CHAOS_DIGESTS.read_text())[layer]
 
 
-def _serving_inputs(model, seed: bytes, requests: int):
-    from repro.core.parties import Vendor
-    from repro.eval.bench import KEY_BITS
-    from repro.trustzone.worlds import make_platform
-
-    fingerprints = np.random.default_rng(7).integers(
-        0, 256, size=(requests, 49, 43), dtype=np.uint8)
-    return (make_platform(seed=seed, key_bits=KEY_BITS),
-            Vendor("ml-vendor", model, key_bits=KEY_BITS), fingerprints)
+def tiny_stack(*priorities, seed=b"serve-test", loop_options=None,
+               **config):
+    """:func:`~repro.eval.bench.serving_stack` over the tiny model on a
+    fresh platform, with two workers unless ``config`` (the
+    :class:`~repro.serve.ServeConfig` fields) says otherwise."""
+    config.setdefault("num_workers", 2)
+    return serving_stack(make_platform(seed=seed, key_bits=KEY_BITS),
+                         build_tiny_int8_model(), ServeConfig(**config),
+                         priorities, **(loop_options or {}))
 
 
 def serving_testbed(model, seed: bytes, batch: int, requests: int):
@@ -132,13 +136,12 @@ def serving_testbed(model, seed: bytes, batch: int, requests: int):
     Returns ``(service, drive)``; each ``drive()`` runs the pass again
     on the same sessions.
     """
-    from repro.serve import ServeConfig, ServingLoop, ServingService
-
-    platform, vendor, fingerprints = _serving_inputs(model, seed, requests)
-    service = ServingService(platform, vendor,
-                             ServeConfig(max_batch=batch, num_workers=2))
-    loop = ServingLoop(service, adaptive=False)
-    handles = [service.open_session() for _ in range(3)]
+    fingerprints = np.random.default_rng(7).integers(
+        0, 256, size=(requests, 49, 43), dtype=np.uint8)
+    _, service, loop, handles = serving_stack(
+        make_platform(seed=seed, key_bits=KEY_BITS), model,
+        ServeConfig(max_batch=batch, num_workers=2),
+        [Priority.INTERACTIVE] * 3, adaptive=False)
 
     def drive() -> None:
         for start in range(0, requests, batch):
@@ -158,10 +161,11 @@ def sequential_testbed(model, seed: bytes, requests: int):
 
     Returns ``(baseline, drive)``.
     """
-    from repro.serve import SequentialBaseline
-
-    platform, vendor, fingerprints = _serving_inputs(model, seed, requests)
-    baseline = SequentialBaseline(platform, vendor)
+    fingerprints = np.random.default_rng(7).integers(
+        0, 256, size=(requests, 49, 43), dtype=np.uint8)
+    baseline = SequentialBaseline(
+        make_platform(seed=seed, key_bits=KEY_BITS),
+        Vendor("ml-vendor", model, key_bits=KEY_BITS))
 
     def drive() -> None:
         for fingerprint in fingerprints:

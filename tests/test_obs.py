@@ -14,8 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.parties import Vendor
 from repro.errors import ObsError, ReproError
+from repro.eval.bench import KEY_BITS, serving_stack
 from repro.hw.timing import VirtualClock
 from repro.obs import (
     MetricsRegistry,
@@ -29,15 +29,13 @@ from repro.obs import (
     to_chrome_trace,
     to_prometheus,
 )
-from repro.serve import Priority, ServeConfig, ServingLoop, ServingService
+from repro.serve import Priority, ServeConfig
 from repro.tflm.serialize import serialize_model
 from repro.trustzone.worlds import make_platform
 
-from .helpers import build_tiny_int8_model
+from .helpers import build_tiny_int8_model, tiny_stack
 
 pytestmark = pytest.mark.obs
-
-KEY_BITS = 768
 
 
 @pytest.fixture(autouse=True)
@@ -284,13 +282,8 @@ def test_hooks_uninstall_on_exception():
 def test_serving_untouched_with_telemetry_disabled():
     """With no bundle installed the instrumented stack records nothing
     anywhere — there is no registry or tracer to even allocate into."""
-    model = build_tiny_int8_model()
-    platform = make_platform(seed=b"obs-off", key_bits=KEY_BITS)
-    vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
-    service = ServingService(platform, vendor,
-                             ServeConfig(max_batch=2, num_workers=1))
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(
+        Priority.INTERACTIVE, seed=b"obs-off", max_batch=2, num_workers=1)
     rng = np.random.default_rng(3)
     for fingerprint in rng.integers(0, 256, size=(2, 8, 6), dtype=np.uint8):
         service.submit(handle, fingerprint)
@@ -308,12 +301,10 @@ def serve_traced(telemetry, requests=4, max_batch=2, num_workers=1,
     model = build_tiny_int8_model()
     platform = make_platform(seed=b"obs-serve", key_bits=KEY_BITS)
     with hooks.installed(telemetry):
-        vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
-        service = ServingService(
-            platform, vendor,
-            ServeConfig(max_batch=max_batch, num_workers=num_workers))
-        loop = ServingLoop(service)
-        handle = service.open_session()
+        _, service, loop, (handle,) = serving_stack(
+            platform, model,
+            ServeConfig(max_batch=max_batch, num_workers=num_workers),
+            [Priority.INTERACTIVE])
         rng = np.random.default_rng(seed)
         shape = (requests,) + service.fingerprint_shape
         for index, fingerprint in enumerate(
@@ -329,15 +320,12 @@ def serve_traced(telemetry, requests=4, max_batch=2, num_workers=1,
     return stats, secrets
 
 
-def serving_stack(telemetry, seed, **config):
-    """A one-worker service and loop built under ``telemetry``."""
-    model = build_tiny_int8_model()
-    platform = make_platform(seed=seed, key_bits=KEY_BITS)
+def traced_stack(telemetry, seed, priorities, **config):
+    """A one-worker :func:`~.helpers.tiny_stack` with a fixed batch
+    target, its pool and sessions built under ``telemetry``."""
     with hooks.installed(telemetry):
-        vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
-        service = ServingService(platform, vendor,
-                                 ServeConfig(num_workers=1, **config))
-    return service, ServingLoop(service, adaptive=False)
+        return tiny_stack(*priorities, seed=seed, num_workers=1,
+                          loop_options={"adaptive": False}, **config)
 
 
 def test_response_drops_are_labelled_by_reason():
@@ -346,12 +334,11 @@ def test_response_drops_are_labelled_by_reason():
     from repro import faults
 
     telemetry = make_telemetry()
-    service, loop = serving_stack(telemetry, b"obs-drops", max_batch=4)
+    _, service, loop, (doomed, live) = traced_stack(
+        telemetry, b"obs-drops", [Priority.INTERACTIVE] * 2, max_batch=4)
     fingerprints = np.random.default_rng(5).integers(
         0, 256, size=(3, 8, 6), dtype=np.uint8)
     with hooks.installed(telemetry):
-        doomed = service.open_session()
-        live = service.open_session()
         service.submit(doomed, fingerprints[0])
         service.submit(live, fingerprints[1])
         loop.tick()                  # both wait in the class queue
@@ -377,12 +364,11 @@ def test_latency_histogram_is_labelled_by_priority_class():
     """Latency labels are bounded by the two priority classes, not one
     label set per session."""
     telemetry = make_telemetry()
-    service, loop = serving_stack(telemetry, b"obs-latency")
+    _, service, loop, handles = traced_stack(
+        telemetry, b"obs-latency", [Priority(index % 2) for index in range(8)])
     fingerprints = np.random.default_rng(6).integers(
         0, 256, size=(8, 8, 6), dtype=np.uint8)
     with hooks.installed(telemetry):
-        handles = [service.open_session(priority=Priority(index % 2))
-                   for index in range(8)]
         for handle, fingerprint in zip(handles, fingerprints):
             service.submit(handle, fingerprint)
         loop.run_until_idle(force=True)
@@ -578,9 +564,9 @@ def test_collected_values_and_labels_pass_the_same_gates():
 
 def test_closing_a_session_twice_counts_one_close():
     telemetry = make_telemetry()
-    service, loop = serving_stack(telemetry, b"obs-close")
+    _, service, loop, (handle,) = traced_stack(
+        telemetry, b"obs-close", [Priority.INTERACTIVE])
     with hooks.installed(telemetry):
-        handle = service.open_session()
         loop.tick()
         service.close_session(handle)
         service.close_session(handle)
@@ -593,11 +579,11 @@ def test_closing_a_session_twice_counts_one_close():
 
 def test_queue_gauges_read_live_loop_state_after_drain():
     telemetry = make_telemetry()
-    service, loop = serving_stack(telemetry, b"obs-gauges")
+    _, service, loop, (handle,) = traced_stack(
+        telemetry, b"obs-gauges", [Priority.INTERACTIVE])
     fingerprints = np.random.default_rng(8).integers(
         0, 256, size=(3, 8, 6), dtype=np.uint8)
     with hooks.installed(telemetry):
-        handle = service.open_session()
         for fingerprint in fingerprints:
             service.submit(handle, fingerprint)
         loop.run_until_idle()

@@ -15,8 +15,10 @@ import pytest
 from repro import sanitizers as san
 from repro.errors import SanitizerViolation
 from repro.sanitizers import hooks
+from repro.serve import Priority
 
 from .conftest import TEST_KEY_BITS
+from .helpers import tiny_stack
 
 
 # --- SecretSanitizer units ---------------------------------------------
@@ -155,6 +157,34 @@ def test_marker_skips_low_entropy_leading_run():
         secrets.check_teardown(surfaces=[("copy", tail)])
 
 
+def _marker_by_loop(blob: bytes) -> bytes:
+    """The marker rule as the per-window loop it replaced."""
+    best = blob[:48]
+    for start in range(0, max(1, len(blob) - 48), 64):
+        if len(set(blob[start:start + 48])) > len(set(best)):
+            best = blob[start:start + 48]
+    return best
+
+
+@pytest.mark.parametrize("size", [0, 1, 47, 48, 49, 111, 112, 113, 176,
+                                  177, 2107, 4096, 65536])
+def test_marker_matches_the_per_window_loop(size):
+    """The one-pass window choice picks byte-identical markers on
+    random, zero-led, low-entropy, short and 64 KB buffers."""
+    from repro.sanitizers.secret import _marker
+
+    rng = np.random.default_rng(size)
+    diverse = rng.integers(0, 256, size, dtype=np.uint8)
+    buffers = [diverse,
+               np.concatenate([np.zeros(size // 2, np.uint8),
+                               diverse[size // 2:]]),
+               rng.integers(0, 3, size, dtype=np.uint8)]
+    for buffer in buffers:
+        want = _marker_by_loop(buffer.tobytes())
+        assert _marker(buffer) == want
+        assert _marker(bytearray(buffer.tobytes())) == want
+
+
 # --- RingSanitizer units -----------------------------------------------
 
 
@@ -247,19 +277,8 @@ def test_full_serving_run_under_sanitizers(sanitizers):
 def test_service_teardown_scrubs_sessions_left_open(sanitizers):
     """Sessions still open at teardown hold lane keys and keystream
     chunks; teardown must scrub them before its leak check runs."""
-    from repro.core.parties import Vendor
-    from repro.serve import ServeConfig, ServingLoop, ServingService
-    from repro.trustzone.worlds import make_platform
-
-    from .helpers import build_tiny_int8_model
-
-    model = build_tiny_int8_model()
-    service = ServingService(
-        make_platform(seed=b"teardown-open", key_bits=TEST_KEY_BITS),
-        Vendor("ml-vendor", model, key_bits=TEST_KEY_BITS),
-        ServeConfig(num_workers=1))
-    loop = ServingLoop(service)
-    handles = [service.open_session() for _ in range(2)]
+    _, service, loop, handles = tiny_stack(
+        *[Priority.INTERACTIVE] * 2, seed=b"teardown-open", num_workers=1)
     fingerprints = np.random.default_rng(0).integers(
         0, 256, size=(2, 8, 6), dtype=np.uint8)
     for handle, fingerprint in zip(handles, fingerprints):
@@ -274,20 +293,10 @@ def test_service_teardown_scrubs_frame_tag_mask_chunks(sanitizers):
     """A session driven past _MASK_CHUNK + 1 requests holds E_k(J0)
     mask chunks in the taggers on both sides of both lanes; teardown
     with the session still open must scrub every one of them."""
-    from repro.core.parties import Vendor
     from repro.crypto.modes import _MASK_CHUNK
-    from repro.serve import ServeConfig, ServingLoop, ServingService
-    from repro.trustzone.worlds import make_platform
 
-    from .helpers import build_tiny_int8_model
-
-    model = build_tiny_int8_model()
-    service = ServingService(
-        make_platform(seed=b"teardown-masks", key_bits=TEST_KEY_BITS),
-        Vendor("ml-vendor", model, key_bits=TEST_KEY_BITS),
-        ServeConfig(num_workers=1))
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(
+        Priority.INTERACTIVE, seed=b"teardown-masks", num_workers=1)
     fingerprints = np.random.default_rng(1).integers(
         0, 256, size=(_MASK_CHUNK + 2, 8, 6), dtype=np.uint8)
     for start in range(0, len(fingerprints), 16):

@@ -12,34 +12,24 @@ import pytest
 
 from repro.core.parties import Vendor
 from repro.errors import ServeError
+from repro.eval.bench import KEY_BITS
 from repro.hw.timing import VirtualClock
 from repro.sanctuary.lifecycle import EnclaveState
 from repro.serve import (
     BatchScheduler,
     EnclaveWorkerPool,
+    Priority,
     SequentialBaseline,
-    ServeConfig,
-    ServingLoop,
-    ServingService,
 )
 from repro.tflm.interpreter import Interpreter
 from repro.train.convert import fingerprint_to_int8
 from repro.trustzone.worlds import make_platform
 
-from .helpers import build_tiny_int8_model
+from .helpers import build_tiny_int8_model, tiny_stack
 
 pytestmark = pytest.mark.serve
 
-KEY_BITS = 768
-
-
-def make_stack(seed=b"serve-test", **config):
-    model = build_tiny_int8_model()
-    platform = make_platform(seed=seed, key_bits=KEY_BITS)
-    vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
-    config.setdefault("num_workers", 2)
-    service = ServingService(platform, vendor, ServeConfig(**config))
-    return platform, vendor, service, model
+INTERACTIVE, BATCH = Priority.INTERACTIVE, Priority.BATCH
 
 
 def tiny_fingerprints(count, seed=0):
@@ -47,8 +37,9 @@ def tiny_fingerprints(count, seed=0):
     return rng.integers(0, 256, size=(count, 8, 6), dtype=np.uint8)
 
 
-def expected_results(model, fingerprints):
-    interpreter = Interpreter(model)
+def expected_results(fingerprints):
+    """Direct classification by the tiny model."""
+    interpreter = Interpreter(build_tiny_int8_model())
     return [interpreter.classify(fingerprint_to_int8(fp))
             for fp in fingerprints]
 
@@ -193,7 +184,7 @@ def test_pool_sequential_fallback_without_big_cores():
     pool = EnclaveWorkerPool(platform, vendor, num_workers=2)
 
     fingerprints = tiny_fingerprints(2)
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
     for worker in pool.workers:  # both placements actually serve
         labels, scores = worker.run_batch(fingerprints)
         for row, (exp_label, exp_scores) in enumerate(expected):
@@ -223,14 +214,13 @@ def test_worker_fails_closed_on_internal_fault():
 # --- serving service -----------------------------------------------------
 
 def test_service_end_to_end_matches_direct_classify():
-    platform, vendor, service, model = make_stack(max_batch=4)
-    loop = ServingLoop(service)
+    vendor, service, loop, _ = tiny_stack(max_batch=4)
     provisioned = vendor.provisioned_count
     released = vendor.keys_released
 
     sessions = [service.open_session() for _ in range(2)]
     fingerprints = tiny_fingerprints(8, seed=3)
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
 
     sequences = []
     for index, fingerprint in enumerate(fingerprints):
@@ -263,13 +253,11 @@ def test_service_keystream_prefetch_is_transparent():
     classification, and each batch's response seals hit the chunk the
     prefetch warmed instead of generating keystream on demand."""
     fingerprints = tiny_fingerprints(6, seed=11)
-    _, _, service, model = make_stack(max_batch=3)
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=3)
     sequences = [service.submit(handle, fp) for fp in fingerprints]
     loop.run_until_idle(force=True)
     for seq, (exp_label, exp_scores) in zip(
-            sequences, expected_results(model, fingerprints)):
+            sequences, expected_results(fingerprints)):
         label, scores = handle.take_result(seq)
         assert label == exp_label
         assert np.array_equal(scores, exp_scores)
@@ -286,11 +274,9 @@ def test_service_keystream_prefetch_is_transparent():
 def test_service_drops_tampered_ingress_frame():
     """A frame corrupted in the OS-relayed ring fails the batched tag
     verify and is dropped; the rest of the batch still serves."""
-    platform, _, service, model = make_stack(max_batch=8)
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=8)
     fingerprints = tiny_fingerprints(5, seed=21)
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
     sequences = [service.submit(handle, fp) for fp in fingerprints]
     # Flip one ciphertext bit of the frame at the ring head, in place.
     victim = service._ingress_cons.try_peek()
@@ -311,9 +297,7 @@ def test_service_drops_tampered_ingress_frame():
 def test_service_drops_tampered_egress_response():
     """Tag tampering on the response ring is caught by the client mux:
     the response is dropped, the session survives."""
-    platform, _, service, model = make_stack(max_batch=2)
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=2)
     fingerprints = tiny_fingerprints(2, seed=22)
     sequences = [service.submit(handle, fp) for fp in fingerprints]
     execute_unpolled(service)
@@ -324,36 +308,34 @@ def test_service_drops_tampered_egress_response():
     with pytest.raises(ServeError):
         handle.take_result(sequences[0])
     label, scores = handle.take_result(sequences[1])
-    exp = expected_results(model, fingerprints)[1]
+    exp = expected_results(fingerprints)[1]
     assert label == exp[0] and np.array_equal(scores, exp[1])
     # The session keeps serving after the drop.
     label2, _ = serve_one(loop, handle, fingerprints[0])
-    assert label2 == expected_results(model, fingerprints)[0][0]
+    assert label2 == expected_results(fingerprints)[0][0]
     service.teardown()
 
 
 def test_service_deadline_flushes_partial_batch():
-    platform, _, service, model = make_stack(max_batch=8, deadline_ms=2.0)
     # Fixed batch size: the adaptive batcher would shrink the target to
     # 1 and run the lone request as a full batch at once.
-    loop = ServingLoop(service, adaptive=False)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(
+        INTERACTIVE, max_batch=8, deadline_ms=2.0,
+        loop_options={"adaptive": False})
     fingerprint = tiny_fingerprints(1)[0]
     seq = service.submit(handle, fingerprint)
     assert loop.tick() == 0  # below batch size, under deadline
-    platform.soc.clock.advance_ms(2.5)
+    service.clock.advance_ms(2.5)
     assert loop.tick() == 1  # deadline trigger, no force needed
     label, scores = handle.take_result(seq)
-    exp_label, exp_scores = expected_results(model, [fingerprint])[0]
+    exp_label, exp_scores = expected_results([fingerprint])[0]
     assert label == exp_label
     assert np.array_equal(scores, exp_scores)
     service.teardown()
 
 
 def test_service_sessions_have_isolated_keys():
-    _, _, service, _ = make_stack()
-    first = service.open_session()
-    second = service.open_session()
+    _, service, _, (first, second) = tiny_stack(INTERACTIVE, INTERACTIVE)
     assert first.session_id != second.session_id
     assert first.request_key != second.request_key
     assert first.response_key != second.response_key
@@ -364,10 +346,7 @@ def test_service_sessions_have_isolated_keys():
 def test_service_drops_frames_for_closed_session_without_wedging():
     """A dead frame at the ring head must not take the service down:
     it is dropped (slot released) and other sessions keep serving."""
-    _, _, service, model = make_stack()
-    loop = ServingLoop(service)
-    closed = service.open_session()
-    live = service.open_session()
+    _, service, loop, (closed, live) = tiny_stack(INTERACTIVE, INTERACTIVE)
     service.close_session(closed)
     service.submit(closed, tiny_fingerprints(1)[0])
     fingerprint = tiny_fingerprints(1, seed=5)[0]
@@ -375,7 +354,7 @@ def test_service_drops_frames_for_closed_session_without_wedging():
     assert loop.tick(force=True) == 1
     assert service.stats().frames_dropped == 1
     label, scores = live.take_result(seq)
-    exp_label, exp_scores = expected_results(model, [fingerprint])[0]
+    exp_label, exp_scores = expected_results([fingerprint])[0]
     assert label == exp_label
     assert np.array_equal(scores, exp_scores)
     service.teardown()
@@ -384,10 +363,9 @@ def test_service_drops_frames_for_closed_session_without_wedging():
 def test_service_drops_responses_for_sessions_closed_mid_flight():
     """Closing a session between ingest and batch execution drops only
     that session's response; the rest of the batch completes."""
-    _, _, service, model = make_stack(max_batch=4)
-    loop = ServingLoop(service, adaptive=False)
-    doomed = service.open_session()
-    live = service.open_session()
+    _, service, loop, (doomed, live) = tiny_stack(
+        INTERACTIVE, INTERACTIVE, max_batch=4,
+        loop_options={"adaptive": False})
     service.submit(doomed, tiny_fingerprints(1)[0])
     fingerprint = tiny_fingerprints(1, seed=7)[0]
     seq = service.submit(live, fingerprint)
@@ -396,7 +374,7 @@ def test_service_drops_responses_for_sessions_closed_mid_flight():
     assert loop.tick(force=True) == 1
     assert service.stats().responses_dropped == 1
     label, scores = live.take_result(seq)
-    exp_label, exp_scores = expected_results(model, [fingerprint])[0]
+    exp_label, exp_scores = expected_results([fingerprint])[0]
     assert label == exp_label
     assert np.array_equal(scores, exp_scores)
     service.teardown()
@@ -405,9 +383,8 @@ def test_service_drops_responses_for_sessions_closed_mid_flight():
 def test_service_open_session_refuses_beyond_capacity():
     """Capacity is an admission limit: the Nth+1 open_session is
     refused instead of silently evicting a live session's keys."""
-    _, _, service, _ = make_stack(session_capacity=2)
-    first = service.open_session()
-    service.open_session()
+    _, service, _, (first, _) = tiny_stack(INTERACTIVE, INTERACTIVE,
+                                           session_capacity=2)
     with pytest.raises(ServeError, match="session capacity"):
         service.open_session()
     service.close_session(first)
@@ -420,12 +397,11 @@ def test_service_egress_backpressure_never_drops_requests():
     """A batch whose responses do not fit the egress ring is deferred
     in its mailbox, not dropped; once the client mux drains the ring
     every queued request still completes."""
-    _, _, service, model = make_stack(ring_slots=8, max_batch=4,
-                                      deadline_ms=50.0)
-    loop = ServingLoop(service, adaptive=False)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(
+        INTERACTIVE, ring_slots=8, max_batch=4, deadline_ms=50.0,
+        loop_options={"adaptive": False})
     fingerprints = tiny_fingerprints(14, seed=13)
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
 
     first_wave = [service.submit(handle, fp) for fp in fingerprints[:7]]
     assert loop.tick() == 1               # one full batch, 3 left queued
@@ -446,8 +422,7 @@ def test_service_egress_backpressure_never_drops_requests():
 
 
 def test_service_skips_responses_of_sessions_closed_in_flight():
-    _, _, service, _ = make_stack()
-    handle = service.open_session()
+    _, service, _, (handle,) = tiny_stack(INTERACTIVE)
     service.submit(handle, tiny_fingerprints(1)[0])
     execute_unpolled(service)   # response is sitting in the egress ring
     service.close_session(handle)
@@ -457,8 +432,8 @@ def test_service_skips_responses_of_sessions_closed_in_flight():
 
 
 def test_service_ingress_ring_full_raises():
-    _, _, service, _ = make_stack(ring_slots=4, num_workers=1)
-    handle = service.open_session()
+    _, service, _, (handle,) = tiny_stack(INTERACTIVE, ring_slots=4,
+                                          num_workers=1)
     fingerprints = tiny_fingerprints(4)
     for fingerprint in fingerprints[:3]:  # capacity is ring_slots - 1
         service.submit(handle, fingerprint)
@@ -468,8 +443,7 @@ def test_service_ingress_ring_full_raises():
 
 
 def test_service_rejects_malformed_fingerprint():
-    _, _, service, _ = make_stack()
-    handle = service.open_session()
+    _, service, _, (handle,) = tiny_stack(INTERACTIVE)
     for bad in (np.zeros((5, 5), dtype=np.uint8), [1, 2, 3]):
         with pytest.raises(ServeError, match="fingerprint must be"):
             service.submit(handle, bad)
@@ -487,8 +461,7 @@ def test_submit_and_submit_many_write_identical_ingress_frames():
     fingerprints = tiny_fingerprints(17, seed=5)
     wires = []
     for batched in (False, True):
-        _, _, service, _ = make_stack()
-        handles = [service.open_session() for _ in range(2)]
+        _, service, _, handles = tiny_stack(INTERACTIVE, INTERACTIVE)
         pairs = [(handles[index % 2], fingerprint)
                  for index, fingerprint in enumerate(fingerprints)]
         if batched:
@@ -511,8 +484,7 @@ def test_open_session_rejects_unknown_priority():
     """An invalid priority is refused before anything is drawn, so the
     session table and the session-id sequence are untouched (the loop
     would otherwise fail on it only after draining the ingress ring)."""
-    _, _, service, _ = make_stack()
-    first = service.open_session()
+    _, service, _, (first,) = tiny_stack(INTERACTIVE)
     with pytest.raises(ServeError, match="priority"):
         service.open_session(priority=7)
     assert service.stats().open_sessions == 1
@@ -522,12 +494,10 @@ def test_open_session_rejects_unknown_priority():
 
 def test_serve_convenience_roundtrip():
     """One request driven to completion through the loop, batch of 1."""
-    _, _, service, model = make_stack(num_workers=1)
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, num_workers=1)
     fingerprint = tiny_fingerprints(1, seed=9)[0]
     label, scores = serve_one(loop, handle, fingerprint)
-    exp_label, exp_scores = expected_results(model, [fingerprint])[0]
+    exp_label, exp_scores = expected_results([fingerprint])[0]
     assert label == exp_label
     assert np.array_equal(scores, exp_scores)
     service.teardown()
@@ -536,9 +506,7 @@ def test_serve_convenience_roundtrip():
 def test_service_stats_is_a_frozen_snapshot():
     """stats() returns one immutable value object, not live references:
     serving more traffic must not mutate an already-taken snapshot."""
-    _, _, service, _ = make_stack(max_batch=2)
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=2)
     before = service.stats()
     assert before.requests_completed == 0
     assert before.open_sessions == 1
@@ -565,7 +533,7 @@ def test_sequential_baseline_matches_direct_classify():
     baseline = SequentialBaseline(platform, vendor)
 
     fingerprints = tiny_fingerprints(3, seed=11)
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
     for fingerprint, (exp_label, exp_scores) in zip(fingerprints, expected):
         label, scores = baseline.request(fingerprint)
         assert label == exp_label

@@ -14,9 +14,11 @@ import pytest
 from repro import faults
 from repro.errors import ServeError
 from repro.sanctuary.lifecycle import EnclaveState
-from repro.serve import Rejected, ServingLoop, Shed
+from repro.serve import Rejected, Shed
+from repro.serve.frames import HEADER, TAG_BYTES
 
-from .test_serve import (expected_results, make_stack, serve_one,
+from .helpers import tiny_stack
+from .test_serve import (INTERACTIVE, expected_results, serve_one,
                          tiny_fingerprints)
 
 pytestmark = pytest.mark.serve
@@ -31,9 +33,7 @@ def drive(loop, rounds=6, force=True):
 # --- frame corruption: tamper-drop, accounted, never wedged --------------
 
 def test_ingress_bit_flip_drops_and_accounts():
-    platform, vendor, service, model = make_stack()
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE)
     fingerprints = tiny_fingerprints(3)
     plan = faults.FaultPlan(seed=3, rules=[
         faults.corrupt_nth_ring_frame(2, "ingress")])
@@ -52,14 +52,12 @@ def test_ingress_bit_flip_drops_and_accounts():
     seq2 = service.submit(handle, fingerprints[index])
     drive(loop)
     label, _ = handle.take_result(seq2)
-    assert label == expected_results(model, fingerprints)[index][0]
+    assert label == expected_results(fingerprints)[index][0]
     service.teardown()
 
 
 def test_egress_bit_flip_drops_and_accounts():
-    platform, vendor, service, model = make_stack()
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE)
     fingerprints = tiny_fingerprints(3)
     plan = faults.FaultPlan(seed=9, rules=[
         faults.corrupt_nth_ring_frame(2, "egress")])
@@ -78,11 +76,9 @@ def test_egress_bit_flip_drops_and_accounts():
 def test_corrupted_frames_never_complete_with_wrong_payload():
     """Tamper-drop, not tamper-accept: a flipped frame must never be
     delivered as a (wrong) result."""
-    platform, vendor, service, model = make_stack()
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE)
     fingerprints = tiny_fingerprints(4)
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
     plan = faults.FaultPlan(seed=21, rules=[
         faults.corrupt_nth_ring_frame(1, "ingress"),
         faults.corrupt_nth_ring_frame(3, "egress")])
@@ -96,11 +92,40 @@ def test_corrupted_frames_never_complete_with_wrong_payload():
     service.teardown()
 
 
+@pytest.mark.parametrize("length", range(HEADER.size + TAG_BYTES))
+def test_runt_ingress_frame_drops_and_accounts(length):
+    """The OS relay cuts an accepted request frame below header + tag
+    mid-drive: the frame counts in frames_dropped and its slot is
+    released, every later request is served, and the exactly-once
+    ledger balances."""
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False)
+    fingerprints = tiny_fingerprints(8, seed=17)
+    ring = service._ingress_prod
+    seqs = []
+    for index, fingerprint in enumerate(fingerprints):
+        seqs.append(service.submit(handle, fingerprint))
+        if index == 3:   # rewrite the frame's length prefix in the ring
+            last = (int(ring._ctrl[1]) - 1) % ring.num_slots
+            ring._slot(last)[:4].view(np.uint32)[0] = length
+        drive(loop, rounds=1)
+    drive(loop)
+    stats = service.stats()
+    assert stats.frames_dropped == 1
+    missing = set(seqs) - set(handle.results)
+    assert missing == {seqs[3]}
+    assert len(missing) == (stats.auth_failures + stats.frames_dropped
+                            + stats.responses_dropped
+                            + stats.admission_shed)
+    for seq, want in zip(seqs[4:], expected_results(fingerprints[4:])):
+        label, _ = handle.take_result(seq)
+        assert label == want[0]
+    service.teardown()
+
+
 # --- ring stalls: typed shed in graceful mode, raise in strict -----------
 
 def test_ring_stall_raises_in_strict_mode():
-    platform, vendor, service, model = make_stack()
-    handle = service.open_session()
+    _, service, _, (handle,) = tiny_stack(INTERACTIVE)
     plan = faults.FaultPlan(seed=5, rules=[
         faults.stall_nth_ring_reserve(1)])
     with faults.installed(plan):
@@ -110,9 +135,7 @@ def test_ring_stall_raises_in_strict_mode():
 
 
 def test_ring_stall_sheds_then_retry_succeeds_in_graceful_mode():
-    platform, vendor, service, model = make_stack(strict=False)
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False)
     fingerprint = tiny_fingerprints(1)[0]
     plan = faults.FaultPlan(seed=5, rules=[
         faults.stall_nth_ring_reserve(1, span=2)])
@@ -128,15 +151,13 @@ def test_ring_stall_sheds_then_retry_succeeds_in_graceful_mode():
     # consumed none, so the one that landed holds seq 0.
     assert seqs == [0] and handle.next_seq == 1
     label, _ = handle.take_result(seqs[0])
-    assert label == expected_results(model, [fingerprint])[0][0]
+    assert label == expected_results([fingerprint])[0][0]
     service.teardown()
 
 
 def test_session_capacity_rejected_in_graceful_mode():
-    platform, vendor, service, model = make_stack(strict=False,
-                                                  session_capacity=1)
-    loop = ServingLoop(service)
-    first = service.open_session()
+    _, service, loop, (first,) = tiny_stack(INTERACTIVE, strict=False,
+                                            session_capacity=1)
     verdict = service.open_session()
     assert isinstance(verdict, Rejected)
     assert "session capacity" in verdict.reason
@@ -145,19 +166,18 @@ def test_session_capacity_rejected_in_graceful_mode():
     # The admitted session still serves.
     fingerprint = tiny_fingerprints(1)[0]
     label, _ = serve_one(loop, first, fingerprint)
-    assert label == expected_results(model, [fingerprint])[0][0]
+    assert label == expected_results([fingerprint])[0][0]
     service.teardown()
 
 
 # --- deadline skew: the watchdog rescues stuck batches -------------------
 
 def test_scheduler_skew_delays_but_watchdog_flushes():
-    platform, vendor, service, model = make_stack(
-        deadline_ms=2.0, watchdog_ms=6.0)
     # Fixed batch size: the adaptive batcher would shrink the target to
     # 1 and run the request as a full batch before the watchdog matters.
-    loop = ServingLoop(service, adaptive=False)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(
+        INTERACTIVE, deadline_ms=2.0, watchdog_ms=6.0,
+        loop_options={"adaptive": False})
     fingerprint = tiny_fingerprints(1)[0]
     plan = faults.FaultPlan(seed=2, rules=[
         faults.skew_nth_deadline(1, skew_ms=1000.0, span=64)])
@@ -171,18 +191,16 @@ def test_scheduler_skew_delays_but_watchdog_flushes():
     assert plan.transcript_lines()   # the skew rule actually fired
     assert service.stats().watchdog_flushes >= 1
     label, _ = handle.take_result(seq)
-    assert label == expected_results(model, [fingerprint])[0][0]
+    assert label == expected_results([fingerprint])[0][0]
     service.teardown()
 
 
 # --- keystream-cache drops are correctness-neutral -----------------------
 
 def test_keystream_chunk_drop_is_transparent():
-    platform, vendor, service, model = make_stack()
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE)
     fingerprints = tiny_fingerprints(4, seed=11)
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
     plan = faults.FaultPlan(seed=8, rules=[
         faults.drop_nth_keystream_chunk(2, max_fires=3)])
     with faults.installed(plan):
@@ -200,11 +218,9 @@ def test_keystream_chunk_drop_is_transparent():
 # --- worker panic: re-attested restart, batch requeued exactly once ------
 
 def test_worker_panic_recovers_and_requeues_exactly_once():
-    platform, vendor, service, model = make_stack()
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    vendor, service, loop, (handle,) = tiny_stack(INTERACTIVE)
     fingerprints = tiny_fingerprints(5, seed=3)
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
     before = [worker.session for worker in service.pool.workers]
     cores_before = [worker.core_id for worker in service.pool.workers]
     plan = faults.FaultPlan(seed=4, rules=[
@@ -238,9 +254,8 @@ def test_worker_panic_recovers_and_requeues_exactly_once():
 
 
 def test_worker_crash_loop_surfaces_typed_error():
-    platform, vendor, service, model = make_stack(max_worker_restarts=0)
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE,
+                                             max_worker_restarts=0)
     plan = faults.FaultPlan(seed=6, rules=[
         faults.panic_nth_worker_invoke(1)])
     with faults.installed(plan):
@@ -251,7 +266,7 @@ def test_worker_crash_loop_surfaces_typed_error():
 
 
 def test_pool_teardown_tolerates_panicked_worker():
-    platform, vendor, service, model = make_stack()
+    _, service, _, _ = tiny_stack()
     # Panic one worker directly (scrub + unlock) and never restart it;
     # teardown must skip it instead of raising on the torn-down enclave.
     service.pool.workers[0].session.instance.panic()

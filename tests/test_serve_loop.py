@@ -20,11 +20,12 @@ from repro.serve import (
     BatchScheduler,
     Mailbox,
     Priority,
-    ServingLoop,
     Shed,
 )
 
-from .test_serve import expected_results, make_stack, tiny_fingerprints
+from .helpers import tiny_stack
+from .test_serve import (BATCH, INTERACTIVE, expected_results,
+                         tiny_fingerprints)
 
 pytestmark = pytest.mark.serve
 
@@ -137,17 +138,15 @@ def test_admission_policy_validates_budgets():
 # --- loop end-to-end -----------------------------------------------------
 
 def test_loop_results_bit_exact_and_exactly_once():
-    platform, vendor, service, model = make_stack(strict=False)
-    loop = ServingLoop(service)
-    interactive = service.open_session(priority=Priority.INTERACTIVE)
-    batch_class = service.open_session(priority=Priority.BATCH)
+    _, service, loop, (interactive, batch_class) = tiny_stack(
+        INTERACTIVE, BATCH, strict=False)
     fingerprints = tiny_fingerprints(12)
     pairs = [((interactive, batch_class)[i % 2], fp)
              for i, fp in enumerate(fingerprints)]
     verdicts = service.submit_many(pairs)
     assert all(isinstance(v, int) for v in verdicts)
     loop.run_until_idle()
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
     for i, ((handle, _), seq) in enumerate(zip(pairs, verdicts)):
         label, scores = handle.take_result(seq)
         assert label == expected[i][0]
@@ -164,9 +163,8 @@ def test_loop_spreads_equal_batches_over_every_worker():
     """Least-loaded selection rotates its tie-break, so equal batches
     one tick apart alternate between the idle workers instead of all
     landing on mailbox 0."""
-    platform, vendor, service, model = make_stack(max_batch=2)
-    loop = ServingLoop(service, adaptive=False)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(
+        INTERACTIVE, max_batch=2, loop_options={"adaptive": False})
     fingerprints = tiny_fingerprints(8)
     for start in range(0, 8, 2):
         for fingerprint in fingerprints[start:start + 2]:
@@ -178,10 +176,8 @@ def test_loop_spreads_equal_batches_over_every_worker():
 
 
 def test_submit_many_sheds_past_ring_capacity_without_burning_seqs():
-    platform, vendor, service, model = make_stack(strict=False,
-                                                  ring_slots=8)
-    loop = ServingLoop(service)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False,
+                                             ring_slots=8)
     fingerprints = tiny_fingerprints(12)
     verdicts = service.submit_many([(handle, fp) for fp in fingerprints])
     accepted = [v for v in verdicts if isinstance(v, int)]
@@ -203,9 +199,7 @@ def test_submit_many_sheds_past_ring_capacity_without_burning_seqs():
 
 
 def test_submit_many_strict_mode_raises_when_full():
-    platform, vendor, service, model = make_stack(ring_slots=4)
-    service.open_session()
-    handle = service._handles[0]
+    _, service, _, (handle,) = tiny_stack(INTERACTIVE, ring_slots=4)
     with pytest.raises(ServeError, match="ingress ring full"):
         service.submit_many([(handle, fp)
                              for fp in tiny_fingerprints(6)])
@@ -215,10 +209,9 @@ def test_submit_many_strict_mode_raises_when_full():
 def test_admission_budget_drops_are_in_the_ledger():
     """A post-accept admission drop consumes the seq: it must show up
     as admission_shed, and the ledger must balance exactly."""
-    platform, vendor, service, model = make_stack(strict=False,
-                                                  max_batch=4)
-    loop = ServingLoop(service, policy=AdmissionPolicy(batch_budget=4))
-    handle = service.open_session(priority=Priority.BATCH)
+    _, service, loop, (handle,) = tiny_stack(
+        BATCH, strict=False, max_batch=4,
+        loop_options={"policy": AdmissionPolicy(batch_budget=4)})
     fingerprints = tiny_fingerprints(16)
     verdicts = service.submit_many([(handle, fp) for fp in fingerprints])
     accepted = [v for v in verdicts if isinstance(v, int)]
@@ -236,9 +229,7 @@ def test_admission_budget_drops_are_in_the_ledger():
 
 
 def test_loop_recovers_worker_panic_with_class_requeue():
-    platform, vendor, service, model = make_stack(strict=False)
-    loop = ServingLoop(service)
-    handle = service.open_session(priority=Priority.INTERACTIVE)
+    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False)
     fingerprints = tiny_fingerprints(6)
     plan = faults.FaultPlan(seed=5, rules=[
         faults.panic_nth_worker_invoke(1)])
@@ -252,7 +243,7 @@ def test_loop_recovers_worker_panic_with_class_requeue():
     assert stats.batches_requeued == 1
     # Exactly once: every accepted request delivered exactly one result.
     assert sorted(handle.results) == sorted(verdicts)
-    expected = expected_results(model, fingerprints)
+    expected = expected_results(fingerprints)
     for i, seq in enumerate(verdicts):
         label, _ = handle.take_result(seq)
         assert label == expected[i][0]
@@ -260,15 +251,12 @@ def test_loop_recovers_worker_panic_with_class_requeue():
 
 
 def test_loop_watchdog_rescues_skewed_deadline():
-    platform, vendor, service, model = make_stack(strict=False,
-                                                  max_batch=8,
-                                                  deadline_ms=2.0,
-                                                  watchdog_ms=10.0)
     # Fixed batch size: otherwise the adaptive batcher shrinks the
     # target to 1 and the request dispatches as a full batch before the
     # watchdog is ever consulted.
-    loop = ServingLoop(service, adaptive=False)
-    handle = service.open_session()
+    _, service, loop, (handle,) = tiny_stack(
+        INTERACTIVE, strict=False, max_batch=8, deadline_ms=2.0,
+        watchdog_ms=10.0, loop_options={"adaptive": False})
     seq = service.submit(handle, tiny_fingerprints(1)[0])
     plan = faults.FaultPlan(seed=9, rules=[
         faults.skew_nth_deadline(1, skew_ms=1000.0, span=50)])
@@ -284,13 +272,9 @@ def test_loop_watchdog_rescues_skewed_deadline():
 def test_interactive_p99_bounded_while_batch_class_saturated():
     """The inversion regression: a saturated batch class may not push
     interactive latency past a small multiple of the batch period."""
-    platform, vendor, service, model = make_stack(strict=False,
-                                                  max_batch=4,
-                                                  ring_slots=64,
-                                                  session_capacity=8)
-    loop = ServingLoop(service, adaptive=False)
-    interactive = service.open_session(priority=Priority.INTERACTIVE)
-    batch_class = service.open_session(priority=Priority.BATCH)
+    _, service, loop, (interactive, batch_class) = tiny_stack(
+        INTERACTIVE, BATCH, strict=False, max_batch=4, ring_slots=64,
+        session_capacity=8, loop_options={"adaptive": False})
     fingerprints = tiny_fingerprints(64)
     interactive_latencies = []
     batch_backlog_seen = 0
@@ -339,15 +323,10 @@ def test_soak_exactly_once_ledger_under_shed_requeue_watchdog():
     skew firing: every accepted seq ends as exactly one delivered
     response or exactly one counted loss — across shed retries, class
     requeues, and watchdog flushes on the async core."""
-    platform, vendor, service, model = make_stack(
-        strict=False, max_batch=4, ring_slots=8, deadline_ms=2.0,
-        watchdog_ms=8.0, session_capacity=4)
-    loop = ServingLoop(service, tick_ms=0.5)
-    handles = [
-        service.open_session(priority=Priority.INTERACTIVE),
-        service.open_session(priority=Priority.BATCH),
-        service.open_session(priority=Priority.BATCH),
-    ]
+    _, service, loop, handles = tiny_stack(
+        INTERACTIVE, BATCH, BATCH, strict=False, max_batch=4, ring_slots=8,
+        deadline_ms=2.0, watchdog_ms=8.0, session_capacity=4,
+        loop_options={"tick_ms": 0.5})
     fingerprints = tiny_fingerprints(96, seed=3)
     plan = faults.FaultPlan(seed=41, rules=[
         faults.panic_nth_worker_invoke(3),
@@ -390,9 +369,7 @@ def test_soak_exactly_once_ledger_under_shed_requeue_watchdog():
 
 
 def test_stats_fold_loop_queue_counters():
-    platform, vendor, service, model = make_stack(strict=False)
-    loop = ServingLoop(service)
-    handle = service.open_session(priority=Priority.BATCH)
+    _, service, loop, (handle,) = tiny_stack(BATCH, strict=False)
     service.submit_many([(handle, fp) for fp in tiny_fingerprints(8)])
     loop.run_until_idle()
     stats = service.stats()
