@@ -119,9 +119,8 @@ PUBLIC_ATTRIBUTES = frozenset({
     # geometry / sizes
     "dtype", "nbytes", "ndim", "num_bits", "shape", "size",
     # identifiers and classification output (the system's public API
-    # surface: recognized label + timing the caller observes anyway; a
-    # session id is every serving frame's plaintext routing header)
-    "inference_ms", "label", "metadata", "name", "session_id",
+    # surface: recognized label + timing the caller observes anyway)
+    "inference_ms", "label", "metadata", "name",
     # observability aggregates, secret-safe by the obs PR's contract
     "batches", "clock", "deadline_flushes", "p50_ms", "p95_ms",
     "requests_completed", "transcript",

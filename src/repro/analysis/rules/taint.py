@@ -68,11 +68,13 @@ class TaintSummary:
     """What a function does with secrets, in terms of its parameters.
 
     ``returns`` holds the labels that can reach the return value
-    (``<secret>`` and/or own parameter names); ``param_sinks`` maps a
-    parameter to a description of the leak sink it reaches inside the
-    function (possibly through further calls)."""
+    (``<secret>`` and/or own parameter names), ``elements`` the same
+    per position when every ``return`` is one length of tuple display;
+    ``param_sinks`` maps a parameter to a description of the leak sink
+    it reaches inside the function (possibly through further calls)."""
 
     returns: frozenset = _EMPTY
+    elements: tuple = ()     # per-position label sets, or () if unknown
     param_sinks: tuple = ()  # sorted ((param, sink description), ...)
 
     def sinks(self) -> dict[str, str]:
@@ -158,12 +160,16 @@ class _LabelScope:
             names = set(target_names(target))
             if not names:
                 continue
-            labels = self.labels_of(value)
-            for name in names:
-                merged = self.env.get(name, _EMPTY) | labels
-                if merged != self.env.get(name, _EMPTY):
-                    self.env[name] = merged
-                    changed = True
+            elements = (self._unpacked_call(target, value)
+                        if isinstance(node, ast.Assign) else None)
+            for part, labels in (
+                    [(target, self.labels_of(value))] if elements is None
+                    else zip(target.elts, elements)):
+                for name in target_names(part):
+                    merged = self.env.get(name, _EMPTY) | labels
+                    if merged != self.env.get(name, _EMPTY):
+                        self.env[name] = merged
+                        changed = True
             if (isinstance(value, ast.Call)
                     and call_tail(value.func) == "open"
                     and not names <= self.file_handles):
@@ -245,12 +251,27 @@ class _LabelScope:
                 out |= self._conservative_call(node)
                 continue
             summary = self.summaries.get(info.qualname, _EMPTY_SUMMARY)
-            for label in summary.returns:
-                if label == SECRET:
-                    out.add(SECRET)
-                else:
-                    out |= binding.get(label, _EMPTY)
+            out |= _through(summary.returns, binding)
         return frozenset(out)
+
+    def _unpacked_call(self, target: ast.expr, value) -> list | None:
+        """Per-target labels of ``a, b = f(...)`` when every callee
+        resolved for ``f`` has ``elements`` of that length, else None."""
+        if (not isinstance(target, (ast.Tuple, ast.List))
+                or not isinstance(value, ast.Call)
+                or call_tail(value.func) in self.config.declassifiers
+                or call_tail(value.func) in self.config.secret_calls):
+            return None
+        callees = self._resolve(value)
+        out = [set() for _ in target.elts]
+        for info in callees:
+            binding = self._bind(value, info)
+            summary = self.summaries.get(info.qualname, _EMPTY_SUMMARY)
+            if binding is None or len(summary.elements) != len(out):
+                return None
+            for labels, element in zip(out, summary.elements):
+                labels |= _through(element, binding)
+        return out if callees else None
 
     def _conservative_call(self, node: ast.Call) -> frozenset:
         out: set = set()
@@ -446,10 +467,16 @@ def _summarize(info: FunctionInfo, index: ProjectIndex,
     scope = _LabelScope(info.module, info.nodes, seed, config, index=index,
                         summaries=summaries, class_name=info.class_name)
     scope.solve()
-    returns: set = set()
-    for node in info.nodes:
-        if isinstance(node, ast.Return) and node.value is not None:
-            returns |= scope.labels_of(node.value)
+    returned = [node.value for node in info.nodes
+                if isinstance(node, ast.Return) and node.value is not None]
+    returns = frozenset().union(*map(scope.labels_of, returned))
+    lengths = {len(value.elts) if isinstance(value, ast.Tuple) and not any(
+        isinstance(elt, ast.Starred) for elt in value.elts) else -1
+        for value in returned}
+    elements = tuple(
+        frozenset().union(*(scope.labels_of(value.elts[position])
+                            for value in returned))
+        for position in range(max(lengths) if len(lengths) == 1 else 0))
     # ``self``/``cls`` never count as forwarded sinks: a method that
     # interpolates its *own* attributes into an error message is
     # describing its configuration, not leaking the caller's argument.
@@ -458,8 +485,20 @@ def _summarize(info: FunctionInfo, index: ProjectIndex,
     for hit in scope.sink_hits():
         for param in sorted(hit.labels & param_set):
             sinks.setdefault(param, hit.description)
-    return TaintSummary(returns=frozenset(returns),
+    return TaintSummary(returns=returns, elements=elements,
                         param_sinks=tuple(sorted(sinks.items())))
+
+
+def _through(labels: frozenset, binding: dict[str, frozenset]) -> set:
+    """Callee summary ``labels`` in the caller's terms: ``<secret>``
+    stays, a parameter name becomes its argument's labels."""
+    out: set = set()
+    for label in labels:
+        if label == SECRET:
+            out.add(SECRET)
+        else:
+            out |= binding.get(label, _EMPTY)
+    return out
 
 
 def compute_summaries(index: ProjectIndex, config: AnalysisConfig

@@ -76,11 +76,6 @@ class StepTimeouts:
     def budget_for(self, number: int) -> float | None:
         return self.budgets_ms.get(number, self.default_ms)
 
-    def deadline_for(self, number: int, start_ms: float) -> float | None:
-        """Absolute deadline for a step starting at ``start_ms``."""
-        budget = self.budget_for(number)
-        return None if budget is None else start_ms + budget
-
     def check(self, number: int, start_ms: float, end_ms: float) -> None:
         budget = self.budget_for(number)
         if budget is not None and end_ms - start_ms > budget:

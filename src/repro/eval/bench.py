@@ -37,26 +37,23 @@ FLEET_P99_SLO_MS = 500.0
 
 
 def serving_stack(platform, model, config, priorities, **loop_options):
-    """The serving stack for ``model`` on a booted ``platform``:
-    ``(vendor, service, loop, handles)`` — a vendor, a
-    :class:`~repro.serve.ServingService` under ``config`` (its worker
-    pool is provisioned here), the :class:`~repro.serve.ServingLoop`
-    driving it (``loop_options`` are its keyword options) and one open
-    session per entry of ``priorities``.
-
-    Telemetry or sanitizers installed before the call see the pool's
-    provisioning.  ``service.teardown()`` undoes it all: it scrubs the
-    sessions still open and runs the leak sweep.
+    """``(service, loop, handles)`` for ``model`` on a booted
+    ``platform``: a :class:`~repro.serve.ServingService` under ``config``
+    (its vendor built and worker pool provisioned here, seen by any
+    telemetry or sanitizers already installed), the
+    :class:`~repro.serve.ServingLoop` driving it (``loop_options`` are
+    its keyword options) and one open session per ``priorities`` entry.
+    ``service.teardown()`` scrubs open sessions and runs the leak sweep.
     """
     from repro.core.parties import Vendor
     from repro.serve import ServingLoop, ServingService
 
-    vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
-    service = ServingService(platform, vendor, config)
+    service = ServingService(
+        platform, Vendor("ml-vendor", model, key_bits=KEY_BITS), config)
     loop = ServingLoop(service, **loop_options)
     handles = [service.open_session(priority=priority)
                for priority in priorities]
-    return vendor, service, loop, handles
+    return service, loop, handles
 
 
 def concurrency_testbed(model, sessions: int):
@@ -79,10 +76,9 @@ def concurrency_testbed(model, sessions: int):
     # Small keystream chunks keep the per-session cache working set
     # proportional to actual traffic (one request per session), not to
     # the 64 KiB default a 3-session service amortizes happily.
-    _, service, loop, handles = serving_stack(
+    service, loop, handles = serving_stack(
         make_platform(seed=b"bench-concurrency-%d" % sessions,
-                      key_bits=KEY_BITS),
-        model,
+                      key_bits=KEY_BITS), model,
         ServeConfig(max_batch=32, ring_slots=256, session_capacity=sessions,
                     keystream_chunk_bytes=4096, num_workers=2, strict=False),
         [Priority.INTERACTIVE if index < sessions // 2 else Priority.BATCH

@@ -111,6 +111,7 @@ class _ScheduleResult:
     error: str | None = None          # typed error class name, if any
     error_message: str = ""
     untyped: bool = False             # liveness violation: non-ReproError
+    sanitizer_stop: bool = False      # stopped by a SanitizerViolation
     rules: list[str] = field(default_factory=list)
     fault_lines: list[str] = field(default_factory=list)
     safety_violations: list[str] = field(default_factory=list)
@@ -118,10 +119,9 @@ class _ScheduleResult:
     @property
     def live(self) -> bool:
         """Liveness invariant: completed, or stopped by a typed error or
-        by a sanitizer finding (incomplete with no ``error``, unsafe)."""
-        if self.error is None:
-            return self.completed or not self.safe
-        return self.completed or not self.untyped
+        by a sanitizer finding."""
+        return (self.completed or self.sanitizer_stop
+                or (self.error is not None and not self.untyped))
 
     @property
     def safe(self) -> bool:
@@ -274,6 +274,7 @@ def _sanitized(result: _ScheduleResult):
         with _sanitizer_hooks.installed(bundle):
             yield bundle.secrets
     except SanitizerViolation as exc:
+        result.sanitizer_stop = True
         result.safety_violations.append(str(exc))
 
 
@@ -523,7 +524,7 @@ def run_serve_chaos_schedule(seed: int) -> ServeChaosResult:
     result = ServeChaosResult(seed=seed,
                               rules=[repr(rule) for rule in plan.rules])
     with _sanitized(result) as secrets:
-        _, service, loop, handles = serving_stack(
+        service, loop, handles = serving_stack(
             make_platform(key_bits=KEY_BITS), default_chaos_model(),
             ServeConfig(max_batch=4, deadline_ms=2.0, ring_slots=8,
                         num_workers=2, strict=False, watchdog_ms=12.0),
@@ -864,8 +865,9 @@ def main(argv=None) -> int:
             result = run_chaos_schedule(seed)
             extra = f"recoveries={result.recoveries}"
         status = ("ok" if result.completed
-                  else f"LIVENESS:{result.error}" if not result.live
-                  else f"typed:{result.error or 'SanitizerViolation'}")
+                  else "typed:SanitizerViolation" if result.sanitizer_stop
+                  else f"typed:{result.error}" if result.live
+                  else f"LIVENESS:{result.error}")
         print(f"seed {seed:4d}  {status:30s} faults={len(result.fault_lines)}"
               f" {extra} safe={result.safe}")
         results.append(result)

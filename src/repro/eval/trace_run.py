@@ -45,7 +45,7 @@ def run_traced_serving(requests: int = 12, max_batch: int = 4,
     with obs_hooks.installed(telemetry):
         # Pool construction provisions every worker: launch, attest,
         # license exchange — all of it lands in the trace.
-        _, service, loop, handles = serving_stack(
+        service, loop, handles = serving_stack(
             platform, model,
             ServeConfig(max_batch=max_batch, num_workers=num_workers),
             [Priority.INTERACTIVE] * num_sessions)

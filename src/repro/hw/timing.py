@@ -8,7 +8,7 @@ independent of the host machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["VirtualClock", "TimingProfile", "DEFAULT_PROFILE"]
 
@@ -51,12 +51,6 @@ class VirtualClock:
 
     def elapsed_since_ns(self, start_ns: int) -> int:
         return self._ns - start_ns
-
-    def now_cycles(self, freq_hz: float) -> int:
-        """Current time expressed as cycles of a ``freq_hz`` clock."""
-        if freq_hz <= 0:
-            raise ValueError("frequency must be positive")
-        return int(self._ns * freq_hz / 1e9)
 
 
 @dataclass(frozen=True)

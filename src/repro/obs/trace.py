@@ -138,10 +138,6 @@ class Span:
             raise ObsError("frequency must be positive")
         return int(self.duration_v_ns * freq / 1e9)
 
-    @property
-    def start_cycles(self) -> int:
-        return int(self.start_v_ns * self._tracer.freq_hz / 1e9)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "ended" if self.ended else "open"
         return (f"Span({self.name!r}, trace={self.trace_id}, "

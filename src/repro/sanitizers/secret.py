@@ -47,27 +47,24 @@ def _leaves(value):
 
 
 def _marker(leaf) -> bytes | None:
-    """The window (one every 64 bytes, starting below
-    ``len - _MARKER_LEN``) of a buffer-ish leaf with the most distinct
-    byte values, the first on a tie, or None for non-buffer values
-    (counters in composite entries).  A low-entropy window (a run of
-    zero bias bytes, say) would match scrubbed memory."""
+    """The window (one every 64 bytes) of a buffer-ish leaf with the
+    most distinct byte values, or None for non-buffer values (counters
+    in composite entries).  A low-entropy window (a run of zero bias
+    bytes, say) would match scrubbed memory."""
     if isinstance(leaf, np.ndarray):
         blob = leaf.tobytes()
     elif isinstance(leaf, (bytes, bytearray, memoryview)):
         blob = bytes(leaf)
     else:
         return None
-    if len(blob) <= _MARKER_LEN + 64:
-        return blob[:_MARKER_LEN]
-    # Every window at once: mark the byte values each one holds.
-    starts = range(0, len(blob) - _MARKER_LEN, 64)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.frombuffer(blob, np.uint8), _MARKER_LEN)[::64][:len(starts)]
-    present = np.zeros((len(starts), 256), bool)
-    present[np.arange(len(starts))[:, None], windows] = True
-    start = starts[int(present.sum(axis=1).argmax())]
-    return blob[start:start + _MARKER_LEN]
+    best = blob[:_MARKER_LEN]
+    best_score = len(set(best))
+    for start in range(0, max(1, len(blob) - _MARKER_LEN), 64):
+        window = blob[start:start + _MARKER_LEN]
+        score = len(set(window))
+        if score > best_score:
+            best, best_score = window, score
+    return best
 
 
 def _is_zeroed(leaf) -> bool:

@@ -661,34 +661,26 @@ class ServingService:
         self._loop = loop
 
     def stats(self) -> ServingStats:
-        """The structured health snapshot (see :class:`ServingStats`)."""
+        """The structured health snapshot (see :class:`ServingStats`),
+        read from the service and its attached loop."""
         percentiles = self.latency_percentiles()
-        batches = full_batches = deadline_flushes = queue_depth = 0
-        admission_shed = watchdog_flushes = 0
         loop = self._loop
-        if loop is not None:
-            for queue in loop.queues.values():
-                batches += queue.batches
-                full_batches += queue.full_batches
-                deadline_flushes += queue.deadline_flushes
-            queue_depth = loop.queue_depth() + loop.mailbox_depth()
-            admission_shed = sum(loop.admission.shed.values())
-            watchdog_flushes = loop.watchdog_flushes
+        queues = loop.queues.values()
         return ServingStats(
             requests_completed=self._requests_completed,
             frames_dropped=self._frames_dropped,
             responses_dropped=sum(self._responses_dropped.values()),
             auth_failures=self._auth_failures,
             requests_shed=self._requests_shed,
-            admission_shed=admission_shed,
-            batches=batches,
-            full_batches=full_batches,
-            deadline_flushes=deadline_flushes,
-            watchdog_flushes=watchdog_flushes,
+            admission_shed=sum(loop.admission.shed.values()),
+            batches=sum(queue.batches for queue in queues),
+            full_batches=sum(queue.full_batches for queue in queues),
+            deadline_flushes=sum(queue.deadline_flushes for queue in queues),
+            watchdog_flushes=loop.watchdog_flushes,
             workers_restarted=self.pool.restarts,
             batches_requeued=self._batches_requeued,
             open_sessions=len(self._handles),
-            queue_depth=queue_depth,
+            queue_depth=loop.queue_depth() + loop.mailbox_depth(),
             p50_ms=percentiles["p50_ms"],
             p95_ms=percentiles["p95_ms"],
             p99_ms=percentiles["p99_ms"],

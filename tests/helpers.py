@@ -138,7 +138,7 @@ def serving_testbed(model, seed: bytes, batch: int, requests: int):
     """
     fingerprints = np.random.default_rng(7).integers(
         0, 256, size=(requests, 49, 43), dtype=np.uint8)
-    _, service, loop, handles = serving_stack(
+    service, loop, handles = serving_stack(
         make_platform(seed=seed, key_bits=KEY_BITS), model,
         ServeConfig(max_batch=batch, num_workers=2),
         [Priority.INTERACTIVE] * 3, adaptive=False)

@@ -581,6 +581,30 @@ def test_taint_public_argument_through_same_helper_is_clean(fixture_tree):
     assert _run(path, rule="secret-taint").findings == []
 
 
+def test_taint_tuple_unpacking_labels_each_returned_element(fixture_tree):
+    """``a, b = f(key)`` labels each target by f's own returned tuple
+    element; a tuple f returns but does not display taints them all."""
+    path = fixture_tree("repro/core/unpack.py", """\
+        def build(secret, size):
+            return Holder(secret), [0] * size
+
+
+        def opaque(secret):
+            pair = (Holder(secret), [])
+            return pair
+
+
+        def handler(key: bytes, size: int):
+            holder, slots = build(key, size)
+            print(slots)
+            print(holder)
+            kept, rest = opaque(key)
+            print(rest)
+        """)
+    result = _run(path, rule="secret-taint")
+    assert sorted(f.line for f in result.findings) == [13, 15]
+
+
 def test_taint_redefined_nested_def_is_summarized(fixture_tree):
     """Two defs share the qualname ``outer.run``; only the second, the
     one calls resolve to, forwards its parameter into ``print`` — via

@@ -88,7 +88,7 @@ def test_transcript_artifacts(tmp_path, fleet_results):
     assert out.endswith("fleet")
 
 
-def test_result_properties():
+def test_result_properties(tmp_path):
     ok = FleetChaosResult(seed=1, completed=True)
     assert ok.live and ok.safe
     typed = FleetChaosResult(seed=2, error="ChannelTimeout")
@@ -99,6 +99,12 @@ def test_result_properties():
         seed=4, completed=True,
         safety_violations=["device dev-1 live on 2 shards"])
     assert not double.safe
+    # Unfinished, no error, no sanitizer stop: not live, whatever broke.
+    stalled = FleetChaosResult(seed=5, safety_violations=["audit broken"])
+    assert not stalled.live and not stalled.safe
+    write_chaos_transcripts([stalled], str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["liveness_violations"] == [5]
 
 
 def test_ticket_key_hex_in_audit_records_is_a_safety_violation(monkeypatch):

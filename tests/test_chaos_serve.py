@@ -149,9 +149,7 @@ def test_unscrubbed_keystream_chunk_is_a_safety_violation(monkeypatch):
 def test_ring_commit_without_reserve_is_a_safety_violation(monkeypatch,
                                                           tmp_path):
     """A producer that commits an ingress slot it never reserved must
-    stop the schedule with a safety violation, not a typed error.  The
-    stop itself is typed, so the schedule stays live, in the summary
-    too."""
+    stop the schedule with a safety violation, not an error: live."""
     from repro.serve import ServingService
 
     submit = ServingService.submit
@@ -168,7 +166,7 @@ def test_ring_commit_without_reserve_is_a_safety_violation(monkeypatch,
     assert result.error is None and not result.safe
     assert any("without a successful try_reserve" in line
                for line in result.safety_violations)
-    assert result.live and not result.completed
+    assert result.sanitizer_stop and result.live and not result.completed
     assert "live=True safe=False" in result.transcript()
     write_chaos_transcripts([result], str(tmp_path))
     summary = json.loads((tmp_path / "summary.json").read_text())

@@ -282,7 +282,7 @@ def test_hooks_uninstall_on_exception():
 def test_serving_untouched_with_telemetry_disabled():
     """With no bundle installed the instrumented stack records nothing
     anywhere — there is no registry or tracer to even allocate into."""
-    _, service, loop, (handle,) = tiny_stack(
+    service, loop, (handle,) = tiny_stack(
         Priority.INTERACTIVE, seed=b"obs-off", max_batch=2, num_workers=1)
     rng = np.random.default_rng(3)
     for fingerprint in rng.integers(0, 256, size=(2, 8, 6), dtype=np.uint8):
@@ -301,7 +301,7 @@ def serve_traced(telemetry, requests=4, max_batch=2, num_workers=1,
     model = build_tiny_int8_model()
     platform = make_platform(seed=b"obs-serve", key_bits=KEY_BITS)
     with hooks.installed(telemetry):
-        _, service, loop, (handle,) = serving_stack(
+        service, loop, (handle,) = serving_stack(
             platform, model,
             ServeConfig(max_batch=max_batch, num_workers=num_workers),
             [Priority.INTERACTIVE])
@@ -334,7 +334,7 @@ def test_response_drops_are_labelled_by_reason():
     from repro import faults
 
     telemetry = make_telemetry()
-    _, service, loop, (doomed, live) = traced_stack(
+    service, loop, (doomed, live) = traced_stack(
         telemetry, b"obs-drops", [Priority.INTERACTIVE] * 2, max_batch=4)
     fingerprints = np.random.default_rng(5).integers(
         0, 256, size=(3, 8, 6), dtype=np.uint8)
@@ -364,7 +364,7 @@ def test_latency_histogram_is_labelled_by_priority_class():
     """Latency labels are bounded by the two priority classes, not one
     label set per session."""
     telemetry = make_telemetry()
-    _, service, loop, handles = traced_stack(
+    service, loop, handles = traced_stack(
         telemetry, b"obs-latency", [Priority(index % 2) for index in range(8)])
     fingerprints = np.random.default_rng(6).integers(
         0, 256, size=(8, 8, 6), dtype=np.uint8)
@@ -564,7 +564,7 @@ def test_collected_values_and_labels_pass_the_same_gates():
 
 def test_closing_a_session_twice_counts_one_close():
     telemetry = make_telemetry()
-    _, service, loop, (handle,) = traced_stack(
+    service, loop, (handle,) = traced_stack(
         telemetry, b"obs-close", [Priority.INTERACTIVE])
     with hooks.installed(telemetry):
         loop.tick()
@@ -579,7 +579,7 @@ def test_closing_a_session_twice_counts_one_close():
 
 def test_queue_gauges_read_live_loop_state_after_drain():
     telemetry = make_telemetry()
-    _, service, loop, (handle,) = traced_stack(
+    service, loop, (handle,) = traced_stack(
         telemetry, b"obs-gauges", [Priority.INTERACTIVE])
     fingerprints = np.random.default_rng(8).integers(
         0, 256, size=(3, 8, 6), dtype=np.uint8)

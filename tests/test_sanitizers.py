@@ -157,34 +157,6 @@ def test_marker_skips_low_entropy_leading_run():
         secrets.check_teardown(surfaces=[("copy", tail)])
 
 
-def _marker_by_loop(blob: bytes) -> bytes:
-    """The marker rule as the per-window loop it replaced."""
-    best = blob[:48]
-    for start in range(0, max(1, len(blob) - 48), 64):
-        if len(set(blob[start:start + 48])) > len(set(best)):
-            best = blob[start:start + 48]
-    return best
-
-
-@pytest.mark.parametrize("size", [0, 1, 47, 48, 49, 111, 112, 113, 176,
-                                  177, 2107, 4096, 65536])
-def test_marker_matches_the_per_window_loop(size):
-    """The one-pass window choice picks byte-identical markers on
-    random, zero-led, low-entropy, short and 64 KB buffers."""
-    from repro.sanitizers.secret import _marker
-
-    rng = np.random.default_rng(size)
-    diverse = rng.integers(0, 256, size, dtype=np.uint8)
-    buffers = [diverse,
-               np.concatenate([np.zeros(size // 2, np.uint8),
-                               diverse[size // 2:]]),
-               rng.integers(0, 3, size, dtype=np.uint8)]
-    for buffer in buffers:
-        want = _marker_by_loop(buffer.tobytes())
-        assert _marker(buffer) == want
-        assert _marker(bytearray(buffer.tobytes())) == want
-
-
 # --- RingSanitizer units -----------------------------------------------
 
 
@@ -277,7 +249,7 @@ def test_full_serving_run_under_sanitizers(sanitizers):
 def test_service_teardown_scrubs_sessions_left_open(sanitizers):
     """Sessions still open at teardown hold lane keys and keystream
     chunks; teardown must scrub them before its leak check runs."""
-    _, service, loop, handles = tiny_stack(
+    service, loop, handles = tiny_stack(
         *[Priority.INTERACTIVE] * 2, seed=b"teardown-open", num_workers=1)
     fingerprints = np.random.default_rng(0).integers(
         0, 256, size=(2, 8, 6), dtype=np.uint8)
@@ -295,7 +267,7 @@ def test_service_teardown_scrubs_frame_tag_mask_chunks(sanitizers):
     with the session still open must scrub every one of them."""
     from repro.crypto.modes import _MASK_CHUNK
 
-    _, service, loop, (handle,) = tiny_stack(
+    service, loop, (handle,) = tiny_stack(
         Priority.INTERACTIVE, seed=b"teardown-masks", num_workers=1)
     fingerprints = np.random.default_rng(1).integers(
         0, 256, size=(_MASK_CHUNK + 2, 8, 6), dtype=np.uint8)

@@ -161,16 +161,13 @@ def test_scheduler_deadline_fires_mid_drain():
 # --- worker pool ---------------------------------------------------------
 
 def test_pool_pins_one_worker_per_big_core():
-    model = build_tiny_int8_model()
-    platform = make_platform(seed=b"serve-pool", key_bits=KEY_BITS)
-    vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
-    pool = EnclaveWorkerPool(platform, vendor, num_workers=2)
-
-    core_ids = [worker.core_id for worker in pool.workers]
-    big_ids = {core.core_id for core in platform.soc.cores if core.big}
+    service, _, _ = tiny_stack(seed=b"serve-pool")
+    core_ids = [worker.core_id for worker in service.pool.workers]
+    big_ids = {core.core_id for core in service.platform.soc.cores
+               if core.big}
     assert len(set(core_ids)) == 2
     assert set(core_ids) <= big_ids
-    pool.teardown()
+    service.teardown()
 
 
 def test_pool_sequential_fallback_without_big_cores():
@@ -194,11 +191,8 @@ def test_pool_sequential_fallback_without_big_cores():
 
 
 def test_worker_fails_closed_on_internal_fault():
-    model = build_tiny_int8_model()
-    platform = make_platform(seed=b"serve-panic", key_bits=KEY_BITS)
-    vendor = Vendor("ml-vendor", model, key_bits=KEY_BITS)
-    pool = EnclaveWorkerPool(platform, vendor, num_workers=1)
-    worker = pool.workers[0]
+    service, _, _ = tiny_stack(seed=b"serve-panic", num_workers=1)
+    worker = service.pool.workers[0]
 
     def explode(ctx, fingerprints):
         raise RuntimeError("bitflip in the matmul")
@@ -214,7 +208,8 @@ def test_worker_fails_closed_on_internal_fault():
 # --- serving service -----------------------------------------------------
 
 def test_service_end_to_end_matches_direct_classify():
-    vendor, service, loop, _ = tiny_stack(max_batch=4)
+    service, loop, _ = tiny_stack(max_batch=4)
+    vendor = service.pool._vendor
     provisioned = vendor.provisioned_count
     released = vendor.keys_released
 
@@ -253,7 +248,7 @@ def test_service_keystream_prefetch_is_transparent():
     classification, and each batch's response seals hit the chunk the
     prefetch warmed instead of generating keystream on demand."""
     fingerprints = tiny_fingerprints(6, seed=11)
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=3)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=3)
     sequences = [service.submit(handle, fp) for fp in fingerprints]
     loop.run_until_idle(force=True)
     for seq, (exp_label, exp_scores) in zip(
@@ -274,7 +269,7 @@ def test_service_keystream_prefetch_is_transparent():
 def test_service_drops_tampered_ingress_frame():
     """A frame corrupted in the OS-relayed ring fails the batched tag
     verify and is dropped; the rest of the batch still serves."""
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=8)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=8)
     fingerprints = tiny_fingerprints(5, seed=21)
     expected = expected_results(fingerprints)
     sequences = [service.submit(handle, fp) for fp in fingerprints]
@@ -297,7 +292,7 @@ def test_service_drops_tampered_ingress_frame():
 def test_service_drops_tampered_egress_response():
     """Tag tampering on the response ring is caught by the client mux:
     the response is dropped, the session survives."""
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=2)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=2)
     fingerprints = tiny_fingerprints(2, seed=22)
     sequences = [service.submit(handle, fp) for fp in fingerprints]
     execute_unpolled(service)
@@ -319,7 +314,7 @@ def test_service_drops_tampered_egress_response():
 def test_service_deadline_flushes_partial_batch():
     # Fixed batch size: the adaptive batcher would shrink the target to
     # 1 and run the lone request as a full batch at once.
-    _, service, loop, (handle,) = tiny_stack(
+    service, loop, (handle,) = tiny_stack(
         INTERACTIVE, max_batch=8, deadline_ms=2.0,
         loop_options={"adaptive": False})
     fingerprint = tiny_fingerprints(1)[0]
@@ -335,7 +330,7 @@ def test_service_deadline_flushes_partial_batch():
 
 
 def test_service_sessions_have_isolated_keys():
-    _, service, _, (first, second) = tiny_stack(INTERACTIVE, INTERACTIVE)
+    service, _, (first, second) = tiny_stack(INTERACTIVE, INTERACTIVE)
     assert first.session_id != second.session_id
     assert first.request_key != second.request_key
     assert first.response_key != second.response_key
@@ -346,7 +341,7 @@ def test_service_sessions_have_isolated_keys():
 def test_service_drops_frames_for_closed_session_without_wedging():
     """A dead frame at the ring head must not take the service down:
     it is dropped (slot released) and other sessions keep serving."""
-    _, service, loop, (closed, live) = tiny_stack(INTERACTIVE, INTERACTIVE)
+    service, loop, (closed, live) = tiny_stack(INTERACTIVE, INTERACTIVE)
     service.close_session(closed)
     service.submit(closed, tiny_fingerprints(1)[0])
     fingerprint = tiny_fingerprints(1, seed=5)[0]
@@ -363,7 +358,7 @@ def test_service_drops_frames_for_closed_session_without_wedging():
 def test_service_drops_responses_for_sessions_closed_mid_flight():
     """Closing a session between ingest and batch execution drops only
     that session's response; the rest of the batch completes."""
-    _, service, loop, (doomed, live) = tiny_stack(
+    service, loop, (doomed, live) = tiny_stack(
         INTERACTIVE, INTERACTIVE, max_batch=4,
         loop_options={"adaptive": False})
     service.submit(doomed, tiny_fingerprints(1)[0])
@@ -383,8 +378,8 @@ def test_service_drops_responses_for_sessions_closed_mid_flight():
 def test_service_open_session_refuses_beyond_capacity():
     """Capacity is an admission limit: the Nth+1 open_session is
     refused instead of silently evicting a live session's keys."""
-    _, service, _, (first, _) = tiny_stack(INTERACTIVE, INTERACTIVE,
-                                           session_capacity=2)
+    service, _, (first, _) = tiny_stack(INTERACTIVE, INTERACTIVE,
+                                        session_capacity=2)
     with pytest.raises(ServeError, match="session capacity"):
         service.open_session()
     service.close_session(first)
@@ -397,7 +392,7 @@ def test_service_egress_backpressure_never_drops_requests():
     """A batch whose responses do not fit the egress ring is deferred
     in its mailbox, not dropped; once the client mux drains the ring
     every queued request still completes."""
-    _, service, loop, (handle,) = tiny_stack(
+    service, loop, (handle,) = tiny_stack(
         INTERACTIVE, ring_slots=8, max_batch=4, deadline_ms=50.0,
         loop_options={"adaptive": False})
     fingerprints = tiny_fingerprints(14, seed=13)
@@ -422,7 +417,7 @@ def test_service_egress_backpressure_never_drops_requests():
 
 
 def test_service_skips_responses_of_sessions_closed_in_flight():
-    _, service, _, (handle,) = tiny_stack(INTERACTIVE)
+    service, _, (handle,) = tiny_stack(INTERACTIVE)
     service.submit(handle, tiny_fingerprints(1)[0])
     execute_unpolled(service)   # response is sitting in the egress ring
     service.close_session(handle)
@@ -432,8 +427,8 @@ def test_service_skips_responses_of_sessions_closed_in_flight():
 
 
 def test_service_ingress_ring_full_raises():
-    _, service, _, (handle,) = tiny_stack(INTERACTIVE, ring_slots=4,
-                                          num_workers=1)
+    service, _, (handle,) = tiny_stack(INTERACTIVE, ring_slots=4,
+                                       num_workers=1)
     fingerprints = tiny_fingerprints(4)
     for fingerprint in fingerprints[:3]:  # capacity is ring_slots - 1
         service.submit(handle, fingerprint)
@@ -443,7 +438,7 @@ def test_service_ingress_ring_full_raises():
 
 
 def test_service_rejects_malformed_fingerprint():
-    _, service, _, (handle,) = tiny_stack(INTERACTIVE)
+    service, _, (handle,) = tiny_stack(INTERACTIVE)
     for bad in (np.zeros((5, 5), dtype=np.uint8), [1, 2, 3]):
         with pytest.raises(ServeError, match="fingerprint must be"):
             service.submit(handle, bad)
@@ -461,7 +456,7 @@ def test_submit_and_submit_many_write_identical_ingress_frames():
     fingerprints = tiny_fingerprints(17, seed=5)
     wires = []
     for batched in (False, True):
-        _, service, _, handles = tiny_stack(INTERACTIVE, INTERACTIVE)
+        service, _, handles = tiny_stack(INTERACTIVE, INTERACTIVE)
         pairs = [(handles[index % 2], fingerprint)
                  for index, fingerprint in enumerate(fingerprints)]
         if batched:
@@ -484,7 +479,7 @@ def test_open_session_rejects_unknown_priority():
     """An invalid priority is refused before anything is drawn, so the
     session table and the session-id sequence are untouched (the loop
     would otherwise fail on it only after draining the ingress ring)."""
-    _, service, _, (first,) = tiny_stack(INTERACTIVE)
+    service, _, (first,) = tiny_stack(INTERACTIVE)
     with pytest.raises(ServeError, match="priority"):
         service.open_session(priority=7)
     assert service.stats().open_sessions == 1
@@ -494,7 +489,7 @@ def test_open_session_rejects_unknown_priority():
 
 def test_serve_convenience_roundtrip():
     """One request driven to completion through the loop, batch of 1."""
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, num_workers=1)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE, num_workers=1)
     fingerprint = tiny_fingerprints(1, seed=9)[0]
     label, scores = serve_one(loop, handle, fingerprint)
     exp_label, exp_scores = expected_results([fingerprint])[0]
@@ -506,7 +501,7 @@ def test_serve_convenience_roundtrip():
 def test_service_stats_is_a_frozen_snapshot():
     """stats() returns one immutable value object, not live references:
     serving more traffic must not mutate an already-taken snapshot."""
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=2)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=2)
     before = service.stats()
     assert before.requests_completed == 0
     assert before.open_sessions == 1

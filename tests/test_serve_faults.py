@@ -33,7 +33,7 @@ def drive(loop, rounds=6, force=True):
 # --- frame corruption: tamper-drop, accounted, never wedged --------------
 
 def test_ingress_bit_flip_drops_and_accounts():
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE)
     fingerprints = tiny_fingerprints(3)
     plan = faults.FaultPlan(seed=3, rules=[
         faults.corrupt_nth_ring_frame(2, "ingress")])
@@ -57,7 +57,7 @@ def test_ingress_bit_flip_drops_and_accounts():
 
 
 def test_egress_bit_flip_drops_and_accounts():
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE)
     fingerprints = tiny_fingerprints(3)
     plan = faults.FaultPlan(seed=9, rules=[
         faults.corrupt_nth_ring_frame(2, "egress")])
@@ -76,7 +76,7 @@ def test_egress_bit_flip_drops_and_accounts():
 def test_corrupted_frames_never_complete_with_wrong_payload():
     """Tamper-drop, not tamper-accept: a flipped frame must never be
     delivered as a (wrong) result."""
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE)
     fingerprints = tiny_fingerprints(4)
     expected = expected_results(fingerprints)
     plan = faults.FaultPlan(seed=21, rules=[
@@ -98,7 +98,7 @@ def test_runt_ingress_frame_drops_and_accounts(length):
     mid-drive: the frame counts in frames_dropped and its slot is
     released, every later request is served, and the exactly-once
     ledger balances."""
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False)
     fingerprints = tiny_fingerprints(8, seed=17)
     ring = service._ingress_prod
     seqs = []
@@ -125,7 +125,7 @@ def test_runt_ingress_frame_drops_and_accounts(length):
 # --- ring stalls: typed shed in graceful mode, raise in strict -----------
 
 def test_ring_stall_raises_in_strict_mode():
-    _, service, _, (handle,) = tiny_stack(INTERACTIVE)
+    service, _, (handle,) = tiny_stack(INTERACTIVE)
     plan = faults.FaultPlan(seed=5, rules=[
         faults.stall_nth_ring_reserve(1)])
     with faults.installed(plan):
@@ -135,7 +135,7 @@ def test_ring_stall_raises_in_strict_mode():
 
 
 def test_ring_stall_sheds_then_retry_succeeds_in_graceful_mode():
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False)
     fingerprint = tiny_fingerprints(1)[0]
     plan = faults.FaultPlan(seed=5, rules=[
         faults.stall_nth_ring_reserve(1, span=2)])
@@ -156,8 +156,8 @@ def test_ring_stall_sheds_then_retry_succeeds_in_graceful_mode():
 
 
 def test_session_capacity_rejected_in_graceful_mode():
-    _, service, loop, (first,) = tiny_stack(INTERACTIVE, strict=False,
-                                            session_capacity=1)
+    service, loop, (first,) = tiny_stack(INTERACTIVE, strict=False,
+                                         session_capacity=1)
     verdict = service.open_session()
     assert isinstance(verdict, Rejected)
     assert "session capacity" in verdict.reason
@@ -175,7 +175,7 @@ def test_session_capacity_rejected_in_graceful_mode():
 def test_scheduler_skew_delays_but_watchdog_flushes():
     # Fixed batch size: the adaptive batcher would shrink the target to
     # 1 and run the request as a full batch before the watchdog matters.
-    _, service, loop, (handle,) = tiny_stack(
+    service, loop, (handle,) = tiny_stack(
         INTERACTIVE, deadline_ms=2.0, watchdog_ms=6.0,
         loop_options={"adaptive": False})
     fingerprint = tiny_fingerprints(1)[0]
@@ -198,7 +198,7 @@ def test_scheduler_skew_delays_but_watchdog_flushes():
 # --- keystream-cache drops are correctness-neutral -----------------------
 
 def test_keystream_chunk_drop_is_transparent():
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE)
     fingerprints = tiny_fingerprints(4, seed=11)
     expected = expected_results(fingerprints)
     plan = faults.FaultPlan(seed=8, rules=[
@@ -218,7 +218,8 @@ def test_keystream_chunk_drop_is_transparent():
 # --- worker panic: re-attested restart, batch requeued exactly once ------
 
 def test_worker_panic_recovers_and_requeues_exactly_once():
-    vendor, service, loop, (handle,) = tiny_stack(INTERACTIVE)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE)
+    vendor = service.pool._vendor
     fingerprints = tiny_fingerprints(5, seed=3)
     expected = expected_results(fingerprints)
     before = [worker.session for worker in service.pool.workers]
@@ -254,8 +255,8 @@ def test_worker_panic_recovers_and_requeues_exactly_once():
 
 
 def test_worker_crash_loop_surfaces_typed_error():
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE,
-                                             max_worker_restarts=0)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE,
+                                          max_worker_restarts=0)
     plan = faults.FaultPlan(seed=6, rules=[
         faults.panic_nth_worker_invoke(1)])
     with faults.installed(plan):
@@ -266,7 +267,7 @@ def test_worker_crash_loop_surfaces_typed_error():
 
 
 def test_pool_teardown_tolerates_panicked_worker():
-    _, service, _, _ = tiny_stack()
+    service, _, _ = tiny_stack()
     # Panic one worker directly (scrub + unlock) and never restart it;
     # teardown must skip it instead of raising on the torn-down enclave.
     service.pool.workers[0].session.instance.panic()

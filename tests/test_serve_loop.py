@@ -138,7 +138,7 @@ def test_admission_policy_validates_budgets():
 # --- loop end-to-end -----------------------------------------------------
 
 def test_loop_results_bit_exact_and_exactly_once():
-    _, service, loop, (interactive, batch_class) = tiny_stack(
+    service, loop, (interactive, batch_class) = tiny_stack(
         INTERACTIVE, BATCH, strict=False)
     fingerprints = tiny_fingerprints(12)
     pairs = [((interactive, batch_class)[i % 2], fp)
@@ -163,7 +163,7 @@ def test_loop_spreads_equal_batches_over_every_worker():
     """Least-loaded selection rotates its tie-break, so equal batches
     one tick apart alternate between the idle workers instead of all
     landing on mailbox 0."""
-    _, service, loop, (handle,) = tiny_stack(
+    service, loop, (handle,) = tiny_stack(
         INTERACTIVE, max_batch=2, loop_options={"adaptive": False})
     fingerprints = tiny_fingerprints(8)
     for start in range(0, 8, 2):
@@ -176,8 +176,8 @@ def test_loop_spreads_equal_batches_over_every_worker():
 
 
 def test_submit_many_sheds_past_ring_capacity_without_burning_seqs():
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False,
-                                             ring_slots=8)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False,
+                                          ring_slots=8)
     fingerprints = tiny_fingerprints(12)
     verdicts = service.submit_many([(handle, fp) for fp in fingerprints])
     accepted = [v for v in verdicts if isinstance(v, int)]
@@ -199,7 +199,7 @@ def test_submit_many_sheds_past_ring_capacity_without_burning_seqs():
 
 
 def test_submit_many_strict_mode_raises_when_full():
-    _, service, _, (handle,) = tiny_stack(INTERACTIVE, ring_slots=4)
+    service, _, (handle,) = tiny_stack(INTERACTIVE, ring_slots=4)
     with pytest.raises(ServeError, match="ingress ring full"):
         service.submit_many([(handle, fp)
                              for fp in tiny_fingerprints(6)])
@@ -209,7 +209,7 @@ def test_submit_many_strict_mode_raises_when_full():
 def test_admission_budget_drops_are_in_the_ledger():
     """A post-accept admission drop consumes the seq: it must show up
     as admission_shed, and the ledger must balance exactly."""
-    _, service, loop, (handle,) = tiny_stack(
+    service, loop, (handle,) = tiny_stack(
         BATCH, strict=False, max_batch=4,
         loop_options={"policy": AdmissionPolicy(batch_budget=4)})
     fingerprints = tiny_fingerprints(16)
@@ -229,7 +229,7 @@ def test_admission_budget_drops_are_in_the_ledger():
 
 
 def test_loop_recovers_worker_panic_with_class_requeue():
-    _, service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False)
+    service, loop, (handle,) = tiny_stack(INTERACTIVE, strict=False)
     fingerprints = tiny_fingerprints(6)
     plan = faults.FaultPlan(seed=5, rules=[
         faults.panic_nth_worker_invoke(1)])
@@ -254,7 +254,7 @@ def test_loop_watchdog_rescues_skewed_deadline():
     # Fixed batch size: otherwise the adaptive batcher shrinks the
     # target to 1 and the request dispatches as a full batch before the
     # watchdog is ever consulted.
-    _, service, loop, (handle,) = tiny_stack(
+    service, loop, (handle,) = tiny_stack(
         INTERACTIVE, strict=False, max_batch=8, deadline_ms=2.0,
         watchdog_ms=10.0, loop_options={"adaptive": False})
     seq = service.submit(handle, tiny_fingerprints(1)[0])
@@ -272,7 +272,7 @@ def test_loop_watchdog_rescues_skewed_deadline():
 def test_interactive_p99_bounded_while_batch_class_saturated():
     """The inversion regression: a saturated batch class may not push
     interactive latency past a small multiple of the batch period."""
-    _, service, loop, (interactive, batch_class) = tiny_stack(
+    service, loop, (interactive, batch_class) = tiny_stack(
         INTERACTIVE, BATCH, strict=False, max_batch=4, ring_slots=64,
         session_capacity=8, loop_options={"adaptive": False})
     fingerprints = tiny_fingerprints(64)
@@ -323,7 +323,7 @@ def test_soak_exactly_once_ledger_under_shed_requeue_watchdog():
     skew firing: every accepted seq ends as exactly one delivered
     response or exactly one counted loss — across shed retries, class
     requeues, and watchdog flushes on the async core."""
-    _, service, loop, handles = tiny_stack(
+    service, loop, handles = tiny_stack(
         INTERACTIVE, BATCH, BATCH, strict=False, max_batch=4, ring_slots=8,
         deadline_ms=2.0, watchdog_ms=8.0, session_capacity=4,
         loop_options={"tick_ms": 0.5})
@@ -369,7 +369,7 @@ def test_soak_exactly_once_ledger_under_shed_requeue_watchdog():
 
 
 def test_stats_fold_loop_queue_counters():
-    _, service, loop, (handle,) = tiny_stack(BATCH, strict=False)
+    service, loop, (handle,) = tiny_stack(BATCH, strict=False)
     service.submit_many([(handle, fp) for fp in tiny_fingerprints(8)])
     loop.run_until_idle()
     stats = service.stats()
