@@ -1,14 +1,8 @@
-"""Shared benchmark fixtures.
-
-Benchmarks use 768-bit RSA (like the tests) so platform setup is fast;
-all *simulated* timings are independent of the host and the key size.
-"""
+"""Shared fixture for the wall-clock checks in ``test_wallclock.py``."""
 
 from __future__ import annotations
 
 import pytest
-
-KEY_BITS = 768
 
 
 @pytest.fixture(scope="session")
@@ -17,28 +11,3 @@ def pretrained_model():
 
     model, _ = standard_model()
     return model
-
-
-@pytest.fixture(scope="session")
-def evaluation_set(pretrained_model):
-    """Precomputed fingerprints for the paper's 100-clip test subset."""
-    from repro.audio.features import FingerprintExtractor
-    from repro.audio.speech_commands import SyntheticSpeechCommands
-
-    dataset = SyntheticSpeechCommands()
-    extractor = FingerprintExtractor()
-    subset = dataset.paper_test_subset(per_class=10)
-    fingerprints = [extractor.extract(u.samples) for u in subset]
-    labels = [u.label_idx for u in subset]
-    return fingerprints, labels
-
-
-def make_omg_session(pretrained_model, seed=b"bench-omg"):
-    from repro.core.omg import KeywordSpotterApp, OmgSession
-    from repro.core.parties import User, Vendor
-    from repro.trustzone.worlds import make_platform
-
-    platform = make_platform(seed=seed, key_bits=KEY_BITS)
-    vendor = Vendor("ml-vendor", pretrained_model, key_bits=KEY_BITS)
-    session = OmgSession(platform, vendor, User(), KeywordSpotterApp())
-    return session

@@ -41,6 +41,11 @@ class LicenseState:
         self.revoked = True
 
     def authorize_key_release(self, now_ms: float) -> None:
+        """Check the policy, then charge one key request."""
+        self.check_key_release(now_ms)
+        self.key_requests += 1
+
+    def check_key_release(self, now_ms: float) -> None:
         """Raise :class:`LicenseError` unless K_U may be released now."""
         if self.revoked:
             raise LicenseError(
@@ -58,4 +63,3 @@ class LicenseState:
                 f"license for {self.enclave_id!r} exhausted its "
                 f"{policy.max_key_requests} key requests"
             )
-        self.key_requests += 1

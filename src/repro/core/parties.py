@@ -152,14 +152,17 @@ class Vendor:
             cached = self._release_cache.get((enclave_id, request_nonce))
             if cached is not None and not license_state.revoked:
                 return cached
-        license_state.authorize_key_release(now_ms)  # raises LicenseError
+        license_state.check_key_release(now_ms)  # raises LicenseError
         key = derive_model_key(pk, nonce, self._master_secret)
-        self.keys_released += 1
         wrapped = WrappedKey(
             enclave_id=enclave_id,
             model_version=self.model_version,
             wrapped=pk.encrypt_oaep(key, self._rng),
         )
+        # Charge only once the wrapped key exists: a failed wrap (the
+        # OAEP seed draw) caches nothing, so the retry must not pay twice.
+        license_state.authorize_key_release(now_ms)
+        self.keys_released += 1
         if request_nonce is not None:
             self._release_cache.put((enclave_id, request_nonce), wrapped)
         return wrapped

@@ -63,8 +63,12 @@ class Certificate:
             raise CertificateError("truncated certificate serial")
         serial = int.from_bytes(data[offset:offset + 8], "big")
         signature, offset = take(offset + 8)
+        try:
+            subject_name, issuer_name = subject.decode(), issuer.decode()
+        except UnicodeDecodeError:
+            raise CertificateError("malformed certificate name") from None
         certificate = cls(
-            subject=subject.decode(), issuer=issuer.decode(),
+            subject=subject_name, issuer=issuer_name,
             public_key=RsaPublicKey.from_bytes(pk_bytes),
             serial=serial, signature=signature)
         return certificate, offset

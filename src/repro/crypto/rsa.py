@@ -86,9 +86,13 @@ class RsaPublicKey:
         if len(data) < 8:
             raise KeyError_("truncated RSA public key")
         n_len = int.from_bytes(data[:4], "big")
-        n = int.from_bytes(data[4:4 + n_len], "big")
         offset = 4 + n_len
+        if offset + 4 > len(data):
+            raise KeyError_("truncated RSA public key")
+        n = int.from_bytes(data[4:offset], "big")
         e_len = int.from_bytes(data[offset:offset + 4], "big")
+        if offset + 4 + e_len > len(data):
+            raise KeyError_("truncated RSA public key")
         e = int.from_bytes(data[offset + 4:offset + 4 + e_len], "big")
         if n == 0 or e == 0:
             raise KeyError_("malformed RSA public key")

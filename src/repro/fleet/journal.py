@@ -99,13 +99,20 @@ def _fields_end(data: bytes, offset: int, n_fields: int) -> int:
     return offset
 
 
-def _decode_body(body: bytes) -> list[str]:
+def _decode_body(body: bytes) -> list[str] | None:
+    """The record's fields, or ``None`` when a field overruns the body
+    or is not UTF-8 (the caller raises; the CRC matched, so this is a
+    malformed write, not a tear)."""
     fields, offset = [], 0
     while offset < len(body):
         length = int.from_bytes(body[offset:offset + 2], "big")
-        offset += 2
-        fields.append(body[offset:offset + length].decode())
-        offset += length
+        offset += 2 + length
+        if offset > len(body):
+            return None
+        try:
+            fields.append(body[offset - length:offset].decode())
+        except UnicodeDecodeError:
+            return None
     return fields
 
 
@@ -253,8 +260,17 @@ class LicenseJournal:
                 raise ProtocolError(
                     f"journal corruption on shard {self.shard_id}: "
                     f"CRC mismatch in the record at offset {offset}")
-            apply(kind, lsn, _decode_body(data[offset + _HEADER.size:
-                                               end - _CRC.size]))
+            if kind not in _KIND_FIELDS:
+                raise ProtocolError(
+                    f"journal corruption on shard {self.shard_id}: "
+                    f"unknown record kind {kind}")
+            fields = _decode_body(data[offset + _HEADER.size:
+                                       end - _CRC.size])
+            if fields is None or len(fields) != _KIND_FIELDS[kind]:
+                raise ProtocolError(
+                    f"journal corruption on shard {self.shard_id}: "
+                    f"malformed record body at offset {offset}")
+            apply(kind, lsn, fields)
             replayed += 1
             offset = end
         return replayed, len(data) - offset
@@ -276,12 +292,8 @@ class LicenseJournal:
                 device, tenant, nonce_hex, key_digest_hex = fields
                 live[device] = Grant(device, tenant, nonce_hex,
                                      key_digest_hex, lsn, self.shard_id)
-            elif kind in (KIND_REVOKE, KIND_RELEASE):
-                live.pop(fields[0], None)
             else:
-                raise ProtocolError(
-                    f"journal corruption on shard {self.shard_id}: "
-                    f"unknown record kind {kind}")
+                live.pop(fields[0], None)
 
         if self._snapshot:
             if len(self._snapshot) < _SNAPSHOT_HEAD.size:

@@ -89,8 +89,12 @@ class AttestationReport:
             certificate, _ = Certificate.from_bytes(cert_bytes)
             chain.append(certificate)
         signature, offset = take(offset)
+        try:
+            enclave_name = name.decode()
+        except UnicodeDecodeError:
+            raise AttestationError("malformed enclave name") from None
         return cls(
-            enclave_name=name.decode(), measurement=measurement,
+            enclave_name=enclave_name, measurement=measurement,
             public_key=RsaPublicKey.from_bytes(pk_bytes),
             challenge=challenge, certificate_chain=tuple(chain),
             signature=signature)

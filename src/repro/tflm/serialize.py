@@ -29,6 +29,9 @@ _CODE_DTYPES = {i: name for name, i in _DTYPE_CODES.items()}
 
 # Tagged-union value encoding for operator params.
 _TAG_NONE, _TAG_BOOL, _TAG_INT, _TAG_FLOAT, _TAG_STR, _TAG_LIST = range(6)
+# Params are flat values or short lists; the bound keeps a crafted
+# stream of nested list tags from recursing without limit.
+_MAX_PARAM_DEPTH = 8
 
 
 class _Writer:
@@ -118,9 +121,14 @@ class _Reader:
         return struct.unpack("<d", self.raw(8))[0]
 
     def string(self) -> str:
-        return self.raw(self.u16()).decode("utf-8")
+        try:
+            return self.raw(self.u16()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError("malformed string in model stream") from None
 
-    def value(self):
+    def value(self, depth: int = 0):
+        if depth > _MAX_PARAM_DEPTH:
+            raise ModelFormatError("operator params nest too deeply")
         tag = self.u8()
         if tag == _TAG_NONE:
             return None
@@ -133,7 +141,7 @@ class _Reader:
         if tag == _TAG_STR:
             return self.string()
         if tag == _TAG_LIST:
-            return tuple(self.value() for _ in range(self.u16()))
+            return tuple(self.value(depth + 1) for _ in range(self.u16()))
         # The tag byte is decoded from (possibly plaintext) model bytes;
         # keep it out of the exception text.
         raise ModelFormatError("unknown value tag")
@@ -234,7 +242,9 @@ def deserialize_model(blob: bytes) -> Model:
     for _ in range(tensor_count):
         tensor_name = reader.string()
         shape = tuple(reader.u32() for _ in range(reader.u8()))
-        dtype = _CODE_DTYPES[reader.u8()]
+        dtype = _CODE_DTYPES.get(reader.u8())
+        if dtype is None:
+            raise ModelFormatError("unknown tensor dtype code")
         quant = None
         if reader.u8():
             scale = reader.f64()
@@ -266,6 +276,8 @@ def deserialize_model(blob: bytes) -> Model:
     for spec in specs:
         data = None
         if spec.name in constants:
+            if len(constants[spec.name]) != spec.num_bytes:
+                raise ModelFormatError("constant size does not match its tensor")
             data = np.frombuffer(
                 constants[spec.name], dtype=DTYPES[spec.dtype]
             ).reshape(spec.shape)

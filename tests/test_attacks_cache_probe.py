@@ -4,7 +4,8 @@ import pytest
 
 from repro.attacks.cache_probe import PrimeProbeAttack, PrimeProbeResult
 
-SECRET = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0]
+SECRET = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0,
+          1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1]
 
 
 @pytest.fixture(scope="module")

@@ -14,13 +14,14 @@ import pytest
 from repro import faults
 from repro.core.channels import (ReliableRequester, ReliableResponder,
                                  SecureChannel)
+from repro.core.license import LicensePolicy
 from repro.core.omg import KeywordSpotterApp
 from repro.core.parties import Vendor
 from repro.core.protocol import DEFAULT_STEP_TIMEOUTS, ProtocolTranscript
 from repro.core.provisioning import ProvisioningClient, VendorServer
 from repro.core.retry import BackoffPolicy
 from repro.crypto.rng import HmacDrbg
-from repro.errors import SanitizerViolation
+from repro.errors import FaultInjected, SanitizerViolation
 from repro.eval.chaos import (ChaosResult, run_chaos_schedule,
                               write_chaos_transcripts)
 from repro.sanctuary.lifecycle import SanctuaryRuntime
@@ -214,5 +215,46 @@ def test_vendor_answers_replayed_nonce_from_cache(platform, tiny_model):
     wrapped_b = vendor.release_key(instance.instance_name, now,
                                    request_nonce=release_nonce)
     assert wrapped_a is wrapped_b
+    assert vendor.keys_released == 1
+    assert vendor.license_state(instance.instance_name).key_requests == 1
+
+
+def test_failed_key_wrap_does_not_charge_the_license(monkeypatch,
+                                                     tiny_model):
+    """Exhausting the 10th DRBG draw of seed 0's schedule fails the
+    OAEP wrap inside ``release_key``; the retry with the same request
+    nonce must not consume a second key request."""
+    monkeypatch.setattr(
+        "repro.eval.chaos.random_plan",
+        lambda seed: faults.FaultPlan(
+            seed, [faults.FaultRule("rng.generate", "exhaust", nth=10)]))
+    result = run_chaos_schedule(0, model=tiny_model)
+    assert result.fault_lines, "the exhaustion never fired"
+    assert result.completed and result.safe, result.safety_violations
+    assert set(result.key_requests.values()) == {1}
+
+
+def test_single_use_license_survives_a_failed_key_wrap(platform,
+                                                       tiny_model):
+    """Under ``max_key_requests=1`` the honest retry of a release whose
+    wrap failed still gets its key."""
+    vendor = Vendor("single-use-vendor", tiny_model, key_bits=768)
+    app = KeywordSpotterApp()
+    instance = SanctuaryRuntime(platform).launch(app, heap_bytes=1 << 20)
+    vendor.accept_attestation(
+        instance.report, SanctuaryRuntime.expected_measurement(app),
+        platform.manufacturer_root.public_key,
+        policy=LicensePolicy(max_key_requests=1))
+    vendor.provision_model(instance.instance_name)
+
+    nonce = b"key-once"
+    with faults.installed(faults.FaultPlan(0, [faults.rng_exhaustion_at(1)])):
+        with pytest.raises(FaultInjected):
+            vendor.release_key(instance.instance_name, 0.0,
+                               request_nonce=nonce)
+    assert vendor.license_state(instance.instance_name).key_requests == 0
+    wrapped = vendor.release_key(instance.instance_name, 0.0,
+                                 request_nonce=nonce)
+    assert wrapped.enclave_id == instance.instance_name
     assert vendor.keys_released == 1
     assert vendor.license_state(instance.instance_name).key_requests == 1

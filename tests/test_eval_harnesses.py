@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.omg import KeywordSpotterApp, OmgSession
-from repro.core.parties import User, Vendor
 from repro.eval.figures import (
     expected_fig2_sequence,
     fig1_access_matrix,
@@ -44,18 +42,18 @@ def test_fig1_matrix_base_platform():
     assert secure["dma-engine"] is False
 
 
-def test_fig1_matrix_with_enclave(pretrained_model):
-    platform = make_platform(key_bits=KEY_BITS)
-    vendor = Vendor("v", pretrained_model, key_bits=KEY_BITS)
-    session = OmgSession(platform, vendor, User(), KeywordSpotterApp())
-    session.prepare()
-    matrix = fig1_access_matrix(platform)
-    enclave_row = matrix[session.instance.region.name]
-    assert enclave_row["commodity-os"] is False
-    assert enclave_row["dma-engine"] is False
-    assert enclave_row["secure-world"] is True
-    assert enclave_row["bound-core"] is True
-    shm_row = matrix[session.instance.os_shm_region.name]
+def test_fig1_matrix_with_enclave(omg_session):
+    """Fig. 1's partitioning with an initialized OMG enclave deployed."""
+    matrix = fig1_access_matrix(omg_session.platform)
+    secure = matrix["secure-world"]
+    assert secure["commodity-os"] is False
+    assert secure["secure-world"] is True
+    enclave_row = matrix[omg_session.instance.region.name]
+    assert enclave_row["commodity-os"] is False  # two-way isolation
+    assert enclave_row["dma-engine"] is False    # DMA attack protection
+    assert enclave_row["secure-world"] is True   # trusted IO path
+    assert enclave_row["bound-core"] is True     # the SA's own core
+    shm_row = matrix[omg_session.instance.os_shm_region.name]
     assert shm_row["commodity-os"] is True  # untrusted mailbox is open
 
 

@@ -167,6 +167,32 @@ def test_unsupported_version_rejected():
         deserialize_model(patched)
 
 
+def test_stored_constant_shorter_than_its_shape_rejected():
+    """A CRC-valid stream whose tensor shape claims more elements than
+    the stored constant holds raises a format error, not numpy's."""
+    import dataclasses
+
+    model = build_tiny_int8_model()
+    name = sorted(model.constants)[0]
+    spec = model.tensors[name]
+    model.tensors[name] = dataclasses.replace(
+        spec, shape=(spec.shape[0] * 1000,) + spec.shape[1:])
+    with pytest.raises(ModelFormatError, match="constant size"):
+        deserialize_model(serialize_model(model))
+
+
+def test_deeply_nested_params_rejected():
+    """Nested list tags cost the reader two frames a level; a stream of
+    them raises a format error, not RecursionError."""
+    model = build_float_mlp()
+    nested = ()
+    for _ in range(600):
+        nested = (nested,)
+    model.operators[0].params["deep"] = nested
+    with pytest.raises(ModelFormatError, match="nest"):
+        deserialize_model(serialize_model(model))
+
+
 def test_unsupported_param_type_rejected():
     model = build_float_mlp()
     model.operators[0].params["bad"] = {"nested": "dict"}

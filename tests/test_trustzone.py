@@ -121,7 +121,7 @@ def test_smc_from_os_costs_microseconds(booted):
     cert = booted.commodity_os.smc(0, "keymaster", "platform_certificate")
     assert cert.subject == "platform-ca"
     elapsed = booted.soc.clock.now_ms - before
-    assert 0 < elapsed < 1.0
+    assert 0 < elapsed < 0.1  # microseconds, against 0.6 ms from an SA
     assert booted.monitor.stats.os_smc_calls == 1
 
 
