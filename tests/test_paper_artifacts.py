@@ -18,7 +18,7 @@ from repro.audio.speech_commands import (
     SyntheticSpeechCommands,
 )
 from repro.baselines.voiceguard import VoiceGuardModel
-from repro.core.protocol import Phase
+from repro.core.protocol import Phase, StepIo
 from repro.core.provisioning import decrypt_model, encrypt_model
 from repro.crypto.rng import HmacDrbg
 from repro.errors import HardwareError
@@ -59,6 +59,47 @@ def test_fig2_phase_costs_and_biggest_transfer(omg_session):
     step3 = next(s for s in transcript.steps if s.number == 3)
     assert step3.bytes_moved == max(s.bytes_moved for s in transcript.steps
                                     if s.number <= 6)
+
+
+_PREP, _INIT, _OPER = (Phase.PREPARATION, Phase.INITIALIZATION,
+                       Phase.OPERATION)
+_TRUSTED, _UNTRUSTED, _INTERNAL = (StepIo.TRUSTED, StepIo.UNTRUSTED,
+                                   StepIo.INTERNAL)
+
+
+def _fig2_rows(session):
+    clip = SyntheticSpeechCommands().render("yes", 0)
+    session.recognize_via_microphone(clip.samples)
+    return [(s.number, s.phase, s.io, s.bytes_moved, round(s.duration_ms, 3))
+            for s in session.transcript.steps]
+
+
+def _fig2_expected(report, attest, wrapped_key):
+    """Step 1 carries the report, step 2 the channel key exchange plus
+    the sealed report record, steps 3 and 4 the K_U ciphertext and
+    step 5 the wrapped key; the first three scale with the key size."""
+    return [
+        (1, _PREP, _TRUSTED, report, 0.6),
+        (2, _PREP, _UNTRUSTED, attest, 0.0),
+        (3, _PREP, _UNTRUSTED, 54324, 0.0),
+        (4, _PREP, _UNTRUSTED, 54324, 0.0),
+        (5, _INIT, _UNTRUSTED, wrapped_key, 0.0),
+        (6, _INIT, _INTERNAL, 0, 0.557),
+        (7, _OPER, _TRUSTED, 32000, 1000.617),
+        (8, _OPER, _TRUSTED, 12, 9.067),
+    ]
+
+
+def test_fig2_transcript_is_pinned(omg_session):
+    assert _fig2_rows(omg_session) == _fig2_expected(284, 1193, 96)
+
+
+def test_fig2_transcript_is_pinned_at_1024_bits():
+    """The ``repro.cli protocol`` session (1024-bit keys)."""
+    from repro import quickstart_session
+
+    session, _, _ = quickstart_session()
+    assert _fig2_rows(session) == _fig2_expected(348, 1481, 128)
 
 
 def test_repeated_queries_skip_phases_1_and_2(omg_session):
