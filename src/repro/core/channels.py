@@ -22,7 +22,7 @@ from repro.errors import ChannelTimeout, ProtocolError
 from repro.faults import hooks as _faults
 
 __all__ = ["SecureChannel", "ChannelEndpoint", "ReliableRequester",
-           "ReliableResponder"]
+           "ReliableResponder", "reliable_link"]
 
 
 class ChannelEndpoint:
@@ -35,6 +35,7 @@ class ChannelEndpoint:
         self._recv_seq = 0
         self.bytes_sent = 0
         self.bytes_received = 0
+        self.key_exchange_bytes = 0  # set on the initiator's end
 
     @staticmethod
     def _nonce(sequence: int) -> bytes:
@@ -103,7 +104,9 @@ class SecureChannel:
         client_key = hkdf(master, b"omg-channel", b"client->server", 16)
         server_key = hkdf(master, b"omg-channel", b"server->client", 16)
         endpoint = ChannelEndpoint(send_key=client_key, recv_key=server_key)
-        return endpoint, responder_pk.encrypt_oaep(master, rng)
+        message = responder_pk.encrypt_oaep(master, rng)
+        endpoint.key_exchange_bytes = len(message)
+        return endpoint, message
 
     @staticmethod
     def accept(responder_sk: RsaPrivateKey,
@@ -244,3 +247,23 @@ class ReliableResponder:
         # while a corruption fault mangles only this copy.
         return (_FRAME_SEQ.pack(sequence)
                 + self.endpoint.seal_at(sequence, response))
+
+
+def reliable_link(responder_key: RsaPrivateKey, handler, clock,
+                  channel_rng: HmacDrbg,
+                  backoff_rng: HmacDrbg | None = None
+                  ) -> tuple[ReliableRequester, ReliableResponder]:
+    """A secure channel to the holder of ``responder_key``, framed for
+    at-most-once RPC: ``(requester, responder)``.
+
+    ``channel_rng`` draws the key exchange and ``backoff_rng`` the
+    requester's retry jitter; the responder runs ``handler`` once per
+    request, and ``responder.handle_frame`` is the relay to pass to
+    :meth:`ReliableRequester.request`.
+    """
+    initiator_end, key_exchange = SecureChannel.connect(
+        responder_key.public_key, channel_rng)
+    responder = ReliableResponder(
+        SecureChannel.accept(responder_key, key_exchange), handler)
+    return (ReliableRequester(initiator_end, clock,
+                              backoff_rng=backoff_rng), responder)

@@ -17,10 +17,12 @@ import numpy as np
 
 from repro.audio.features import FeatureConfig, FingerprintExtractor
 from repro.audio.speech_commands import PlaybackSource
-from repro.core.channels import SecureChannel
+from repro.core.channels import reliable_link
 from repro.core.parties import User, Vendor, WrappedKey
 from repro.core.protocol import Phase, ProtocolTranscript, StepIo
-from repro.core.provisioning import EncryptedModel, decrypt_model, flash_path_for
+from repro.core.provisioning import (EncryptedModel, ProvisioningClient,
+                                     VendorServer, decrypt_model,
+                                     flash_path_for)
 from repro.core.license import LicensePolicy
 from repro.crypto.rng import HmacDrbg
 from repro.errors import ProtocolError
@@ -308,7 +310,7 @@ class OmgSession:
         self._heap_bytes = heap_bytes
         self._core_id = core_id
         self._license_policy = license_policy
-        self._channel_rng = HmacDrbg(channel_seed)
+        self._channel_seed = channel_seed
         self._mic_source = PlaybackSource(
             platform.soc.microphone.sample_rate_hz)
         self._prepared = False
@@ -346,61 +348,34 @@ class OmgSession:
                                len(report.payload()) + len(report.signature),
                                start, self.clock.now_ms)
 
-        # Step 2: attestation to the vendor over the secure channel.
-        # The report travels as real bytes: serialized, sealed into a
-        # channel record, opened and re-parsed on the vendor side.
-        start = self.clock.now_ms
-        enclave_end, key_exchange = SecureChannel.connect(
-            self.vendor.public_key, self._channel_rng)
-        vendor_end = SecureChannel.accept(self.vendor.signing_key,
-                                          key_exchange)
-        record = enclave_end.seal(report.to_bytes())
-        from repro.sanctuary.attestation import AttestationReport
-
-        received = AttestationReport.from_bytes(vendor_end.open(record))
-        self.vendor.accept_attestation(received, expected, root_pk,
-                                       self._license_policy)
-        moved = len(key_exchange) + len(record)
-        self.transcript.record(2, Phase.PREPARATION, StepIo.UNTRUSTED,
-                               moved, start, self.clock.now_ms)
-
-        # Step 3: encrypted model provisioning.
-        start = self.clock.now_ms
-        encrypted = self.vendor.provision_model(self.instance.instance_name)
-        self.transcript.record(3, Phase.PREPARATION, StepIo.UNTRUSTED,
-                               len(encrypted.blob), start, self.clock.now_ms)
-
-        # Step 4: store ciphertext in untrusted flash.
-        start = self.clock.now_ms
-        self.app.install_model(self.ctx, encrypted)
-        self.transcript.record(4, Phase.PREPARATION, StepIo.UNTRUSTED,
-                               len(encrypted.blob), start, self.clock.now_ms)
-        self._encrypted_meta = (encrypted.model_name,
-                                encrypted.model_version)
+        # Steps 2-4 over the secure channel to the vendor.  Request
+        # nonces are personalised by the attested key: sessions sharing
+        # a channel seed on other platforms reuse enclave names, and the
+        # vendor caches replies by (enclave name, nonce).
+        server = VendorServer(self.vendor, expected, root_pk, self.clock,
+                              self._license_policy)
+        requester, responder = reliable_link(
+            self.vendor.signing_key, server.handle, self.clock,
+            HmacDrbg(self._channel_seed))
+        self._client = ProvisioningClient(
+            self.app, self.instance, requester, responder.handle_frame,
+            self.clock, transcript=self.transcript,
+            nonce_rng=HmacDrbg(self._channel_seed,
+                               report.public_key.fingerprint()))
+        self._client.run(until=Phase.PREPARATION)
         self._prepared = True
 
     # --- Phase II: initialization ------------------------------------------
 
     def initialize(self) -> None:
-        """Obtain K_U from the vendor and decrypt the model in-enclave."""
+        """Obtain K_U from the vendor and decrypt the model in-enclave
+        (steps 5 and 6)."""
         if not self._prepared:
             raise ProtocolError("run prepare() first")
         if self._initialized:
             raise ProtocolError("initialization phase already ran")
-
-        # Step 5: key release (license check happens vendor-side).
-        start = self.clock.now_ms
-        wrapped = self.vendor.release_key(self.instance.instance_name,
-                                          self.clock.now_ms)
-        self.transcript.record(5, Phase.INITIALIZATION, StepIo.UNTRUSTED,
-                               len(wrapped.wrapped), start, self.clock.now_ms)
-
-        # Step 6: in-enclave decryption + interpreter construction.
-        start = self.clock.now_ms
-        model_name, _ = self._encrypted_meta
-        self.app.unlock_model(self.ctx, wrapped, model_name)
-        self.transcript.record(6, Phase.INITIALIZATION, StepIo.INTERNAL,
-                               0, start, self.clock.now_ms)
+        self._client.run()
+        self._client = None  # drops the link's GCM tables and reply cache
         self._initialized = True
 
     # --- Phase III: operation ------------------------------------------------

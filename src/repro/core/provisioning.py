@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.protocol import DEFAULT_STEP_TIMEOUTS, Phase, StepIo
 from repro.crypto.modes import GCM, gcm_decrypt, gcm_encrypt
 from repro.crypto.rng import HmacDrbg
 from repro.errors import (
@@ -149,10 +150,16 @@ def _unpack_wrapped(data: bytes):
     if len(data) < 4:
         raise ProtocolError("truncated wrapped-key record")
     head_len = int.from_bytes(data[:4], "big")
-    parts = data[4:4 + head_len].decode().split("|")
-    if len(parts) != 2:
-        raise ProtocolError("malformed wrapped-key header")
-    return WrappedKey(enclave_id=parts[0], model_version=int(parts[1]),
+    if 4 + head_len > len(data):
+        raise ProtocolError("truncated wrapped-key record")
+    try:
+        # UnicodeDecodeError is a ValueError, as are a wrong field
+        # count and a bad version number.
+        enclave_id, version = data[4:4 + head_len].decode().split("|")
+        model_version = int(version)
+    except ValueError:
+        raise ProtocolError("malformed wrapped-key header") from None
+    return WrappedKey(enclave_id=enclave_id, model_version=model_version,
                       wrapped=data[4 + head_len:])
 
 
@@ -183,7 +190,10 @@ class VendorServer:
             if len(body) < _REQUEST_NONCE_LEN:
                 raise ProtocolError("provisioning request missing nonce")
             nonce = body[:_REQUEST_NONCE_LEN]
-            enclave_id = body[_REQUEST_NONCE_LEN:].decode()
+            try:
+                enclave_id = body[_REQUEST_NONCE_LEN:].decode()
+            except UnicodeDecodeError:
+                raise ProtocolError("malformed enclave id") from None
             if op == _OP_MODEL:
                 encrypted = self.vendor.provision_model(
                     enclave_id, request_nonce=nonce)
@@ -191,7 +201,7 @@ class VendorServer:
             wrapped = self.vendor.release_key(
                 enclave_id, self.clock.now_ms, request_nonce=nonce)
             return _pack_wrapped(wrapped)
-        raise ProtocolError(f"unknown provisioning opcode {op!r}")
+        raise ProtocolError("unknown provisioning opcode")
 
 
 class ProvisioningClient:
@@ -208,8 +218,6 @@ class ProvisioningClient:
     def __init__(self, app, instance, requester, deliver, clock,
                  transcript=None, nonce_rng: HmacDrbg | None = None,
                  timeouts=None) -> None:
-        from repro.core.protocol import DEFAULT_STEP_TIMEOUTS
-
         self.app = app
         self.instance = instance
         self.requester = requester
@@ -221,7 +229,6 @@ class ProvisioningClient:
         self._step_nonces: dict[str, bytes] = {}
         self.completed: set[str] = set()
         self.rounds = 0
-        self._encrypted_meta: tuple[str, int] | None = None
 
     def _nonce_for(self, step: str) -> bytes:
         """One nonce per step, stable across retries and resumes."""
@@ -233,8 +240,6 @@ class ProvisioningClient:
 
     def _request(self, step_number: int, payload: bytes,
                  description: str) -> bytes:
-        from repro.errors import LicenseError
-
         budget = self.timeouts.budget_for(step_number)
         return self.requester.request(
             payload, self.deliver, fatal=(LicenseError,),
@@ -246,10 +251,13 @@ class ProvisioningClient:
             self.transcript.record(number, phase, io, moved, start_ms,
                                    self.clock.now_ms)
 
-    def run(self, resume_rounds: int = 3) -> None:
-        """Drive all remaining steps; resume on transient exhaustion.
+    def run(self, resume_rounds: int = 3, until: Phase | None = None
+            ) -> None:
+        """Drive the remaining steps; resume on transient exhaustion.
 
-        Raises :class:`~repro.errors.ProvisioningAborted` once
+        ``until=Phase.PREPARATION`` stops after step 4, so a caller can
+        run Fig. 2's two phases apart; a later :meth:`run` picks up at
+        step 5.  Raises :class:`~repro.errors.ProvisioningAborted` once
         ``resume_rounds`` rounds have been burned without finishing.
         Vendor refusals (:class:`~repro.errors.LicenseError`) propagate
         immediately — retrying a refusal is not resilience.
@@ -258,7 +266,7 @@ class ProvisioningClient:
         for _ in range(resume_rounds):
             self.rounds += 1
             try:
-                self._run_remaining_steps()
+                self._run_remaining_steps(until)
                 return
             except LicenseError:
                 raise
@@ -270,9 +278,7 @@ class ProvisioningClient:
             f"(done: {sorted(self.completed)})"
         ) from last
 
-    def _run_remaining_steps(self) -> None:
-        from repro.core.protocol import Phase, StepIo
-
+    def _run_remaining_steps(self, until: Phase | None) -> None:
         ctx = self.instance.ctx
         enclave_id = self.instance.instance_name
 
@@ -283,8 +289,11 @@ class ProvisioningClient:
                                   "step 2 (attestation)")
             if reply != _STATUS_OK:
                 raise ProtocolError("vendor rejected attestation frame")
+            # The paper's step 2: the channel key exchange plus the
+            # sealed report record.
             self._record(2, Phase.PREPARATION, StepIo.UNTRUSTED,
-                         len(report_bytes), start)
+                         self.requester.endpoint.key_exchange_bytes
+                         + len(report_bytes) + GCM.tag_size, start)
             self.completed.add("attest")
 
         if "model" not in self.completed:
@@ -293,10 +302,8 @@ class ProvisioningClient:
                 3, _OP_MODEL + self._nonce_for("model") + enclave_id.encode(),
                 "step 3 (model provisioning)")
             self._encrypted_model = EncryptedModel.from_bytes(blob)
-            self._encrypted_meta = (self._encrypted_model.model_name,
-                                    self._encrypted_model.model_version)
             self._record(3, Phase.PREPARATION, StepIo.UNTRUSTED,
-                         len(blob), start)
+                         len(self._encrypted_model.blob), start)
             self.completed.add("model")
 
         if "install" not in self.completed:
@@ -306,6 +313,9 @@ class ProvisioningClient:
                          len(self._encrypted_model.blob), start)
             self.completed.add("install")
 
+        if until is Phase.PREPARATION:
+            return
+
         if "key" not in self.completed:
             start = self.clock.now_ms
             reply = self._request(
@@ -313,14 +323,14 @@ class ProvisioningClient:
                 "step 5 (key release)")
             self._wrapped = _unpack_wrapped(reply)
             self._record(5, Phase.INITIALIZATION, StepIo.UNTRUSTED,
-                         len(reply), start)
+                         len(self._wrapped.wrapped), start)
             self.completed.add("key")
 
         if "unlock" not in self.completed:
             start = self.clock.now_ms
             try:
                 self.app.unlock_model(ctx, self._wrapped,
-                                      self._encrypted_meta[0])
+                                      self._encrypted_model.model_name)
             except (AuthenticationError, ProtocolError):
                 # The flash blob failed authentication — it was damaged
                 # between provisioning and unlock (dropped/corrupted bus

@@ -176,13 +176,6 @@ class GCM(_TableGhash):
                 x >>= 1
         return result
 
-    def _build_ghash_table(self, h: int) -> list[int]:
-        # table[b] = (b << 120) * H for every byte value b.
-        table = [0] * 256
-        for b in range(256):
-            table[b] = self._gf_mul(b << 120, h)
-        return table
-
     @functools.cached_property
     def _table(self) -> list[int]:
         """``table[b] == (b << 120) * H``: the reference path's table."""
@@ -305,8 +298,9 @@ def _byte_row(basis: list[int]) -> list[int]:
 
 
 def _build_table_fast(h: int) -> list[int]:
-    """``table[b] == (b << 120) * H`` for every byte ``b``; the same
-    values as :meth:`GCM._build_ghash_table` without ``_gf_mul``."""
+    """``table[b] == (b << 120) * H`` for every byte ``b``, built by
+    linearity from the single-bit products rather than by
+    :meth:`GCM._gf_mul`."""
     return _byte_row(_bit_basis(h))
 
 

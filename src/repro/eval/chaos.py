@@ -60,13 +60,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.core.channels import (ReliableRequester, ReliableResponder,
-                                 SecureChannel)
+from repro.core.channels import reliable_link
 from repro.core.omg import KeywordSpotterApp
 from repro.core.parties import Vendor
 from repro.core.protocol import DEFAULT_STEP_TIMEOUTS, ProtocolTranscript
 from repro.core.provisioning import ProvisioningClient, VendorServer
-from repro.core.retry import BackoffPolicy
 from repro.crypto.keycache import deterministic_keypair
 from repro.crypto.rng import HmacDrbg
 from repro.errors import ProtocolError, ReproError, SanitizerViolation
@@ -339,21 +337,15 @@ class _ChaosSession:
         """Fresh channel + vendor server + client for one session."""
         self.sessions += 1
         tag = f"{self.seed}:{self.sessions}".encode()
-        channel_rng = HmacDrbg(b"chaos-channel|" + tag)
-        enclave_end, key_exchange = SecureChannel.connect(
-            self.vendor.public_key, channel_rng)
-        vendor_end = SecureChannel.accept(self.vendor.signing_key,
-                                          key_exchange)
         server = VendorServer(
             self.vendor, SanctuaryRuntime.expected_measurement(self.app),
             self.platform.manufacturer_root.public_key, self.clock)
-        responder = self._responder = ReliableResponder(vendor_end,
-                                                        server.handle)
-        requester = ReliableRequester(
-            enclave_end, self.clock, BackoffPolicy(),
+        requester, self._responder = reliable_link(
+            self.vendor.signing_key, server.handle, self.clock,
+            HmacDrbg(b"chaos-channel|" + tag),
             backoff_rng=HmacDrbg(b"chaos-backoff|" + tag))
         return ProvisioningClient(
-            self.app, self.instance, requester, responder.handle_frame,
+            self.app, self.instance, requester, self._responder.handle_frame,
             self.clock,
             transcript=ProtocolTranscript(timeouts=DEFAULT_STEP_TIMEOUTS),
             nonce_rng=HmacDrbg(b"chaos-nonce|" + tag))

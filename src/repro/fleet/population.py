@@ -271,12 +271,7 @@ class DeviceFleet:
         can be re-pointed at another shard with
         :func:`repoint_full_device` to exercise failover.
         """
-        from repro.core.channels import (
-            BackoffPolicy,
-            ReliableRequester,
-            ReliableResponder,
-            SecureChannel,
-        )
+        from repro.core.channels import reliable_link
         from repro.core.protocol import (
             DEFAULT_STEP_TIMEOUTS,
             ProtocolTranscript,
@@ -309,14 +304,10 @@ class DeviceFleet:
         instance = runtime.launch(app, heap_bytes=heap_bytes)
 
         tag = device.encode()
-        enclave_end, key_exchange = SecureChannel.connect(
-            vendor.public_key, HmacDrbg(b"fleet-channel|" + tag))
-        vendor_end = SecureChannel.accept(vendor.signing_key, key_exchange)
-        responder = ReliableResponder(
-            vendor_end,
-            lambda payload: shard.handle(tenant, payload, device=device))
-        requester = ReliableRequester(
-            enclave_end, self.clock, BackoffPolicy(),
+        requester, responder = reliable_link(
+            vendor.signing_key,
+            lambda payload: shard.handle(tenant, payload, device=device),
+            self.clock, HmacDrbg(b"fleet-channel|" + tag),
             backoff_rng=HmacDrbg(b"fleet-backoff|" + tag))
         client = ProvisioningClient(
             app, instance, requester, responder.handle_frame, self.clock,
@@ -334,21 +325,12 @@ def repoint_full_device(client, shard, tenant: str, device: str,
     swaps only the transport — a fresh secure channel terminated at the
     new shard's journaled handler.
     """
-    from repro.core.channels import (
-        BackoffPolicy,
-        ReliableRequester,
-        ReliableResponder,
-        SecureChannel,
-    )
+    from repro.core.channels import reliable_link
 
     tag = device.encode() + b"|failover"
-    enclave_end, key_exchange = SecureChannel.connect(
-        vendor.public_key, HmacDrbg(b"fleet-channel|" + tag))
-    vendor_end = SecureChannel.accept(vendor.signing_key, key_exchange)
-    responder = ReliableResponder(
-        vendor_end,
-        lambda payload: shard.handle(tenant, payload, device=device))
-    client.requester = ReliableRequester(
-        enclave_end, client.clock, BackoffPolicy(),
+    client.requester, responder = reliable_link(
+        vendor.signing_key,
+        lambda payload: shard.handle(tenant, payload, device=device),
+        client.clock, HmacDrbg(b"fleet-channel|" + tag),
         backoff_rng=HmacDrbg(b"fleet-backoff|" + tag))
     client.deliver = responder.handle_frame

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.channels import (ReliableRequester, ReliableResponder,
-                                 SecureChannel)
+from repro.core.channels import reliable_link
 from repro.core.omg import KeywordSpotterApp, OmgSession
 from repro.core.parties import User, Vendor
 from repro.crypto.rng import HmacDrbg
@@ -43,16 +42,11 @@ class SequentialBaseline:
         self.num_labels = len(self.session.app.labels)
         # Per-request transport: a secure channel to the enclave's
         # attested key, with the reliable layer's sequence framing.
-        rng = HmacDrbg(channel_seed, b"client-channel")
-        client_end, key_exchange = SecureChannel.connect(
-            self.session.instance.report.public_key, rng)
-        enclave_end = SecureChannel.accept(
-            self.session.ctx.private_key, key_exchange)
-        self.requester = ReliableRequester(client_end,
-                                           self.platform.soc.clock)
-        self.responder = ReliableResponder(
-            enclave_end,
-            lambda payload: self.session.instance.invoke(b"F" + payload))
+        self.requester, self.responder = reliable_link(
+            self.session.ctx.private_key,
+            lambda payload: self.session.instance.invoke(b"F" + payload),
+            self.platform.soc.clock,
+            HmacDrbg(channel_seed, b"client-channel"))
         self.requests = 0
 
     def request(self, fingerprint: np.ndarray) -> tuple[int, np.ndarray]:

@@ -46,9 +46,7 @@ def _lifetimes(model: Model, operators, skip: set[str]
             if name in model.constants or name in skip:
                 continue
             if name not in spans:
-                raise InterpreterError(
-                    f"tensor {name!r} used before it is produced"
-                )
+                raise InterpreterError("tensor used before it is produced")
             first, _ = spans[name]
             spans[name] = (first, index)
         for name in op.outputs:

@@ -43,7 +43,7 @@ class Model:
                    data: np.ndarray | None = None) -> TensorSpec:
         """Register a tensor; pass ``data`` to make it a constant."""
         if spec.name in self.tensors:
-            raise ModelFormatError(f"duplicate tensor {spec.name!r}")
+            raise ModelFormatError("duplicate tensor name")
         if data is not None:
             if not spec.is_constant:
                 spec = TensorSpec(spec.name, spec.shape, spec.dtype,
@@ -63,28 +63,27 @@ class Model:
             raise ModelFormatError("model must declare inputs and outputs")
         for name in self.inputs + self.outputs:
             if name not in self.tensors:
-                raise ModelFormatError(f"undeclared I/O tensor {name!r}")
+                raise ModelFormatError("undeclared I/O tensor")
         for name in self.inputs:
             if name in self.constants:
-                raise ModelFormatError(f"input {name!r} is a constant")
+                raise ModelFormatError("a model input is a constant")
         available = set(self.inputs) | set(self.constants)
         for op in self.operators:
             op.validate(self.tensors)
             for name in op.inputs:
                 if name not in available:
                     raise ModelFormatError(
-                        f"{op.opcode}: tensor {name!r} used before defined "
-                        f"(operators must be in execution order)"
+                        f"{op.opcode}: tensor used before defined "
+                        "(operators must be in execution order)"
                     )
             for name in op.outputs:
                 if name in self.constants:
                     raise ModelFormatError(
-                        f"{op.opcode}: writes constant tensor {name!r}"
+                        f"{op.opcode}: writes a constant tensor"
                     )
                 available.add(name)
-        missing = [name for name in self.outputs if name not in available]
-        if missing:
-            raise ModelFormatError(f"outputs never produced: {missing}")
+        if any(name not in available for name in self.outputs):
+            raise ModelFormatError("a model output is never produced")
 
     def weight_bytes(self) -> int:
         """Total size of constant data (the IP being protected)."""

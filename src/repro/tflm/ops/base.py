@@ -48,7 +48,7 @@ class Op:
         for name in self.inputs + self.outputs:
             if name not in specs:
                 raise InterpreterError(
-                    f"{self.opcode}: unknown tensor {name!r}"
+                    f"{self.opcode}: unknown tensor"
                 )
 
     def run(self, tensors: dict[str, np.ndarray],
@@ -97,8 +97,8 @@ class Op:
                 spec = specs[name]
                 if spec.shape[0] != 1:
                     raise InterpreterError(
-                        f"{self.opcode}: cannot batch output {name!r} "
-                        f"with leading dim {spec.shape[0]}"
+                        f"{self.opcode}: cannot batch an output whose "
+                        "leading dim is not 1"
                     )
                 if name not in stacked:
                     stacked[name] = np.empty(

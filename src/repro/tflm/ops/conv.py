@@ -32,7 +32,7 @@ def conv_output_size(input_size: int, kernel: int, stride: int,
         return -(-input_size // stride)
     if padding == "valid":
         return (input_size - kernel) // stride + 1
-    raise InterpreterError(f"unknown padding {padding!r}")
+    raise InterpreterError("unknown padding")
 
 
 def same_padding(input_size: int, kernel: int, stride: int) -> tuple[int, int]:
@@ -112,8 +112,7 @@ class _ConvBase(Op):
         padding = self.params.get("padding", "same")
         if len(x_spec.shape) != 4 or x_spec.shape[0] != 1:
             raise InterpreterError(
-                f"{self.opcode}: input must be (1, H, W, C), "
-                f"got {x_spec.shape}"
+                f"{self.opcode}: input must be (1, H, W, C)"
             )
         return x_spec, w_spec, stride_h, stride_w, padding
 
@@ -124,12 +123,11 @@ class _ConvBase(Op):
         expected = self._output_shape(x_spec, w_spec, sh, sw, padding)
         if out_spec.shape != expected:
             raise InterpreterError(
-                f"{self.opcode}: output shape {out_spec.shape} != "
-                f"computed {expected}"
+                f"{self.opcode}: output shape differs from the computed one"
             )
         if x_spec.dtype != out_spec.dtype:
             raise InterpreterError(
-                f"{self.opcode}: mixed dtypes {x_spec.dtype}/{out_spec.dtype}"
+                f"{self.opcode}: mixed input/output dtypes"
             )
 
     def plan(self, tensors, specs):
@@ -212,8 +210,7 @@ class Conv2D(_ConvBase):
         out_c, kh, kw, in_c = w_spec.shape
         if in_c != x_spec.shape[3]:
             raise InterpreterError(
-                f"conv_2d: filter expects {in_c} input channels, "
-                f"input has {x_spec.shape[3]}"
+                "conv_2d: filter and input channels differ"
             )
         out_h = conv_output_size(x_spec.shape[1], kh, sh, padding)
         out_w = conv_output_size(x_spec.shape[2], kw, sw, padding)
@@ -284,8 +281,7 @@ class DepthwiseConv2D(_ConvBase):
         _, kh, kw, channels = w_spec.shape
         if channels != x_spec.shape[3]:
             raise InterpreterError(
-                f"depthwise_conv_2d: filter has {channels} channels, "
-                f"input has {x_spec.shape[3]}"
+                "depthwise_conv_2d: filter and input channels differ"
             )
         out_h = conv_output_size(x_spec.shape[1], kh, sh, padding)
         out_w = conv_output_size(x_spec.shape[2], kw, sw, padding)

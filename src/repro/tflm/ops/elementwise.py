@@ -26,8 +26,7 @@ class _Binary(Op):
         out_spec = specs[self.outputs[0]]
         if not (a_spec.shape == b_spec.shape == out_spec.shape):
             raise InterpreterError(
-                f"{self.opcode}: shapes must match "
-                f"({a_spec.shape}, {b_spec.shape} -> {out_spec.shape})"
+                f"{self.opcode}: shapes must match"
             )
         if not (a_spec.dtype == b_spec.dtype == out_spec.dtype):
             raise InterpreterError(f"{self.opcode}: dtypes must match")
@@ -101,8 +100,7 @@ class Concatenate(Op):
             for dim in range(rank):
                 if dim != axis and shape[dim] != out_spec.shape[dim]:
                     raise InterpreterError(
-                        f"concatenate: dim {dim} mismatch "
-                        f"({shape} vs {out_spec.shape})"
+                        "concatenate: non-axis dim mismatch"
                     )
         if sum(shape[axis] for shape in shapes) != out_spec.shape[axis]:
             raise InterpreterError(

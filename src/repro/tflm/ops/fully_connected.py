@@ -32,18 +32,16 @@ class FullyConnected(Op):
         out_spec = specs[self.outputs[0]]
         if len(w_spec.shape) != 2:
             raise InterpreterError(
-                f"fully_connected: weights must be 2-D, got {w_spec.shape}"
+                "fully_connected: weights must be 2-D"
             )
         out_features, in_features = w_spec.shape
         if x_spec.num_elements != in_features:
             raise InterpreterError(
-                f"fully_connected: input has {x_spec.num_elements} elements, "
-                f"weights expect {in_features}"
+                "fully_connected: input size does not match the weights"
             )
         if out_spec.shape != (1, out_features):
             raise InterpreterError(
-                f"fully_connected: output shape {out_spec.shape} != "
-                f"(1, {out_features})"
+                "fully_connected: output must be (1, out_features)"
             )
 
     def plan(self, tensors, specs):

@@ -103,7 +103,7 @@ class Pad(Op):
                          in zip(x_spec.shape, paddings))
         if out_spec.shape != expected:
             raise InterpreterError(
-                f"pad: output shape {out_spec.shape} != {expected}"
+                "pad: output shape differs from the padded input"
             )
 
     def run(self, tensors, specs, plan=None):
@@ -138,7 +138,7 @@ class Mean(Op):
                          for i, dim in enumerate(x_spec.shape))
         if out_spec.shape != expected:
             raise InterpreterError(
-                f"mean: output shape {out_spec.shape} != {expected}"
+                "mean: output shape differs from the reduced input"
             )
 
     def run(self, tensors, specs, plan=None):

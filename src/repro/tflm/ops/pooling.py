@@ -33,7 +33,7 @@ class _PoolBase(Op):
         )
         if out_spec.shape != expected:
             raise InterpreterError(
-                f"{self.opcode}: output shape {out_spec.shape} != {expected}"
+                f"{self.opcode}: output shape differs from the computed one"
             )
         if x_spec.dtype != out_spec.dtype:
             raise InterpreterError(f"{self.opcode}: dtype mismatch")

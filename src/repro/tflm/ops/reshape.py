@@ -20,8 +20,7 @@ class Reshape(Op):
         out_spec = specs[self.outputs[0]]
         if x_spec.num_elements != out_spec.num_elements:
             raise InterpreterError(
-                f"reshape: element count {x_spec.num_elements} != "
-                f"{out_spec.num_elements}"
+                "reshape: element counts differ"
             )
         if x_spec.dtype != out_spec.dtype:
             raise InterpreterError("reshape: dtype must be unchanged")

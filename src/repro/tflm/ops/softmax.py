@@ -34,7 +34,7 @@ class Softmax(Op):
         out_spec = specs[self.outputs[0]]
         if x_spec.shape != out_spec.shape:
             raise InterpreterError(
-                f"softmax: shape mismatch {x_spec.shape} vs {out_spec.shape}"
+                "softmax: input/output shape mismatch"
             )
         if out_spec.dtype == "int8":
             quant = out_spec.quant

@@ -65,9 +65,7 @@ def quantize_multiplier(real_multiplier: float) -> tuple[int, int]:
     int32 in [2^30, 2^31) and ``shift`` may be negative (right shift).
     """
     if real_multiplier <= 0 or real_multiplier >= 1e8:
-        raise ModelFormatError(
-            f"multiplier {real_multiplier} out of supported range"
-        )
+        raise ModelFormatError("multiplier out of supported range")
     mantissa, exponent = math.frexp(real_multiplier)
     quantized = int(round(mantissa * (1 << 31)))
     if quantized == (1 << 31):

@@ -57,13 +57,11 @@ class TensorSpec:
 
     def __post_init__(self) -> None:
         if self.dtype not in DTYPES:
-            raise ModelFormatError(f"unsupported dtype {self.dtype!r}")
+            raise ModelFormatError("unsupported tensor dtype")
         if any(dim <= 0 for dim in self.shape):
-            raise ModelFormatError(f"non-positive dim in shape {self.shape}")
+            raise ModelFormatError("non-positive dim in tensor shape")
         if self.dtype in ("int8", "uint8") and self.quant is None:
-            raise ModelFormatError(
-                f"tensor {self.name!r}: integer tensors need quant params"
-            )
+            raise ModelFormatError("integer tensors need quant params")
 
     @property
     def num_elements(self) -> int:
@@ -81,10 +79,6 @@ class TensorSpec:
 
     def validate_array(self, array: np.ndarray) -> None:
         if tuple(array.shape) != self.shape:
-            raise ModelFormatError(
-                f"tensor {self.name!r}: shape {array.shape} != {self.shape}"
-            )
+            raise ModelFormatError("array shape differs from its tensor")
         if array.dtype != DTYPES[self.dtype]:
-            raise ModelFormatError(
-                f"tensor {self.name!r}: dtype {array.dtype} != {self.dtype}"
-            )
+            raise ModelFormatError("array dtype differs from its tensor")

@@ -196,3 +196,20 @@ def test_teardown_ends_session(pretrained_model, dataset):
     session.teardown()
     with pytest.raises(Exception):
         session.recognize_clip(dataset.render("yes", 0).samples)
+
+
+def test_prepare_and_initialize_ride_out_a_dropped_channel_frame(
+        pretrained_model):
+    """Steps 2-6 run over the reliable channel: a lost frame is
+    retransmitted, and the vendor charges the license once."""
+    from repro.faults import FaultPlan, drop_channel_frame, installed
+
+    session = make_session(pretrained_model)
+    with installed(FaultPlan(7, [drop_channel_frame(1, "send")])) as plan:
+        session.prepare()
+        session.initialize()
+    assert plan.fired("channel.seal") == 1
+    license_state = session.vendor.license_state(
+        session.instance.instance_name)
+    assert license_state.key_requests == 1
+    assert session.transcript.step_numbers() == [1, 2, 3, 4, 5, 6]

@@ -21,26 +21,32 @@ import tracemalloc
 import zlib
 from dataclasses import dataclass
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.audio.wave_io import decode_wave, encode_wave
 from repro.core.channels import (ChannelEndpoint, ReliableResponder,
                                  SecureChannel)
-from repro.core.provisioning import EncryptedModel
+from repro.core.parties import Vendor, WrappedKey
+from repro.core.provisioning import (EncryptedModel, VendorServer,
+                                     _pack_wrapped, _unpack_wrapped)
 from repro.crypto.cert import Certificate, CertificateAuthority
 from repro.crypto.keycache import deterministic_keypair
 from repro.crypto.rng import HmacDrbg
 from repro.crypto.rsa import RsaPublicKey
 from repro.errors import ReproError
 from repro.fleet.journal import LicenseJournal
+from repro.hw.timing import VirtualClock
 from repro.obs.trace import SpanContext
 from repro.sanctuary.attestation import AttestationReport, measure
 from repro.serve.frames import TAG_BYTES, emit_sealed, open_in_place
+from repro.tflm import serialize as omgm
 from repro.tflm.serialize import deserialize_model, serialize_model
+from repro.tflm.tensor import TensorSpec
 from tests.helpers import build_tiny_int8_model
 
 KEY_BITS = 768
@@ -108,6 +114,26 @@ def _recover(blob: bytes):
     return journal.recover()
 
 
+@functools.cache
+def _vendor_server() -> VendorServer:
+    """A vendor that has admitted enclave ``sa#1``, so step 3 and 5
+    requests for it reach the model and key paths."""
+    root, _ = _keys()
+    server = VendorServer(
+        Vendor("ml-vendor", build_tiny_int8_model(), key_bits=KEY_BITS),
+        measure(b"enclave code"), root.public_key, VirtualClock())
+    server.handle(b"A" + _report())
+    return server
+
+
+def _vendor_request(blob: bytes):
+    return _vendor_server().handle(blob)
+
+
+def _tiny_omgm() -> bytes:
+    return serialize_model(build_tiny_int8_model())
+
+
 def _crc_last4_le(blob: bytes) -> bytes:
     """Re-close an OMGM stream: little-endian CRC32 over the body."""
     return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
@@ -138,8 +164,7 @@ DECODERS = [
             lambda: EncryptedModel("sa#1", "kws", 2, b"n" * 16,
                                    b"b" * 48).to_bytes(),
             length_field=(0, 4), text_field=4),
-    Decoder("deserialize_model", deserialize_model,
-            lambda: serialize_model(build_tiny_int8_model()),
+    Decoder("deserialize_model", deserialize_model, _tiny_omgm,
             fixup=_crc_last4_le, length_field=(8, 2), text_field=10),
     Decoder("AttestationReport.from_bytes", AttestationReport.from_bytes,
             _report, length_field=(0, 4), text_field=4),
@@ -155,6 +180,12 @@ DECODERS = [
     Decoder("ReliableResponder.handle_frame", _handle_frame,
             _request_frame),
     Decoder("open_in_place", _open_frame, _serving_frame),
+    Decoder("_unpack_wrapped", _unpack_wrapped,
+            lambda: _pack_wrapped(WrappedKey("sa#1", 2, b"w" * 96)),
+            length_field=(0, 4), text_field=4),
+    # A step 3 request: opcode, 8-byte request nonce, enclave id.
+    Decoder("VendorServer.handle", _vendor_request,
+            lambda: b"M" + b"n" * 8 + b"sa#1", text_field=9),
     Decoder("LicenseJournal.recover", _recover, _journal_media,
             fixup=_crc_last4_be, length_field=(8, 2),  # first field
             text_field=10),
@@ -237,3 +268,60 @@ def test_non_utf8_text_field_raises_typed(decoder):
         blob = decoder.fixup(blob)
     with pytest.raises(ReproError):
         decoder.decode(blob)
+
+
+# --- model decode errors carry no model bytes --------------------------------
+#
+# On the enclave path the OMGM stream is the decrypted model, so its
+# tensor names and shapes must not reach exception text.
+
+
+def _model_error_leaks(blob: bytes) -> list[str]:
+    """Decode ``blob``; return each tensor name (quoted) or shape read
+    from it that the decode error's text repeats."""
+    strings, shapes = [], []
+    read_string = omgm._Reader.string
+
+    def spy_string(reader):
+        strings.append(read_string(reader))
+        return strings[-1]
+
+    def spy_spec(name, shape, *rest):
+        shapes.append(shape)
+        return TensorSpec(name, shape, *rest)
+
+    with mock.patch.object(omgm._Reader, "string", spy_string), \
+            mock.patch.object(omgm, "TensorSpec", spy_spec):
+        try:
+            deserialize_model(blob)
+        except ReproError as exc:
+            message = str(exc)
+        else:
+            return []
+    return ([repr(text) for text in strings if repr(text) in message]
+            + [str(shape) for shape in shapes if str(shape) in message])
+
+
+def _renamed_op_input() -> bytes:
+    # The second "conv_b" is conv_2d's input list (tensor specs come
+    # first), so the op names a tensor the model never declares.
+    blob = _tiny_omgm()
+    at = blob.index(b"conv_b", blob.index(b"conv_b") + 1)
+    return _crc_last4_le(blob[:at] + b"cxnv_b" + blob[at + 6:])
+
+
+def _resized_dim(value: int) -> bytes:
+    # "conv_out" spec: the name, a rank byte, then four u32 dims.
+    blob = _tiny_omgm()
+    at = blob.index(b"conv_out") + len(b"conv_out") + 1 + 4
+    return _crc_last4_le(blob[:at] + struct.pack("<I", value)
+                         + blob[at + 4:])
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(blob=_mutation(_tiny_omgm(), _crc_last4_le))
+@example(blob=_renamed_op_input())
+@example(blob=_resized_dim(0))
+@example(blob=_resized_dim(343605506))
+def test_model_error_text_omits_stream_names_and_shapes(blob):
+    assert _model_error_leaks(blob) == []
