@@ -258,7 +258,8 @@ class ProvisioningClient:
         ``until=Phase.PREPARATION`` stops after step 4, so a caller can
         run Fig. 2's two phases apart; a later :meth:`run` picks up at
         step 5.  Raises :class:`~repro.errors.ProvisioningAborted` once
-        ``resume_rounds`` rounds have been burned without finishing.
+        this call has burned ``resume_rounds`` rounds without finishing;
+        ``rounds`` counts across calls.
         Vendor refusals (:class:`~repro.errors.LicenseError`) propagate
         immediately — retrying a refusal is not resilience.
         """
@@ -274,7 +275,7 @@ class ProvisioningClient:
                     FaultInjected, ProtocolError) as exc:
                 last = exc
         raise ProvisioningAborted(
-            f"provisioning still incomplete after {self.rounds} rounds "
+            f"provisioning still incomplete after {resume_rounds} rounds "
             f"(done: {sorted(self.completed)})"
         ) from last
 

@@ -76,6 +76,11 @@ class KeystreamCache:
         # teardown can drop every schedule it owns — key material must
         # not outlive forget_session.
         self._ciphers: dict[tuple[int, bytes], AES] = {}
+        # session_id -> the keys of its entries in _chunks (kept in step
+        # by _generate and _chunk_evicted) and in _ciphers, so closing a
+        # session walks only its own entries.
+        self._session_chunks: dict[int, set] = {}
+        self._session_ciphers: dict[int, list] = {}
         # Chunks generated ahead of demand that no take() has touched
         # yet; one that leaves the cache while still in this set was
         # wasted work.
@@ -96,6 +101,9 @@ class KeystreamCache:
         return self._chunks.misses
 
     def _chunk_evicted(self, cache_key) -> None:
+        chunks = self._session_chunks.get(cache_key[0])
+        if chunks is not None:
+            chunks.discard(cache_key)
         if cache_key in self._prefetched_unused:
             self._prefetched_unused.discard(cache_key)
             self.prefetch_waste += 1
@@ -111,10 +119,14 @@ class KeystreamCache:
         if cipher is None:  # analysis: allow(consttime)
             cipher = AES(key)
             self._ciphers[session_id, key] = cipher  # analysis: allow(consttime)
+            self._session_ciphers.setdefault(session_id, []).append(
+                (session_id, key))
         blocks_per_chunk = self.chunk_bytes // 16
         counter = b"\x00" * 12 + struct.pack(">I", index * blocks_per_chunk)
         chunk = ctr_keystream(cipher, counter, blocks_per_chunk).reshape(-1)
-        self._chunks.put((session_id, key, index), chunk)
+        cache_key = (session_id, key, index)
+        self._chunks.put(cache_key, chunk)
+        self._session_chunks.setdefault(session_id, set()).add(cache_key)
         return chunk
 
     def _chunk(self, session_id: int, key: bytes, index: int) -> np.ndarray:
@@ -183,7 +195,8 @@ class KeystreamCache:
 
     def forget_session(self, session_id: int) -> None:
         """Scrub and drop one session's chunks (every lane) and its
-        AES key schedules."""
-        self._chunks.discard_if(lambda k: k[0] == session_id)
-        for cipher_key in [k for k in self._ciphers if k[0] == session_id]:
+        AES key schedules, touching no other session's entries."""
+        for cache_key in self._session_chunks.pop(session_id, ()):
+            self._chunks.discard(cache_key)
+        for cipher_key in self._session_ciphers.pop(session_id, ()):
             del self._ciphers[cipher_key]

@@ -10,7 +10,8 @@ CTR counter block in one pass and encrypts them with the batched T-table
 AES (:meth:`repro.crypto.aes.AES.encrypt_blocks`), and runs GHASH on
 one engine (:class:`_TableGhash`, shared by :class:`GCM` and
 :class:`FrameTagKey`) over precomputed byte-multiplication tables: a
-scalar kernel for short inputs, and one numpy gather sweep
+scalar kernel over one 256-entry product table (in four shifted
+copies) for short inputs, and one numpy gather sweep
 (:func:`_frame_ghash`) for long messages and for groups of frame tags
 (:func:`frame_tags_batched`), folded lane-parallel so the sequential
 Horner chain shrinks by the lane width.  A frame tag's mask E_k(J0) is
@@ -38,6 +39,7 @@ __all__ = ["ctr_keystream", "ctr_keystream_xor", "ctr_keystream_xor_reference",
            "frame_tags_batched"]
 
 _MASK64 = (1 << 64) - 1
+_MASK120 = (1 << 120) - 1
 
 def _inc32(counter: bytes) -> bytes:
     prefix, value = counter[:12], struct.unpack(">I", counter[12:])[0]
@@ -95,12 +97,14 @@ class _TableGhash:
     """The one GHASH engine, shared by :class:`GCM` and
     :class:`FrameTagKey`.
 
-    The scalar kernel multiplies by H through sixteen 256-entry byte
-    tables, ``_tbl16[k][b] == (b << 8k) * H``: one block is one 16-term
-    XOR of table lookups indexed by the bytes of ``state ^ block``.
-    The batched sweep (:func:`_ghash_many`) gathers from numpy planes
-    of the same products, ``_planes`` for H and ``_fold_planes`` for
-    H^_FOLD_LANES.  Every table is built on first use from the
+    The scalar kernel multiplies by H through one 256-entry product
+    table ``M[b] == (b << 120) * H``, kept as ``_shifted_tables``: M
+    and its copies shifted left by 8, 16 and 24 bits (1024 ints, about
+    57 KB per key).  One block is a 16-term XOR of lookups indexed by
+    the bytes of ``state ^ block``, placed unreduced, then one
+    reduction.  The batched sweep (:func:`_ghash_many`) gathers from
+    numpy planes of the same products, ``_planes`` for H and
+    ``_fold_planes`` for H^_FOLD_LANES.  Every table is built on first use from the
     subclass's ``_h``, so a key that never hashes pays nothing and a
     short-message key never builds the planes.
     """
@@ -108,8 +112,10 @@ class _TableGhash:
     _h: int
 
     @functools.cached_property
-    def _tbl16(self) -> list[list[int]]:
-        return _expand_tables(self._h)
+    def _shifted_tables(self) -> tuple[list[int], ...]:
+        row = _build_table_fast(self._h)
+        return (row, [v << 8 for v in row], [v << 16 for v in row],
+                [v << 24 for v in row])
 
     @functools.cached_property
     def _planes(self) -> np.ndarray:
@@ -129,28 +135,35 @@ class _TableGhash:
     def _ghash_scalar(self, state: int, data: bytes) -> int:
         """Horner sweep ``state = (state ^ block) * H`` over the whole
         16-byte blocks of ``data``."""
-        # Byte j of a big-endian block has significance 15 - j.
-        (r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14,
-         r15) = self._tbl16[::-1]
+        # Byte j of a big-endian block multiplies H by x^(8j): its
+        # product M[b] lands at bit offset 120 - 8j of an unreduced
+        # value V of up to 248 bits, four lookups per 32-bit group.
+        t0, t8, t16, t24 = self._shifted_tables
         from_bytes = int.from_bytes
         for offset in range(0, len(data), 16):
             b = (state ^ from_bytes(data[offset:offset + 16], "big")
                  ).to_bytes(16, "big")
-            state = (r0[b[0]] ^ r1[b[1]] ^ r2[b[2]] ^ r3[b[3]]
-                     ^ r4[b[4]] ^ r5[b[5]] ^ r6[b[6]] ^ r7[b[7]]
-                     ^ r8[b[8]] ^ r9[b[9]] ^ r10[b[10]] ^ r11[b[11]]
-                     ^ r12[b[12]] ^ r13[b[13]] ^ r14[b[14]] ^ r15[b[15]])
+            v = ((((t24[b[0]] ^ t16[b[1]] ^ t8[b[2]] ^ t0[b[3]]) << 32
+                   ^ t24[b[4]] ^ t16[b[5]] ^ t8[b[6]] ^ t0[b[7]]) << 32
+                  ^ t24[b[8]] ^ t16[b[9]] ^ t8[b[10]] ^ t0[b[11]]) << 32
+                 ^ t24[b[12]] ^ t16[b[13]] ^ t8[b[14]] ^ t0[b[15]])
+            # The low 120 bits of V hold degrees 128..247; fold them
+            # back with x^128 = x^7 + x^2 + x + 1 (reflected order).
+            # The fold stays below degree 127, so once is enough.
+            w = (v & _MASK120) << 8
+            state = (v >> 120) ^ w ^ (w >> 1) ^ (w >> 2) ^ (w >> 7)
         return state
 
 
 class GCM(_TableGhash):
     """AES-GCM (NIST SP 800-38D): CTR plus the shared GHASH engine.
 
-    Short inputs run the scalar kernel (16 byte-table lookups per
-    block, :class:`_TableGhash`).  From ``_BATCH_MIN`` blocks up a
-    message takes the frame tags' batched sweep as a group of one,
-    folded over ``_FOLD_LANES`` lanes — which is what keeps
-    provisioning of multi-kB models off the per-block Python path.
+    Short inputs run the scalar kernel (16 product-table lookups and
+    one reduction per block, :class:`_TableGhash`).  From
+    ``_BATCH_MIN`` blocks up a message takes the frame tags' batched
+    sweep as a group of one, folded over ``_FOLD_LANES`` lanes — which
+    is what keeps provisioning of multi-kB models off the per-block
+    Python path.
     """
 
     tag_size = 16
@@ -319,12 +332,6 @@ def _row_bases(h: int) -> list[list[int]]:
         basis = [(v >> 8) ^ _RED8[v & 0xFF] for v in basis]
     bases.reverse()
     return bases
-
-
-def _expand_tables(h: int) -> list[list[int]]:
-    """Sixteen byte tables of multiply-by-H: ``tables[k][b] == (b << 8k)
-    * H``, so ``x * H == XOR_k tables[k][byte_k(x)]``."""
-    return [_byte_row(basis) for basis in _row_bases(h)]
 
 
 # --- detached frame tags (serving rings) -----------------------------------

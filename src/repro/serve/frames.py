@@ -61,21 +61,24 @@ TAG_BYTES = 16
 # to fold over lanes) needs TAG_BATCH_MIN_SHORT.  Measured crossover as
 # scalar time / batched time for one group under warm keys, median of
 # 150 interleaved pairs (2-vCPU Xeon VM, CPython 3.11, numpy 2.4; the
-# shared host's speed drifts, the paired ratio does not):
+# shared host's speed drifts, the paired ratio does not), with the
+# scalar kernel's one product table and single reduction per block:
 #
 #   frames   2107-byte ciphertext (request)      frames   13 bytes
 #            1 key   2 keys  4 keys  distinct             1 key  4 keys
-#     1      1.02    0.98    0.97    0.95           4     0.77   0.73
-#     2      1.68    1.48    1.39    1.46           8     0.93   0.89
-#     3      1.92    1.88    1.81    1.86          12     0.99   0.96
-#     4      2.33    2.26    2.11    2.13          16     1.22   1.17
-#     6      3.12    2.84    2.85    1.73          24     1.67   1.59
+#     1      1.42    1.41    1.39    1.35           4     0.84   0.82
+#     2      2.15    1.89    1.86    1.69           8     0.93   0.92
+#     3      2.45    2.37    2.55    2.47          12     0.99   1.02
+#     4      3.24    3.04    1.81    1.81          16     1.01   1.05
+#     6      3.95    3.85    2.23    1.89          24     1.09   1.11
 #
-# 200-byte frames (unfolded) cross at 6, 400-byte (folded) below 4.
-# Fresh keys pay their own table build on either path: under four
-# cold keys, 2107-byte groups of 1-6 frames measured 0.85-0.97 and
-# 13-byte groups 1.16-1.49, so serving's warm steady state sets the
-# cutoffs.
+# 200-byte frames (unfolded) cross at 6, 400-byte (folded) at 3.  A
+# single warm 2107-byte frame is faster batched, but fresh keys pay
+# their own table build on either path, and the batched path's planes
+# cost more to build than the scalar table: under four cold keys,
+# 2107-byte groups of 1-6 frames measured 0.59-0.80 and 13-byte groups
+# 0.54-0.76.  Serving's sessions start cold, so a lone frame stays
+# scalar.
 TAG_LONG_FRAME = 256
 TAG_BATCH_MIN = 2
 TAG_BATCH_MIN_SHORT = 16

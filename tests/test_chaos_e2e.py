@@ -189,6 +189,37 @@ def test_provisioning_survives_channel_storm(platform, tiny_model):
     assert app.recognize_fingerprint(instance.ctx, fingerprint).label
 
 
+def test_aborted_run_names_the_rounds_it_burned(platform, tiny_model):
+    """A run that exhausts its resume rounds names the rounds *it*
+    burned, not the client's cumulative count across runs."""
+    from repro.core.channels import reliable_link
+    from repro.core.protocol import Phase
+    from repro.errors import ProvisioningAborted
+
+    vendor = Vendor("rounds-vendor", tiny_model, key_bits=768)
+    app = KeywordSpotterApp()
+    instance = SanctuaryRuntime(platform).launch(app, heap_bytes=1 << 20)
+    clock = platform.soc.clock
+    server = VendorServer(
+        vendor, SanctuaryRuntime.expected_measurement(app),
+        platform.manufacturer_root.public_key, clock)
+    requester, responder = reliable_link(
+        vendor.signing_key, server.handle, clock,
+        HmacDrbg(b"rounds-channel"), HmacDrbg(b"rounds-backoff"))
+    client = ProvisioningClient(app, instance, requester,
+                                responder.handle_frame, clock)
+    client.run(until=Phase.PREPARATION)
+    assert client.rounds == 1
+    blackout = faults.FaultPlan(7, [faults.FaultRule(
+        "channel.seal", "drop", probability=1.0, max_fires=10**6)])
+    with faults.installed(blackout):
+        with pytest.raises(ProvisioningAborted,
+                           match="incomplete after 3 rounds"):
+            client.run()
+    assert client.rounds == 4
+    assert "key" not in client.completed
+
+
 def test_vendor_answers_replayed_nonce_from_cache(platform, tiny_model):
     """The idempotency layer under the channel: same request nonce, same
     response, no extra license spend."""

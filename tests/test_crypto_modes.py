@@ -33,17 +33,64 @@ def test_gcm_nist_case_4_with_aad():
 
 @pytest.mark.parametrize("key", [b"\x00" * 16, KEY, bytes(range(32))],
                          ids=["zero", "nist", "aes256"])
-def test_ghash_byte_tables_match_field_multiplication(key):
-    """Row k of the expanded GHASH tables multiplies byte position k:
-    ``tables[k][b] == (b << 8k) * H``, checked entry by entry against
-    the bitwise reference multiply."""
-    from repro.crypto.modes import _expand_tables
-
+def test_ghash_shifted_tables_match_field_multiplication(key):
+    """The scalar kernel's four tables are one product table shifted
+    left by 0, 8, 16 and 24 bits: ``tables[i][b] == ((b << 120) * H)
+    << 8i``, checked entry by entry against the bitwise reference
+    multiply."""
     gcm = GCM(key)
-    tables = _expand_tables(gcm._h)
-    assert len(tables) == 16
-    for k, row in enumerate(tables):
-        assert row == [GCM._gf_mul(b << (8 * k), gcm._h) for b in range(256)]
+    tables = gcm._shifted_tables
+    assert len(tables) == 4
+    products = [GCM._gf_mul(b << 120, gcm._h) for b in range(256)]
+    for i, table in enumerate(tables):
+        assert table == [product << (8 * i) for product in products]
+
+
+def test_ghash_scalar_matches_reference_block_chain():
+    """The scalar kernel's one-reduction Horner sweep equals a chain of
+    reference ``_ghash_block`` calls from any starting state, over 0-64
+    blocks; all-0xFF blocks give the unreduced product its widest
+    overflow."""
+    import random
+
+    rng = random.Random(34)
+    keys = [b"\x00" * 16, KEY, bytes(range(32)), b"\xff" * 16] + [
+        rng.randbytes(16) for _ in range(4)]
+    ones = (1 << 128) - 1
+    for key in keys:
+        gcm = GCM(key)
+        for n_blocks in (0, 1, 2, 3, 17, 64):
+            for fill in (b"\x00", b"\xff", None):
+                data = (rng.randbytes(16 * n_blocks) if fill is None
+                        else fill * (16 * n_blocks))
+                for state in (0, ones, rng.getrandbits(128)):
+                    expected = state
+                    for offset in range(0, len(data), 16):
+                        expected = gcm._ghash_block(
+                            expected, data[offset:offset + 16])
+                    assert gcm._ghash_scalar(state, data) == expected
+
+
+def test_frame_tag_key_scalar_tables_fit_in_64_kib():
+    """One tagger's scalar tables, built by its first tag of a
+    2107-byte frame, allocate at most 64 KiB (the sixteen byte tables
+    they replace took about 215 KB)."""
+    import tracemalloc
+
+    from repro.crypto.modes import FrameTagKey
+
+    key = FrameTagKey(bytes(range(16)))
+    j0 = bytes(12) + (1).to_bytes(4, "big")
+    ciphertext = bytes(range(256)) * 8 + bytes(59)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        key.tag(j0, b"", ciphertext)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert "_shifted_tables" in vars(key)
+    assert retained <= 64 * 1024
 
 
 def test_gcm_roundtrip_with_aad():

@@ -166,6 +166,48 @@ def test_keystream_cache_forget_session_drops_both_lanes_and_ciphers():
     assert any(k[0] == 2 for k in cache._ciphers)
 
 
+def test_keystream_cache_forget_session_scrubs_exactly_that_session():
+    """Closing one of several sessions scrubs exactly its chunks and
+    key schedules; the others' bytes stay cached and readable, and a
+    later take of the closed session regenerates identical keystream."""
+    cache = KeystreamCache(capacity=16, chunk_bytes=64)
+    lanes = {sid: (bytes([sid]) * 16, bytes([sid + 100]) * 16)
+             for sid in (1, 2, 3)}
+    streams = {(sid, key): cache.take(sid, key, 0, 80).tobytes()
+               for sid, keys in lanes.items() for key in keys}
+    chunks = dict(cache._chunks._entries)
+    assert len(chunks) == 12
+    cache.forget_session(2)
+    for cache_key, chunk in chunks.items():
+        assert (cache_key in cache._chunks) == (cache_key[0] != 2)
+        assert chunk.any() == (cache_key[0] != 2)
+    assert {k[0] for k in cache._ciphers} == {1, 3}
+    assert 2 not in cache._session_chunks
+    misses = cache.misses
+    for (sid, key), stream in streams.items():
+        assert cache.take(sid, key, 0, 80).tobytes() == stream
+        assert stream == _direct_keystream(key, 0, 80)
+    # Only the closed session's two lanes, two chunks each, regenerate.
+    assert cache.misses == misses + 4
+
+
+def test_keystream_cache_session_index_follows_lru_eviction():
+    """The per-session index holds exactly the cached chunks, also
+    after capacity evictions, and a close scrubs what is left."""
+    cache = KeystreamCache(capacity=3, chunk_bytes=64)
+    key_a, key_b = bytes(range(16)), bytes(range(16, 32))
+    cache.take(1, key_a, 0, 192)
+    cache.take(2, key_b, 0, 128)
+    cache.prefetch(1, key_b, 0, depth=2)
+    assert cache.evictions == 4
+    assert (set().union(*cache._session_chunks.values())
+            == set(cache._chunks._entries))
+    cache.forget_session(1)
+    assert all(k[0] == 2 for k in cache._chunks._entries)
+    assert set(cache._session_chunks) == {2}
+    assert set(cache._ciphers) == {(2, key_b)}
+
+
 def test_keystream_cache_sessions_are_independent():
     key_a, key_b = bytes(16), bytes(range(16))
     cache = KeystreamCache(capacity=8, chunk_bytes=64)
