@@ -9,6 +9,8 @@ regenerates bit-identically from (key, position).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.aes import AES
 from repro.crypto.keycache import (
@@ -16,7 +18,7 @@ from repro.crypto.keycache import (
     SecretCache,
     scrub_secret,
 )
-from repro.crypto.modes import ctr_keystream_xor
+from repro.crypto.modes import ctr_keystream, ctr_keystream_xor
 from repro.errors import CryptoError
 
 
@@ -125,6 +127,45 @@ def test_keystream_cache_matches_direct_ctr(start, length):
     cache = KeystreamCache(capacity=8, chunk_bytes=64)
     got = cache.take(7, key, start, length).tobytes()
     assert got == _direct_keystream(key, start, length)
+
+
+_LANE_KEYS = {(sid, lane): bytes([sid * 2 + lane]) * 16
+              for sid in (1, 2) for lane in (0, 1)}
+_SPAN = st.tuples(st.sampled_from(sorted(_LANE_KEYS)),
+                  st.integers(0, 3), st.integers(0, 1 << 30),
+                  st.integers(0, 1 << 30))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(chunk_bytes=st.sampled_from([64, 4096]),
+       ops=st.lists(st.one_of(
+           st.tuples(st.just("take"), _SPAN),
+           st.tuples(st.just("discard"), _SPAN),
+           st.tuples(st.just("forget"), st.sampled_from([1, 2]))),
+           max_size=14))
+def test_keystream_cache_reads_match_direct_ctr(chunk_bytes, ops):
+    """Random reads, chunk-crossing ones included, interleaved with
+    dropped chunks (as a keycache.chunk fault drops them), capacity
+    evictions and session closes: every byte read equals AES-CTR
+    computed directly at its position."""
+    cache = KeystreamCache(capacity=3, chunk_bytes=chunk_bytes)
+    for kind, arg in ops:
+        if kind == "forget":
+            cache.forget_session(arg)
+            continue
+        (sid, lane), index, offset, size = arg
+        key = _LANE_KEYS[sid, lane]
+        start = index * chunk_bytes + offset % chunk_bytes
+        length = size % (2 * chunk_bytes)
+        if kind == "discard":
+            cache._chunks.discard((sid, key, start // chunk_bytes))
+            continue
+        first, end = start // 16, -(-(start + length) // 16)
+        direct = ctr_keystream(AES(key), b"\x00" * 12
+                               + first.to_bytes(4, "big"), end - first)
+        expected = direct.reshape(-1)[start % 16:start % 16 + length]
+        assert cache.take(sid, key, start, length).tobytes() == (
+            expected.tobytes())
 
 
 def test_keystream_cache_regenerates_after_eviction():

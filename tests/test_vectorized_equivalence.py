@@ -59,7 +59,9 @@ def test_decrypt_blocks_matches_scalar():
 # --- CTR / GCM ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 4096, 4100])
+# 8 and 9 blocks straddle ctr_keystream's scalar-run cutoff.
+@pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 8 * 16, 9 * 16, 4096,
+                                  4100])
 def test_ctr_keystream_matches_reference(size):
     rng = np.random.default_rng(size)
     cipher = AES(b"\x2b" * 16)
