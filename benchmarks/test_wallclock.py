@@ -233,8 +233,7 @@ def test_seal_pipeline_floor():
     chunk_bytes = 65536
     cache = KeystreamCache(capacity=64, chunk_bytes=chunk_bytes)
     total = frames * payload_bytes
-    cache.prefetch(session, seal_key, 0,
-                   depth=(total + chunk_bytes - 1) // chunk_bytes)
+    cache.prefetch(session, seal_key, 0, total)
     gcm = GCM(seal_key)
 
     def per_frame() -> None:

@@ -15,12 +15,12 @@ The serving path (``repro.serve``) adds two more caches:
   never leaves stale key bytes lying around in host memory longer than
   its own bookkeeping.
 * :class:`KeystreamCache` — per-session AES-CTR keystream chunks for
-  the zero-copy rings.  GCM costs ~0.6 ms per call at any size (numpy
-  dispatch overhead), which would dominate per-request serving; bulk
-  keystream generated once per 64 KB chunk and XORed in place is
-  microseconds per request.  Chunks regenerate deterministically from
-  (session key, position) after eviction, so bounding the cache never
-  loses data.
+  the zero-copy rings.  Per-request GCM would pay a fresh CTR run and
+  GHASH setup for every frame; keystream generated only as far as the
+  reads reach, in runs that grow to fill a whole chunk (64 KB by
+  default), and XORed in place costs far less per request.  Chunks
+  regenerate deterministically from (session key, position) after
+  eviction, so bounding the cache never loses data.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.crypto.aes import AES
 from repro.crypto.custody import SecretCache, scrub_secret
-from repro.crypto.modes import ctr_keystream
+from repro.crypto.modes import CTR_SCALAR_BLOCKS, ctr_keystream
 from repro.crypto.rng import HmacDrbg
 from repro.crypto.rsa import RsaPrivateKey, generate_keypair
 from repro.errors import CryptoError
@@ -57,6 +57,15 @@ class KeystreamCache:
     to chunks deterministically, so an evicted chunk is simply
     regenerated — the cache bounds memory, never correctness.
 
+    A cached chunk is the prefix of its keystream that reads have
+    reached so far.  A read past that prefix runs CTR from its end
+    (:meth:`_extend`): a run of up to ``CTR_SCALAR_BLOCKS`` blocks
+    exactly, at least doubling the prefix, and a longer one fills the
+    rest of the chunk, since above that size one batched run costs
+    about the same up to a whole chunk.  The longer prefix replaces the
+    cached one, which the cache scrubs, so a view :meth:`take` returned
+    is only good until the next call.
+
     Chunks are cached under ``(session_id, key, index)``: the lane key
     is part of a chunk's identity, so one session's request and
     response lanes (same session id, different derived keys) can never
@@ -65,6 +74,10 @@ class KeystreamCache:
     two-time-pad leak.  XOR-at-position is then safe because within a
     lane each keystream byte covers exactly one message byte (the
     serving layer gives every lane a strictly advancing position).
+
+    ``hits`` counts chunk reads served wholly from held keystream,
+    ``misses`` the chunk reads that ran CTR, and ``prefetches`` the
+    runs :meth:`prefetch` made.
     """
 
     def __init__(self, capacity: int = 32, chunk_bytes: int = 65536) -> None:
@@ -77,28 +90,22 @@ class KeystreamCache:
         # not outlive forget_session.
         self._ciphers: dict[tuple[int, bytes], AES] = {}
         # session_id -> the keys of its entries in _chunks (kept in step
-        # by _generate and _chunk_evicted) and in _ciphers, so closing a
+        # by _extend and _chunk_evicted) and in _ciphers, so closing a
         # session walks only its own entries.
         self._session_chunks: dict[int, set] = {}
         self._session_ciphers: dict[int, list] = {}
-        # Chunks generated ahead of demand that no take() has touched
-        # yet; one that leaves the cache while still in this set was
-        # wasted work.
+        # Chunks a prefetch ran CTR on that no take() has touched since;
+        # one that leaves the cache while still in this set was wasted
+        # work.
         self._prefetched_unused: set = set()
+        self.hits = 0
+        self.misses = 0
         self.prefetches = 0
         self.prefetch_waste = 0
 
     @property
     def evictions(self) -> int:
         return self._chunks.evictions
-
-    @property
-    def hits(self) -> int:
-        return self._chunks.hits
-
-    @property
-    def misses(self) -> int:
-        return self._chunks.misses
 
     def _chunk_evicted(self, cache_key) -> None:
         chunks = self._session_chunks.get(cache_key[0])
@@ -108,85 +115,103 @@ class KeystreamCache:
             self._prefetched_unused.discard(cache_key)
             self.prefetch_waste += 1
 
-    def _generate(self, session_id: int, key: bytes,
-                  index: int) -> np.ndarray:
+    def _cipher(self, session_id: int, key: bytes) -> AES:
         # Python dict addressing by key bytes is outside the modeled
         # timing channel: the L1/L2 probes target the AES T-table lines,
         # not CPython's hash table.  The cipher cache trades that
         # (unmodeled) hash-timing surface for not re-expanding the key
-        # schedule on every chunk.
+        # schedule on every run.
         cipher = self._ciphers.get((session_id, key))
         if cipher is None:  # analysis: allow(consttime)
             cipher = AES(key)
             self._ciphers[session_id, key] = cipher  # analysis: allow(consttime)
             self._session_ciphers.setdefault(session_id, []).append(
                 (session_id, key))
-        blocks_per_chunk = self.chunk_bytes // 16
-        counter = b"\x00" * 12 + struct.pack(">I", index * blocks_per_chunk)
-        chunk = ctr_keystream(cipher, counter, blocks_per_chunk).reshape(-1)
+        return cipher
+
+    def _extend(self, session_id: int, key: bytes, index: int, end: int,
+                prefetch: bool = False) -> np.ndarray:
+        """Chunk ``index``, held through its byte ``end``; counts the
+        read (``prefetch`` False) or the prefetch run."""
         cache_key = (session_id, key, index)
-        self._chunks.put(cache_key, chunk)
-        self._session_chunks.setdefault(session_id, set()).add(cache_key)
-        return chunk
-
-    def _chunk(self, session_id: int, key: bytes, index: int) -> np.ndarray:
-        cache_key = (session_id, key, index)
-        # A keycache.chunk drop fault scrubs the cached chunk before the
-        # lookup, forcing deterministic regeneration.  Chunks are pure
-        # functions of (key, index), so serving output is unchanged —
-        # the fault exercises the eviction/regeneration path under load.
-        if _faults.PLAN is not None and _faults.PLAN.keycache_chunk():
-            self._chunks.discard(cache_key)
-        cached = self._chunks.get(cache_key)
-        # Hit/miss timing is the cache's documented design (chunks are
-        # pure functions of key+index; a miss regenerates, never leaks
-        # which key bytes differ) — dict hashing is unmodeled, see above.
-        if cached is not None:  # analysis: allow(consttime)
-            self._prefetched_unused.discard(cache_key)
-            return cached
-        return self._generate(session_id, key, index)
-
-    def prefetch(self, session_id: int, key: bytes, position: int,
-                 depth: int = 2) -> int:
-        """Precompute the chunks covering ``position`` onward.
-
-        Generates up to ``depth`` consecutive chunks starting at the one
-        containing ``position``, skipping chunks already cached.  The
-        serving dispatch loop calls this before a batch's inference runs
-        so sealing the responses never waits on AES-CTR generation.
-        Returns the number of chunks actually generated.
-        """
-        if position < 0:
-            raise CryptoError("keystream position must be non-negative")
-        if depth <= 0:
-            return 0
-        first = position // self.chunk_bytes
-        generated = 0
-        for index in range(first, first + depth):
-            cache_key = (session_id, key, index)
-            # Same unmodeled dict-hash surface as _generate above.
-            if cache_key in self._chunks:  # analysis: allow(consttime)
-                continue
-            self._generate(session_id, key, index)
+        chunk = self._chunks.get(cache_key)
+        # Whether a chunk is cached, and how much of it, follows from
+        # public read positions and the LRU order; dict hashing is
+        # unmodeled (see _cipher).
+        held = 0 if chunk is None else len(chunk) // 16  # analysis: allow(consttime)
+        need = -(-end // 16)
+        if need <= held:
+            if not prefetch:
+                self.hits += 1
+            return chunk
+        total = self.chunk_bytes // 16
+        run, rest = max(need - held, held), total - held
+        run = rest if run > CTR_SCALAR_BLOCKS else min(run, rest)
+        counter = b"\x00" * 12 + struct.pack(">I", index * total + held)
+        stream = ctr_keystream(self._cipher(session_id, key), counter,
+                               run).reshape(-1)
+        if held:
+            # The cache scrubs the shorter prefix this one replaces.
+            extended = np.concatenate((chunk, stream))
+            scrub_secret(stream)
+            stream = extended
+        else:
+            self._session_chunks.setdefault(session_id, set()).add(cache_key)
+        self._chunks.put(cache_key, stream)
+        if prefetch:
+            self.prefetches += 1
             self._prefetched_unused.add(cache_key)
-            generated += 1
-        self.prefetches += generated
-        return generated
+        else:
+            self.misses += 1
+        return stream
+
+    def prefetch(self, session_id: int, key: bytes, start: int,
+                 length: int) -> int:
+        """Run CTR ahead of demand so bytes ``[start, start + length)``
+        are held.
+
+        The serving dispatch loop calls this for each response before a
+        batch's inference runs, so sealing the responses never waits on
+        AES-CTR generation.  Touches the same chunks, with the same run
+        rule, as ``take`` over that span.  Returns the number of runs.
+        """
+        if start < 0 or length < 0:
+            raise CryptoError("keystream position must be non-negative")
+        before = self.prefetches
+        for index, _, hi in self._spans(start, length):
+            self._extend(session_id, key, index, hi, prefetch=True)
+        return self.prefetches - before
+
+    def _spans(self, start: int, length: int):
+        """``(index, lo, hi)`` per chunk a read of ``[start, start +
+        length)`` touches, ``lo:hi`` its bytes within that chunk."""
+        size = self.chunk_bytes
+        stop = -(-(start + length) // size) if length else 0
+        for index in range(start // size, stop):
+            yield (index, max(start - index * size, 0),
+                   min(start + length - index * size, size))
 
     def take(self, session_id: int, key: bytes, start: int,
              length: int) -> np.ndarray:
         """Keystream bytes ``[start, start + length)`` for one session."""
         if start < 0 or length < 0:
             raise CryptoError("keystream position must be non-negative")
-        first = start // self.chunk_bytes
-        last = (start + length - 1) // self.chunk_bytes if length else first
+        if not length:
+            return np.empty(0, dtype=np.uint8)
+        spans = list(self._spans(start, length))
         parts = []
-        for index in range(first, last + 1):
-            chunk = self._chunk(session_id, key, index)
-            lo = max(start - index * self.chunk_bytes, 0)
-            hi = min(start + length - index * self.chunk_bytes,
-                     self.chunk_bytes)
-            if first == last:
+        for index, lo, hi in spans:
+            cache_key = (session_id, key, index)
+            # A keycache.chunk drop fault scrubs the cached chunk before
+            # the lookup, forcing deterministic regeneration.  Chunks
+            # are pure functions of (key, index), so serving output is
+            # unchanged — the fault exercises the eviction/regeneration
+            # path under load.
+            if _faults.PLAN is not None and _faults.PLAN.keycache_chunk():
+                self._chunks.discard(cache_key)
+            chunk = self._extend(session_id, key, index, hi)
+            self._prefetched_unused.discard(cache_key)
+            if len(spans) == 1:
                 return chunk[lo:hi]
             # Fetching the next chunk may evict (and scrub, in place)
             # this one, so spans that cross chunks must copy out.

@@ -5,9 +5,10 @@ protects the IP, the tag binds the ciphertext to the per-enclave key and
 nonce so a tampered or rolled-back model fails authentication inside the
 enclave (paper §V, steps 3-6).
 
-Both primitives have two implementations.  The fast path generates every
-CTR counter block in one pass and encrypts them with the batched T-table
-AES (:meth:`repro.crypto.aes.AES.encrypt_blocks`), and runs GHASH on
+Both primitives have two implementations.  The fast path encrypts a
+CTR run of up to ``CTR_SCALAR_BLOCKS`` blocks one counter at a time and
+generates a longer run's counter blocks in one pass for the batched
+T-table AES (:meth:`repro.crypto.aes.AES.encrypt_blocks`), and runs GHASH on
 one engine (:class:`_TableGhash`, shared by :class:`GCM` and
 :class:`FrameTagKey`) over precomputed byte-multiplication tables: a
 scalar kernel over one 256-entry product table (in four shifted
@@ -34,9 +35,9 @@ from repro.crypto.custody import SecretCache
 from repro.crypto.hmac import constant_time_eq
 from repro.errors import AuthenticationError, KeyError_
 
-__all__ = ["ctr_keystream", "ctr_keystream_xor", "ctr_keystream_xor_reference",
-           "GCM", "gcm_encrypt", "gcm_decrypt", "FrameTagKey",
-           "frame_tags_batched"]
+__all__ = ["CTR_SCALAR_BLOCKS", "ctr_keystream", "ctr_keystream_xor",
+           "ctr_keystream_xor_reference", "GCM", "gcm_encrypt",
+           "gcm_decrypt", "FrameTagKey", "frame_tags_batched"]
 
 _MASK64 = (1 << 64) - 1
 _MASK120 = (1 << 120) - 1
@@ -62,22 +63,43 @@ def ctr_keystream_xor_reference(cipher: AES, initial_counter: bytes,
     return bytes(out)
 
 
+# Runs of at most CTR_SCALAR_BLOCKS blocks go through AES.encrypt_block
+# one counter at a time: a batched run's fixed cost is about nine scalar
+# blocks.  Medians of 41 interleaved runs, 2-vCPU VM, one BLAS thread:
+#
+#   blocks            1     4     8     9    10    12    16   256
+#   scalar (us)      16    62   123   138   151   178   240  4160
+#   one batch (us)  151   144   145   145   145   141   143   239
+#
+# Through ctr_keystream on a loaded host, 8 scalar blocks read 194-226
+# us against 253-324 us for one batched run of 9.
+CTR_SCALAR_BLOCKS = 8
+
+
 def ctr_keystream(cipher: AES, initial_counter: bytes,
                   n_blocks: int) -> np.ndarray:
     """``n_blocks`` of AES-CTR keystream from ``initial_counter`` as a
-    fresh (n_blocks, 16) uint8 array.
+    fresh, writable (n_blocks, 16) uint8 array.
 
-    All counter blocks are generated in one pass and encrypted as a
-    single batch, so the cost per block is a few numpy operations
-    instead of a full Python round function.
+    A run of up to ``CTR_SCALAR_BLOCKS`` blocks encrypts each counter
+    with :meth:`AES.encrypt_block`; a longer one generates every
+    counter block in one pass and encrypts them as a single batch, so
+    the cost per block is a few numpy operations instead of a full
+    Python round function.  Both give the same bytes.
     """
     if len(initial_counter) != 16:
         raise KeyError_("CTR counter block must be 16 bytes")
     if not n_blocks:
         return np.empty((0, 16), dtype=np.uint8)
+    start = struct.unpack(">I", initial_counter[12:])[0]
+    if n_blocks <= CTR_SCALAR_BLOCKS:
+        prefix, stream = initial_counter[:12], bytearray()
+        for value in range(start, start + n_blocks):
+            stream += cipher.encrypt_block(
+                prefix + struct.pack(">I", value & 0xFFFFFFFF))
+        return np.frombuffer(stream, dtype=np.uint8).reshape(n_blocks, 16)
     counters = np.empty((n_blocks, 16), dtype=np.uint8)
     counters[:, :12] = np.frombuffer(initial_counter[:12], dtype=np.uint8)
-    start = struct.unpack(">I", initial_counter[12:])[0]
     values = ((start + np.arange(n_blocks, dtype=np.uint64))
               & 0xFFFFFFFF).astype(np.uint32)
     counters[:, 12:] = values.astype(">u4").view(np.uint8).reshape(-1, 4)
@@ -86,7 +108,7 @@ def ctr_keystream(cipher: AES, initial_counter: bytes,
 
 def ctr_keystream_xor(cipher: AES, initial_counter: bytes, data: bytes) -> bytes:
     """XOR ``data`` with the AES-CTR keystream starting at
-    ``initial_counter`` (one :func:`ctr_keystream` batch)."""
+    ``initial_counter`` (one :func:`ctr_keystream` run)."""
     keystream = ctr_keystream(
         cipher, initial_counter, (len(data) + 15) // 16).reshape(-1)
     return (np.frombuffer(data, dtype=np.uint8)
@@ -359,10 +381,13 @@ def _tag_padded(aad: bytes, ciphertext: bytes) -> bytes:
 # 32-bit counter, the only bits inc32 steps.  From counter _MASK_CHUNK
 # up, a tagger takes each mask from an aligned chunk of _MASK_CHUNK
 # keystream blocks; a power of two dividing 2**32, so a chunk never
-# wraps inc32.  A chunk costs 0.35-0.46 ms from 1 to 256 blocks (0.39
-# at 128), a scalar block 22 us (2-vCPU VM), so counters below
-# _MASK_CHUNK stay scalar: a session that sends a request or two never
-# pays for a chunk.  On serve_steady 128 and 256 measured level, 64
+# wraps inc32.  A chunk costs about 0.19 ms at 128 blocks (0.15 at 1,
+# 0.24 at 256), a scalar block 16 us (2-vCPU VM, the CTR_SCALAR_BLOCKS
+# table's runs; a loaded host reads about twice that on both), so
+# counters below _MASK_CHUNK stay scalar: a session that sends a
+# request or two never pays for a chunk.  A smaller chunk would help
+# only a lane's first frames and costs one more run per _MASK_CHUNK
+# frames after them; on serve_steady 128 and 256 measured level, 64
 # slower.
 _MASK_CHUNK = 128
 # Chunks one tagger holds: the current one, and the one before it for

@@ -70,8 +70,10 @@ class ServeConfig:
     """Tunables for one :class:`ServingService`.
 
     Both priority classes batch under ``max_batch`` and
-    ``deadline_ms``.  Each batch prefetches the one response keystream
-    chunk per request it will be sealed under before inference runs.
+    ``deadline_ms``.  Before inference runs, each batch prefetches the
+    response-lane keystream span each of its responses will be sealed
+    under: short spans run exactly, longer ones fill their
+    ``keystream_chunk_bytes`` chunk (:class:`KeystreamCache`).
     """
 
     max_batch: int = 8
@@ -578,15 +580,16 @@ class ServingService:
     def _execute_batch(self, batch: list, worker, requeue) -> None:
         soc = self.platform.soc
         fingerprints = np.stack([item[2] for item in batch])
-        # Pipelined keystream prefetch: warm the response-lane chunk
-        # each request will be sealed under before inference runs, so
-        # sealing afterwards is pure XOR against cached chunks instead
+        # Pipelined keystream prefetch: run the response-lane keystream
+        # each response will be sealed under before inference runs, so
+        # sealing afterwards is pure XOR against held keystream instead
         # of blocking on AES-CTR.
+        size = self.response_bytes
         for session_id, seq, _ in batch:
             lane = self._service_lane(session_id, 1)
             if lane is not None:
                 self._service_keystreams.prefetch(
-                    session_id, lane[0], seq * self.response_bytes, 1)
+                    session_id, lane[0], seq * size, size)
         # One world-switch round trip per *batch*, not per request —
         # the scheduling win the simulated clock sees.
         soc.clock.advance_ms(2 * soc.profile.sa_world_switch_ms)
@@ -723,16 +726,16 @@ class ServingService:
              "batches force-flushed past the watchdog deadline",
              stats.watchdog_flushes),
             ("omg_keystream_cache_hits_total",
-             "keystream chunks served from cache",
+             "keystream chunk reads served from held keystream",
              sum(cache.hits for cache in caches)),
             ("omg_keystream_cache_misses_total",
-             "keystream chunks generated (CTR run)",
+             "keystream chunk reads that ran CTR",
              sum(cache.misses for cache in caches)),
             ("omg_keystream_prefetch_total",
-             "keystream chunks generated ahead of demand",
+             "keystream CTR runs made ahead of demand",
              sum(cache.prefetches for cache in caches)),
             ("omg_keystream_prefetch_waste_total",
-             "prefetched keystream chunks scrubbed unused",
+             "prefetched keystream chunks scrubbed unread",
              sum(cache.prefetch_waste for cache in caches)),
         ):
             yield "counter", name, help, {}, value

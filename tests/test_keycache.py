@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import keycache
 from repro.crypto.aes import AES
 from repro.crypto.keycache import (
     KeystreamCache,
@@ -139,15 +140,15 @@ _SPAN = st.tuples(st.sampled_from(sorted(_LANE_KEYS)),
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(chunk_bytes=st.sampled_from([64, 4096]),
        ops=st.lists(st.one_of(
-           st.tuples(st.just("take"), _SPAN),
-           st.tuples(st.just("discard"), _SPAN),
+           st.tuples(st.sampled_from(["take", "prefetch", "discard"]),
+                     _SPAN),
            st.tuples(st.just("forget"), st.sampled_from([1, 2]))),
            max_size=14))
 def test_keystream_cache_reads_match_direct_ctr(chunk_bytes, ops):
-    """Random reads, chunk-crossing ones included, interleaved with
-    dropped chunks (as a keycache.chunk fault drops them), capacity
-    evictions and session closes: every byte read equals AES-CTR
-    computed directly at its position."""
+    """Random reads and prefetches, chunk-crossing ones included,
+    interleaved with dropped chunks (as a keycache.chunk fault drops
+    them), capacity evictions and session closes: every byte read
+    equals AES-CTR computed directly at its position."""
     cache = KeystreamCache(capacity=3, chunk_bytes=chunk_bytes)
     for kind, arg in ops:
         if kind == "forget":
@@ -160,12 +161,69 @@ def test_keystream_cache_reads_match_direct_ctr(chunk_bytes, ops):
         if kind == "discard":
             cache._chunks.discard((sid, key, start // chunk_bytes))
             continue
+        if kind == "prefetch":
+            cache.prefetch(sid, key, start, length)
+            continue
         first, end = start // 16, -(-(start + length) // 16)
         direct = ctr_keystream(AES(key), b"\x00" * 12
                                + first.to_bytes(4, "big"), end - first)
         expected = direct.reshape(-1)[start % 16:start % 16 + length]
         assert cache.take(sid, key, start, length).tobytes() == (
             expected.tobytes())
+
+
+def _record_runs(monkeypatch) -> list:
+    """(first counter, blocks) of every CTR run the cache makes."""
+    runs = []
+
+    def recording(cipher, counter, n_blocks):
+        runs.append((int.from_bytes(counter[12:], "big"), n_blocks))
+        return ctr_keystream(cipher, counter, n_blocks)
+
+    monkeypatch.setattr(keycache, "ctr_keystream", recording)
+    return runs
+
+
+def test_keystream_runs_reach_only_as_far_as_reads(monkeypatch):
+    """On a 4096-byte chunk a 13-byte read runs 1 block, the next
+    13-byte read 1 more, and a 2107-byte read fills the chunk: short
+    runs go exactly as far as the read, a run past CTR_SCALAR_BLOCKS
+    takes the rest of the chunk."""
+    runs = _record_runs(monkeypatch)
+    key = bytes(range(16))
+    cache = KeystreamCache(capacity=4, chunk_bytes=4096)
+    for start, length in ((0, 13), (13, 13), (26, 2107)):
+        assert (cache.take(1, key, start, length).tobytes()
+                == _direct_keystream(key, start, length))
+    assert runs == [(0, 1), (1, 1), (2, 254)]
+    assert (cache.hits, cache.misses) == (0, 3)
+    assert (cache.take(1, key, 2133, 1963).tobytes()
+            == _direct_keystream(key, 2133, 1963))
+    assert len(runs) == 3
+    assert (cache.hits, cache.misses) == (1, 3)
+
+
+def test_keystream_short_runs_double_the_held_prefix(monkeypatch):
+    """Block-by-block reads run 1, 1, 2, 4 and 8 blocks, each at least
+    doubling the held prefix, then fill the chunk; a prefetch follows
+    the same rule and counts its runs, not the reads it serves."""
+    runs = _record_runs(monkeypatch)
+    key = bytes(range(16))
+    cache = KeystreamCache(capacity=4, chunk_bytes=4096)
+    for block in range(20):
+        assert (cache.take(1, key, block * 16, 16).tobytes()
+                == _direct_keystream(key, block * 16, 16))
+    assert runs == [(0, 1), (1, 1), (2, 2), (4, 4), (8, 8), (16, 240)]
+    assert (cache.hits, cache.misses) == (14, 6)
+    runs.clear()
+    assert cache.prefetch(2, key, 0, 13) == 1
+    assert cache.prefetch(2, key, 13, 13) == 1
+    assert cache.prefetch(2, key, 0, 26) == 0
+    assert runs == [(0, 1), (1, 1)]
+    assert cache.prefetches == 2
+    assert (cache.take(2, key, 13, 13).tobytes()
+            == _direct_keystream(key, 13, 13))
+    assert (cache.hits, cache.misses) == (15, 6)
 
 
 def test_keystream_cache_regenerates_after_eviction():
@@ -239,7 +297,7 @@ def test_keystream_cache_session_index_follows_lru_eviction():
     key_a, key_b = bytes(range(16)), bytes(range(16, 32))
     cache.take(1, key_a, 0, 192)
     cache.take(2, key_b, 0, 128)
-    cache.prefetch(1, key_b, 0, depth=2)
+    cache.prefetch(1, key_b, 0, 128)
     assert cache.evictions == 4
     assert (set().union(*cache._session_chunks.values())
             == set(cache._chunks._entries))
@@ -276,7 +334,7 @@ def test_keystream_cache_validates_parameters():
 def test_keystream_prefetch_matches_demand_generation():
     key = bytes(range(16))
     warm = KeystreamCache(capacity=8, chunk_bytes=64)
-    assert warm.prefetch(3, key, 0, depth=3) == 3
+    assert warm.prefetch(3, key, 0, 192) == 3
     assert warm.prefetches == 3
     # Every byte served out of the prefetched chunks is bit-identical
     # to the unprefetched (demand-generated) stream.
@@ -289,7 +347,7 @@ def test_keystream_prefetch_matches_demand_generation():
     assert warm.hits >= 3
     assert not warm._prefetched_unused
     # Prefetching already-cached chunks is a no-op.
-    assert warm.prefetch(3, key, 0, depth=3) == 0
+    assert warm.prefetch(3, key, 0, 192) == 0
     assert warm.prefetches == 3
 
 
@@ -299,7 +357,7 @@ def test_keystream_prefetch_preserves_lane_isolation():
     session = 9
     key_req, key_resp = bytes(16), bytes(range(16))
     cache = KeystreamCache(capacity=8, chunk_bytes=64)
-    cache.prefetch(session, key_resp, 0, depth=2)
+    cache.prefetch(session, key_resp, 0, 128)
     # The request lane finds nothing prefetched: its take() is a miss
     # and generates from its own key.
     req = cache.take(session, key_req, 0, 64).tobytes()
@@ -313,7 +371,7 @@ def test_keystream_prefetch_preserves_lane_isolation():
 def test_keystream_prefetched_chunks_scrubbed_on_forget_session():
     key = bytes(range(16))
     cache = KeystreamCache(capacity=8, chunk_bytes=64)
-    cache.prefetch(4, key, 0, depth=2)
+    cache.prefetch(4, key, 0, 128)
     chunks = [cache._chunks.get((4, key, index)) for index in range(2)]
     assert all(chunk.any() for chunk in chunks)
     cache.forget_session(4)
@@ -328,7 +386,7 @@ def test_keystream_prefetched_chunks_scrubbed_on_forget_session():
 def test_keystream_prefetch_waste_counts_untouched_evictions():
     key = bytes(range(16))
     cache = KeystreamCache(capacity=2, chunk_bytes=64)
-    cache.prefetch(1, key, 0, depth=2)
+    cache.prefetch(1, key, 0, 128)
     stream = cache.take(1, key, 0, 64).tobytes()  # touch chunk 0 only
     # Filling the cache evicts both prefetched chunks; only the
     # untouched one counts as wasted prefetch work.
@@ -342,8 +400,11 @@ def test_keystream_prefetch_waste_counts_untouched_evictions():
 def test_keystream_prefetch_validates_position():
     cache = KeystreamCache(capacity=4, chunk_bytes=64)
     with pytest.raises(CryptoError):
-        cache.prefetch(1, bytes(16), -1)
-    assert cache.prefetch(1, bytes(16), 0, depth=0) == 0
+        cache.prefetch(1, bytes(16), -1, 16)
+    with pytest.raises(CryptoError):
+        cache.prefetch(1, bytes(16), 0, -1)
+    assert cache.prefetch(1, bytes(16), 0, 0) == 0
+    assert cache.prefetch(1, bytes(16), 40, 0) == 0
     assert cache.prefetches == 0
 
 

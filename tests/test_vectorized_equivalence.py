@@ -15,6 +15,7 @@ from repro.audio.features import FeatureConfig, FingerprintExtractor
 from repro.audio.streaming import StreamingFeatureExtractor
 from repro.crypto.aes import AES
 from repro.crypto.modes import (
+    CTR_SCALAR_BLOCKS,
     GCM,
     ctr_keystream_xor,
     ctr_keystream_xor_reference,
@@ -59,9 +60,10 @@ def test_decrypt_blocks_matches_scalar():
 # --- CTR / GCM ---------------------------------------------------------
 
 
-# 8 and 9 blocks straddle ctr_keystream's scalar-run cutoff.
-@pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 8 * 16, 9 * 16, 4096,
-                                  4100])
+# CTR_SCALAR_BLOCKS and one more straddle ctr_keystream's scalar-run
+# cutoff.
+@pytest.mark.parametrize("size", [0, 1, 15, 16, 17, CTR_SCALAR_BLOCKS * 16,
+                                  (CTR_SCALAR_BLOCKS + 1) * 16, 4096, 4100])
 def test_ctr_keystream_matches_reference(size):
     rng = np.random.default_rng(size)
     cipher = AES(b"\x2b" * 16)
