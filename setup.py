@@ -12,6 +12,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
-    extras_require={"dev": ["pytest", "hypothesis", "scipy"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro-omg = repro.cli:main"]},
 )

@@ -1,5 +1,9 @@
 """Fingerprint extraction and the synthetic Speech Commands dataset."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -149,6 +153,23 @@ def test_unknown_uses_distractor_words(dataset):
     words = {dataset.render("unknown", i).word for i in range(20)}
     assert words <= set(UNKNOWN_WORDS)
     assert len(words) > 3  # draws from many distractors
+
+
+def test_render_imports_no_scipy():
+    """Rendering a clip needs numpy only: scipy.signal alone would add
+    about 78 MB to every process that synthesizes speech."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = ("import sys\n"
+            "from repro.audio.speech_commands import SyntheticSpeechCommands\n"
+            "SyntheticSpeechCommands().render('yes', 0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
 
 
 def test_render_rejects_unknown_label(dataset):
