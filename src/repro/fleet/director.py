@@ -296,7 +296,9 @@ class FleetDirector:
                         refused += 1
                 if not shard.up and shard_id not in restart_at:
                     restart_at[shard_id] = now + restart_delay_ms
-                if shard.journal.lag > compact_lag:
+                # A crashed shard's journal holds no live state until
+                # restart replays it; compacting it would erase grants.
+                if shard.up and shard.journal.lag > compact_lag:
                     shard.journal.compact()
             if unlock:
                 complete_grant_batches(

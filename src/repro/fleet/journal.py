@@ -25,13 +25,17 @@ Failure model:
   field that runs past the medium while the record's own fields end
   inside it.  Recovery raises :class:`~repro.errors.ProtocolError`
   for each instead of truncating acknowledged grants.
-* Shard crash: in-memory state is discarded; :meth:`recover` replays
-  ``snapshot + tail`` and reports what it dropped.  A snapshot never
-  tears, so one short of any byte or of its record count raises.
+* Shard crash: :meth:`drop_memory` discards in-memory state;
+  :meth:`recover` replays ``snapshot + tail`` and reports what it
+  dropped.  A snapshot never tears, so one short of any byte or of its
+  record count raises.
 
 :meth:`compact` folds the live state into a snapshot and truncates the
 tail, bounding replay time; ``lag`` (records since the last snapshot)
-is exported as a gauge by the director.
+is exported as a gauge by the director.  Between :meth:`drop_memory`
+and :meth:`recover` the live state is not the medium's, so
+:meth:`compact` raises :class:`~repro.errors.ProtocolError` rather than
+snapshot it over acknowledged grants.
 """
 
 from __future__ import annotations
@@ -131,6 +135,7 @@ class LicenseJournal:
         self.torn_drops = 0
         self.replays = 0
         self._tail_records = 0
+        self._recovered = True
 
     @property
     def lag(self) -> int:
@@ -210,8 +215,18 @@ class LicenseJournal:
 
     # --- durability -------------------------------------------------------
 
+    def drop_memory(self) -> None:
+        """Lose the in-memory state (a crash); the medium survives and
+        :meth:`recover` must run before the next :meth:`compact`."""
+        self.live = {}
+        self._recovered = False
+
     def compact(self) -> None:
         """Fold live state into the snapshot and truncate the tail."""
+        if not self._recovered:
+            raise ProtocolError(
+                f"journal on shard {self.shard_id} lost its in-memory "
+                f"state; recover() before compact()")
         records = []
         for grant in sorted(self.live.values(), key=lambda g: g.lsn):
             body = _encode_body((grant.device, grant.tenant,
@@ -311,6 +326,7 @@ class LicenseJournal:
             del self._media[len(self._media) - torn:]
             self.torn_drops += 1
         self.live = live
+        self._recovered = True
         self._lsn = max(self._lsn, max_lsn)
         self._tail_records = replayed
         return RecoveryReport(replayed=replayed, torn_bytes_dropped=torn,

@@ -195,7 +195,7 @@ class VendorShard:
             return
         self.up = False
         self.crashes += 1
-        self.journal.live = {}
+        self.journal.drop_memory()
         self._servers = {}
 
     def restart(self):

@@ -147,6 +147,22 @@ def test_compact_bounds_replay_and_preserves_state():
     assert journal.lsn == lsn  # LSNs survive the snapshot
 
 
+def test_compact_refuses_state_dropped_by_a_crash():
+    """Compacting between a crash and recovery would snapshot an empty
+    live map over acknowledged grants; it must raise instead."""
+    journal = LicenseJournal("s0")
+    for index in range(3):
+        _grant(journal, f"dev-{index}", nonce=f"{index:02d}" * 8)
+    journal.drop_memory()
+    with pytest.raises(ProtocolError, match="recover"):
+        journal.compact()
+    assert journal.compactions == 0
+    assert journal.recover().live == 3
+    journal.compact()
+    journal.drop_memory()
+    assert journal.recover().live == 3
+
+
 def _compacted(grants):
     journal = LicenseJournal("s0")
     for index in range(grants):

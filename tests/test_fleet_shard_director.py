@@ -11,6 +11,7 @@ from repro.faults import (
     drop_nth_fleet_reply,
     drop_nth_fleet_rpc,
     installed,
+    tear_nth_journal_append,
 )
 from repro.fleet import DeviceFleet, FleetDirector
 from repro.fleet.population import STATE_DONE
@@ -282,3 +283,20 @@ def test_storm_is_deterministic_for_a_given_fleet_seed():
 
     first, second = run(), run()
     assert first == second  # StormReport is a frozen dataclass
+
+
+def test_storm_never_compacts_a_crashed_shard():
+    """A torn append crashes its shard; compacting that shard before it
+    restarts would erase every grant it had acknowledged."""
+    clock = VirtualClock()
+    fleet = DeviceFleet(clock, key_bits=KEY_BITS, seed=b"compact-bug")
+    for tenant in fleet.tenants:
+        fleet.build_cohort(tenant, f"{tenant}-c0", 400)
+    director = _director(clock, fleet, num_shards=4)
+    with installed(FaultPlan(1, [tear_nth_journal_append(100)])):
+        report = director.run_storm(fleet.cohorts, compact_lag=8)
+    assert report.crashes == report.restarts == 1
+    assert report.granted == 800 and report.stalled == 0
+    assert all(s.journal.compactions > 0 for s in director.shards.values())
+    live = sum(len(s.journal.live) for s in director.shards.values())
+    assert live == report.granted
