@@ -176,8 +176,8 @@ class SyntheticSpeechCommands:
         white = rng.standard_normal(cfg.clip_samples)
         # Crude pink-ish shaping: one-pole lowpass mixed with white.
         # y[n] = (1 - alpha) * x[n] + alpha * y[n - 1], rounded step for
-        # step like lfilter([1 - alpha], [1, -alpha], x) but with no
-        # signal-processing import (that one cost ~78 MB of RSS).
+        # step like lfilter([1 - alpha], [1, -alpha], x), whose package
+        # would add ~78 MB of RSS to every process that renders a clip.
         alpha = 0.92
         shaped = np.fromiter(
             itertools.accumulate(((1 - alpha) * white).tolist(),
