@@ -117,13 +117,12 @@ SECRET_ATTRIBUTES = frozenset({
 # treating them as tainted forced waivers on honest error messages.
 PUBLIC_ATTRIBUTES = frozenset({
     # geometry / sizes
-    "dtype", "nbytes", "ndim", "num_bits", "shape", "size",
+    "dtype", "num_bits", "shape", "size",
     # identifiers and classification output (the system's public API
     # surface: recognized label + timing the caller observes anyway)
-    "inference_ms", "label", "metadata", "name",
-    # observability aggregates, secret-safe by the obs PR's contract
-    "batches", "clock", "deadline_flushes", "p50_ms", "p95_ms",
-    "requests_completed", "transcript",
+    "inference_ms", "label", "name",
+    # the SoC's virtual clock, which telemetry stamps every span with
+    "clock",
 })
 
 # Calls that *declassify*: their result is safe even with secret

@@ -30,7 +30,6 @@ from repro.obs import hooks as _obs
 from repro.tflm.arena import ArenaPlan, plan_arena
 from repro.tflm.model import Model
 from repro.tflm.ops.base import Op, OpCost
-from repro.tflm.ops.fused import FusedChain, fuse_operators
 
 __all__ = ["InvokeStats", "Interpreter"]
 
@@ -50,7 +49,7 @@ class Interpreter:
     """Executes one model; owns tensor buffers planned into an arena."""
 
     def __init__(self, model: Model, arena_limit_bytes: int | None = None,
-                 reference_kernels: bool = False, fuse: bool = True) -> None:
+                 reference_kernels: bool = False) -> None:
         model.validate()
         self.model = model
         self.plan: ArenaPlan = plan_arena(model)
@@ -58,39 +57,20 @@ class Interpreter:
         self._inputs_set: set[str] = set()
         self._invoked = False
         self._reference_kernels = reference_kernels
-        # The invoke plan: operator chains fused at plan time, each
-        # entry carrying a cached summed cost, the number of constituent
-        # ops (cycle accounting charges dispatch per *constituent*, so
-        # fusion never changes simulated cycles), and kernel-specific
-        # precomputed state.  Shapes are static, so all of it is
-        # computed exactly once here.  ``fuse=False`` keeps the fast
-        # kernels but runs every operator as its own plan entry — the
-        # baseline the ``inference_fused`` benchmark stage compares
-        # against.
+        # The invoke plan: per op, its cached cost and kernel-specific
+        # precomputed state.  Shapes are static, so both are computed
+        # exactly once here.
         if reference_kernels:
             self._invoke_plan = None
-            self.fused_plan = self.plan
         else:
-            groups = (fuse_operators(model) if fuse
-                      else [[op] for op in model.operators])
-            entries = []
-            for group in groups:
-                if len(group) == 1:
-                    op = group[0]
-                else:
-                    op = FusedChain(group, model.tensors)
-                entries.append((op, op.cost(model.tensors), len(group),
-                                op.plan(self._tensors, model.tensors)))
-            self._invoke_plan = entries
-            # Lifetime-aware arena with fused-away intermediates dropped:
-            # the working set the fused plan actually touches.
-            self.fused_plan = plan_arena(model, fused_ops=[
-                entry[0] for entry in entries])
-        limit_plan = self.fused_plan
+            self._invoke_plan = [
+                (op, op.cost(model.tensors),
+                 op.plan(self._tensors, model.tensors))
+                for op in model.operators]
         if (arena_limit_bytes is not None
-                and limit_plan.arena_bytes > arena_limit_bytes):
+                and self.plan.arena_bytes > arena_limit_bytes):
             raise InterpreterError(
-                f"arena needs {limit_plan.arena_bytes} bytes, "
+                f"arena needs {self.plan.arena_bytes} bytes, "
                 f"limit is {arena_limit_bytes}"
             )
         # Timing attachment (optional).
@@ -133,14 +113,13 @@ class Interpreter:
             return None
         return telemetry.tracer
 
-    def _entries(self) -> list[tuple[Op, OpCost, int, object]]:
-        """(op, cost, constituent-op count, plan) per dispatch — fused
-        chains report the summed cost and their member count.  Reference
-        mode recomputes every operator's cost on each call, as the
-        original per-invoke loop did."""
+    def _entries(self) -> list[tuple[Op, OpCost, object]]:
+        """(op, cost, plan) per dispatch.  Reference mode recomputes
+        every operator's cost on each call, as the original per-invoke
+        loop did."""
         if self._invoke_plan is not None:
             return self._invoke_plan
-        return [(op, op.cost(self.model.tensors), 1, None)
+        return [(op, op.cost(self.model.tensors), None)
                 for op in self.model.operators]
 
     def estimate_cycles(self) -> int:
@@ -150,10 +129,10 @@ class Interpreter:
         if self._is_float_graph():
             mac_cycles *= profile.float_mac_multiplier
         total = 0.0
-        for _, cost, n_ops, _ in self._entries():
+        for _, cost, _ in self._entries():
             total += (cost.macs * mac_cycles
                       + cost.elements * profile.cycles_per_element
-                      + n_ops * profile.cycles_per_op_dispatch)
+                      + profile.cycles_per_op_dispatch)
         if self._l2_excluded:
             total *= 1.0 + profile.l2_exclusion_penalty
         return int(total)
@@ -175,12 +154,12 @@ class Interpreter:
         """Dispatch every entry through ``run(op, plan)`` and charge it.
 
         MAC/element work scales with ``batch``; dispatch is charged once
-        per constituent op, whatever the batch — the simulated face of
+        per op, whatever the batch — the simulated face of
         the amortization batching gives the host.
         """
         stats = InvokeStats()
         tracer = self._op_profiler()
-        for op, cost, n_ops, op_plan in self._entries():
+        for op, cost, op_plan in self._entries():
             if tracer is None:
                 run(op, op_plan)
             else:
@@ -190,7 +169,7 @@ class Interpreter:
                     run(op, op_plan)
             stats.macs += cost.macs * batch
             stats.elements += cost.elements * batch
-            stats.ops += n_ops
+            stats.ops += 1
         profile = self._profile
         mac_cycles = profile.cycles_per_mac
         if self._is_float_graph():

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.tflm.model import Model, ModelMetadata
-from repro.tflm.ops.activations import Relu
 from repro.tflm.ops.conv import Conv2D, conv_output_size
 from repro.tflm.ops.fully_connected import FullyConnected
 from repro.tflm.ops.pooling import MaxPool2D
@@ -133,19 +132,16 @@ def convert_network_int8(network: TrainableNetwork,
                          calibration_x: np.ndarray,
                          labels: tuple[str, ...] = (),
                          name: str = "model",
-                         version: int = 1,
-                         fuse_activations: bool = True) -> Model:
+                         version: int = 1) -> Model:
     """Post-training int8 quantization for any supported layer stack.
 
     Supported: ConvLayer, MaxPoolLayer, DenseLayer — each with an
     optional following ReluLayer fused into the producing op — plus
     DropoutLayer and FlattenLayer (structural, skipped).  A softmax head
     is appended after the final dense layer, as in the TFLite recipe.
-
-    With ``fuse_activations=False`` a following ReluLayer is emitted as
-    a standalone quant-preserving ``relu`` op instead of being folded
-    into the producer — the graph shape the interpreter's plan-time
-    fusion pass (``repro.tflm.ops.fused``) recognizes and re-fuses.
+    The fused ReLU becomes the producer's ``activation`` parameter, so
+    the graph has no standalone ``relu`` op and its clip is folded into
+    the producer's requantization.
     """
     if len(calibration_x) == 0:
         raise ReproError("calibration set is empty")
@@ -182,9 +178,7 @@ def convert_network_int8(network: TrainableNetwork,
         fused = False
         if isinstance(layer, ConvLayer):
             fused = is_fused_relu(index)
-            emit_relu = fused and not fuse_activations
-            out = activations[index + 1] if fused and fuse_activations \
-                else activations[index]
+            out = activations[index + 1] if fused else activations[index]
             out_quant = choose_activation_qparams(float(out.min()),
                                                   float(out.max()))
             w_q = choose_weight_qparams(layer.weights)
@@ -205,16 +199,9 @@ def convert_network_int8(network: TrainableNetwork,
             model.add_operator(Conv2D(
                 [current_name, weights_name, bias_name], [out_name],
                 {"stride": tuple(layer.stride), "padding": layer.padding,
-                 "activation": "relu" if fused and fuse_activations
-                 else None}))
+                 "activation": "relu" if fused else None}))
             current_name, current_quant = out_name, out_quant
             current_shape = out_shape
-            if emit_relu:
-                relu_name = f"t{tensor_index}a"
-                model.add_tensor(TensorSpec(relu_name, out_shape, "int8",
-                                            out_quant))
-                model.add_operator(Relu([out_name], [relu_name], {}))
-                current_name = relu_name
         elif isinstance(layer, MaxPoolLayer):
             out = activations[index]
             out_name = f"t{tensor_index}"
@@ -229,9 +216,7 @@ def convert_network_int8(network: TrainableNetwork,
             current_shape = out_shape
         elif isinstance(layer, DenseLayer):
             fused = is_fused_relu(index)
-            emit_relu = fused and not fuse_activations
-            out = activations[index + 1] if fused and fuse_activations \
-                else activations[index]
+            out = activations[index + 1] if fused else activations[index]
             out_quant = choose_activation_qparams(float(out.min()),
                                                   float(out.max()))
             w_q = choose_weight_qparams(layer.weights)
@@ -251,16 +236,9 @@ def convert_network_int8(network: TrainableNetwork,
                                         out_quant))
             model.add_operator(FullyConnected(
                 [current_name, weights_name, bias_name], [out_name],
-                {"activation": "relu" if fused and fuse_activations
-                 else None}))
+                {"activation": "relu" if fused else None}))
             current_name, current_quant = out_name, out_quant
             current_shape = out_shape
-            if emit_relu:
-                relu_name = f"t{tensor_index}a"
-                model.add_tensor(TensorSpec(relu_name, out_shape, "int8",
-                                            out_quant))
-                model.add_operator(Relu([out_name], [relu_name], {}))
-                current_name = relu_name
         else:
             raise ReproError(
                 f"generic converter does not support "

@@ -526,6 +526,26 @@ def test_consttime_config_names_exist():
     assert CONSTTIME_SECRET_ATTRIBUTES - attributes == set()
 
 
+def test_public_attributes_each_silence_a_finding():
+    """A ``PUBLIC_ATTRIBUTES`` entry exempts its name on every object,
+    so a stale one would widen the taint rule's blind spot for nothing:
+    dropping any single entry must make ``secret-taint`` report at least
+    one finding over ``src/repro``."""
+    import dataclasses
+
+    from repro.analysis.config import DEFAULT_CONFIG, PUBLIC_ATTRIBUTES
+
+    assert _run(_SRC_REPRO, rule="secret-taint").findings == []
+    idle = []
+    for name in sorted(PUBLIC_ATTRIBUTES):
+        config = dataclasses.replace(
+            DEFAULT_CONFIG, public_attributes=PUBLIC_ATTRIBUTES - {name})
+        if not _run_with_config(_SRC_REPRO, config,
+                                rule="secret-taint").findings:
+            idle.append(name)
+    assert idle == []
+
+
 # --- interprocedural taint --------------------------------------------------
 
 def test_taint_two_hops_through_helpers(fixture_tree):

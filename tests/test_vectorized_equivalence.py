@@ -21,6 +21,8 @@ from repro.crypto.modes import (
     ctr_keystream_xor_reference,
 )
 from repro.tflm.interpreter import Interpreter
+from repro.tflm.model import Model, ModelMetadata
+from repro.tflm.ops.activations import Relu, Relu6
 from repro.tflm.ops.conv import (
     Conv2D,
     DepthwiseConv2D,
@@ -28,6 +30,14 @@ from repro.tflm.ops.conv import (
     _im2col_reference,
     conv_output_size,
 )
+from repro.tflm.ops.fully_connected import FullyConnected
+from repro.tflm.ops.softmax import (
+    SOFTMAX_OUTPUT_SCALE,
+    SOFTMAX_OUTPUT_ZERO_POINT,
+    Softmax,
+)
+from repro.tflm.quantize import choose_weight_qparams
+from repro.tflm.serialize import deserialize_model, serialize_model
 from repro.tflm.tensor import QuantParams, TensorSpec
 
 from tests.helpers import build_float_mlp, build_tiny_int8_model
@@ -296,25 +306,78 @@ def test_set_input_copies_caller_buffer():
     assert np.array_equal(interp.get_output(model.outputs[0]), expected)
 
 
-# --- plan-time fusion: bit-exactness across the whole zoo --------------
+# --- fast vs reference kernels across the whole zoo ---------------------
 
 
 _ZOO_MODELS: dict = {}
 
 
+def _standalone_activation_model():
+    """A hand-built int8 graph, conv -> ``relu`` -> FC -> ``relu6`` ->
+    softmax, with each activation a standalone quant-preserving op
+    rather than the producer's ``activation`` parameter.  The converter
+    never emits such ops, but OMGM streams that carry them must still
+    decode and run op by op, so it goes through the serializer first."""
+    rng = np.random.default_rng(37)
+    conv_w = rng.normal(0, 0.4, size=(3, 3, 3, 1))
+    conv_b = rng.normal(0, 0.1, size=3)
+    fc_w = rng.normal(0, 2.5, size=(4, 4 * 3 * 3))
+    fc_b = rng.normal(0, 0.1, size=4)
+    input_q = QuantParams(scale=1 / 255.0, zero_point=-128)
+    conv_w_q = choose_weight_qparams(conv_w)
+    conv_out_q = QuantParams(scale=0.02, zero_point=-80)
+    fc_w_q = choose_weight_qparams(fc_w)
+    # 6.0 lands at q = 40, inside the int8 range, so relu6's upper
+    # clamp bites as well as its lower one.
+    logits_q = QuantParams(scale=0.1, zero_point=-20)
+
+    model = Model(metadata=ModelMetadata(name="standalone_relu", version=1))
+    model.add_tensor(TensorSpec("input", (1, 8, 6, 1), "int8", input_q))
+    model.add_tensor(TensorSpec("conv_w", conv_w.shape, "int8", conv_w_q),
+                     conv_w_q.quantize(conv_w))
+    bias_scale = input_q.scale * conv_w_q.scale
+    model.add_tensor(TensorSpec("conv_b", (3,), "int32",
+                                QuantParams(bias_scale, 0)),
+                     np.round(conv_b / bias_scale).astype(np.int32))
+    for name in ("conv_out", "conv_relu"):
+        model.add_tensor(TensorSpec(name, (1, 4, 3, 3), "int8", conv_out_q))
+    model.add_tensor(TensorSpec("fc_w", fc_w.shape, "int8", fc_w_q),
+                     fc_w_q.quantize(fc_w))
+    fc_bias_scale = conv_out_q.scale * fc_w_q.scale
+    model.add_tensor(TensorSpec("fc_b", (4,), "int32",
+                                QuantParams(fc_bias_scale, 0)),
+                     np.round(fc_b / fc_bias_scale).astype(np.int32))
+    for name in ("logits", "logits_relu6"):
+        model.add_tensor(TensorSpec(name, (1, 4), "int8", logits_q))
+    model.add_tensor(TensorSpec(
+        "probs", (1, 4), "int8",
+        QuantParams(SOFTMAX_OUTPUT_SCALE, SOFTMAX_OUTPUT_ZERO_POINT)))
+    model.add_operator(Conv2D(["input", "conv_w", "conv_b"], ["conv_out"],
+                              {"stride": (2, 2), "padding": "same"}))
+    model.add_operator(Relu(["conv_out"], ["conv_relu"], {}))
+    model.add_operator(FullyConnected(["conv_relu", "fc_w", "fc_b"],
+                                      ["logits"], {}))
+    model.add_operator(Relu6(["logits"], ["logits_relu6"], {}))
+    model.add_operator(Softmax(["logits_relu6"], ["probs"], {}))
+    model.inputs = ["input"]
+    model.outputs = ["probs"]
+    return deserialize_model(serialize_model(model))
+
+
 def _zoo_model(name: str):
-    """An (untrained, deterministic) zoo network converted with
-    ``fuse_activations=False`` — activations travel as standalone
-    ``relu`` ops, the graph shape the plan-time fusion pass re-fuses.
-    Cached per architecture: the interpreters under test never mutate
-    the model."""
+    """An (untrained, deterministic) zoo network converted as shipped,
+    or the standalone-activation graph.  Cached per name: the
+    interpreters under test never mutate the model."""
     if name not in _ZOO_MODELS:
-        from repro.train.zoo import build_architecture, convert_network_int8
-        rng = np.random.default_rng(sum(name.encode()))
-        network = build_architecture(name)
-        calibration = rng.random((8, 49, 43, 1)) * 0.3
-        _ZOO_MODELS[name] = convert_network_int8(
-            network, calibration, fuse_activations=False, name=name)
+        if name == "standalone_relu":
+            _ZOO_MODELS[name] = _standalone_activation_model()
+        else:
+            from repro.train.zoo import build_architecture, convert_network_int8
+            rng = np.random.default_rng(sum(name.encode()))
+            network = build_architecture(name)
+            calibration = rng.random((8, 49, 43, 1)) * 0.3
+            _ZOO_MODELS[name] = convert_network_int8(network, calibration,
+                                                     name=name)
     return _ZOO_MODELS[name]
 
 
@@ -324,21 +387,22 @@ def _zoo_names():
 
 
 @pytest.mark.parametrize("name", ["tiny_conv", "conv_pool",
-                                  "low_latency_conv", "fc_baseline"])
-def test_fused_matches_reference_across_zoo(name):
-    """Fused, unfused-fast and reference plans are bit-identical (and
+                                  "low_latency_conv", "fc_baseline",
+                                  "standalone_relu"])
+def test_fast_matches_reference_across_zoo(name):
+    """Fast and reference kernels are bit-identical (and
     cycle-identical) on every zoo architecture — not just the paper's
-    ``tiny_conv``.
+    ``tiny_conv`` — and on a graph with standalone ``relu``/``relu6``
+    ops, through both ``invoke`` and ``invoke_batch``.
 
     The saturated ±extreme inputs drive every accumulator deep into the
     negative range, exercising the negative-product requantize rounding
     (the sign-symmetric floor-shift collapse) through whole graphs, not
     just the kernel-level unit tests.
     """
-    assert name in _zoo_names()
+    assert name in _zoo_names() + ["standalone_relu"]
     model = _zoo_model(name)
-    fused = Interpreter(model)
-    unfused = Interpreter(model, fuse=False)
+    fast = Interpreter(model)
     ref = Interpreter(model, reference_kernels=True)
     input_name = model.inputs[0]
     spec = model.tensors[input_name]
@@ -348,30 +412,26 @@ def test_fused_matches_reference_across_zoo(name):
     cases += [np.full(spec.shape, -128, dtype=np.int8),
               np.full(spec.shape, 127, dtype=np.int8),
               np.zeros(spec.shape, dtype=np.int8)]
+    expected = []
     for x in cases:
         stats = []
         outputs = []
-        for interp in (fused, unfused, ref):
+        for interp in (fast, ref):
             interp.set_input(input_name, x)
             stats.append(interp.invoke())
             outputs.append(interp.get_output(model.outputs[0]).copy())
         assert np.array_equal(outputs[0], outputs[1]), name
-        assert np.array_equal(outputs[0], outputs[2]), name
-        # Fusion and kernel choice are invisible to cycle accounting.
+        expected.append(outputs[1][0])
+        # Kernel choice is invisible to cycle accounting.
         accounted = {(s.macs, s.elements, s.ops, s.cycles) for s in stats}
         assert len(accounted) == 1, (name, accounted)
-
-
-@pytest.mark.parametrize("name", ["tiny_conv", "conv_pool",
-                                  "low_latency_conv", "fc_baseline"])
-def test_fusion_pass_engages_on_every_zoo_graph(name):
-    """Each zoo graph (converted with standalone activations) must give
-    the fusion pass something to absorb: the fused plan has fewer
-    dispatch entries than the operator list."""
-    model = _zoo_model(name)
-    fused = Interpreter(model)
-    assert fused._invoke_plan is not None
-    assert len(fused._invoke_plan) < len(model.operators), name
+    stats = []
+    for interp in (fast, ref):
+        stats.append(interp.invoke_batch({input_name: np.concatenate(cases)}))
+        rows = interp.get_output_batch(model.outputs[0])
+        assert np.array_equal(rows, np.stack(expected)), name
+    accounted = {(s.macs, s.elements, s.ops, s.cycles) for s in stats}
+    assert len(accounted) == 1, (name, accounted)
 
 
 # --- streaming DSP -----------------------------------------------------
