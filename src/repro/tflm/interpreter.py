@@ -56,7 +56,6 @@ class Interpreter:
         self._tensors: dict[str, np.ndarray] = dict(model.constants)
         self._inputs_set: set[str] = set()
         self._invoked = False
-        self._reference_kernels = reference_kernels
         # The invoke plan: per op, its cached cost and kernel-specific
         # precomputed state.  Shapes are static, so both are computed
         # exactly once here.

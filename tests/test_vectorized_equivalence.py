@@ -365,8 +365,8 @@ def _standalone_activation_model():
 
 
 def _zoo_model(name: str):
-    """An (untrained, deterministic) zoo network converted as shipped,
-    or the standalone-activation graph.  Cached per name: the
+    """An (untrained, deterministic) zoo network through the default
+    converter, or the standalone-activation graph.  Cached per name: the
     interpreters under test never mutate the model."""
     if name not in _ZOO_MODELS:
         if name == "standalone_relu":
@@ -391,9 +391,9 @@ def _zoo_names():
                                   "standalone_relu"])
 def test_fast_matches_reference_across_zoo(name):
     """Fast and reference kernels are bit-identical (and
-    cycle-identical) on every zoo architecture — not just the paper's
-    ``tiny_conv`` — and on a graph with standalone ``relu``/``relu6``
-    ops, through both ``invoke`` and ``invoke_batch``.
+    cycle-identical), through both ``invoke`` and ``invoke_batch``, on
+    every zoo architecture — not just the paper's ``tiny_conv`` — and
+    on a graph with standalone ``relu``/``relu6`` ops.
 
     The saturated ±extreme inputs drive every accumulator deep into the
     negative range, exercising the negative-product requantize rounding
