@@ -172,12 +172,11 @@ CONSTTIME_PACKAGES = frozenset({"crypto"})
 # Extra attribute names that are secret *for timing purposes* inside
 # crypto code: expanded AES key schedules (both scalar and vectorized)
 # and the GHASH multiply-by-H tables derived from H = E_k(0^128) (the
-# scalar kernel's product table in four shifted copies, the reference
-# path's top-row table, the batched sweep's gather planes for H and
-# H^_FOLD_LANES).
+# one product table the scalar kernel and the reference path share,
+# the batched sweep's gather planes for H and H^_FOLD_LANES).
 CONSTTIME_SECRET_ATTRIBUTES = frozenset({
     "_dk", "_dk_np", "_ek", "_ek_np",
-    "_fold_planes", "_planes", "_shifted_tables", "_table",
+    "_fold_planes", "_planes", "_table",
 })
 
 # Table-lookup kernels exempted by qualified name: the table-lookup

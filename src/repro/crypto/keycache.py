@@ -76,8 +76,10 @@ class KeystreamCache:
     serving layer gives every lane a strictly advancing position).
 
     ``hits`` counts chunk reads served wholly from held keystream,
-    ``misses`` the chunk reads that ran CTR, and ``prefetches`` the
-    runs :meth:`prefetch` made.
+    ``misses`` the chunk reads that ran CTR, ``prefetches`` the runs
+    :meth:`prefetch` made, and ``blocks`` the keystream blocks every
+    CTR run generated, read or prefetch: a one-block run and a whole
+    chunk are each one miss, so only ``blocks`` tracks the CTR cost.
     """
 
     def __init__(self, capacity: int = 32, chunk_bytes: int = 65536) -> None:
@@ -102,6 +104,7 @@ class KeystreamCache:
         self.misses = 0
         self.prefetches = 0
         self.prefetch_waste = 0
+        self.blocks = 0
 
     @property
     def evictions(self) -> int:
@@ -150,6 +153,7 @@ class KeystreamCache:
         counter = b"\x00" * 12 + struct.pack(">I", index * total + held)
         stream = ctr_keystream(self._cipher(session_id, key), counter,
                                run).reshape(-1)
+        self.blocks += run
         if held:
             # The cache scrubs the shorter prefix this one replaces.
             extended = np.concatenate((chunk, stream))

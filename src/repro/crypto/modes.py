@@ -11,13 +11,13 @@ generates a longer run's counter blocks in one pass for the batched
 T-table AES (:meth:`repro.crypto.aes.AES.encrypt_blocks`), and runs GHASH on
 one engine (:class:`_TableGhash`, shared by :class:`GCM` and
 :class:`FrameTagKey`) over precomputed byte-multiplication tables: a
-scalar kernel over one 256-entry product table (in four shifted
-copies) for short inputs, and one numpy gather sweep
-(:func:`_frame_ghash`) for long messages and for groups of frame tags
-(:func:`frame_tags_batched`), folded lane-parallel so the sequential
-Horner chain shrinks by the lane width.  A frame tag's mask E_k(J0) is
-one scalar block for a lane's first ``_MASK_CHUNK`` counters and a row
-of a cached CTR keystream chunk after that (:class:`FrameTagKey`).
+scalar kernel over one 256-entry product table for short inputs, and
+one numpy gather sweep (:func:`_frame_ghash`) for long messages and for
+groups of frame tags (:func:`frame_tags_batched`), folded lane-parallel
+so the sequential Horner chain shrinks by the lane width.  A frame
+tag's mask E_k(J0) is one scalar block for a lane's first
+``_MASK_CHUNK`` counters and a row of a cached CTR keystream chunk
+after that (:class:`FrameTagKey`).
 The scalar reference path (the original per-block code) is retained for
 the randomized equivalence tests; construct ``GCM(key, reference=True)``
 or call the ``*_reference`` helpers to use it.
@@ -120,13 +120,14 @@ class _TableGhash:
     :class:`FrameTagKey`.
 
     The scalar kernel multiplies by H through one 256-entry product
-    table ``M[b] == (b << 120) * H``, kept as ``_shifted_tables``: M
-    and its copies shifted left by 8, 16 and 24 bits (1024 ints, about
-    57 KB per key).  One block is a 16-term XOR of lookups indexed by
-    the bytes of ``state ^ block``, placed unreduced, then one
-    reduction.  The batched sweep (:func:`_ghash_many`) gathers from
-    numpy planes of the same products, ``_planes`` for H and
-    ``_fold_planes`` for H^_FOLD_LANES.  Every table is built on first use from the
+    table ``_table``, ``M[b] == (b << 120) * H`` (256 ints, about 14 KB
+    per key), which the reference ``GCM._ghash_block`` reads too.  One
+    block is a 16-term XOR of lookups indexed by the bytes of ``state ^
+    block``, each shifted into place within its 32-bit group and placed
+    unreduced, then one reduction.  The batched sweep
+    (:func:`_ghash_many`) gathers from numpy planes of the same
+    products, ``_planes`` for H and ``_fold_planes`` for
+    H^_FOLD_LANES.  Every table is built on first use from the
     subclass's ``_h``, so a key that never hashes pays nothing and a
     short-message key never builds the planes.
     """
@@ -134,10 +135,10 @@ class _TableGhash:
     _h: int
 
     @functools.cached_property
-    def _shifted_tables(self) -> tuple[list[int], ...]:
-        row = _build_table_fast(self._h)
-        return (row, [v << 8 for v in row], [v << 16 for v in row],
-                [v << 24 for v in row])
+    def _table(self) -> list[int]:
+        # Built by linearity from the single-bit products, not by
+        # GCM._gf_mul.
+        return _byte_row(_bit_basis(self._h))
 
     @functools.cached_property
     def _planes(self) -> np.ndarray:
@@ -147,7 +148,7 @@ class _TableGhash:
     def _fold_planes(self) -> np.ndarray:
         # H^_FOLD_LANES is the GHASH of H followed by _FOLD_LANES - 2
         # zero blocks (one multiply-by-H per block), swept on the H
-        # plane so the batched path never builds the scalar tables.
+        # plane so the batched path never builds the scalar table.
         h = self._h
         words = np.zeros((1, 2 * (_FOLD_LANES - 1)), dtype=np.uint64)
         words[0, :2] = (h >> 64, h & _MASK64)
@@ -160,15 +161,19 @@ class _TableGhash:
         # Byte j of a big-endian block multiplies H by x^(8j): its
         # product M[b] lands at bit offset 120 - 8j of an unreduced
         # value V of up to 248 bits, four lookups per 32-bit group.
-        t0, t8, t16, t24 = self._shifted_tables
+        t = self._table
         from_bytes = int.from_bytes
         for offset in range(0, len(data), 16):
             b = (state ^ from_bytes(data[offset:offset + 16], "big")
                  ).to_bytes(16, "big")
-            v = ((((t24[b[0]] ^ t16[b[1]] ^ t8[b[2]] ^ t0[b[3]]) << 32
-                   ^ t24[b[4]] ^ t16[b[5]] ^ t8[b[6]] ^ t0[b[7]]) << 32
-                  ^ t24[b[8]] ^ t16[b[9]] ^ t8[b[10]] ^ t0[b[11]]) << 32
-                 ^ t24[b[12]] ^ t16[b[13]] ^ t8[b[14]] ^ t0[b[15]])
+            v = ((((t[b[0]] << 24 ^ t[b[1]] << 16 ^ t[b[2]] << 8
+                    ^ t[b[3]]) << 32
+                   ^ t[b[4]] << 24 ^ t[b[5]] << 16 ^ t[b[6]] << 8
+                   ^ t[b[7]]) << 32
+                  ^ t[b[8]] << 24 ^ t[b[9]] << 16 ^ t[b[10]] << 8
+                  ^ t[b[11]]) << 32
+                 ^ t[b[12]] << 24 ^ t[b[13]] << 16 ^ t[b[14]] << 8
+                 ^ t[b[15]])
             # The low 120 bits of V hold degrees 128..247; fold them
             # back with x^128 = x^7 + x^2 + x + 1 (reflected order).
             # The fold stays below degree 127, so once is enough.
@@ -210,11 +215,6 @@ class GCM(_TableGhash):
             else:
                 x >>= 1
         return result
-
-    @functools.cached_property
-    def _table(self) -> list[int]:
-        """``table[b] == (b << 120) * H``: the reference path's table."""
-        return _build_table_fast(self._h)
 
     def _ghash_block(self, state: int, block: bytes) -> int:
         state ^= int.from_bytes(block, "big")
@@ -332,13 +332,6 @@ def _byte_row(basis: list[int]) -> list[int]:
     return row
 
 
-def _build_table_fast(h: int) -> list[int]:
-    """``table[b] == (b << 120) * H`` for every byte ``b``, built by
-    linearity from the single-bit products rather than by
-    :meth:`GCM._gf_mul`."""
-    return _byte_row(_bit_basis(h))
-
-
 def _row_bases(h: int) -> list[list[int]]:
     """``bases[k][i] == ((1 << i) << 8k) * H``: the eight single-bit
     products of every byte significance ``k``.
@@ -413,7 +406,8 @@ class FrameTagKey(_TableGhash):
     from there up.  The chunks are as secret as the key (a known mask
     turns a tag into a known GHASH value, from which H can be solved),
     so they live in a scrub-on-evict :class:`SecretCache`, and
-    :meth:`scrub` drops them when the lane closes.
+    :meth:`scrub` drops them, with the H-derived tables, when the lane
+    closes.
     """
 
     def __init__(self, key: bytes) -> None:
@@ -444,9 +438,12 @@ class FrameTagKey(_TableGhash):
         return chunk[row].tobytes()
 
     def scrub(self) -> None:
-        """Scrub and drop every cached mask chunk."""
+        """Scrub and drop every cached mask chunk, and drop the
+        H-derived tables (a later tag rebuilds them)."""
         if self._mask_chunks is not None:
             self._mask_chunks.clear()
+        for name in ("_table", "_planes", "_fold_planes"):
+            vars(self).pop(name, None)
 
     def tag(self, j0: bytes, aad: bytes, ciphertext: bytes) -> bytes:
         """Scalar single-frame tag (one 16-lookup step per block)."""

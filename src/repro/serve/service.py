@@ -737,6 +737,9 @@ class ServingService:
             ("omg_keystream_prefetch_waste_total",
              "prefetched keystream chunks scrubbed unread",
              sum(cache.prefetch_waste for cache in caches)),
+            ("omg_keystream_blocks_total",
+             "keystream blocks generated by CTR runs, read or prefetch",
+             sum(cache.blocks for cache in caches)),
         ):
             yield "counter", name, help, {}, value
         for reason, count in self._responses_dropped.items():

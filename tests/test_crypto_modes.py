@@ -33,17 +33,12 @@ def test_gcm_nist_case_4_with_aad():
 
 @pytest.mark.parametrize("key", [b"\x00" * 16, KEY, bytes(range(32))],
                          ids=["zero", "nist", "aes256"])
-def test_ghash_shifted_tables_match_field_multiplication(key):
-    """The scalar kernel's four tables are one product table shifted
-    left by 0, 8, 16 and 24 bits: ``tables[i][b] == ((b << 120) * H)
-    << 8i``, checked entry by entry against the bitwise reference
-    multiply."""
+def test_ghash_table_matches_field_multiplication(key):
+    """The scalar kernel and the reference block step read one product
+    table, ``table[b] == (b << 120) * H``, checked entry by entry
+    against the bitwise reference multiply."""
     gcm = GCM(key)
-    tables = gcm._shifted_tables
-    assert len(tables) == 4
-    products = [GCM._gf_mul(b << 120, gcm._h) for b in range(256)]
-    for i, table in enumerate(tables):
-        assert table == [product << (8 * i) for product in products]
+    assert gcm._table == [GCM._gf_mul(b << 120, gcm._h) for b in range(256)]
 
 
 def test_ghash_scalar_matches_reference_block_chain():
@@ -71,10 +66,11 @@ def test_ghash_scalar_matches_reference_block_chain():
                     assert gcm._ghash_scalar(state, data) == expected
 
 
-def test_frame_tag_key_scalar_tables_fit_in_64_kib():
-    """One tagger's scalar tables, built by its first tag of a
-    2107-byte frame, allocate at most 64 KiB (the sixteen byte tables
-    they replace took about 215 KB)."""
+def test_frame_tag_key_scalar_table_fits_in_16_kib():
+    """One tagger's scalar table, built by its first tag of a
+    2107-byte frame, allocates at most 16 KiB (the same products kept
+    in four shifted copies took about 57 KB, and the sixteen byte
+    tables before them about 215 KB)."""
     import tracemalloc
 
     from repro.crypto.modes import FrameTagKey
@@ -89,8 +85,25 @@ def test_frame_tag_key_scalar_tables_fit_in_64_kib():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert "_shifted_tables" in vars(key)
-    assert retained <= 64 * 1024
+    assert "_table" in vars(key)
+    assert retained <= 16 * 1024
+
+
+def test_frame_tag_key_scrub_drops_h_tables():
+    """scrub() drops the scalar table and both gather planes; a later
+    tag rebuilds them and gives the same bytes."""
+    from repro.crypto.modes import FrameTagKey, frame_tags_batched
+
+    key = FrameTagKey(bytes(range(16)))
+    j0s = [bytes(12) + seq.to_bytes(4, "big") for seq in (1, 2)]
+    ciphertexts = [bytes(range(256)) * 8 + bytes(59), bytes(300)]
+    names = {"_table", "_planes", "_fold_planes"}
+    tags = frame_tags_batched([key, key], j0s, [b"", b""], ciphertexts)
+    assert key.tag(j0s[0], b"", ciphertexts[0]) == tags[0]
+    assert names <= vars(key).keys()
+    key.scrub()
+    assert not names & vars(key).keys()
+    assert key.tag(j0s[1], b"", ciphertexts[1]) == tags[1]
 
 
 def test_gcm_roundtrip_with_aad():

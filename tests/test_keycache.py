@@ -188,7 +188,8 @@ def test_keystream_runs_reach_only_as_far_as_reads(monkeypatch):
     """On a 4096-byte chunk a 13-byte read runs 1 block, the next
     13-byte read 1 more, and a 2107-byte read fills the chunk: short
     runs go exactly as far as the read, a run past CTR_SCALAR_BLOCKS
-    takes the rest of the chunk."""
+    takes the rest of the chunk.  The three misses differ in cost;
+    ``blocks`` counts the 256 blocks they ran."""
     runs = _record_runs(monkeypatch)
     key = bytes(range(16))
     cache = KeystreamCache(capacity=4, chunk_bytes=4096)
@@ -196,11 +197,11 @@ def test_keystream_runs_reach_only_as_far_as_reads(monkeypatch):
         assert (cache.take(1, key, start, length).tobytes()
                 == _direct_keystream(key, start, length))
     assert runs == [(0, 1), (1, 1), (2, 254)]
-    assert (cache.hits, cache.misses) == (0, 3)
+    assert (cache.hits, cache.misses, cache.blocks) == (0, 3, 256)
     assert (cache.take(1, key, 2133, 1963).tobytes()
             == _direct_keystream(key, 2133, 1963))
     assert len(runs) == 3
-    assert (cache.hits, cache.misses) == (1, 3)
+    assert (cache.hits, cache.misses, cache.blocks) == (1, 3, 256)
 
 
 def test_keystream_short_runs_double_the_held_prefix(monkeypatch):

@@ -395,7 +395,8 @@ def test_provision_and_serve_emit_the_expected_spans_and_metrics():
     for metric in ("omg_serve_batch_size", "omg_serve_latency_ms",
                    "omg_serve_queue_interactive", "omg_serve_queue_batch",
                    "omg_worker_requests_total",
-                   "omg_keystream_cache_hits_total"):
+                   "omg_keystream_cache_hits_total",
+                   "omg_keystream_blocks_total"):
         assert metric in snapshot, f"missing metric {metric!r}"
     assert stats.requests_completed == 4
 

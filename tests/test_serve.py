@@ -389,6 +389,47 @@ def test_service_open_session_refuses_beyond_capacity():
     service.teardown()
 
 
+def test_close_session_drops_both_sides_tag_tables():
+    """close_session drops every H-derived table of all four taggers,
+    also those of a SessionHandle the caller still holds."""
+    service, loop, (handle,) = tiny_stack(INTERACTIVE)
+    taggers = (*service._service_taggers[handle.session_id],
+               handle.request_tagger, handle.response_tagger)
+    serve_one(loop, handle, tiny_fingerprints(1)[0])
+    assert all("_table" in vars(tagger) for tagger in taggers)
+    service.close_session(handle)
+    for tagger in taggers:
+        assert not {"_table", "_planes", "_fold_planes"} & vars(tagger).keys()
+    service.teardown()
+
+
+def test_open_sessions_retain_at_most_128_kib_each():
+    """32 sessions, one request each, on 4096-byte keystream chunks
+    retain at most 128 KiB per open session (tracemalloc, after a
+    warm-up session).  Four product tables of about 14 KB each read
+    about 79 KB per session; kept in four shifted copies per key they
+    read about 252 KB."""
+    import tracemalloc
+
+    service, loop, (warm,) = tiny_stack(INTERACTIVE,
+                                        keystream_chunk_bytes=4096)
+    fingerprints = tiny_fingerprints(33, seed=38)
+    serve_one(loop, warm, fingerprints[32])
+    service.close_session(warm)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        handles = [service.open_session() for _ in range(32)]
+        for handle, fingerprint in zip(handles, fingerprints):
+            serve_one(loop, handle, fingerprint)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert service.stats().open_sessions == 32
+    assert retained / 32 <= 128 * 1024
+    service.teardown()
+
+
 def test_service_egress_backpressure_never_drops_requests():
     """A batch whose responses do not fit the egress ring is deferred
     in its mailbox, not dropped; once the client mux drains the ring
