@@ -1,8 +1,7 @@
 """Custody of secret buffers: in-place scrubbing and a scrub-on-evict LRU.
 
-These sit below :mod:`repro.crypto.modes`, whose frame taggers hold
-their E_k(J0) mask chunks in a :class:`SecretCache`, and below
-:mod:`repro.crypto.keycache`, which re-exports both names.  Every
+These sit below :mod:`repro.crypto.keycache`, which re-exports both
+names and holds its keystream chunks in a :class:`SecretCache`.  Every
 buffer a :class:`SecretCache` takes is reported to the secret
 sanitizer, so its lifetime is checked at teardown.
 """
@@ -102,13 +101,6 @@ class SecretCache:
             if self._on_evict is not None:
                 self._on_evict(evicted_key)
         self._entries[cache_key] = value
-
-    def get_or_create(self, cache_key, factory):
-        value = self.get(cache_key)
-        if value is None:
-            value = factory()
-            self.put(cache_key, value)
-        return value
 
     def discard(self, cache_key) -> None:
         value = self._entries.pop(cache_key, None)

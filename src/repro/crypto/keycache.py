@@ -10,12 +10,14 @@ The serving path (``repro.serve``) adds two more caches:
 
 * :class:`~repro.crypto.custody.SecretCache` (re-exported here) — a
   bounded LRU for per-session secrets (open license grants, session
-  keys, frame-tag mask chunks).  Eviction *scrubs* the stored material
-  in place before dropping the reference, so a capacity-limited cache
+  keys, keystream chunks).  Eviction *scrubs* the stored material in
+  place before dropping the reference, so a capacity-limited cache
   never leaves stale key bytes lying around in host memory longer than
   its own bookkeeping.
-* :class:`KeystreamCache` — per-session AES-CTR keystream chunks for
-  the zero-copy rings.  Per-request GCM would pay a fresh CTR run and
+* :class:`KeystreamCache` — per-session AES-CTR keystream chunks, the
+  one keystream engine of serving: the sealing pads of the zero-copy
+  rings, and the frame-tag masks E_k(J0), which are CTR blocks under
+  a lane's tag key.  Per-request GCM would pay a fresh CTR run and
   GHASH setup for every frame; keystream generated only as far as the
   reads reach, in runs that grow to fill a whole chunk (64 KB by
   default), and XORed in place costs far less per request.  Chunks
@@ -25,7 +27,6 @@ The serving path (``repro.serve``) adds two more caches:
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 
 import numpy as np
@@ -49,13 +50,15 @@ def deterministic_keypair(context: bytes, bits: int = 1024) -> RsaPrivateKey:
 
 
 class KeystreamCache:
-    """Per-session AES-CTR keystream chunks for in-place seal/open.
+    """Per-session AES-CTR keystream chunks, read on demand.
 
     Chunk ``i`` of a lane is the CTR keystream for counter blocks
     ``[i * blocks_per_chunk, (i + 1) * blocks_per_chunk)`` under that
-    lane's key with an all-zero 12-byte counter prefix.  Positions map
-    to chunks deterministically, so an evicted chunk is simply
-    regenerated — the cache bounds memory, never correctness.
+    lane's key, each counter block being its position as a 128-bit
+    big-endian integer (below 2**32 blocks: an all-zero 12-byte prefix
+    and a 32-bit counter).  Positions map to chunks deterministically,
+    so an evicted chunk is simply regenerated — the cache bounds
+    memory, never correctness.
 
     A cached chunk is the prefix of its keystream that reads have
     reached so far.  A read past that prefix runs CTR from its end
@@ -66,19 +69,22 @@ class KeystreamCache:
     cached one, which the cache scrubs, so a view :meth:`take` returned
     is only good until the next call.
 
-    Chunks are cached under ``(session_id, key, index)``: the lane key
-    is part of a chunk's identity, so one session's request and
-    response lanes (same session id, different derived keys) can never
-    alias each other's keystream bytes — reusing one lane's chunk for
-    the other would seal two plaintexts under the same pad, the classic
+    A lane is a key (:meth:`take`: the sealing pads, whose AES key
+    schedule the cache expands and holds until :meth:`forget_session`)
+    or an :class:`AES` cipher its owner already holds (:meth:`block`:
+    a frame tagger's masks, so a tag key keeps one key schedule).
+    Chunks are cached under ``(session_id, lane, index)``: the lane is
+    part of a chunk's identity, so one session's request and response
+    lanes (same session id, different derived keys) can never alias
+    each other's keystream bytes — reusing one lane's chunk for the
+    other would seal two plaintexts under the same pad, the classic
     two-time-pad leak.  XOR-at-position is then safe because within a
     lane each keystream byte covers exactly one message byte (the
     serving layer gives every lane a strictly advancing position).
 
     ``hits`` counts chunk reads served wholly from held keystream,
-    ``misses`` the chunk reads that ran CTR, ``prefetches`` the runs
-    :meth:`prefetch` made, and ``blocks`` the keystream blocks every
-    CTR run generated, read or prefetch: a one-block run and a whole
+    ``misses`` the chunk reads that ran CTR, and ``blocks`` the
+    keystream blocks those runs generated: a one-block run and a whole
     chunk are each one miss, so only ``blocks`` tracks the CTR cost.
     """
 
@@ -94,16 +100,10 @@ class KeystreamCache:
         # session_id -> the keys of its entries in _chunks (kept in step
         # by _extend and _chunk_evicted) and in _ciphers, so closing a
         # session walks only its own entries.
-        self._session_chunks: dict[int, set] = {}
+        self._session_chunks: dict[int, list] = {}
         self._session_ciphers: dict[int, list] = {}
-        # Chunks a prefetch ran CTR on that no take() has touched since;
-        # one that leaves the cache while still in this set was wasted
-        # work.
-        self._prefetched_unused: set = set()
         self.hits = 0
         self.misses = 0
-        self.prefetches = 0
-        self.prefetch_waste = 0
         self.blocks = 0
 
     @property
@@ -113,10 +113,7 @@ class KeystreamCache:
     def _chunk_evicted(self, cache_key) -> None:
         chunks = self._session_chunks.get(cache_key[0])
         if chunks is not None:
-            chunks.discard(cache_key)
-        if cache_key in self._prefetched_unused:
-            self._prefetched_unused.discard(cache_key)
-            self.prefetch_waste += 1
+            chunks.remove(cache_key)
 
     def _cipher(self, session_id: int, key: bytes) -> AES:
         # Python dict addressing by key bytes is outside the modeled
@@ -132,59 +129,53 @@ class KeystreamCache:
                 (session_id, key))
         return cipher
 
-    def _extend(self, session_id: int, key: bytes, index: int, end: int,
-                prefetch: bool = False) -> np.ndarray:
-        """Chunk ``index``, held through its byte ``end``; counts the
-        read (``prefetch`` False) or the prefetch run."""
+    def _extend(self, session_id: int, key, index: int,
+                end: int) -> np.ndarray:
+        """Chunk ``index`` of lane ``key`` (key bytes or a cipher),
+        held through its byte ``end``; counts the read."""
         cache_key = (session_id, key, index)
         chunk = self._chunks.get(cache_key)
         # Whether a chunk is cached, and how much of it, follows from
         # public read positions and the LRU order; dict hashing is
         # unmodeled (see _cipher).
-        held = 0 if chunk is None else len(chunk) // 16  # analysis: allow(consttime)
+        held = 0 if chunk is None else len(chunk)  # analysis: allow(consttime)
         need = -(-end // 16)
         if need <= held:
-            if not prefetch:
-                self.hits += 1
+            self.hits += 1
             return chunk
         total = self.chunk_bytes // 16
         run, rest = max(need - held, held), total - held
         run = rest if run > CTR_SCALAR_BLOCKS else min(run, rest)
-        counter = b"\x00" * 12 + struct.pack(">I", index * total + held)
-        stream = ctr_keystream(self._cipher(session_id, key), counter,
-                               run).reshape(-1)
+        cipher = (key if isinstance(key, AES)
+                  else self._cipher(session_id, key))
+        stream = ctr_keystream(cipher, (index * total + held).to_bytes(
+            16, "big"), run)
         self.blocks += run
+        self.misses += 1
         if held:
             # The cache scrubs the shorter prefix this one replaces.
             extended = np.concatenate((chunk, stream))
             scrub_secret(stream)
             stream = extended
         else:
-            self._session_chunks.setdefault(session_id, set()).add(cache_key)
+            self._session_chunks.setdefault(session_id, []).append(cache_key)
         self._chunks.put(cache_key, stream)
-        if prefetch:
-            self.prefetches += 1
-            self._prefetched_unused.add(cache_key)
-        else:
-            self.misses += 1
         return stream
 
-    def prefetch(self, session_id: int, key: bytes, start: int,
-                 length: int) -> int:
-        """Run CTR ahead of demand so bytes ``[start, start + length)``
-        are held.
+    def block(self, session_id: int, cipher: AES, counter: bytes) -> bytes:
+        """The keystream block at position ``int(counter)`` of the lane
+        ``cipher`` keys: ``E_k(counter)``, as long as no chunk crosses
+        an inc32 wrap (``chunk_bytes // 16`` divides 2**32).
 
-        The serving dispatch loop calls this for each response before a
-        batch's inference runs, so sealing the responses never waits on
-        AES-CTR generation.  Touches the same chunks, with the same run
-        rule, as ``take`` over that span.  Returns the number of runs.
+        A frame tagger reads its masks E_k(J0) here, so a lane's
+        consecutive masks come out of one chunk.  Unlike :meth:`take`,
+        a block read passes no ``keycache.chunk`` fault check: the
+        fault sites' op counts stay those of the sealing pads.
         """
-        if start < 0 or length < 0:
-            raise CryptoError("keystream position must be non-negative")
-        before = self.prefetches
-        for index, _, hi in self._spans(start, length):
-            self._extend(session_id, key, index, hi, prefetch=True)
-        return self.prefetches - before
+        index, row = divmod(int.from_bytes(counter, "big"),
+                            self.chunk_bytes // 16)
+        return self._extend(session_id, cipher, index, 16 * row + 16)[
+            row].tobytes()
 
     def _spans(self, start: int, length: int):
         """``(index, lo, hi)`` per chunk a read of ``[start, start +
@@ -205,16 +196,14 @@ class KeystreamCache:
         spans = list(self._spans(start, length))
         parts = []
         for index, lo, hi in spans:
-            cache_key = (session_id, key, index)
             # A keycache.chunk drop fault scrubs the cached chunk before
             # the lookup, forcing deterministic regeneration.  Chunks
             # are pure functions of (key, index), so serving output is
             # unchanged — the fault exercises the eviction/regeneration
             # path under load.
             if _faults.PLAN is not None and _faults.PLAN.keycache_chunk():
-                self._chunks.discard(cache_key)
-            chunk = self._extend(session_id, key, index, hi)
-            self._prefetched_unused.discard(cache_key)
+                self._chunks.discard((session_id, key, index))
+            chunk = self._extend(session_id, key, index, hi).reshape(-1)
             if len(spans) == 1:
                 return chunk[lo:hi]
             # Fetching the next chunk may evict (and scrub, in place)

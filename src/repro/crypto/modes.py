@@ -15,9 +15,9 @@ scalar kernel over one 256-entry product table for short inputs, and
 one numpy gather sweep (:func:`_frame_ghash`) for long messages and for
 groups of frame tags (:func:`frame_tags_batched`), folded lane-parallel
 so the sequential Horner chain shrinks by the lane width.  A frame
-tag's mask E_k(J0) is one scalar block for a lane's first
-``_MASK_CHUNK`` counters and a row of a cached CTR keystream chunk
-after that (:class:`FrameTagKey`).
+tag's mask E_k(J0) is one AES block, which a serving tagger reads from
+its side's :class:`~repro.crypto.keycache.KeystreamCache`
+(:class:`FrameTagKey`).
 The scalar reference path (the original per-block code) is retained for
 the randomized equivalence tests; construct ``GCM(key, reference=True)``
 or call the ``*_reference`` helpers to use it.
@@ -31,7 +31,6 @@ import struct
 import numpy as np
 
 from repro.crypto.aes import AES
-from repro.crypto.custody import SecretCache
 from repro.crypto.hmac import constant_time_eq
 from repro.errors import AuthenticationError, KeyError_
 
@@ -97,7 +96,9 @@ def ctr_keystream(cipher: AES, initial_counter: bytes,
         for value in range(start, start + n_blocks):
             stream += cipher.encrypt_block(
                 prefix + struct.pack(">I", value & 0xFFFFFFFF))
-        return np.frombuffer(stream, dtype=np.uint8).reshape(n_blocks, 16)
+        # An owning copy: a cached short run is then one array, not a
+        # chain of views over a bytearray.
+        return np.frombuffer(stream, np.uint8).reshape(n_blocks, 16).copy()
     counters = np.empty((n_blocks, 16), dtype=np.uint8)
     counters[:, :12] = np.frombuffer(initial_counter[:12], dtype=np.uint8)
     values = ((start + np.arange(n_blocks, dtype=np.uint64))
@@ -370,24 +371,6 @@ def _tag_padded(aad: bytes, ciphertext: bytes) -> bytes:
             + struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8))
 
 
-# The E_k(J0) masks are AES-CTR keystream: J0 is a 12-byte prefix and a
-# 32-bit counter, the only bits inc32 steps.  From counter _MASK_CHUNK
-# up, a tagger takes each mask from an aligned chunk of _MASK_CHUNK
-# keystream blocks; a power of two dividing 2**32, so a chunk never
-# wraps inc32.  A chunk costs about 0.19 ms at 128 blocks (0.15 at 1,
-# 0.24 at 256), a scalar block 16 us (2-vCPU VM, the CTR_SCALAR_BLOCKS
-# table's runs; a loaded host reads about twice that on both), so
-# counters below _MASK_CHUNK stay scalar: a session that sends a
-# request or two never pays for a chunk.  A smaller chunk would help
-# only a lane's first frames and costs one more run per _MASK_CHUNK
-# frames after them; on serve_steady 128 and 256 measured level, 64
-# slower.
-_MASK_CHUNK = 128
-# Chunks one tagger holds: the current one, and the one before it for
-# frames that cross a chunk boundary out of order.
-_MASK_CHUNKS_HELD = 2
-
-
 class FrameTagKey(_TableGhash):
     """One lane's frame-MAC key: AES-GCM's tag arm over a detached
     ciphertext.
@@ -401,47 +384,33 @@ class FrameTagKey(_TableGhash):
 
     :meth:`tag` runs the engine's scalar kernel; :func:`frame_tags_batched`
     sweeps a group of frames at once through its gather planes.  Both
-    take their masks from :meth:`_mask`: one scalar block below
-    counter ``_MASK_CHUNK``, a row of a cached CTR keystream chunk
-    from there up.  The chunks are as secret as the key (a known mask
-    turns a tag into a known GHASH value, from which H can be solved),
-    so they live in a scrub-on-evict :class:`SecretCache`, and
-    :meth:`scrub` drops them, with the H-derived tables, when the lane
-    closes.
+    take their masks from :meth:`_mask`.  Given ``masks``, a mask is
+    ``masks(cipher, j0)``: serving passes its side's mask
+    :meth:`KeystreamCache.block <repro.crypto.keycache.KeystreamCache.block>`
+    for the session, since a lane's J0s are consecutive CTR counters,
+    so that cache holds a lane's masks as keystream and scrubs them
+    with the session.  Without it a mask is one
+    :meth:`AES.encrypt_block` of J0, GCM's own definition.
     """
 
-    def __init__(self, key: bytes) -> None:
+    def __init__(self, key: bytes, masks=None) -> None:
         self._aes = AES(bytes(key))
-        # (J0 prefix, counter // _MASK_CHUNK) -> (_MASK_CHUNK, 16) mask
-        # rows, made when the first counter reaches _MASK_CHUNK.
-        self._mask_chunks: SecretCache | None = None
+        self._masks = masks
 
     @property
     def _h(self) -> int:
         return int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
 
     def _mask(self, j0: bytes) -> bytes:
-        """``E_k(J0)`` for one frame; raises on a malformed ``J0``."""
+        """``E_k(J0)`` for one frame; raises on a malformed ``J0``, so
+        no mask is ``E_k(0^128) = H``."""
         j0 = _check_j0(j0)
-        counter = int.from_bytes(j0[12:], "big")
-        if counter < _MASK_CHUNK:
+        if self._masks is None:
             return self._aes.encrypt_block(j0)
-        # The chunk starts at a nonzero counter, so none of its rows is
-        # E_k(0^128) = H.
-        prefix, (index, row) = j0[:12], divmod(counter, _MASK_CHUNK)
-        if self._mask_chunks is None:
-            self._mask_chunks = SecretCache(_MASK_CHUNKS_HELD)
-        chunk = self._mask_chunks.get_or_create(
-            (prefix, index), lambda: ctr_keystream(
-                self._aes, prefix + struct.pack(">I", counter - row),
-                _MASK_CHUNK))
-        return chunk[row].tobytes()
+        return self._masks(self._aes, j0)
 
     def scrub(self) -> None:
-        """Scrub and drop every cached mask chunk, and drop the
-        H-derived tables (a later tag rebuilds them)."""
-        if self._mask_chunks is not None:
-            self._mask_chunks.clear()
+        """Drop the H-derived tables (a later tag rebuilds them)."""
         for name in ("_table", "_planes", "_fold_planes"):
             vars(self).pop(name, None)
 

@@ -91,6 +91,9 @@ _SERVE_SESSIONS = 3
 _REQUESTS_PER_SESSION = 7
 _FLEET_SHARDS = 3
 _COHORTS_PER_TENANT = 2
+# Journal lag past which fleet schedule shards compact: about half the
+# 20-seed storm's shards do, so crash x compaction is in the schedules.
+_FLEET_COMPACT_LAG = 64
 
 
 @dataclass
@@ -722,7 +725,8 @@ def run_fleet_chaos_schedule(seed: int, *,
 
         with _fault_envelope(result, plan, "chaos.fleet_schedule"):
             report = director.run_storm(fleet.cohorts, storm_seconds=0.5,
-                                        max_seconds=60.0)
+                                        max_seconds=60.0,
+                                        compact_lag=_FLEET_COMPACT_LAG)
             result.granted = report.granted
             result.rejected = report.rejected
             result.refused = report.refused

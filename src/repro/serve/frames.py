@@ -23,10 +23,11 @@ publish the MAC key inside the keystream.  ``J0`` is a nonzero constant
 prefix plus the sequence number, unique per (key, frame) and never
 colliding with the all-zero block that defines H.  The sequence number
 fills J0's low 32 bits, the only bits GCM's inc32 steps, so a lane's
-tag masks E_k(J0) are consecutive AES-CTR keystream blocks: past its
-first ``_MASK_CHUNK`` frames a tagger takes them from cached keystream
-chunks rather than one AES call each (:class:`~repro.crypto.modes
-.FrameTagKey`).
+tag masks E_k(J0) are consecutive AES-CTR keystream blocks under its
+tag key: a serving tagger reads them from its side's mask
+:class:`~repro.crypto.keycache.KeystreamCache` at position J0
+(:meth:`~repro.crypto.keycache.KeystreamCache.block`), in chunks, as
+the sealing pads are read.
 
 Every producer seals the same way, a single request as much as a
 whole batch: ciphertexts and tags for the group first — one vectorized

@@ -11,13 +11,15 @@ Data path for one request (client session *S*, sequence *q*):
    (session, seq, fingerprint) to the loop's admission router.
 3. When a batch is ready (size, deadline or watchdog trigger) the loop
    hands it to :meth:`ServingService.run_batch` on one worker slot,
-   which prefetches each session's response-lane keystream, then runs
-   **one batched invoke** for the whole group — bit-exact against
-   per-request invokes — inside the fail-closed envelope.
+   which runs **one batched invoke** for the whole group — bit-exact
+   against per-request invokes — inside the fail-closed envelope.
 4. Results are sealed per session into the **egress ring** — a
    keystream XOR per frame and one batched tag sweep per batch; the
    client mux verifies and opens them and completes the per-session
    futures.
+
+Each side reads its sealing pads and frame-tag masks on demand from
+two :class:`~repro.crypto.keycache.KeystreamCache` instances.
 
 Security properties preserved (paper §IV):
 
@@ -34,6 +36,7 @@ Security properties preserved (paper §IV):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -64,16 +67,21 @@ _RING_FULL = "ingress ring full; let the serving loop drain it first"
 # Seed of the DRBG that draws each session's lane-key material.
 _SESSION_SEED = b"omg-serve-sessions"
 
+# Chunk size of the frame-tag mask caches: 128 masks a chunk.  128
+# divides 2**32, so no chunk crosses an inc32 wrap.  On serve_steady
+# 128- and 256-block chunks measured level, 64 slower.
+_MASK_CACHE_CHUNK_BYTES = 2048
+
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Tunables for one :class:`ServingService`.
 
     Both priority classes batch under ``max_batch`` and
-    ``deadline_ms``.  Before inference runs, each batch prefetches the
-    response-lane keystream span each of its responses will be sealed
-    under: short spans run exactly, longer ones fill their
-    ``keystream_chunk_bytes`` chunk (:class:`KeystreamCache`).
+    ``deadline_ms``.  Sealing and opening read each lane's pad
+    keystream on demand, in ``keystream_chunk_bytes`` chunks
+    (:class:`KeystreamCache`): short reads run exactly, longer ones
+    fill their chunk.
     """
 
     max_batch: int = 8
@@ -223,20 +231,25 @@ class ServingService:
         # Service-side session secrets: lane keys live in a scrub-on-
         # discard cache whose capacity is enforced at open_session (an
         # admission limit — live sessions are never silently evicted);
-        # each side keeps its own keystream cache (the client is not
-        # supposed to share state with the service beyond the
-        # established keys).
+        # each side keeps its own pad and mask keystream caches (the
+        # client is not supposed to share state with the service
+        # beyond the established keys).
         self._session_keys = SecretCache(self.config.session_capacity)
-        # Frame-tag keys (service side), keyed by session: their mask
-        # chunks are scrubbed and the keys dropped on close_session
-        # alongside the lane keys.
+        # Frame-tag keys (service side), keyed by session: dropped on
+        # close_session alongside the lane keys.
         self._service_taggers: dict[int, tuple[FrameTagKey, FrameTagKey]] = {}
+        lanes = 2 * self.config.session_capacity
         self._client_keystreams = KeystreamCache(
-            capacity=2 * self.config.session_capacity,
-            chunk_bytes=self.config.keystream_chunk_bytes)
+            capacity=lanes, chunk_bytes=self.config.keystream_chunk_bytes)
         self._service_keystreams = KeystreamCache(
-            capacity=2 * self.config.session_capacity,
-            chunk_bytes=self.config.keystream_chunk_bytes)
+            capacity=lanes, chunk_bytes=self.config.keystream_chunk_bytes)
+        self._client_masks = KeystreamCache(
+            capacity=lanes, chunk_bytes=_MASK_CACHE_CHUNK_BYTES)
+        self._service_masks = KeystreamCache(
+            capacity=lanes, chunk_bytes=_MASK_CACHE_CHUNK_BYTES)
+        self._keystream_caches = (
+            self._client_keystreams, self._service_keystreams,
+            self._client_masks, self._service_masks)
         self._session_rng = HmacDrbg(_SESSION_SEED)
         self._handles: dict[int, SessionHandle] = {}
         self._next_session = 0
@@ -297,14 +310,17 @@ class ServingService:
         self._session_keys.put(session_id,
                                (bytearray(request_key),
                                 bytearray(response_key)))
-        # Each side holds its own tagger objects: the client is not
-        # supposed to share state with the service beyond the
-        # established keys.
-        self._service_taggers[session_id] = (FrameTagKey(request_tag_key),
-                                             FrameTagKey(response_tag_key))
+        # Each side holds its own tagger objects, reading masks from
+        # its own mask cache: the client is not supposed to share state
+        # with the service beyond the established keys.
+        service_masks = partial(self._service_masks.block, session_id)
+        client_masks = partial(self._client_masks.block, session_id)
+        self._service_taggers[session_id] = (
+            FrameTagKey(request_tag_key, service_masks),
+            FrameTagKey(response_tag_key, service_masks))
         handle = SessionHandle(session_id, request_key, response_key,
-                               FrameTagKey(request_tag_key),
-                               FrameTagKey(response_tag_key))
+                               FrameTagKey(request_tag_key, client_masks),
+                               FrameTagKey(response_tag_key, client_masks))
         self._handles[session_id] = handle
         if priority is not None:
             self._session_priority[session_id] = int(priority)
@@ -320,15 +336,15 @@ class ServingService:
         self._scrub_session(handle)
 
     def _scrub_session(self, handle: SessionHandle) -> None:
-        """Scrub a session's lane keys, both sides' tag-mask chunks and
-        both sides' keystream chunks."""
+        """Scrub a session's lane keys and both sides' pad and mask
+        keystream chunks; drop both sides' tag tables."""
         session_id = handle.session_id
         self._session_keys.discard(session_id)
         for tagger in (*self._service_taggers.pop(session_id, ()),
                        handle.request_tagger, handle.response_tagger):
             tagger.scrub()
-        self._client_keystreams.forget_session(session_id)
-        self._service_keystreams.forget_session(session_id)
+        for cache in self._keystream_caches:
+            cache.forget_session(session_id)
 
     def _service_lane(self, session_id: int, direction: int):
         """The service's (lane key, tagger) for one direction (0 request,
@@ -580,16 +596,6 @@ class ServingService:
     def _execute_batch(self, batch: list, worker, requeue) -> None:
         soc = self.platform.soc
         fingerprints = np.stack([item[2] for item in batch])
-        # Pipelined keystream prefetch: run the response-lane keystream
-        # each response will be sealed under before inference runs, so
-        # sealing afterwards is pure XOR against held keystream instead
-        # of blocking on AES-CTR.
-        size = self.response_bytes
-        for session_id, seq, _ in batch:
-            lane = self._service_lane(session_id, 1)
-            if lane is not None:
-                self._service_keystreams.prefetch(
-                    session_id, lane[0], seq * size, size)
         # One world-switch round trip per *batch*, not per request —
         # the scheduling win the simulated clock sees.
         soc.clock.advance_ms(2 * soc.profile.sa_world_switch_ms)
@@ -699,7 +705,7 @@ class ServingService:
         loop = self._loop
         queues = loop.queues
         opened = self._next_session
-        caches = (self._client_keystreams, self._service_keystreams)
+        caches = self._keystream_caches
         for name, help, value in (
             ("omg_serve_sessions_opened_total",
              "serving sessions established", opened),
@@ -731,14 +737,8 @@ class ServingService:
             ("omg_keystream_cache_misses_total",
              "keystream chunk reads that ran CTR",
              sum(cache.misses for cache in caches)),
-            ("omg_keystream_prefetch_total",
-             "keystream CTR runs made ahead of demand",
-             sum(cache.prefetches for cache in caches)),
-            ("omg_keystream_prefetch_waste_total",
-             "prefetched keystream chunks scrubbed unread",
-             sum(cache.prefetch_waste for cache in caches)),
             ("omg_keystream_blocks_total",
-             "keystream blocks generated by CTR runs, read or prefetch",
+             "keystream blocks generated by CTR runs (pads and tag masks)",
              sum(cache.blocks for cache in caches)),
         ):
             yield "counter", name, help, {}, value

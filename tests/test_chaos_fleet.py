@@ -54,6 +54,10 @@ def test_seed_set_exercises_the_fault_machinery(fleet_results):
     assert sum(r.completed for r in results) >= len(FLEET_SEEDS) // 2
     assert any(r.fault_lines for r in results)
     assert any(r.crashes > 0 or r.drops > 0 for r in results)
+    # Some shard compacts its journal mid-storm, so crash x compaction
+    # interleavings are inside the pinned schedules.
+    assert any(journal["compactions"] for r in results
+               for journal in r.journals.values())
 
 
 def test_same_seed_reproduces_the_schedule(fleet_results):

@@ -269,30 +269,49 @@ def test_frame_tags_batched_matches_scalar():
 
 def test_frame_tag_masks_are_the_aes_block_of_j0_across_chunks():
     """Under empty AAD and ciphertext the GHASH is zero, so a tag is its
-    mask E_k(J0).  Every counter from _MASK_CHUNK - 2 to
-    2 * _MASK_CHUNK + 2 (the last scalar masks, the first two chunks
-    and their edges) and the last counter inc32 reaches, through
-    tag() ascending and descending and through the batched sweep on a
-    fresh key; one key object serves two J0 prefixes, so a chunk of one
-    prefix must never answer for the other."""
-    from repro.crypto.modes import _MASK_CHUNK, frame_tags_batched
+    mask E_k(J0).  Serving's taggers read masks from a mask
+    KeystreamCache at position J0; at sequences 0-19 (the short runs),
+    120-259 (the first chunk edges), 5000 and the last two counters
+    inc32 reaches, through tag() ascending and descending and through
+    the batched sweep, every mask must be the AES block of
+    frame_j0(seq) — a mask bug both sides of a ring share would still
+    round-trip.  A standalone tagger (no cache) serves two J0 prefixes
+    from one key object."""
+    from functools import partial
+
+    from repro.crypto.keycache import KeystreamCache
+    from repro.crypto.modes import frame_tags_batched
+    from repro.serve.frames import frame_j0
+    from repro.serve.service import _MASK_CACHE_CHUNK_BYTES
 
     _, rb, FrameTagKey = _frame_tag_fixtures(5)
     key_bytes = rb(16)
     cipher = AES(key_bytes)
-    counters = [*range(_MASK_CHUNK - 2, 2 * _MASK_CHUNK + 3), 2**32 - 1]
-    key = FrameTagKey(key_bytes)
-    for prefix in (b"\x00" * 12, rb(12)):
-        j0s = [prefix + c.to_bytes(4, "big") for c in counters]
+    seqs = [*range(20), *range(120, 260), 5000, 2**32 - 2, 2**32 - 1]
+    j0s = [frame_j0(seq) for seq in seqs]
+    expected = [cipher.encrypt_block(j0) for j0 in j0s]
+    empty = [b""] * len(j0s)
+
+    def cached() -> FrameTagKey:
+        masks = KeystreamCache(capacity=2,
+                               chunk_bytes=_MASK_CACHE_CHUNK_BYTES)
+        return FrameTagKey(key_bytes, partial(masks.block, 7))
+
+    key = cached()
+    assert [key.tag(j0, b"", b"") for j0 in j0s] == expected
+    key = cached()
+    assert [key.tag(j0, b"", b"") for j0 in reversed(j0s)] == \
+        expected[::-1]
+    assert frame_tags_batched([cached()] * len(j0s), j0s, empty,
+                              empty) == expected
+
+    standalone = FrameTagKey(key_bytes)
+    for prefix in (frame_j0(0)[:12], rb(12)):
+        j0s = [prefix + seq.to_bytes(4, "big") for seq in seqs]
         expected = [cipher.encrypt_block(j0) for j0 in j0s]
-        assert [key.tag(j0, b"", b"") for j0 in j0s] == expected
-        assert [key.tag(j0, b"", b"") for j0 in reversed(j0s)] == \
-            expected[::-1]
-        empty = [b""] * len(j0s)
-        assert frame_tags_batched([FrameTagKey(key_bytes)] * len(j0s), j0s,
-                                  empty, empty) == expected
-    key.scrub()
-    assert key.tag(j0s[-1], b"", b"") == expected[-1]
+        assert [standalone.tag(j0, b"", b"") for j0 in j0s] == expected
+        assert frame_tags_batched([standalone] * len(j0s), j0s, empty,
+                                  empty) == expected
 
 
 def test_frame_tag_verify_rejects_any_bit_flip():

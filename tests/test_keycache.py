@@ -71,13 +71,15 @@ def test_secret_cache_lru_eviction_scrubs_in_place():
     assert first == b"\xaa" * 16  # survivors untouched
 
 
-def test_secret_cache_counters_and_get_or_create():
+def test_secret_cache_counts_hits_and_misses():
     cache = SecretCache(4)
     assert cache.get("missing") is None
     assert cache.misses == 1
-    made = cache.get_or_create("made", lambda: bytearray(b"\x01"))
+    assert cache.get("made") is None
     assert cache.misses == 2
-    assert cache.get_or_create("made", lambda: bytearray(b"\x02")) is made
+    made = bytearray(b"\x01")
+    cache.put("made", made)
+    assert cache.get("made") is made
     assert cache.hits == 1
 
 
@@ -140,15 +142,16 @@ _SPAN = st.tuples(st.sampled_from(sorted(_LANE_KEYS)),
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(chunk_bytes=st.sampled_from([64, 4096]),
        ops=st.lists(st.one_of(
-           st.tuples(st.sampled_from(["take", "prefetch", "discard"]),
+           st.tuples(st.sampled_from(["take", "discard"]),
                      _SPAN),
            st.tuples(st.just("forget"), st.sampled_from([1, 2]))),
            max_size=14))
 def test_keystream_cache_reads_match_direct_ctr(chunk_bytes, ops):
-    """Random reads and prefetches, chunk-crossing ones included,
+    """Random reads, chunk-crossing ones included,
     interleaved with dropped chunks (as a keycache.chunk fault drops
     them), capacity evictions and session closes: every byte read
-    equals AES-CTR computed directly at its position."""
+    equals AES-CTR computed directly at its position, and the
+    per-session index stays in step with the cached chunks."""
     cache = KeystreamCache(capacity=3, chunk_bytes=chunk_bytes)
     for kind, arg in ops:
         if kind == "forget":
@@ -161,15 +164,15 @@ def test_keystream_cache_reads_match_direct_ctr(chunk_bytes, ops):
         if kind == "discard":
             cache._chunks.discard((sid, key, start // chunk_bytes))
             continue
-        if kind == "prefetch":
-            cache.prefetch(sid, key, start, length)
-            continue
         first, end = start // 16, -(-(start + length) // 16)
         direct = ctr_keystream(AES(key), b"\x00" * 12
                                + first.to_bytes(4, "big"), end - first)
         expected = direct.reshape(-1)[start % 16:start % 16 + length]
         assert cache.take(sid, key, start, length).tobytes() == (
             expected.tobytes())
+    # The per-session index names each cached chunk exactly once.
+    assert sorted(k for keys in cache._session_chunks.values()
+                  for k in keys) == sorted(cache._chunks._entries)
 
 
 def _record_runs(monkeypatch) -> list:
@@ -206,8 +209,9 @@ def test_keystream_runs_reach_only_as_far_as_reads(monkeypatch):
 
 def test_keystream_short_runs_double_the_held_prefix(monkeypatch):
     """Block-by-block reads run 1, 1, 2, 4 and 8 blocks, each at least
-    doubling the held prefix, then fill the chunk; a prefetch follows
-    the same rule and counts its runs, not the reads it serves."""
+    doubling the held prefix, then fill the chunk; another session's
+    reads follow the same rule from its own start, and a read within
+    what is held runs nothing."""
     runs = _record_runs(monkeypatch)
     key = bytes(range(16))
     cache = KeystreamCache(capacity=4, chunk_bytes=4096)
@@ -217,14 +221,14 @@ def test_keystream_short_runs_double_the_held_prefix(monkeypatch):
     assert runs == [(0, 1), (1, 1), (2, 2), (4, 4), (8, 8), (16, 240)]
     assert (cache.hits, cache.misses) == (14, 6)
     runs.clear()
-    assert cache.prefetch(2, key, 0, 13) == 1
-    assert cache.prefetch(2, key, 13, 13) == 1
-    assert cache.prefetch(2, key, 0, 26) == 0
+    for start, length in ((0, 13), (13, 13), (0, 26)):
+        assert (cache.take(2, key, start, length).tobytes()
+                == _direct_keystream(key, start, length))
     assert runs == [(0, 1), (1, 1)]
-    assert cache.prefetches == 2
+    assert (cache.hits, cache.misses) == (15, 8)
     assert (cache.take(2, key, 13, 13).tobytes()
             == _direct_keystream(key, 13, 13))
-    assert (cache.hits, cache.misses) == (15, 6)
+    assert (cache.hits, cache.misses) == (16, 8)
 
 
 def test_keystream_cache_regenerates_after_eviction():
@@ -298,7 +302,7 @@ def test_keystream_cache_session_index_follows_lru_eviction():
     key_a, key_b = bytes(range(16)), bytes(range(16, 32))
     cache.take(1, key_a, 0, 192)
     cache.take(2, key_b, 0, 128)
-    cache.prefetch(1, key_b, 0, 128)
+    cache.take(1, key_b, 0, 128)
     assert cache.evictions == 4
     assert (set().union(*cache._session_chunks.values())
             == set(cache._chunks._entries))
@@ -332,81 +336,45 @@ def test_keystream_cache_validates_parameters():
         cache.take(1, bytes(16), 0, -1)
 
 
-def test_keystream_prefetch_matches_demand_generation():
+@pytest.mark.parametrize("position", [0, 1, 127, 128, 300, 2**32 - 1,
+                                      2**64 + 5000])
+def test_keystream_block_is_the_ctr_block_at_its_position(position):
+    """block() returns the keystream block at position int(counter):
+    E_k(counter), the CTR block take() would return there below 2**32
+    blocks, and read from the chunk the position falls in."""
     key = bytes(range(16))
-    warm = KeystreamCache(capacity=8, chunk_bytes=64)
-    assert warm.prefetch(3, key, 0, 192) == 3
-    assert warm.prefetches == 3
-    # Every byte served out of the prefetched chunks is bit-identical
-    # to the unprefetched (demand-generated) stream.
-    cold = KeystreamCache(capacity=8, chunk_bytes=64)
-    assert (warm.take(3, key, 5, 150).tobytes()
-            == cold.take(3, key, 5, 150).tobytes()
-            == _direct_keystream(key, 5, 150))
-    # The take() was pure cache hits and drained the unused-prefetch set.
-    assert warm.misses == 0
-    assert warm.hits >= 3
-    assert not warm._prefetched_unused
-    # Prefetching already-cached chunks is a no-op.
-    assert warm.prefetch(3, key, 0, 192) == 0
-    assert warm.prefetches == 3
+    cipher = AES(key)
+    counter = position.to_bytes(16, "big")
+    cache = KeystreamCache(capacity=4, chunk_bytes=2048)
+    got = cache.block(3, cipher, counter)
+    assert got == ctr_keystream(cipher, counter, 1).tobytes()
+    assert got == cipher.encrypt_block(counter)
+    if position < 2**32:
+        pads = KeystreamCache(capacity=4, chunk_bytes=2048)
+        assert got == pads.take(3, key, 16 * position, 16).tobytes()
+    assert cache.block(3, cipher, counter) == got
+    assert (cache.hits, cache.misses) == (1, 1)
+    cache.forget_session(3)
+    assert not cache._chunks._entries and not cache._session_chunks
 
 
-def test_keystream_prefetch_preserves_lane_isolation():
-    """Prefetching one lane must never hand its chunks to the other
-    lane of the same session (the two-time-pad regression guard)."""
-    session = 9
-    key_req, key_resp = bytes(16), bytes(range(16))
-    cache = KeystreamCache(capacity=8, chunk_bytes=64)
-    cache.prefetch(session, key_resp, 0, 128)
-    # The request lane finds nothing prefetched: its take() is a miss
-    # and generates from its own key.
-    req = cache.take(session, key_req, 0, 64).tobytes()
-    resp = cache.take(session, key_resp, 0, 64).tobytes()
-    assert cache.misses == 1  # request lane only
-    assert req != resp
-    assert req == _direct_keystream(key_req, 0, 64)
-    assert resp == _direct_keystream(key_resp, 0, 64)
+def test_keystream_block_reads_pass_no_fault_check():
+    """Mask reads add no keycache.chunk operation, so a serve fault
+    plan's op counts stay those of the pad reads: the first drop rule
+    fires on the first take, not on any block read before it."""
+    from repro import faults
 
-
-def test_keystream_prefetched_chunks_scrubbed_on_forget_session():
     key = bytes(range(16))
-    cache = KeystreamCache(capacity=8, chunk_bytes=64)
-    cache.prefetch(4, key, 0, 128)
-    chunks = [cache._chunks.get((4, key, index)) for index in range(2)]
-    assert all(chunk.any() for chunk in chunks)
-    cache.forget_session(4)
-    # Zeroized in place, dropped from every index, counted as waste.
-    assert all(not chunk.any() for chunk in chunks)
-    assert all(k[0] != 4 for k in cache._chunks._entries)
-    assert all(k[0] != 4 for k in cache._ciphers)
-    assert not cache._prefetched_unused
-    assert cache.prefetch_waste == 2
-
-
-def test_keystream_prefetch_waste_counts_untouched_evictions():
-    key = bytes(range(16))
-    cache = KeystreamCache(capacity=2, chunk_bytes=64)
-    cache.prefetch(1, key, 0, 128)
-    stream = cache.take(1, key, 0, 64).tobytes()  # touch chunk 0 only
-    # Filling the cache evicts both prefetched chunks; only the
-    # untouched one counts as wasted prefetch work.
-    cache.take(1, key, 128, 128)
-    assert cache.prefetch_waste == 1
-    assert cache.evictions >= 2
-    # The evicted chunk regenerates bit-identically on demand.
-    assert cache.take(1, key, 0, 64).tobytes() == stream
-
-
-def test_keystream_prefetch_validates_position():
-    cache = KeystreamCache(capacity=4, chunk_bytes=64)
-    with pytest.raises(CryptoError):
-        cache.prefetch(1, bytes(16), -1, 16)
-    with pytest.raises(CryptoError):
-        cache.prefetch(1, bytes(16), 0, -1)
-    assert cache.prefetch(1, bytes(16), 0, 0) == 0
-    assert cache.prefetch(1, bytes(16), 40, 0) == 0
-    assert cache.prefetches == 0
+    cipher = AES(key)
+    cache = KeystreamCache(capacity=4, chunk_bytes=2048)
+    with faults.installed(faults.FaultPlan(
+            1, [faults.drop_nth_keystream_chunk(1)])) as plan:
+        for position in range(1, 40):
+            assert (cache.block(1, cipher, position.to_bytes(16, "big"))
+                    == cipher.encrypt_block(position.to_bytes(16, "big")))
+        assert plan.fired("keycache.chunk") == 0
+        cache.take(1, key, 0, 16)
+        assert plan.fired("keycache.chunk") == 1
 
 
 @pytest.mark.analysis

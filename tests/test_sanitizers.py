@@ -262,24 +262,26 @@ def test_service_teardown_scrubs_sessions_left_open(sanitizers):
 
 
 def test_service_teardown_scrubs_frame_tag_mask_chunks(sanitizers):
-    """A session driven past _MASK_CHUNK + 1 requests holds E_k(J0)
-    mask chunks in the taggers on both sides of both lanes; teardown
-    with the session still open must scrub every one of them."""
-    from repro.crypto.modes import _MASK_CHUNK
-
+    """A session driven past 16 requests holds a filled 128-block
+    chunk of E_k(J0) masks per tag lane in both sides' mask caches;
+    teardown with the session still open must scrub every one of
+    them."""
     service, loop, (handle,) = tiny_stack(
         Priority.INTERACTIVE, seed=b"teardown-masks", num_workers=1)
     fingerprints = np.random.default_rng(1).integers(
-        0, 256, size=(_MASK_CHUNK + 2, 8, 6), dtype=np.uint8)
-    for start in range(0, len(fingerprints), 16):
-        for fingerprint in fingerprints[start:start + 16]:
+        0, 256, size=(20, 8, 6), dtype=np.uint8)
+    for start in range(0, len(fingerprints), 10):
+        for fingerprint in fingerprints[start:start + 10]:
             service.submit(handle, fingerprint)
         loop.run_until_idle(force=True)
-    assert len(handle.results) == _MASK_CHUNK + 2
-    taggers = (*service._service_taggers[handle.session_id],
-               handle.request_tagger, handle.response_tagger)
-    assert all(len(tagger._mask_chunks) for tagger in taggers)
+    assert len(handle.results) == 20
+    chunks = [chunk for cache in (service._client_masks,
+                                  service._service_masks)
+              for chunk in cache._chunks._entries.values()]
+    assert len(chunks) == 4
+    assert all(chunk.size == 2048 and chunk.any() for chunk in chunks)
     service.teardown()
+    assert not any(chunk.any() for chunk in chunks)
     assert sanitizers.secrets.scrubbed_total == \
         sanitizers.secrets.tracked_total
 

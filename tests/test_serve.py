@@ -243,30 +243,6 @@ def test_service_end_to_end_matches_direct_classify():
     service.teardown()
 
 
-def test_service_keystream_prefetch_is_transparent():
-    """Prefetch changes timing, never bytes: every result matches direct
-    classification, and each batch's response seals hit the chunk the
-    prefetch warmed instead of generating keystream on demand."""
-    fingerprints = tiny_fingerprints(6, seed=11)
-    service, loop, (handle,) = tiny_stack(INTERACTIVE, max_batch=3)
-    sequences = [service.submit(handle, fp) for fp in fingerprints]
-    loop.run_until_idle(force=True)
-    for seq, (exp_label, exp_scores) in zip(
-            sequences, expected_results(fingerprints)):
-        label, scores = handle.take_result(seq)
-        assert label == exp_label
-        assert np.array_equal(scores, exp_scores)
-    cache = service._service_keystreams
-    assert cache.prefetches > 0
-    # Every prefetched chunk was read by a seal, and the only demand
-    # misses are the request lane's runs at ingest (six 48-byte reads:
-    # 3, 3 and 6 blocks, then the rest of the chunk): the response
-    # lane never generated keystream on a seal.
-    assert not cache._prefetched_unused
-    assert cache.misses == 4
-    service.teardown()
-
-
 def test_service_drops_tampered_ingress_frame():
     """A frame corrupted in the OS-relayed ring fails the batched tag
     verify and is dropped; the rest of the batch still serves."""
@@ -400,6 +376,53 @@ def test_close_session_drops_both_sides_tag_tables():
     service.close_session(handle)
     for tagger in taggers:
         assert not {"_table", "_planes", "_fold_planes"} & vars(tagger).keys()
+    service.teardown()
+
+
+def test_session_expands_one_key_schedule_per_side_and_key(monkeypatch):
+    """Opening a session and serving one request expands eight AES key
+    schedules, each of the session's four lane keys once per side: a
+    tagger's schedule also keys its mask cache reads.  A mask cache
+    that expanded its own schedule per tag lane would read twelve."""
+    from repro.crypto import aes
+
+    service, loop, (warm,) = tiny_stack(INTERACTIVE)
+    fingerprints = tiny_fingerprints(2, seed=39)
+    serve_one(loop, warm, fingerprints[0])
+    expanded = []
+    expand = aes.AES.__init__
+
+    def counting(self, key):
+        expanded.append(bytes(key))
+        expand(self, key)
+
+    monkeypatch.setattr(aes.AES, "__init__", counting)
+    handle = service.open_session()
+    serve_one(loop, handle, fingerprints[1])
+    assert len(expanded) == 8
+    assert all(expanded.count(key) == 2 for key in expanded)
+    service.teardown()
+
+
+def test_keystream_series_count_pad_and_mask_reads():
+    """omg_keystream_{cache_hits,cache_misses,blocks}_total sum both
+    sides' pad and mask caches.  One request's four tags (seal and
+    verify, each direction) each read one mask block at seq 0."""
+    service, loop, (handle,) = tiny_stack(INTERACTIVE)
+    serve_one(loop, handle, tiny_fingerprints(1, seed=40)[0])
+    assert service._client_masks.blocks == 2
+    assert service._service_masks.blocks == 2
+    caches = service._keystream_caches
+    counters = {name: value for kind, name, _, _, value in service.samples()
+                if kind == "counter" and name.startswith("omg_keystream")}
+    assert counters == {
+        "omg_keystream_cache_hits_total": sum(c.hits for c in caches),
+        "omg_keystream_cache_misses_total": sum(c.misses for c in caches),
+        "omg_keystream_blocks_total": sum(c.blocks for c in caches),
+    }
+    pad_blocks = (service._client_keystreams.blocks
+                  + service._service_keystreams.blocks)
+    assert counters["omg_keystream_blocks_total"] == pad_blocks + 4
     service.teardown()
 
 
