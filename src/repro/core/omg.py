@@ -135,7 +135,7 @@ class KeywordSpotterApp(SanctuaryApp):
         """Classify a batch of uint8 fingerprints in one batched invoke.
 
         Returns ``(label_indices, score_rows)``.  Bit-exact against N
-        :meth:`recognize_fingerprint` calls (see ``Op.run_batch``); the
+        :meth:`recognize_fingerprint` calls (see ``Op.run``); the
         simulated clock is charged once for the whole batch with
         per-op dispatch amortized across it.
         """

@@ -15,13 +15,15 @@ is a discrete-event queue model on the shared
 :class:`~repro.hw.timing.VirtualClock`:
 
 * device arrival offsets come from cohort fabrication (seeded HMAC);
-* a wave every ``wave_ms`` drains all due legs, batch-enrolling per
-  shard (one crypto pass per shard per wave);
+* a wave every :data:`WAVE_MS` drains all due legs, batch-enrolling
+  per shard (one crypto pass per shard per wave);
 * each leg's virtual completion time is its queue position times
-  ``service_us`` — so per-shard queue depth, not host speed, shapes
-  the reported p99 enrollment latency;
-* drops/crashes trigger exponential backoff retries; crashed shards
-  restart (journal replay) after ``restart_delay_ms``.
+  :data:`SERVICE_US` — so per-shard queue depth, not host speed,
+  shapes the reported p99 enrollment latency;
+* drops/crashes trigger exponential backoff retries
+  (:data:`BACKOFF_MS` times :data:`BACKOFF_FACTOR` per earlier
+  attempt); crashed shards restart (journal replay) after
+  :data:`RESTART_DELAY_MS`.
 
 Everything is pure virtual time: the bench measures host wall-clock
 around the call for licenses/sec, while latency percentiles are
@@ -45,6 +47,13 @@ from repro.fleet.shard import TenantConfig, VendorShard
 from repro.obs import hooks as _obs
 
 __all__ = ["FleetDirector", "StormReport"]
+
+# Storm timing, all virtual.
+WAVE_MS = 50.0
+SERVICE_US = 40.0
+BACKOFF_MS = 100.0
+BACKOFF_FACTOR = 2.0
+RESTART_DELAY_MS = 250.0
 
 
 @dataclass(frozen=True)
@@ -188,10 +197,7 @@ class FleetDirector:
     # --- the storm driver -------------------------------------------------
 
     def run_storm(self, cohorts: list[DeviceCohort], *,
-                  storm_seconds: float = 2.0, wave_ms: float = 50.0,
-                  service_us: float = 40.0, backoff_ms: float = 100.0,
-                  backoff_factor: float = 2.0,
-                  restart_delay_ms: float = 250.0,
+                  storm_seconds: float = 2.0,
                   max_seconds: float = 120.0,
                   compact_lag: int = 20_000) -> StormReport:
         """Drive every cohort device through attest + grant; see module doc."""
@@ -228,7 +234,7 @@ class FleetDirector:
 
         now = start_ms
         while events and now <= horizon_ms:
-            now = max(now + wave_ms, events[0][0])
+            now = max(now + WAVE_MS, events[0][0])
             # Crashed shards whose repair window elapsed come back up
             # (journal replay) before the wave routes.
             for shard_id, due in list(restart_at.items()):
@@ -246,7 +252,7 @@ class FleetDirector:
                 shard = self.route(cohort.positions[di])
                 if shard is None:  # whole fleet dark: wait for repairs
                     seq += 1
-                    deferred.append((now + restart_delay_ms, seq, ci, di))
+                    deferred.append((now + RESTART_DELAY_MS, seq, ci, di))
                     continue
                 due_legs.setdefault(shard.shard_id, []).append((ci, di))
             for item in deferred:
@@ -265,7 +271,7 @@ class FleetDirector:
                 for position, ((ci, di), reply) in enumerate(
                         zip(members, replies)):
                     cohort = cohorts[ci]
-                    done_ms = now + (position + 1) * service_us / 1000.0
+                    done_ms = now + (position + 1) * SERVICE_US / 1000.0
                     if reply.status == "ok":
                         if reply.step == "attest":
                             cohort.state[di] = STATE_GRANT
@@ -283,8 +289,8 @@ class FleetDirector:
                             drops += 1
                         retries += 1
                         cohort.attempts[di] += 1
-                        delay = backoff_ms * (
-                            backoff_factor ** (cohort.attempts[di] - 1))
+                        delay = BACKOFF_MS * (
+                            BACKOFF_FACTOR ** (cohort.attempts[di] - 1))
                         seq += 1
                         heapq.heappush(events,
                                        (now + delay, seq, ci, di))
@@ -295,7 +301,7 @@ class FleetDirector:
                         cohort.state[di] = "refused"
                         refused += 1
                 if not shard.up and shard_id not in restart_at:
-                    restart_at[shard_id] = now + restart_delay_ms
+                    restart_at[shard_id] = now + RESTART_DELAY_MS
                 # A crashed shard's journal holds no live state until
                 # restart replays it; compacting it would erase grants.
                 if shard.up and shard.journal.lag > compact_lag:

@@ -88,8 +88,7 @@ class EnclaveWorkerPool:
     """Launch and pin a set of enclave workers, one per slot."""
 
     def __init__(self, platform: Platform, vendor: Vendor,
-                 num_workers: int | None = None,
-                 heap_bytes: int | None = None) -> None:
+                 num_workers: int | None = None) -> None:
         self._platform = platform
         self._vendor = vendor
         soc = platform.soc

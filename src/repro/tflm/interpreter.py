@@ -10,7 +10,9 @@ Construction builds a precomputed *invoke plan*: per-op static cost
 (shapes never change between invokes), plus whatever each kernel
 pre-resolves via :meth:`Op.plan` (flattened/cast weight matrices,
 padding geometry).  ``invoke()`` is then pure dispatch + GEMM, and
-``op.cost()`` runs exactly once per op per interpreter lifetime.  The
+``op.cost()`` runs exactly once per op per interpreter lifetime.
+``invoke()`` and ``invoke_batch()`` share one executor: every kernel
+takes a leading batch axis, and a single invoke is a batch of one.  The
 host wall-clock speed of all this is deliberately decoupled from the
 *simulated* cycle accounting, which uses the same arithmetic as before
 and stays bit-identical.  ``reference_kernels=True`` restores the
@@ -80,6 +82,11 @@ class Interpreter:
         self.last_stats = InvokeStats()
         self.total_invokes = 0
         self._batch_outputs: dict[str, np.ndarray] | None = None
+        # invoke_batch stacks samples along each activation's leading
+        # dim, so that dim must be 1 throughout the graph.
+        self._batchable = all(
+            spec.shape[:1] == (1,) for name, spec in model.tensors.items()
+            if name not in model.constants)
 
     # --- timing --------------------------------------------------------
 
@@ -149,13 +156,32 @@ class Interpreter:
         self._tensors[name] = array
         self._inputs_set.add(name)
 
-    def _execute(self, run, batch: int) -> InvokeStats:
-        """Dispatch every entry through ``run(op, plan)`` and charge it.
+    def _execute(self, tensors: dict[str, np.ndarray],
+                 batch: int) -> InvokeStats:
+        """Run every operator over ``tensors`` and charge the work.
 
-        MAC/element work scales with ``batch``; dispatch is charged once
-        per op, whatever the batch — the simulated face of
-        the amortization batching gives the host.
+        Every activation in ``tensors`` carries a leading batch axis of
+        ``batch``; a single invoke is a batch of one.  Fast kernels take
+        the whole batch in one call.  Reference kernels run one sample
+        at a time, each in its own tensor map, and their outputs are
+        stacked back into ``tensors``.  MAC/element work scales with
+        ``batch``; dispatch is charged once per op, whatever the batch —
+        the simulated face of the amortization batching gives the host.
         """
+        specs = self.model.tensors
+        frames = [tensors]
+        if self._invoke_plan is not None:
+            def run(op, plan):
+                op.run(tensors, specs, plan=plan)
+        else:
+            if batch > 1:
+                frames = [{**tensors, **{name: tensors[name][n:n + 1]
+                                         for name in self.model.inputs}}
+                          for n in range(batch)]
+
+            def run(op, plan):
+                for frame in frames:
+                    op.run_reference(frame, specs)
         stats = InvokeStats()
         tracer = self._op_profiler()
         for op, cost, op_plan in self._entries():
@@ -169,6 +195,10 @@ class Interpreter:
             stats.macs += cost.macs * batch
             stats.elements += cost.elements * batch
             stats.ops += 1
+        if len(frames) > 1:
+            for name in self.model.outputs:
+                tensors[name] = np.concatenate(
+                    [frame[name] for frame in frames])
         profile = self._profile
         mac_cycles = profile.cycles_per_mac
         if self._is_float_graph():
@@ -190,18 +220,15 @@ class Interpreter:
         return stats
 
     def invoke(self) -> InvokeStats:
-        """Run all operators in order; returns the cost accounting."""
+        """Run all operators in order; returns the cost accounting.
+
+        The inputs from :meth:`set_input` are a batch of one, run in the
+        interpreter's persistent tensor map.
+        """
         missing = set(self.model.inputs) - self._inputs_set
         if missing:
             raise InterpreterError(f"inputs not set: {sorted(missing)}")
-        tensors, specs = self._tensors, self.model.tensors
-        if self._invoke_plan is None:
-            def run(op, plan):
-                op.run_reference(tensors, specs)
-        else:
-            def run(op, plan):
-                op.run(tensors, specs, plan=plan)
-        stats = self._execute(run, 1)
+        stats = self._execute(self._tensors, 1)
         self._invoked = True
         return stats
 
@@ -211,28 +238,26 @@ class Interpreter:
         """Run the graph once across a leading batch axis.
 
         ``inputs`` maps every model input to an array of shape
-        ``(batch,) + spec.shape[1:]`` (activation specs carry a unit
-        leading dim).  Outputs land in :meth:`get_output_batch` with the
-        same convention.  Results are bit-exact against ``batch``
-        sequential :meth:`invoke` calls: kernels without an order-safe
-        vectorized path run the per-sample fallback, and the exact-int8
-        GEMMs are reassociation-free (see ``Op.run_batch``).  Cycles are
-        charged as in :meth:`_execute`.
+        ``(batch,) + spec.shape[1:]``; every activation spec in the
+        graph must carry a unit leading dim, which the batch replaces.
+        Outputs land in :meth:`get_output_batch` with the same
+        convention.  Results are bit-exact against ``batch`` sequential
+        :meth:`invoke` calls: every kernel computes each row as it
+        would that sample alone (see :class:`Op`).  Cycles are charged
+        as in :meth:`_execute`.
         """
         missing = set(self.model.inputs) - set(inputs)
         if missing:
             raise InterpreterError(f"inputs not set: {sorted(missing)}")
+        if not self._batchable:
+            raise InterpreterError(
+                "batching needs a unit leading dim on every activation")
         batch = None
         tensors: dict[str, np.ndarray] = dict(self.model.constants)
-        batched: set[str] = set()
         for name, array in inputs.items():
             if name not in self.model.inputs:
                 raise InterpreterError(f"{name!r} is not a model input")
             spec = self.model.tensors[name]
-            if spec.shape[0] != 1:
-                raise InterpreterError(
-                    f"input {name!r} has leading dim {spec.shape[0]}; "
-                    "batching needs unit leading dims")
             array = np.array(array, copy=True)
             if array.ndim != len(spec.shape) or array.shape[1:] != spec.shape[1:]:
                 raise InterpreterError(
@@ -247,17 +272,9 @@ class Interpreter:
             elif array.shape[0] != batch:
                 raise InterpreterError("batched inputs disagree on batch size")
             tensors[name] = array
-            batched.add(name)
         if not batch:
             raise InterpreterError("batch must be at least 1")
-
-        specs = self.model.tensors
-        reference = self._invoke_plan is None
-
-        def run(op, plan):
-            op.run_batch(tensors, specs, batch, batched, plan=plan,
-                         reference=reference)
-        stats = self._execute(run, batch)
+        stats = self._execute(tensors, batch)
         self._batch_outputs = {name: tensors[name]
                                for name in self.model.outputs}
         return stats

@@ -33,6 +33,12 @@ class Op:
     name in the interpreter's tensor map.  ``run`` takes the op's
     :meth:`plan` result as ``plan``; with ``None`` it works out what it
     needs itself.
+
+    ``run`` treats the leading axis of every activation as the batch:
+    constants arrive at their declared shapes, activations as
+    ``(batch,) + spec.shape[1:]``, and each output row must equal what
+    the same kernel writes for that sample alone.  A single invoke is a
+    batch of one, whose activations are exactly their spec shapes.
     """
 
     opcode = "op"
@@ -65,48 +71,6 @@ class Op:
         tests call it — nothing on the hot path does.
         """
         self.run(tensors, specs)
-
-    def run_batch(self, tensors: dict[str, np.ndarray],
-                  specs: dict[str, TensorSpec], batch: int,
-                  batched: set[str], plan=None,
-                  reference: bool = False) -> None:
-        """Run the op across a leading batch axis.
-
-        ``tensors`` holds constants at their declared shapes and every
-        name in ``batched`` as ``(batch,) + spec.shape[1:]`` (activation
-        specs all carry a unit leading dim).  The default implementation
-        slices one sample at a time, reshapes it back to the spec shape,
-        runs the ordinary single-sample kernel, and restacks the
-        outputs — bit-exact against sequential invokes by construction.
-        Kernels with an order-safe vectorized path (the exact-integer
-        int8 GEMMs) override this; float32 GEMMs stay on the per-sample
-        loop because BLAS may reorder accumulation across shapes.
-        """
-        frame = dict(tensors)
-        stacked: dict[str, np.ndarray] = {}
-        for n in range(batch):
-            for name in batched:
-                if name in frame:
-                    frame[name] = tensors[name][n].reshape(specs[name].shape)
-            if reference:
-                self.run_reference(frame, specs)
-            else:
-                self.run(frame, specs, plan=plan)
-            for name in self.outputs:
-                out = frame[name]
-                spec = specs[name]
-                if spec.shape[0] != 1:
-                    raise InterpreterError(
-                        f"{self.opcode}: cannot batch an output whose "
-                        "leading dim is not 1"
-                    )
-                if name not in stacked:
-                    stacked[name] = np.empty(
-                        (batch,) + spec.shape[1:], dtype=out.dtype)
-                stacked[name][n] = out.reshape(spec.shape[1:])
-        for name in self.outputs:
-            tensors[name] = stacked[name]
-            batched.add(name)
 
     def plan(self, tensors: dict[str, np.ndarray],
              specs: dict[str, TensorSpec]):

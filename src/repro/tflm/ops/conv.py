@@ -181,23 +181,17 @@ class _ConvBase(Op):
         return out.reshape(len(x), out_h, out_w, -1)
 
     def run(self, tensors, specs, plan=None):
+        """int8 runs :meth:`_kernel` once over the whole batch; float32
+        runs it one sample at a time, which pins BLAS order."""
         if plan is None:
             plan = self.plan(tensors, specs)
-        tensors[self.outputs[0]] = self._kernel(tensors[self.inputs[0]],
-                                                specs, plan)
-
-    def run_batch(self, tensors, specs, batch, batched, plan=None,
-                  reference=False):
-        """int8 runs :meth:`_kernel` once over the whole batch; float32
-        keeps the per-sample default, which pins BLAS order."""
-        if (reference or plan is None
-                or specs[self.inputs[0]].dtype == "float32"
-                or self.inputs[0] not in batched):
-            return super().run_batch(tensors, specs, batch, batched,
-                                     plan=plan, reference=reference)
-        tensors[self.outputs[0]] = self._kernel(tensors[self.inputs[0]],
-                                                specs, plan)
-        batched.add(self.outputs[0])
+        x = tensors[self.inputs[0]]
+        if specs[self.inputs[0]].dtype == "float32":
+            out = np.concatenate([self._kernel(x[n:n + 1], specs, plan)
+                                  for n in range(len(x))])
+        else:
+            out = self._kernel(x, specs, plan)
+        tensors[self.outputs[0]] = out
 
 
 @register_op

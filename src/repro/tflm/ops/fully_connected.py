@@ -19,8 +19,8 @@ __all__ = ["FullyConnected"]
 class FullyConnected(Op):
     """y = x @ W^T + b with weights (out_features, in_features).
 
-    The input is flattened to (1, in_features) first, matching TFLite's
-    implicit flatten for dense layers after convolutions.
+    The input is flattened to (batch, in_features) first, matching
+    TFLite's implicit flatten for dense layers after convolutions.
     """
 
     opcode = "fully_connected"
@@ -80,23 +80,17 @@ class FullyConnected(Op):
         return requantize_folded(acc.astype(np.int64), plan)
 
     def run(self, tensors, specs, plan=None):
+        """int8 runs :meth:`_kernel` once over the whole batch; float32
+        runs it one sample at a time, which pins BLAS order."""
         if plan is None:
             plan = self.plan(tensors, specs)
-        tensors[self.outputs[0]] = self._kernel(
-            tensors[self.inputs[0]].reshape(1, -1), specs, plan)
-
-    def run_batch(self, tensors, specs, batch, batched, plan=None,
-                  reference=False):
-        """int8 runs :meth:`_kernel` once over the whole batch; float32
-        keeps the per-sample default, which pins BLAS order."""
-        if (reference or plan is None
-                or specs[self.inputs[0]].dtype == "float32"
-                or self.inputs[0] not in batched):
-            return super().run_batch(tensors, specs, batch, batched,
-                                     plan=plan, reference=reference)
-        tensors[self.outputs[0]] = self._kernel(
-            tensors[self.inputs[0]].reshape(batch, -1), specs, plan)
-        batched.add(self.outputs[0])
+        x = tensors[self.inputs[0]].reshape(-1, specs[self.inputs[1]].shape[1])
+        if specs[self.inputs[0]].dtype == "float32":
+            out = np.concatenate([self._kernel(x[n:n + 1], specs, plan)
+                                  for n in range(len(x))])
+        else:
+            out = self._kernel(x, specs, plan)
+        tensors[self.outputs[0]] = out
 
     def run_reference(self, tensors, specs):
         """Original implementation: weights re-cast on every call."""

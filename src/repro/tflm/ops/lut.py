@@ -145,7 +145,10 @@ class Mean(Op):
         x_spec = specs[self.inputs[0]]
         out_spec = specs[self.outputs[0]]
         x = tensors[self.inputs[0]]
-        axes = tuple(self.params["axes"])
+        # A unit leading dim is the batch axis: reducing it would mix
+        # samples, and skipping it changes no value.
+        axes = tuple(axis for axis in self.params["axes"]
+                     if axis or x_spec.shape[0] != 1)
         if x_spec.dtype == "float32":
             tensors[self.outputs[0]] = x.astype(np.float64).mean(
                 axis=axes, keepdims=True).astype(np.float32)

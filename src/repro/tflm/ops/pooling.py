@@ -39,11 +39,13 @@ class _PoolBase(Op):
             raise InterpreterError(f"{self.opcode}: dtype mismatch")
 
     def _windows(self, x, kh, kw, sh, sw, padding, pad_value):
-        _, h, w, c = x.shape
+        """Yield ``(i, j, window)`` per output position, each window
+        ``(batch, kh, kw, C)``."""
+        n, h, w, c = x.shape
         if padding == "same":
             pt, pb = same_padding(h, kh, sh)
             pl, pr = same_padding(w, kw, sw)
-            padded = np.full((1, h + pt + pb, w + pl + pr, c), pad_value,
+            padded = np.full((n, h + pt + pb, w + pl + pr, c), pad_value,
                              dtype=x.dtype)
             padded[:, pt:pt + h, pl:pl + w, :] = x
         else:
@@ -52,7 +54,7 @@ class _PoolBase(Op):
         out_w = (padded.shape[2] - kw) // sw + 1
         for i in range(out_h):
             for j in range(out_w):
-                yield i, j, padded[0, i * sh:i * sh + kh,
+                yield i, j, padded[:, i * sh:i * sh + kh,
                                    j * sw:j * sw + kw, :]
 
     def cost(self, specs):
@@ -68,15 +70,15 @@ class MaxPool2D(_PoolBase):
     def run(self, tensors, specs, plan=None):
         x_spec, kh, kw, sh, sw, padding = self._geometry(specs)
         x = tensors[self.inputs[0]]
-        out_spec = specs[self.outputs[0]]
-        out = out_spec.empty_array()
+        out = np.empty((len(x),) + specs[self.outputs[0]].shape[1:],
+                       dtype=x.dtype)
         if x_spec.dtype == "float32":
             pad_value = -np.inf
         else:
             pad_value = np.iinfo(x.dtype).min
         for i, j, window in self._windows(x, kh, kw, sh, sw, padding,
                                           pad_value):
-            out[0, i, j, :] = window.max(axis=(0, 1))
+            out[:, i, j, :] = window.max(axis=(1, 2))
         tensors[self.outputs[0]] = out
 
 
@@ -87,14 +89,14 @@ class AveragePool2D(_PoolBase):
     def run(self, tensors, specs, plan=None):
         x_spec, kh, kw, sh, sw, padding = self._geometry(specs)
         x = tensors[self.inputs[0]]
-        out_spec = specs[self.outputs[0]]
-        out = out_spec.empty_array()
+        out = np.empty((len(x),) + specs[self.outputs[0]].shape[1:],
+                       dtype=x.dtype)
         for i, j, window in self._windows(x, kh, kw, sh, sw, padding, 0):
-            mean = window.astype(np.float64).mean(axis=(0, 1))
+            mean = window.astype(np.float64).mean(axis=(1, 2))
             if x_spec.dtype == "float32":
-                out[0, i, j, :] = mean.astype(np.float32)
+                out[:, i, j, :] = mean.astype(np.float32)
             else:
                 info = np.iinfo(out.dtype)
-                out[0, i, j, :] = np.clip(np.round(mean), info.min,
+                out[:, i, j, :] = np.clip(np.round(mean), info.min,
                                           info.max).astype(out.dtype)
         tensors[self.outputs[0]] = out

@@ -26,9 +26,9 @@ class Reshape(Op):
             raise InterpreterError("reshape: dtype must be unchanged")
 
     def run(self, tensors, specs, plan=None):
-        out_spec = specs[self.outputs[0]]
+        shape = specs[self.outputs[0]].shape
         tensors[self.outputs[0]] = tensors[self.inputs[0]].reshape(
-            out_spec.shape)
+            (-1,) + shape[1:] if shape else ())
 
     def cost(self, specs):
         return OpCost()  # zero-copy in real TFLM

@@ -2,9 +2,11 @@
 
 The serving scheduler's whole correctness story rests on
 ``Interpreter.invoke_batch`` being indistinguishable from running the
-same inputs one at a time: the vectorized int8 kernels use exact
-integer GEMMs (reassociation-free), and everything else falls back to a
-per-sample loop that *is* the sequential path.  These tests pin that
+same inputs one at a time.  Both run one executor, in which every
+kernel's ``Op.run`` takes a leading batch axis and a single invoke is a
+batch of one: the int8 GEMMs are exact (reassociation-free), float32
+GEMMs run one sample at a time, and reference kernels run one sample
+at a time by construction.  These tests pin that
 equivalence across batch sizes, kernel sets, and the real pretrained
 model over all twelve Speech Commands labels.
 """

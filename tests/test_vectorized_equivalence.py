@@ -192,16 +192,14 @@ def _conv_case(op_cls, dtype, stride, padding, seed):
         np.testing.assert_allclose(fast_tensors["y"], ref_tensors["y"],
                                    rtol=1e-5, atol=1e-6)
 
-    # run_batch over 3 stacked samples against per-sample run_reference.
+    # run over 3 stacked samples against per-sample run_reference.
     samples = [tensors["x"]] + [
         rng.integers(-128, 128, size=(1, h, w, in_c)).astype(np.int8)
         if dtype == "int8"
         else rng.normal(size=(1, h, w, in_c)).astype(np.float32)
         for _ in range(2)]
     batch_tensors = dict(tensors, x=np.concatenate(samples))
-    batched = {"x"}
-    op.run_batch(batch_tensors, specs, 3, batched, plan=plan)
-    assert batched == {"x", "y"}
+    op.run(batch_tensors, specs, plan=plan)
     assert batch_tensors["y"].shape == (3,) + specs["y"].shape[1:]
     for i, sample in enumerate(samples):
         ref_tensors = dict(tensors, x=sample)
