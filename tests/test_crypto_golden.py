@@ -4,6 +4,9 @@ Every expected value below is a fixed constant, so a change to the hash
 implementation that alters a single output byte fails here, not only in
 run-to-run determinism checks.  The DRBG stream feeds every enclave key
 pair, the KDF yields K_U, and the batched MACs sign fleet licenses.
+The modulus and K_U pins also fix the key derivation itself: prime
+candidates with their top two bits set, the gcd sieve and the
+Miller-Rabin rounds each decide which primes a context yields.
 The frame tags, keystream chunks and batched AES are the serving
 frame path's kernels, and GCM seals the provisioned model; their pins
 hold across kernel rewrites.
@@ -31,8 +34,8 @@ _DRBG_96 = (
     "c65d74430636f9179eb7f2f79eb7f424e7346ab05081fd608d2fd2ae54b8cf6a"
 )
 _MODULUS_SHA256 = (
-    "870c62a7b6610b8547484773ee09fa5b21e412f6cf15d0a5711a6e0d7532114f")
-_MODEL_KEY = "e811f054d0ac332d55637c499cd211df"
+    "e78374e820ada9379a0aff65505c9a9981daa85032a966cbb96473eae16d191d")
+_MODEL_KEY = "2e510ac22bba8df69100791bff9d9f27"
 _KEYED_BATCH_SHA256 = (
     "9cb8365dc7bba35cfc11fcdfd207403902c8a769f55958486cbcdc5546711eb7")
 _SHA_BATCH_SHA256 = (

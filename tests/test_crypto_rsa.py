@@ -1,7 +1,12 @@
 """RSA: keygen, signatures, OAEP, serialization, derivations."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto import rsa
 from repro.crypto.keycache import deterministic_keypair
 from repro.crypto.rng import HmacDrbg
 from repro.crypto.rsa import RsaPublicKey, generate_keypair
@@ -20,6 +25,82 @@ def test_keypair_is_consistent():
 
 def test_modulus_has_requested_bits():
     assert KEY.n.bit_length() == 768
+
+
+@pytest.mark.parametrize("bits", [512, 768, 769, 1024])
+@pytest.mark.parametrize("context", [b"size-a", b"size-b", b"size-c"])
+def test_modulus_and_primes_have_exact_size(bits, context):
+    key = generate_keypair(bits, HmacDrbg(context, b"keycache"))
+    assert key.n.bit_length() == bits
+    for prime, size in ((key.p, bits // 2), (key.q, bits - bits // 2)):
+        assert prime.bit_length() == size
+        assert prime >> (size - 2) == 0b11
+
+
+# The contexts perfbench's four workloads pass to deterministic_keypair
+# (768-bit) in set-up: platform root and platform keys, the vendor key
+# and one key per enclave; the fleet's root, platform and pool keys per
+# tenant.  The test seeds the DRBG as deterministic_keypair does, past
+# its memo.
+_PERFBENCH_KEY_CONTEXTS = [
+    *(b"perfbench-" + name + suffix
+      for name in (b"serve-steady", b"serve-churn")
+      for suffix in (b"|root-key", b"|platform-key", b"|vendor|vendor-key",
+                     b"|enclave-key|0", b"|enclave-key|1")),
+    *(b"perfbench-kws-clip" + suffix
+      for suffix in (b"|root-key", b"|platform-key", b"|vendor|vendor-key",
+                     b"|enclave-key|0")),
+    *(b"perfbench-fleet-storm|fleet-" + role + b"|tenant-" + tenant
+      for tenant in (b"a", b"b") for role in (b"root", b"platform", b"pool")),
+]
+
+
+@pytest.mark.parametrize("context, bits", [(b"golden-ctx", 1024)] + [
+    (context, 768) for context in _PERFBENCH_KEY_CONTEXTS])
+def test_keypair_draws_exactly_two_primes(monkeypatch, context, bits):
+    drawn = []
+    generate_prime = rsa._generate_prime
+
+    def counting(size, rng):
+        drawn.append(size)
+        return generate_prime(size, rng)
+
+    monkeypatch.setattr(rsa, "_generate_prime", counting)
+    generate_keypair(bits, HmacDrbg(context, b"keycache"))
+    assert drawn == [bits // 2, bits - bits // 2]
+
+
+_SIEVE_PRIMES = [p for p in range(3, rsa._SIEVE_BOUND, 2)
+                 if all(p % f for f in range(3, p, 2))]
+
+
+def test_sieve_product_is_the_odd_primes_below_the_bound():
+    assert rsa._SIEVE_PRODUCT == math.prod(_SIEVE_PRIMES)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(0, 2**24), st.integers(0, 2**400)),
+       st.sampled_from([1, *_SIEVE_PRIMES[:40], *_SIEVE_PRIMES[-20:]]))
+def test_gcd_sieve_matches_trial_division(value, factor):
+    # Multiplying by a sieve prime makes rejections common, not rare.
+    candidate = (2 * value + 1) * factor
+    rejected = math.gcd(candidate, rsa._SIEVE_PRODUCT) != 1
+    assert rejected == any(candidate % p == 0 for p in _SIEVE_PRIMES)
+
+
+@pytest.mark.parametrize("e", [1, 2, 4])
+def test_keygen_rejects_even_or_tiny_exponent(e):
+    with pytest.raises(KeyError_):
+        generate_keypair(512, HmacDrbg(b"bad-exponent"), e=e)
+
+
+@pytest.mark.parametrize("seed", [b"e15-a", b"e15-b", b"e15-c", b"e15-d"])
+def test_keygen_with_composite_exponent(seed):
+    key = generate_keypair(512, HmacDrbg(seed), e=15)
+    phi = (key.p - 1) * (key.q - 1)
+    assert key.e == 15
+    assert (key.d * key.e) % phi == 1
+    assert key.public_key.verify(b"m", key.sign(b"m"))
 
 
 def test_keygen_is_deterministic():
