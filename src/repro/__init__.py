@@ -24,14 +24,14 @@ Package map: :mod:`repro.crypto` (primitives), :mod:`repro.hw`
 
 __version__ = "1.0.0"
 
-from repro.core import KeywordSpotterApp, OmgSession, User, Vendor
-from repro.trustzone import make_platform
+from repro.lazy import attach
 
-__all__ = [
-    "__version__",
-    "OmgSession", "KeywordSpotterApp", "Vendor", "User",
-    "make_platform", "quickstart_session",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "core.omg": ["KeywordSpotterApp", "OmgSession"],
+    "core.parties": ["User", "Vendor"],
+    "trustzone.worlds": ["make_platform"],
+})
+__all__ += ["__version__", "quickstart_session"]
 
 
 def quickstart_session(seed: bytes = b"quickstart", key_bits: int = 1024):
@@ -41,7 +41,9 @@ def quickstart_session(seed: bytes = b"quickstart", key_bits: int = 1024):
     already completed the preparation and initialization phases.
     """
     from repro.audio import FingerprintExtractor, SyntheticSpeechCommands
+    from repro.core import KeywordSpotterApp, OmgSession, User, Vendor
     from repro.eval.pretrained import standard_model
+    from repro.trustzone import make_platform
 
     model, _ = standard_model()
     platform = make_platform(seed=seed, key_bits=key_bits)

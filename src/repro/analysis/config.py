@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 LAYER_RANKS: dict[str, int] = {
     "errors": 0,
     "hookslot": 0,
+    "lazy": 0,
     "faults": 1,
     "obs": 1,
     "sanitizers": 1,

@@ -1,10 +1,9 @@
 """Adversary simulations for the paper's threat model (§IV)."""
 
-from repro.attacks.adversary import AttackOutcome, NormalWorldAdversary
-from repro.attacks.cache_probe import PrimeProbeAttack, PrimeProbeResult
-from repro.attacks.rollback import RollbackAttack
+from repro.lazy import attach
 
-__all__ = [
-    "AttackOutcome", "NormalWorldAdversary", "RollbackAttack",
-    "PrimeProbeAttack", "PrimeProbeResult",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "adversary": ["AttackOutcome", "NormalWorldAdversary"],
+    "cache_probe": ["PrimeProbeAttack", "PrimeProbeResult"],
+    "rollback": ["RollbackAttack"],
+})

@@ -1,41 +1,17 @@
 """Audio substrate: WAVE I/O, fixed-point DSP, fingerprint features,
 and the synthetic Speech Commands dataset."""
 
-from repro.audio.dsp import (
-    FFT_SIZE,
-    NUM_BINS,
-    fixed_point_fft,
-    hann_window_q15,
-    power_spectrum_fixed,
-    power_spectrum_float,
-)
-from repro.audio.features import FeatureConfig, FingerprintExtractor
-from repro.audio.speech_commands import (
-    CORE_WORDS,
-    LABELS,
-    UNKNOWN_WORDS,
-    PlaybackSource,
-    SpeechCommandsConfig,
-    SyntheticSpeechCommands,
-    Utterance,
-    label_index,
-)
-from repro.audio.streaming import (
-    CommandRecognizer,
-    Detection,
-    RecognizerConfig,
-    StreamingFeatureExtractor,
-)
-from repro.audio.wave_io import decode_wave, encode_wave, read_wave, write_wave
+from repro.lazy import attach
 
-__all__ = [
-    "FFT_SIZE", "NUM_BINS", "fixed_point_fft", "hann_window_q15",
-    "power_spectrum_fixed", "power_spectrum_float",
-    "FeatureConfig", "FingerprintExtractor",
-    "CORE_WORDS", "LABELS", "UNKNOWN_WORDS", "label_index",
-    "SpeechCommandsConfig", "SyntheticSpeechCommands", "Utterance",
-    "PlaybackSource",
-    "encode_wave", "decode_wave", "read_wave", "write_wave",
-    "StreamingFeatureExtractor", "CommandRecognizer", "RecognizerConfig",
-    "Detection",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "dsp": ["FFT_SIZE", "NUM_BINS", "fixed_point_fft", "hann_window_q15",
+            "power_spectrum_fixed", "power_spectrum_float"],
+    "features": ["FeatureConfig", "FingerprintExtractor"],
+    "speech_commands": ["CORE_WORDS", "LABELS", "UNKNOWN_WORDS",
+                        "PlaybackSource", "SpeechCommandsConfig",
+                        "SyntheticSpeechCommands", "Utterance",
+                        "label_index"],
+    "streaming": ["CommandRecognizer", "Detection", "RecognizerConfig",
+                  "StreamingFeatureExtractor"],
+    "wave_io": ["decode_wave", "encode_wave", "read_wave", "write_wave"],
+})

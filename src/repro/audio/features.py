@@ -21,7 +21,8 @@ from repro.audio.dsp import (
 )
 from repro.errors import AudioError
 
-__all__ = ["FeatureConfig", "FingerprintExtractor"]
+__all__ = ["FeatureConfig", "FingerprintExtractor", "fingerprint_to_int8",
+           "fingerprints_to_int8"]
 
 
 @dataclass(frozen=True)
@@ -142,3 +143,15 @@ class FingerprintExtractor:
         frames = np.lib.stride_tricks.sliding_window_view(
             clip, window)[::shift][:self.config.num_frames]
         return self.frame_features_batch(frames)
+
+
+def fingerprint_to_int8(fingerprint: np.ndarray) -> np.ndarray:
+    """uint8 fingerprint -> the int8 input tensor (1, F, B, 1)."""
+    shifted = fingerprint.astype(np.int32) - 128
+    return shifted.astype(np.int8).reshape(1, *fingerprint.shape, 1)
+
+
+def fingerprints_to_int8(fingerprints: np.ndarray) -> np.ndarray:
+    """uint8 fingerprints (N, F, B) -> batched int8 tensor (N, F, B, 1)."""
+    shifted = fingerprints.astype(np.int32) - 128
+    return shifted.astype(np.int8).reshape(*fingerprints.shape, 1)

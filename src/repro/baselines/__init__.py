@@ -1,22 +1,11 @@
 """Comparison baselines: unprotected native execution, cryptographic
 alternatives (HE/SMPC cost models), and the online-TEE deployment."""
 
-from repro.baselines.crypto_baselines import (
-    BaselineEstimate,
-    HeCostModel,
-    SmpcCostModel,
-    interactive_layers,
-)
-from repro.baselines.native import NativeKeywordSpotter
-from repro.baselines.voiceguard import (
-    TYPICAL_NETWORKS,
-    NetworkCondition,
-    VoiceGuardModel,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "NativeKeywordSpotter",
-    "BaselineEstimate", "HeCostModel", "SmpcCostModel",
-    "interactive_layers",
-    "VoiceGuardModel", "NetworkCondition", "TYPICAL_NETWORKS",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "crypto_baselines": ["BaselineEstimate", "HeCostModel", "SmpcCostModel",
+                         "interactive_layers"],
+    "native": ["NativeKeywordSpotter"],
+    "voiceguard": ["TYPICAL_NETWORKS", "NetworkCondition", "VoiceGuardModel"],
+})

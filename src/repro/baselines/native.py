@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.audio.features import FeatureConfig, FingerprintExtractor
+from repro.audio.features import (FeatureConfig, FingerprintExtractor,
+                                  fingerprint_to_int8)
 from repro.core.omg import RecognitionResult
 from repro.hw.memory import World
 from repro.tflm.interpreter import Interpreter
 from repro.tflm.model import Model
 from repro.tflm.serialize import serialize_model
-from repro.train.convert import fingerprint_to_int8
 from repro.trustzone.worlds import Platform
 
 __all__ = ["NativeKeywordSpotter"]

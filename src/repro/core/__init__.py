@@ -5,33 +5,17 @@ paper §V, with real crypto, a real enclave runtime underneath, and a
 recorded transcript for the Fig. 2 benchmark.
 """
 
-from repro.core.channels import ChannelEndpoint, SecureChannel
-from repro.core.license import LicensePolicy, LicenseState
-from repro.core.omg import KeywordSpotterApp, OmgSession, RecognitionResult
-from repro.core.parties import User, Vendor, WrappedKey
-from repro.core.protocol import (
-    FIG2_STEPS,
-    Phase,
-    ProtocolStep,
-    ProtocolTranscript,
-    StepIo,
-)
-from repro.core.provisioning import (
-    EncryptedModel,
-    decrypt_model,
-    encrypt_model,
-    flash_path_for,
-)
-from repro.core.speaker import SpeakerVerifier, VerificationResult, equal_error_rate
-from repro.core.speaker_app import SpeakerVerifierApp
+from repro.lazy import attach
 
-__all__ = [
-    "OmgSession", "KeywordSpotterApp", "RecognitionResult",
-    "Vendor", "User", "WrappedKey",
-    "LicensePolicy", "LicenseState",
-    "EncryptedModel", "encrypt_model", "decrypt_model", "flash_path_for",
-    "SecureChannel", "ChannelEndpoint",
-    "Phase", "StepIo", "ProtocolStep", "ProtocolTranscript", "FIG2_STEPS",
-    "SpeakerVerifier", "SpeakerVerifierApp", "VerificationResult",
-    "equal_error_rate",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "channels": ["ChannelEndpoint", "SecureChannel"],
+    "license": ["LicensePolicy", "LicenseState"],
+    "omg": ["KeywordSpotterApp", "OmgSession", "RecognitionResult"],
+    "parties": ["User", "Vendor", "WrappedKey"],
+    "protocol": ["FIG2_STEPS", "Phase", "ProtocolStep", "ProtocolTranscript",
+                 "StepIo"],
+    "provisioning": ["EncryptedModel", "decrypt_model", "encrypt_model",
+                     "flash_path_for"],
+    "speaker": ["SpeakerVerifier", "VerificationResult", "equal_error_rate"],
+    "speaker_app": ["SpeakerVerifierApp"],
+})

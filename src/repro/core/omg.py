@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.audio.features import FeatureConfig, FingerprintExtractor
+from repro.audio.features import (FeatureConfig, FingerprintExtractor,
+                                  fingerprint_to_int8, fingerprints_to_int8)
 from repro.audio.speech_commands import PlaybackSource
 from repro.core.channels import reliable_link
 from repro.core.parties import User, Vendor, WrappedKey
@@ -32,7 +33,6 @@ from repro.sanitizers import hooks as _sanitizers
 from repro.sanctuary.lifecycle import EnclaveInstance, SanctuaryRuntime
 from repro.tflm.interpreter import Interpreter
 from repro.tflm.serialize import deserialize_model
-from repro.train.convert import fingerprint_to_int8, fingerprints_to_int8
 from repro.trustzone.worlds import Platform
 
 __all__ = ["KeywordSpotterApp", "RecognitionResult", "OmgSession"]

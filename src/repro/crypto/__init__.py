@@ -16,27 +16,19 @@ Contents:
 * :mod:`~repro.crypto.cert` — platform/enclave certificate hierarchy
 """
 
-from repro.crypto.aes import AES
-from repro.crypto.cert import Certificate, CertificateAuthority, verify_chain
-from repro.crypto.hmac import (
-    constant_time_eq,
-    hkdf,
-    hmac_sha256,
-    hmac_sha256_keyed,
-    hmac_sha256_many,
-)
-from repro.crypto.kdf import MODEL_KEY_SIZE, derive_model_key
-from repro.crypto.modes import GCM, gcm_decrypt, gcm_encrypt
-from repro.crypto.rng import HmacDrbg, default_rng
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
+# ``sha256`` is also a submodule name, so it is bound eagerly (see
+# :mod:`repro.lazy`); the rest resolve on first use.
 from repro.crypto.sha256 import SHA256, sha256, sha256_many
+from repro.lazy import attach
 
-__all__ = [
-    "AES", "GCM", "gcm_encrypt", "gcm_decrypt",
-    "SHA256", "sha256", "hmac_sha256", "hkdf", "constant_time_eq",
-    "sha256_many", "hmac_sha256_many", "hmac_sha256_keyed",
-    "RsaPublicKey", "RsaPrivateKey", "generate_keypair",
-    "HmacDrbg", "default_rng",
-    "derive_model_key", "MODEL_KEY_SIZE",
-    "Certificate", "CertificateAuthority", "verify_chain",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "aes": ["AES"],
+    "cert": ["Certificate", "CertificateAuthority", "verify_chain"],
+    "hmac": ["constant_time_eq", "hkdf", "hmac_sha256", "hmac_sha256_keyed",
+             "hmac_sha256_many"],
+    "kdf": ["MODEL_KEY_SIZE", "derive_model_key"],
+    "modes": ["GCM", "gcm_decrypt", "gcm_encrypt"],
+    "rng": ["HmacDrbg", "default_rng"],
+    "rsa": ["RsaPrivateKey", "RsaPublicKey", "generate_keypair"],
+})
+__all__ += ["SHA256", "sha256", "sha256_many"]

@@ -1,24 +1,13 @@
 """Evaluation harnesses regenerating the paper's table, figures, and
 in-text numbers."""
 
-from repro.eval.figures import (
-    expected_fig2_sequence,
-    fig1_access_matrix,
-    fig2_step_table,
-    format_fig1,
-)
-from repro.eval.pretrained import (
-    standard_model,
-    standard_network,
-    train_standard_network,
-)
-from repro.eval.report import format_paper_vs_measured, format_table
-from repro.eval.table1 import PAPER_TABLE1, Table1Row, format_table1, run_table1
+from repro.lazy import attach
 
-__all__ = [
-    "run_table1", "format_table1", "Table1Row", "PAPER_TABLE1",
-    "fig1_access_matrix", "format_fig1", "fig2_step_table",
-    "expected_fig2_sequence",
-    "standard_model", "standard_network", "train_standard_network",
-    "format_table", "format_paper_vs_measured",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "figures": ["expected_fig2_sequence", "fig1_access_matrix",
+                "fig2_step_table", "format_fig1"],
+    "pretrained": ["standard_model", "standard_network",
+                   "train_standard_network"],
+    "report": ["format_paper_vs_measured", "format_table"],
+    "table1": ["PAPER_TABLE1", "Table1Row", "format_table1", "run_table1"],
+})

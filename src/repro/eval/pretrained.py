@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,10 +18,12 @@ from repro.audio.features import FingerprintExtractor
 from repro.audio.speech_commands import LABELS, SyntheticSpeechCommands
 from repro.tflm.model import Model
 from repro.tflm.serialize import deserialize_model, serialize_model
-from repro.train.convert import convert_tiny_conv_int8
 from repro.train.data import default_cache_dir, features_to_float, load_split_features
-from repro.train.network import TrainableNetwork, build_tiny_conv
-from repro.train.trainer import TrainConfig, train_network
+
+# Loading the cached artifact needs none of the training stack, so it
+# is imported where a network is built or trained.
+if TYPE_CHECKING:
+    from repro.train.network import TrainableNetwork
 
 __all__ = ["TRAIN_PER_CLASS", "TRAIN_EPOCHS", "standard_model",
            "standard_network", "train_standard_network"]
@@ -50,6 +53,10 @@ def train_standard_network(dataset: SyntheticSpeechCommands | None = None,
                            ) -> tuple[TrainableNetwork, Model, dict]:
     """Train the paper's recipe from scratch; returns (net, int8 model,
     metadata dict with validation accuracy)."""
+    from repro.train.convert import convert_tiny_conv_int8
+    from repro.train.network import build_tiny_conv
+    from repro.train.trainer import TrainConfig, train_network
+
     dataset = dataset or SyntheticSpeechCommands()
     extractor = extractor or FingerprintExtractor()
     x_train_u8, y_train = load_split_features(
@@ -113,6 +120,8 @@ def _save_network(network: TrainableNetwork, path: str) -> None:
 
 
 def _load_network(path: str) -> TrainableNetwork:
+    from repro.train.network import build_tiny_conv
+
     network = build_tiny_conv()
     loaded = np.load(path)
     for slot, array in loaded.items():

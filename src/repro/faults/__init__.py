@@ -17,41 +17,19 @@ While no plan is installed the hooks reduce to one attribute load and a
 """
 
 from repro.faults.hooks import current, install, installed, uninstall
-from repro.faults.plan import (
-    FaultEvent,
-    FaultPlan,
-    FaultRule,
-    corrupt_channel_frame,
-    corrupt_nth_bus_read,
-    corrupt_nth_bus_write,
-    corrupt_nth_ring_frame,
-    crash_enclave_in_state,
-    crash_nth_shard_op,
-    drop_channel_frame,
-    drop_nth_bus_write,
-    drop_nth_fleet_reply,
-    drop_nth_fleet_rpc,
-    drop_nth_keystream_chunk,
-    panic_nth_worker_invoke,
-    random_fleet_plan,
-    random_plan,
-    random_serve_plan,
-    rng_exhaustion_at,
-    skew_nth_deadline,
-    skip_nth_scrub,
-    stall_nth_ring_reserve,
-    tear_nth_journal_append,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "FaultEvent", "FaultPlan", "FaultRule",
-    "install", "installed", "uninstall", "current",
-    "drop_nth_bus_write", "corrupt_nth_bus_write", "corrupt_nth_bus_read",
-    "skip_nth_scrub", "rng_exhaustion_at", "corrupt_channel_frame",
-    "drop_channel_frame", "crash_enclave_in_state", "random_plan",
-    "corrupt_nth_ring_frame", "stall_nth_ring_reserve", "skew_nth_deadline",
-    "drop_nth_keystream_chunk", "panic_nth_worker_invoke",
-    "random_serve_plan",
-    "drop_nth_fleet_rpc", "drop_nth_fleet_reply", "crash_nth_shard_op",
-    "tear_nth_journal_append", "random_fleet_plan",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "plan": [
+        "FaultEvent", "FaultPlan", "FaultRule",
+        "drop_nth_bus_write", "corrupt_nth_bus_write", "corrupt_nth_bus_read",
+        "skip_nth_scrub", "rng_exhaustion_at", "corrupt_channel_frame",
+        "drop_channel_frame", "crash_enclave_in_state", "random_plan",
+        "corrupt_nth_ring_frame", "stall_nth_ring_reserve",
+        "skew_nth_deadline", "drop_nth_keystream_chunk",
+        "panic_nth_worker_invoke", "random_serve_plan",
+        "drop_nth_fleet_rpc", "drop_nth_fleet_reply", "crash_nth_shard_op",
+        "tear_nth_journal_append", "random_fleet_plan",
+    ],
+})
+__all__ += ["install", "installed", "uninstall", "current"]

@@ -11,41 +11,14 @@ path (:mod:`repro.fleet.shard`), cohort fabrication
 (:mod:`repro.fleet.director`).
 """
 
-from repro.fleet.audit import AuditChain, AuditRecord
-from repro.fleet.director import FleetDirector, StormReport
-from repro.fleet.journal import (
-    Grant,
-    LicenseJournal,
-    RecoveryReport,
-)
-from repro.fleet.population import DeviceCohort, DeviceFleet
-from repro.fleet.ring import HashRing, key_position, key_positions
-from repro.fleet.shard import (
-    CONTENT_KEY_SIZE,
-    CohortCredentials,
-    EnrollLeg,
-    EnrollReply,
-    TenantConfig,
-    VendorShard,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "AuditChain",
-    "AuditRecord",
-    "CONTENT_KEY_SIZE",
-    "CohortCredentials",
-    "DeviceCohort",
-    "DeviceFleet",
-    "EnrollLeg",
-    "EnrollReply",
-    "FleetDirector",
-    "Grant",
-    "HashRing",
-    "LicenseJournal",
-    "RecoveryReport",
-    "StormReport",
-    "TenantConfig",
-    "VendorShard",
-    "key_position",
-    "key_positions",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "audit": ["AuditChain", "AuditRecord"],
+    "director": ["FleetDirector", "StormReport"],
+    "journal": ["Grant", "LicenseJournal", "RecoveryReport"],
+    "population": ["DeviceCohort", "DeviceFleet"],
+    "ring": ["HashRing", "key_position", "key_positions"],
+    "shard": ["CONTENT_KEY_SIZE", "CohortCredentials", "EnrollLeg",
+              "EnrollReply", "TenantConfig", "VendorShard"],
+})

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.crypto.sha256 import sha256, sha256_many
 from repro.errors import ProtocolError
-from repro.obs import redact
+from repro.obs.redact import redact
 
 __all__ = ["AuditRecord", "AuditChain"]
 

@@ -45,6 +45,7 @@ from repro.fleet.shard import (
     CohortCredentials,
     EnrollLeg,
     TenantConfig,
+    xor32,
 )
 from repro.sanctuary.attestation import AttestationReport
 
@@ -148,7 +149,7 @@ def complete_grant_batches(
                 or len(reply.wrapped) != CONTENT_KEY_SIZE):
             cohort.unwrap_failures += 1
             continue
-        key = bytes(x ^ y for x, y in zip(reply.wrapped, wk))
+        key = xor32(reply.wrapped, wk)
         unwrapped.append((bi, i, slot, key))
     digests = sha256_many([key for _, _, _, key in unwrapped])
     for (bi, i, slot, _), digest in zip(unwrapped, digests):

@@ -165,8 +165,10 @@ class EnrollReply:
     mac_hex: str = ""
 
 
-def _xor32(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def xor32(a: bytes, b: bytes) -> bytes:
+    """``a XOR b`` for two 32-byte strings, as two big integers."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+        32, "big")
 
 
 class VendorShard:
@@ -372,7 +374,7 @@ class VendorShard:
             for slot, index in enumerate(grant_indices):
                 leg = legs[index]
                 content = self._tenant(leg.tenant).content_key
-                wrapped_blobs.append(_xor32(content, wrap_keys[slot]))
+                wrapped_blobs.append(xor32(content, wrap_keys[slot]))
             macs = hmac_sha256_many(
                 b"fleet-grant-mac",
                 [wrap_keys[slot] + wrapped_blobs[slot]

@@ -7,28 +7,15 @@ Layers: :mod:`~repro.hw.timing` (virtual clock + calibrated costs),
 :mod:`~repro.hw.soc`.
 """
 
-from repro.hw.bus import SystemBus
-from repro.hw.cache import Cache, CacheConfig, CacheHierarchy, CacheStats
-from repro.hw.core import CoreState, CpuCore
-from repro.hw.memory import (
-    AccessType,
-    MemoryRegion,
-    PhysicalMemory,
-    RegionPolicy,
-    Tzasc,
-    World,
-)
-from repro.hw.peripherals import FlashStorage, Microphone, Peripheral, Trng
-from repro.hw.soc import GiB, MiB, Soc, SocConfig, make_hikey960
-from repro.hw.timing import DEFAULT_PROFILE, TimingProfile, VirtualClock
+from repro.lazy import attach
 
-__all__ = [
-    "VirtualClock", "TimingProfile", "DEFAULT_PROFILE",
-    "PhysicalMemory", "MemoryRegion", "RegionPolicy", "Tzasc",
-    "World", "AccessType",
-    "Cache", "CacheConfig", "CacheHierarchy", "CacheStats",
-    "CpuCore", "CoreState",
-    "Peripheral", "Microphone", "FlashStorage", "Trng",
-    "SystemBus",
-    "Soc", "SocConfig", "make_hikey960", "GiB", "MiB",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "bus": ["SystemBus"],
+    "cache": ["Cache", "CacheConfig", "CacheHierarchy", "CacheStats"],
+    "core": ["CoreState", "CpuCore"],
+    "memory": ["AccessType", "MemoryRegion", "PhysicalMemory", "RegionPolicy",
+               "Tzasc", "World"],
+    "peripherals": ["FlashStorage", "Microphone", "Peripheral", "Trng"],
+    "soc": ["GiB", "MiB", "Soc", "SocConfig", "make_hikey960"],
+    "timing": ["DEFAULT_PROFILE", "TimingProfile", "VirtualClock"],
+})

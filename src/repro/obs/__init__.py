@@ -24,52 +24,20 @@ zero-cost global-``None`` pattern as :mod:`repro.faults.hooks`):
 
 from __future__ import annotations
 
+from repro.lazy import attach
 from repro.obs import hooks
-from repro.obs.export import (
-    render_summary,
-    to_chrome_trace,
-    to_prometheus,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+
+# ``redact`` is also a submodule name, so it is bound eagerly (see
+# :mod:`repro.lazy`); the rest resolve on first use.
 from repro.obs.redact import redact
-from repro.obs.trace import (
-    DEFAULT_FREQ_HZ,
-    Span,
-    SpanContext,
-    TraceBuffer,
-    Tracer,
-)
 
-__all__ = [
-    "Counter", "DEFAULT_BUCKETS", "DEFAULT_FREQ_HZ", "Gauge", "Histogram",
-    "MetricsRegistry", "Span", "SpanContext", "Telemetry", "TraceBuffer",
-    "Tracer", "hooks", "redact", "render_summary", "to_chrome_trace",
-    "to_prometheus", "write_chrome_trace",
-]
-
-
-class Telemetry:
-    """One tracer + one metrics registry + feature flags.
-
-    ``op_profiling`` turns on per-operator spans inside
-    :meth:`repro.tflm.interpreter.Interpreter.invoke` (off by default —
-    it is the only instrumentation hot enough to need its own flag).
-    """
-
-    def __init__(self, clock, trace_capacity: int = 4096,
-                 freq_hz: float = DEFAULT_FREQ_HZ,
-                 op_profiling: bool = False) -> None:
-        self.tracer = Tracer(clock, capacity=trace_capacity, freq_hz=freq_hz)
-        self.metrics = MetricsRegistry()
-        self.op_profiling = bool(op_profiling)
-
-    @property
-    def clock(self):
-        return self.tracer.clock
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "export": ["render_summary", "to_chrome_trace", "to_prometheus",
+               "write_chrome_trace"],
+    "metrics": ["DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram",
+                "MetricsRegistry"],
+    "telemetry": ["Telemetry"],
+    "trace": ["DEFAULT_FREQ_HZ", "Span", "SpanContext", "TraceBuffer",
+              "Tracer"],
+})
+__all__ += ["hooks", "redact"]

@@ -6,21 +6,13 @@ attestation reports, shared-memory channels to the OS and secure world,
 and the suspend/resume core reallocation used in the operation phase.
 """
 
-from repro.sanctuary.attestation import AttestationReport, measure, verify_report
-from repro.sanctuary.enclave import EnclaveContext, SanctuaryApp
-from repro.sanctuary.library import SL_IMAGE, Allocation, SlHeap
-from repro.sanctuary.lifecycle import (
-    EnclaveInstance,
-    EnclaveState,
-    LifecycleCosts,
-    SanctuaryRuntime,
-)
-from repro.sanctuary.shm import MessageQueue, SharedRegion
+from repro.lazy import attach
 
-__all__ = [
-    "AttestationReport", "measure", "verify_report",
-    "SanctuaryApp", "EnclaveContext",
-    "SL_IMAGE", "SlHeap", "Allocation",
-    "SanctuaryRuntime", "EnclaveInstance", "EnclaveState", "LifecycleCosts",
-    "SharedRegion", "MessageQueue",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "attestation": ["AttestationReport", "measure", "verify_report"],
+    "enclave": ["EnclaveContext", "SanctuaryApp"],
+    "library": ["SL_IMAGE", "Allocation", "SlHeap"],
+    "lifecycle": ["EnclaveInstance", "EnclaveState", "LifecycleCosts",
+                  "SanctuaryRuntime"],
+    "shm": ["MessageQueue", "SharedRegion"],
+})

@@ -32,12 +32,20 @@ bundle for the test and checks ring quiescence afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro.lazy import attach
 from repro.sanitizers import hooks
-from repro.sanitizers.ring import RingSanitizer
-from repro.sanitizers.secret import SecretSanitizer
 
-__all__ = ["Sanitizers", "SecretSanitizer", "RingSanitizer", "hooks"]
+if TYPE_CHECKING:
+    from repro.sanitizers.ring import RingSanitizer
+    from repro.sanitizers.secret import SecretSanitizer
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "ring": ["RingSanitizer"],
+    "secret": ["SecretSanitizer"],
+})
+__all__ += ["Sanitizers", "hooks"]
 
 
 @dataclass
@@ -49,4 +57,7 @@ class Sanitizers:
 
     @classmethod
     def full(cls) -> "Sanitizers":
+        from repro.sanitizers.ring import RingSanitizer
+        from repro.sanitizers.secret import SecretSanitizer
+
         return cls(secrets=SecretSanitizer(), rings=RingSanitizer())

@@ -23,19 +23,14 @@ and moved over zero-copy shared-memory rings:
   queries) for the benchmark comparison.
 """
 
-from repro.serve.admission import (AdmissionController, AdmissionPolicy,
-                                   Priority)
-from repro.serve.baseline import SequentialBaseline
-from repro.serve.loop import AdaptiveBatcher, Mailbox, ServingLoop
-from repro.serve.pool import EnclaveWorker, EnclaveWorkerPool
-from repro.serve.scheduler import BatchScheduler
-from repro.serve.service import (Rejected, ServeConfig, ServingService,
-                                 ServingStats, SessionHandle, Shed)
+from repro.lazy import attach
 
-__all__ = [
-    "AdaptiveBatcher", "AdmissionController", "AdmissionPolicy",
-    "BatchScheduler", "EnclaveWorker", "EnclaveWorkerPool", "Mailbox",
-    "Priority", "Rejected", "SequentialBaseline", "ServeConfig",
-    "ServingLoop", "ServingService", "ServingStats", "SessionHandle",
-    "Shed",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "admission": ["AdmissionController", "AdmissionPolicy", "Priority"],
+    "baseline": ["SequentialBaseline"],
+    "loop": ["AdaptiveBatcher", "Mailbox", "ServingLoop"],
+    "pool": ["EnclaveWorker", "EnclaveWorkerPool"],
+    "scheduler": ["BatchScheduler"],
+    "service": ["Rejected", "ServeConfig", "ServingService", "ServingStats",
+                "SessionHandle", "Shed"],
+})

@@ -8,26 +8,16 @@ and an interpreter with a calibrated timing model
 (:mod:`~repro.tflm.interpreter`).
 """
 
-from repro.tflm.arena import ArenaPlan, plan_arena
-from repro.tflm.interpreter import Interpreter, InvokeStats
-from repro.tflm.model import Model, ModelMetadata
-from repro.tflm.ops import REGISTRY, Op, OpCost
-from repro.tflm.quantize import (
-    choose_activation_qparams,
-    choose_weight_qparams,
-    multiply_by_quantized_multiplier,
-    quantize_multiplier,
-    requantize_int32,
-)
-from repro.tflm.serialize import deserialize_model, serialize_model
-from repro.tflm.tensor import QuantParams, TensorSpec
+from repro.lazy import attach
 
-__all__ = [
-    "Model", "ModelMetadata", "TensorSpec", "QuantParams",
-    "Interpreter", "InvokeStats", "ArenaPlan", "plan_arena",
-    "serialize_model", "deserialize_model",
-    "Op", "OpCost", "REGISTRY",
-    "choose_activation_qparams", "choose_weight_qparams",
-    "quantize_multiplier", "multiply_by_quantized_multiplier",
-    "requantize_int32",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "arena": ["ArenaPlan", "plan_arena"],
+    "interpreter": ["Interpreter", "InvokeStats"],
+    "model": ["Model", "ModelMetadata"],
+    "ops": ["REGISTRY", "Op", "OpCost"],
+    "quantize": ["choose_activation_qparams", "choose_weight_qparams",
+                 "multiply_by_quantized_multiplier", "quantize_multiplier",
+                 "requantize_int32"],
+    "serialize": ["deserialize_model", "serialize_model"],
+    "tensor": ["QuantParams", "TensorSpec"],
+})

@@ -1,50 +1,20 @@
 """Training substrate: numpy backprop, optimizers, the tiny_conv
 recipe, dataset feature caching, and TFLM conversion."""
 
-from repro.train.convert import (
-    convert_tiny_conv_float,
-    convert_tiny_conv_int8,
-    fingerprint_to_int8,
-)
-from repro.train.data import default_cache_dir, features_to_float, load_split_features
-from repro.train.layers import (
-    ConvLayer,
-    DenseLayer,
-    DropoutLayer,
-    FlattenLayer,
-    Layer,
-    MaxPoolLayer,
-    ReluLayer,
-    softmax_cross_entropy,
-)
-from repro.train.network import TrainableNetwork, build_tiny_conv
-from repro.train.optimizer import Adam, Optimizer, SgdMomentum
-from repro.train.personalize import (
-    PersonalizationConfig,
-    adapt_classifier,
-    feature_submodel,
-)
-from repro.train.watermark import (
-    WatermarkKey,
-    bit_error_rate,
-    embed_watermark,
-    extract_watermark,
-    verify_ownership,
-)
-from repro.train.zoo import ZOO, build_architecture, convert_network_int8
-from repro.train.trainer import TrainConfig, TrainHistory, train_network
+from repro.lazy import attach
 
-__all__ = [
-    "Layer", "ConvLayer", "DenseLayer", "DropoutLayer", "FlattenLayer",
-    "MaxPoolLayer", "ReluLayer", "softmax_cross_entropy",
-    "TrainableNetwork", "build_tiny_conv",
-    "Optimizer", "SgdMomentum", "Adam",
-    "TrainConfig", "TrainHistory", "train_network",
-    "load_split_features", "features_to_float", "default_cache_dir",
-    "convert_tiny_conv_int8", "convert_tiny_conv_float",
-    "fingerprint_to_int8",
-    "ZOO", "build_architecture", "convert_network_int8",
-    "PersonalizationConfig", "adapt_classifier", "feature_submodel",
-    "WatermarkKey", "embed_watermark", "extract_watermark",
-    "bit_error_rate", "verify_ownership",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "convert": ["convert_tiny_conv_float", "convert_tiny_conv_int8",
+                "fingerprint_to_int8"],
+    "data": ["default_cache_dir", "features_to_float", "load_split_features"],
+    "layers": ["ConvLayer", "DenseLayer", "DropoutLayer", "FlattenLayer",
+               "Layer", "MaxPoolLayer", "ReluLayer", "softmax_cross_entropy"],
+    "network": ["TrainableNetwork", "build_tiny_conv"],
+    "optimizer": ["Adam", "Optimizer", "SgdMomentum"],
+    "personalize": ["PersonalizationConfig", "adapt_classifier",
+                    "feature_submodel"],
+    "watermark": ["WatermarkKey", "bit_error_rate", "embed_watermark",
+                  "extract_watermark", "verify_ownership"],
+    "zoo": ["ZOO", "build_architecture", "convert_network_int8"],
+    "trainer": ["TrainConfig", "TrainHistory", "train_network"],
+})

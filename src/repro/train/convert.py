@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# The input converters live with the features they convert, so the
+# inference path imports them without the training stack; they are
+# re-exported here for the converters' callers.
+from repro.audio.features import fingerprint_to_int8, fingerprints_to_int8
 from repro.errors import ReproError
 from repro.tflm.model import Model, ModelMetadata
 from repro.tflm.ops.conv import Conv2D
@@ -33,18 +37,6 @@ __all__ = ["convert_tiny_conv_int8", "convert_tiny_conv_float",
 
 # Input features are uint8 [0, 255]; training sees them as [0, 1].
 _INPUT_QUANT = QuantParams(scale=1.0 / 255.0, zero_point=-128)
-
-
-def fingerprint_to_int8(fingerprint: np.ndarray) -> np.ndarray:
-    """uint8 fingerprint -> the int8 input tensor (1, F, B, 1)."""
-    shifted = fingerprint.astype(np.int32) - 128
-    return shifted.astype(np.int8).reshape(1, *fingerprint.shape, 1)
-
-
-def fingerprints_to_int8(fingerprints: np.ndarray) -> np.ndarray:
-    """uint8 fingerprints (N, F, B) -> batched int8 tensor (N, F, B, 1)."""
-    shifted = fingerprints.astype(np.int32) - 128
-    return shifted.astype(np.int8).reshape(*fingerprints.shape, 1)
 
 
 def _find_layers(network: TrainableNetwork) -> tuple[ConvLayer, DenseLayer]:

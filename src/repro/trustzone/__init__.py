@@ -5,24 +5,12 @@ world, a small trusted OS with trusted apps in the secure world, trusted
 firmware at EL3, and the TZASC-backed physical memory partitioning.
 """
 
-from repro.trustzone.firmware import BootImage, TrustedFirmware, sign_image
-from repro.trustzone.monitor import SecureMonitor, SmcStats
-from repro.trustzone.trusted_os import (
-    KeyMasterTa,
-    PeripheralGatewayTa,
-    TrustedApp,
-    TrustedOs,
-)
-from repro.trustzone.worlds import (
-    CommodityOs,
-    Platform,
-    SecureWorld,
-    make_platform,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "BootImage", "TrustedFirmware", "sign_image",
-    "SecureMonitor", "SmcStats",
-    "TrustedApp", "TrustedOs", "KeyMasterTa", "PeripheralGatewayTa",
-    "CommodityOs", "SecureWorld", "Platform", "make_platform",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "firmware": ["BootImage", "TrustedFirmware", "sign_image"],
+    "monitor": ["SecureMonitor", "SmcStats"],
+    "trusted_os": ["KeyMasterTa", "PeripheralGatewayTa", "TrustedApp",
+                   "TrustedOs"],
+    "worlds": ["CommodityOs", "Platform", "SecureWorld", "make_platform"],
+})

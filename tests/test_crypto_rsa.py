@@ -109,6 +109,23 @@ def test_keygen_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("context", [b"crt-a", b"crt-b", b"crt-c"])
+def test_private_op_matches_plain_exponentiation(context):
+    """The per-key CRT parameters give the textbook ``m^d mod n``."""
+    key = generate_keypair(512, HmacDrbg(context))
+    draws = HmacDrbg(context, b"messages")
+    for value in [0, 1, key.n - 1] + [draws.randint_below(key.n)
+                                      for _ in range(16)]:
+        assert key._private_op(value) == pow(value, key.d, key.n)
+
+
+def test_crt_parameters_stay_out_of_equality_and_repr():
+    twin = rsa.RsaPrivateKey(n=KEY.n, e=KEY.e, d=KEY.d, p=KEY.p, q=KEY.q)
+    assert twin == KEY and hash(twin) == hash(KEY)
+    assert "_dp" not in repr(KEY)
+    assert (twin._dp, twin._dq, twin._q_inv) == (KEY._dp, KEY._dq, KEY._q_inv)
+
+
 def test_keygen_differs_by_seed():
     assert KEY.n != OTHER.n
 

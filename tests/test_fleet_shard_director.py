@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto.rng import HmacDrbg
 from repro.errors import AttestationError, LicenseError
 from repro.faults import (
     FaultPlan,
@@ -15,6 +16,7 @@ from repro.faults import (
 )
 from repro.fleet import DeviceFleet, FleetDirector
 from repro.fleet.population import STATE_DONE
+from repro.fleet.shard import xor32
 from repro.hw.timing import VirtualClock
 
 KEY_BITS = 768
@@ -195,6 +197,17 @@ def test_tenant_without_content_key_is_a_license_error():
 
 
 # --- director routing + reconcile ------------------------------------------
+
+@pytest.mark.parametrize("seed", range(8))
+def test_xor32_matches_bytewise_xor(seed):
+    rng = HmacDrbg(b"xor32", seed.to_bytes(1, "big"))
+    a, b = rng.generate(32), rng.generate(32)
+    expected = bytes(x ^ y for x, y in zip(a, b))
+    assert xor32(a, b) == expected
+    assert xor32(expected, b) == a
+    assert xor32(bytes(32), bytes(32)) == bytes(32)
+    assert xor32(b"\xff" * 32, bytes(32)) == b"\xff" * 32
+
 
 def test_route_walks_preference_when_owner_is_down():
     clock, fleet = _small_fleet()
