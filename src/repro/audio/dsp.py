@@ -14,6 +14,12 @@ ping-pongs between two buffers, so at every stage the top and bottom
 inputs of each twiddle are two contiguous runs and every numpy call
 spans all N frames.  The input is real: the first stage runs on the
 ``re`` plane alone and the second skips the product's ``im`` term.
+Each stage writes its top outputs ``(top + product) >> 1`` and derives
+the bottom ones from them: for integers ``floor((t - p) / 2) ==
+floor((t + p) / 2) - p``, so ``bottom = top_out - product`` needs no
+shift of its own.  The power path loads the frames through the Q15
+window, with no windowed copy, and its last stage writes only the top
+half, bins 0..255, which is all the power stage reads.
 Samples must lie in [-32768, 32767] (:class:`AudioError` otherwise);
 the window product, the twiddle products and the butterflies then stay
 within int32 (the kernel's docstring gives the bound).  Only the power
@@ -88,7 +94,9 @@ def _one_frame(frame: np.ndarray, caller: str) -> np.ndarray:
 
 
 def hann_window_q15(length: int) -> np.ndarray:
-    """Hann window coefficients in Q15 fixed point."""
+    """Hann window coefficients in Q15 fixed point; ``length >= 2``."""
+    if length < 2:
+        raise AudioError(f"Hann window needs at least 2 samples, got {length}")
     n = np.arange(length)
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / (length - 1))
     return np.round(window * 32767).astype(np.int64)
@@ -101,6 +109,17 @@ def apply_window_q15(samples: np.ndarray, window_q15: np.ndarray) -> np.ndarray:
     ``window_q15`` is ``(L,)``.  Both must be int16-range integers, so
     each product fits int32 and the result stays int16-range.
     """
+    samples, window_q15 = _check_window(samples, window_q15)
+    windowed = samples.astype(np.int32)
+    windowed *= window_q15
+    windowed >>= 15
+    return windowed
+
+
+def _check_window(samples: np.ndarray, window_q15: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Validate :func:`apply_window_q15`'s operands; returns the samples
+    as an array and the window as int32."""
     samples = np.asarray(samples)
     window_q15 = np.asarray(window_q15)
     if window_q15.ndim != 1 or samples.shape[-1:] != window_q15.shape:
@@ -109,17 +128,21 @@ def apply_window_q15(samples: np.ndarray, window_q15: np.ndarray) -> np.ndarray:
         )
     _check_samples(samples, "samples")
     _check_samples(window_q15, "window")
-    windowed = samples.astype(np.int32)
-    windowed *= window_q15.astype(np.int32)
-    windowed >>= 15
-    return windowed
+    return samples, window_q15.astype(np.int32)
 
 
-def _fft_frames_last(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fft_frames_last(frames: np.ndarray, window_q15: np.ndarray | None = None,
+                     *, top_half: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """The FFT kernel: (N, L) int16-range frames -> ``(re, im)``.
 
     Both outputs are ``(FFT_SIZE, N)`` int32, frames on the last axis,
-    in natural order and scaled by ``2^-9``.  The kernel is a Stockham
+    in natural order and scaled by ``2^-9``.  With ``window_q15`` (an
+    int32 ``(L,)`` checked by :func:`_check_window`) the frames are
+    windowed as they are loaded, ``(sample * w) >> 15`` as in
+    :func:`apply_window_q15`.  With ``top_half`` the last stage writes
+    only rows ``0..FFT_SIZE/2 - 1``; the rest of both outputs is then
+    scratch.  The kernel is a Stockham
     autosort radix-2 DIT FFT: the butterflies, twiddles, stage order and
     floor shifts of the in-place bit-reversed loop, but each stage reads
     one ``(2, FFT_SIZE, N)`` re/im buffer and writes the other, so the
@@ -128,14 +151,20 @@ def _fft_frames_last(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reads its source as ``(2, half, 2, r, N)``: for each of the ``half``
     twiddles, the top and bottom inputs are two contiguous runs of
     ``r * N`` elements, and the ``(2, half, 1, 1)`` twiddle stacks
-    broadcast over them.  It writes ``(top +- product) >> 1`` to the
-    two halves of the destination viewed as ``(2, 2, half, r, N)``.
+    broadcast over them into a ``(2, FFT_SIZE/2, N)`` product buffer.
+    It writes ``(top + product) >> 1`` to the top half of the
+    destination, rows ``0..FFT_SIZE/2 - 1`` of both planes viewed as
+    ``(2, half, r, N)``, then ``top_out - product`` to the bottom half:
+    ``floor((t + p) / 2) - p == floor((t - p) / 2)`` for integers, so
+    these are the halved differences of the butterfly, bit for bit,
+    with one shift pass over half the buffer instead of over all of it.
 
     The frames are real.  Stage 0 pairs sample ``k`` with sample
     ``k + 256`` under the twiddle ``(32767, 0)``, so it runs on the re
     plane alone and leaves im at zero; stage 1 then skips the product's
     im term.  The samples are copied into the int32 buffer before any
-    multiply: an int16 frame times 32767 would wrap in int16.
+    multiply: an int16 frame times 32767 would wrap in int16 (the
+    window multiply writes int32 for the same reason).
 
     int32 is exact here.  The inputs are int16-range, so ``|z| <= 2^15``
     before the first stage.  With ``|w| < 2^15`` the exact halved
@@ -145,7 +174,8 @@ def _fft_frames_last(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stays below ``2^15 + 13`` after nine.  Each twiddle product is then
     below ``(2^15 + 13) * 2^15 < 2^31``.  The bound is on the values the
     butterflies see, not on where they are stored, so it holds for any
-    butterfly order.  ``tests/test_audio_golden.py`` pins full-scale
+    butterfly order, and ``top_out - product`` is the same integer as
+    the halved difference.  ``tests/test_audio_golden.py`` pins full-scale
     frames, raw and windowed, to the bytes of the int64 kernel this one
     replaced, and ``tests/test_audio_wave_dsp.py`` checks full-scale
     frames of every length against a butterfly loop in Python ints,
@@ -155,35 +185,46 @@ def _fft_frames_last(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     head = FFT_SIZE // 2
     src = np.zeros((2, FFT_SIZE, n), dtype=np.int32)
     dst = np.zeros_like(src)
-    scratch = np.empty((2, 2, head * n), dtype=np.int32)
+    product = np.empty((2, head, n), dtype=np.int32)
+    tmp = np.empty_like(product)
+    if window_q15 is None:
+        src[0, :length] = frames.T
+    else:
+        # Each product fits int32; uint64 frames multiply in float64,
+        # still exactly, hence the unsafe cast back.
+        loaded = src[0, :length]
+        np.multiply(frames.T, window_q15[:, np.newaxis], out=loaded,
+                    casting="unsafe")
+        loaded >>= 15
     # Stage 0, real input: product = (bot * 32767) >> 15, im stays zero.
-    src[0, :length] = frames.T
-    product = scratch[0, 0].reshape(head, n)
-    np.multiply(src[0, head:], 32767, out=product)
-    product >>= 15
-    np.add(src[0, :head], product, out=dst[0, :head])
-    np.subtract(src[0, :head], product, out=dst[0, head:])
-    dst[0] >>= 1
+    first = product[0]
+    np.multiply(src[0, head:], 32767, out=first)
+    first >>= 15
+    top_out = dst[0, :head]
+    np.add(src[0, :head], first, out=top_out)
+    top_out >>= 1
+    np.subtract(top_out, first, out=dst[0, head:])
     src, dst = dst, src
     for stage in range(1, _STAGES):
         w_re, w_im = _TWIDDLES[stage]
         half = 1 << stage
-        r = head // half
-        view = src.reshape(2, half, 2, r, n)
-        top, bot = view[:, :, 0], view[:, :, 1]
-        product, tmp = (part.reshape(2, half, r, n) for part in scratch)
+        shape = (2, half, head // half, n)
+        view = src.reshape(2, half, 2, head // half, n)
         # Q15 complex multiply of the bottom inputs by the twiddles:
         # product = (bot_re*wr - bot_im*wi, bot_re*wi + bot_im*wr) >> 15.
-        np.multiply(bot[0], w_re, out=product)
+        np.multiply(view[0, :, 1], w_re, out=product.reshape(shape))
         if stage > 1:  # stage 1's bot_im is zero
-            np.multiply(bot[1], w_im, out=tmp)
+            np.multiply(view[1, :, 1], w_im, out=tmp.reshape(shape))
             product += tmp
         product >>= 15
-        # Butterfly with a /2 scale per stage (overflow protection).
-        out = dst.reshape(2, 2, half, r, n)
-        np.add(top, product, out=out[:, 0])
-        np.subtract(top, product, out=out[:, 1])
-        dst >>= 1
+        # Butterfly with a /2 scale per stage (overflow protection):
+        # top_out = (top + product) >> 1, bottom = top_out - product.
+        top_out = dst[:, :head]
+        np.add(view[:, :, 0], product.reshape(shape),
+               out=top_out.reshape(shape))
+        top_out >>= 1
+        if not (top_half and stage == _STAGES - 1):
+            np.subtract(top_out, product, out=dst[:, head:])
         src, dst = dst, src
     return src[0], src[1]
 
@@ -221,14 +262,16 @@ def power_spectrum_fixed_batch(frames: np.ndarray,
                                ) -> np.ndarray:
     """Batched fixed-point power spectrum: (N, L) -> (N, NUM_BINS) int64.
 
-    The window (:func:`apply_window_q15`) and the FFT run in int32.
-    ``re^2 + im^2`` reaches 2^30 (a full-scale DC frame) and the
-    rescale shifts it 9 bits further, so the power stage runs in int64.
+    The window (:func:`apply_window_q15`'s arithmetic and checks,
+    applied as the kernel loads the frames) and the FFT run in int32,
+    and the FFT's last stage computes bins 0..255 only.  ``re^2 + im^2``
+    reaches 2^30 (a full-scale DC frame) and the rescale shifts it 9
+    bits further, so the power stage runs in int64.
     """
     frames = _check_frames(frames, "power_spectrum_fixed_batch")
     if window_q15 is not None:
-        frames = apply_window_q15(frames, window_q15)
-    re, im = _fft_frames_last(frames)
+        frames, window_q15 = _check_window(frames, window_q15)
+    re, im = _fft_frames_last(frames, window_q15, top_half=True)
     power = re[:NUM_BINS].T.astype(np.int64, order="C")
     power *= power
     imag = im[:NUM_BINS].T.astype(np.int64, order="C")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.audio.dsp import (
+    FFT_SIZE,
     NUM_BINS,
     hann_window_q15,
     power_spectrum_fixed,
@@ -22,7 +23,7 @@ from repro.audio.dsp import (
 from repro.errors import AudioError
 
 __all__ = ["FeatureConfig", "FingerprintExtractor", "fingerprint_to_int8",
-           "fingerprints_to_int8"]
+           "fingerprints_to_int8", "frame_view"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,20 @@ class FeatureConfig:
     window_ms: int = 30
     shift_ms: int = 20
     average_bins: int = 6
+
+    def __post_init__(self) -> None:
+        """Refuse geometries the front end cannot run, here rather than
+        at the first :meth:`FingerprintExtractor.extract`."""
+        if not 2 <= self.window_samples <= FFT_SIZE:
+            raise AudioError(f"window of {self.window_samples} samples, "
+                             f"need 2..{FFT_SIZE}")
+        if self.shift_samples < 1:
+            raise AudioError(f"shift of {self.shift_samples} samples, need >= 1")
+        if self.clip_samples < self.window_samples:
+            raise AudioError(f"clip of {self.clip_samples} samples is shorter "
+                             f"than its {self.window_samples}-sample window")
+        if self.average_bins < 1:
+            raise AudioError(f"average_bins {self.average_bins}, need >= 1")
 
     @property
     def window_samples(self) -> int:
@@ -113,15 +128,27 @@ class FingerprintExtractor:
         return self._compress(power)
 
     def _compress(self, power: np.ndarray) -> np.ndarray:
-        """(N, NUM_BINS) power -> (N, features_per_frame) uint8."""
-        k = self.config.average_bins
-        pad = (-power.shape[1]) % k
-        if pad:
-            power = np.concatenate(
-                [power, np.zeros((power.shape[0], pad))], axis=1)
-        averaged = power.reshape(power.shape[0], -1, k).mean(axis=2)
-        compressed = self._LOG_GAIN * np.log1p(averaged / 64.0)
+        """(N, NUM_BINS) float64 power -> (N, features_per_frame) uint8."""
+        compressed = self._LOG_GAIN * np.log1p(self._average(power) / 64.0)
         return np.clip(compressed, 0, 255).astype(np.uint8)
+
+    def _average(self, power: np.ndarray) -> np.ndarray:
+        """(N, NUM_BINS) float64 power -> (N, features_per_frame) means.
+
+        Each group of ``k = average_bins`` bins is summed left to right
+        and divided by ``k``; the last, shorter group too, as if padded
+        with zeros.  Column ``j`` of every group is the strided view
+        ``power[:, j::k]``, so the sums take one copy and ``k - 1`` adds,
+        with no padded array.  On the fixed-point path every power is an
+        integer below 2^41, so every partial sum is exact in float64.
+        """
+        k = self.config.average_bins
+        averaged = power[:, ::k].copy()
+        for j in range(1, k):
+            column = power[:, j::k]
+            averaged[:, :column.shape[1]] += column
+        averaged /= k
+        return averaged
 
     def extract(self, clip: np.ndarray) -> np.ndarray:
         """Full 1 s clip -> (num_frames, features_per_frame) uint8.
@@ -138,11 +165,23 @@ class FingerprintExtractor:
                 [clip, np.zeros(expected - len(clip), dtype=np.int16)])
         elif len(clip) > expected:
             clip = clip[:expected]
-        window = self.config.window_samples
-        shift = self.config.shift_samples
-        frames = np.lib.stride_tricks.sliding_window_view(
-            clip, window)[::shift][:self.config.num_frames]
+        frames = frame_view(clip, self.config, self.config.num_frames)
         return self.frame_features_batch(frames)
+
+
+def frame_view(samples: np.ndarray, config: FeatureConfig,
+               count: int) -> np.ndarray:
+    """The first ``count`` frames of the 1-D ``samples``, one every
+    ``shift_samples``, as one read-only ``(count, window_samples)``
+    strided view: no copy.  Raises :class:`AudioError` unless all
+    ``count`` frames lie inside ``samples``."""
+    window, shift = config.window_samples, config.shift_samples
+    if count < 1 or (count - 1) * shift + window > len(samples):
+        raise AudioError(f"{count} frames do not fit {len(samples)} samples")
+    step = samples.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        samples, shape=(count, window), strides=(shift * step, step),
+        writeable=False)
 
 
 def fingerprint_to_int8(fingerprint: np.ndarray) -> np.ndarray:

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.audio.features import FeatureConfig, FingerprintExtractor
+from repro.audio.features import (
+    FeatureConfig,
+    FingerprintExtractor,
+    frame_view,
+)
 from repro.errors import AudioError
 
 __all__ = ["StreamingFeatureExtractor", "RecognizerConfig",
@@ -72,8 +76,7 @@ class StreamingFeatureExtractor:
         if len(self._pending) < window:
             return 0
         produced = (len(self._pending) - window) // shift + 1
-        frames = np.lib.stride_tricks.sliding_window_view(
-            self._pending, window)[::shift][:produced]
+        frames = frame_view(self._pending, self.config, produced)
         features = self._extractor.frame_features_batch(frames)
         keep = self.config.num_frames
         if produced >= keep:

@@ -71,24 +71,31 @@ def _im2col_batch(x: np.ndarray, kh: int, kw: int, stride_h: int,
                   pad_value) -> tuple[np.ndarray, int, int]:
     """(N, H, W, C) -> ((N * out_h * out_w, kh * kw * C), out_h, out_w).
 
-    Stride-trick fast path: one padded allocation and one
-    :func:`np.lib.stride_tricks.sliding_window_view` cover every sample,
-    so the only copy is the final reshape into the GEMM layout.  Row
-    ``n * out_h * out_w + s`` equals row ``s`` of
+    Stride-trick fast path: one padded allocation and one read-only
+    :func:`np.lib.stride_tricks.as_strided` view cover every sample, so
+    the only copy is the final reshape into the GEMM layout.  The view
+    is ``(n, out_h, out_w, kh, kw, C)`` over the padded array's own
+    strides ``(sn, sh, sw, sc)``: ``(sn, sh * stride_h, sw * stride_w,
+    sh, sw, sc)``, already in the row layout, and every window lies in
+    the padded array because ``out_h`` and ``out_w`` are the valid
+    output sizes.  Row ``n * out_h * out_w + s`` equals row ``s`` of
     ``_im2col_reference(x[n:n+1], ...)`` exactly (pinned by randomized
-    tests).
+    tests).  When the reshape needs no copy (a 1x1 kernel at stride 1)
+    the result is that read-only view.
     """
     n, h, w, c = x.shape
     pt, pb, pl, pr = pad
     padded = np.full((n, h + pt + pb, w + pl + pr, c), pad_value,
                      dtype=x.dtype)
     padded[:, pt:pt + h, pl:pl + w, :] = x
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kh, kw), axis=(1, 2))[:, ::stride_h, ::stride_w]
-    out_h, out_w = windows.shape[1], windows.shape[2]
-    # (n, out_h, out_w, C, kh, kw) -> (n * spatial, kh * kw * C).
-    cols = windows.transpose(0, 1, 2, 4, 5, 3)
-    return cols.reshape(n * out_h * out_w, kh * kw * c), out_h, out_w
+    out_h = (padded.shape[1] - kh) // stride_h + 1
+    out_w = (padded.shape[2] - kw) // stride_w + 1
+    sn, sh, sw, sc = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, shape=(n, out_h, out_w, kh, kw, c),
+        strides=(sn, sh * stride_h, sw * stride_w, sh, sw, sc),
+        writeable=False)
+    return windows.reshape(n * out_h * out_w, kh * kw * c), out_h, out_w
 
 
 class _ConvBase(Op):

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.audio.features import FeatureConfig, FingerprintExtractor
+from repro.audio.dsp import NUM_BINS
+from repro.audio.features import FeatureConfig, FingerprintExtractor, frame_view
 from repro.audio.speech_commands import (
     CORE_WORDS,
     LABELS,
@@ -99,6 +100,102 @@ def test_custom_feature_config():
     assert extractor.output_shape == (99, 43)
     fingerprint = extractor.extract(np.zeros(16000, dtype=np.int16))
     assert fingerprint.shape == (99, 43)
+
+
+@pytest.mark.parametrize("geometry, message", [
+    ({"window_ms": 40}, "window of 640 samples, need 2..512"),
+    ({"window_ms": 0}, "window of 0 samples, need 2..512"),
+    ({"shift_ms": 0}, "shift of 0 samples, need >= 1"),
+    ({"clip_duration_ms": 10}, "clip of 160 samples is shorter than"),
+    ({"average_bins": 0}, "average_bins 0, need >= 1"),
+], ids=["window-too-long", "window-too-short", "zero-shift", "clip-too-short",
+        "zero-average-bins"])
+def test_feature_config_refuses_geometry_the_front_end_cannot_run(
+        geometry, message):
+    with pytest.raises(AudioError, match=message):
+        FeatureConfig(**geometry)
+
+
+def test_feature_config_runs_at_the_edges_it_accepts():
+    config = FeatureConfig(window_ms=32, clip_duration_ms=32, average_bins=1)
+    assert config.window_samples == config.clip_samples == 512
+    fingerprint = FingerprintExtractor(config).extract(
+        np.full(512, 900, dtype=np.int16))
+    assert fingerprint.shape == (1, NUM_BINS)
+
+
+def _sequential_average(power: np.ndarray, k: int) -> np.ndarray:
+    """The zero-padded group mean, summed left to right in Python."""
+    rows = []
+    for row in power.tolist():
+        padded = row + [0.0] * ((-len(row)) % k)
+        groups = []
+        for start in range(0, len(padded), k):
+            total = 0.0
+            for value in padded[start:start + k]:
+                total += value
+            groups.append(total / k)
+        rows.append(groups)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_compress_matches_the_zero_padded_mean(k):
+    rng = np.random.default_rng(k)
+    extractor = FingerprintExtractor(FeatureConfig(average_bins=k))
+    pad = (-NUM_BINS) % k
+    # Integer powers below 2^40, as the fixed-point path makes them:
+    # every sum is exact, so numpy's mean is the reference in any order.
+    whole = rng.integers(0, 2 ** 40, size=(7, NUM_BINS)).astype(np.float64)
+    # Fractional powers of mixed magnitude, as the float path makes them.
+    fractional = rng.random((7, NUM_BINS)) * rng.choice(
+        [1e-3, 1.0, 1e6, 1e12], size=(7, NUM_BINS))
+    for power in (whole, fractional):
+        power[rng.random(power.shape) < 0.2] = 0.0
+        padded = np.concatenate([power, np.zeros((7, pad))], axis=1)
+        mean = padded.reshape(7, -1, k).mean(axis=2)
+        sequential = _sequential_average(power, k)
+        assert np.array_equal(extractor._average(power), sequential)
+        if power is whole:
+            assert np.array_equal(sequential, mean)
+        want = np.clip(FingerprintExtractor._LOG_GAIN
+                       * np.log1p(sequential / 64.0), 0, 255).astype(np.uint8)
+        assert np.array_equal(extractor._compress(power), want)
+
+
+def test_extract_frames_a_non_contiguous_clip(extractor):
+    wide = np.random.default_rng(11).integers(
+        -20000, 20000, size=32000).astype(np.int16)
+    clip = wide[::2]
+    assert not clip.flags.c_contiguous
+    assert np.array_equal(extractor.extract(clip),
+                          extractor.extract(np.ascontiguousarray(clip)))
+
+
+@pytest.mark.parametrize("geometry", [{}, {"window_ms": 20, "shift_ms": 10},
+                                      {"window_ms": 32, "shift_ms": 7}])
+def test_frame_view_is_a_read_only_view_of_each_frame(geometry):
+    config = FeatureConfig(**geometry)
+    samples = np.arange(2 * 16000, dtype=np.int32).astype(np.int16)[::2]
+    frames = frame_view(samples, config, config.num_frames)
+    window, shift = config.window_samples, config.shift_samples
+    assert frames.shape == (config.num_frames, window)
+    assert not frames.flags.writeable
+    assert np.shares_memory(frames, samples)
+    for index in (0, 1, config.num_frames - 1):
+        assert np.array_equal(frames[index],
+                              samples[index * shift:index * shift + window])
+
+
+def test_frame_view_refuses_frames_past_its_samples():
+    config = FeatureConfig()
+    samples = np.zeros(config.clip_samples, dtype=np.int16)
+    with pytest.raises(AudioError, match="50 frames do not fit 16000"):
+        frame_view(samples, config, config.num_frames + 1)
+    with pytest.raises(AudioError):
+        frame_view(samples[:config.window_samples - 1], config, 1)
+    with pytest.raises(AudioError):
+        frame_view(samples, config, 0)
 
 
 # --- dataset --------------------------------------------------------------

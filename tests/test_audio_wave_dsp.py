@@ -129,6 +129,12 @@ def test_hann_window_shape_and_range():
     assert np.all(window >= 0)
 
 
+@pytest.mark.parametrize("length", [1, 0, -3])
+def test_hann_window_refuses_fewer_than_two_samples(length):
+    with pytest.raises(AudioError, match="at least 2 samples"):
+        hann_window_q15(length)
+
+
 def test_apply_window_q15():
     frame = np.full(480, 1000, dtype=np.int64)
     window = hann_window_q15(480)
@@ -272,6 +278,65 @@ def test_fft_matches_scalar_butterfly_reference_at_every_length(length, batch):
             want_re, want_im = _scalar_fft_reference(frame)
             assert re[index].tolist() == want_re
             assert im[index].tolist() == want_im
+
+
+def _scalar_power_reference(frame, window=None) -> list[int]:
+    """Bins 0..255 of ``(re^2 + im^2) << 9`` from the scalar loop, the
+    window applied first as ``(sample * w) >> 15``, all in Python ints."""
+    samples = [int(v) for v in frame]
+    if window is not None:
+        samples = [(s * int(w)) >> 15 for s, w in zip(samples, window)]
+    re, im = _scalar_fft_reference(samples)
+    return [(re[k] ** 2 + im[k] ** 2) << 9 for k in range(NUM_BINS)]
+
+
+@pytest.mark.parametrize("length", [1, 100, 255, 256, 257, 400, 480, 511, 512])
+def test_power_spectrum_matches_scalar_butterfly_reference_at_every_length(
+        length):
+    """The power path's own kernel work, the window applied as the
+    frames load and the last stage computing bins 0..255 only, on
+    full-scale and random frames, raw and windowed."""
+    rng = np.random.default_rng(length * 10 + 5)
+    full_scale = rng.choice(np.array([-32768, 32767]), size=(3, length))
+    full_scale[0] = -32768
+    random = rng.integers(-32768, 32768, size=(3, length))
+    windows = [None, rng.integers(-32768, 32768, size=length),
+               np.full(length, -32768)]
+    if length >= 2:
+        windows.append(hann_window_q15(length))
+    for frames in (full_scale, random):
+        for window in windows:
+            power = power_spectrum_fixed_batch(frames, window)
+            assert power.dtype == np.int64
+            assert power.shape == (3, NUM_BINS)
+            for index, frame in enumerate(frames):
+                assert power[index].tolist() == _scalar_power_reference(
+                    frame, window)
+
+
+def test_power_spectrum_windowed_accepts_any_integer_dtype():
+    frames = RNG.integers(0, 32768, size=(2, 480))
+    window = hann_window_q15(480)
+    expected = power_spectrum_fixed_batch(frames.astype(np.int16), window)
+    for dtype in (np.int32, np.int64, np.uint16, np.uint32, np.uint64):
+        for window_dtype in (np.int16, np.int64, np.uint16):
+            assert np.array_equal(power_spectrum_fixed_batch(
+                frames.astype(dtype), window.astype(window_dtype)), expected)
+
+
+@pytest.mark.parametrize("window", [
+    np.zeros(400, dtype=np.int64),
+    np.zeros((1, 480), dtype=np.int64),
+    np.zeros(480, dtype=np.float64),
+    np.full(480, 40000),
+])
+def test_power_spectrum_window_checks_are_apply_window_q15s(window):
+    frames = np.zeros((2, 480), dtype=np.int16)
+    with pytest.raises(AudioError) as applied:
+        apply_window_q15(frames, window)
+    with pytest.raises(AudioError) as powered:
+        power_spectrum_fixed_batch(frames, window)
+    assert str(powered.value) == str(applied.value)
 
 
 def test_fft_batch_matches_single():

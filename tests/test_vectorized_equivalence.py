@@ -141,6 +141,53 @@ def test_im2col_matches_reference(dtype, pad_value):
                     n, i, h, w, c, kh, kw, sh, sw, pad)
 
 
+@pytest.mark.parametrize("dtype,pad_value", [(np.int8, np.int8(-5)),
+                                             (np.float64, 0.0)])
+def test_im2col_matches_reference_on_strided_input_and_single_outputs(
+        dtype, pad_value):
+    """A non-contiguous input, and outputs one row or one column wide
+    (the strided view's last window ends on the padded array's edge)."""
+    rng = np.random.default_rng(43)
+    for h, w, c, kh, kw, sh, sw, pad, out in [
+        (3, 8, 2, 3, 3, 1, 1, (0, 0, 1, 1), (1, 8)),
+        (8, 4, 3, 2, 4, 2, 1, (0, 0, 0, 0), (4, 1)),
+        (5, 5, 1, 5, 5, 2, 2, (0, 0, 0, 0), (1, 1)),
+        (4, 7, 2, 4, 2, 3, 3, (0, 0, 0, 0), (1, 2)),
+        (9, 6, 2, 2, 2, 3, 2, (1, 0, 0, 1), (3, 3)),
+    ]:
+        for n in (1, 3):
+            base = rng.integers(-128, 128, size=(n, 2 * h, w, c + 1))
+            x = base.astype(dtype)[:, ::2, :, 1:]
+            assert not x.flags.c_contiguous
+            fast, out_h, out_w = _im2col_batch(x, kh, kw, sh, sw, pad,
+                                               pad_value)
+            assert (out_h, out_w) == out
+            rows = out_h * out_w
+            assert fast.shape == (n * rows, kh * kw * c)
+            for i in range(n):
+                ref = _im2col_reference(x[i:i + 1], kh, kw, sh, sw, pad,
+                                        pad_value)
+                assert np.array_equal(fast[i * rows:(i + 1) * rows], ref), (
+                    n, i, h, w, c, kh, kw, sh, sw, pad)
+
+
+def test_im2col_windows_are_read_only():
+    """A 1x1 kernel at stride 1 returns the strided windows themselves,
+    which refuse writes; every other geometry returns a fresh copy."""
+    x = np.arange(2 * 5 * 4 * 3, dtype=np.float64).reshape(2, 5, 4, 3)
+    windows, _, _ = _im2col_batch(x, 1, 1, 1, 1, (0, 0, 0, 0), 0.0)
+    assert not windows.flags.writeable
+    with pytest.raises(ValueError):
+        windows[0, 0] = 1.0
+    for kh, kw, sh, sw, pad in [(3, 3, 1, 1, (1, 1, 1, 1)),
+                                (1, 1, 2, 2, (0, 0, 0, 0)),
+                                (2, 1, 1, 1, (0, 1, 0, 0))]:
+        cols, _, _ = _im2col_batch(x, kh, kw, sh, sw, pad, 0.0)
+        assert cols.flags.writeable
+        assert cols.base is None or cols.base.flags.owndata
+        assert cols.base is None or cols.base.size == cols.size
+
+
 def _conv_case(op_cls, dtype, stride, padding, seed):
     """Build specs/tensors for one randomized conv op and run both paths."""
     rng = np.random.default_rng(seed)
