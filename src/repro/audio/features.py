@@ -88,7 +88,9 @@ class FingerprintExtractor:
                  use_fixed_point: bool = True) -> None:
         self.config = config or FeatureConfig()
         self.use_fixed_point = use_fixed_point
-        self._window = hann_window_q15(self.config.window_samples)
+        # int16 so the per-call range check in the DSP skips its scan.
+        self._window = hann_window_q15(
+            self.config.window_samples).astype(np.int16)
 
     @property
     def output_shape(self) -> tuple[int, int]:

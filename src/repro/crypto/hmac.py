@@ -3,10 +3,15 @@
 These primitives back the OMG key-derivation step KDF(PK, n) -> K_U,
 the deterministic random-bit generator in :mod:`repro.crypto.rng`, and
 the fleet's license MACs.
+
+The batch helpers precompute each key's two padded-block hash states
+once (RFC 2104 §4) and finish every message from ``copy()``s of them,
+so a key's pads are derived once per call instead of once per message.
 """
 
 from __future__ import annotations
 
+import hashlib
 import hmac as _hmac
 
 from repro.errors import KeyError_
@@ -15,23 +20,63 @@ __all__ = ["hmac_sha256", "hmac_sha256_many", "hmac_sha256_keyed",
            "hkdf_extract", "hkdf_expand", "hkdf", "constant_time_eq"]
 
 
+_BLOCK = 64  # SHA-256 block size in bytes
+_IPAD = int.from_bytes(b"\x36" * _BLOCK, "big")
+_OPAD = int.from_bytes(b"\x5c" * _BLOCK, "big")
+
+
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """Return HMAC-SHA256(key, message)."""
     return _hmac.digest(key, message, "sha256")
 
 
+def _pad_states(key: bytes):
+    """SHA-256 states after ``K xor ipad`` and ``K xor opad``.
+
+    A key longer than one block is hashed first; a shorter one is
+    zero-padded to the block.  The pads are XORed as whole integers.
+    """
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    block = int.from_bytes(key, "big") << (8 * (_BLOCK - len(key)))
+    return (hashlib.sha256((block ^ _IPAD).to_bytes(_BLOCK, "big")),
+            hashlib.sha256((block ^ _OPAD).to_bytes(_BLOCK, "big")))
+
+
 def hmac_sha256_many(key: bytes, messages) -> list[bytes]:
     """HMAC-SHA256 of each message under one ``key``, in input order."""
-    return [_hmac.digest(key, m, "sha256") for m in messages]
+    inner, outer = _pad_states(key)
+    tags = []
+    for message in messages:
+        state = inner.copy()
+        state.update(message)
+        tag = outer.copy()
+        tag.update(state.digest())
+        tags.append(tag.digest())
+    return tags
 
 
 def hmac_sha256_keyed(keys, messages) -> list[bytes]:
-    """HMAC-SHA256 with a per-message key: ``keys[i]`` signs ``messages[i]``."""
+    """HMAC-SHA256 with a per-message key: ``keys[i]`` signs ``messages[i]``.
+
+    Pad states are built once per distinct key *object*, grouped by
+    ``id()`` so that no lookup is indexed by key bytes.
+    """
     keys = list(keys)
     messages = list(messages)
     if len(keys) != len(messages):
         raise ValueError("hmac_sha256_keyed needs one key per message")
-    return [_hmac.digest(k, m, "sha256") for k, m in zip(keys, messages)]
+    distinct = {id(k): k for k in keys}
+    states = {i: _pad_states(k) for i, k in distinct.items()}
+    tags = []
+    for k, message in zip(keys, messages):
+        inner, outer = states[id(k)]
+        state = inner.copy()
+        state.update(message)
+        tag = outer.copy()
+        tag.update(state.digest())
+        tags.append(tag.digest())
+    return tags
 
 
 def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:

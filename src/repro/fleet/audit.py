@@ -21,12 +21,14 @@ history: truncating, reordering, or editing any record breaks every
 subsequent head.
 
 Appends do no hashing at all — shards on the enrollment hot path pay
-string formatting only, and seal at checkpoints.
+string formatting only, and seal at checkpoints.  A record is an
+immutable ``NamedTuple``; its detail tuple is built in one pass over
+the call's keyword arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.crypto.sha256 import sha256, sha256_many
 from repro.errors import ProtocolError
@@ -40,8 +42,7 @@ GENESIS = b"\x00" * 32
 _SEGMENT_RECORDS = 512
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """One audited decision (already redact()-gated)."""
 
     seq: int
@@ -90,9 +91,8 @@ class AuditChain:
         No hashing happens here — the enrollment hot path pays string
         work only; :meth:`seal` batches the crypto at checkpoints.
         """
-        gated = tuple((key, str(redact(value)))
-                      for key, value in detail.items())
-        record = AuditRecord(seq=len(self.records), kind=kind, detail=gated)
+        record = AuditRecord(len(self.records), kind, tuple(
+            [(key, str(redact(value))) for key, value in detail.items()]))
         self.records.append(record)
         return record
 

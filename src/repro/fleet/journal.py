@@ -32,10 +32,15 @@ Failure model:
 
 :meth:`compact` folds the live state into a snapshot and truncates the
 tail, bounding replay time; ``lag`` (records since the last snapshot)
-is exported as a gauge by the director.  Between :meth:`drop_memory`
-and :meth:`recover` the live state is not the medium's, so
-:meth:`compact` raises :class:`~repro.errors.ProtocolError` rather than
-snapshot it over acknowledged grants.
+is exported as a gauge by the director.  When every tail record is a
+grant of a device not yet live, in increasing lsn order, the new
+snapshot is the old snapshot's records followed by the tail's bytes
+under a new head: exactly the bytes re-encoding the live state would
+give, without encoding a record.  After any other tail (a revoke, a
+release, a torn write) the live state is re-encoded.  Between
+:meth:`drop_memory` and :meth:`recover` the live state is not the
+medium's, so :meth:`compact` raises :class:`~repro.errors.ProtocolError`
+rather than snapshot it over acknowledged grants.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import FaultInjected, LicenseError, ProtocolError
 from repro.faults import hooks as _faults
@@ -60,8 +66,7 @@ _SNAPSHOT_HEAD = struct.Struct(">QI")  # last lsn, record count
 _CRC = struct.Struct(">I")
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(NamedTuple):
     """One live license: who holds it and which request created it."""
 
     device: str
@@ -135,6 +140,9 @@ class LicenseJournal:
         self.torn_drops = 0
         self.replays = 0
         self._tail_records = 0
+        # True while the tail holds only grants of devices not live in
+        # the snapshot, in lsn order: compact() may then append it.
+        self._tail_appends = True
         self._recovered = True
 
     @property
@@ -165,12 +173,15 @@ class LicenseJournal:
                 # this record — recovery decides its fate (drop).
                 self._media += written
                 self._lsn -= 1
+                self._tail_appends = False
                 raise FaultInjected(
                     f"journal torn write on shard {self.shard_id} "
                     f"(kept {len(written)}/{len(record)} bytes)")
         self._media += record
         self.appends += 1
         self._tail_records += 1
+        if kind != KIND_GRANT:
+            self._tail_appends = False
         return self._lsn
 
     # --- license state transitions ---------------------------------------
@@ -227,17 +238,28 @@ class LicenseJournal:
             raise ProtocolError(
                 f"journal on shard {self.shard_id} lost its in-memory "
                 f"state; recover() before compact()")
-        records = []
-        for grant in sorted(self.live.values(), key=lambda g: g.lsn):
-            body = _encode_body((grant.device, grant.tenant,
-                                 grant.nonce_hex, grant.key_digest_hex))
-            frame = _HEADER.pack(_MAGIC, KIND_GRANT, grant.lsn, len(body))
-            frame += body
-            records.append(frame + _CRC.pack(zlib.crc32(frame)))
-        self._snapshot = (_SNAPSHOT_HEAD.pack(self._lsn, len(records))
-                          + b"".join(records))
+        if self._tail_appends:
+            # Nothing left the live set since the last snapshot: its
+            # records stay, and the tail's grant records follow them.
+            count, kept = self._tail_records, b""
+            if self._snapshot:
+                count += _SNAPSHOT_HEAD.unpack_from(self._snapshot)[1]
+                kept = memoryview(self._snapshot)[_SNAPSHOT_HEAD.size:]
+            records = [kept, self._media]
+        else:
+            records = []
+            for grant in sorted(self.live.values(), key=lambda g: g.lsn):
+                body = _encode_body((grant.device, grant.tenant,
+                                     grant.nonce_hex, grant.key_digest_hex))
+                frame = _HEADER.pack(_MAGIC, KIND_GRANT, grant.lsn,
+                                     len(body)) + body
+                records.append(frame + _CRC.pack(zlib.crc32(frame)))
+            count = len(records)
+        self._snapshot = b"".join([_SNAPSHOT_HEAD.pack(self._lsn, count)]
+                                  + records)
         self._media = bytearray()
         self._tail_records = 0
+        self._tail_appends = True
         self.compactions += 1
 
     def _scan(self, data: bytes, apply) -> tuple[int, int]:
@@ -299,6 +321,7 @@ class LicenseJournal:
         """
         live: dict[str, Grant] = {}
         max_lsn = 0
+        tail_appends = True
 
         def apply(kind: int, lsn: int, fields: list[str]) -> None:
             nonlocal max_lsn
@@ -309,6 +332,14 @@ class LicenseJournal:
                                      key_digest_hex, lsn, self.shard_id)
             else:
                 live.pop(fields[0], None)
+
+        def apply_tail(kind: int, lsn: int, fields: list[str]) -> None:
+            # compact() may append the tail only while it holds grants
+            # of devices not yet live, in lsn order.
+            nonlocal tail_appends
+            if kind != KIND_GRANT or lsn <= max_lsn or fields[0] in live:
+                tail_appends = False
+            apply(kind, lsn, fields)
 
         if self._snapshot:
             if len(self._snapshot) < _SNAPSHOT_HEAD.size:
@@ -321,7 +352,7 @@ class LicenseJournal:
                 raise ProtocolError(
                     f"journal corruption on shard {self.shard_id}: "
                     f"snapshot truncated")
-        replayed, torn = self._scan(bytes(self._media), apply)
+        replayed, torn = self._scan(bytes(self._media), apply_tail)
         if torn:
             del self._media[len(self._media) - torn:]
             self.torn_drops += 1
@@ -329,5 +360,6 @@ class LicenseJournal:
         self._recovered = True
         self._lsn = max(self._lsn, max_lsn)
         self._tail_records = replayed
+        self._tail_appends = tail_appends
         return RecoveryReport(replayed=replayed, torn_bytes_dropped=torn,
                               live=len(live))

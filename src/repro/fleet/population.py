@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from repro.crypto.cert import CertificateAuthority
 from repro.crypto.hmac import (
+    constant_time_eq,
     hmac_sha256,
     hmac_sha256_keyed,
     hmac_sha256_many,
@@ -45,6 +46,7 @@ from repro.fleet.shard import (
     CohortCredentials,
     EnrollLeg,
     TenantConfig,
+    hex_bytes,
     xor32,
 )
 from repro.sanctuary.attestation import AttestationReport
@@ -98,9 +100,8 @@ class DeviceCohort:
                 f"device {self.names[index]!r} is terminal ({step})")
         nonce = (self.attest_nonces if step == STATE_ATTEST
                  else self.grant_nonces)[index]
-        return EnrollLeg(device=self.names[index], tenant=self.tenant,
-                         cohort=self.cohort_id, step=step,
-                         nonce_hex=nonce, ticket_hex=self.tickets_hex[index])
+        return EnrollLeg(self.names[index], self.tenant, self.cohort_id,
+                         step, nonce, self.tickets_hex[index])
 
     def complete_grants(self, indices: list[int],
                         replies: list) -> list[bool]:
@@ -145,7 +146,10 @@ def complete_grant_batches(
         slot = slots[bi]
         slots[bi] += 1
         cohort = batches[bi][0]
-        if (mac.hex() != reply.mac_hex
+        # The reply is untrusted: a MAC that is not hex fails like a
+        # wrong one, and the comparison runs in constant time.
+        presented = hex_bytes(reply.mac_hex)
+        if (presented is None or not constant_time_eq(mac, presented)
                 or len(reply.wrapped) != CONTENT_KEY_SIZE):
             cohort.unwrap_failures += 1
             continue

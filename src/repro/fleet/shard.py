@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.crypto.hmac import (
     constant_time_eq,
@@ -130,8 +131,7 @@ class TenantConfig:
         self.cohorts[credentials.cohort_id] = credentials
 
 
-@dataclass(frozen=True)
-class EnrollLeg:
+class EnrollLeg(NamedTuple):
     """One lightweight enrollment request leg (attest or grant).
 
     Mirrors one step of the resumable ``ProvisioningClient``: the
@@ -147,8 +147,7 @@ class EnrollLeg:
     ticket_hex: str
 
 
-@dataclass(frozen=True)
-class EnrollReply:
+class EnrollReply(NamedTuple):
     """Shard's answer to one leg.  ``status``:
 
     * ``ok`` — leg served (``grant`` legs carry the wrapped key)
@@ -169,6 +168,15 @@ def xor32(a: bytes, b: bytes) -> bytes:
     """``a XOR b`` for two 32-byte strings, as two big integers."""
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
         32, "big")
+
+
+def hex_bytes(text: str) -> bytes | None:
+    """The bytes an untrusted hex string spells, or ``None`` when it is
+    not hex (odd length, a non-hex digit, a non-ASCII character)."""
+    try:
+        return bytes.fromhex(text)
+    except (TypeError, ValueError):
+        return None
 
 
 class VendorShard:
@@ -321,32 +329,33 @@ class VendorShard:
 
         # Membership-ticket verification, one pass over every cohort in
         # the wave (each leg keyed by its own cohort's ticket key).
-        expected: dict[int, str] = {}
-        wrap_bases: dict[tuple[str, str], bytes] = {}
+        cohorts: dict[tuple[str, str], CohortCredentials] = {}
         known: list[int] = []
         for index in admitted:
             leg = legs[index]
             pair = (leg.tenant, leg.cohort)
-            if pair not in wrap_bases:
+            if pair not in cohorts:
                 credentials = self._tenant(leg.tenant).cohorts.get(
                     leg.cohort)
                 if credentials is None:
                     continue  # unknown cohort: member legs are rejected
-                wrap_bases[pair] = credentials.wrap_base
+                cohorts[pair] = credentials
             known.append(index)
         ticket_macs = hmac_sha256_keyed(
-            [self._tenant(legs[i].tenant).cohorts[legs[i].cohort].ticket_key
+            [cohorts[(legs[i].tenant, legs[i].cohort)].ticket_key
              for i in known],
             [b"ticket|" + legs[i].device.encode() for i in known])
-        for i, mac in zip(known, ticket_macs):
-            expected[i] = mac.hex()
+        expected = dict(zip(known, ticket_macs))
 
         grant_indices = []
         for index in admitted:
             leg = legs[index]
             want = expected.get(index)
-            if want is None or not constant_time_eq(
-                    bytes.fromhex(want), bytes.fromhex(leg.ticket_hex)):
+            # The leg is untrusted: a ticket that is not hex is a wrong
+            # ticket, not an error for the whole wave.
+            presented = hex_bytes(leg.ticket_hex)
+            if (want is None or presented is None
+                    or not constant_time_eq(want, presented)):
                 self.tickets_rejected += 1
                 self.audit.append("attest", tenant=leg.tenant,
                                   device=leg.device, verdict="fail",
@@ -366,7 +375,7 @@ class VendorShard:
             # wk = HMAC(wrap_base, device|nonce); wrapped = K_M xor wk;
             # mac = HMAC(wk || wrapped) — one pass each over the wave.
             wrap_keys = hmac_sha256_keyed(
-                [wrap_bases[(legs[i].tenant, legs[i].cohort)]
+                [cohorts[(legs[i].tenant, legs[i].cohort)].wrap_base
                  for i in grant_indices],
                 [legs[i].device.encode() + b"|"
                  + legs[i].nonce_hex.encode() for i in grant_indices])
@@ -385,10 +394,10 @@ class VendorShard:
                 if not self.up:
                     replies[index] = EnrollReply(leg.device, "grant", "down")
                     continue
+                digest_hex = digests[slot].hex()
                 try:
                     status = self.journal.grant(
-                        leg.device, leg.tenant, leg.nonce_hex,
-                        digests[slot].hex())
+                        leg.device, leg.tenant, leg.nonce_hex, digest_hex)
                 except LicenseError:
                     self.refusals += 1
                     self.audit.append("refuse", tenant=leg.tenant,
@@ -406,7 +415,7 @@ class VendorShard:
                     self.grants += 1
                     self.audit.append("grant", tenant=leg.tenant,
                                       device=leg.device, nonce=leg.nonce_hex,
-                                      key_digest=digests[slot].hex())
+                                      key_digest=digest_hex)
                 # The grant is durable from here on; losing the *reply*
                 # (fleet.reply fault) leaves an at-least-once retry that
                 # may land on another shard — reconcile's job.
@@ -416,8 +425,8 @@ class VendorShard:
                                                  "dropped")
                     continue
                 replies[index] = EnrollReply(
-                    leg.device, "grant", "ok",
-                    wrapped=wrapped_blobs[slot], mac_hex=macs[slot].hex())
+                    leg.device, "grant", "ok", wrapped_blobs[slot],
+                    macs[slot].hex())
 
         if _obs.TELEMETRY is not None:
             _obs.TELEMETRY.metrics.gauge(

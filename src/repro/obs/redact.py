@@ -46,6 +46,11 @@ def redact(value, _depth: int = 0):
     length/shape summaries, containers are redacted recursively (bounded
     in size and depth), and anything else collapses to its type name.
     """
+    # Exact-type fast path for the common labels; subclasses and every
+    # other value take the full path below, with the same result.
+    kind = type(value)
+    if kind is int or (kind is str and len(value) <= MAX_STRING_LEN):
+        return value
     if value is None or isinstance(value, (bool, int, float)):
         return value
     if isinstance(value, str):

@@ -98,6 +98,46 @@ def test_unknown_cohort_is_rejected_not_crashed():
     assert shard.enroll_wave([ghost])[0].status == "rejected"
 
 
+@pytest.mark.parametrize("ticket_hex", ["zz" * 32, "abc", "\u00e9" * 64],
+                         ids=["non-hex", "odd-length", "non-ascii"])
+def test_malformed_ticket_is_rejected_and_audited_not_raised(ticket_hex):
+    clock, fleet = _small_fleet(devices_per_cohort=2)
+    director = _director(clock, fleet, num_shards=1)
+    shard = director.shards["shard-0"]
+    cohort = fleet.cohorts[0]
+    leg = cohort.leg(0)
+    forged = type(leg)(leg.device, leg.tenant, leg.cohort, leg.step,
+                       leg.nonce_hex, ticket_hex)
+    replies = shard.enroll_wave([forged, cohort.leg(1)])
+    assert [r.status for r in replies] == ["rejected", "ok"]
+    assert shard.tickets_rejected == 1
+    fails = [r for r in shard.audit.records
+             if ("verdict", "fail") in r.detail]
+    assert len(fails) == 1
+    assert ("reason", "bad membership ticket") in fails[0].detail
+
+
+@pytest.mark.parametrize("mac_hex", [
+    "tampered", "zz" * 32, "abc", "\u00e9" * 64, "00" * 16],
+    ids=["tampered", "non-hex", "odd-length", "non-ascii", "short"])
+def test_bad_grant_mac_counts_one_unwrap_failure(mac_hex):
+    clock, fleet = _small_fleet(devices_per_cohort=2)
+    director = _director(clock, fleet, num_shards=1)
+    shard = director.shards["shard-0"]
+    cohort = fleet.cohorts[0]
+    indices, grant = _enroll_all(shard, cohort)
+    good = grant[0]
+    if mac_hex == "tampered":
+        flipped = "0" if good.mac_hex[0] != "0" else "1"
+        mac_hex = flipped + good.mac_hex[1:]
+    bad = type(good)(good.device, good.step, good.status, good.wrapped,
+                     mac_hex)
+    assert cohort.complete_grants(indices, [bad, grant[1]]) == [False, True]
+    assert cohort.unwrap_failures == 1
+    assert cohort.unwrapped == 1
+    assert cohort.state[0] == "grant"
+
+
 def test_grant_replay_is_idempotent_and_counted_once():
     clock, fleet = _small_fleet(devices_per_cohort=3)
     director = _director(clock, fleet, num_shards=1)
