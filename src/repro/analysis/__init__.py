@@ -45,12 +45,11 @@ count), and a waiver that stops suppressing anything becomes an
 ``unused-waiver`` finding itself.
 
 Run as ``python -m repro.analysis [paths]`` or ``repro-omg analyze``.
-The committed baseline (:mod:`repro.analysis.baseline`) is empty by
-construction; any finding fails the run.  Every run analyzes the whole
-tree from source, with nothing kept between runs: the taint summaries
-reach their fixpoint on a worklist that re-summarizes a function only
-when a callee's summary changed, so a cold run over ``src/repro``
-takes a few seconds.
+Inline waivers are the only suppression: any other finding fails the
+run.  Every run analyzes the whole tree from source, with nothing kept
+between runs: the taint summaries reach their fixpoint on a worklist
+that re-summarizes a function only when a callee's summary changed, so
+a cold run over ``src/repro`` takes a few seconds.
 """
 
 from __future__ import annotations
@@ -62,20 +61,12 @@ from repro.analysis.engine import (
     load_module,
     run_analysis,
 )
-from repro.analysis.reporting import (
-    baseline_path,
-    load_baseline,
-    render_human,
-    render_json,
-    render_sarif,
-)
+from repro.analysis.reporting import render_human, render_json, render_sarif
 
 __all__ = [
     "AnalysisResult",
     "Finding",
     "ModuleInfo",
-    "baseline_path",
-    "load_baseline",
     "load_module",
     "main",
     "render_human",
@@ -109,8 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rule", action="append", default=None,
                         metavar="NAME", choices=sorted(RULES),
                         help="run only this rule (repeatable)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the committed baseline file")
     args = parser.parse_args(argv)
 
     paths = args.paths
@@ -118,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         import repro
 
         paths = [os.path.dirname(os.path.abspath(repro.__file__))]
-    baseline = None if args.no_baseline else load_baseline()
-    result = run_analysis(paths, rules=args.rule, baseline=baseline)
+    result = run_analysis(paths, rules=args.rule)
     fmt = "json" if args.as_json else args.format
     if fmt == "json":
         out = render_json(result)

@@ -55,10 +55,6 @@ class Finding:
     message: str
     hint: str = ""
 
-    def identity(self) -> tuple[str, str, str]:
-        """Baseline identity: location-free so line drift never unbaselines."""
-        return (self.rule, self.path.replace(os.sep, "/"), self.message)
-
     def to_dict(self) -> dict:
         return {
             "rule": self.rule, "path": self.path.replace(os.sep, "/"),
@@ -293,15 +289,13 @@ def param_names(func: ast.FunctionDef) -> list[str]:
 class AnalysisResult:
     findings: list[Finding] = field(default_factory=list)
     waived: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     files: int = 0
     rules: list[str] = field(default_factory=list)
     waiver_lines: int = 0     # waiver comments present in the tree
 
 
 def run_analysis(paths: list[str], rules: list[str] | None = None,
-                 config: AnalysisConfig = DEFAULT_CONFIG,
-                 baseline: list[dict] | None = None) -> AnalysisResult:
+                 config: AnalysisConfig = DEFAULT_CONFIG) -> AnalysisResult:
     """Parse every ``.py`` under ``paths`` and run the selected rules."""
     import repro.analysis.rules  # noqa: F401  (registers the rule set)
 
@@ -325,8 +319,6 @@ def run_analysis(paths: list[str], rules: list[str] | None = None,
         raw.extend(rule.check_project(modules, config))
 
     by_path = {module.path: module for module in modules}
-    baseline_ids = {(e["rule"], e["path"], e["message"])
-                    for e in (baseline or [])}
     used_waivers: set[tuple[str, int]] = set()
     seen = set()
     for finding in raw:
@@ -339,8 +331,6 @@ def run_analysis(paths: list[str], rules: list[str] | None = None,
         if waiver_line is not None:
             used_waivers.add((finding.path, waiver_line))
             result.waived.append(finding)
-        elif _in_baseline(finding, baseline_ids):
-            result.baselined.append(finding)
         else:
             result.findings.append(finding)
 
@@ -349,7 +339,6 @@ def run_analysis(paths: list[str], rules: list[str] | None = None,
                                           selected_names))
     result.findings.sort()
     result.waived.sort()
-    result.baselined.sort()
     return result
 
 
@@ -376,12 +365,3 @@ def _stale_waivers(modules: list[ModuleInfo],
                 hint="delete the comment, or re-document why the "
                      "exception is still needed"))
     return out
-
-
-def _in_baseline(finding: Finding, baseline_ids: set[tuple]) -> bool:
-    rule, path, message = finding.identity()
-    for b_rule, b_path, b_message in baseline_ids:
-        if rule == b_rule and message == b_message and (
-                path.endswith(b_path) or b_path.endswith(path)):
-            return True
-    return False

@@ -1,9 +1,4 @@
-"""Human, JSON, and SARIF reporters plus the committed-baseline loader.
-
-The baseline file ships empty by construction: the merged tree has zero
-findings, and the file exists only so a future emergency (a finding
-that must land before its fix) has a sanctioned, reviewable place to be
-recorded instead of a waiver scattered in code.
+"""Human, JSON, and SARIF reporters.
 
 SARIF (2.1.0) is the CI-facing format: uploaded as an artifact from
 the ``analysis`` job, it lets code-review tooling annotate findings on
@@ -18,30 +13,10 @@ import os
 
 from repro.analysis.engine import RULES, AnalysisResult, Finding
 
-__all__ = [
-    "baseline_path",
-    "load_baseline",
-    "render_human",
-    "render_json",
-    "render_sarif",
-]
+__all__ = ["render_human", "render_json", "render_sarif"]
 
 _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                  "master/Schemata/sarif-schema-2.1.0.json")
-
-
-def baseline_path() -> str:
-    return os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "baseline.json")
-
-
-def load_baseline(path: str | None = None) -> list[dict]:
-    path = path or baseline_path()
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    return list(data.get("findings", []))
 
 
 def render_human(result: AnalysisResult) -> str:
@@ -55,8 +30,6 @@ def render_human(result: AnalysisResult) -> str:
                f"{len(result.findings)} finding(s)")
     if result.waived:
         summary += f", {len(result.waived)} waived"
-    if result.baselined:
-        summary += f", {len(result.baselined)} baselined"
     if result.waiver_lines:
         summary += f", {result.waiver_lines} waiver comment(s)"
     lines.append(summary)
@@ -70,7 +43,6 @@ def render_json(result: AnalysisResult) -> str:
         "rules": result.rules,
         "findings": [f.to_dict() for f in result.findings],
         "waived": [f.to_dict() for f in result.waived],
-        "baselined": [f.to_dict() for f in result.baselined],
         "waiver_comments": result.waiver_lines,
     }, indent=2, sort_keys=True)
 
@@ -103,8 +75,7 @@ def _sarif_result(finding: Finding, suppressed: bool) -> dict:
 
 
 def render_sarif(result: AnalysisResult) -> str:
-    rule_ids = sorted({f.rule for f in (*result.findings, *result.waived,
-                                        *result.baselined)}
+    rule_ids = sorted({f.rule for f in (*result.findings, *result.waived)}
                       | set(result.rules))
     rules_meta = []
     for rule_id in rule_ids:

@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "--format json)")
     analyze.add_argument("--rule", action="append", metavar="NAME",
                          help="run only this rule (repeatable)")
-    analyze.add_argument("--no-baseline", action="store_true",
-                         help="ignore the committed baseline file")
 
     trace = sub.add_parser(
         "trace",
@@ -261,8 +259,6 @@ def _cmd_analyze(args) -> int:
         argv.extend(["--format", args.format])
     for rule in args.rule or ():
         argv.extend(["--rule", rule])
-    if args.no_baseline:
-        argv.append("--no-baseline")
     return analysis_main(argv)
 
 

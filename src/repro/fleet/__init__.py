@@ -4,11 +4,10 @@ Multi-tenant attestation + license issuance for very large simulated
 device fleets: consistent-hash shard routing (:mod:`repro.fleet.ring`),
 write-ahead license journals with crash recovery
 (:mod:`repro.fleet.journal`), hash-chained redacted audit trails
-(:mod:`repro.fleet.audit`), per-tenant vendor shards serving both the
-full ``VendorServer`` wire protocol and the pooled group-attestation
-path (:mod:`repro.fleet.shard`), cohort fabrication
-(:mod:`repro.fleet.population`), and the routing/failover/storm driver
-(:mod:`repro.fleet.director`).
+(:mod:`repro.fleet.audit`), per-tenant vendor shards serving one
+pooled group-attestation enrollment path (:mod:`repro.fleet.shard`),
+cohort fabrication (:mod:`repro.fleet.population`), and the
+routing/failover/storm driver (:mod:`repro.fleet.director`).
 """
 
 from repro.lazy import attach

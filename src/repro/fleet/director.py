@@ -102,7 +102,7 @@ class FleetDirector:
         self.tenants = tenants
         self.ring = HashRing(shard_ids, vnodes=vnodes)
         self.shards: dict[str, VendorShard] = {
-            shard_id: VendorShard(shard_id, clock, tenants)
+            shard_id: VendorShard(shard_id, tenants)
             for shard_id in shard_ids}
         self.takeovers = 0
 
@@ -110,7 +110,7 @@ class FleetDirector:
 
     def reshard_add(self, shard_id: str) -> VendorShard:
         """Bring a new shard online and claim its ring range."""
-        shard = VendorShard(shard_id, self.clock, self.tenants)
+        shard = VendorShard(shard_id, self.tenants)
         self.ring.add_shard(shard_id)
         self.shards[shard_id] = shard
         return shard

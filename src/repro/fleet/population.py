@@ -1,22 +1,12 @@
-"""Device-fleet population factory: full-stack devices + pooled cohorts.
+"""Device-fleet population factory: tenants and pooled cohorts.
 
-Two fidelity modes, matching the two shard enrollment paths:
-
-* :meth:`DeviceFleet.full_device` builds one complete simulated device
-  — ``repro.trustzone`` platform, SANCTUARY runtime, launched enclave —
-  and wires the existing resumable
-  :class:`~repro.core.provisioning.ProvisioningClient` to a shard over
-  a secure channel with at-most-once delivery.  ~15 ms of RSA/GCM per
-  enrollment: right for chaos schedules and failover tests, hopeless
-  for 10^5 devices.
-
-* :meth:`DeviceFleet.build_cohort` fabricates a *pooled cohort*: many
-  devices sharing one attestation keypair whose report the tenant
-  verifies once at registration (group attestation).  Everything
-  per-device — membership tickets, per-step request nonces, ring
-  positions, storm arrival offsets — is derived at fabrication time in
-  batched HMAC/SHA-256 passes, so a cohort of 10^4 devices costs
-  fractions of a second to build and bytes-per-device to hold.
+:meth:`DeviceFleet.build_cohort` fabricates a *pooled cohort*: many
+devices sharing one attestation keypair whose report the tenant
+verifies once at registration (group attestation).  Everything
+per-device — membership tickets, per-step request nonces, ring
+positions, storm arrival offsets — is derived at fabrication time in
+batched HMAC/SHA-256 passes, so a cohort of 10^4 devices costs
+fractions of a second to build and bytes-per-device to hold.
 
 The cohort mirrors the ``ProvisioningClient`` contract at the protocol
 level: one request nonce per (device, step) drawn once and reused on
@@ -61,8 +51,6 @@ STATE_REJECTED = "rejected"
 STATE_REFUSED = "refused"
 STATE_ABORTED = "aborted"
 TERMINAL_STATES = (STATE_DONE, STATE_REJECTED, STATE_REFUSED, STATE_ABORTED)
-
-_NONCE_HEX_LEN = 16  # 8 bytes, matching the ProvisioningClient nonce
 
 
 class DeviceCohort:
@@ -168,7 +156,13 @@ def complete_grant_batches(
 
 
 class DeviceFleet:
-    """Builds tenants, pooled cohorts, and full-fidelity devices."""
+    """Builds tenants and their pooled cohorts.
+
+    Each tenant gets a deterministic root and platform CA and a content
+    key; each cohort gets one pooled attestation report, registered with
+    its tenant, and the per-device data its members enroll with through
+    :meth:`~repro.fleet.shard.VendorShard.enroll_wave`.
+    """
 
     def __init__(self, clock, tenants=("tenant-a", "tenant-b"),
                  key_bits: int = 768, seed: bytes = b"fleet-seed") -> None:
@@ -260,82 +254,3 @@ class DeviceFleet:
     @property
     def device_count(self) -> int:
         return sum(len(c) for c in self.cohorts)
-
-    # --- full-fidelity devices --------------------------------------------
-
-    def full_device(self, tenant: str, device: str, shard, app=None,
-                    vendor=None, heap_bytes: int = 1 << 16):
-        """One complete simulated device enrolling through ``shard``.
-
-        Builds a TrustZone platform and SANCTUARY runtime, launches the
-        enclave, and returns a resumable ``ProvisioningClient`` whose
-        delivery runs through the shard's journaled full-fidelity path
-        behind an at-most-once responder.  ``vendor`` (a
-        :class:`~repro.core.parties.Vendor`) becomes the tenant's
-        backend if the tenant does not have one yet; the same client
-        can be re-pointed at another shard with
-        :func:`repoint_full_device` to exercise failover.
-        """
-        from repro.core.channels import reliable_link
-        from repro.core.protocol import (
-            DEFAULT_STEP_TIMEOUTS,
-            ProtocolTranscript,
-        )
-        from repro.core.provisioning import ProvisioningClient
-        from repro.sanctuary.lifecycle import SanctuaryRuntime
-        from repro.trustzone import make_platform
-
-        config = self.tenants[tenant]
-        if config.vendor is None:
-            if vendor is None:
-                raise ProtocolError(
-                    f"tenant {tenant!r} needs a full-fidelity Vendor "
-                    f"backend for full devices")
-            config.vendor = vendor
-            config.expected_measurement = None  # set below from the app
-        vendor = config.vendor
-
-        platform = make_platform(
-            seed=self.seed + b"|dev|" + device.encode(),
-            key_bits=self.key_bits)
-        runtime = SanctuaryRuntime(platform)
-        from repro.core.omg import KeywordSpotterApp
-
-        app = app or KeywordSpotterApp()
-        if config.expected_measurement is None:
-            config.expected_measurement = (
-                SanctuaryRuntime.expected_measurement(app))
-            config.trusted_root = platform.manufacturer_root.public_key
-        instance = runtime.launch(app, heap_bytes=heap_bytes)
-
-        tag = device.encode()
-        requester, responder = reliable_link(
-            vendor.signing_key,
-            lambda payload: shard.handle(tenant, payload, device=device),
-            self.clock, HmacDrbg(b"fleet-channel|" + tag),
-            backoff_rng=HmacDrbg(b"fleet-backoff|" + tag))
-        client = ProvisioningClient(
-            app, instance, requester, responder.handle_frame, self.clock,
-            transcript=ProtocolTranscript(timeouts=DEFAULT_STEP_TIMEOUTS),
-            nonce_rng=HmacDrbg(b"fleet-nonce|" + tag))
-        return client, instance, platform, runtime
-
-
-def repoint_full_device(client, shard, tenant: str, device: str,
-                        vendor) -> None:
-    """Re-aim a full device's in-flight enrollment at another shard.
-
-    Keeps the client's step ledger and per-step nonces (that is the
-    point: resuming against a different shard must stay idempotent) and
-    swaps only the transport — a fresh secure channel terminated at the
-    new shard's journaled handler.
-    """
-    from repro.core.channels import reliable_link
-
-    tag = device.encode() + b"|failover"
-    client.requester, responder = reliable_link(
-        vendor.signing_key,
-        lambda payload: shard.handle(tenant, payload, device=device),
-        client.clock, HmacDrbg(b"fleet-channel|" + tag),
-        backoff_rng=HmacDrbg(b"fleet-backoff|" + tag))
-    client.deliver = responder.handle_frame

@@ -1,28 +1,22 @@
 """Vendor shards: per-tenant attestation + license issuance endpoints.
 
 A :class:`VendorShard` is one failure domain of the fleet control
-plane.  It serves two enrollment paths:
+plane.  It serves one enrollment protocol, :meth:`enroll_wave`: waves
+of simulated devices from pooled cohorts that share one attestation
+keypair (group attestation, EPID-style: the cohort's report is
+RSA-verified *once* at registration; individual devices then
+authenticate with cheap HMAC membership tickets).  Per-device crypto
+inside a wave is a few HMAC/SHA-256 calls per leg, which is what makes
+10^5 enrollments affordable — see :mod:`repro.fleet.population`.
 
-* **Full fidelity** — :meth:`handle` wraps the existing
-  :class:`~repro.core.provisioning.VendorServer` wire protocol (one per
-  tenant, each with its own measurement root), adding write-ahead
-  journaling of every key release and hash-chained audit records around
-  every attestation verdict.  This is the path a real
-  ``ProvisioningClient`` drives over a secure channel, and the one the
-  shard-failover tests exercise.
-
-* **Pooled lightweight** — :meth:`enroll_wave` serves cohorts of
-  simulated devices that share one attestation keypair (group
-  attestation, EPID-style: the cohort's report is RSA-verified *once*
-  at registration; individual devices then authenticate with cheap
-  HMAC membership tickets).  Per-device crypto inside a wave is a few
-  HMAC/SHA-256 calls per leg, which is what makes 10^5 enrollments
-  affordable — see :mod:`repro.fleet.population`.
-
-Both paths share the shard's :class:`~repro.fleet.journal.LicenseJournal`
-(the at-most-one-live-license invariant) and
-:class:`~repro.fleet.audit.AuditChain` (every verdict and grant/revoke,
-redact()-gated).  Crash semantics: :meth:`crash` drops all in-memory
+Every leg is untrusted input.  It is checked once, before any crypto
+(served tenant, known step, 8-byte hex nonce, valid membership
+ticket); a leg that fails is rejected and audited, and the rest of the
+wave is still answered.  Grants go through the shard's
+:class:`~repro.fleet.journal.LicenseJournal` (the
+at-most-one-live-license invariant) and every verdict and
+grant/revoke through its :class:`~repro.fleet.audit.AuditChain`
+(redact()-gated).  Crash semantics: :meth:`crash` drops all in-memory
 state; :meth:`restart` replays the journal.  Ticket checks are
 stateless (every leg re-presents its ticket), so a device mid-enrollment
 survives its shard crashing — or failing over to a different shard —
@@ -41,13 +35,8 @@ from repro.crypto.hmac import (
     hmac_sha256_keyed,
     hmac_sha256_many,
 )
-from repro.crypto.sha256 import sha256, sha256_many
-from repro.errors import (
-    AttestationError,
-    ChannelTimeout,
-    FaultInjected,
-    LicenseError,
-)
+from repro.crypto.sha256 import sha256_many
+from repro.errors import AttestationError, FaultInjected, LicenseError
 from repro.faults import hooks as _faults
 from repro.fleet.audit import AuditChain
 from repro.fleet.journal import LicenseJournal
@@ -59,9 +48,8 @@ __all__ = ["TenantConfig", "CohortCredentials", "EnrollLeg", "EnrollReply",
 
 CONTENT_KEY_SIZE = 32
 
-_OP_KEY = b"K"
-_OP_ATTEST = b"A"
-_REQUEST_NONCE_LEN = 8
+_STEPS = frozenset(("attest", "grant"))
+_NONCE_LEN = 8  # bytes, matching the ProvisioningClient nonce
 
 
 @dataclass(frozen=True)
@@ -89,32 +77,21 @@ class CohortCredentials:
 class TenantConfig:
     """One tenant's trust anchors and (shared) backend state.
 
-    The tenant backend — vendor object, content key, registered
-    cohorts — models the tenant's durable service-side database: it is
-    shared by every shard serving the tenant and survives individual
-    shard crashes (shards are stateless frontends plus their own
-    journal/audit storage).
+    The tenant backend — content key, registered cohorts — models the
+    tenant's durable service-side database: it is shared by every shard
+    serving the tenant and survives individual shard crashes (shards
+    are stateless frontends plus their own journal/audit storage).
     """
 
     def __init__(self, name: str, expected_measurement: bytes,
-                 trusted_root, vendor=None, license_policy=None,
-                 content_key: bytes | None = None) -> None:
+                 trusted_root, content_key: bytes) -> None:
+        if len(content_key) != CONTENT_KEY_SIZE:
+            raise LicenseError("tenant content key must be 32 bytes")
         self.name = name
         self.expected_measurement = expected_measurement
         self.trusted_root = trusted_root
-        self.vendor = vendor
-        self.license_policy = license_policy
-        if content_key is not None and len(content_key) != CONTENT_KEY_SIZE:
-            raise LicenseError("tenant content key must be 32 bytes")
-        self._content_key = content_key
+        self.content_key = content_key
         self.cohorts: dict[str, CohortCredentials] = {}
-
-    @property
-    def content_key(self) -> bytes:
-        if self._content_key is None:
-            raise LicenseError(
-                f"tenant {self.name!r} has no pooled content key")
-        return self._content_key
 
     def register_cohort(self, credentials: CohortCredentials) -> None:
         """Verify the cohort's pooled report once, then admit members.
@@ -180,12 +157,11 @@ def hex_bytes(text: str) -> bytes | None:
 
 
 class VendorShard:
-    """One sharded frontend: servers, journal, audit, crash/restart."""
+    """One sharded frontend: enroll waves, journal, audit, crash/restart."""
 
-    def __init__(self, shard_id: str, clock,
+    def __init__(self, shard_id: str,
                  tenants: dict[str, TenantConfig]) -> None:
         self.shard_id = shard_id
-        self.clock = clock
         self.tenants = dict(tenants)
         self.journal = LicenseJournal(shard_id)
         self.audit = AuditChain(shard_id)
@@ -195,7 +171,6 @@ class VendorShard:
         self.tickets_rejected = 0
         self.grants = 0
         self.refusals = 0
-        self._servers: dict[str, object] = {}
 
     # --- lifecycle --------------------------------------------------------
 
@@ -206,7 +181,6 @@ class VendorShard:
         self.up = False
         self.crashes += 1
         self.journal.drop_memory()
-        self._servers = {}
 
     def restart(self):
         """Come back up by replaying the journal; returns the report."""
@@ -214,97 +188,12 @@ class VendorShard:
         self.up = True
         return report
 
-    def _tenant(self, name: str) -> TenantConfig:
-        config = self.tenants.get(name)
-        if config is None:
-            raise LicenseError(f"shard {self.shard_id} does not serve "
-                               f"tenant {name!r}")
-        return config
-
     def _fault_op(self) -> None:
         if _faults.PLAN is not None and _faults.PLAN.fleet_shard(
                 self.shard_id):
             self.crash()
 
-    # --- full-fidelity path (VendorServer wire protocol) ------------------
-
-    def server_for(self, tenant: str):
-        from repro.core.provisioning import VendorServer
-
-        config = self._tenant(tenant)
-        if config.vendor is None:
-            raise LicenseError(
-                f"tenant {tenant!r} has no full-fidelity vendor backend")
-        server = self._servers.get(tenant)
-        if server is None:
-            server = VendorServer(
-                config.vendor, config.expected_measurement,
-                config.trusted_root, self.clock,
-                license_policy=config.license_policy)
-            self._servers[tenant] = server
-        return server
-
-    def handle(self, tenant: str, payload: bytes,
-               device: str | None = None) -> bytes:
-        """VendorServer dispatch + journaling/audit around it.
-
-        ``device`` is the stable fleet identity behind the enclave id in
-        the payload (defaults to the enclave id itself).  Key releases
-        are journaled *before* the reply leaves the shard — write-ahead
-        — so a crash between journal append and reply is answered
-        idempotently on retry (journal replay + the vendor's own
-        release cache).
-        """
-        self._fault_op()
-        if not self.up:
-            raise ChannelTimeout(
-                f"shard {self.shard_id} is down (crashed)")
-        server = self.server_for(tenant)
-        op = payload[:1]
-        self.enrollments_handled += 1
-        if op == _OP_ATTEST:
-            try:
-                reply = server.handle(payload)
-            except AttestationError as exc:
-                self.audit.append("attest", tenant=tenant,
-                                  device=device or "?", verdict="fail",
-                                  reason=str(exc)[:80])
-                raise
-            self.audit.append("attest", tenant=tenant,
-                              device=device or "?", verdict="pass")
-            return reply
-        if op == _OP_KEY:
-            body = payload[1:]
-            nonce_hex = body[:_REQUEST_NONCE_LEN].hex()
-            enclave_id = body[_REQUEST_NONCE_LEN:].decode()
-            subject = device or enclave_id
-            try:
-                reply = server.handle(payload)
-            except LicenseError as exc:
-                self.refusals += 1
-                self.audit.append("refuse", tenant=tenant, device=subject,
-                                  reason=str(exc)[:80])
-                raise
-            digest_hex = sha256(reply).hex()
-            try:
-                status = self.journal.grant(subject, tenant, nonce_hex,
-                                            digest_hex)
-            except LicenseError:
-                self.refusals += 1
-                self.audit.append("refuse", tenant=tenant, device=subject,
-                                  reason="journal double spend")
-                raise
-            except FaultInjected:
-                self.crash()
-                raise
-            if status == "granted":
-                self.grants += 1
-                self.audit.append("grant", tenant=tenant, device=subject,
-                                  nonce=nonce_hex, key_digest=digest_hex)
-            return reply
-        return server.handle(payload)
-
-    # --- pooled lightweight path ------------------------------------------
+    # --- enrollment -------------------------------------------------------
 
     def enroll_wave(self, legs: list[EnrollLeg]) -> list[EnrollReply]:
         """Serve a wave of enrollment legs with batched crypto.
@@ -327,18 +216,30 @@ class VendorShard:
                 continue
             admitted.append(index)
 
-        # Membership-ticket verification, one pass over every cohort in
-        # the wave (each leg keyed by its own cohort's ticket key).
+        # The legs are untrusted: each is checked once, before any
+        # crypto, and a malformed one is rejected below like a wrong
+        # ticket, so the rest of the wave is still answered.  Then the
+        # membership tickets are verified in one pass over every cohort
+        # in the wave (each leg keyed by its own cohort's ticket key).
         cohorts: dict[tuple[str, str], CohortCredentials] = {}
         known: list[int] = []
+        malformed: set[int] = set()
         for index in admitted:
             leg = legs[index]
+            if (leg.step not in _STEPS
+                    or len(leg.nonce_hex) != 2 * _NONCE_LEN
+                    or len(hex_bytes(leg.nonce_hex) or b"") != _NONCE_LEN):
+                malformed.add(index)
+                continue
             pair = (leg.tenant, leg.cohort)
             if pair not in cohorts:
-                credentials = self._tenant(leg.tenant).cohorts.get(
-                    leg.cohort)
+                config = self.tenants.get(leg.tenant)
+                credentials = (None if config is None
+                               else config.cohorts.get(leg.cohort))
                 if credentials is None:
-                    continue  # unknown cohort: member legs are rejected
+                    # An unserved tenant or unknown cohort has no ticket
+                    # key to check against: member legs are rejected.
+                    continue
                 cohorts[pair] = credentials
             known.append(index)
         ticket_macs = hmac_sha256_keyed(
@@ -351,15 +252,16 @@ class VendorShard:
         for index in admitted:
             leg = legs[index]
             want = expected.get(index)
-            # The leg is untrusted: a ticket that is not hex is a wrong
-            # ticket, not an error for the whole wave.
+            # A ticket that is not hex is a wrong ticket.
             presented = hex_bytes(leg.ticket_hex)
             if (want is None or presented is None
                     or not constant_time_eq(want, presented)):
                 self.tickets_rejected += 1
                 self.audit.append("attest", tenant=leg.tenant,
                                   device=leg.device, verdict="fail",
-                                  reason="bad membership ticket")
+                                  reason=("malformed leg"
+                                          if index in malformed
+                                          else "bad membership ticket"))
                 replies[index] = EnrollReply(leg.device, leg.step,
                                              "rejected")
             elif leg.step == "attest":
@@ -382,7 +284,7 @@ class VendorShard:
             wrapped_blobs = []
             for slot, index in enumerate(grant_indices):
                 leg = legs[index]
-                content = self._tenant(leg.tenant).content_key
+                content = self.tenants[leg.tenant].content_key
                 wrapped_blobs.append(xor32(content, wrap_keys[slot]))
             macs = hmac_sha256_many(
                 b"fleet-grant-mac",

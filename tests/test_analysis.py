@@ -10,12 +10,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import (
-    load_baseline,
-    render_human,
-    render_json,
-    run_analysis,
-)
+from repro.analysis import render_human, render_json, run_analysis
 from repro.analysis.engine import RULES, load_module
 
 pytestmark = pytest.mark.analysis
@@ -281,7 +276,7 @@ def test_zeroization_release_is_transitive_via_call_graph(fixture_tree):
     assert _run(path, rule="zeroization").findings == []
 
 
-# --- waivers, baseline, reporters ------------------------------------------
+# --- waivers, reporters ----------------------------------------------------
 
 def test_waiver_suppresses_single_rule(fixture_tree):
     path = fixture_tree("repro/eval/waived.py", """\
@@ -353,23 +348,17 @@ def test_rule_filter_accepted_in_fresh_process(fixture_tree):
 
 # --- the real tree ----------------------------------------------------------
 
-def test_committed_baseline_is_empty():
-    assert load_baseline() == []
-
-
 def test_full_suite_over_src_repro_is_clean():
-    result = run_analysis([_SRC_REPRO], baseline=load_baseline())
+    result = run_analysis([_SRC_REPRO])
     assert result.findings == [], render_human(result)
     # The intentional wall-clock read (telemetry wall stamps), the
     # keycache's dict-addressing consttime exceptions, and the fleet
     # cohort-registration taint false positive (the coarse param
     # summary flags register_cohort's identifier-only error
-    # message) are waived inline, not baselined; none of them may go
-    # stale (a stale waiver would surface as an unused-waiver finding
-    # above).
+    # message) are waived inline; none of them may go stale (a stale
+    # waiver would surface as an unused-waiver finding above).
     assert len(result.waived) == 5
     assert result.waiver_lines == 5
-    assert result.baselined == []
     assert result.files > 100
 
 

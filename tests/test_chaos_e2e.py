@@ -219,6 +219,17 @@ def test_aborted_run_names_the_rounds_it_burned(platform, tiny_model):
     assert client.rounds == 4
     assert "key" not in client.completed
 
+    # After the blackout the same client resumes to exactly one key
+    # release, and a completed client's re-run sends nothing.
+    client.run()
+    assert client.completed == set(client.STEPS)
+    assert vendor.keys_released == 1
+    assert vendor.license_state(instance.instance_name).key_requests == 1
+    attempts = requester.attempts
+    client.run()
+    assert requester.attempts == attempts
+    assert vendor.keys_released == 1
+
 
 def test_vendor_answers_replayed_nonce_from_cache(platform, tiny_model):
     """The idempotency layer under the channel: same request nonce, same

@@ -117,6 +117,32 @@ def test_malformed_ticket_is_rejected_and_audited_not_raised(ticket_hex):
     assert ("reason", "bad membership ticket") in fails[0].detail
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("tenant", "tenant-zz", "bad membership ticket"),
+    ("step", "bogus", "malformed leg"),
+    ("nonce_hex", "zz" * 16, "malformed leg")],
+    ids=["unserved-tenant", "unknown-step", "non-hex-nonce"])
+def test_malformed_leg_is_rejected_beside_an_honest_leg(field, value,
+                                                        reason):
+    clock, fleet = _small_fleet(devices_per_cohort=2)
+    director = _director(clock, fleet, num_shards=2)
+    alone, shard = director.shards["shard-0"], director.shards["shard-1"]
+    cohort = fleet.cohorts[0]
+    cohort.state[:] = ["grant"] * len(cohort)
+    bad = cohort.leg(0)._replace(**{field: value})
+    honest = cohort.leg(1)
+    reference = alone.enroll_wave([honest])
+    replies = shard.enroll_wave([bad, honest])
+    assert replies[0].status == "rejected"
+    assert replies[1] == reference[0]
+    assert reference[0].status == "ok"
+    assert list(shard.journal.live) == [honest.device]
+    fails = [r for r in shard.audit.records
+             if ("verdict", "fail") in r.detail]
+    assert len(fails) == 1
+    assert ("reason", reason) in fails[0].detail
+
+
 @pytest.mark.parametrize("mac_hex", [
     "tampered", "zz" * 32, "abc", "\u00e9" * 64, "00" * 16],
     ids=["tampered", "non-hex", "odd-length", "non-ascii", "short"])
@@ -225,12 +251,9 @@ def test_cohort_registration_rejects_wrong_tenant():
         fleet.tenants["tenant-b"].register_cohort(credentials)
 
 
-def test_tenant_without_content_key_is_a_license_error():
+def test_tenant_with_short_content_key_is_a_license_error():
     from repro.fleet.shard import TenantConfig
 
-    config = TenantConfig("t", b"\x00" * 32, trusted_root=None)
-    with pytest.raises(LicenseError):
-        _ = config.content_key
     with pytest.raises(LicenseError):
         TenantConfig("t", b"\x00" * 32, trusted_root=None,
                      content_key=b"short")
